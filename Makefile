@@ -1,6 +1,6 @@
 # Canonical developer commands for the OSP reproduction.
 
-.PHONY: install test bench bench-full perf perf-full bench-net bench-net-full bench-prio bench-prio-full bench-multijob bench-multijob-full faults ckpt check trace dash compare examples clean
+.PHONY: install test bench bench-full hostbench hostbench-compare perf perf-full bench-net bench-net-full bench-prio bench-prio-full bench-multijob bench-multijob-full faults ckpt check trace dash compare examples clean
 
 install:
 	pip install -e . || python setup.py develop --no-deps
@@ -13,6 +13,16 @@ bench:
 
 bench-full:
 	REPRO_BENCH_FULL=1 pytest benchmarks/ --benchmark-only -s
+
+# Host-time benchmark (BENCHMARK.json, bench/README.md): every workload's
+# end-to-end metrics to $(OUT). Every optimisation PR reports
+# `make hostbench-compare A=parent.json B=change.json`.
+OUT ?= /tmp/hostbench.json
+hostbench:
+	python3 bench/run.py --out $(OUT)
+
+hostbench-compare:
+	python3 bench/compare.py $(A) $(B)
 
 # Hot-path perf smoke: quick microbenchmarks to a scratch file, then
 # validate the committed baseline's schema + guarded speedups.

@@ -102,11 +102,13 @@ class NetworkConservationMonitor(Monitor):
     ``bytes_carried`` at *every* drain — bandwidth-dip/flap/loss-burst
     windows included, since faults change rates, never conservation.
     Tolerance covers the ``_BYTE_EPS`` completion residue per flow plus
-    float accumulation drift.
+    float accumulation drift. A flow is tracked only while it is in flight:
+    the first drain that finds it gone from the active set folds its full
+    contribution and its residue budget into running totals.
     """
 
     name = "net.conservation"
-    cost = "O(active flows) per network drain"
+    cost = "O(active flows + links) per network drain"
 
     def attach(self, checker, trainer) -> bool:
         net = trainer.network
@@ -114,6 +116,9 @@ class NetworkConservationMonitor(Monitor):
             return False
         self._net = net
         self._flows: dict[int, tuple[float, int]] = {}  # fid -> (eff, links)
+        #: Totals over finished flows: drained link-bytes and eps budget.
+        self._done_bytes = 0.0
+        self._done_eps = 0.0
         self._baseline = sum(l.bytes_carried for l in net.topology.links)
         _wrap(net, "transfer", self._on_transfer)
         _wrap(net, "_drain", self._on_drain)
@@ -136,16 +141,21 @@ class NetworkConservationMonitor(Monitor):
     def _verify(self) -> None:
         net = self._net
         carried = sum(l.bytes_carried for l in net.topology.links) - self._baseline
-        expected = 0.0
-        eps_budget = 0.0
+        active = net._active
+        in_flight = 0.0
+        finished = []
         for fid, (effective, n_links) in self._flows.items():
-            flow = net._active.get(fid)
+            flow = active.get(fid)
             if flow is None:  # finished: credited up to the sub-eps residue
-                expected += effective * n_links
-                eps_budget += _BYTE_EPS * n_links
+                finished.append(fid)
             else:
-                expected += (effective - flow.remaining) * n_links
-        tol = 1e-3 + eps_budget + 1e-9 * max(abs(carried), abs(expected))
+                in_flight += (effective - flow.remaining) * n_links
+        for fid in finished:
+            effective, n_links = self._flows.pop(fid)
+            self._done_bytes += effective * n_links
+            self._done_eps += _BYTE_EPS * n_links
+        expected = self._done_bytes + in_flight
+        tol = 1e-3 + self._done_eps + 1e-9 * max(abs(carried), abs(expected))
         self.checks += 1
         if abs(carried - expected) > tol:
             self.fail(
@@ -568,7 +578,7 @@ class ICSInflightMonitor(Monitor):
     """
 
     name = "osp.ics_inflight"
-    cost = "O(active flows) per network drain"
+    cost = "O(active flows + links) per network drain"
 
     def attach(self, checker, trainer) -> bool:
         sync = trainer.sync_model

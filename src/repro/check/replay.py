@@ -364,8 +364,8 @@ def replay_fairshare(
 
     ``build`` is invoked once under each env setting — the Network reads
     the kill-switch at construction, so each factory call binds its mode.
-    The fast path (coalesced rerates, solver skipping, heap fair-share,
-    vectorized drain) is a host-time optimization only: both streams —
+    The fast path (coalesced rerates, solver skipping, heap fair-share)
+    is a host-time optimization only: both streams —
     every iteration event, loss, and virtual timestamp — must be
     identical.
     """

@@ -32,6 +32,13 @@ class NoJitter:
         return base_time
 
 
+#: Per-worker streams a :class:`LognormalJitter` builds by default. Spec
+#: builders pass ``max(DEFAULT_STREAMS, n_workers)``: streams are seeded per
+#: ``(seed, worker)``, so a larger count changes no smaller run's samples,
+#: and the floor keeps every checkpoint's stream count as it was.
+DEFAULT_STREAMS = 64
+
+
 class LognormalJitter:
     """Multiplicative lognormal noise, the standard straggler model.
 
@@ -44,7 +51,9 @@ class LognormalJitter:
     on the order in which workers ask.
     """
 
-    def __init__(self, sigma: float = 0.2, seed: int = 0, n_workers: int = 64) -> None:
+    def __init__(
+        self, sigma: float = 0.2, seed: int = 0, n_workers: int = DEFAULT_STREAMS
+    ) -> None:
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         self.sigma = float(sigma)
@@ -61,6 +70,11 @@ class LognormalJitter:
         if factor is None:
             # Draw sequentially per worker; iterations are asked in order by
             # the trainer, and the cache makes re-asks consistent.
+            if not 0 <= worker < len(self._streams):
+                raise ValueError(
+                    f"worker {worker} out of range: this LognormalJitter was "
+                    f"built with n_workers={len(self._streams)} streams"
+                )
             factor = float(np.exp(self._streams[worker].normal(0.0, self.sigma)))
             self._cache[key] = factor
         return base_time * factor
@@ -118,4 +132,10 @@ class PersistentStraggler:
             self.inner.load_state(state["inner"])
 
 
-__all__ = ["JitterModel", "LognormalJitter", "NoJitter", "PersistentStraggler"]
+__all__ = [
+    "DEFAULT_STREAMS",
+    "JitterModel",
+    "LognormalJitter",
+    "NoJitter",
+    "PersistentStraggler",
+]

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 from repro.cluster.spec import ClusterSpec, TrainingPlan
 from repro.cluster.engines import TimingEngine
 from repro.cluster.trainer import DistributedTrainer
-from repro.hardware.jitter import LognormalJitter
+from repro.hardware.jitter import DEFAULT_STREAMS, LognormalJitter
 from repro.netsim.links import LinkSpec
 from repro.nn.models.registry import get_card
 from repro.perf.executor import parallel_map
@@ -52,7 +52,9 @@ def _run_one(
     spec = ClusterSpec(
         n_workers=n_workers,
         link=LinkSpec(bandwidth=bandwidth),
-        jitter=LognormalJitter(sigma=sigma, seed=seed),
+        jitter=LognormalJitter(
+            sigma=sigma, seed=seed, n_workers=max(DEFAULT_STREAMS, n_workers)
+        ),
     )
     plan = TrainingPlan(n_epochs=epochs, iterations_per_epoch=ipe, seed=seed)
     engine = TimingEngine(

@@ -12,7 +12,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.data.dataset import Dataset, train_test_split
 from repro.data.synthetic_images import make_image_classification
 from repro.data.synthetic_qa import make_extractive_qa
-from repro.hardware.jitter import LognormalJitter
+from repro.hardware.jitter import DEFAULT_STREAMS, LognormalJitter
 from repro.nn.models.registry import ModelCard, get_card
 
 #: The five workloads of the paper's evaluation (§5.1.2), in figure order.
@@ -56,7 +56,11 @@ class WorkloadConfig:
 def _spec(cfg: WorkloadConfig) -> ClusterSpec:
     return ClusterSpec(
         n_workers=cfg.n_workers,
-        jitter=LognormalJitter(sigma=cfg.sigma, seed=cfg.seed),
+        jitter=LognormalJitter(
+            sigma=cfg.sigma,
+            seed=cfg.seed,
+            n_workers=max(DEFAULT_STREAMS, cfg.n_workers),
+        ),
         colocated_ps=cfg.colocated_ps,
         n_ps=cfg.n_ps,
         faults=cfg.faults,

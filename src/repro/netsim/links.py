@@ -53,11 +53,9 @@ class Link:
 
     name: str
     spec: LinkSpec
-    #: Cumulative bytes drained through this link. A *tolerance* surface,
-    #: not a bit-identity one: the vectorized drain accumulates per-link
-    #: totals in a different float summation order than the scalar loop,
-    #: so consumers (utilization reports, the conservation monitor) must
-    #: — and do — compare with a relative tolerance.
+    #: Cumulative bytes drained through this link: a running float sum of
+    #: every flow's ``rate·dt``, so consumers (utilization reports, the
+    #: conservation monitor) compare it with a relative tolerance.
     bytes_carried: float = field(default=0.0, init=False)
     busy_time: float = field(default=0.0, init=False)
     #: Multiplicative fault state (see :meth:`apply_fault`). Factors rather

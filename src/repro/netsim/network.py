@@ -7,6 +7,10 @@ completion. Wake-ups are versioned so a superseded timer is ignored rather
 than cancelled (the kernel has no cancellation primitive — versioning is
 cheaper and deterministic).
 
+The :class:`~repro.netsim.flows.Flow` objects are the only record of
+``remaining``/``rate``: the drain and the completion horizon are one scalar
+loop each over the active flows, shared by both solver modes.
+
 Scaling machinery (default; ``REPRO_FAIRSHARE=legacy`` disables all of it
 and restores the one-recompute-per-event reference path):
 
@@ -20,13 +24,6 @@ and restores the one-recompute-per-event reference path):
   last solve rides links carrying no *other* flow, the surviving rates are
   provably unchanged and a new flow's rate is exactly the min capacity on
   its route, so the solver is skipped outright (``netsim.rerate_skipped``).
-* **Vectorized drain** — ``remaining``/``rate`` live in parallel numpy
-  arrays keyed by a stable per-flow slot; per-link ``bytes_carried`` is
-  accumulated with ``np.bincount``. Per-flow remaining values are
-  bit-identical to the scalar loop (elementwise IEEE ops, no
-  reassociation); per-link byte totals may differ from the scalar loop
-  only in float summation order, which every consumer (utilization
-  reports, conservation monitor) already reads with a tolerance.
 * **Route caching** — interned ``(route, link-name tuple)`` per (src, dst),
   so the solver never rebuilds name lists and topologies are only asked to
   route each pair once. Topologies are static by contract (fault windows
@@ -45,8 +42,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from typing import Any, Iterable, Optional
-
-import numpy as np
 
 from repro.netsim.fairshare import (
     _SAT_REL,
@@ -181,31 +176,6 @@ class Network:
         #: Parallel fid -> class / weight maps for the priority solver.
         self._solver_prios: dict[int, int] = {}
         self._solver_weights: dict[int, float] = {}
-
-        # -- vectorized drain plane (fast mode, 2-link routes only) --------
-        self._links_seq: list[Link] = list(topology.links)
-        self._n_links = len(self._links_seq)
-        self._link_index = {l.name: i for i, l in enumerate(self._links_seq)}
-        self._vector_ok = True
-        self._slot_of: dict[int, int] = {}
-        self._slot_flow: list[Optional[Flow]] = []
-        self._free_slots: list[int] = []
-        self._arr_remaining = np.zeros(0)
-        self._arr_rate = np.zeros(0)
-        self._arr_links = np.zeros((0, 2), dtype=np.intp)
-        self._arr_prio = np.zeros(0, dtype=np.intp)
-        # -- per-job byte accounting (multi-job co-tenancy) ----------------
-        #: job name -> stable small integer (index into _job_names).
-        self._job_index: dict[str, int] = {}
-        self._job_names: list[str] = []
-        #: Active flows carrying a job tag; zero keeps single-tenant runs
-        #: off the accounting path entirely.
-        self._job_count = 0
-        #: Per-slot job index (-1 = untagged), parallel to _arr_remaining.
-        self._arr_job = np.zeros(0, dtype=np.intp)
-        self._act_dirty = True
-        self._act_list: list[int] = []
-        self._act_arr = np.zeros(0, dtype=np.intp)
 
     # ------------------------------------------------------------------ API
     @property
@@ -373,7 +343,7 @@ class Network:
             self.recorder.incr(name, n)
 
     def _register(self, flow: Flow) -> None:
-        """Add a flow to the active set and every bookkeeping plane."""
+        """Add a flow to the active set and the solver bookkeeping."""
         self._active[flow.fid] = flow
         self._pending_new.append(flow.fid)
         self._solver_routes[flow.fid] = flow.names
@@ -388,37 +358,15 @@ class Network:
             self._weighted_count += 1
         if flow.slice_eff is not None:
             self._sliced_count += 1
-        if flow.job is not None:
-            self._job_count += 1
-            jidx = self._job_index.get(flow.job)
-            if jidx is None:
-                jidx = len(self._job_names)
-                self._job_index[flow.job] = jidx
-                self._job_names.append(flow.job)
-        else:
-            jidx = -1
         load = self._link_load
         for name in set(flow.names):
             n = load.get(name, 0)
             load[name] = n + 1
             if n > 0:
                 self._solver_dirty = True  # couples with an existing flow
-        if self._fast:
-            slot = self._alloc_slot(flow)
-            self._arr_remaining[slot] = flow.remaining
-            self._arr_rate[slot] = 0.0
-            self._arr_prio[slot] = flow.prio
-            self._arr_job[slot] = jidx
-            if self._vector_ok:
-                if len(flow.names) == 2:
-                    self._arr_links[slot, 0] = self._link_index[flow.names[0]]
-                    self._arr_links[slot, 1] = self._link_index[flow.names[1]]
-                else:
-                    self._vector_ok = False
-            self._act_dirty = True
 
     def _retire(self, flow: Flow, tr) -> None:
-        """Remove a finished flow from every bookkeeping plane."""
+        """Remove a finished flow from the active set and the solver bookkeeping."""
         del self._active[flow.fid]
         del self._solver_routes[flow.fid]
         del self._solver_prios[flow.fid]
@@ -432,8 +380,6 @@ class Network:
             self._weighted_count -= 1
         if flow.slice_eff is not None:
             self._sliced_count -= 1
-        if flow.job is not None:
-            self._job_count -= 1
         if tr:
             tr.gauge_delta("obs.net.inflight_bytes", -flow.size)
             tr.gauge_delta("obs.net.active_flows", -1)
@@ -443,49 +389,7 @@ class Network:
             load[name] = n
             if n > 0:
                 self._solver_dirty = True  # survivors on this link speed up
-        slot = self._slot_of.pop(flow.fid, None)
-        if slot is not None:
-            self._slot_flow[slot] = None
-            self._free_slots.append(slot)
-            self._act_dirty = True
         self._finish(flow)
-
-    def _alloc_slot(self, flow: Flow) -> int:
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._slot_flow[slot] = flow
-        else:
-            slot = len(self._slot_flow)
-            self._slot_flow.append(flow)
-            if slot >= self._arr_remaining.size:
-                new_cap = max(64, 2 * self._arr_remaining.size)
-                for attr in ("_arr_remaining", "_arr_rate"):
-                    old = getattr(self, attr)
-                    grown = np.zeros(new_cap)
-                    grown[: old.size] = old
-                    setattr(self, attr, grown)
-                old_links = self._arr_links
-                grown_links = np.zeros((new_cap, 2), dtype=np.intp)
-                grown_links[: old_links.shape[0]] = old_links
-                self._arr_links = grown_links
-                old_prio = self._arr_prio
-                grown_prio = np.zeros(new_cap, dtype=np.intp)
-                grown_prio[: old_prio.size] = old_prio
-                self._arr_prio = grown_prio
-                old_job = self._arr_job
-                grown_job = np.full(new_cap, -1, dtype=np.intp)
-                grown_job[: old_job.size] = old_job
-                self._arr_job = grown_job
-        self._slot_of[flow.fid] = slot
-        return slot
-
-    def _act_slots(self) -> np.ndarray:
-        """Slot indices of active flows (insertion order), cached."""
-        if self._act_dirty:
-            self._act_list = [self._slot_of[fid] for fid in self._active]
-            self._act_arr = np.array(self._act_list, dtype=np.intp)
-            self._act_dirty = False
-        return self._act_arr
 
     def _drain(self) -> None:
         """Advance all active flows to the current instant."""
@@ -494,49 +398,15 @@ class Network:
         self._last_update = now
         if dt <= 0 or not self._active:
             return
-        if self._fast and self._vector_ok:
-            act = self._act_slots()
-            rem = self._arr_remaining[act]
-            moved = self._arr_rate[act] * dt
-            # Elementwise, so bit-identical to the scalar loop per flow.
-            new_rem = np.where(moved > 0.0, np.maximum(0.0, rem - moved), rem)
-            self._arr_remaining[act] = new_rem
-            per_link = np.bincount(
-                self._arr_links[act].ravel(),
-                weights=np.repeat(moved, 2),
-                minlength=self._n_links,
-            )
-            links = self._links_seq
-            for idx in np.flatnonzero(per_link):
-                links[idx].bytes_carried += per_link[idx]
-            if self._prio_on:
-                per_cls = np.bincount(
-                    self._arr_prio[act], weights=moved, minlength=4
-                )
-                for cls in np.flatnonzero(per_cls):
-                    self._count(_BYTE_COUNTERS[cls], float(per_cls[cls]))
-            if self._job_count:
-                jobs = self._arr_job[act]
-                tagged = jobs >= 0
-                if tagged.any():
-                    per_job = np.bincount(
-                        jobs[tagged],
-                        weights=moved[tagged],
-                        minlength=len(self._job_names),
-                    )
-                    names = self._job_names
-                    for jidx in np.flatnonzero(per_job):
-                        self._count(_job_counter(names[jidx]), float(per_job[jidx]))
-            slot_flow = self._slot_flow
-            for i, slot in enumerate(self._act_list):
-                slot_flow[slot].remaining = new_rem[i]
-            return
         cls_bytes = [0.0, 0.0, 0.0, 0.0]
         job_bytes: dict[str, float] = {}
         for flow in self._active.values():
             moved = flow.rate * dt
             if moved > 0:
-                flow.remaining = max(0.0, flow.remaining - moved)
+                # max(0.0, ·) and the horizon's min() as branches: the two
+                # builtin calls per flow were ~8% of a 128-way incast run.
+                rem = flow.remaining - moved
+                flow.remaining = rem if rem > 0.0 else 0.0
                 for link in flow.route:
                     link.bytes_carried += moved
                 cls_bytes[flow.prio] += moved
@@ -561,11 +431,6 @@ class Network:
             return  # an immediate rerate (timer/fault refresh) covered it
         self._drain()
         self._rerate()
-
-    def _set_rate(self, flow: Flow, rate: float) -> None:
-        flow.rate = rate
-        if self._fast:
-            self._arr_rate[self._slot_of[flow.fid]] = rate
 
     def _after_plain_solve(self) -> None:
         """Bookkeeping after a single-class full solve.
@@ -669,18 +534,11 @@ class Network:
             flow = active[fid]
             if rate == 0.0 and flow.rate > 0.0:
                 preempted += 1
-            self._set_rate(flow, rate)
+            flow.rate = rate
         if preempted:
             self._count("netsim.prio_preemptions", preempted)
         self._solver_dirty = False
         self._rated = True
-
-    def _zero_remaining(self, flow: Flow) -> None:
-        flow.remaining = 0.0
-        if self._fast:
-            slot = self._slot_of.get(flow.fid)
-            if slot is not None:
-                self._arr_remaining[slot] = 0.0
 
     def _rerate(self) -> None:
         """Recompute fair rates, complete drained flows, arm the next timer."""
@@ -714,9 +572,8 @@ class Network:
                 for fid in self._pending_new:
                     flow = self._active.get(fid)
                     if flow is not None:
-                        self._set_rate(
-                            flow,
-                            min(self._capacities[n] for n in set(flow.names)),
+                        flow.rate = min(
+                            self._capacities[n] for n in set(flow.names)
                         )
                         if flow.slice_eff is not None:
                             flow.slice_next = max(
@@ -725,45 +582,30 @@ class Network:
                 self._count("netsim.rerate_skipped")
             elif multi:
                 self._prio_solve(fresh_anchor)
-            elif self._fast:
-                rates = fast_fair_rates(
-                    self._solver_routes, self._capacities, validate=False
-                )
-                self._count("netsim.fairshare_calls")
-                arr_rate = self._arr_rate
-                slot_of = self._slot_of
-                for fid, flow in self._active.items():
-                    rate = rates[fid]
-                    flow.rate = rate
-                    arr_rate[slot_of[fid]] = rate
-                self._after_plain_solve()
             else:
-                routes = {
-                    fid: [l.name for l in f.route]
-                    for fid, f in sorted(self._active.items())
-                }
-                rates = max_min_fair_rates(routes, self._capacities)
+                if self._fast:
+                    rates = fast_fair_rates(
+                        self._solver_routes, self._capacities, validate=False
+                    )
+                else:
+                    routes = {
+                        fid: [l.name for l in f.route]
+                        for fid, f in sorted(self._active.items())
+                    }
+                    rates = max_min_fair_rates(routes, self._capacities)
                 self._count("netsim.fairshare_calls")
                 for fid, flow in self._active.items():
-                    self._set_rate(flow, rates[fid])
+                    flow.rate = rates[fid]
                 self._after_plain_solve()
             self._pending_new.clear()
 
-            if self._fast and self._vector_ok:
-                act = self._act_slots()
-                rate_a = self._arr_rate[act]
-                rem_a = self._arr_remaining[act]
-                pos = rate_a > 0.0
-                horizon = (
-                    float(np.min(rem_a[pos] / rate_a[pos]))
-                    if pos.any()
-                    else float("inf")
-                )
-            else:
-                horizon = float("inf")
-                for flow in self._active.values():
-                    if flow.rate > 0:
-                        horizon = min(horizon, flow.remaining / flow.rate)
+            horizon = float("inf")
+            for flow in self._active.values():
+                rate = flow.rate
+                if rate > 0:
+                    eta = flow.remaining / rate
+                    if eta < horizon:
+                        horizon = eta
             if self._locked:
                 # A mid-slice flow's pinned rate expires at its slice
                 # boundary — wake there so deferred allocations apply.
@@ -785,7 +627,7 @@ class Network:
             # at the same instant forever. Zero those flows and loop.
             for flow in self._active.values():
                 if flow.rate > 0 and now + flow.remaining / flow.rate <= now:
-                    self._zero_remaining(flow)
+                    flow.remaining = 0.0
             for fid in self._locked:
                 # Same guard for slice boundaries: a grain too fine to
                 # advance the clock degrades the flow to unsliced.

@@ -5,10 +5,10 @@ star workload — per-worker WFBP-style layer bursts into the PS, full-model
 pulls back, staggered workers, and a mid-run bandwidth-dip fault window
 exercising ``refresh_capacities`` — swept from 4 to 128 workers under the
 legacy one-rerate-per-event path (``REPRO_FAIRSHARE=legacy``) and the fast
-path (coalesced rerates + decoupled-delta skipping + heap fair-share +
-vectorized drain). Every sweep point records a virtual-time fingerprint
-(flow records + final clock) for both modes; ``identical`` certifies the
-fast path changed host time only.
+path (coalesced rerates + decoupled-delta skipping + heap fair-share).
+Every sweep point records a virtual-time fingerprint (flow records + final
+clock) for both modes; ``identical`` certifies the fast path changed host
+time only.
 
 An end-to-end section runs a real timing-mode OSP training job under both
 modes and compares the full numeric fingerprint *and* the differential

@@ -115,6 +115,29 @@ def test_network_tampering_detected_at_finish():
     assert report.violations[0].monitor == "net.conservation"
 
 
+def test_conservation_monitor_tracks_in_flight_flows_only():
+    """Finished flows fold into running totals: cost follows the active set."""
+    trainer = timing_trainer(_cfg(workers=8, epochs=3), OSP())
+    monitor = NetworkConservationMonitor()
+    checker = InvariantChecker(trainer, monitors=[monitor], strict=True)
+    net = trainer.network
+    peak = {"tracked": 0, "active": 0}
+    transfer = net.transfer  # the monitor's wrapper: sample after it records
+
+    def sampled(*args, **kwargs):
+        done = transfer(*args, **kwargs)
+        peak["tracked"] = max(peak["tracked"], len(monitor._flows))
+        peak["active"] = max(peak["active"], len(net._active))
+        return done
+
+    net.transfer = sampled
+    trainer.run()
+    assert checker.finish().ok
+    assert len(net.records) >= 200
+    assert monitor._flows == {}
+    assert 0 < peak["tracked"] <= peak["active"]
+
+
 def _elastic_cfg():
     return WorkloadConfig(
         card_name="resnet50-cifar10",

@@ -147,6 +147,19 @@ def test_lognormal_jitter_validation():
         LognormalJitter(sigma=-0.1)
 
 
+def test_lognormal_jitter_out_of_range_worker_names_the_limit():
+    j = LognormalJitter(sigma=0.1, seed=0, n_workers=4)
+    with pytest.raises(ValueError, match="worker 4 out of range.*n_workers=4"):
+        j.sample(1.0, 4, 0)
+
+
+def test_lognormal_jitter_samples_independent_of_stream_count():
+    small = LognormalJitter(sigma=0.3, seed=5, n_workers=8)
+    large = LognormalJitter(sigma=0.3, seed=5, n_workers=128)
+    for w in range(8):
+        assert small.sample(1.0, w, 0) == large.sample(1.0, w, 0)
+
+
 def test_persistent_straggler_slows_selected_workers():
     m = PersistentStraggler(slow_workers=[2], slow_factor=3.0)
     assert m.sample(1.0, 2, 0) == pytest.approx(3.0)

@@ -9,6 +9,7 @@ from repro.harness.sweep import (
     sweep_jitter,
     sweep_workers,
 )
+from repro.core import OSP
 from repro.sync import ASP, BSP
 
 
@@ -30,6 +31,11 @@ def test_sweep_workers_rho_inverse_in_n():
     pts = sweep_workers([BSP], [2, 4], epochs=2, ipe=2)
     by_n = {p.value: p.comm_compute_ratio for p in pts}
     assert by_n[2] == pytest.approx(2 * by_n[4])
+
+
+def test_sweep_workers_past_default_jitter_streams():
+    (pt,) = sweep_workers((OSP,), [96], epochs=1, ipe=2)
+    assert pt.value == 96 and pt.throughput > 0
 
 
 def test_sweep_jitter_runs():

@@ -49,6 +49,13 @@ def test_run_timing_mode(capsys):
     assert "bsp" in out and "samples/s" in out
 
 
+def test_run_past_default_jitter_streams(capsys):
+    """96 workers: more than the 64 jitter streams a default model builds."""
+    code = main(["run", "--sync", "osp", "--workers", "96", "--epochs", "1", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 96 * 8
+
+
 def test_run_json_output(capsys):
     main(
         [
