@@ -1,6 +1,6 @@
 # Canonical developer commands for the OSP reproduction.
 
-.PHONY: install test bench bench-full hostbench hostbench-compare perf perf-full bench-net bench-net-full bench-prio bench-prio-full bench-multijob bench-multijob-full faults ckpt check trace dash compare examples clean
+.PHONY: install test bench bench-full hostbench hostbench-numeric hostbench-compare perf perf-full bench-net bench-net-full bench-prio bench-prio-full bench-multijob bench-multijob-full faults ckpt check trace dash compare examples clean
 
 install:
 	pip install -e . || python setup.py develop --no-deps
@@ -20,6 +20,13 @@ bench-full:
 OUT ?= /tmp/hostbench.json
 hostbench:
 	python3 bench/run.py --out $(OUT)
+
+# The numeric workload alone (~20 s): the check for any change under
+# src/repro/autograd/ or src/repro/nn/. Same seed on both commits, and the
+# printed digest must not move.
+SEED ?= 3
+hostbench-numeric:
+	python3 bench/run.py --workload numeric_fig6b --seed $(SEED) --seconds 10 --trace 0
 
 hostbench-compare:
 	python3 bench/compare.py $(A) $(B)

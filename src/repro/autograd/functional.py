@@ -2,12 +2,10 @@
 
 All kernels are fully vectorised (im2col for convolution, stride-tricks for
 pooling windows) per the HPC guide: no Python loops over batch or spatial
-dimensions.
+dimensions (conv2d loops over the ``kh*kw`` kernel taps only).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -19,9 +17,9 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    log_sum = np.log(exp.sum(axis=axis, keepdims=True))
-    out_data = shifted - log_sum
-    softmax = exp / exp.sum(axis=axis, keepdims=True)
+    exp_sum = exp.sum(axis=axis, keepdims=True)
+    out_data = shifted - np.log(exp_sum)
+    softmax = exp / exp_sum
 
     def grad_fn(g):
         return g - softmax * g.sum(axis=axis, keepdims=True)
@@ -50,14 +48,11 @@ def _scatter_add(shape, flat_index: np.ndarray, values: np.ndarray) -> np.ndarra
     Both ``np.add.at`` and ``np.bincount`` accumulate strictly in input
     order, so per target element the additions happen in the same sequence
     and the result is bit-identical — but bincount skips ufunc buffered-
-    indexing machinery and is ~8x faster on conv-sized scatters (this is
-    the simulator's single hottest numeric kernel; see docs/performance.md).
-
-    ``REPRO_SCATTER=legacy`` forces the ``np.add.at`` path — the perf
-    harness uses it to measure the pre-optimization baseline.
+    indexing machinery and is ~8x faster. Used by the embedding and strided
+    max-pool backward passes, whose targets really are data-dependent.
     """
     values = np.ascontiguousarray(values)
-    if values.dtype != np.float64 or os.environ.get("REPRO_SCATTER") == "legacy":
+    if values.dtype != np.float64:
         # bincount weights are float64-only; add.at is the general fallback
         out = np.zeros(shape, dtype=values.dtype)
         np.add.at(out.reshape(-1), flat_index.reshape(-1), values.reshape(-1))
@@ -90,71 +85,6 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
 
 # --------------------------------------------------------------- im2col conv
-def _im2col_indices(x_shape, kh, kw, stride, padding):
-    n, c, h, w = x_shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
-    return k, i, j, out_h, out_w
-
-
-# Per-geometry im2col index cache: a model sees a handful of distinct
-# (input shape, kernel, stride, padding) combinations, each reused thousands
-# of times per run, so the index arrays are precomputed once. The small
-# per-image ``flat`` offsets are always cached; the batch-expanded
-# gather/scatter arrays are cached only while they fit the budget —
-# eval-sized batches (hundreds of images) would hoard hundreds of MB, so
-# those geometries get ``None`` and conv2d uses the flat-only path instead.
-_CONV_GEOM_CACHE: dict = {}
-_CONV_GEOM_ENTRY_CAP = 48 * 1024 * 1024
-_CONV_GEOM_BUDGET = 256 * 1024 * 1024
-_conv_geom_bytes = 0
-
-
-def _conv_geometry(x_shape, kh, kw, stride, padding):
-    """Cached ``(flat, gather_idx, scatter_idx, out_h, out_w)`` for one
-    conv geometry.
-
-    ``flat`` (F, P) holds per-image flat offsets into the padded input.
-    ``gather_idx`` (F, N, P) pulls im2col columns for the whole batch in one
-    ``np.take`` — laid out so the column matrix comes out C-contiguous in
-    ``(F, N, P)`` order, which lets both conv einsum contractions reshape
-    its (N, F, P) transpose view to their BLAS operand without copying (see
-    ``conv2d``). ``scatter_idx`` (N, F, P) is the matching backward scatter
-    target, in the same (n, f, p) element order as the historical per-call
-    construction so the scatter-add accumulation order (and hence every
-    bit) is unchanged. ``gather_idx``/``scatter_idx`` are ``None`` for
-    geometries too large to cache.
-    """
-    global _conv_geom_bytes
-    key = (x_shape, kh, kw, stride, padding)
-    hit = _CONV_GEOM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n, c, h, w = x_shape
-    k, i, j, out_h, out_w = _im2col_indices(x_shape, kh, kw, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    flat = (k * hp + i) * wp + j  # (F, P) per-image flat offsets
-    size = 2 * n * flat.size * flat.itemsize
-    if size <= _CONV_GEOM_ENTRY_CAP and _conv_geom_bytes + size <= _CONV_GEOM_BUDGET:
-        offs = np.arange(n) * (c * hp * wp)
-        gather_idx = flat[:, None, :] + offs[None, :, None]  # (F, N, P)
-        scatter_idx = flat[None, :, :] + offs[:, None, None]  # (N, F, P)
-        _conv_geom_bytes += size
-    else:
-        gather_idx = scatter_idx = None
-    entry = (flat, gather_idx, scatter_idx, out_h, out_w)
-    _CONV_GEOM_CACHE[key] = entry
-    return entry
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -166,122 +96,75 @@ def conv2d(
 
     ``x``: (N, C_in, H, W); ``weight``: (C_out, C_in, KH, KW);
     ``bias``: (C_out,) or None.
+
+    Output, ``dx`` and ``dw`` carry the bits (and the output the NHWC
+    memory layout) of the index-based reference in
+    ``tests/autograd/test_conv_reference.py``, except when
+    ``F = C_in*KH*KW == 1`` with ``C_out > 1``: there the reference's einsum
+    special-cases a broadcast multiply (C-contiguous output, ``dx`` a few ulp
+    off); this function keeps its one layout. No model card has ``F == 1``.
     """
     n, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input {c_in}, weight {c_in_w}")
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ValueError(
-            f"kernel {kh}x{kw} larger than padded input "
-            f"{h + 2 * padding}x{w + 2 * padding}"
-        )
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if hp < kh or wp < kw:
+        raise ValueError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     # Output size floors (PyTorch semantics): trailing rows/cols that do not
-    # fit a full window are ignored by the im2col index set.
+    # fit a full window are never read.
+    out_h = (hp - kh) // stride + 1
+    out_w = (wp - kw) // stride + 1
+    n_cols = n * out_h * out_w
 
-    if os.environ.get("REPRO_CONV") == "legacy":
-        return _conv2d_legacy(x, weight, bias, stride, padding)
-
-    # Fast layout: gather the im2col matrix directly into (F, N, P)
-    # C-contiguous order with one flat np.take. Both einsum contractions
-    # below receive the (N, F, P) *transpose view* of it — their internal
-    # BLAS dispatch reshapes that view to its operand without copying,
-    # whereas an (N, F, P)-contiguous cols (the legacy layout) forced a
-    # full copy of the column matrix on every forward AND every grad_w.
-    # The BLAS calls themselves are unchanged in shape and operand order,
-    # so results stay bit-identical to the legacy path (verified by the
-    # arena parity tests and the perf fingerprints).
-    #
-    # Bit-parity constraint: the forward einsum result must keep its
-    # NATURAL output layout (a strided view for the bmm path). Forcing it
-    # into a C-contiguous out= buffer preserves the conv values but changes
-    # the memory order downstream reductions (batch-norm mean/var) iterate
-    # in, which changes THEIR pairwise-summation bits. grad_x's dcols may
-    # use out= because _scatter_add always normalised its layout anyway.
-    flat, gather_idx, scatter_idx, out_h, out_w = _conv_geometry(
-        x.shape, kh, kw, stride, padding
-    )
     if padding:
-        x_padded = np.pad(
-            x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))
-        )
+        x_padded = np.zeros((n, c_in, hp, wp), dtype=x.data.dtype)
+        x_padded[:, :, padding:-padding, padding:-padding] = x.data
     else:
-        # No padding: the gather indices address the input directly; the
-        # defensive copy np.pad would make changes no gathered value.
         x_padded = x.data
-    if gather_idx is not None:
-        cols_f = np.take(x_padded.ravel(), gather_idx)  # (F, N, P) contiguous
-        cols = cols_f.transpose(1, 0, 2)  # (N, F, P) view for the einsums
-    else:
-        # Geometry too large to cache (eval-sized batch): flat-take per
-        # image; einsum re-copies internally, exactly like the legacy path.
-        cols = np.take(x_padded.reshape(n, -1), flat, axis=1)  # (N, F, P)
-    w_row = weight.data.reshape(c_out, -1)  # (C_out, C_in*KH*KW)
-    n_pix = out_h * out_w
-    out = np.einsum("of,nfp->nop", w_row, cols, optimize=True)
-    out_data = out.reshape(n, c_out, out_h, out_w)
+
+    def windows(a, ki, kj):
+        """The (N, C, out_h, out_w) strided view of ``a`` that kernel tap
+        ``(ki, kj)`` reads, as (C, N, out_h, out_w)."""
+        rows = slice(ki, ki + stride * (out_h - 1) + 1, stride)
+        return a[:, :, rows, kj : kj + stride * (out_w - 1) + 1 : stride].transpose(1, 0, 2, 3)
+
+    # Column matrix in (F, N, P) C order, F = (c, ki, kj): one strided-slice
+    # copy per kernel tap, no index arrays.
+    taps_shape = (c_in, kh, kw, n, out_h, out_w)
+    cols = np.empty(taps_shape, dtype=x.data.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            cols[:, ki, kj] = windows(x_padded, ki, kj)
+    cols2d = cols.reshape(c_in * kh * kw, n_cols)  # (F, N*P)
+    w_row = weight.data.reshape(c_out, c_in * kh * kw)  # (C_out, F)
+
+    # (N*P, F) @ (F, C_out): the result is NHWC in memory and is handed on
+    # as an NCHW *view*. Downstream reductions (batch-norm mean/var) iterate
+    # in memory order, so this layout is part of the bit-level contract, as
+    # is the operand order of all three matmuls (docs/performance.md).
+    out = np.matmul(cols2d.T, w_row.T)
+    out_data = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
 
     def grad_x(g):
-        g2 = g.reshape(n, c_out, -1)  # (N, C_out, P)
-        dcols = np.empty((n, w_row.shape[1], n_pix), dtype=np.result_type(w_row, g2))
-        np.einsum("of,nop->nfp", w_row, g2, optimize=True, out=dcols)
-        if scatter_idx is not None:
-            idx = scatter_idx
-        else:
-            _, _, hp, wp = x_padded.shape
-            idx = np.arange(n)[:, None, None] * (c_in * hp * wp) + flat
-        dx_padded = _scatter_add(x_padded.shape, idx, dcols)
+        g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n_cols)  # (C_out, N*P)
+        dcols = np.matmul(w_row.T, g2).reshape(taps_shape)  # (F, N*P), C order
+        # col2im: taps accumulate in increasing (ki, kj) order -- per element
+        # the same addition sequence an in-order scatter-add performs.
+        dx_padded = np.zeros((n, c_in, hp, wp), dtype=dcols.dtype)
+        for ki in range(kh):
+            for kj in range(kw):
+                tap = windows(dx_padded, ki, kj)
+                tap += dcols[:, ki, kj]
         if padding:
             return dx_padded[:, :, padding:-padding, padding:-padding]
         return dx_padded
 
     def grad_w(g):
-        g2 = g.reshape(n, c_out, -1)
-        dw_row = np.einsum("nop,nfp->of", g2, cols, optimize=True)
-        return dw_row.reshape(weight.shape)
-
-    parents = [(x, grad_x), (weight, grad_w)]
-    if bias is not None:
-        parents.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
-    return Tensor._from_op(out_data, parents, "conv2d")
-
-
-def _conv2d_legacy(x, weight, bias, stride, padding):
-    """Pre-optimization conv path (``REPRO_CONV=legacy``): per-call index
-    construction and an (N, F, P)-contiguous column matrix that the einsums
-    internally re-copy. Kept so the perf harness can measure the true
-    pre-change baseline; bit-identical to the fast path."""
-    n, c_in, h, w = x.shape
-    c_out = weight.shape[0]
-    k, i, j, out_h, out_w = _im2col_indices(x.shape, weight.shape[2], weight.shape[3], stride, padding)
-    x_padded = np.pad(
-        x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    )
-    # cols: (C_in*KH*KW, out_h*out_w, N) -> reshape for matmul
-    cols = x_padded[:, k, i, j]  # (N, C_in*KH*KW, out_h*out_w)
-    w_row = weight.data.reshape(c_out, -1)  # (C_out, C_in*KH*KW)
-    out = np.einsum("of,nfp->nop", w_row, cols, optimize=True)
-    out_data = out.reshape(n, c_out, out_h, out_w)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
-
-    def grad_x(g):
-        g2 = g.reshape(n, c_out, -1)  # (N, C_out, P)
-        dcols = np.einsum("of,nop->nfp", w_row, g2, optimize=True)
-        _, _, hp, wp = x_padded.shape
-        flat = (k * hp + i) * wp + j  # (F, P) per-image flat offsets
-        idx = np.arange(n)[:, None, None] * (c_in * hp * wp) + flat
-        dx_padded = _scatter_add(x_padded.shape, idx, dcols)
-        if padding:
-            return dx_padded[:, :, padding:-padding, padding:-padding]
-        return dx_padded
-
-    def grad_w(g):
-        g2 = g.reshape(n, c_out, -1)
-        dw_row = np.einsum("nop,nfp->of", g2, cols, optimize=True)
-        return dw_row.reshape(weight.shape)
+        g2 = g.transpose(0, 2, 3, 1).reshape(n_cols, c_out)  # (N*P, C_out)
+        return np.matmul(cols2d, g2).T.reshape(weight.shape)
 
     parents = [(x, grad_x), (weight, grad_w)]
     if bias is not None:

@@ -62,6 +62,23 @@ class Conv2d(Module):
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
+def _batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel ``(mean, var)`` of an NCHW array, bit-identical to
+    ``x.mean(axis=(0, 2, 3))`` and ``x.var(axis=(0, 2, 3))``.
+
+    ``np.var`` recomputes the mean it is not given; this is its own operation
+    order (subtract, square in place, sum, divide) applied to the mean
+    already in hand. The deviations keep ``x``'s memory layout, so the sum
+    pairs up the same elements for a strided ``x`` as ``np.var`` does.
+    """
+    mean = x.mean(axis=(0, 2, 3), keepdims=True)
+    dev = x - mean
+    np.square(dev, out=dev)
+    var = dev.sum(axis=(0, 2, 3))
+    var /= x.shape[0] * x.shape[2] * x.shape[3]
+    return mean.reshape(-1), var
+
+
 class BatchNorm2d(Module):
     """Batch normalisation over (N, H, W) per channel, with running stats."""
 
@@ -78,8 +95,7 @@ class BatchNorm2d(Module):
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
         if self.training:
-            mean = x.data.mean(axis=(0, 2, 3))
-            var = x.data.var(axis=(0, 2, 3))
+            mean, var = _batch_stats(x.data)
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:

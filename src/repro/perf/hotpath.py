@@ -1,19 +1,18 @@
 """Microbenchmark harness for the numeric hot path (``repro perf``).
 
-Times the operations the flat arena (:mod:`repro.nn.arena`) and the
-bincount scatter-add (:mod:`repro.autograd.functional`) vectorize —
+Times the operations the flat arena (:mod:`repro.nn.arena`) vectorizes —
 PS weighted averaging, PGP importance, LGP correction, replica sync — with
-the optimizations on vs off, plus end-to-end wall-clock on a numeric
+the arena on vs off, plus end-to-end wall-clock on a numeric
 ``fig6b``-scale run and virtual-time references for traced/untraced timing
 runs. Results are written as ``BENCH_hotpath.json`` (schema
 ``repro.perf.hotpath/v1``), the committed perf-regression baseline that
 the tier-1 guard test validates.
 
 Baselines are *re-measurable*: the dict path is selected with
-``use_arena=False``, the pre-optimization autograd scatter with
-``REPRO_SCATTER=legacy``, and the pre-optimization im2col conv layout with
-``REPRO_CONV=legacy``, so the harness always compares live code paths
-(which the parity tests pin bit-identical) rather than stale numbers.
+``use_arena=False`` (``REPRO_FLAT_ARENA=0`` end to end), so the harness
+always compares live code paths (which the parity tests pin bit-identical)
+rather than stale numbers. The end-to-end baseline is the dict plane only;
+the autograd kernels are the same code on both sides.
 """
 
 from __future__ import annotations
@@ -273,9 +272,9 @@ def _e2e_numeric(
     sigma: float = 0.0,
     repeats: int = 2,
 ) -> dict:
-    """fig6b-scale numeric OSP run: pre-change path (dict grads + add.at
-    scatter + per-call im2col conv) vs optimized (arena + bincount + cached
-    flat-layout conv), wall-clock + parity.
+    """fig6b-scale numeric OSP run: dict gradient plane
+    (``REPRO_FLAT_ARENA=0``) vs the flat arena, wall-clock + parity. The
+    autograd kernels are the same on both sides.
 
     Each variant is timed ``repeats`` times and the best (minimum) is kept —
     end-to-end runs are long enough that scheduler noise on a shared box
@@ -314,12 +313,8 @@ def _e2e_numeric(
             fp = fp or run_fp
         return min(times), fp
 
-    base_s, base_fp = best_of(
-        {"REPRO_FLAT_ARENA": "0", "REPRO_SCATTER": "legacy", "REPRO_CONV": "legacy"}
-    )
-    opt_s, opt_fp = best_of(
-        {"REPRO_FLAT_ARENA": None, "REPRO_SCATTER": None, "REPRO_CONV": None}
-    )
+    base_s, base_fp = best_of({"REPRO_FLAT_ARENA": "0"})
+    opt_s, opt_fp = best_of({"REPRO_FLAT_ARENA": None})
     return {
         "baseline_s": base_s,
         "optimized_s": opt_s,

@@ -66,6 +66,21 @@ def test_batchnorm_running_stats_update():
     assert np.allclose(bn.running_mean, 5.0)  # 0.5*0 + 0.5*10
 
 
+@pytest.mark.parametrize("nhwc_strided", [False, True])
+def test_batchnorm_batch_stats_are_numpys_bits(nhwc_strided):
+    # momentum 1.0 makes the running stats the batch stats themselves. The
+    # strided case is what conv2d hands on (NCHW view of NHWC memory), where
+    # the reduction pairs elements differently than for a C-contiguous array.
+    data = rng().normal(loc=2.0, scale=3.0, size=(25, 8, 16, 16))
+    if nhwc_strided:
+        data = np.ascontiguousarray(data.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    assert data.flags.c_contiguous != nhwc_strided
+    bn = BatchNorm2d(8, momentum=1.0)
+    bn(Tensor(data))
+    assert np.array_equal(bn.running_mean, data.mean(axis=(0, 2, 3)))
+    assert np.array_equal(bn.running_var, data.var(axis=(0, 2, 3)))
+
+
 def test_batchnorm_eval_uses_running_stats():
     bn = BatchNorm2d(2)
     x = Tensor(rng().normal(size=(4, 2, 3, 3)))
