@@ -1,6 +1,6 @@
 # Canonical developer commands for the OSP reproduction.
 
-.PHONY: install test bench bench-full hostbench hostbench-numeric hostbench-compare perf perf-full bench-net bench-net-full bench-prio bench-prio-full bench-multijob bench-multijob-full faults ckpt check trace dash compare examples clean
+.PHONY: install test bench bench-full hostbench hostbench-numeric hostbench-compare perf perf-full faults ckpt check trace dash compare examples clean
 
 install:
 	pip install -e . || python setup.py develop --no-deps
@@ -41,36 +41,6 @@ perf:
 perf-full:
 	PYTHONPATH=src python -m repro perf --out BENCH_hotpath.json
 
-# Netsim scaling smoke: quick 4->64-worker sweep to a scratch file, then
-# validate the committed baseline (bit-identity flags + guarded speedup).
-bench-net:
-	PYTHONPATH=src python -m repro perf-net --quick --out /tmp/BENCH_netsim.quick.json
-	PYTHONPATH=src python -m repro perf-net --check BENCH_netsim.json
-
-# Regenerate the committed BENCH_netsim.json at full scale (4->128 workers).
-bench-net-full:
-	PYTHONPATH=src python -m repro perf-net --out BENCH_netsim.json
-
-# Priority-scheduling smoke: quick contended-RS run to a scratch file, then
-# validate the committed baseline (inert identity + guarded improvement).
-bench-prio:
-	PYTHONPATH=src python -m repro perf-prio --quick --out /tmp/BENCH_netprio.quick.json
-	PYTHONPATH=src python -m repro perf-prio --check BENCH_netprio.json
-
-# Regenerate the committed BENCH_netprio.json at full scale.
-bench-prio-full:
-	PYTHONPATH=src python -m repro perf-prio --out BENCH_netprio.json
-
-# Co-tenancy smoke: quick multi-job isolation run to a scratch file, then
-# validate the committed baseline (solo-job identity + guarded isolation).
-bench-multijob:
-	PYTHONPATH=src python -m repro perf-multijob --quick --out /tmp/BENCH_multijob.quick.json
-	PYTHONPATH=src python -m repro perf-multijob --check BENCH_multijob.json
-
-# Regenerate the committed BENCH_multijob.json at full scale.
-bench-multijob-full:
-	PYTHONPATH=src python -m repro perf-multijob --out BENCH_multijob.json
-
 # Fault-injection smoke: the tier-1 fault tests plus the robustness bench.
 faults:
 	pytest tests/cluster/test_faults.py -q
@@ -89,7 +59,7 @@ ckpt:
 	PYTHONPATH=src pytest tests/ckpt/ -q
 
 # Invariant-checker smoke: an OSP run with an active fault window under
-# every runtime monitor, both differential replays (flat-arena vs dict
+# every runtime monitor, the two differential replays (flat-arena vs dict
 # plane, resumed vs uninterrupted), then the repro.check tier-1 tests.
 check:
 	PYTHONPATH=src python -m repro check --sync osp --workers 4 --epochs 6 \

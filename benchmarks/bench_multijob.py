@@ -1,37 +1,33 @@
-"""Perf-regression benchmark — multi-job co-tenancy on the shared fabric.
+"""Multi-job co-tenancy on the shared fabric.
 
-Runs the ``repro perf-multijob`` harness (quick mode by default, the full
-co-tenant schedule with ``REPRO_BENCH_FULL=1``), prints the per-tenant
-table, and asserts what the tier-1 guard asserts about the committed
-``BENCH_multijob.json``: a solo job routed through ``repro.multijob`` is
-bit-identical to a direct ``DistributedTrainer`` run, and the OSP
-tenant's RS-stage p90 wait is protected by at least the guarded ratio
-when a background BULK tenant shares its hosts and the priority
-scheduler is on.
+Runs ``repro.harness.osp_beside_bulk_cotenant`` (quick mode by default,
+four epochs with ``REPRO_BENCH_FULL=1``), prints the per-tenant table, and
+asserts the OSP tenant's RS-stage p90 wait is protected by at least 1.5x
+when a background BULK tenant shares its hosts and the priority scheduler
+is on (1.97x at full scale when the multi-job layer landed).
 """
 
 from conftest import bench_quick
 
+from repro.harness import osp_beside_bulk_cotenant
 from repro.metrics.report import format_table
-from repro.perf.multijob import MIN_IMPROVEMENT, run_multijob_bench
 
 
 def _run():
-    return run_multijob_bench(quick=bench_quick())
+    return osp_beside_bulk_cotenant(quick=bench_quick())
 
 
-def test_multijob_isolation_and_identity(benchmark):
+def test_multijob_isolation(benchmark):
     data = benchmark.pedantic(_run, rounds=1, iterations=1)
-    cont = data["contended"]
     print()
     rows = [
         (
             mode,
-            f"{cont[mode]['rs_stage_p90_s'] * 1e3:.1f}",
-            f"{cont[mode]['rs_stage_p50_s'] * 1e3:.1f}",
-            f"{cont[mode]['osp_wall_s']:.2f}",
-            f"{cont[mode]['bulk_wall_s']:.2f}",
-            f"{cont[mode]['osp_contended_share']:.1%}",
+            f"{data[mode]['rs_stage_p90_s'] * 1e3:.1f}",
+            f"{data[mode]['rs_stage_p50_s'] * 1e3:.1f}",
+            f"{data[mode]['osp_wall_s']:.2f}",
+            f"{data[mode]['bulk_wall_s']:.2f}",
+            f"{data[mode]['osp_contended_share']:.1%}",
         )
         for mode in ("off", "on")
     ]
@@ -43,13 +39,6 @@ def test_multijob_isolation_and_identity(benchmark):
             title="Co-tenancy — OSP + background BSP on shared hosts",
         )
     )
-    print(f"improvement: {cont['improvement']:.2f}x  "
-          f"preemptions: {cont['on']['preemptions']}  "
-          f"identity identical: {data['identity']['identical']}")
-    assert data["identity"]["identical"], (
-        "solo job via repro.multijob diverged from the direct trainer run"
-    )
-    assert cont["improvement"] >= MIN_IMPROVEMENT, (
-        f"RS-stage p90 isolation {cont['improvement']:.2f}x "
-        f"below guarded {MIN_IMPROVEMENT}x"
-    )
+    print(f"improvement: {data['improvement']:.2f}x  "
+          f"preemptions: {data['on']['preemptions']}")
+    assert data["improvement"] >= 1.5

@@ -1,35 +1,31 @@
-"""Perf-regression benchmark — priority-aware communication scheduling.
+"""Priority-aware communication scheduling under background tenants.
 
-Runs the ``repro perf-prio`` harness (quick mode by default, the full
-contended sweep with ``REPRO_BENCH_FULL=1``), prints the contended
-RS-stage wait table, and asserts what the tier-1 guard asserts about the
-committed ``BENCH_netprio.json``: the inert default-class path is
-bit-identical across scheduler modes and the RS-stage p90 wait under
-ICS + background contention improves by at least the guarded ratio with
-priorities on.
+Runs ``repro.harness.rs_under_bulk_tenants`` (quick mode by default, four
+epochs with ``REPRO_BENCH_FULL=1``), prints the contended RS-stage wait
+table, and asserts the RS-stage p90 wait improves by at least 1.5x with
+priorities on (1.99x at full scale when the scheduler landed).
 """
 
 from conftest import bench_quick
 
+from repro.harness import rs_under_bulk_tenants
 from repro.metrics.report import format_table
-from repro.perf.netprio import MIN_IMPROVEMENT, run_netprio_bench
 
 
 def _run():
-    return run_netprio_bench(quick=bench_quick())
+    return rs_under_bulk_tenants(quick=bench_quick())
 
 
 def test_netprio_contended_rs(benchmark):
     data = benchmark.pedantic(_run, rounds=1, iterations=1)
-    cont = data["contended"]
     print()
     rows = [
         (
             mode,
-            f"{cont[mode]['rs_stage_p90_s'] * 1e3:.1f}",
-            f"{cont[mode]['rs_stage_p50_s'] * 1e3:.1f}",
-            f"{cont[mode]['rs_push_p90_s'] * 1e3:.1f}",
-            f"{cont[mode]['throughput']:.1f}",
+            f"{data[mode]['rs_stage_p90_s'] * 1e3:.1f}",
+            f"{data[mode]['rs_stage_p50_s'] * 1e3:.1f}",
+            f"{data[mode]['rs_push_p90_s'] * 1e3:.1f}",
+            f"{data[mode]['throughput']:.1f}",
         )
         for mode in ("off", "on")
     ]
@@ -41,13 +37,6 @@ def test_netprio_contended_rs(benchmark):
             title="Priority scheduling — contended RS stage (OSP, 2x4 tenants)",
         )
     )
-    print(f"improvement: {cont['improvement']:.2f}x  "
-          f"preemptions: {cont['on']['preemptions']}  "
-          f"inert identical: {data['inert']['identical']}")
-    assert data["inert"]["identical"], (
-        "default-class traffic diverged across scheduler modes"
-    )
-    assert cont["improvement"] >= MIN_IMPROVEMENT, (
-        f"RS-stage p90 improvement {cont['improvement']:.2f}x "
-        f"below guarded {MIN_IMPROVEMENT}x"
-    )
+    print(f"improvement: {data['improvement']:.2f}x  "
+          f"preemptions: {data['on']['preemptions']}")
+    assert data["improvement"] >= 1.5

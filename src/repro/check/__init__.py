@@ -41,7 +41,6 @@ from repro.check.replay import (
     dump_stream,
     first_divergence,
     load_stream,
-    replay_fairshare,
     replay_flat_arena,
     replay_resume,
     stream_digest,
@@ -71,7 +70,6 @@ __all__ = [
     "dump_stream",
     "first_divergence",
     "load_stream",
-    "replay_fairshare",
     "replay_flat_arena",
     "replay_resume",
     "stream_digest",

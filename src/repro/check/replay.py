@@ -48,10 +48,10 @@ class ReplayEvent:
 #: (``ckpt.restore`` legitimately differs between a resumed and an
 #: uninterrupted run), the checker's own counters, network-scheduler
 #: work counters (``netsim.rerates`` etc. count *host-side* recomputes —
-#: the fast and legacy fair-share paths intentionally differ in how often
-#: they re-solve, not in what they compute), and the multi-job runner's
-#: post-run interference attribution (a single job routed through
-#: ``repro.multijob`` must stream bit-identically to a direct run).
+#: how often the scheduler re-solves, not what it computes), and the
+#: multi-job runner's post-run interference attribution (a single job
+#: routed through ``repro.multijob`` must stream bit-identically to a
+#: direct run).
 _EXCLUDED_COUNTER_PREFIXES = ("ckpt.", "check.", "netsim.", "multijob.")
 
 
@@ -354,28 +354,6 @@ def replay_flat_arena(
     return _diff(
         stream_a, stream_b, result_a.tracer, result_b.tracer,
         "flat-arena", "dict-plane",
-    )
-
-
-def replay_fairshare(
-    build: Callable[[], object], trace: bool = True
-) -> ReplayReport:
-    """Fast vs. legacy network core (``REPRO_FAIRSHARE``).
-
-    ``build`` is invoked once under each env setting — the Network reads
-    the kill-switch at construction, so each factory call binds its mode.
-    The fast path (coalesced rerates, solver skipping, heap fair-share)
-    is a host-time optimization only: both streams —
-    every iteration event, loss, and virtual timestamp — must be
-    identical.
-    """
-    with _scoped_env("REPRO_FAIRSHARE", "fast"):
-        _ta, result_a, stream_a = _run_one(build, trace)
-    with _scoped_env("REPRO_FAIRSHARE", "legacy"):
-        _tb, result_b, stream_b = _run_one(build, trace)
-    return _diff(
-        stream_a, stream_b, result_a.tracer, result_b.tracer,
-        "fairshare-fast", "fairshare-legacy",
     )
 
 

@@ -100,15 +100,8 @@ _HEADERS = ["sync", "samples/s", "BST (ms)", "BCT (ms)", "best metric", "virtual
 
 
 def cmd_run(args) -> int:
-    if getattr(args, "net_prio", None):
-        # Network reads REPRO_NETPRIO at construction — set it before the
-        # trainer is built so the flag wins over the inherited environment.
-        import os
-
-        os.environ["REPRO_NETPRIO"] = (
-            "on" if args.net_prio == "on" else "off"
-        )
     trainer = _build_trainer(args, args.sync)
+    trainer.network.priorities = args.net_prio == "on"
     if getattr(args, "summary", None):
         trainer.enable_sampling()  # implies tracing (phase attribution)
     if args.trace:
@@ -298,10 +291,6 @@ def cmd_multirun(args) -> int:
     from repro.multijob import MultiJobRunner, multijob_summary, render_report
     from repro.multijob.report import save_summary as save_multijob_summary
 
-    if getattr(args, "net_prio", None):
-        import os
-
-        os.environ["REPRO_NETPRIO"] = "on" if args.net_prio == "on" else "off"
     try:
         jobs = (
             _parse_jobs_spec(args.jobs)
@@ -327,6 +316,7 @@ def cmd_multirun(args) -> int:
         gpus_per_host=args.gpus_per_host,
         headroom=args.headroom,
     )
+    runner.network.priorities = args.net_prio == "on"
     if args.dash:
         runner.enable_sampling()
     result = runner.run()
@@ -418,134 +408,6 @@ def cmd_perf(args) -> int:
     return 0
 
 
-def cmd_perf_net(args) -> int:
-    from repro.perf.netsim_scale import (
-        MIN_SPEEDUP_64,
-        run_netsim_bench,
-        save_bench,
-        validate_bench,
-    )
-
-    min_speedup = args.min_speedup if args.min_speedup is not None else MIN_SPEEDUP_64
-    if args.check:
-        from pathlib import Path
-
-        data = json.loads(Path(args.check).read_text())
-        problems = validate_bench(data, min_speedup=min_speedup)
-        if problems:
-            for p in problems:
-                print(f"FAIL: {p}", file=sys.stderr)
-            return 1
-        print(f"{args.check}: schema ok, identical everywhere, "
-              f"64-worker speedup >= {min_speedup:.2f}")
-        return 0
-
-    data = run_netsim_bench(
-        quick=args.quick, repeats=args.repeats, progress=print
-    )
-    save_bench(data, args.out)
-    print(f"wrote {args.out}")
-    for n, entry in sorted(data["sweep"].items(), key=lambda kv: int(kv[0])):
-        print(f"  {n:>3} workers  legacy {entry['legacy_s'] * 1e3:7.1f}ms  "
-              f"fast {entry['fast_s'] * 1e3:7.1f}ms  "
-              f"{entry['speedup']:5.2f}x  identical={entry['identical']}")
-    e2e = data["end_to_end"]
-    print(f"  end-to-end OSP ({e2e['card']}, {e2e['workers']}w): "
-          f"{e2e['speedup']:.2f}x, identical={e2e['identical']}")
-    problems = validate_bench(data, min_speedup=min_speedup)
-    if problems:
-        for p in problems:
-            print(f"FAIL: {p}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_perf_prio(args) -> int:
-    from repro.perf.netprio import (
-        MIN_IMPROVEMENT,
-        run_netprio_bench,
-        save_bench,
-        validate_bench,
-    )
-
-    min_improvement = (
-        args.min_improvement if args.min_improvement is not None else MIN_IMPROVEMENT
-    )
-    if args.check:
-        from pathlib import Path
-
-        data = json.loads(Path(args.check).read_text())
-        problems = validate_bench(data, min_improvement=min_improvement)
-        if problems:
-            for p in problems:
-                print(f"FAIL: {p}", file=sys.stderr)
-            return 1
-        print(f"{args.check}: schema ok, inert path identical, "
-              f"RS-stage p90 improvement >= {min_improvement:.2f}x")
-        return 0
-
-    data = run_netprio_bench(quick=args.quick, progress=print)
-    save_bench(data, args.out)
-    print(f"wrote {args.out}")
-    cont = data["contended"]
-    print(f"  RS-stage p90 wait  off {cont['off']['rs_stage_p90_s'] * 1e3:7.1f}ms  "
-          f"on {cont['on']['rs_stage_p90_s'] * 1e3:7.1f}ms  "
-          f"{cont['improvement']:.2f}x")
-    print(f"  throughput         off {cont['off']['throughput']:7.1f}/s  "
-          f"on {cont['on']['throughput']:7.1f}/s  "
-          f"(preemptions: {cont['on']['preemptions']})")
-    print(f"  inert default-class path identical={data['inert']['identical']}")
-    problems = validate_bench(data, min_improvement=min_improvement)
-    if problems:
-        for p in problems:
-            print(f"FAIL: {p}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_perf_multijob(args) -> int:
-    from repro.perf.multijob import (
-        MIN_IMPROVEMENT,
-        run_multijob_bench,
-        save_bench,
-        validate_bench,
-    )
-
-    min_improvement = (
-        args.min_improvement if args.min_improvement is not None else MIN_IMPROVEMENT
-    )
-    if args.check:
-        from pathlib import Path
-
-        data = json.loads(Path(args.check).read_text())
-        problems = validate_bench(data, min_improvement=min_improvement)
-        if problems:
-            for p in problems:
-                print(f"FAIL: {p}", file=sys.stderr)
-            return 1
-        print(f"{args.check}: schema ok, solo-job path identical, "
-              f"co-tenant RS-stage p90 isolation >= {min_improvement:.2f}x")
-        return 0
-
-    data = run_multijob_bench(quick=args.quick, progress=print)
-    save_bench(data, args.out)
-    print(f"wrote {args.out}")
-    cont = data["contended"]
-    print(f"  RS-stage p90 wait  off {cont['off']['rs_stage_p90_s'] * 1e3:7.1f}ms  "
-          f"on {cont['on']['rs_stage_p90_s'] * 1e3:7.1f}ms  "
-          f"{cont['improvement']:.2f}x")
-    print(f"  OSP wall           off {cont['off']['osp_wall_s']:7.2f}s  "
-          f"on {cont['on']['osp_wall_s']:7.2f}s  "
-          f"(preemptions: {cont['on']['preemptions']})")
-    print(f"  solo-job identity identical={data['identity']['identical']}")
-    problems = validate_bench(data, min_improvement=min_improvement)
-    if problems:
-        for p in problems:
-            print(f"FAIL: {p}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_ckpt(args) -> int:
     from repro.ckpt import CheckpointError, describe, load_checkpoint
 
@@ -577,7 +439,6 @@ def cmd_check(args) -> int:
     import tempfile
 
     from repro.check import (
-        replay_fairshare,
         replay_flat_arena,
         replay_resume,
         run_checked,
@@ -619,7 +480,7 @@ def cmd_check(args) -> int:
                 **trainer_kwargs,
             )
 
-        replays = [replay_flat_arena(make_trainer), replay_fairshare(make_trainer)]
+        replays = [replay_flat_arena(make_trainer)]
         with tempfile.TemporaryDirectory(prefix="repro-check-") as tmpdir:
             replays.append(replay_resume(make_trainer, tmpdir))
         payload["replays"] = [r.to_dict() for r in replays]
@@ -714,9 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
         "`repro report --compare`",
     )
     p_run.add_argument(
-        "--net-prio", choices=["on", "off"], default=None,
-        help="priority-aware network scheduling (default: on unless "
-        "REPRO_NETPRIO=off; see docs/performance.md)",
+        "--net-prio", choices=["on", "off"], default="on",
+        help="priority-aware network scheduling (off: a plainly "
+        "fair-shared fabric; see docs/performance.md)",
     )
     p_run.set_defaults(fn=cmd_run)
 
@@ -826,9 +687,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample the run and write a co-tenancy HTML dashboard",
     )
     p_multi.add_argument(
-        "--net-prio", choices=["on", "off"], default=None,
-        help="priority-aware network scheduling (default: on unless "
-        "REPRO_NETPRIO=off)",
+        "--net-prio", choices=["on", "off"], default="on",
+        help="priority-aware network scheduling (off: a plainly "
+        "fair-shared fabric)",
     )
     p_multi.set_defaults(fn=cmd_multirun)
 
@@ -898,75 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="regression threshold for --check",
     )
     p_perf.set_defaults(fn=cmd_perf)
-
-    p_pnet = sub.add_parser(
-        "perf-net",
-        help="netsim scaling benchmark -> BENCH_netsim.json (or --check one)",
-    )
-    p_pnet.add_argument(
-        "--out", default="BENCH_netsim.json", help="output JSON path"
-    )
-    p_pnet.add_argument(
-        "--quick", action="store_true",
-        help="smoke mode: stop the sweep at 64 workers, fewer iterations",
-    )
-    p_pnet.add_argument(
-        "--repeats", type=int, default=None,
-        help="best-of-N timing repeats per sweep point (default 2, quick 1)",
-    )
-    p_pnet.add_argument(
-        "--check", metavar="FILE", default=None,
-        help="validate an existing BENCH_netsim.json instead of running",
-    )
-    p_pnet.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="64-worker regression threshold (default: the guarded 5.0)",
-    )
-    p_pnet.set_defaults(fn=cmd_perf_net)
-
-    p_prio = sub.add_parser(
-        "perf-prio",
-        help="priority-scheduling benchmark -> BENCH_netprio.json "
-        "(or --check one)",
-    )
-    p_prio.add_argument(
-        "--out", default="BENCH_netprio.json", help="output JSON path"
-    )
-    p_prio.add_argument(
-        "--quick", action="store_true",
-        help="smoke mode: fewer epochs, smaller inert sweep",
-    )
-    p_prio.add_argument(
-        "--check", metavar="FILE", default=None,
-        help="validate an existing BENCH_netprio.json instead of running",
-    )
-    p_prio.add_argument(
-        "--min-improvement", type=float, default=None,
-        help="RS-stage p90 regression threshold (default: the guarded 1.5)",
-    )
-    p_prio.set_defaults(fn=cmd_perf_prio)
-
-    p_pmj = sub.add_parser(
-        "perf-multijob",
-        help="co-tenancy benchmark -> BENCH_multijob.json (or --check one)",
-    )
-    p_pmj.add_argument(
-        "--out", default="BENCH_multijob.json", help="output JSON path"
-    )
-    p_pmj.add_argument(
-        "--quick", action="store_true",
-        help="smoke mode: fewer epochs",
-    )
-    p_pmj.add_argument(
-        "--check", metavar="FILE", default=None,
-        help="validate an existing BENCH_multijob.json instead of running",
-    )
-    p_pmj.add_argument(
-        "--min-improvement", type=float, default=None,
-        help="co-tenant RS-stage p90 isolation threshold "
-        "(default: the guarded 1.5)",
-    )
-    p_pmj.set_defaults(fn=cmd_perf_multijob)
     return parser
 
 

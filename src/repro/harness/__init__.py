@@ -3,7 +3,9 @@
 :mod:`repro.harness.workloads` builds ready-to-run (spec, plan, engine)
 triples for the five evaluation workloads (§5.1.2) in timing or numeric
 mode; :mod:`repro.harness.figures` implements one function per paper
-figure/table, returning plain data structures the benchmarks print.
+figure/table, returning plain data structures the benchmarks print;
+:mod:`repro.harness.priority` does the same for the two
+priority-scheduling experiments.
 """
 
 from repro.harness.workloads import (
@@ -19,6 +21,11 @@ from repro.harness.cotenancy import (
     shared_fabric_runner,
     uniform_jobs,
 )
+from repro.harness.priority import (
+    osp_beside_bulk_cotenant,
+    rs_stage_waits,
+    rs_under_bulk_tenants,
+)
 from repro.harness.stats import MultiSeedResult, SeedStats, run_seeds
 
 __all__ = [
@@ -29,7 +36,10 @@ __all__ = [
     "figures",
     "make_numeric_dataset",
     "numeric_trainer",
+    "osp_beside_bulk_cotenant",
     "osp_with_background",
+    "rs_stage_waits",
+    "rs_under_bulk_tenants",
     "run_seeds",
     "shared_fabric_runner",
     "sweep",

@@ -22,9 +22,6 @@ from repro.netsim.links import Link, LinkSpec
 from repro.netsim.topology import GraphTopology, StarTopology, SWITCH, make_multirack_topology
 from repro.netsim.fairshare import (
     fair_rates,
-    fairshare_mode,
-    fast_fair_rates,
-    max_min_fair_rates,
     prio_fair_rates,
     weighted_max_min_fair_rates,
 )
@@ -36,7 +33,6 @@ from repro.netsim.prio import (
     PRIO_HIGH,
     PRIO_NORMAL,
     PRIO_URGENT,
-    netprio_enabled,
 )
 
 __all__ = [
@@ -53,12 +49,8 @@ __all__ = [
     "PRIO_URGENT",
     "StarTopology",
     "fair_rates",
-    "fairshare_mode",
-    "fast_fair_rates",
     "SWITCH",
     "make_multirack_topology",
-    "max_min_fair_rates",
-    "netprio_enabled",
     "prio_fair_rates",
     "weighted_max_min_fair_rates",
 ]

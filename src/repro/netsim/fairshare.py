@@ -8,59 +8,30 @@ rate such that:
 2. every flow is *bottlenecked*: its rate cannot be increased without
    decreasing the rate of another flow with an equal-or-smaller rate.
 
-Two interchangeable solvers are provided:
+:func:`fair_rates` is progressive filling — repeatedly find the link with
+the smallest per-flow fair share among its unfrozen flows, freeze those
+flows at that share, subtract their consumption from all their links —
+driven by a lazily-invalidated min-heap over per-link shares, so each
+round costs O(touched links · log L) instead of a full O(L) rescan. On
+the star topologies the trainer uses (every route = one worker edge + one
+PS trunk edge) a flow dirties at most two links when it freezes, giving
+O(F log F) overall.
 
-* :func:`max_min_fair_rates` — the reference scan: repeatedly find the
-  link with the smallest per-flow fair share among its unfrozen flows,
-  freeze those flows at that share, subtract their consumption from all
-  their links, repeat. O(L²·F) worst case.
-* :func:`fast_fair_rates` — the same progressive filling driven by a
-  lazily-invalidated min-heap over per-link shares, so each round costs
-  O(touched links · log L) instead of a full O(L) rescan. On the star
-  topologies the trainer uses (every route = one worker edge + one PS
-  trunk edge) a flow dirties at most two links when it freezes, giving
-  O(F log F) overall. Results are bit-identical to the reference solver
-  by construction: shares are computed from the same operands
-  (``remaining[link] / len(flows)``), freezes subtract the same values in
-  the same clamped sequential chains, and rounds pick the same bottleneck
-  link (exact ties resolve to the earliest-inserted link in both solvers;
-  the rare sub-``_EPS`` near-tie falls back to the reference scan for the
-  round).
-
-:func:`fair_rates` dispatches between them on the ``REPRO_FAIRSHARE``
-environment variable (``legacy`` selects the reference solver; anything
-else — the default — selects the fast one), mirroring the
-``REPRO_FLAT_ARENA`` kill-switch convention.
+The plain O(L²·F) scan it replaced lives on as the test oracle
+(``tests/netsim/reference.py``); the two are bit-identical by
+construction: shares are computed from the same operands
+(``remaining[link] / len(flows)``), freezes subtract the same values in
+the same clamped sequential chains, and rounds pick the same bottleneck
+link (exact ties resolve to the earliest-inserted link in both; the rare
+sub-``_EPS`` near-tie replays the scan's round verbatim).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import Callable, Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Mapping, Optional, Sequence
 
 _EPS = 1e-12
-
-
-def fairshare_mode() -> str:
-    """Active solver mode: ``"legacy"`` or ``"fast"`` (the default).
-
-    Controlled by the ``REPRO_FAIRSHARE`` environment variable; read at
-    call time so scoped overrides (benchmarks, differential replays) work.
-    """
-    if os.environ.get("REPRO_FAIRSHARE", "").strip().lower() == "legacy":
-        return "legacy"
-    return "fast"
-
-
-def fair_rates(
-    flow_routes: Mapping[Hashable, Sequence[Hashable]],
-    capacities: Mapping[Hashable, float],
-) -> dict[Hashable, float]:
-    """Solve max–min fair rates with the mode-selected solver."""
-    if fairshare_mode() == "legacy":
-        return max_min_fair_rates(flow_routes, capacities)
-    return fast_fair_rates(flow_routes, capacities)
 
 
 def _validate_and_split(flow_routes, capacities):
@@ -93,49 +64,13 @@ def _link_flows_of(unfrozen):
     return link_flows
 
 
-def _freeze_round(bottleneck, best_share, rates, unfrozen, link_flows, remaining):
-    """Freeze the bottleneck's flows at ``best_share``; return dirtied links.
-
-    Also applies the zero-share freeze fix: the ``max(0.0, ...)`` clamp can
-    leave a *loaded* link with zero remaining capacity when shares tie
-    within float fuzz (frozen flows crossing it consume its whole
-    capacity while other flows still ride it). Left alone, the next round
-    would "find" that link at share 0.0 and freeze its flows at rate 0 —
-    a frozen transfer that never completes, and the defensive
-    ``RuntimeError("active flows but no positive rate")`` in
-    ``Network._rerate`` once every flow degenerates that way. Such flows
-    were tied with the bottleneck to within ``_EPS``, so they are frozen
-    *explicitly* at the same share, cascading until no loaded link is left
-    with zero headroom.
-    """
-    dirty: list = []
-
-    def freeze_link(link):
-        for fid in sorted(link_flows[link], key=_sort_key):
-            rates[fid] = best_share
-            for l in set(unfrozen[fid]):
-                remaining[l] = max(0.0, remaining[l] - best_share)
-                link_flows[l].discard(fid)
-                dirty.append(l)
-            del unfrozen[fid]
-
-    freeze_link(bottleneck)
-    while True:
-        zeroed = [
-            l for l, fl in link_flows.items() if fl and remaining[l] <= 0.0
-        ]
-        if not zeroed:
-            break
-        for link in zeroed:
-            freeze_link(link)
-    return dirty
-
-
-def max_min_fair_rates(
+def fair_rates(
     flow_routes: Mapping[Hashable, Sequence[Hashable]],
     capacities: Mapping[Hashable, float],
+    *,
+    validate: bool = True,
 ) -> dict[Hashable, float]:
-    """Compute max–min fair rates (reference solver).
+    """Compute max–min fair rates via heap-driven progressive filling.
 
     Parameters
     ----------
@@ -144,60 +79,24 @@ def max_min_fair_rates(
         with an empty route (loopback) gets rate ``inf``.
     capacities:
         Map ``link_id -> capacity`` (bytes/second, must be positive).
+    validate:
+        ``False`` skips input validation *and* loopback handling for
+        trusted callers (the Network, whose route map never contains
+        empty routes or unknown links) — every entry must be a non-empty
+        sequence of known links with positive capacities.
 
-    Returns
-    -------
-    dict
-        ``flow_id -> rate``. Deterministic for identical inputs (iteration
-        follows insertion order of the mappings; ties broken by first link
-        encountered).
-    """
-    rates, unfrozen = _validate_and_split(flow_routes, capacities)
-    remaining = dict(capacities)
-    link_flows = _link_flows_of(unfrozen)
+    Returns ``flow_id -> rate``, deterministic for identical inputs
+    (iteration follows insertion order of the mappings; exact share ties
+    go to the first link encountered).
 
-    while unfrozen:
-        # Find bottleneck: smallest remaining/num_flows among loaded links.
-        bottleneck = None
-        best_share = float("inf")
-        for link, flows in link_flows.items():
-            if not flows:
-                continue
-            share = remaining[link] / len(flows)
-            if share < best_share - _EPS:
-                best_share = share
-                bottleneck = link
-        if bottleneck is None:  # pragma: no cover - defensive
-            raise RuntimeError("no bottleneck found with unfrozen flows left")
-
-        _freeze_round(bottleneck, best_share, rates, unfrozen, link_flows, remaining)
-
-    return rates
-
-
-def fast_fair_rates(
-    flow_routes: Mapping[Hashable, Sequence[Hashable]],
-    capacities: Mapping[Hashable, float],
-    *,
-    validate: bool = True,
-) -> dict[Hashable, float]:
-    """Compute max–min fair rates via heap-driven progressive filling.
-
-    Bit-identical to :func:`max_min_fair_rates` (see module docstring for
-    why); asymptotically faster because a round only re-examines the links
-    the previous round's freezes touched, and cheaper per operation because
-    per-link membership is a lazy-deletion list plus live load count rather
-    than mutated sets. Freeze *order* within a round is deliberately
-    unspecified (the reference sorts for readability): every flow frozen in
-    a round gets the same ``best_share``, and each link's capacity update
-    is a clamped subtraction chain of that one value whose result depends
-    only on how many of the round's flows crossed the link — never on the
-    order they froze.
-
-    ``validate=False`` skips input validation *and* loopback handling for
-    trusted callers (the Network, whose route map never contains empty
-    routes or unknown links) — every entry must be a non-empty sequence of
-    known links with positive capacities.
+    A round only re-examines the links the previous round's freezes
+    touched, and per-link membership is a lazy-deletion list plus a live
+    load count rather than mutated sets. Freeze *order* within a round is
+    deliberately unspecified: every flow frozen in a round gets the same
+    ``best_share``, and each link's capacity update is a clamped
+    subtraction chain of that one value whose result depends only on how
+    many of the round's flows crossed the link — never on the order they
+    froze.
     """
     if validate:
         rates, unfrozen = _validate_and_split(flow_routes, capacities)
@@ -207,9 +106,8 @@ def fast_fair_rates(
     remaining = dict(capacities)
 
     # Per-flow unique links; per-link flow list (lazy deletion via the
-    # ``frozen`` set) + live load count. Link discovery order matches the
-    # reference's link_flows insertion order, so the near-tie fallback
-    # scan below sees identical link ordering.
+    # ``frozen`` set) + live load count. Link discovery order is the order
+    # the near-tie fallback scan below walks, so it decides near-ties.
     uniq: dict[Hashable, tuple] = {}
     members: dict[Hashable, list] = {}
     load: dict[Hashable, int] = {}
@@ -217,7 +115,7 @@ def fast_fair_rates(
         # set(route) — not tuple(route) — even for already-unique routes:
         # within the _EPS hysteresis band the winning bottleneck is the
         # *first-scanned* link, so discovery order must match the
-        # reference's set iteration bit-for-bit.
+        # reference scan's set iteration bit-for-bit.
         links = tuple(set(route))
         uniq[fid] = links
         for link in links:
@@ -231,8 +129,8 @@ def fast_fair_rates(
 
     # Min-heap of (share, insertion_index, link) with lazy invalidation:
     # an entry is live only while it matches current_share[link] and the
-    # link still carries unfrozen flows. insertion_index reproduces the
-    # reference scan's first-link-wins tie-break on exact share ties.
+    # link still carries unfrozen flows. insertion_index gives the
+    # first-link-wins tie-break on exact share ties.
     order = {link: i for i, link in enumerate(members)}
     current_share: dict[Hashable, float] = {}
     heap: list[tuple[float, int, Hashable]] = []
@@ -258,13 +156,14 @@ def fast_fair_rates(
             raise RuntimeError("no bottleneck found with unfrozen flows left")
         best_share, _idx, bottleneck = top
 
-        # Near-tie guard. The reference scan adopts a new bottleneck only
-        # when its share undercuts the incumbent by more than _EPS, so it
-        # can settle on a link whose share sits up to _EPS *above* the true
-        # minimum. When every non-minimal live share clears the minimum by
-        # more than 2·_EPS that hysteresis cannot bite and the heap order
-        # (share, then insertion index — the scan's exact-tie rule) gives
-        # the scan's answer; otherwise replay the reference round verbatim.
+        # Near-tie guard. Progressive filling as a link scan adopts a new
+        # bottleneck only when its share undercuts the incumbent by more
+        # than _EPS, so it can settle on a link whose share sits up to _EPS
+        # *above* the true minimum. When every non-minimal live share
+        # clears the minimum by more than 2·_EPS that hysteresis cannot
+        # bite and the heap order (share, then insertion index — the scan's
+        # exact-tie rule) gives the scan's answer; otherwise run the round
+        # as the scan would.
         # The probe skips entries tied exactly at the minimum to find the
         # first *distinct* live share.
         ties = [heapq.heappop(heap)]
@@ -292,9 +191,13 @@ def fast_fair_rates(
                     best_share = share
                     bottleneck = link
 
-        # Freeze the bottleneck's flows; cascade through links the round
-        # drives to zero remaining capacity while still loaded (the
-        # zero-share hazard — see _freeze_round). Only links that just
+        # Freeze the bottleneck's flows, then cascade through links the
+        # round drove to zero remaining capacity while still loaded. The
+        # ``max(0.0, ...)`` clamp can do that when shares tie within float
+        # fuzz; left alone, the next round would "find" such a link at
+        # share 0.0 and freeze its flows at rate 0 — a transfer that never
+        # completes. Those flows were tied with the bottleneck to within
+        # ``_EPS``, so they freeze at the same share. Only links that just
         # received a subtraction can newly hit zero, so the cascade check
         # walks this round's dirty links rather than every link.
         dirty: list = []
@@ -348,7 +251,7 @@ def weighted_max_min_fair_rates(
     capacities: Mapping[Hashable, float],
     weights: Mapping[Hashable, float],
 ) -> dict[Hashable, float]:
-    """Weighted max–min fair rates (reference scan, progressive filling).
+    """Weighted max–min fair rates (progressive filling by link scan).
 
     Each flow ``f`` carries a positive weight ``w_f``; a link's fair
     *share* is ``remaining / Σ w`` over its unfrozen flows and a flow
@@ -356,10 +259,9 @@ def weighted_max_min_fair_rates(
     normalized coordinates ``rate / weight``. With every weight equal the
     allocation degenerates to plain max–min fairness (and with every
     weight exactly ``1.0`` the float operations — ``Σ 1.0 == n`` and
-    ``share · 1.0 == share`` — are bit-identical to
-    :func:`max_min_fair_rates`).
+    ``share · 1.0 == share`` — are bit-identical to :func:`fair_rates`).
 
-    The zero-share freeze cascade mirrors :func:`_freeze_round`: a loaded
+    The zero-share freeze cascade mirrors :func:`fair_rates`: a loaded
     link clamped to zero remaining capacity freezes its flows at the
     bottleneck share explicitly rather than letting a later round "find"
     it at share 0.
@@ -426,7 +328,7 @@ def prio_fair_rates(
     prios: Mapping[Hashable, int],
     weights: Optional[Mapping[Hashable, float]] = None,
     *,
-    solver: Optional[Callable[..., dict]] = None,
+    validate: bool = True,
 ) -> dict[Hashable, float]:
     """Strict-priority-then-weighted max–min fair rates.
 
@@ -439,14 +341,13 @@ def prio_fair_rates(
     When every flow sits in a single class — *any* class — and its
     weights are uniform, the call delegates to the plain solver over the
     full capacities, making the result bit-identical to the non-priority
-    scheduler. ``solver`` overrides the mode-dispatched plain solver
-    (:func:`fair_rates`) for uniform-weight subproblems.
+    scheduler. ``validate`` is forwarded to :func:`fair_rates` for the
+    uniform-weight subproblems.
     """
-    plain = solver if solver is not None else fair_rates
     classes = sorted({prios[fid] for fid in flow_routes}, reverse=True)
     uniform = weights is None or len(set(weights.values())) <= 1
     if len(classes) <= 1 and uniform:
-        return plain(flow_routes, capacities)
+        return fair_rates(flow_routes, capacities, validate=validate)
 
     leftover = dict(capacities)
     floor = {link: cap * _SAT_REL for link, cap in capacities.items()}
@@ -467,7 +368,7 @@ def prio_fair_rates(
         if not solve_routes:
             continue
         if weights is None or len({weights[f] for f in solve_routes}) <= 1:
-            sub = plain(solve_routes, caps)
+            sub = fair_rates(solve_routes, caps, validate=validate)
         else:
             sub = weighted_max_min_fair_rates(
                 solve_routes, caps, {f: weights[f] for f in solve_routes}
@@ -482,9 +383,6 @@ def prio_fair_rates(
 
 __all__ = [
     "fair_rates",
-    "fairshare_mode",
-    "fast_fair_rates",
-    "max_min_fair_rates",
     "prio_fair_rates",
     "weighted_max_min_fair_rates",
 ]

@@ -9,10 +9,9 @@ cheaper and deterministic).
 
 The :class:`~repro.netsim.flows.Flow` objects are the only record of
 ``remaining``/``rate``: the drain and the completion horizon are one scalar
-loop each over the active flows, shared by both solver modes.
+loop each over the active flows.
 
-Scaling machinery (default; ``REPRO_FAIRSHARE=legacy`` disables all of it
-and restores the one-recompute-per-event reference path):
+Scaling machinery:
 
 * **Coalesced rerates** — flow starts batch same-instant work into a single
   fair-share recompute via :meth:`Environment.defer` instead of re-solving
@@ -32,9 +31,8 @@ and restores the one-recompute-per-event reference path):
 ``stats`` tracks the ``netsim.*`` counters registered in
 :mod:`repro.obs.registry`; when a :class:`~repro.metrics.recorder.Recorder`
 is attached (the trainer does) they are mirrored there for summaries and
-checkpoints. Replay streams exclude the ``netsim.`` namespace: the two
-solver modes intentionally differ in how *often* they recompute, not in
-what they compute.
+checkpoints. Replay streams exclude the ``netsim.`` namespace: it counts
+how *often* the scheduler recomputes, not what it computes.
 """
 
 from __future__ import annotations
@@ -43,21 +41,10 @@ import math
 from collections import deque
 from typing import Any, Iterable, Optional
 
-from repro.netsim.fairshare import (
-    _SAT_REL,
-    fairshare_mode,
-    fast_fair_rates,
-    max_min_fair_rates,
-    prio_fair_rates,
-)
+from repro.netsim.fairshare import _SAT_REL, fair_rates, prio_fair_rates
 from repro.netsim.flows import Flow, FlowRecord
 from repro.netsim.links import Link
-from repro.netsim.prio import (
-    CLASS_NAMES,
-    DEFAULT_CLASS_WEIGHTS,
-    PRIO_NORMAL,
-    netprio_enabled,
-)
+from repro.netsim.prio import CLASS_NAMES, PRIO_NORMAL
 from repro.netsim.topology import StarTopology
 from repro.simcore.environment import Environment
 from repro.simcore.events import Event
@@ -100,6 +87,11 @@ class Network:
         ``max_records`` records are kept (keep-latest ring) and each drop
         increments the ``netsim.records_dropped`` counter — long
         elastic/fault runs with records enabled stay memory-bounded.
+    priorities:
+        Whether the fabric schedules by priority class (default). It is a
+        plain attribute read when a flow is admitted: while False, every
+        flow enters as NORMAL/unit-weight/unsliced and the links are
+        plainly fair-shared. Set it before the run starts.
     """
 
     def __init__(
@@ -108,11 +100,13 @@ class Network:
         topology: StarTopology,
         keep_records: bool = True,
         max_records: Optional[int] = None,
+        priorities: bool = True,
     ) -> None:
         self.env = env
         self.topology = topology
         self.keep_records = keep_records
         self.max_records = max_records
+        self.priorities = priorities
         if keep_records and max_records is not None:
             self.records = deque(maxlen=max_records)
         else:
@@ -139,14 +133,6 @@ class Network:
         self._capacities = {l.name: l.bandwidth for l in topology.links}
         self._links_by_name = {l.name: l for l in topology.links}
 
-        self._fast = fairshare_mode() == "fast"
-        #: REPRO_NETPRIO kill-switch, read once at construction. When off,
-        #: every flow is coerced to NORMAL/unit-weight/unsliced at
-        #: admission and the scheduler is exactly the single-class core.
-        self._prio_on = netprio_enabled()
-        #: Default per-class DRR weight applied to flows that don't pass
-        #: an explicit ``weight=`` (mutable; uniform by default).
-        self.class_weights = dict(DEFAULT_CLASS_WEIGHTS)
         #: Active-flow count per priority class (multi-class detector).
         self._class_count: dict[int, int] = {}
         #: Active flows with a non-unit weight / with slicing enabled.
@@ -168,10 +154,9 @@ class Network:
         #: set when a non-decoupled add/remove or a capacity change forces
         #: the next rerate through the solver.
         self._solver_dirty = False
-        #: Persistent fid -> route-name-tuple map for the fast solver. fids
-        #: are handed out in increasing order and never reused, so dict
-        #: insertion order *is* sorted-fid order — the exact map the legacy
-        #: path rebuilds (and sorts) from scratch on every solve.
+        #: Persistent fid -> route-name-tuple map for the solver. fids are
+        #: handed out in increasing order and never reused, so dict
+        #: insertion order *is* sorted-fid order.
         self._solver_routes: dict[int, tuple[str, ...]] = {}
         #: Parallel fid -> class / weight maps for the priority solver.
         self._solver_prios: dict[int, int] = {}
@@ -202,13 +187,12 @@ class Network:
         instant, modelling co-located PS communication through shared memory.
 
         ``prio`` picks the strict-priority class (repro.netsim.prio
-        constants); ``weight`` overrides the class's DRR weight for
-        weighted sharing *within* the class (default: the Network's
-        ``class_weights`` entry); ``slice_bytes`` enables P3-style slicing
-        — under multi-class contention the flow only accepts a *new* rate
-        at slice boundaries, modelling bounded preemption latency. All
-        three are ignored (coerced to NORMAL/unit/unsliced) when
-        ``REPRO_NETPRIO=off``.
+        constants); ``weight`` is the flow's DRR weight for weighted
+        sharing *within* the class (default 1.0); ``slice_bytes`` enables
+        P3-style slicing — under multi-class contention the flow only
+        accepts a *new* rate at slice boundaries, modelling bounded
+        preemption latency. All three are ignored (coerced to
+        NORMAL/unit/unsliced) while :attr:`priorities` is False.
 
         ``job`` attributes the flow to a co-tenant training job: its
         drained bytes are accounted to ``netsim.job_bytes.{job}``.
@@ -219,13 +203,12 @@ class Network:
             raise ValueError(f"negative transfer size {size}")
         if prio not in CLASS_NAMES:
             raise ValueError(f"unknown priority class {prio!r}")
-        if self._prio_on:
-            if weight is None:
-                weight = self.class_weights.get(prio, 1.0)
-            if not weight > 0:
-                raise ValueError(f"non-positive flow weight {weight}")
-        else:
+        if not self.priorities:
             prio, weight, slice_bytes = PRIO_NORMAL, 1.0, None
+        elif weight is None:
+            weight = 1.0
+        elif not weight > 0:
+            raise ValueError(f"non-positive flow weight {weight}")
         cached = self._route_cache.get((src, dst))
         if cached is None:
             route = tuple(self.topology.route(src, dst))
@@ -263,7 +246,7 @@ class Network:
             start_time=self.env.now,
             names=names,
             prio=prio,
-            weight=weight if weight is not None else 1.0,
+            weight=weight,
             slice_eff=slice_eff,
             job=job,
         )
@@ -279,10 +262,7 @@ class Network:
         if tr:
             tr.gauge_delta("obs.net.inflight_bytes", flow.size)
             tr.gauge_delta("obs.net.active_flows", 1)
-        if self._fast:
-            self._schedule_rerate()
-        else:
-            self._rerate()
+        self._schedule_rerate()
         return done
 
     def transfer_process(self, src, dst, size: float, tag: Any = None, **kwargs):
@@ -412,7 +392,7 @@ class Network:
                 cls_bytes[flow.prio] += moved
                 if flow.job is not None:
                     job_bytes[flow.job] = job_bytes.get(flow.job, 0.0) + moved
-        if self._prio_on:
+        if self.priorities:
             for cls, nbytes in enumerate(cls_bytes):
                 if nbytes > 0:
                     self._count(_BYTE_COUNTERS[cls], nbytes)
@@ -458,9 +438,9 @@ class Network:
         preemption latency. Everything else goes through
         :func:`prio_fair_rates`: classes solved highest first over the
         leftover capacity, equal-class flows sharing by (weighted)
-        max–min with the mode-dispatched solver, lower classes starved
-        outright on saturated links (``netsim.prio_preemptions`` counts
-        flows whose running rate that drops to zero).
+        max–min, lower classes starved outright on saturated links
+        (``netsim.prio_preemptions`` counts flows whose running rate that
+        drops to zero).
         """
         active = self._active
         locked: list[int] = []
@@ -518,13 +498,8 @@ class Network:
             routes = self._solver_routes
 
         weights = self._solver_weights if self._weighted_count else None
-        if self._fast:
-            def solver(r, c):
-                return fast_fair_rates(r, c, validate=False)
-        else:
-            solver = max_min_fair_rates
         rates = prio_fair_rates(
-            routes, caps, self._solver_prios, weights, solver=solver
+            routes, caps, self._solver_prios, weights, validate=False
         )
         self._count("netsim.fairshare_calls")
         preempted = 0
@@ -562,8 +537,7 @@ class Network:
                 self._pending_new.clear()
                 return
 
-            multi = self._prio_on and len(self._class_count) > 1
-            if self._fast and self._rated and not self._solver_dirty:
+            if self._rated and not self._solver_dirty:
                 # Every change since the last solve is decoupled: survivors
                 # keep their rates; each new flow is alone on its links, so
                 # its fair share is exactly its route's min capacity —
@@ -580,19 +554,12 @@ class Network:
                                 0.0, flow.remaining - flow.slice_eff
                             )
                 self._count("netsim.rerate_skipped")
-            elif multi:
+            elif len(self._class_count) > 1:
                 self._prio_solve(fresh_anchor)
             else:
-                if self._fast:
-                    rates = fast_fair_rates(
-                        self._solver_routes, self._capacities, validate=False
-                    )
-                else:
-                    routes = {
-                        fid: [l.name for l in f.route]
-                        for fid, f in sorted(self._active.items())
-                    }
-                    rates = max_min_fair_rates(routes, self._capacities)
+                rates = fair_rates(
+                    self._solver_routes, self._capacities, validate=False
+                )
                 self._count("netsim.fairshare_calls")
                 for fid, flow in self._active.items():
                     flow.rate = rates[fid]

@@ -24,15 +24,11 @@ classes on every link they share; flows of equal class keep today's
 any class — the allocation degenerates to the plain solver and is
 bit-identical to the pre-priority scheduler.
 
-``REPRO_NETPRIO=off`` (or ``0``) is the kill-switch, mirroring the
-``REPRO_FLAT_ARENA`` / ``REPRO_FAIRSHARE`` convention: the Network then
-coerces every flow to NORMAL at admission and the scheduler is
-byte-for-byte the PR 7 core.
+A fabric without class scheduling is ``Network(..., priorities=False)``:
+every flow is admitted as NORMAL and the links are plainly fair-shared.
 """
 
 from __future__ import annotations
-
-import os
 
 #: Strict-priority class values — higher value preempts lower per link.
 PRIO_URGENT = 3
@@ -48,34 +44,10 @@ CLASS_NAMES = {
     PRIO_BULK: "bulk",
 }
 
-#: DRR-style per-class weights used *within* a class solve when a caller
-#: overrides flow weights (``Network.transfer(..., weight=)``); between
-#: classes scheduling is strict priority, so these defaults only name the
-#: unit weight every flow starts with.
-DEFAULT_CLASS_WEIGHTS = {
-    PRIO_URGENT: 1.0,
-    PRIO_HIGH: 1.0,
-    PRIO_NORMAL: 1.0,
-    PRIO_BULK: 1.0,
-}
-
-
-def netprio_enabled() -> bool:
-    """Whether the priority scheduler is active (default: yes).
-
-    Controlled by the ``REPRO_NETPRIO`` environment variable; ``off`` or
-    ``0`` disables it. Read at Network construction so scoped overrides
-    (benchmarks, differential tests) work per run.
-    """
-    return os.environ.get("REPRO_NETPRIO", "").strip().lower() not in ("off", "0")
-
-
 __all__ = [
     "CLASS_NAMES",
-    "DEFAULT_CLASS_WEIGHTS",
     "PRIO_BULK",
     "PRIO_HIGH",
     "PRIO_NORMAL",
     "PRIO_URGENT",
-    "netprio_enabled",
 ]

@@ -7,10 +7,8 @@
   times the PS/PGP/LGP/sync hot path with and without the flat arena, plus
   end-to-end numeric and timing runs, and writes/validates
   ``BENCH_hotpath.json`` (the perf-regression baseline guarded in tier-1).
-* :mod:`repro.perf.netsim_scale` — the ``repro perf-net`` scaling
-  benchmark: sweeps an OSP-shaped star workload from 4 to 128 workers
-  under the legacy and fast network-core paths, certifies virtual-time
-  identity, and writes/validates ``BENCH_netsim.json``.
+
+Host time end to end and per layer is ``bench/`` (``make hostbench``).
 """
 
 from repro.perf.executor import parallel_map
@@ -20,13 +18,11 @@ from repro.perf.hotpath import (
     run_hotpath_bench,
     validate_bench,
 )
-from repro.perf.netsim_scale import run_netsim_bench
 
 __all__ = [
     "BENCH_SCHEMA",
     "REQUIRED_FIELDS",
     "parallel_map",
     "run_hotpath_bench",
-    "run_netsim_bench",
     "validate_bench",
 ]

@@ -13,6 +13,7 @@ from repro.check import (
 from repro.cluster import MembershipSchedule, WorkerJoin, WorkerLeave
 from repro.core.gib import GIB
 from repro.core.osp import OSP
+from repro.faults import BandwidthDip, FaultSchedule
 from repro.harness.workloads import (
     WorkloadConfig,
     make_numeric_dataset,
@@ -49,6 +50,33 @@ def test_all_monitors_pass_on_numeric_osp():
     assert "sync.staleness" in report.skipped
     assert result.recorder.counter("check.events_checked") == report.total_checks
     assert result.recorder.counter("check.violation") == 0
+
+
+def test_monitors_green_across_bandwidth_dip_window():
+    """The dip drives ``refresh_capacities`` mid-flow: conservation and the
+    ICS in-flight ledger must hold through both capacity changes."""
+    cfg = WorkloadConfig(
+        card_name="vgg16-cifar10",
+        n_workers=4,
+        n_epochs=3,
+        iterations_per_epoch=6,
+        sigma=0.1,
+        seed=7,
+        faults=FaultSchedule(
+            [BandwidthDip(start=5.0, duration=20.0, factor=0.4, nodes=(1,))]
+        ),
+    )
+    trainer = timing_trainer(cfg, OSP())
+    trainer.enable_tracing()
+    _result, report = run_checked(trainer)
+    assert report.ok, report.render()
+    for name in ("net.conservation", "osp.ics_inflight"):
+        checks, violations = report.monitors[name]
+        assert checks > 0, name
+        assert violations == 0, name
+    # The dip must actually have hit the network for this to be meaningful.
+    assert trainer.recorder.counter("faults.bandwidth_dip") > 0
+    assert trainer.network.stats["netsim.rerates"] > 0
 
 
 def test_staleness_monitor_checks_ssp_and_dssp():

@@ -1,6 +1,7 @@
 """CLI surface: ``repro multirun`` and the hardened ``report --compare``."""
 
 import json
+import os
 
 import pytest
 
@@ -122,3 +123,15 @@ def test_report_compare_still_works_on_valid_summaries(tmp_path, capsys):
     save_summary(run_summary(res), path)
     assert main(["report", "--compare", str(path), str(path)]) == 0
     assert "verdict: OK" in capsys.readouterr().out
+
+
+def test_multirun_net_prio_sets_the_fabric_model_not_the_environment(capsys):
+    before = dict(os.environ)
+    preemptions = {}
+    for mode in ("off", "on"):
+        assert main(["multirun", "--json", "--net-prio", mode]) == 0
+        network = json.loads(capsys.readouterr().out)["network"]
+        preemptions[mode] = network["netsim.prio_preemptions"]
+    assert preemptions["on"] > 0
+    assert preemptions["off"] == 0
+    assert os.environ == before

@@ -13,7 +13,7 @@ import pytest
 from repro.check import capture_stream, first_divergence, stream_digest
 from repro.core.osp import OSP
 from repro.harness.workloads import WorkloadConfig, timing_trainer
-from repro.multijob import JobSpec, run_jobs
+from repro.multijob import JobSpec, MultiJobRunner, run_jobs
 from repro.sync import ASP, BSP
 
 _CFG = dict(n_workers=4, n_epochs=2, iterations_per_epoch=4, sigma=0.1, seed=7)
@@ -76,25 +76,22 @@ def test_solo_job_recorder_gains_only_excluded_namespaces():
 
 
 def test_shared_placement_with_cotenant_differs():
-    """Sanity: the identity above is meaningful — with the priority
-    scheduler killed, a co-tenant on shared hosts fair-shares the links
-    and perturbs the timeline. (With priorities on, OSP's HIGH/URGENT
-    stages preempt the NORMAL tenant and can be fully protected — that
-    isolation is what BENCH_multijob.json guards.)"""
-    from repro.perf.hotpath import _env
-
-    def _pair():
-        return run_jobs(
-            [
-                JobSpec(name="osp", workload=_workload(), sync_factory=OSP),
-                JobSpec(name="other", workload=_workload(), sync_factory=BSP),
-            ],
-            placement="shared",
-            slots_per_host=2,
-            gpus_per_host=2,
-        )
+    """Sanity: the identity above is meaningful — on a plainly fair-shared
+    fabric, a co-tenant on shared hosts splits the links and perturbs the
+    timeline. (With priorities on, OSP's HIGH/URGENT stages preempt the
+    NORMAL tenant and can be fully protected — that isolation is what
+    ``tests/harness/test_priority.py`` holds.)"""
+    runner = MultiJobRunner(
+        [
+            JobSpec(name="osp", workload=_workload(), sync_factory=OSP),
+            JobSpec(name="other", workload=_workload(), sync_factory=BSP),
+        ],
+        placement="shared",
+        slots_per_host=2,
+        gpus_per_host=2,
+    )
+    runner.network.priorities = False
+    pair = runner.run()
 
     solo = run_jobs([JobSpec(name="osp", workload=_workload(), sync_factory=OSP)])
-    with _env(REPRO_NETPRIO="off"):
-        pair = _pair()
     assert pair["osp"].result.wall_time > solo["osp"].result.wall_time

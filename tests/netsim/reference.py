@@ -1,0 +1,78 @@
+"""Reference implementations the production network core is tested against.
+
+:func:`reference_fair_rates` — max–min progressive filling as a plain link
+scan, the oracle the heap-driven ``repro.netsim.fair_rates`` must match bit
+for bit. Each round scans every loaded link for the smallest per-flow
+share, freezes that link's flows at it and subtracts their consumption
+from all their links. O(L²·F) worst case.
+
+:class:`PerEventNetwork` — the scheduler without its host-time shortcuts:
+one full solve per flow start/finish. An independent witness that rerate
+coalescing and decoupled-delta skipping change no virtual time.
+"""
+
+from repro.netsim import Network
+
+_EPS = 1e-12
+
+
+class PerEventNetwork(Network):
+    """Rerates inside every ``transfer()`` and never skips the solver."""
+
+    # Always reads True, whatever the scheduler assigns.
+    _solver_dirty = property(lambda self: True, lambda self, value: None)
+
+    def _schedule_rerate(self):
+        self._rerate()
+
+
+def reference_fair_rates(flow_routes, capacities):
+    """``flow_id -> rate``; loopback (empty-route) flows get ``inf``."""
+    for link, cap in capacities.items():
+        if cap <= 0:
+            raise ValueError(f"link {link!r} has non-positive capacity {cap}")
+    rates = {}
+    unfrozen = {}
+    for fid, route in flow_routes.items():
+        for link in route:
+            if link not in capacities:
+                raise ValueError(f"flow {fid!r} crosses unknown link {link!r}")
+        if route:
+            unfrozen[fid] = tuple(route)
+        else:
+            rates[fid] = float("inf")
+    remaining = dict(capacities)
+    link_flows = {}
+    for fid, route in unfrozen.items():
+        for link in set(route):
+            link_flows.setdefault(link, set()).add(fid)
+
+    def freeze_link(link, share):
+        for fid in sorted(link_flows[link], key=lambda f: (type(f).__name__, str(f))):
+            rates[fid] = share
+            for l in set(unfrozen[fid]):
+                remaining[l] = max(0.0, remaining[l] - share)
+                link_flows[l].discard(fid)
+            del unfrozen[fid]
+
+    while unfrozen:
+        bottleneck = None
+        best_share = float("inf")
+        for link, flows in link_flows.items():
+            if not flows:
+                continue
+            share = remaining[link] / len(flows)
+            if share < best_share - _EPS:
+                best_share = share
+                bottleneck = link
+        freeze_link(bottleneck, best_share)
+        # A loaded link the clamp drove to zero would freeze its flows at
+        # rate 0 next round; they tied with the bottleneck within _EPS, so
+        # freeze them at the same share.
+        while True:
+            zeroed = [l for l, fl in link_flows.items() if fl and remaining[l] <= 0.0]
+            if not zeroed:
+                break
+            for link in zeroed:
+                freeze_link(link, best_share)
+    return rates

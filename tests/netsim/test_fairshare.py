@@ -1,19 +1,33 @@
-"""Unit + property tests for max–min fair allocation."""
+"""Unit + property tests for max–min fair allocation.
+
+Every test runs against the production solver and the reference scan.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.fairshare import max_min_fair_rates
+from repro.netsim import fair_rates
+from tests.netsim.reference import reference_fair_rates
+
+SOLVERS = (fair_rates, reference_fair_rates)
+
+
+def solve(routes, caps):
+    """Production rates, once the oracle has agreed bit for bit — so each
+    assertion on the result holds for both solvers."""
+    rates = fair_rates(routes, caps)
+    assert rates == reference_fair_rates(routes, caps)
+    return rates
 
 
 def test_single_flow_gets_bottleneck_capacity():
-    rates = max_min_fair_rates({"f": ["a", "b"]}, {"a": 10.0, "b": 4.0})
+    rates = solve({"f": ["a", "b"]}, {"a": 10.0, "b": 4.0})
     assert rates["f"] == pytest.approx(4.0)
 
 
 def test_two_flows_share_common_link_equally():
-    rates = max_min_fair_rates(
+    rates = solve(
         {"f1": ["shared"], "f2": ["shared"]}, {"shared": 10.0}
     )
     assert rates["f1"] == pytest.approx(5.0)
@@ -26,7 +40,7 @@ def test_incast_n_flows_each_get_b_over_n():
     routes = {f"w{i}": [f"up{i}", "ps_down"] for i in range(n)}
     caps = {f"up{i}": 100.0 for i in range(n)}
     caps["ps_down"] = 100.0
-    rates = max_min_fair_rates(routes, caps)
+    rates = solve(routes, caps)
     for i in range(n):
         assert rates[f"w{i}"] == pytest.approx(100.0 / n)
 
@@ -35,24 +49,26 @@ def test_unconstrained_flow_takes_leftover():
     """One flow bottlenecked elsewhere leaves headroom for the other."""
     routes = {"small": ["x", "shared"], "big": ["shared"]}
     caps = {"x": 2.0, "shared": 10.0}
-    rates = max_min_fair_rates(routes, caps)
+    rates = solve(routes, caps)
     assert rates["small"] == pytest.approx(2.0)
     assert rates["big"] == pytest.approx(8.0)
 
 
 def test_loopback_flow_infinite_rate():
-    rates = max_min_fair_rates({"lo": []}, {})
+    rates = solve({"lo": []}, {})
     assert rates["lo"] == float("inf")
 
 
 def test_unknown_link_raises():
-    with pytest.raises(ValueError):
-        max_min_fair_rates({"f": ["ghost"]}, {"real": 1.0})
+    for solver in SOLVERS:
+        with pytest.raises(ValueError):
+            solver({"f": ["ghost"]}, {"real": 1.0})
 
 
 def test_nonpositive_capacity_raises():
-    with pytest.raises(ValueError):
-        max_min_fair_rates({"f": ["a"]}, {"a": 0.0})
+    for solver in SOLVERS:
+        with pytest.raises(ValueError):
+            solver({"f": ["a"]}, {"a": 0.0})
 
 
 def test_three_level_cascade():
@@ -64,7 +80,7 @@ def test_three_level_cascade():
         "D": ["l3"],
     }
     caps = {"l1": 10.0, "l2": 12.0, "l3": 6.0}
-    rates = max_min_fair_rates(routes, caps)
+    rates = solve(routes, caps)
     # l3 is tightest: C and D each get 3. Then l1: A and B share 10 -> 5 each.
     assert rates["C"] == pytest.approx(3.0)
     assert rates["D"] == pytest.approx(3.0)
@@ -73,14 +89,15 @@ def test_three_level_cascade():
 
 
 def test_duplicate_link_in_route_counts_once():
-    rates = max_min_fair_rates({"f": ["a", "a"]}, {"a": 5.0})
+    rates = solve({"f": ["a", "a"]}, {"a": 5.0})
     assert rates["f"] == pytest.approx(5.0)
 
 
 def test_determinism_same_input_same_output():
     routes = {f"f{i}": ["a", f"b{i % 3}"] for i in range(9)}
     caps = {"a": 7.0, "b0": 3.0, "b1": 5.0, "b2": 9.0}
-    assert max_min_fair_rates(routes, caps) == max_min_fair_rates(routes, caps)
+    for solver in SOLVERS:
+        assert solver(routes, caps) == solver(routes, caps)
 
 
 # ------------------------------------------------------------- properties
@@ -106,7 +123,7 @@ def _random_networks(draw):
 @settings(max_examples=200, deadline=None)
 def test_property_no_link_oversubscribed(net):
     routes, caps = net
-    rates = max_min_fair_rates(routes, caps)
+    rates = solve(routes, caps)
     load = {l: 0.0 for l in caps}
     for fid, route in routes.items():
         for l in set(route):
@@ -121,7 +138,7 @@ def test_property_every_flow_has_saturated_bottleneck(net):
     """Max-min: each flow crosses a saturated link where it is among the
     maximal-rate flows (the defining property of max-min fairness)."""
     routes, caps = net
-    rates = max_min_fair_rates(routes, caps)
+    rates = solve(routes, caps)
     load = {l: 0.0 for l in caps}
     for fid, route in routes.items():
         for l in set(route):
@@ -145,6 +162,6 @@ def test_property_every_flow_has_saturated_bottleneck(net):
 @settings(max_examples=100, deadline=None)
 def test_property_rates_positive(net):
     routes, caps = net
-    rates = max_min_fair_rates(routes, caps)
+    rates = solve(routes, caps)
     for fid in routes:
         assert rates[fid] > 0

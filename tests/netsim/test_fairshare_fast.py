@@ -1,49 +1,19 @@
-"""Differential tests: fast fair-share solver ≡ legacy progressive filling.
+"""Differential tests: heap fair-share solver ≡ reference progressive filling.
 
-The fast path's whole contract is *bit-identical rate dicts* — not
+The production solver's whole contract is *bit-identical rate dicts* — not
 approximately-equal, ``==``-equal floats — on every input the reference
-accepts. Hypothesis drives randomized star topologies (the trainer's
-shape), multi-tier/general topologies, degenerate eps-scale capacities,
-and loopback/empty-route flows through both solvers.
+scan (``reference.py``) accepts. Hypothesis drives randomized
+star topologies (the trainer's shape), multi-tier/general topologies,
+degenerate eps-scale capacities, and loopback/empty-route flows through
+both solvers.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.fairshare import (
-    fair_rates,
-    fairshare_mode,
-    fast_fair_rates,
-    max_min_fair_rates,
-)
-
-
-# ------------------------------------------------------------- mode dispatch
-def test_default_mode_is_fast(monkeypatch):
-    monkeypatch.delenv("REPRO_FAIRSHARE", raising=False)
-    assert fairshare_mode() == "fast"
-
-
-def test_legacy_kill_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_FAIRSHARE", "legacy")
-    assert fairshare_mode() == "legacy"
-    monkeypatch.setenv("REPRO_FAIRSHARE", "  LEGACY ")
-    assert fairshare_mode() == "legacy"
-    monkeypatch.setenv("REPRO_FAIRSHARE", "fast")
-    assert fairshare_mode() == "fast"
-
-
-def test_fair_rates_dispatches_on_mode(monkeypatch):
-    routes = {"f1": ["a", "b"], "f2": ["b"]}
-    caps = {"a": 3.0, "b": 4.0}
-    monkeypatch.setenv("REPRO_FAIRSHARE", "legacy")
-    legacy = fair_rates(routes, caps)
-    monkeypatch.delenv("REPRO_FAIRSHARE", raising=False)
-    fast = fair_rates(routes, caps)
-    assert legacy == fast == max_min_fair_rates(routes, caps)
+from repro.netsim import fair_rates
+from tests.netsim.reference import reference_fair_rates
 
 
 # --------------------------------------------------- fast solver unit checks
@@ -55,21 +25,21 @@ def test_fast_matches_legacy_on_textbook_cascade():
         "f4": ["l3"],
     }
     caps = {"l1": 10.0, "l2": 14.0, "l3": 20.0}
-    assert fast_fair_rates(routes, caps) == max_min_fair_rates(routes, caps)
+    assert fair_rates(routes, caps) == reference_fair_rates(routes, caps)
 
 
 def test_fast_validates_inputs():
     with pytest.raises(ValueError):
-        fast_fair_rates({"f": ["ghost"]}, {"real": 1.0})
+        fair_rates({"f": ["ghost"]}, {"real": 1.0})
     with pytest.raises(ValueError):
-        fast_fair_rates({"f": ["a"]}, {"a": 0.0})
+        fair_rates({"f": ["a"]}, {"a": 0.0})
 
 
 def test_fast_loopback_and_duplicate_links():
     routes = {"lo": [], "dup": ["a", "a"], "plain": ["a"]}
     caps = {"a": 6.0}
-    fast = fast_fair_rates(routes, caps)
-    assert fast == max_min_fair_rates(routes, caps)
+    fast = fair_rates(routes, caps)
+    assert fast == reference_fair_rates(routes, caps)
     assert fast["lo"] == float("inf")
     # A duplicated link counts once for its crossing flow.
     assert fast["dup"] == pytest.approx(3.0)
@@ -88,10 +58,10 @@ def test_zero_share_clamp_does_not_freeze_flows_at_zero():
     """
     routes = {"f0": ["a"], "f1": ["a", "b"], "f2": ["b"]}
     caps = {"a": 2e-12, "b": 1e-12}
-    for solver in (max_min_fair_rates, fast_fair_rates):
+    for solver in (reference_fair_rates, fair_rates):
         rates = solver(routes, caps)
         assert all(r > 0.0 for r in rates.values()), (solver.__name__, rates)
-    assert max_min_fair_rates(routes, caps) == fast_fair_rates(routes, caps)
+    assert reference_fair_rates(routes, caps) == fair_rates(routes, caps)
 
 
 # ------------------------------------------------------- hypothesis strategy
@@ -140,16 +110,16 @@ def general_cases(draw):
 @given(star_cases())
 def test_fast_bit_identical_on_stars(case):
     flows, caps = case
-    assert fast_fair_rates(flows, caps) == max_min_fair_rates(flows, caps)
+    assert fair_rates(flows, caps) == reference_fair_rates(flows, caps)
 
 
 @settings(max_examples=300, deadline=None)
 @given(general_cases())
 def test_fast_bit_identical_on_general_topologies(case):
     flows, caps = case
-    legacy = max_min_fair_rates(flows, caps)
-    fast = fast_fair_rates(flows, caps)
-    assert fast == legacy
+    reference = reference_fair_rates(flows, caps)
+    fast = fair_rates(flows, caps)
+    assert fast == reference
     # Both also honour the basic feasibility property.
     assert all(r > 0.0 for r in fast.values())
 
@@ -165,6 +135,6 @@ def test_fast_trusted_path_matches_validating_path(case):
     }
     if not trusted:
         return
-    assert fast_fair_rates(trusted, caps, validate=False) == fast_fair_rates(
+    assert fair_rates(trusted, caps, validate=False) == fair_rates(
         trusted, caps
     )

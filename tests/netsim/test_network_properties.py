@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import LinkSpec, Network, StarTopology
+from repro.netsim import (
+    PRIO_BULK,
+    PRIO_HIGH,
+    PRIO_NORMAL,
+    PRIO_URGENT,
+    LinkSpec,
+    Network,
+    StarTopology,
+)
 from repro.simcore import Environment
+from tests.netsim.reference import PerEventNetwork
 
 
 @st.composite
@@ -25,20 +34,70 @@ def _flow_plans(draw):
     return n_nodes, flows
 
 
-def _run_plan(n_nodes, flows, bandwidth=1000.0):
+@st.composite
+def _scheduler_plans(draw, classes, slices):
+    """A flow plan plus per-flow scheduling kwargs (class from ``classes``,
+    P3-style slicing on some flows if ``slices``) and an optional
+    bandwidth-dip window on one node's links."""
+    n_nodes, flows = draw(_flow_plans())
+    slice_bytes = st.none()
+    if slices:
+        slice_bytes |= st.floats(min_value=50.0, max_value=2e3)
+    kwargs = [
+        {"prio": draw(st.sampled_from(classes)), "slice_bytes": draw(slice_bytes)}
+        for _ in flows
+    ]
+    dip = draw(
+        st.none()
+        | st.tuples(
+            st.integers(min_value=0, max_value=n_nodes - 1),
+            st.floats(min_value=0.0, max_value=6.0),  # start
+            st.floats(min_value=0.1, max_value=6.0),  # duration
+            st.floats(min_value=0.05, max_value=0.9),  # bandwidth factor
+        )
+    )
+    return n_nodes, flows, kwargs, dip
+
+
+def _run_plan(
+    n_nodes, flows, bandwidth=1000.0, kwargs=None, dip=None,
+    network=Network, **net_kwargs
+):
     env = Environment()
     topo = StarTopology(n_nodes, default_spec=LinkSpec(bandwidth=bandwidth, latency=0.0))
-    net = Network(env, topo)
-    events = []
+    net = network(env, topo, **net_kwargs)
 
-    def starter(env, src, dst, size, start):
+    def starter(env, src, dst, size, start, **kw):
         yield env.timeout(start)
-        rec = yield net.transfer(src, dst, size)
+        rec = yield net.transfer(src, dst, size, **kw)
         return rec
 
-    procs = [env.process(starter(env, *f)) for f in flows]
-    env.run()
+    def dip_window(env, node, start, duration, factor):
+        links = [l for l in topo.links if l.name in (f"up:{node}", f"down:{node}")]
+        yield env.timeout(start)
+        for link in links:
+            link.apply_fault(bandwidth_factor=factor)
+        net.refresh_capacities()
+        yield env.timeout(duration)
+        for link in links:
+            link.clear_fault(bandwidth_factor=factor)
+        net.refresh_capacities()
+
+    procs = [
+        env.process(starter(env, *f, **kw))
+        for f, kw in zip(flows, kwargs or [{}] * len(flows))
+    ]
+    window = [env.process(dip_window(env, *dip))] if dip is not None else []
+    # Not to queue exhaustion: a superseded wake-up timer still sits in the
+    # queue as a no-op and would move the final clock.
+    env.run(until=env.all_of(procs + window))
     return net, [p.value for p in procs]
+
+
+def _outcome(net):
+    """Everything virtual time can show: each FlowRecord in full (dataclass
+    equality), and the clock when the last flow (or the dip window) finished."""
+    return list(net.records), repr(net.env.now)
 
 
 @given(_flow_plans())
@@ -81,6 +140,42 @@ def test_property_deterministic_replay(plan):
     _n2, rec2 = _run_plan(n_nodes, flows)
     for a, b in zip(rec1, rec2):
         assert a.end_time == b.end_time
+
+
+@given(
+    _scheduler_plans((PRIO_BULK, PRIO_NORMAL, PRIO_HIGH, PRIO_URGENT), slices=False)
+)
+@settings(max_examples=150, deadline=None)
+def test_property_coalescing_and_skipping_change_no_virtual_time(plan):
+    """The scheduler ≡ one that fully re-solves inside every transfer().
+
+    Unsliced flows only: a sliced flow locks onto whatever rate it holds,
+    so the per-event model's intermediate same-instant allocation — which
+    moves no bytes — would pin it where the coalesced solve never put it.
+    """
+    n_nodes, flows, kwargs, dip = plan
+    net, _ = _run_plan(n_nodes, flows, kwargs=kwargs, dip=dip)
+    ref, _ = _run_plan(
+        n_nodes, flows, kwargs=kwargs, dip=dip, network=PerEventNetwork
+    )
+    assert _outcome(net) == _outcome(ref)
+    assert ref.stats["netsim.rerate_skipped"] == 0
+    assert net.stats["netsim.rerates"] <= ref.stats["netsim.rerates"]
+
+
+@pytest.mark.parametrize(
+    "cls", [PRIO_NORMAL, PRIO_BULK, PRIO_HIGH], ids=["normal", "bulk", "high"]
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_property_single_class_is_the_plain_fair_shared_fabric(cls, data):
+    """All traffic in one class — any class — must not notice the class
+    scheduler exists: bit-exact against ``priorities=False``."""
+    n_nodes, flows, kwargs, dip = data.draw(_scheduler_plans((cls,), slices=True))
+    on, _ = _run_plan(n_nodes, flows, kwargs=kwargs, dip=dip)
+    off, _ = _run_plan(n_nodes, flows, kwargs=kwargs, dip=dip, priorities=False)
+    assert _outcome(on) == _outcome(off)
+    assert on.stats["netsim.prio_preemptions"] == 0
 
 
 @given(

@@ -1,9 +1,10 @@
 """Behavioral tests for the scaled network core.
 
-Covers the machinery the fast path adds around the solver: rerate
-coalescing, decoupled-delta solver skipping, the bounded records ring,
-the recorder counter mirror, and capacity refreshes across fault windows
-— always with the legacy path as the semantic reference.
+Covers the machinery around the solver: rerate coalescing,
+decoupled-delta solver skipping, the bounded records ring, the recorder
+counter mirror, and capacity refreshes across fault windows — with
+``PerEventNetwork`` (one full solve per flow event) as the semantic
+reference.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from repro.netsim.links import LinkSpec
 from repro.netsim.network import Network
 from repro.netsim.topology import StarTopology
 from repro.simcore.environment import Environment
+from tests.netsim.reference import PerEventNetwork
 
 
 def _star(n=4, bandwidth=100.0, latency=0.0):
@@ -27,37 +29,33 @@ def _records_key(net):
     ]
 
 
-def _burst_run(n_flows=6):
+def _burst_run(n_flows=6, network=Network):
     """All flows to one destination, started in a single instant."""
     env = Environment()
-    net = Network(env, _star(n=8))
+    net = network(env, _star(n=8))
     for src in range(1, n_flows + 1):
         net.transfer(src, 0, 50.0 * src, tag=src)
     env.run()
     return net, env
 
 
-def test_same_instant_burst_coalesces_to_one_rerate(monkeypatch):
-    monkeypatch.delenv("REPRO_FAIRSHARE", raising=False)
+def test_same_instant_burst_coalesces_to_one_rerate():
     net, _env_ = _burst_run()
     # 1 coalesced rerate for the 6 same-instant starts, then one per
     # (distinct) completion horizon — instead of one per transfer() call.
     assert net.stats["netsim.rerates"] == 7
 
 
-def test_burst_records_identical_across_modes(monkeypatch):
-    monkeypatch.setenv("REPRO_FAIRSHARE", "legacy")
-    legacy_net, legacy_env = _burst_run()
-    assert legacy_net.stats["netsim.rerates"] >= 6  # one per transfer()
-    monkeypatch.delenv("REPRO_FAIRSHARE", raising=False)
-    fast_net, fast_env = _burst_run()
-    assert _records_key(fast_net) == _records_key(legacy_net)
-    assert repr(fast_env.now) == repr(legacy_env.now)
-    assert fast_net.stats["netsim.rerates"] < legacy_net.stats["netsim.rerates"]
+def test_burst_records_identical_across_modes():
+    ref_net, ref_env = _burst_run(network=PerEventNetwork)
+    assert ref_net.stats["netsim.rerates"] >= 6  # one per transfer()
+    net, env = _burst_run()
+    assert _records_key(net) == _records_key(ref_net)
+    assert repr(env.now) == repr(ref_env.now)
+    assert net.stats["netsim.rerates"] < ref_net.stats["netsim.rerates"]
 
 
-def test_decoupled_flows_skip_the_solver(monkeypatch):
-    monkeypatch.delenv("REPRO_FAIRSHARE", raising=False)
+def test_decoupled_flows_skip_the_solver():
     env = Environment()
     net = Network(env, _star(n=6, bandwidth=80.0))
     # Disjoint (src, dst) pairs: no shared links, every start/finish is
@@ -74,8 +72,7 @@ def test_decoupled_flows_skip_the_solver(monkeypatch):
         assert rec.duration == pytest.approx(100.0 / 80.0)
 
 
-def test_coupled_flows_fall_back_to_solver(monkeypatch):
-    monkeypatch.delenv("REPRO_FAIRSHARE", raising=False)
+def test_coupled_flows_fall_back_to_solver():
     env = Environment()
     net = Network(env, _star(n=4))
     net.transfer(1, 0, 100.0)
@@ -84,10 +81,11 @@ def test_coupled_flows_fall_back_to_solver(monkeypatch):
     assert net.stats["netsim.fairshare_calls"] > 0
 
 
-def test_legacy_mode_always_solves(monkeypatch):
-    monkeypatch.setenv("REPRO_FAIRSHARE", "legacy")
+def test_legacy_mode_always_solves():
+    """The reference really is the per-event model: same decoupled plan as
+    above, and it never takes the skip path."""
     env = Environment()
-    net = Network(env, _star(n=6))
+    net = PerEventNetwork(env, _star(n=6))
     net.transfer(0, 1, 100.0)
     env.run()
     net.transfer(2, 3, 100.0)
@@ -139,11 +137,11 @@ def test_recorder_mirror_receives_netsim_counters():
     )
 
 
-def _fault_window_run():
+def _fault_window_run(network=Network):
     """Bandwidth dips mid-flow on the shared downlink, then recovers."""
     env = Environment()
     topo = _star(n=4, bandwidth=100.0)
-    net = Network(env, topo)
+    net = network(env, topo)
     dipped = [l for l in topo.links if l.name == "down:0"]
 
     def faults():
@@ -163,29 +161,25 @@ def _fault_window_run():
     return net, env
 
 
-def test_refresh_capacities_mid_flow_identical_across_modes(monkeypatch):
-    monkeypatch.setenv("REPRO_FAIRSHARE", "legacy")
-    legacy_net, legacy_env = _fault_window_run()
-    monkeypatch.delenv("REPRO_FAIRSHARE", raising=False)
-    fast_net, fast_env = _fault_window_run()
-    assert _records_key(fast_net) == _records_key(legacy_net)
-    assert repr(fast_env.now) == repr(legacy_env.now)
+def test_refresh_capacities_mid_flow_identical_across_modes():
+    ref_net, ref_env = _fault_window_run(network=PerEventNetwork)
+    net, env = _fault_window_run()
+    assert _records_key(net) == _records_key(ref_net)
+    assert repr(env.now) == repr(ref_env.now)
     # The dip stretched the transfers: 600 bytes through a link that spends
     # 2s at 25 B/s cannot finish at the no-fault time of 6.0s.
-    assert fast_env.now > 6.0
+    assert env.now > 6.0
 
 
-def test_refresh_capacities_forces_solver_under_fast(monkeypatch):
-    monkeypatch.delenv("REPRO_FAIRSHARE", raising=False)
+def test_refresh_capacities_forces_solver_under_fast():
     net, _env_ = _fault_window_run()
     # Both refresh calls must re-solve (capacities changed), on top of the
     # start/finish solves for the coupled pair.
     assert net.stats["netsim.fairshare_calls"] >= 2
 
 
-def test_route_cache_does_not_stale_latency_or_loss(monkeypatch):
+def test_route_cache_does_not_stale_latency_or_loss():
     """Loss/latency are fault-dependent; only the route itself is cached."""
-    monkeypatch.delenv("REPRO_FAIRSHARE", raising=False)
     env = Environment()
     topo = _star(n=3, bandwidth=100.0)
     net = Network(env, topo)

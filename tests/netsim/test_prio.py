@@ -1,5 +1,7 @@
 """Priority/weight-aware transmission scheduling (solver + Network)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,19 +15,18 @@ from repro.netsim import (
     PRIO_NORMAL,
     PRIO_URGENT,
     StarTopology,
-    max_min_fair_rates,
-    netprio_enabled,
+    fair_rates,
     prio_fair_rates,
     weighted_max_min_fair_rates,
 )
-from repro.netsim.fairshare import fast_fair_rates
 from repro.simcore import Environment
+from tests.netsim.reference import reference_fair_rates
 
 
-def make_net(n=4, bandwidth=1000.0):
+def make_net(n=4, bandwidth=1000.0, **net_kwargs):
     env = Environment()
     topo = StarTopology(n, default_spec=LinkSpec(bandwidth=bandwidth, latency=0.0))
-    return env, Network(env, topo)
+    return env, Network(env, topo, **net_kwargs)
 
 
 # ------------------------------------------------------ weighted solver
@@ -67,7 +68,7 @@ def _random_networks(draw):
 @settings(max_examples=150, deadline=None)
 def test_weighted_all_ones_bit_identical_to_plain(net):
     routes, caps = net
-    plain = max_min_fair_rates(routes, caps)
+    plain = fair_rates(routes, caps)
     weighted = weighted_max_min_fair_rates(
         routes, caps, {f: 1.0 for f in routes}
     )
@@ -116,12 +117,9 @@ def test_lower_class_takes_leftover_on_unsaturated_links():
 def test_single_class_delegates_bit_identical(net):
     """Any single class + uniform weights ≡ the plain solver, bit-exact."""
     routes, caps = net
-    plain = max_min_fair_rates(routes, caps)
+    plain = fair_rates(routes, caps)
     for cls in (PRIO_URGENT, PRIO_NORMAL, PRIO_BULK):
-        rates = prio_fair_rates(
-            routes, caps, {f: cls for f in routes},
-            solver=max_min_fair_rates,
-        )
+        rates = prio_fair_rates(routes, caps, {f: cls for f in routes})
         assert rates == plain
 
 
@@ -143,18 +141,18 @@ def test_multi_class_never_oversubscribes(net):
 @given(_random_networks())
 @settings(max_examples=150, deadline=None)
 def test_legacy_and_fast_subsolvers_agree_in_prio_path(net):
-    """The prio loop must stay mode-agnostic: per-class subproblems solved
-    with the legacy scan and the heap solver give the same rates (the
-    ``repro check`` legacy-vs-fast differential relies on this)."""
+    """Per-class subproblems (leftover capacities, starved flows removed)
+    solved by the reference scan and by the heap solver — trusted, as the
+    Network calls it — give the same rates."""
     routes, caps = net
     rng = np.random.default_rng(2)
     prios = {f: int(rng.integers(0, 4)) for f in routes}
-    legacy = prio_fair_rates(routes, caps, prios, solver=max_min_fair_rates)
-    fast = prio_fair_rates(
-        routes, caps, prios,
-        solver=lambda r, c: fast_fair_rates(r, c, validate=False),
-    )
-    assert legacy == fast
+    with mock.patch(
+        "repro.netsim.fairshare.fair_rates",
+        lambda r, c, validate=True: reference_fair_rates(r, c),
+    ):
+        reference = prio_fair_rates(routes, caps, prios)
+    assert prio_fair_rates(routes, caps, prios, validate=False) == reference
 
 
 # ------------------------------------------------------ Network integration
@@ -249,51 +247,35 @@ def test_transfer_rejects_bad_prio_and_weight():
         net.transfer(0, 1, 10.0, weight=0.0)
 
 
-def _contended_run(**env_flags):
+def _contended_run(**net_kwargs):
     """One deterministic contended schedule; returns completion records."""
-    import os
+    env, net = make_net(n=6, bandwidth=1000.0, **net_kwargs)
 
-    saved = {k: os.environ.get(k) for k in env_flags}
-    os.environ.update({k: v for k, v in env_flags.items() if v is not None})
-    for k, v in env_flags.items():
-        if v is None:
-            os.environ.pop(k, None)
-    try:
-        env, net = make_net(n=6, bandwidth=1000.0)
+    def driver(env):
+        events = []
+        rng = np.random.default_rng(11)
+        for i in range(12):
+            src = 2 + int(rng.integers(4))
+            size = float(rng.integers(100, 900))
+            events.append(net.transfer(src, 1, size, tag=("f", i)))
+            yield env.timeout(float(rng.uniform(0.01, 0.3)))
+        for ev in events:
+            yield ev
 
-        def driver(env):
-            events = []
-            rng = np.random.default_rng(11)
-            for i in range(12):
-                src = 2 + int(rng.integers(4))
-                size = float(rng.integers(100, 900))
-                events.append(net.transfer(src, 1, size, tag=("f", i)))
-                yield env.timeout(float(rng.uniform(0.01, 0.3)))
-            for ev in events:
-                yield ev
-
-        p = env.process(driver(env))
-        env.run(until=p)
-        return [(r.tag, r.start_time, r.end_time) for r in net.records]
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    p = env.process(driver(env))
+    env.run(until=p)
+    return [(r.tag, r.start_time, r.end_time) for r in net.records]
 
 
 def test_all_normal_bit_identical_with_prio_on_and_off():
     """Default-prio traffic must not notice the scheduler exists."""
-    on = _contended_run(REPRO_NETPRIO=None)  # default: enabled
-    off = _contended_run(REPRO_NETPRIO="off")
+    on = _contended_run()  # default: enabled
+    off = _contended_run(priorities=False)
     assert on == off  # bit-exact virtual times
 
 
 def test_kill_switch_coerces_classes_to_normal():
-    env, net = make_net(bandwidth=1000.0)
-    assert netprio_enabled()
-    net._prio_on = False  # what REPRO_NETPRIO=off sets at construction
+    env, net = make_net(bandwidth=1000.0, priorities=False)
 
     def driver(env):
         bulk = net.transfer(2, 1, 500.0, tag="bulk", prio=PRIO_BULK)
@@ -308,3 +290,5 @@ def test_kill_switch_coerces_classes_to_normal():
     # Fair share, no starvation: both finish together.
     assert rb.end_time == pytest.approx(rh.end_time)
     assert net.stats["netsim.prio_preemptions"] == 0
+    # ... and no class accounting: there are no classes on this fabric.
+    assert not any(v for k, v in net.stats.items() if "prio_bytes" in k)

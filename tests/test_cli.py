@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -266,3 +267,23 @@ def test_ckpt_inspect_refuses_version_mismatch(tmp_path, capsys):
     assert main(["ckpt", "inspect", str(path)]) == 1
     err = capsys.readouterr().err
     assert "format version" in err
+
+
+def _run_osp_counters(capsys, *extra):
+    code = main(
+        ["run", "--sync", "osp", "--workers", "2", "--epochs", "2",
+         "--iterations", "2", "--json", *extra]
+    )
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["counters"]
+
+
+def test_run_net_prio_sets_the_fabric_model_not_the_environment(capsys):
+    before = dict(os.environ)
+    on = _run_osp_counters(capsys, "--net-prio", "on")
+    off = _run_osp_counters(capsys, "--net-prio", "off")
+    assert on["netsim.prio_bytes.high"] > 0
+    assert not [name for name in off if name.startswith("netsim.prio_bytes.")]
+    assert os.environ == before
+    # An earlier in-process `--net-prio off` must not leak into later runs.
+    assert _run_osp_counters(capsys) == on
