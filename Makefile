@@ -1,6 +1,6 @@
 # Canonical developer commands for the OSP reproduction.
 
-.PHONY: install test bench bench-full hostbench hostbench-numeric hostbench-compare perf perf-full faults ckpt check trace dash compare examples clean
+.PHONY: install test bench bench-full hostbench hostbench-numeric hostbench-compare faults ckpt check trace dash compare examples clean
 
 install:
 	pip install -e . || python setup.py develop --no-deps
@@ -31,16 +31,6 @@ hostbench-numeric:
 hostbench-compare:
 	python3 bench/compare.py $(A) $(B)
 
-# Hot-path perf smoke: quick microbenchmarks to a scratch file, then
-# validate the committed baseline's schema + guarded speedups.
-perf:
-	PYTHONPATH=src python -m repro perf --quick --out /tmp/BENCH_hotpath.quick.json
-	PYTHONPATH=src python -m repro perf --check BENCH_hotpath.json
-
-# Regenerate the committed BENCH_hotpath.json at full scale.
-perf-full:
-	PYTHONPATH=src python -m repro perf --out BENCH_hotpath.json
-
 # Fault-injection smoke: the tier-1 fault tests plus the robustness bench.
 faults:
 	pytest tests/cluster/test_faults.py -q
@@ -59,8 +49,8 @@ ckpt:
 	PYTHONPATH=src pytest tests/ckpt/ -q
 
 # Invariant-checker smoke: an OSP run with an active fault window under
-# every runtime monitor, the two differential replays (flat-arena vs dict
-# plane, resumed vs uninterrupted), then the repro.check tier-1 tests.
+# every runtime monitor, the differential replay (resumed vs uninterrupted),
+# then the repro.check tier-1 tests.
 check:
 	PYTHONPATH=src python -m repro check --sync osp --workers 4 --epochs 6 \
 	  --iterations 4 \

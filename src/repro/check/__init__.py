@@ -5,18 +5,17 @@ Two complementary correctness layers over the simulator:
 * :mod:`repro.check.monitors` — opt-in runtime invariant monitors wrapped
   around a live trainer's event dispatch (netsim byte conservation, PS
   deposit/apply ledger, GIB partition + Eq. 5 budget chain, SSP/DSSP
-  staleness bounds, flat-arena aliasing parity). Strict mode raises at the
-  offending event; collect mode reports.
+  staleness bounds, quorum consistency, ICS in-flight accounting). Strict
+  mode raises at the offending event; collect mode reports.
 * :mod:`repro.check.replay` — a differential-replay harness that runs two
-  supposedly-equivalent configurations (flat arena on/off, resumed vs.
-  uninterrupted, any A/B pair) and bisects their normalized event streams
-  to the first divergent event, with span context from :mod:`repro.obs`.
+  supposedly-equivalent configurations (resumed vs. uninterrupted, any A/B
+  pair) and bisects their normalized event streams to the first divergent
+  event, with span context from :mod:`repro.obs`.
 
 See ``docs/invariants.md`` and ``python -m repro check --help``.
 """
 
 from repro.check.monitors import (
-    ArenaParityMonitor,
     CheckReport,
     DEFAULT_MONITORS,
     GIBInvariantMonitor,
@@ -41,14 +40,12 @@ from repro.check.replay import (
     dump_stream,
     first_divergence,
     load_stream,
-    replay_flat_arena,
     replay_resume,
     stream_digest,
     span_context,
 )
 
 __all__ = [
-    "ArenaParityMonitor",
     "CheckReport",
     "DEFAULT_MONITORS",
     "Divergence",
@@ -70,7 +67,6 @@ __all__ = [
     "dump_stream",
     "first_divergence",
     "load_stream",
-    "replay_flat_arena",
     "replay_resume",
     "stream_digest",
     "run_checked",

@@ -1,6 +1,6 @@
 """Runtime invariant monitors (``repro.check``).
 
-Four subsystems (faults, obs, flat-arena perf, elastic ckpt) mutate shared
+Three subsystems (faults, obs, elastic ckpt) mutate shared
 PS/worker/network state concurrently, and every correctness claim in the
 paper — GIB partitions (§4.2), the S(G^u) ≤ U_max ≤ 0.8·model-bytes chain
 (Eq. 5), the §4.3 degradation theorems, SSP/DSSP staleness bounds — was
@@ -31,11 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-import numpy as np
-
 from repro.core.osp import OSP
 from repro.netsim.network import _BYTE_EPS
-from repro.nn.arena import pack_plane
 from repro.sync.ssp import SSP
 
 
@@ -506,56 +503,6 @@ class QuorumConsistencyMonitor(Monitor):
             )
 
 
-class ArenaParityMonitor(Monitor):
-    """Flat-arena vs. legacy parameter-plane checksum parity.
-
-    With ``REPRO_FLAT_ARENA`` enabled every PS parameter's ``.data`` must
-    stay a live view into the contiguous plane (``np.shares_memory``) and
-    packing the per-name dict must reproduce the plane bit-for-bit — a
-    parameter silently detached by an accidental rebind (``p.data = new``)
-    would make the dict and plane code paths diverge. Checked at every
-    epoch end and at run end. Cross-*mode* parity (arena on vs. off) is the
-    differential-replay harness's job (:func:`repro.check.replay_flat_arena`).
-    """
-
-    name = "ps.arena_parity"
-    cost = "O(model bytes) per epoch end"
-
-    def attach(self, checker, trainer) -> bool:
-        if trainer.ps.arena is None or not trainer.ps.numeric:
-            return False
-        self._ps = trainer.ps
-        trainer.ctx.epoch_end_hooks.append(self._on_epoch_end)
-        return True
-
-    def _on_epoch_end(self, epoch, train_loss, metric) -> None:
-        self._verify()
-
-    def _verify(self) -> None:
-        ps = self._ps
-        self.checks += 1
-        for name, param in ps._params.items():
-            if not np.shares_memory(param.data, ps.arena.flat):
-                self.fail(
-                    f"parameter {name!r} detached from the arena plane",
-                    param=name,
-                )
-                return
-        packed = pack_plane(
-            ps.arena.layout, {n: p.data for n, p in ps._params.items()}
-        )
-        if not np.array_equal(packed, ps.arena.flat):
-            bad = int(np.flatnonzero(packed != ps.arena.flat)[0])
-            self.fail(
-                "arena plane != packed parameter dict "
-                f"(first divergent element {bad})",
-                element=bad,
-            )
-
-    def finish(self, trainer) -> None:
-        self._verify()
-
-
 class ICSInflightMonitor(Monitor):
     """OSP ICS in-flight accounting: netsim vs gauge vs protocol state.
 
@@ -646,7 +593,6 @@ DEFAULT_MONITORS: tuple[type, ...] = (
     GIBInvariantMonitor,
     StalenessBoundMonitor,
     QuorumConsistencyMonitor,
-    ArenaParityMonitor,
     ICSInflightMonitor,
 )
 
@@ -764,7 +710,6 @@ def run_checked(trainer, monitors: Optional[Sequence] = None, strict: bool = Tru
 
 
 __all__ = [
-    "ArenaParityMonitor",
     "CheckReport",
     "DEFAULT_MONITORS",
     "GIBInvariantMonitor",

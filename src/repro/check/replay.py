@@ -1,8 +1,7 @@
 """Differential-replay harness: run two configurations, diff the runs.
 
 The simulator's strongest correctness lever is determinism: two
-configurations that *claim* equivalence — the flat-arena hot path vs. the
-legacy dict path (``REPRO_FLAT_ARENA=0/1``), a resumed-from-checkpoint run
+configurations that *claim* equivalence — a resumed-from-checkpoint run
 vs. an uninterrupted one, a refactored sync model vs. its baseline — must
 produce identical event streams. This module captures a normalized stream
 per run (iteration records in recorder order, epoch evaluations, counters,
@@ -21,11 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
+
+from repro.ckpt.snapshot import params_plane
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def capture_stream(trainer, result) -> list[ReplayEvent]:
             ReplayEvent("counter", (name,), (result.recorder.counters[name],))
         )
     if trainer.ps.numeric:
-        plane = trainer.ps.params_plane(trainer.engine.state_layout())
+        plane = params_plane(trainer.engine, trainer.ps)
         digest = hashlib.sha256(plane.tobytes()).hexdigest()
         events.append(ReplayEvent("params", ("sha256",), (digest,)))
     events.append(ReplayEvent("end", ("wall_time",), (result.wall_time,)))
@@ -324,39 +323,6 @@ def differential_replay(
     )
 
 
-@contextmanager
-def _scoped_env(name: str, value: str):
-    prior = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = prior
-
-
-def replay_flat_arena(
-    build: Callable[[], object], trace: bool = True
-) -> ReplayReport:
-    """Flat-arena vs. legacy dict parameter plane (``REPRO_FLAT_ARENA``).
-
-    ``build`` is invoked once under each env setting — the engine reads
-    the kill-switch at construction, so each factory call binds its mode.
-    The two runs' streams (including the final-parameter SHA-256) must be
-    identical: the arena is a layout optimization, not a semantic change.
-    """
-    with _scoped_env("REPRO_FLAT_ARENA", "1"):
-        _ta, result_a, stream_a = _run_one(build, trace)
-    with _scoped_env("REPRO_FLAT_ARENA", "0"):
-        _tb, result_b, stream_b = _run_one(build, trace)
-    return _diff(
-        stream_a, stream_b, result_a.tracer, result_b.tracer,
-        "flat-arena", "dict-plane",
-    )
-
-
 def replay_resume(
     make_trainer: Callable[..., object],
     workdir,
@@ -414,7 +380,6 @@ __all__ = [
     "dump_stream",
     "first_divergence",
     "load_stream",
-    "replay_flat_arena",
     "replay_resume",
     "span_context",
     "stream_digest",

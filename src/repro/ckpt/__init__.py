@@ -18,6 +18,7 @@ from repro.ckpt.snapshot import (
     describe,
     latest_checkpoint,
     load_checkpoint,
+    params_plane,
     verify_roundtrip,
     write_checkpoint,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "describe",
     "latest_checkpoint",
     "load_checkpoint",
+    "params_plane",
     "verify_roundtrip",
     "write_checkpoint",
 ]

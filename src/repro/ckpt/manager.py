@@ -17,6 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+from repro.ckpt.layout import PlaneLayout
 from repro.ckpt.snapshot import (
     Checkpoint,
     capture,
@@ -151,7 +152,9 @@ class CheckpointManager:
         key = f"replica/{worker}"
         if key not in snapshot.arrays:
             return False
-        self.trainer.engine.load_replica_plane(worker, snapshot.arrays[key])
+        engine = self.trainer.engine
+        layout = PlaneLayout.of(engine, self.trainer.ps)
+        layout.unpack_into(snapshot.arrays[key], engine.worker_params(worker))
         return True
 
 

@@ -5,29 +5,31 @@ reserved ``__meta__`` key) plus the numeric planes:
 
 - ``ps/params``, ``ps/velocity``, ``ps/aggregate`` — the parameter
   server's parameter, momentum, and last-aggregated-gradient planes, laid
-  out by :class:`repro.nn.arena.ArenaLayout`.  The planes are packed from
-  the flat arena when ``REPRO_FLAT_ARENA`` is on and from the per-layer
-  dicts otherwise, so a checkpoint is bit-identical either way and can be
-  restored under either setting.
+  out by :class:`repro.ckpt.layout.PlaneLayout` (packed here from the
+  name→array dicts the PS, its optimizer and the engine hold).
 - ``replica/{w}`` — each worker's local model plane.
 - ``sync/...`` — sync-model-owned arrays (e.g. EMA-LGP state).
 
 Everything else (epoch counters, GIB bitmap, SGuTuner state, jitter RNG
 streams, fault schedules, the recorder) travels in the metadata blob.
 Writes are atomic (tmp file + ``os.replace``) and the format is versioned;
-loading a mismatched version raises :class:`CheckpointError`.
+an unreadable file, a mismatched version, or a plane that is missing or
+of the wrong size or dtype raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.autograd.tensor import DEFAULT_DTYPE
+from repro.ckpt.layout import PlaneLayout
 from repro.metrics.export import recorder_from_dict, recorder_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,6 +51,8 @@ class Checkpoint:
 
     meta: dict
     arrays: dict[str, np.ndarray]
+    #: the file this checkpoint was loaded from (named in restore errors)
+    source: str = "<in-memory checkpoint>"
 
     @property
     def format_version(self) -> int:
@@ -90,20 +94,32 @@ def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Load a checkpoint, refusing unknown formats and versions."""
+    """Load a checkpoint, refusing unreadable files, unknown formats and versions."""
     path = Path(path)
-    with np.load(path) as data:
-        if _META_KEY not in data.files:
-            raise CheckpointError(f"{path}: not a repro checkpoint (missing metadata entry)")
-        meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
-        version = meta.get("format_version")
-        if version != FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path}: checkpoint format version {version!r} is not supported "
-                f"(this build reads version {FORMAT_VERSION})"
-            )
-        arrays = {key: data[key] for key in data.files if key != _META_KEY}
-    return Checkpoint(meta=meta, arrays=arrays)
+    try:
+        loaded = np.load(path)
+        if isinstance(loaded, np.ndarray):
+            raise ValueError("a bare .npy array, not an .npz archive")
+        with loaded as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = None
+        if _META_KEY in arrays:
+            meta = json.loads(bytes(arrays.pop(_META_KEY).tobytes()).decode("utf-8"))
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        # What np.load and the zip reader raise on a missing, truncated,
+        # non-zip or corrupt file.
+        raise CheckpointError(
+            f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})"
+        ) from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: not a repro checkpoint (missing metadata entry)")
+    version = meta.get("format_version")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint format version {version!r} is not supported "
+            f"(this build reads version {FORMAT_VERSION})"
+        )
+    return Checkpoint(meta=meta, arrays=arrays, source=str(path))
 
 
 def verify_roundtrip(ckpt: Checkpoint, path: str | Path) -> None:
@@ -210,21 +226,36 @@ def capture(
 
     arrays: dict[str, np.ndarray] = {}
     if numeric:
-        layout = engine.state_layout()
-        meta["params"] = {
-            "names": list(layout.names),
-            "sizes": [int(np.prod(layout.shapes[n], dtype=np.int64)) for n in layout.names],
-        }
-        arrays["ps/params"] = ps.params_plane(layout)
-        arrays["ps/velocity"] = ps.optimizer.velocity_plane(layout)
-        agg_plane, agg_seen = ps.aggregate_state(layout)
-        arrays["ps/aggregate"] = agg_plane
-        meta["aggregate_seen"] = list(agg_seen)
+        layout = PlaneLayout.of(engine, ps)
+        meta["params"] = layout.fingerprint()
+        arrays["ps/params"] = layout.pack(ps.snapshot(copy=False))
+        arrays["ps/velocity"] = layout.pack(ps.optimizer.velocity)
+        arrays["ps/aggregate"] = layout.pack(ps.last_aggregated)
+        meta["aggregate_seen"] = sorted(ps.last_aggregated)
         for w in range(spec.n_workers):
-            arrays[f"replica/{w}"] = engine.replica_plane(w)
+            arrays[f"replica/{w}"] = layout.pack(engine.worker_params(w))
     for key, arr in trainer.sync_model.checkpoint_arrays(ctx).items():
         arrays[_SYNC_PREFIX + key] = np.asarray(arr)
     return Checkpoint(meta=meta, arrays=arrays)
+
+
+def params_plane(engine, ps) -> np.ndarray:
+    """The PS's global parameters as one plane: the bytes ``ps/params``
+    stores, and what the replay stream's parameter digest hashes."""
+    return PlaneLayout.of(engine, ps).pack(ps.snapshot(copy=False))
+
+
+def _plane(ckpt: Checkpoint, key: str, layout: PlaneLayout) -> np.ndarray:
+    """``ckpt.arrays[key]``, refused unless it is a whole plane of ``layout``."""
+    want = f"expected {np.dtype(DEFAULT_DTYPE)} of size {layout.size}"
+    plane = ckpt.arrays.get(key)
+    if plane is None:
+        raise CheckpointError(f"{ckpt.source}: plane {key!r} is missing ({want})")
+    if plane.dtype != DEFAULT_DTYPE or plane.shape != (layout.size,):
+        raise CheckpointError(
+            f"{ckpt.source}: plane {key!r} is {plane.dtype} of shape {plane.shape} ({want})"
+        )
+    return plane
 
 
 def apply_checkpoint(trainer: "DistributedTrainer", ckpt: Checkpoint) -> None:
@@ -235,6 +266,10 @@ def apply_checkpoint(trainer: "DistributedTrainer", ckpt: Checkpoint) -> None:
     ``StepLR``'s captured base rate, and the restored failure schedules
     must overwrite the ones the injector re-registered.  Sync-model state
     is applied later, in ``run()``, once ``setup()`` has built it.
+
+    Everything is validated before anything is written, so a refused
+    checkpoint raises :class:`CheckpointError` and leaves the trainer as
+    it was.
     """
     meta = ckpt.meta
     ctx, ps, engine = trainer.ctx, trainer.ps, trainer.engine
@@ -257,36 +292,42 @@ def apply_checkpoint(trainer: "DistributedTrainer", ckpt: Checkpoint) -> None:
             f"checkpoint resumes at epoch {meta['next_epoch']} but the plan "
             f"only has {trainer.plan.n_epochs} epochs"
         )
+    jitter_state = meta.get("jitter")
+    load_jitter = getattr(trainer.spec.jitter, "load_state", None)
+    if jitter_state is not None and load_jitter is None:
+        raise CheckpointError(
+            "checkpoint carries jitter RNG state but this spec's jitter "
+            "model cannot restore it"
+        )
+    recorder = recorder_from_dict(meta["recorder"])
 
     if ps.numeric:
-        layout = engine.state_layout()
-        fingerprint = meta.get("params", {})
-        names = list(layout.names)
-        sizes = [int(np.prod(layout.shapes[n], dtype=np.int64)) for n in names]
-        if fingerprint.get("names") != names or fingerprint.get("sizes") != sizes:
+        layout = PlaneLayout.of(engine, ps)
+        if meta.get("params") != layout.fingerprint():
             raise CheckpointError("model parameter layout differs from the checkpointed run")
-        ps.load_params_plane(layout, ckpt.arrays["ps/params"])
-        ps.optimizer.load_velocity_plane(layout, ckpt.arrays["ps/velocity"])
-        ps.load_aggregate_state(layout, ckpt.arrays["ps/aggregate"], meta.get("aggregate_seen", []))
-        for w in range(trainer.spec.n_workers):
-            engine.load_replica_plane(w, ckpt.arrays[f"replica/{w}"])
+        seen = meta.get("aggregate_seen", [])
+        if not set(seen) <= set(layout.slices):
+            raise CheckpointError(f"{ckpt.source}: aggregate_seen names unknown parameters")
+        replica_keys = [f"replica/{w}" for w in range(trainer.spec.n_workers)]
+        planes = {
+            key: _plane(ckpt, key, layout)
+            for key in ("ps/params", "ps/velocity", "ps/aggregate", *replica_keys)
+        }
+        layout.unpack_into(planes["ps/params"], ps.snapshot(copy=False))
+        # Every name gets a buffer; zeros for a never-stepped parameter are
+        # what its lazy zero-init would have produced.
+        ps.optimizer.velocity = layout.unpack(planes["ps/velocity"])
+        ps.last_aggregated = layout.unpack(planes["ps/aggregate"], seen)
+        for w, key in enumerate(replica_keys):
+            layout.unpack_into(planes[key], engine.worker_params(w))
         if meta.get("lr") is not None:
             ps.optimizer.lr = float(meta["lr"])
 
     engine.restore_checkpoint_state(meta.get("engine_state", {}))
-
-    jitter_state = meta.get("jitter")
     if jitter_state is not None:
-        load = getattr(trainer.spec.jitter, "load_state", None)
-        if load is None:
-            raise CheckpointError(
-                "checkpoint carries jitter RNG state but this spec's jitter "
-                "model cannot restore it"
-            )
-        load(jitter_state)
-
+        load_jitter(jitter_state)
     ctx.load_checkpoint_meta(meta)
-    ctx.recorder.restore_from(recorder_from_dict(meta["recorder"]))
+    ctx.recorder.restore_from(recorder)
 
 
 def describe(ckpt: Checkpoint) -> dict:
@@ -322,6 +363,7 @@ __all__ = [
     "describe",
     "latest_checkpoint",
     "load_checkpoint",
+    "params_plane",
     "verify_roundtrip",
     "write_checkpoint",
 ]

@@ -100,13 +100,19 @@ _HEADERS = ["sync", "samples/s", "BST (ms)", "BCT (ms)", "best metric", "virtual
 
 
 def cmd_run(args) -> int:
-    trainer = _build_trainer(args, args.sync)
-    trainer.network.priorities = args.net_prio == "on"
-    if getattr(args, "summary", None):
-        trainer.enable_sampling()  # implies tracing (phase attribution)
-    if args.trace:
-        trainer.enable_tracing()
-    res = trainer.run()
+    from repro.ckpt import CheckpointError
+
+    try:
+        trainer = _build_trainer(args, args.sync)  # loads and applies --resume
+        trainer.network.priorities = args.net_prio == "on"
+        if getattr(args, "summary", None):
+            trainer.enable_sampling()  # implies tracing (phase attribution)
+        if args.trace:
+            trainer.enable_tracing()
+        res = trainer.run()  # restores the sync model's checkpointed state
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if getattr(args, "summary", None):
         from repro.obs.compare import run_summary, save_summary
 
@@ -368,46 +374,6 @@ def cmd_cards(_args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    from repro.perf.hotpath import run_hotpath_bench, save_bench, validate_bench
-
-    if args.check:
-        from pathlib import Path
-
-        data = json.loads(Path(args.check).read_text())
-        problems = validate_bench(data, min_speedup=args.min_speedup)
-        if problems:
-            for p in problems:
-                print(f"FAIL: {p}", file=sys.stderr)
-            return 1
-        print(f"{args.check}: schema ok, all guarded speedups >= "
-              f"{args.min_speedup:.2f}")
-        return 0
-
-    data = run_hotpath_bench(
-        card_name=args.card,
-        quick=args.quick,
-        jobs=args.jobs,
-        seed=args.seed,
-        micro_card=args.micro_card,
-    )
-    save_bench(data, args.out)
-    micro = data["micro"]
-    e2e = data["end_to_end"]["numeric"]
-    print(f"wrote {args.out}")
-    for op in ("ps_apply", "pgp", "lgp", "sync_replica"):
-        print(f"  {op:<14} {micro[op]['speedup']:.2f}x")
-    print(f"  {'end-to-end':<14} {e2e['speedup']:.2f}x "
-          f"({e2e['reduction_pct']:.1f}% reduction, "
-          f"bit-identical={e2e['identical']})")
-    problems = validate_bench(data)
-    if problems:
-        for p in problems:
-            print(f"FAIL: {p}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_ckpt(args) -> int:
     from repro.ckpt import CheckpointError, describe, load_checkpoint
 
@@ -438,11 +404,7 @@ def cmd_ckpt(args) -> int:
 def cmd_check(args) -> int:
     import tempfile
 
-    from repro.check import (
-        replay_flat_arena,
-        replay_resume,
-        run_checked,
-    )
+    from repro.check import replay_resume, run_checked
 
     trainer = _build_trainer(args, args.sync)
     trainer.enable_tracing()
@@ -480,14 +442,12 @@ def cmd_check(args) -> int:
                 **trainer_kwargs,
             )
 
-        replays = [replay_flat_arena(make_trainer)]
         with tempfile.TemporaryDirectory(prefix="repro-check-") as tmpdir:
-            replays.append(replay_resume(make_trainer, tmpdir))
-        payload["replays"] = [r.to_dict() for r in replays]
-        for rep in replays:
-            ok = ok and rep.identical
-            if not args.json:
-                print(rep.render())
+            replay = replay_resume(make_trainer, tmpdir)
+        payload["replays"] = [replay.to_dict()]
+        ok = ok and replay.identical
+        if not args.json:
+            print(replay.render())
 
     if args.json:
         payload["ok"] = ok
@@ -715,50 +675,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check",
         help="run under invariant monitors, then differential replay "
-        "(flat-arena vs dict plane, resumed vs uninterrupted)",
+        "(resumed vs uninterrupted)",
     )
     add_common(p_check)
     p_check.add_argument("--sync", default="osp", choices=sorted(SYNC_FACTORIES))
     p_check.add_argument("--json", action="store_true", help="emit JSON")
     p_check.add_argument(
         "--no-replay", action="store_true",
-        help="monitors only: skip the two differential-replay runs",
+        help="monitors only: skip the differential replay (two more runs)",
     )
     p_check.set_defaults(fn=cmd_check)
-
-    p_perf = sub.add_parser(
-        "perf",
-        help="hot-path microbenchmarks -> BENCH_hotpath.json (or --check one)",
-    )
-    p_perf.add_argument(
-        "--out", default="BENCH_hotpath.json", help="output JSON path"
-    )
-    p_perf.add_argument(
-        "--quick", action="store_true",
-        help="smoke mode: small configs, seconds instead of minutes",
-    )
-    p_perf.add_argument(
-        "--jobs", "-j", type=int, default=None,
-        help="sweep-executor fan-out (default: min(4, cores))",
-    )
-    p_perf.add_argument("--seed", type=int, default=0)
-    p_perf.add_argument(
-        "--card", default="resnet50-cifar10", choices=sorted(MODEL_CARDS),
-        help="end-to-end workload (fig6b scale)",
-    )
-    p_perf.add_argument(
-        "--micro-card", default="inceptionv3-cifar100",
-        choices=sorted(MODEL_CARDS), help="per-op microbenchmark workload",
-    )
-    p_perf.add_argument(
-        "--check", metavar="FILE", default=None,
-        help="validate an existing BENCH_hotpath.json instead of running",
-    )
-    p_perf.add_argument(
-        "--min-speedup", type=float, default=1.0,
-        help="regression threshold for --check",
-    )
-    p_perf.set_defaults(fn=cmd_perf)
     return parser
 
 

@@ -15,7 +15,6 @@ Either way OSP's GIB splits real per-layer byte distributions.
 from __future__ import annotations
 
 import math
-import os
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -29,27 +28,9 @@ from repro.data.dataset import Dataset
 from repro.data.loader import BatchLoader
 from repro.data.shard import shard_dirichlet, shard_iid
 from repro.hardware.compute import ComputeModel
-from repro.nn.arena import (
-    AggregateView,
-    ArenaLayout,
-    ParamArena,
-    arena_of,
-    flat_layer_importance,
-    pack_plane,
-    unpack_plane,
-)
 from repro.nn.loss import accuracy, cross_entropy, qa_span_accuracy, qa_span_loss
 from repro.nn.models.registry import BYTES_PER_PARAM, ModelCard, synthetic_layer_sizes
 from repro.optim.sgd import SGD
-
-
-def _arena_enabled(use_arena: bool) -> bool:
-    """Env kill-switch: ``REPRO_FLAT_ARENA=0`` forces the dict path (used
-    by the bit-parity tests and as an escape hatch)."""
-    return use_arena and os.environ.get("REPRO_FLAT_ARENA", "1").lower() not in (
-        "0",
-        "false",
-    )
 
 
 class Engine:
@@ -107,11 +88,6 @@ class Engine:
         timing mode)."""
         raise NotImplementedError
 
-    def replica_arena(self, worker: int):
-        """The worker replica's :class:`ParamArena`, or None when the
-        engine does not use flat storage (timing mode, arena disabled)."""
-        return None
-
     def sync_replica(
         self, worker: int, ps: ParameterServer, names: Optional[Sequence[str]] = None
     ) -> None:
@@ -155,11 +131,6 @@ class NumericEngine(Engine):
         ``"iid"`` (default) or ``"dirichlet"`` — the non-IID regime the
         paper highlights as HSP's weakness (§2.2.1). ``dirichlet_alpha``
         controls the skew (smaller = more skewed).
-    use_arena:
-        Bind every replica and the global model to flat parameter arenas
-        (:mod:`repro.nn.arena`) so the PS/PGP/LGP/sync hot path runs
-        vectorized. Bit-identical to the dict path; disable for A/B
-        parity checks (or via ``REPRO_FLAT_ARENA=0``).
     """
 
     def __init__(
@@ -173,7 +144,6 @@ class NumericEngine(Engine):
         eval_samples: int = 512,
         sharding: str = "iid",
         dirichlet_alpha: float = 0.5,
-        use_arena: bool = True,
     ) -> None:
         self.card = card
         self.spec = spec
@@ -182,6 +152,7 @@ class NumericEngine(Engine):
         self.eval_samples = eval_samples
         self.global_model = card.make_mini(seed=seed)
         self.replicas = [card.make_mini(seed=seed) for _ in range(spec.n_workers)]
+        self._replica_params = [dict(r.named_parameters()) for r in self.replicas]
         if sharding == "iid":
             shards = shard_iid(train, spec.n_workers, seed=seed)
         elif sharding == "dirichlet":
@@ -210,23 +181,6 @@ class NumericEngine(Engine):
         self.layer_bytes = {l: int(round(b * scale)) for l, b in raw.items()}
         self._eval_model = card.make_mini(seed=seed)
         self._eval_model.eval()
-        self._use_arena = _arena_enabled(use_arena)
-        if self._use_arena:
-            sizes_shapes = {
-                n: p.data.shape for n, p in self.global_model.named_parameters()
-            }
-            self._layout = ArenaLayout(self.splitter.layer_params, sizes_shapes)
-            self._global_arena = ParamArena(self.global_model, self._layout)
-            self._replica_arenas = [
-                ParamArena(r, self._layout) for r in self.replicas
-            ]
-            self._eval_arena = ParamArena(self._eval_model, self._layout)
-        else:
-            self._layout = None
-            self._global_arena = None
-            self._replica_arenas = [None] * spec.n_workers
-            self._eval_arena = None
-        self._ckpt_layout: Optional[ArenaLayout] = None
 
     @property
     def iterations_per_epoch(self) -> int:
@@ -261,56 +215,27 @@ class NumericEngine(Engine):
             s_logits, e_logits = model(x)
             loss = qa_span_loss(s_logits, e_logits, y[:, 0], y[:, 1])
         loss.backward()
-        arena = self._replica_arenas[worker]
-        if arena is not None:
-            grads = arena.gather_grads()
-        else:
-            grads = {
-                name: p.grad.copy()
-                for name, p in model.named_parameters()
-                if p.grad is not None
-            }
+        grads = {
+            name: p.grad.copy()
+            for name, p in self._replica_params[worker].items()
+            if p.grad is not None
+        }
         # Virtual samples follow the paper-scale batch so throughput numbers
         # are comparable with timing-mode runs.
         return grads, float(loss.item()), self.card.batch_size
 
     def worker_params(self, worker: int) -> dict[str, np.ndarray]:
-        return {n: p.data for n, p in self.replicas[worker].named_parameters()}
-
-    def replica_arena(self, worker: int):
-        return self._replica_arenas[worker]
+        return {n: p.data for n, p in self._replica_params[worker].items()}
 
     def sync_replica(
         self, worker: int, ps: ParameterServer, names: Optional[Sequence[str]] = None
     ) -> None:
-        arena = self._replica_arenas[worker]
-        if (
-            arena is not None
-            and ps.arena is not None
-            and ps.arena.layout is arena.layout
-        ):
-            src, dst = ps.arena.flat, arena.flat
-            if names is None:
-                dst[:] = src
-            else:
-                for sl in arena.layout.slices_of(tuple(names)):
-                    dst[sl] = src[sl]
-            return
-        snap = ps.snapshot(names, copy=False)
-        replica = dict(self.replicas[worker].named_parameters())
-        for name, value in snap.items():
+        replica = self._replica_params[worker]
+        for name, value in ps.snapshot(names, copy=False).items():
             replica[name].data[...] = value
 
     def evaluate(self, ps: ParameterServer, iterations_done: int) -> float:
-        if (
-            self._eval_arena is not None
-            and ps.arena is not None
-            and ps.arena.layout is self._eval_arena.layout
-        ):
-            self._eval_arena.flat[:] = ps.arena.flat
-        else:
-            state = ps.snapshot(copy=False)
-            self._eval_model.load_state_dict(state)
+        self._eval_model.load_state_dict(ps.snapshot(copy=False))
         # Train mode so BatchNorm uses batch statistics: the PS's canonical
         # model never runs forward passes, so it has no meaningful running
         # stats to evaluate with. None of the registry models use dropout
@@ -328,49 +253,8 @@ class NumericEngine(Engine):
         self._trace_eval(metric, iterations_done)
         return metric
 
-    def state_layout(self) -> ArenaLayout:
-        """Layout used to (de)serialise checkpoint planes.
-
-        The arena layout when one exists; otherwise an equivalent layout is
-        built on demand so dict-mode checkpoints have the same byte layout.
-        """
-        if self._layout is not None:
-            return self._layout
-        if self._ckpt_layout is None:
-            shapes = {n: p.data.shape for n, p in self.global_model.named_parameters()}
-            self._ckpt_layout = ArenaLayout(self.splitter.layer_params, shapes)
-        return self._ckpt_layout
-
-    def replica_plane(self, worker: int) -> np.ndarray:
-        """Worker replica's parameters packed into one plane (checkpointing)."""
-        arena = self._replica_arenas[worker]
-        if arena is not None:
-            return arena.flat.copy()
-        return pack_plane(
-            self.state_layout(),
-            {n: p.data for n, p in self.replicas[worker].named_parameters()},
-        )
-
-    def load_replica_plane(self, worker: int, plane: np.ndarray) -> None:
-        """Restore a worker replica from a checkpoint plane, in place."""
-        arena = self._replica_arenas[worker]
-        if arena is not None:
-            arena.flat[:] = plane
-            return
-        unpack_plane(
-            self.state_layout(),
-            plane,
-            {n: p.data for n, p in self.replicas[worker].named_parameters()},
-        )
-
     def ps_layer_importance(self, ps: ParameterServer) -> dict[str, float]:
         grads = ps.last_aggregated
-        if isinstance(grads, AggregateView) and ps.arena is not None:
-            # One |g·p| pass over the planes + per-parameter slice sums;
-            # bit-identical to the dict path (see flat_layer_importance).
-            return flat_layer_importance(
-                grads, ps.arena.view(), self.splitter.layer_params
-            )
         params = ps.snapshot(copy=False)
         out: dict[str, float] = {}
         for layer, names in self.splitter.layer_params.items():

@@ -4,15 +4,8 @@ gradient aggregation buffers every sync model shares.
 In numeric mode the PS owns the single source-of-truth parameter arrays
 and an SGD optimizer (standard PS design: optimizer state lives server-
 side). In timing mode (no arrays) the same bookkeeping runs on byte counts
-so sync-model control flow is identical.
-
-When the global model is arena-backed (see :mod:`repro.nn.arena`) the
-aggregation hot path — weighted averaging across worker deposits, the
-ASP-scaled immediate apply, and ``last_aggregated`` bookkeeping — runs as
-vectorized ops over one contiguous aggregate plane instead of per-name
-dict loops, bit-identically to the dict path. Deposits that are plain
-dicts (e.g. lossy-compressed gradients) still take the dict path and are
-recorded into the same aggregate plane, so both paths share state.
+so sync-model control flow is identical. Gradients, parameters and the
+last aggregate are all plain name→array dicts.
 """
 
 from __future__ import annotations
@@ -21,7 +14,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.arena import AggregateView, ArenaView, arena_of, pack_plane, unpack_plane
 from repro.nn.module import Module
 from repro.optim.sgd import SGD
 
@@ -71,23 +63,9 @@ class ParameterServer:
         #: bumps on every applied update; workers compare versions to detect
         #: staleness (diagnostics).
         self.version = 0
-        self.arena = arena_of(model) if model is not None else None
-        if self.arena is not None:
-            self._agg = self.arena.layout.new_plane()
-            self._agg_seen: set[str] = set()
-            #: last full aggregated gradient (numeric; feeds PGP importance).
-            #: ALIASING CONTRACT: with an arena this is a live window onto
-            #: the PS's aggregate plane — values mutate in place on every
-            #: apply and membership grows as layers first synchronize. Read
-            #: it immediately after an apply (as PGP does); never hold
-            #: references to its arrays across applies expecting history.
-            self.last_aggregated: Mapping[str, np.ndarray] = AggregateView(
-                self._agg, self.arena.layout, self._agg_seen
-            )
-        else:
-            self._agg = None
-            self._agg_seen = set()
-            self.last_aggregated = {}
+        #: the gradient most recently applied to each parameter (numeric;
+        #: feeds PGP importance). A never-synchronized parameter is absent.
+        self.last_aggregated: dict[str, np.ndarray] = {}
 
     @property
     def numeric(self) -> bool:
@@ -121,16 +99,11 @@ class ParameterServer:
 
     def apply_average(self, bucket: str) -> None:
         """Weighted-average the bucket's gradients, apply via the optimizer,
-        clear the bucket, bump the version. No-op arrays in timing mode.
-
-        ``last_aggregated`` is updated in place (no fresh dict per round):
-        with an arena the averaged gradient is written straight into the
-        aggregate plane the :class:`AggregateView` exposes.
-        """
+        clear the bucket, bump the version. No-op arrays in timing mode."""
         buf = self._buffers.pop(bucket, None)
         if not buf:
             raise RuntimeError(f"apply_average on empty bucket {bucket!r}")
-        if self.numeric and not self._apply_average_flat(buf):
+        if self.numeric:
             avg: dict[str, np.ndarray] = {}
             total_w = sum(self.worker_weights[w] for w in buf)
             for worker, grads in buf.items():
@@ -142,97 +115,26 @@ class ParameterServer:
                         avg[name] = weight * g
             if avg:
                 self.optimizer.step_with_grads(avg)
-                self._record_aggregate(avg)
+                self.last_aggregated.update(avg)
         self.version += 1
         self._trace_apply(bucket, len(buf))
-
-    def _apply_average_flat(self, buf) -> bool:
-        """Vectorized weighted average when every deposit is an ArenaView
-        over the PS layout with one common name set (the normal case: all
-        workers split one iteration with one GIB). Returns False to fall
-        back to the dict path.
-
-        Op order matches the dict path element-for-element: the first
-        deposit is *assigned* (``np.multiply(..., out=...)`` — never
-        ``0 + w·g``, which would flip the sign of ``-0.0``), subsequent
-        deposits accumulate ``+= w·g`` in deposit order.
-        """
-        if self.arena is None:
-            return False
-        layout = self.arena.layout
-        deposits = list(buf.items())  # (worker, grads) in deposit order
-        first = deposits[0][1]
-        if not isinstance(first, ArenaView) or first.layout is not layout:
-            return False
-        names = first.names
-        for _w, g in deposits[1:]:
-            if (
-                not isinstance(g, ArenaView)
-                or g.layout is not layout
-                or g.names != names
-            ):
-                return False
-        if not names:
-            return True  # nothing to apply (timing-style empty grads)
-        total_w = sum(self.worker_weights[w] for w, _g in buf.items())
-        agg = self._agg
-        slices = first.slices
-        w0, g0 = deposits[0]
-        weight = self.worker_weights[w0] / total_w
-        for sl in slices:
-            np.multiply(g0.plane[sl], weight, out=agg[sl])
-        for worker, g in deposits[1:]:
-            weight = self.worker_weights[worker] / total_w
-            for sl in slices:
-                agg[sl] += weight * g.plane[sl]
-        self.optimizer.step_with_grads(ArenaView(agg, layout, names))
-        self._agg_seen.update(names)
-        return True
 
     def apply_immediate(
         self, worker: int, grads: Optional[Mapping[str, np.ndarray]]
     ) -> None:
         """ASP-style: apply one worker's gradients now, scaled by its
         aggregation weight (so a full round of N pushes moves the model as
-        far as one BSP step).
-
-        Like :meth:`apply_average`, records what was applied into the live
-        ``last_aggregated`` view in place rather than allocating a dict.
-        """
+        far as one BSP step)."""
         if self.numeric and grads:
             scale = float(self.worker_weights[worker])
-            layout = self.arena.layout if self.arena is not None else None
-            if (
-                layout is not None
-                and isinstance(grads, ArenaView)
-                and grads.layout is layout
-            ):
-                agg = self._agg
-                for sl in grads.slices:
-                    np.multiply(grads.plane[sl], scale, out=agg[sl])
-                self.optimizer.step_with_grads(ArenaView(agg, layout, grads.names))
-                self._agg_seen.update(grads.names)
-            else:
-                scaled = {n: scale * g for n, g in grads.items()}
-                self.optimizer.step_with_grads(scaled)
-                # Store what was actually applied: apply_average records the
-                # weighted average, so PGP importance sees consistently
-                # scaled gradients whichever path produced them.
-                self._record_aggregate(scaled)
+            scaled = {n: scale * g for n, g in grads.items()}
+            self.optimizer.step_with_grads(scaled)
+            # Store what was actually applied: apply_average records the
+            # weighted average, so PGP importance sees consistently
+            # scaled gradients whichever path produced them.
+            self.last_aggregated.update(scaled)
         self.version += 1
         self._trace_apply(f"immediate:{worker}", 1)
-
-    def _record_aggregate(self, applied: Mapping[str, np.ndarray]) -> None:
-        """Record dict-path applied gradients into ``last_aggregated`` —
-        straight into the aggregate plane when one exists, so dict and flat
-        applies share a single source of truth."""
-        if self.arena is not None:
-            layout = self.arena.layout
-            for name, g in applied.items():
-                self._agg[layout.name_slices[name]] = np.asarray(g).ravel()
-            self._agg_seen.update(applied)
-        else:
-            self.last_aggregated.update(applied)
 
     def _trace_apply(self, bucket: str, deposits: int) -> None:
         """Emit a zero-duration ``ps_apply`` span + version gauge when
@@ -249,14 +151,13 @@ class ParameterServer:
     # -- parameter access --------------------------------------------------------
     def snapshot(
         self, names: Optional[Sequence[str]] = None, copy: bool = True
-    ) -> Mapping[str, np.ndarray]:
+    ) -> dict[str, np.ndarray]:
         """Global parameters (all, or the named subset).
 
         ``copy=True`` (default) returns arrays decoupled from the live
-        model — with an arena that is one plane copy wrapped in an
-        :class:`ArenaView`, otherwise a dict of array copies.
+        model.
 
-        ``copy=False`` returns *read-only-by-contract* live views: zero
+        ``copy=False`` returns the *read-only-by-contract* live arrays: zero
         copies, but the values change under the caller's feet on the next
         apply. Use it only for same-instant consumption (the PGP importance
         read, LGP's Eq. 6 adoption, evaluation) — never hold it across a
@@ -264,24 +165,6 @@ class ParameterServer:
         """
         if not self.numeric:
             return {}
-        if self.arena is not None:
-            layout = self.arena.layout
-            if names is None:
-                subset = None
-            else:
-                for n in names:
-                    if n not in self._params:
-                        raise KeyError(f"unknown parameter {n!r}")
-                subset = tuple(names)
-            if not copy:
-                return ArenaView(self.arena.flat, layout, subset)
-            plane = np.empty(layout.size, dtype=self.arena.flat.dtype)
-            if subset is None:
-                plane[:] = self.arena.flat
-                return ArenaView(plane, layout, None)
-            for sl in layout.slices_of(subset):
-                plane[sl] = self.arena.flat[sl]
-            return ArenaView(plane, layout, subset)
         if names is None:
             if not copy:
                 return {n: p.data for n, p in self._params.items()}
@@ -295,51 +178,6 @@ class ParameterServer:
 
     def param_names(self) -> tuple[str, ...]:
         return tuple(self._params.keys())
-
-    # -- checkpoint serialisation ------------------------------------------------
-    def params_plane(self, layout) -> np.ndarray:
-        """Global parameters packed into one plane (checkpoint format).
-
-        Bit-identical whether the PS is arena-backed or dict-backed.
-        """
-        if self.arena is not None:
-            return self.arena.flat.copy()
-        return pack_plane(layout, {n: p.data for n, p in self._params.items()})
-
-    def load_params_plane(self, layout, plane: np.ndarray) -> None:
-        """Restore global parameters from a checkpoint plane, in place."""
-        if self.arena is not None:
-            self.arena.flat[:] = plane
-            return
-        unpack_plane(layout, plane, {n: p.data for n, p in self._params.items()})
-
-    def aggregate_state(self, layout) -> tuple[np.ndarray, tuple[str, ...]]:
-        """``last_aggregated`` as (plane, seen-names) for checkpointing."""
-        if self.arena is not None:
-            return self._agg.copy(), tuple(sorted(self._agg_seen))
-        if self.last_aggregated:
-            return (
-                pack_plane(layout, self.last_aggregated),
-                tuple(sorted(self.last_aggregated)),
-            )
-        return layout.new_plane(), ()
-
-    def load_aggregate_state(self, layout, plane: np.ndarray, seen) -> None:
-        """Restore ``last_aggregated`` captured by :meth:`aggregate_state`.
-
-        With an arena the live seen-set is updated in place — the
-        :class:`AggregateView` in ``last_aggregated`` aliases it.
-        """
-        if self.arena is not None:
-            self._agg[:] = plane
-            self._agg_seen.clear()
-            self._agg_seen.update(seen)
-            return
-        restored = {}
-        for name in seen:
-            shaped = plane[layout.name_slices[name]].reshape(layout.shapes[name])
-            restored[name] = shaped.copy()
-        self.last_aggregated = restored
 
 
 __all__ = ["ParameterServer"]

@@ -22,11 +22,9 @@ implement it as an ablation (see ``bench_ablation_lgp``).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
-
-from repro.nn.arena import ArenaView, ParamArena
 
 
 class LGPCorrector:
@@ -37,36 +35,10 @@ class LGPCorrector:
     params:
         Name → ndarray mapping of the worker replica's parameters. Arrays
         are mutated in place.
-    arena:
-        Optional :class:`ParamArena` backing those same parameters. When
-        given (and the subclass has no per-name prediction hooks —
-        ``vectorized`` is True), corrections over :class:`ArenaView`
-        inputs run as contiguous slice ops on the flat plane,
-        bit-identically to the per-name loop.
     """
 
-    #: subclasses with per-name hooks (_predict/_on_global) must set this
-    #: False so the slice fast path never bypasses them.
-    vectorized = True
-
-    def __init__(
-        self,
-        params: Mapping[str, np.ndarray],
-        arena: Optional[ParamArena] = None,
-    ) -> None:
+    def __init__(self, params: Mapping[str, np.ndarray]) -> None:
         self.params = dict(params)
-        self.arena = arena if (arena is not None and self.vectorized) else None
-
-    def _flat_target(self, view: Mapping[str, np.ndarray]) -> Optional[np.ndarray]:
-        """The worker's flat plane, iff ``view`` is an ArenaView sharing
-        the worker arena's layout (so slices index both plains alike)."""
-        if (
-            self.arena is not None
-            and isinstance(view, ArenaView)
-            and view.layout is self.arena.layout
-        ):
-            return self.arena.flat
-        return None
 
     def apply_rs(
         self,
@@ -77,28 +49,13 @@ class LGPCorrector:
         """Eq. 6: adopt global important params; locally predict the rest."""
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
-        dst = self._flat_target(important_global)
-        if dst is not None:
-            for sl in important_global.slices:
-                dst[sl] = important_global.plane[sl]
-        else:
-            for name, value in important_global.items():
-                self._get(name)[...] = value
-        dst = self._flat_target(unimportant_local_grads)
-        if dst is not None:
-            for sl in unimportant_local_grads.slices:
-                dst[sl] -= lr * unimportant_local_grads.plane[sl]
-        else:
-            for name, grad in unimportant_local_grads.items():
-                self._get(name)[...] -= lr * self._predict(name, grad)
+        for name, value in important_global.items():
+            self._get(name)[...] = value
+        for name, grad in unimportant_local_grads.items():
+            self._get(name)[...] -= lr * self._predict(name, grad)
 
     def apply_ics(self, unimportant_global: Mapping[str, np.ndarray]) -> None:
         """Eq. 7: replace local predictions with the global result."""
-        dst = self._flat_target(unimportant_global)
-        if dst is not None:
-            for sl in unimportant_global.slices:
-                dst[sl] = unimportant_global.plane[sl]
-            return
         for name, value in unimportant_global.items():
             self._get(name)[...] = value
             self._on_global(name, value)
@@ -129,17 +86,14 @@ class EMALGPCorrector(LGPCorrector):
     value it predicted vs. what arrived).
     """
 
-    vectorized = False  # per-name _predict/_on_global hooks must run
-
     def __init__(
         self,
         params: Mapping[str, np.ndarray],
         beta: float = 0.5,
         decay: float = 0.9,
         lr_hint: float = 0.1,
-        arena: Optional[ParamArena] = None,
     ) -> None:
-        super().__init__(params, arena=arena)  # vectorized=False ⇒ ignored
+        super().__init__(params)
         if not (0.0 <= beta <= 1.0):
             raise ValueError(f"beta must be in [0,1], got {beta}")
         if not (0.0 <= decay < 1.0):

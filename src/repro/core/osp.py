@@ -42,7 +42,6 @@ from repro.core.gib import GIB
 from repro.core.lgp import EMALGPCorrector, LGPCorrector
 from repro.core.tuning import MAX_MODEL_FRACTION, SGuTuner, ics_upper_bound
 from repro.netsim.prio import PRIO_BULK, PRIO_HIGH, PRIO_URGENT
-from repro.nn.arena import ArenaView
 from repro.sync.base import SyncModel
 
 
@@ -195,9 +194,7 @@ class OSP(SyncModel):
             "none": None,
         }[self.lgp_mode]
         self._correctors = [
-            corrector_cls(engine.worker_params(w), arena=engine.replica_arena(w))
-            if corrector_cls
-            else None
+            corrector_cls(engine.worker_params(w)) if corrector_cls else None
             for w in range(n)
         ]
 
@@ -462,14 +459,9 @@ class OSP(SyncModel):
                 still_unimp = set(
                     self.splitter.params_of(self._gib.unimportant_layers)
                 )
-                if isinstance(snapshot, ArenaView):
-                    filtered = snapshot.restrict(
-                        [n for n in snapshot.names if n in still_unimp]
-                    )
-                else:
-                    filtered = {
-                        n: v for n, v in snapshot.items() if n in still_unimp
-                    }
+                filtered = {
+                    n: v for n, v in snapshot.items() if n in still_unimp
+                }
                 corrector.apply_ics(filtered)
 
     def _ready(self, ctx, iteration):

@@ -8,7 +8,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.gib import GIB
-from repro.nn.arena import ArenaView
 
 
 class GradientSplitter:
@@ -37,18 +36,10 @@ class GradientSplitter:
 
     def split(
         self, grads: Mapping[str, np.ndarray], gib: GIB
-    ) -> tuple[Mapping[str, np.ndarray], Mapping[str, np.ndarray]]:
-        """Return ``(G_i, G_u)`` — important and unimportant gradient
-        mappings. A full-coverage :class:`ArenaView` input splits into two
-        sub-views sharing the same plane (zero copies); anything else
-        splits into plain dicts."""
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Return ``(G_i, G_u)`` — important and unimportant gradient dicts."""
         if set(gib.layers) != set(self.layers):
             raise ValueError("GIB layers do not match splitter layers")
-        if isinstance(grads, ArenaView) and grads.is_full():
-            return (
-                grads.restrict(self.params_of(gib.important_layers)),
-                grads.restrict(self.params_of(gib.unimportant_layers)),
-            )
         important: dict[str, np.ndarray] = {}
         unimportant: dict[str, np.ndarray] = {}
         for name, g in grads.items():

@@ -69,7 +69,7 @@ class MultiSeedResult:
 def run_seeds(
     trainer_factory: Callable[[int], "DistributedTrainer"],  # noqa: F821
     seeds: Sequence[int],
-    jobs: int | None = 1,
+    jobs: int = 1,
 ) -> MultiSeedResult:
     """Run ``trainer_factory(seed)`` for each seed and aggregate.
 

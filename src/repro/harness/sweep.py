@@ -79,7 +79,7 @@ def sweep_bandwidth(
     epochs: int = 16,
     ipe: int = 6,
     seed: int = 0,
-    jobs: int | None = 1,
+    jobs: int = 1,
 ) -> list[SweepPoint]:
     """Sweep the per-node link bandwidth (bytes/second).
 
@@ -108,7 +108,7 @@ def sweep_workers(
     epochs: int = 16,
     ipe: int = 6,
     seed: int = 0,
-    jobs: int | None = 1,
+    jobs: int = 1,
 ) -> list[SweepPoint]:
     """Sweep the cluster size (``jobs``: see :func:`sweep_bandwidth`)."""
     b = bandwidth if bandwidth is not None else LinkSpec().bandwidth
@@ -132,7 +132,7 @@ def sweep_jitter(
     epochs: int = 16,
     ipe: int = 6,
     seed: int = 0,
-    jobs: int | None = 1,
+    jobs: int = 1,
 ) -> list[SweepPoint]:
     """Sweep straggler severity (lognormal sigma; ``jobs``: see
     :func:`sweep_bandwidth`)."""

@@ -7,9 +7,9 @@ diffs two summaries and attributes the wall-clock delta to the phase and
 the worker that moved most — turning "run B is 12% slower" into "worker 2's
 compute grew 9.3s inside the straggler window".
 
-The verdict (``ok`` / ``improvement`` / ``regression``) uses the same
-relative-slowdown convention as the committed ``BENCH_hotpath.json`` guard,
-so CI can gate on ``repro report --compare A.json B.json`` directly.
+The verdict (``ok`` / ``improvement`` / ``regression``) is a relative
+wall-clock slowdown against ``max_slowdown``, so CI can gate on
+``repro report --compare A.json B.json`` directly.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ Two invariants, inherited from the tracer (see ``docs/observability.md``):
 1. **Passive / non-perturbing.** Sampling never creates simulation
    events, timeouts or processes — it is a pure read of simulator state at
    event boundaries. A sampled run's ``TrainingResult`` is bit-identical
-   to an unsampled one (property-tested under both ``REPRO_FLAT_ARENA``
-   settings in ``tests/obs/test_timeseries.py``).
+   to an unsampled one (tested for numeric and timing runs in
+   ``tests/obs/test_timeseries.py``).
 2. **Zero-cost when off.** ``Environment.metric_sampler`` defaults to
    ``None``; the kernel pays one attribute check per event. Sampling
    implies tracing (worker/gauge signals come from the tracer and sync

@@ -8,11 +8,10 @@ updates (Eq. 6) and LGP corrections (Eq. 7) through one code path.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
-from repro.nn.arena import ArenaView, arena_of
 from repro.nn.module import Module
 
 
@@ -55,18 +54,9 @@ class SGD:
         self.weight_decay = float(weight_decay)
         self.nesterov = nesterov
         self._params = dict(module.named_parameters())
-        self._velocity: dict[str, np.ndarray] = {}
-        # Flat fast path: when the module is arena-backed, updates run as
-        # vectorized ops over contiguous slices and momentum state lives in
-        # one velocity plane (the dict path then uses in-place views into
-        # the same plane, so mixing paths never forks optimizer state).
-        self._arena = arena_of(module)
-        self._vel_plane: Optional[np.ndarray] = None
-
-    def _velocity_plane(self) -> np.ndarray:
-        if self._vel_plane is None:
-            self._vel_plane = self._arena.layout.new_plane()
-        return self._vel_plane
+        #: momentum buffer per parameter name; a name appears at its first
+        #: momentum step (an absent buffer is all zeros).
+        self.velocity: dict[str, np.ndarray] = {}
 
     def zero_grad(self) -> None:
         """Clear all parameter gradients."""
@@ -88,13 +78,6 @@ class SGD:
         left untouched (this is how OSP updates only the important subset
         at the RS boundary).
         """
-        if (
-            self._arena is not None
-            and isinstance(grads, ArenaView)
-            and grads.layout is self._arena.layout
-        ):
-            self._step_flat(grads)
-            return
         unknown = set(grads) - set(self._params)
         if unknown:
             raise KeyError(f"gradients for unknown parameters: {sorted(unknown)}")
@@ -108,51 +91,13 @@ class SGD:
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
             if self.momentum:
-                v = self._get_velocity(name, p)
+                v = self.velocity.get(name)
+                if v is None:
+                    v = self.velocity[name] = np.zeros_like(p.data)
                 np.multiply(v, self.momentum, out=v)
                 v += g
                 g = g + self.momentum * v if self.nesterov else v
             p.data -= self.lr * g
-
-    def _get_velocity(self, name: str, p) -> np.ndarray:
-        v = self._velocity.get(name)
-        if v is None:
-            if self._arena is not None:
-                sl = self._arena.layout.name_slices[name]
-                v = self._velocity_plane()[sl].reshape(p.data.shape)
-            else:
-                v = np.zeros_like(p.data)
-            self._velocity[name] = v
-        return v
-
-    def _step_flat(self, grads: ArenaView) -> None:
-        """Vectorized update over the arena's merged contiguous slices.
-
-        Elementwise op sequence matches the dict path exactly (same
-        ``wd*p``, ``momentum*v + g``, ``p -= lr*g`` forms), so results are
-        bit-identical; only the loop granularity changes (slices vs names).
-        """
-        flat = self._arena.flat
-        vel = self._velocity_plane() if self.momentum else None
-        if self.momentum:
-            # register shaped views so dict-path calls and introspection
-            # see the same state
-            for name in grads.names:
-                if name not in self._velocity:
-                    sl = self._arena.layout.name_slices[name]
-                    self._velocity[name] = vel[sl].reshape(
-                        self._arena.layout.shapes[name]
-                    )
-        for sl in grads.slices:
-            g = grads.plane[sl]
-            if self.weight_decay:
-                g = g + self.weight_decay * flat[sl]
-            if self.momentum:
-                v = vel[sl]
-                np.multiply(v, self.momentum, out=v)
-                v += g
-                g = g + self.momentum * v if self.nesterov else v
-            flat[sl] -= self.lr * g
 
     def gradient_dict(self) -> dict[str, np.ndarray]:
         """Copy the current tape gradients keyed by parameter name."""
@@ -161,37 +106,6 @@ class SGD:
             for name, p in self._params.items()
             if p.grad is not None
         }
-
-    def velocity_plane(self, layout) -> np.ndarray:
-        """Momentum state packed into one plane (zeros where never stepped).
-
-        Checkpoint serialisation: bit-identical whether momentum lives in
-        the arena's velocity plane or in per-name dict arrays.
-        """
-        if self._arena is not None:
-            return self._vel_plane.copy() if self._vel_plane is not None else layout.new_plane()
-        plane = layout.new_plane()
-        for name, v in self._velocity.items():
-            plane[layout.name_slices[name]] = v.ravel()
-        return plane
-
-    def load_velocity_plane(self, layout, plane: np.ndarray) -> None:
-        """Restore momentum state captured by :meth:`velocity_plane`.
-
-        In dict mode every name gets an entry; restoring zeros for
-        never-stepped parameters is numerically identical to the lazy
-        zero-init the uninterrupted run would perform.
-        """
-        if self._arena is not None:
-            self._velocity_plane()[:] = plane
-            return
-        for name in layout.names:
-            values = plane[layout.name_slices[name]].reshape(layout.shapes[name])
-            v = self._velocity.get(name)
-            if v is None:
-                self._velocity[name] = values.copy()
-            else:
-                v[...] = values
 
 
 __all__ = ["SGD"]

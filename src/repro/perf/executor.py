@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -49,30 +48,20 @@ def _run_task(arg: tuple[int, int]):
     return fn(tasks[index])
 
 
-def default_jobs() -> int:
-    """Worker count for ``jobs=None``: ``REPRO_JOBS`` env or CPU count."""
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def parallel_map(
     fn: Callable[[T], R],
     tasks: Iterable[T],
-    jobs: int | None = 1,
+    jobs: int = 1,
     seed_base: int = 0,
 ) -> list[R]:
     """``[fn(t) for t in tasks]``, fanned across ``jobs`` forked workers.
 
     ``jobs=1`` (the default) runs serially in-process — identical to the
-    plain list comprehension, no processes involved. ``jobs=None`` uses
-    :func:`default_jobs`. Platforms without ``fork`` (or single-task
-    inputs) silently fall back to serial; results are the same either way.
+    plain list comprehension, no processes involved. Platforms without
+    ``fork`` (or single-task inputs) silently fall back to serial; results
+    are the same either way.
     """
     tasks = list(tasks)
-    if jobs is None:
-        jobs = default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(tasks) <= 1 or not _fork_available():
@@ -87,4 +76,4 @@ def parallel_map(
         del _REGISTRY[key]
 
 
-__all__ = ["default_jobs", "parallel_map"]
+__all__ = ["parallel_map"]

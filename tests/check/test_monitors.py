@@ -43,7 +43,7 @@ def _numeric(sync, cfg=None, **kwargs):
 def test_all_monitors_pass_on_numeric_osp():
     result, report = run_checked(_numeric(OSP()))
     assert report.ok
-    for name in ("net.conservation", "ps.ledger", "osp.gib", "ps.arena_parity"):
+    for name in ("net.conservation", "ps.ledger", "osp.gib"):
         checks, violations = report.monitors[name]
         assert checks > 0, name
         assert violations == 0, name
@@ -95,7 +95,6 @@ def test_inapplicable_monitors_are_skipped_not_failed():
         "osp.gib",
         "sync.staleness",
         "elastic.quorum",  # static membership: nothing to cross-check
-        "ps.arena_parity",
         "osp.ics_inflight",  # untraced run: no gauge to cross-check
     }
     assert report.monitors["net.conservation"][0] > 0

@@ -6,7 +6,6 @@ from repro.check import (
     ReplayEvent,
     differential_replay,
     first_divergence,
-    replay_flat_arena,
     replay_resume,
 )
 from repro.core.gib import GIB
@@ -30,12 +29,6 @@ DATA = make_numeric_dataset(CFG.card, n_samples=240, seed=11)
 
 def _build(**trainer_kwargs):
     return numeric_trainer(CFG, OSP(), data=DATA, **trainer_kwargs)
-
-
-def test_flat_arena_replay_is_identical():
-    report = replay_flat_arena(_build)
-    assert report.identical, report.render()
-    assert report.n_events[0] == report.n_events[1] > 0
 
 
 def test_resume_replay_is_identical(tmp_path):

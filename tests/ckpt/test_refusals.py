@@ -1,0 +1,138 @@
+"""A checkpoint that cannot be restored is refused with a CheckpointError —
+before any trainer state is written — and both CLI entry points turn it
+into exit code 1 and one ``error:`` line."""
+
+import re
+import shutil
+
+import numpy as np
+import pytest
+
+from repro.ckpt import CheckpointError, apply_checkpoint, load_checkpoint, write_checkpoint
+from repro.cli import _build_trainer, build_parser, main
+
+RUN = [
+    "run", "--mode", "numeric", "--sync", "osp", "--workers", "2", "--epochs", "2",
+    "--samples", "100", "--checkpoint-every", "1",
+]  # fmt: skip
+
+
+@pytest.fixture(scope="module")
+def good(tmp_path_factory):
+    ckpt_dir = tmp_path_factory.mktemp("good")
+    assert main([*RUN, "--checkpoint-dir", str(ckpt_dir)]) == 0
+    return ckpt_dir / "ckpt-epoch0001.npz"
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _not_a_zip(path):
+    path.write_text("epoch 1: loss 2.30\n")
+
+
+def _rewritten(edit):
+    def mutate(path):
+        ckpt = load_checkpoint(path)
+        edit(ckpt)
+        write_checkpoint(ckpt, path)
+
+    return mutate
+
+
+def _drop_velocity(ckpt):
+    del ckpt.arrays["ps/velocity"]
+
+
+def _short_replica(ckpt):
+    ckpt.arrays["replica/1"] = ckpt.arrays["replica/1"][:-7]
+
+
+def _float32_params(ckpt):
+    ckpt.arrays["ps/params"] = ckpt.arrays["ps/params"].astype(np.float32)
+
+
+def _wrong_sync(ckpt):
+    ckpt.meta["sync"] = "bsp"
+
+
+#: case -> (how to break a good file, does it still load, what the error says)
+CASES = {
+    "truncated": (_truncate, False, r"not a readable checkpoint \(BadZipFile"),
+    "not-a-zip": (_not_a_zip, False, r"not a readable checkpoint \(ValueError"),
+    "missing-plane": (
+        _rewritten(_drop_velocity), True,
+        r"plane 'ps/velocity' is missing \(expected float64 of size \d+\)",
+    ),
+    "short-plane": (
+        _rewritten(_short_replica), True,
+        r"plane 'replica/1' is float64 of shape \(\d+,\) \(expected float64 of size \d+\)",
+    ),
+    "float32-plane": (
+        _rewritten(_float32_params), True,
+        r"plane 'ps/params' is float32 of shape \(\d+,\) \(expected float64 of size \d+\)",
+    ),
+    "wrong-sync": (_rewritten(_wrong_sync), True, r"written by sync model 'bsp', not 'osp'"),
+}  # fmt: skip
+
+
+def _state(trainer):
+    """Everything ``apply_checkpoint`` writes, copied."""
+    ps, engine, ctx = trainer.ps, trainer.engine, trainer.ctx
+    return {
+        "params": ps.snapshot(),
+        "velocity": {n: v.copy() for n, v in ps.optimizer.velocity.items()},
+        "aggregate": {n: g.copy() for n, g in ps.last_aggregated.items()},
+        "replicas": [
+            {n: a.copy() for n, a in engine.worker_params(w).items()}
+            for w in range(trainer.spec.n_workers)
+        ],
+        "lr": ps.optimizer.lr,
+        "start_epoch": ctx.start_epoch,
+        "counters": dict(trainer.recorder.counters),
+        "iterations": len(trainer.recorder.iterations),
+    }
+
+
+def _one_error_line(stderr, message):
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    assert lines[0].startswith("error: ")
+    assert re.search(message, lines[0]), stderr
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_bad_checkpoint_is_refused_by_api_and_cli(case, good, tmp_path, capsys):
+    mutate, loads, message = CASES[case]
+    bad = tmp_path / "bad.npz"
+    shutil.copy(good, bad)
+    mutate(bad)
+
+    # API: CheckpointError, and the trainer is exactly as it was built.
+    trainer = _build_trainer(build_parser().parse_args(RUN), "osp")
+    before = _state(trainer)
+    with pytest.raises(CheckpointError, match=message) as refused:
+        apply_checkpoint(trainer, load_checkpoint(bad))
+    if case != "wrong-sync":  # a metadata mismatch is about the run, not the file
+        assert str(bad) in str(refused.value)
+    np.testing.assert_equal(_state(trainer), before)
+    if loads:  # ... while the good file does restore into the same trainer
+        apply_checkpoint(trainer, load_checkpoint(good))
+        assert trainer.ctx.start_epoch == 1 and trainer.ps.last_aggregated
+
+    # `repro ckpt inspect`: unreadable is an error; readable is summarised.
+    capsys.readouterr()
+    code = main(["ckpt", "inspect", str(bad)])
+    captured = capsys.readouterr()
+    if loads:
+        assert code == 0 and "arrays" in captured.out
+    else:
+        assert code == 1 and not captured.out
+        _one_error_line(captured.err, message)
+
+    # `repro run --resume`
+    code = main([*RUN, "--checkpoint-dir", str(tmp_path / "out"), "--resume", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    _one_error_line(captured.err, message)

@@ -10,7 +10,7 @@ checkpoint bytes (a resumed run's recorder legitimately differs by one
 import numpy as np
 import pytest
 
-from repro.ckpt import CheckpointError, load_checkpoint
+from repro.ckpt import CheckpointError, load_checkpoint, params_plane
 from repro.cluster import ClusterSpec, DistributedTrainer, NumericEngine, TrainingPlan
 from repro.core import OSP
 from repro.data import make_image_classification, train_test_split
@@ -68,20 +68,17 @@ def make_numeric(data, ckpt_dir, resume_from=None, faults=CRASH):
 
 
 def run_signature(trainer, result):
-    layout = trainer.engine.state_layout()
     return (
-        trainer.ps.params_plane(layout),
+        params_plane(trainer.engine, trainer.ps),
         [r.loss for r in result.recorder.iterations],
         result.recorder.epochs,
         result.wall_time,
     )
 
 
-@pytest.mark.parametrize("arena", ["0", "1"])
-def test_numeric_resume_bit_identical_with_crash(data, tmp_path, monkeypatch, arena):
-    """save → restore → continue == uninterrupted, under both arena modes,
-    with a worker crash/restart cycle spanning the checkpoint."""
-    monkeypatch.setenv("REPRO_FLAT_ARENA", arena)
+def test_numeric_resume_bit_identical_with_crash(data, tmp_path):
+    """save → restore → continue == uninterrupted, with a worker
+    crash/restart cycle spanning the checkpoint."""
     base_t = make_numeric(data, tmp_path / "base")
     base_sig = run_signature(base_t, base_t.run())
 
@@ -116,21 +113,6 @@ def test_resume_from_post_restart_checkpoint(data, tmp_path):
     assert np.array_equal(base_sig[0], res_sig[0])
     assert base_sig[1] == res_sig[1]
     assert base_sig[3] == res_sig[3]
-
-
-def test_checkpoint_planes_identical_across_arena_modes(data, tmp_path, monkeypatch):
-    """A checkpoint's numeric planes are bit-identical whether the flat
-    arena is on or off, so checkpoints transfer between the two builds."""
-    planes = {}
-    for arena in ("0", "1"):
-        monkeypatch.setenv("REPRO_FLAT_ARENA", arena)
-        t = make_numeric(data, tmp_path / f"arena{arena}")
-        t.run()
-        ckpt = load_checkpoint(tmp_path / f"arena{arena}" / "ckpt-epoch0002.npz")
-        planes[arena] = ckpt.arrays
-    assert set(planes["0"]) == set(planes["1"])
-    for key in planes["0"]:
-        assert np.array_equal(planes["0"][key], planes["1"][key]), key
 
 
 def test_timing_resume_bit_identical(tmp_path):

@@ -1,12 +1,10 @@
 """Time-series plane: ring-buffer mechanics, registry enforcement, and the
-non-perturbation property — sampled and unsampled runs are bit-identical
-under both ``REPRO_FLAT_ARENA`` settings."""
+non-perturbation property — sampled and unsampled runs are bit-identical."""
 
 import numpy as np
 import pytest
 
 from repro.check import capture_stream, first_divergence
-from repro.check.replay import _scoped_env
 from repro.core.osp import OSP
 from repro.harness.workloads import (
     WorkloadConfig,
@@ -123,8 +121,7 @@ def test_sampling_covers_every_sync_model(sync_cls):
 
 
 # ------------------------------------------------------- non-perturbation
-@pytest.mark.parametrize("arena", ["0", "1"])
-def test_sampling_is_bit_identical_numeric(arena):
+def test_sampling_is_bit_identical_numeric():
     cfg = WorkloadConfig(
         card_name="resnet50-cifar10",
         n_workers=3,
@@ -136,12 +133,11 @@ def test_sampling_is_bit_identical_numeric(arena):
     data = make_numeric_dataset(cfg.card, n_samples=120, seed=cfg.seed)
 
     def run(sampled: bool):
-        with _scoped_env("REPRO_FLAT_ARENA", arena):
-            trainer = numeric_trainer(cfg, OSP(), data=data)
-            if sampled:
-                trainer.enable_sampling()
-            result = trainer.run()
-            return trainer, result
+        trainer = numeric_trainer(cfg, OSP(), data=data)
+        if sampled:
+            trainer.enable_sampling()
+        result = trainer.run()
+        return trainer, result
 
     t_plain, r_plain = run(sampled=False)
     t_sampled, r_sampled = run(sampled=True)

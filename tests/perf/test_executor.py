@@ -8,14 +8,14 @@ from repro.core.osp import OSP
 from repro.harness.stats import run_seeds
 from repro.harness.sweep import sweep_bandwidth, sweep_jitter, sweep_workers
 from repro.harness.workloads import WorkloadConfig, timing_trainer
-from repro.perf.executor import default_jobs, parallel_map
+from repro.perf.executor import parallel_map
 from repro.sync import ASP, BSP
 
 
 def test_parallel_map_serial_equivalence():
     tasks = list(range(7))
     serial = [t * t for t in tasks]
-    for jobs in (1, 2, 3, None):
+    for jobs in (1, 2, 3):
         assert parallel_map(lambda t: t * t, tasks, jobs=jobs) == serial
 
 
@@ -29,13 +29,6 @@ def test_parallel_map_preserves_order_with_closures():
 def test_parallel_map_rejects_bad_jobs():
     with pytest.raises(ValueError):
         parallel_map(lambda t: t, [1, 2], jobs=0)
-
-
-def test_default_jobs_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.delenv("REPRO_JOBS")
-    assert default_jobs() >= 1
 
 
 def test_parallel_map_worker_seeding_is_deterministic():
