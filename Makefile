@@ -31,9 +31,11 @@ hostbench-numeric:
 hostbench-compare:
 	python3 bench/compare.py $(A) $(B)
 
-# Fault-injection smoke: the tier-1 fault tests plus the robustness bench.
+# Fault-injection smoke: the tier-1 fault tests, the sync-model conformance
+# matrix (every model x crash / restart / join / leave x checkpoint-resume)
+# plus the robustness bench.
 faults:
-	pytest tests/cluster/test_faults.py -q
+	pytest tests/cluster/test_faults.py tests/sync/test_conformance.py -q
 	pytest benchmarks/bench_fault_robustness.py --benchmark-only -s
 
 # Checkpoint smoke: checkpointed run -> inspect the snapshot -> resume it,

@@ -4,7 +4,9 @@ Three scenarios against a clean baseline, all on the same workload:
 
 * ``crash``       a worker dies mid-run; the RS barrier must shrink to a
                   degraded quorum and the survivors finish every epoch
-                  (no deadlock, reweighted averages).
+                  (no deadlock, reweighted averages). ``bsp-crash`` is the
+                  paper's baseline under the same crash — the same round
+                  over the whole model — which OSP must not fall below.
 * ``loss-burst``  a sustained loss burst inflates the ICS drain past its
                   Eq. 5 deadline; after ``deadline_k`` consecutive misses
                   OSP pins the GIB all-important (§4.3 BSP fallback) and
@@ -19,6 +21,7 @@ from repro.core import OSP
 from repro.faults import FaultSchedule, LossBurst, StragglerSlowdown, WorkerCrash
 from repro.harness import WorkloadConfig, timing_trainer
 from repro.metrics.report import format_table
+from repro.sync import BSP
 
 WORKLOAD = "resnet50-cifar10"
 BUDGET = 0.8  # near U_max: a <2x loss inflation is enough to blow Eq. 5
@@ -46,6 +49,7 @@ def _run():
     out["crash"] = timing_trainer(
         _cfg(quick, crash), OSP(fixed_budget_fraction=BUDGET)
     ).run()
+    out["bsp-crash"] = timing_trainer(_cfg(quick, crash), BSP()).run()
 
     burst = FaultSchedule(
         (
@@ -113,6 +117,11 @@ def test_fault_robustness(benchmark):
     assert len(crash.recorder.epochs) == n_epochs
     assert crash.recorder.counter("faults.worker_crash") == 1
     assert crash.recorder.counter("osp.degraded_quorum") > 0
+    # ... and so does the baseline OSP is measured against, no faster.
+    bsp = out["bsp-crash"]
+    assert len(bsp.recorder.epochs) == n_epochs
+    assert bsp.recorder.counter("osp.degraded_quorum") > 0
+    assert crash.throughput >= bsp.throughput
 
     # Acceptance: a sustained loss burst drives OSP into its §4.3 BSP
     # fallback — and it recovers once the burst passes.

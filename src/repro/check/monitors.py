@@ -10,7 +10,7 @@ invariant breaks* instead of surfacing as downstream accuracy drift.
 
 Mechanics: a monitor instruments the live objects a trainer owns
 (``Network.transfer``/``_drain``, ``ParameterServer.accumulate``/
-``apply_average``, ``OSP._refresh_gib``/``_close_rs_round``,
+``apply_average``, ``OSP._refresh_gib``, ``SyncModel.on_round_close``,
 ``SSP.before_compute``) by wrapping the *instance* attribute. The hooks
 run synchronously inside the kernel's event dispatch for that object, are
 strictly passive (no simulation events, timeouts or processes — the
@@ -262,7 +262,7 @@ class GIBInvariantMonitor(Monitor):
     At every GIB *build* (``_refresh_gib``): RS ∪ ICS covers exactly the
     model's layers, the two sets are disjoint, and the deferred bytes obey
     S(G^u) ≤ budget ≤ U_max ≤ ``max_model_fraction`` · model bytes. At
-    every round close (``_close_rs_round``), the adopted bitmap is
+    every round close (``on_round_close``), the adopted bitmap is
     re-validated — the budget is *not* rechecked there, because a
     membership change may legally clip it after a GIB was staged (the
     bitmap rebuilds at the next PGP pass). Forced modes additionally pin
@@ -280,7 +280,7 @@ class GIBInvariantMonitor(Monitor):
         self._engine = trainer.engine
         self._layers = frozenset(trainer.engine.splitter.layers)
         _wrap(sync, "_refresh_gib", self._on_refresh)
-        _wrap(sync, "_close_rs_round", self._on_close)
+        _wrap(sync, "on_round_close", self._on_close)
         return True
 
     def _check_partition(self, gib, where: str) -> None:
@@ -336,8 +336,8 @@ class GIBInvariantMonitor(Monitor):
                 cap=cap,
             )
 
-    def _on_close(self, orig, ctx, iteration, bucket):
-        orig(ctx, iteration, bucket)
+    def _on_close(self, orig, ctx, iteration, n_deposits):
+        orig(ctx, iteration, n_deposits)
         self.checks += 1
         gib = self._sync._gib
         self._check_partition(gib, f"adopted GIB (iteration {iteration})")
@@ -404,9 +404,11 @@ class QuorumConsistencyMonitor(Monitor):
     every epoch boundary asserts:
 
     * the context's live set matches the schedule (crash/leave events
-      dated the *next* epoch may legitimately have fired already — a fast
-      worker reaches its epoch top before stragglers finish the previous
-      epoch — so those are tolerated as early departures);
+      dated a *later* epoch may legitimately have fired already — a fast
+      worker reaches its epoch top before stragglers finish an earlier
+      epoch, by one epoch under a barrier and by as many as the staleness
+      bound allows under SSP/DSSP/ASP — so those are tolerated as early
+      departures);
     * every :class:`QuorumBarrier` the context handed out is sized
       ``max(1, |alive|)`` — the resize ``_notify_membership`` promises.
 
@@ -434,7 +436,7 @@ class QuorumConsistencyMonitor(Monitor):
         sync = trainer.sync_model
         if isinstance(sync, OSP):
             self._sync = sync
-            _wrap(sync, "_close_rs_round", self._on_close_rs_round)
+            _wrap(sync, "on_round_close", self._on_round_close)
         return True
 
     def _expected_alive(self, epoch: int) -> set[int]:
@@ -460,11 +462,12 @@ class QuorumConsistencyMonitor(Monitor):
             return  # early stop cuts the schedule short: sets legally differ
         self.checks += 1
         expected = self._expected_alive(epoch)
-        # Next-epoch crash/leave events may already have fired (see class
-        # docstring); next-epoch joins cannot — admission waits on this
-        # epoch's completion event, which succeeds after these hooks.
-        early = {ev.worker for ev in self._crashes if ev.before_epoch == epoch + 1}
-        early |= {w for w, at in self._leaves.items() if at == epoch + 1}
+        # Later-epoch crash/leave events may already have fired (see class
+        # docstring); later joins and restarts cannot — admission waits on
+        # the preceding epoch's completion event, which succeeds after
+        # these hooks.
+        early = {ev.worker for ev in self._crashes if ev.before_epoch > epoch}
+        early |= {w for w, at in self._leaves.items() if at > epoch}
         alive = set(ctx._alive)
         if not (expected - early <= alive <= expected):
             self.fail(
@@ -488,8 +491,8 @@ class QuorumConsistencyMonitor(Monitor):
                     alive=len(alive),
                 )
 
-    def _on_close_rs_round(self, orig, ctx, iteration, bucket):
-        orig(ctx, iteration, bucket)
+    def _on_round_close(self, orig, ctx, iteration, n_deposits):
+        orig(ctx, iteration, n_deposits)
         self.checks += 1
         frozen = self._sync._ics_expected.get(iteration)
         n_alive = len(ctx._alive)

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.cluster.engines import Engine
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from repro.netsim.network import Network
 from repro.obs.tracer import NULL_TRACER
 from repro.simcore.environment import Environment
 from repro.simcore.events import Event
-from repro.simcore.resources import Barrier, QuorumBarrier, Resource
+from repro.simcore.resources import QuorumBarrier, Resource
 
 
 class TrainerContext:
@@ -134,9 +134,9 @@ class TrainerContext:
         This demonstrates the PS architecture's fault resilience the paper
         motivates in §1 (vs Ring-AllReduce's fragility): training continues
         with the surviving workers. Barrier-free sync models (ASP, SSP/DSSP,
-        R²SP) shrink naturally; barrier-based models must use
-        :meth:`quorum_barrier` so the quorum shrinks with the cluster (OSP
-        does; plain BSP keeps its static barrier and is not crash-safe).
+        R²SP) shrink naturally; every model with a synchronous round runs
+        it on the :meth:`quorum_barrier` that ``SyncModel.setup`` opens, so
+        the quorum shrinks with the cluster (BSP exactly as OSP's RS).
 
         ``restart_epoch`` (optional) makes this a crash/restart cycle: the
         worker rejoins once the survivors finish epoch ``restart_epoch−1``.
@@ -165,7 +165,9 @@ class TrainerContext:
     def retire_worker(self, worker: int) -> Optional[int]:
         """Remove a (crashed) worker; completes any epochs it was the last
         missing arrival for; shrinks registered quorum barriers. Returns the
-        worker's scheduled restart epoch (None = permanent loss)."""
+        worker's scheduled restart epoch (None = permanent loss); the entry
+        stays scheduled until the restart consumes it, so a checkpoint
+        written while the worker is down still carries it."""
         if worker in self._alive:
             self._alive.discard(worker)
             self.recorder.incr("faults.worker_crash")
@@ -178,7 +180,7 @@ class TrainerContext:
             self._notify_membership()
             for epoch in sorted(self._epoch_arrivals):
                 self._maybe_complete_epoch(epoch)
-        return self._restart_schedule.pop(worker, None)
+        return self._restart_schedule.get(worker)
 
     def revive_worker(self, worker: int) -> bool:
         """Re-admit a restarted worker.
@@ -193,6 +195,7 @@ class TrainerContext:
         if self.stopped:
             return False
         self._alive.add(worker)
+        self._restart_schedule.pop(worker, None)
         self.recorder.incr("faults.worker_restart")
         self.trace.instant(
             "faults.worker_restart", actor="faults", track="faults", worker=worker
@@ -241,7 +244,6 @@ class TrainerContext:
         a restart whose crash happened before a checkpoint resume)."""
         if worker in self._join_schedule and worker not in self._restart_schedule:
             return self.join_worker(worker)
-        self._restart_schedule.pop(worker, None)
         return self.revive_worker(worker)
 
     def join_worker(self, worker: int) -> bool:
@@ -392,15 +394,11 @@ class TrainerContext:
             **flow_kwargs,
         )
 
-    def barrier(self) -> Barrier:
-        """A fresh cyclic barrier over all workers."""
-        return Barrier(self.env, self.spec.n_workers)
-
     def quorum_barrier(self, timeout=None, on_degraded=None) -> QuorumBarrier:
-        """A crash-aware barrier: its party count tracks the alive-worker
-        set (:meth:`retire_worker`/:meth:`revive_worker` resize every
-        barrier created here), and an optional virtual-time ``timeout``
-        releases a degraded quorum instead of deadlocking."""
+        """The one barrier constructor: the party count tracks the
+        alive-worker set (crash, restart, elastic join and leave resize
+        every barrier created here), and an optional virtual-time
+        ``timeout`` releases a degraded quorum instead of deadlocking."""
         barrier = QuorumBarrier(
             self.env,
             max(1, len(self._alive)),

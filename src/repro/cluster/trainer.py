@@ -123,14 +123,6 @@ class DistributedTrainer:
                 "(the snapshot would capture the whole fabric)"
             )
 
-        if spec.membership is not None and not getattr(
-            sync_model, "supports_elastic", False
-        ):
-            raise ValueError(
-                f"sync model {sync_model.name!r} does not support elastic "
-                "membership changes (supports_elastic is False)"
-            )
-
         ipe = plan.iterations_per_epoch
         if ipe is None:
             if isinstance(engine, NumericEngine):
@@ -273,11 +265,18 @@ class DistributedTrainer:
         self.sync_model.setup(self.ctx)
         order = list(range(self.spec.n_workers))
         if self._snapshot is not None:
-            self.sync_model.restore_state(
-                self.ctx,
-                self._snapshot.meta.get("sync_state", {}),
-                self._snapshot.sync_arrays(),
-            )
+            try:
+                self.sync_model.restore_state(
+                    self.ctx,
+                    self._snapshot.meta.get("sync_state", {}),
+                    self._snapshot.sync_arrays(),
+                )
+            except KeyError as exc:  # e.g. written before the model kept this state
+                from repro.ckpt import CheckpointError
+
+                raise CheckpointError(
+                    f"{self._snapshot.source}: sync-model state key {exc} is missing"
+                ) from exc
             self.recorder.incr("ckpt.restore")
             self.ctx.trace.instant(
                 "ckpt.restore", actor="ckpt", track="ckpt",

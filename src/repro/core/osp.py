@@ -82,10 +82,6 @@ class OSP(SyncModel):
 
     name = "osp"
 
-    #: RS uses a quorum barrier and U_max is re-derived per membership
-    #: change, so elastic join/leave schedules are supported.
-    supports_elastic = True
-
     def __init__(
         self,
         max_model_fraction: float = MAX_MODEL_FRACTION,
@@ -130,27 +126,8 @@ class OSP(SyncModel):
         engine = ctx.engine
         self.splitter = engine.splitter
         layers = self.splitter.layers
-        # Crash-aware RS barrier: retiring a worker shrinks the quorum, and
-        # an optional timeout releases a degraded round instead of hanging.
-        self._barrier = ctx.quorum_barrier(
-            timeout=self.quorum_timeout,
-            on_degraded=lambda gen, size: ctx.recorder.incr("osp.quorum_timeout"),
-        )
 
-        # Eq. 5: the PS-side link is the shared bottleneck for N ICS pushes.
-        # N is the *alive* worker count — it equals spec.n_workers for
-        # static runs, and the checkpoint-restored / elastic-initial count
-        # otherwise; membership changes re-derive it via _on_membership.
-        self._route_loss = 1.0 - (1.0 - ctx.spec.link.loss_rate) ** 2
-        self._compute_time = engine.base_compute_time(ctx.spec)
-        u_max = ics_upper_bound(
-            bandwidth=ctx.spec.link.bandwidth,
-            loss_rate=self._route_loss,
-            compute_time=self._compute_time,
-            n_workers=max(1, len(ctx.alive_workers)),
-            model_bytes=engine.model_bytes,
-            max_model_fraction=self.max_model_fraction,
-        )
+        u_max = self._eq5_u_max(ctx, len(ctx.alive_workers))
         self._tuner = SGuTuner(u_max)
         ctx.trace.gauge("osp.u_max", u_max)
         ctx.membership_hooks.append(lambda n_alive: self._on_membership(ctx, n_alive))
@@ -164,14 +141,10 @@ class OSP(SyncModel):
 
         ctx.trace.gauge("osp.sgu_budget", self._budget)
 
-        if self.force == "bsp":
-            self._gib = GIB.all_important(layers)
-        elif self.force == "asp":
-            self._gib = GIB.all_unimportant(layers)
-        else:
-            self._gib = GIB.all_important(layers)
+        # Algorithm 1 starts all-important, which is also the §4.3 BSP pin.
+        pin = GIB.all_unimportant if self.force == "asp" else GIB.all_important
+        self._gib = pin(layers)
         self._pending_gib: Optional[GIB] = None
-        self._last_round_gen = -1
         #: iteration -> RS deposits present when the round closed; the ICS
         #: round for that iteration expects the same quorum (a dead worker
         #: never pushes its ICS share, so waiting for N would hang).
@@ -198,6 +171,20 @@ class OSP(SyncModel):
             for w in range(n)
         ]
 
+    def _eq5_u_max(self, ctx, n_alive: int) -> float:
+        """Eq. 5: the PS-side link is the shared bottleneck for N ICS pushes.
+        N is the *alive* worker count — it equals spec.n_workers for static
+        runs, and the checkpoint-restored / elastic-initial count otherwise;
+        membership changes re-derive it via _on_membership."""
+        return ics_upper_bound(
+            bandwidth=ctx.spec.link.bandwidth,
+            loss_rate=1.0 - (1.0 - ctx.spec.link.loss_rate) ** 2,
+            compute_time=ctx.engine.base_compute_time(ctx.spec),
+            n_workers=max(1, n_alive),
+            model_bytes=ctx.engine.model_bytes,
+            max_model_fraction=self.max_model_fraction,
+        )
+
     def _on_membership(self, ctx, n_alive: int) -> None:
         """Eq. 5 re-derivation when the worker set changes (elastic
         join/leave or crash/restart): N concurrent ICS pushes share the PS
@@ -205,14 +192,7 @@ class OSP(SyncModel):
         The GIB itself rebuilds at the next PGP pass."""
         if n_alive < 1:
             return
-        u_max = ics_upper_bound(
-            bandwidth=ctx.spec.link.bandwidth,
-            loss_rate=self._route_loss,
-            compute_time=self._compute_time,
-            n_workers=n_alive,
-            model_bytes=ctx.engine.model_bytes,
-            max_model_fraction=self.max_model_fraction,
-        )
+        u_max = self._eq5_u_max(ctx, n_alive)
         self._tuner.set_u_max(u_max)
         ctx.trace.gauge("osp.u_max", u_max)
         if self.fixed_budget_fraction is not None:
@@ -294,10 +274,7 @@ class OSP(SyncModel):
         else:
             g_imp = g_unimp = None
 
-        # (2) RS push; the round is aggregated when the barrier trips — on a
-        # full quorum, a degraded quorum (timeout) or a shrunk one (crash) —
-        # by the first worker released, so whatever deposits are present get
-        # the reweighted average instead of the round hanging on the dead.
+        # (2) RS push, then the synchronous round over G^i (SyncModel.sync_round).
         span = trace.begin(
             "rs_push", actor, worker=worker, iteration=iteration, bytes=imp_bytes
         )
@@ -305,16 +282,7 @@ class OSP(SyncModel):
             worker, imp_bytes, tag=("rs-push", worker, iteration), prio=PRIO_HIGH
         )
         trace.end(span)
-        bucket = f"rs:{iteration}"
-        ctx.ps.accumulate(bucket, worker, g_imp)
-        span = trace.begin(
-            "rs_barrier_wait", actor, worker=worker, iteration=iteration
-        )
-        generation = yield self._barrier.wait()
-        trace.end(span)
-        if generation != self._last_round_gen:
-            self._last_round_gen = generation
-            self._close_rs_round(ctx, iteration, bucket)
+        yield from self.sync_round(ctx, worker, iteration, g_imp)
 
         # (3) RS pull: updated important parameters.
         span = trace.begin(
@@ -352,20 +320,9 @@ class OSP(SyncModel):
         else:
             self._ics_push_done[worker] = None
 
-    def _close_rs_round(self, ctx, iteration, bucket) -> None:
-        """Executed once per barrier generation by the first released
-        worker (URGENT trip → this straight-line code runs before any
-        released worker's pull can complete, so ordering matches the old
-        apply-on-last-deposit scheme on the full-quorum path)."""
-        n = ctx.ps.pending(bucket)
-        self._ics_expected[iteration] = n
-        ctx.trace.gauge("osp.quorum_size", n)
-        if n:
-            if n < ctx.spec.n_workers:
-                ctx.recorder.incr("osp.degraded_quorum")
-            # apply_average renormalises over the present workers' weights —
-            # the degraded-quorum reweighting.
-            ctx.ps.apply_average(bucket)
+    def on_round_close(self, ctx, iteration, n_deposits) -> None:
+        # The ICS round of this iteration waits for the same quorum.
+        self._ics_expected[iteration] = n_deposits
 
         # Adopt a freshly-broadcast GIB exactly once per barrier generation,
         # i.e. after every worker has split this iteration with the old one.

@@ -2,9 +2,11 @@
 
 See :mod:`repro.faults.schedule` for the event taxonomy and
 :mod:`repro.faults.injector` for how events are replayed against a live
-simulation. PS-side resilience (degraded RS quorum, §4.3 BSP fallback)
-lives in :class:`repro.simcore.resources.QuorumBarrier` and
-:class:`repro.core.osp.OSP`.
+simulation. PS-side resilience lives in the one synchronous round
+(:meth:`repro.sync.base.SyncModel.sync_round` on a
+:class:`repro.simcore.resources.QuorumBarrier`: degraded quorum for BSP and
+its variants exactly as for OSP's RS) and in :class:`repro.core.osp.OSP`
+(frozen ICS quorum, §4.3 BSP fallback).
 """
 
 from repro.faults.injector import FLAP_RESIDUAL, FaultInjector

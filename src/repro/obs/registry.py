@@ -33,10 +33,12 @@ COUNTERS: frozenset[str] = frozenset(
         "faults.straggler",
         "faults.worker_crash",
         "faults.worker_restart",
-        # OSP protocol events (repro.core.osp)
+        # the synchronous round (repro.sync.base): any model that closes
+        # one counts these, BSP as OSP's RS — the names predate that
         "osp.quorum_timeout",
-        "osp.deadline_miss",
         "osp.degraded_quorum",
+        # OSP protocol events (repro.core.osp)
+        "osp.deadline_miss",
         "osp.bsp_fallback",
         "osp.bsp_fallback_exit",
         # checkpoint/restore (repro.ckpt)
@@ -87,7 +89,7 @@ GAUGES: frozenset[str] = frozenset(
         "osp.sgu_budget",
         "osp.u_max",
         "osp.inflight_ics_bytes",
-        "osp.quorum_size",
+        "osp.quorum_size",  # deposits present at a round close, any round model
         "obs.net.inflight_bytes",
         "obs.net.active_flows",
         "obs.ps.version",

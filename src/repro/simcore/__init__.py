@@ -33,13 +33,12 @@ from repro.simcore.events import (
 )
 from repro.simcore.environment import Environment, SimulationError
 from repro.simcore.process import Process
-from repro.simcore.resources import Barrier, QuorumBarrier, Resource, Store
+from repro.simcore.resources import QuorumBarrier, Resource, Store
 from repro.simcore.priority import URGENT, NORMAL, LOW
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Barrier",
     "Environment",
     "Event",
     "EventAlreadyTriggered",

@@ -4,11 +4,11 @@
   that serves one worker at a time under round-robin R²SP).
 - :class:`Store` — unbounded FIFO message store (producer/consumer channel;
   used for worker↔PS control messages such as GIB delivery).
-- :class:`Barrier` — cyclic barrier for ``n`` parties (BSP's global barrier
-  and OSP's RS barrier).
-- :class:`QuorumBarrier` — a barrier whose party count can shrink/grow at
-  runtime (worker crash/restart) and that can trip *degraded* after a
-  virtual-time timeout instead of deadlocking (OSP's RS quorum, §4.3).
+- :class:`QuorumBarrier` — the one cyclic barrier (BSP's global barrier and
+  OSP's RS barrier are the same synchronous round, see
+  :mod:`repro.sync.base`): its party count can shrink/grow at runtime
+  (worker crash/restart, elastic join/leave) and it can trip *degraded*
+  after a virtual-time timeout instead of deadlocking (§4.3).
 """
 
 from __future__ import annotations
@@ -104,53 +104,14 @@ class Store:
         return ev
 
 
-class Barrier:
-    """Cyclic barrier for ``parties`` processes.
-
-    Each party calls :meth:`wait` and yields the returned event; the event
-    for all parties of a generation succeeds at the instant the last party
-    arrives. The barrier then resets for the next generation. The event
-    value is the generation index (0-based), handy for iteration accounting.
-    """
-
-    def __init__(self, env: "Environment", parties: int) -> None:  # noqa: F821
-        if parties < 1:
-            raise ValueError(f"parties must be >= 1, got {parties}")
-        self.env = env
-        self.parties = int(parties)
-        self._generation = 0
-        self._arrived = 0
-        self._event = Event(env)
-
-    @property
-    def generation(self) -> int:
-        """Completed-generation counter (increments when barrier trips)."""
-        return self._generation
-
-    @property
-    def waiting(self) -> int:
-        """Parties currently blocked at the barrier."""
-        return self._arrived
-
-    def wait(self) -> Event:
-        """Arrive at the barrier; returns the generation's trip event."""
-        ev = self._event
-        self._arrived += 1
-        if self._arrived == self.parties:
-            gen = self._generation
-            self._generation += 1
-            self._arrived = 0
-            self._event = Event(self.env)
-            ev.succeed(gen, priority=URGENT)
-        return ev
-
-
 class QuorumBarrier:
     """Cyclic barrier with a mutable party count and an optional timeout.
 
-    Semantics match :class:`Barrier` (each party ``yield``\\ s the event
-    returned by :meth:`wait`; the event succeeds with the generation index)
-    with two extensions for fault tolerance:
+    Each party calls :meth:`wait` and yields the returned event; the event
+    for all parties of a generation succeeds at the instant the last party
+    arrives, with the generation index (0-based) as its value, and the
+    barrier resets for the next generation. Two extensions for fault
+    tolerance:
 
     * :meth:`set_parties` changes the quorum size mid-run. Shrinking it —
       a worker crashed — releases the current generation immediately if
@@ -236,4 +197,4 @@ class QuorumBarrier:
             self.on_degraded(gen, size)
 
 
-__all__ = ["Barrier", "QuorumBarrier", "Resource", "Store"]
+__all__ = ["QuorumBarrier", "Resource", "Store"]

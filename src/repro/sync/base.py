@@ -1,21 +1,25 @@
-"""SyncModel base: the shared per-worker training loop skeleton.
+"""SyncModel base: the shared per-worker training loop skeleton and the
+one synchronous round.
 
 Each iteration: (optional pre-compute wait) → compute → synchronize →
 record. Subclasses implement :meth:`synchronize` (and optionally
 :meth:`before_compute`, :meth:`extra_compute_time`, :meth:`setup`,
 :meth:`on_epoch_end`). All of these run inside simcore processes — the
 generators may ``yield`` events.
+
+"Deposit, wait for everyone, average once" is :meth:`SyncModel.sync_round`
+and is written nowhere else (``tests/sync/test_one_round.py`` holds that):
+BSP and its variants are the round over the whole model, OSP's RS stage
+(§4.3: all layers in RS *is* BSP) the round over the important layers. A
+round model keeps only its push / pull plan.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from repro.cluster.context import TrainerContext
-
-from typing import Optional
-
 
 
 class SyncModel:
@@ -24,16 +28,22 @@ class SyncModel:
     #: Human-readable name used in results and benchmark tables.
     name = "abstract"
 
-    #: Whether this model tolerates elastic membership changes (its barriers
-    #: track the alive-worker set). The trainer refuses a
-    #: ``ClusterSpec.membership`` schedule on models that don't.
-    supports_elastic = False
+    #: Optional virtual-seconds deadline for the round, measured from its
+    #: first arrival; on expiry whoever arrived proceeds (§4.3 resilience).
+    quorum_timeout: Optional[float] = None
 
     def setup(self, ctx: TrainerContext) -> None:
         """One-time initialisation before worker processes start."""
         ctx.epoch_end_hooks.append(
             lambda epoch, loss, metric: self.on_epoch_end(ctx, epoch, loss, metric)
         )
+        # The round's barrier tracks the alive set: a crash, restart, join
+        # or leave resizes it, so no round ever waits on an absent worker.
+        self._round_barrier = ctx.quorum_barrier(
+            timeout=self.quorum_timeout,
+            on_degraded=lambda gen, size: ctx.recorder.incr("osp.quorum_timeout"),
+        )
+        self._closed_generation = -1
 
     def on_epoch_end(
         self, ctx: TrainerContext, epoch: int, train_loss: float, metric: float
@@ -64,6 +74,40 @@ class SyncModel:
         raise NotImplementedError
         yield  # pragma: no cover
 
+    # -- the synchronous round -------------------------------------------------
+    def sync_round(self, ctx: TrainerContext, worker: int, iteration: int, grads):
+        """Generator: deposit ``grads``, wait for the round, close it once.
+
+        The round closes when the barrier trips — on a full quorum, a
+        degraded one (timeout) or a shrunk one (crash, leave) — and is
+        closed by the first worker released: the trip is URGENT and this is
+        straight-line code, so the average lands before any released
+        worker's pull can start. Whatever deposits are present get the
+        reweighted average instead of the round hanging on the absent.
+        """
+        bucket = f"rs:{iteration}"
+        ctx.ps.accumulate(bucket, worker, grads)
+        trace = ctx.trace
+        span = trace.begin(
+            "rs_barrier_wait", f"worker {worker}", worker=worker, iteration=iteration
+        )
+        generation = yield self._round_barrier.wait()
+        trace.end(span)
+        if generation != self._closed_generation:
+            self._closed_generation = generation
+            n = ctx.ps.pending(bucket)
+            trace.gauge("osp.quorum_size", n)
+            if n:
+                if n < ctx.spec.n_workers:
+                    ctx.recorder.incr("osp.degraded_quorum")
+                # apply_average renormalises over the present workers'
+                # weights — the degraded-quorum reweighting.
+                ctx.ps.apply_average(bucket)
+            self.on_round_close(ctx, iteration, n)
+
+    def on_round_close(self, ctx: TrainerContext, iteration: int, n_deposits: int) -> None:
+        """Called once per closed round, after its average was applied."""
+
     # -- the shared loop -----------------------------------------------------
     def worker_process(self, ctx: TrainerContext, worker: int):
         """The per-worker simcore process driving training."""
@@ -76,29 +120,17 @@ class SyncModel:
             return  # permanently out (left or crashed before a resume point)
         if entry > ctx.start_epoch:
             # Elastic joiner, or a crash/restart cycle spanning a checkpoint
-            # resume: sit out until the cluster finishes epoch entry−1.
-            if entry >= ctx.plan.n_epochs:
+            # resume.
+            if not (yield from self._sit_out(ctx, worker, entry)):
                 return
-            yield ctx.epoch_completion(entry - 1)
-            if not ctx.admit_worker(worker):
-                return  # the run ended (early stop) while we were out
-            gate = ctx.checkpoint_gate(entry - 1)
-            if gate is not None:
-                yield gate  # don't race an in-progress snapshot drain
             resume_at = entry
         for epoch in range(ctx.start_epoch, ctx.plan.n_epochs):
             if ctx.should_fail(worker, epoch):
+                # Crash (no finalize: in-flight state is lost), and with a
+                # restart scheduled the same sit-out, then rejoin there.
                 restart = ctx.retire_worker(worker)
-                if restart is None or restart >= ctx.plan.n_epochs:
-                    return  # permanent crash: no finalize, in-flight state is lost
-                # Crash/restart cycle: sit out until the survivors finish
-                # epoch restart−1, re-sync the replica, rejoin at `restart`.
-                yield ctx.epoch_completion(restart - 1)
-                if not ctx.revive_worker(worker):
-                    return  # the run ended (early stop) while we were down
-                gate = ctx.checkpoint_gate(restart - 1)
-                if gate is not None:
-                    yield gate
+                if not (yield from self._sit_out(ctx, worker, restart)):
+                    return
                 resume_at = restart
             if epoch < resume_at:
                 continue
@@ -147,6 +179,21 @@ class SyncModel:
             yield from ctx.checkpoint_pause(worker, epoch)
         yield from self.finalize(ctx, worker)
 
+    def _sit_out(self, ctx: TrainerContext, worker: int, entry: Optional[int]):
+        """Generator: stay out until the cluster finishes epoch ``entry``−1,
+        then re-sync the replica and (re)join. Returns False when the worker
+        never comes back: no entry epoch, or the run ended (early stop)
+        while it was out."""
+        if entry is None or entry >= ctx.plan.n_epochs:
+            return False
+        yield ctx.epoch_completion(entry - 1)
+        if not ctx.admit_worker(worker):
+            return False
+        gate = ctx.checkpoint_gate(entry - 1)
+        if gate is not None:
+            yield gate  # don't race an in-progress snapshot drain
+        return True
+
     def finalize(self, ctx: TrainerContext, worker: int):
         """Generator hook after a worker's last iteration (drain in-flight
         background work, e.g. OSP's final ICS)."""
@@ -185,7 +232,11 @@ class SyncModel:
         generic recorder-derived ones (e.g. SSP's bound-relative staleness
         replaces the progress-lag estimate).
         """
-        return {}
+        if self._closed_generation < 0:
+            return {}
+        # The round pins every replica to the same version: staleness is
+        # identically zero for every model that closes one.
+        return {f"osp.worker.{w}.staleness": 0.0 for w in ctx.alive_workers}
 
 
 __all__ = ["SyncModel"]

@@ -9,11 +9,6 @@ time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.cluster.context import TrainerContext
-
 from repro.sync.base import SyncModel
 
 
@@ -21,16 +16,6 @@ class BSP(SyncModel):
     """Classic PS-based bulk synchronous parallel."""
 
     name = "bsp"
-
-    def setup(self, ctx: TrainerContext) -> None:
-        super().setup(ctx)
-        self._barrier = ctx.barrier()
-
-    def worker_signals(self, ctx):
-        # The barrier pins every replica to the same version: staleness is
-        # identically zero. Emitted explicitly so dashboards show the track
-        # for every sync model rather than a BSP-shaped gap.
-        return {f"osp.worker.{w}.staleness": 0.0 for w in ctx.alive_workers}
 
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
         # Same span names as OSP's RS stage (BSP ≡ RS over the full model),
@@ -43,13 +28,7 @@ class BSP(SyncModel):
         )
         yield ctx.transfer_to_ps(worker, nbytes, tag=("bsp-push", worker, iteration))
         trace.end(span)
-        if ctx.ps.accumulate(f"bsp:{iteration}", worker, grads) == ctx.spec.n_workers:
-            ctx.ps.apply_average(f"bsp:{iteration}")
-        span = trace.begin(
-            "rs_barrier_wait", actor, worker=worker, iteration=iteration
-        )
-        yield self._barrier.wait()
-        trace.end(span)
+        yield from self.sync_round(ctx, worker, iteration, grads)
         span = trace.begin(
             "rs_pull", actor, worker=worker, iteration=iteration, bytes=nbytes
         )

@@ -14,10 +14,7 @@ push / dense pull design).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.cluster.context import TrainerContext
+import numpy as np
 
 from repro.compression.base import Compressor, dense_bytes
 from repro.sync.base import SyncModel
@@ -51,10 +48,6 @@ class CompressedBSP(SyncModel):
         suffix = label if label is not None else type(compressor).__name__.lower()
         self.name = f"compressed-bsp-{suffix}"
 
-    def setup(self, ctx: TrainerContext) -> None:
-        super().setup(ctx)
-        self._barrier = ctx.barrier()
-
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
         model_bytes = ctx.engine.model_bytes
         if grads is not None:
@@ -65,17 +58,58 @@ class CompressedBSP(SyncModel):
             lossy = None
             push_bytes = model_bytes * self.nominal_ratio
 
+        trace = ctx.trace
+        actor = f"worker {worker}"
+        span = trace.begin(
+            "rs_push", actor, worker=worker, iteration=iteration, bytes=push_bytes
+        )
         yield ctx.transfer_to_ps(
             worker, push_bytes, tag=("cbsp-push", worker, iteration)
         )
-        if ctx.ps.accumulate(f"cbsp:{iteration}", worker, lossy) == ctx.spec.n_workers:
-            ctx.ps.apply_average(f"cbsp:{iteration}")
-        yield self._barrier.wait()
+        trace.end(span)
+        yield from self.sync_round(ctx, worker, iteration, lossy)
         # Dense parameter pull (sparse-push / dense-pull convention).
+        span = trace.begin(
+            "rs_pull", actor, worker=worker, iteration=iteration, bytes=model_bytes
+        )
         yield ctx.transfer_from_ps(
             worker, model_bytes, tag=("cbsp-pull", worker, iteration)
         )
+        trace.end(span)
         ctx.engine.sync_replica(worker, ctx.ps)
+
+    # -- checkpointing: a stateful codec's memory travels with the run ---------
+    def _codecs_with(self, attr: str):
+        """``(depth, codec)`` down the wrapper chain for codecs owning ``attr``."""
+        codec, depth = self.compressor, 0
+        while codec is not None:
+            if hasattr(codec, attr):
+                yield depth, codec
+            codec, depth = getattr(codec, "inner", None), depth + 1
+
+    def checkpoint_state(self, ctx) -> dict:
+        # RandomK's generator, as the jitter PCG64 streams travel.
+        return {
+            "rng": {str(d): c._rng.bit_generator.state for d, c in self._codecs_with("_rng")}
+        }
+
+    def checkpoint_arrays(self, ctx) -> dict:
+        return {
+            f"residual/{d}/{name}": r
+            for d, c in self._codecs_with("_residual")
+            for name, r in c._residual.items()
+        }
+
+    def restore_state(self, ctx, state, arrays) -> None:
+        for d, codec in self._codecs_with("_rng"):
+            codec._rng.bit_generator.state = state["rng"][str(d)]
+        for d, codec in self._codecs_with("_residual"):
+            prefix = f"residual/{d}/"
+            codec._residual = {
+                key[len(prefix):]: np.array(arr)
+                for key, arr in arrays.items()
+                if key.startswith(prefix)
+            }
 
 
 __all__ = ["CompressedBSP"]

@@ -80,5 +80,20 @@ class DSSP(SSP):
         self._last_start[worker] = now
         yield from super().before_compute(ctx, worker, iteration)
 
+    # -- checkpointing: the speed windows and the bound they adapted ----------
+    def checkpoint_state(self, ctx) -> dict:
+        return {
+            **super().checkpoint_state(ctx),
+            "staleness": self.staleness,
+            "durations": {str(w): d for w, d in self._durations.items()},
+            "last_start": {str(w): t for w, t in self._last_start.items()},
+        }
+
+    def restore_state(self, ctx, state, arrays) -> None:
+        super().restore_state(ctx, state, arrays)
+        self.staleness = int(state["staleness"])
+        self._durations = {int(w): list(d) for w, d in state["durations"].items()}
+        self._last_start = {int(w): float(t) for w, t in state["last_start"].items()}
+
 
 __all__ = ["DSSP"]

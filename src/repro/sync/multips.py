@@ -31,51 +31,39 @@ class ShardedBSP(SyncModel):
 
     name = "sharded-bsp"
 
-    #: The barrier is a quorum barrier and the apply threshold tracks the
-    #: alive set, so elastic join/leave at epoch boundaries is safe.
-    supports_elastic = True
-
     def setup(self, ctx: TrainerContext) -> None:
         super().setup(ctx)
-        self._barrier = ctx.quorum_barrier()
         self.plan: SyncGroupPlan = plan_sync_groups(
             ctx.engine.layer_bytes, ctx.spec.n_ps
         )
-        self.name = f"sharded-bsp-{ctx.spec.n_ps}ps"
-        # Pre-compute per-PS shard byte sizes.
-        self._shard_bytes = list(self.plan.shard_bytes)
-        # Parameter-name partition for numeric mode.
-        self._shard_params: list[tuple[str, ...]] = []
-        for ps in range(ctx.spec.n_ps):
-            layers = [l for l, p in self.plan.assignment.items() if p == ps]
-            self._shard_params.append(ctx.engine.splitter.params_of(layers))
+
+    def _shard_flows(self, transfer, tag, worker, iteration) -> list:
+        """One concurrent flow per PS, each carrying that PS's shard."""
+        return [
+            transfer(worker, nbytes, tag=(tag, worker, iteration, ps), ps_index=ps)
+            for ps, nbytes in enumerate(self.plan.shard_bytes)
+        ]
 
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
-        n_ps = ctx.spec.n_ps
-        # Push all shards concurrently, one flow per PS.
-        pushes = [
-            ctx.transfer_to_ps(
-                worker,
-                self._shard_bytes[ps],
-                tag=("sbsp-push", worker, iteration, ps),
-                ps_index=ps,
-            )
-            for ps in range(n_ps)
-        ]
-        yield ctx.env.all_of(pushes)
-        if ctx.ps.accumulate(f"sbsp:{iteration}", worker, grads) >= len(ctx.alive_workers):
-            ctx.ps.apply_average(f"sbsp:{iteration}")
-        yield self._barrier.wait()
-        pulls = [
-            ctx.transfer_from_ps(
-                worker,
-                self._shard_bytes[ps],
-                tag=("sbsp-pull", worker, iteration, ps),
-                ps_index=ps,
-            )
-            for ps in range(n_ps)
-        ]
-        yield ctx.env.all_of(pulls)
+        trace = ctx.trace
+        actor = f"worker {worker}"
+        nbytes = ctx.engine.model_bytes
+        # One span around each direction's concurrent per-PS flows.
+        span = trace.begin(
+            "rs_push", actor, worker=worker, iteration=iteration, bytes=nbytes
+        )
+        yield ctx.env.all_of(
+            self._shard_flows(ctx.transfer_to_ps, "sbsp-push", worker, iteration)
+        )
+        trace.end(span)
+        yield from self.sync_round(ctx, worker, iteration, grads)
+        span = trace.begin(
+            "rs_pull", actor, worker=worker, iteration=iteration, bytes=nbytes
+        )
+        yield ctx.env.all_of(
+            self._shard_flows(ctx.transfer_from_ps, "sbsp-pull", worker, iteration)
+        )
+        trace.end(span)
         ctx.engine.sync_replica(worker, ctx.ps)
 
 

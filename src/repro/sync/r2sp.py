@@ -47,36 +47,37 @@ class R2SP(SyncModel):
         )
 
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
+        trace = ctx.trace
+        actor = f"worker {worker}"
         nbytes = ctx.engine.model_bytes
-        if self.duplex:
-            yield self._push_token.request()
-            try:
-                yield ctx.transfer_to_ps(
-                    worker, nbytes, tag=("r2sp-push", worker, iteration)
-                )
-            finally:
-                self._push_token.release()
+        yield self._push_token.request()
+        held = self._push_token  # released in `finally`, whichever it is
+        try:
+            span = trace.begin(
+                "push", actor, worker=worker, iteration=iteration, bytes=nbytes
+            )
+            yield ctx.transfer_to_ps(
+                worker, nbytes, tag=("r2sp-push", worker, iteration)
+            )
+            trace.end(span)
             ctx.ps.apply_immediate(worker, grads)
-            yield self._pull_token.request()
-            try:
-                yield ctx.transfer_from_ps(
-                    worker, nbytes, tag=("r2sp-pull", worker, iteration)
-                )
-            finally:
-                self._pull_token.release()
-        else:
-            # One worker's whole turn (push, apply, pull) holds the PS.
-            yield self._push_token.request()
-            try:
-                yield ctx.transfer_to_ps(
-                    worker, nbytes, tag=("r2sp-push", worker, iteration)
-                )
-                ctx.ps.apply_immediate(worker, grads)
-                yield ctx.transfer_from_ps(
-                    worker, nbytes, tag=("r2sp-pull", worker, iteration)
-                )
-            finally:
-                self._push_token.release()
+            if self.duplex:
+                # Hand the push token on before pulling; otherwise one
+                # worker's whole turn (push, apply, pull) holds the PS.
+                held.release()
+                held = None
+                yield self._pull_token.request()
+                held = self._pull_token
+            span = trace.begin(
+                "pull", actor, worker=worker, iteration=iteration, bytes=nbytes
+            )
+            yield ctx.transfer_from_ps(
+                worker, nbytes, tag=("r2sp-pull", worker, iteration)
+            )
+            trace.end(span)
+        finally:
+            if held is not None:
+                held.release()
         ctx.engine.sync_replica(worker, ctx.ps)
 
 

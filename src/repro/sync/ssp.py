@@ -19,14 +19,14 @@ from repro.sync.asp import ASP
 
 
 class SSP(ASP):
-    """Staleness-bounded asynchronous parallel."""
+    """Staleness-bounded asynchronous parallel.
+
+    The bound is computed over the *alive* worker set (see ``_floor``) and
+    blocked workers are woken on membership changes, so crashes, departures
+    and late joiners neither deadlock nor stall the cohort.
+    """
 
     name = "ssp"
-
-    #: The bound is computed over the *alive* worker set (see ``_floor``)
-    #: and blocked workers are woken on membership changes, so crashes,
-    #: departures and late joiners neither deadlock nor stall the cohort.
-    supports_elastic = True
 
     def __init__(self, staleness: int = 3) -> None:
         if staleness < 0:
@@ -90,9 +90,14 @@ class SSP(ASP):
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
         yield from super().synchronize(ctx, worker, epoch, iteration, grads, loss)
         self._progress[worker] = iteration + 1
-        if not self._progress_event.triggered:
-            old, self._progress_event = self._progress_event, ctx.env.event()
-            old.succeed()
+        self._wake(ctx)
+
+    # -- checkpointing: restored workers must not block on zeroed counters ----
+    def checkpoint_state(self, ctx) -> dict:
+        return {"progress": self._progress.tolist()}
+
+    def restore_state(self, ctx, state, arrays) -> None:
+        self._progress[:] = state["progress"]
 
 
 __all__ = ["SSP"]

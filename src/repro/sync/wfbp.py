@@ -79,7 +79,6 @@ class WFBP(SyncModel):
 
     def setup(self, ctx: TrainerContext) -> None:
         super().setup(ctx)
-        self._barrier = ctx.barrier()
         # Layers in backward order (output-side first): reversed splitter
         # order, since leaf_layers lists input-side first.
         self._layers_bwd = tuple(reversed(ctx.engine.splitter.layers))
@@ -111,6 +110,13 @@ class WFBP(SyncModel):
             self._t_bwd,
             fair_rate,
         )
+        trace = ctx.trace
+        actor = f"worker {worker}"
+        # One span around the concurrent per-layer flows: the exposed push.
+        span = trace.begin(
+            "rs_push", actor, worker=worker, iteration=iteration,
+            bytes=sum(exposed for _l, _h, exposed in schedule),
+        )
         for layer, _hidden, exposed_bytes in schedule:
             if exposed_bytes > 0:
                 exposed_done.append(
@@ -124,15 +130,18 @@ class WFBP(SyncModel):
 
         for ev in exposed_done:
             yield ev
-        if ctx.ps.accumulate(f"wfbp:{iteration}", worker, grads) == ctx.spec.n_workers:
-            ctx.ps.apply_average(f"wfbp:{iteration}")
-        yield self._barrier.wait()
+        trace.end(span)
+        yield from self.sync_round(ctx, worker, iteration, grads)
+        span = trace.begin(
+            "rs_pull", actor, worker=worker, iteration=iteration, bytes=engine.model_bytes
+        )
         yield ctx.transfer_from_ps(
             worker,
             engine.model_bytes,
             tag=("wfbp-pull", worker, iteration),
             prio=PRIO_HIGH,
         )
+        trace.end(span)
         ctx.engine.sync_replica(worker, ctx.ps)
 
 

@@ -136,3 +136,20 @@ def test_bad_checkpoint_is_refused_by_api_and_cli(case, good, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     _one_error_line(captured.err, message)
+
+
+def test_sync_state_key_missing_from_an_older_checkpoint(tmp_path, capsys):
+    """Before SSP carried its progress vector a checkpoint had no such key;
+    resuming that file names the key instead of raising ``KeyError``."""
+    run = [
+        "run", "--sync", "ssp", "--workers", "2", "--epochs", "2", "--iterations", "2",
+        "--checkpoint-every", "1",
+    ]  # fmt: skip
+    assert main([*run, "--checkpoint-dir", str(tmp_path)]) == 0
+    old = tmp_path / "ckpt-epoch0001.npz"
+    _rewritten(lambda ckpt: ckpt.meta["sync_state"].clear())(old)
+    capsys.readouterr()
+    code = main([*run, "--checkpoint-dir", str(tmp_path / "out"), "--resume", str(old)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    _one_error_line(captured.err, rf"{re.escape(str(old))}: sync-model state key 'progress' is missing")

@@ -93,7 +93,7 @@ def test_current_lr_tracks_plan_in_timing_mode():
 
 def test_barrier_factory_parties():
     _env, ctx = make_ctx(n_workers=2)
-    assert ctx.barrier().parties == 2
+    assert ctx.quorum_barrier().parties == 2
 
 
 def test_sync_switch_behaviour_changes_ps_version_cadence():

@@ -13,7 +13,6 @@ from repro.core import OSP
 from repro.core.tuning import ics_upper_bound
 from repro.faults.schedule import FaultSchedule, WorkerCrash
 from repro.harness.workloads import WorkloadConfig, timing_trainer
-from repro.sync import BSP, ShardedBSP
 
 
 def run_elastic(membership, sync=None, n_workers=4, n_epochs=6):
@@ -78,23 +77,6 @@ def test_membership_changes_visible_in_trace():
     assert "elastic.worker_join" in names
     # the U_max gauge is re-emitted when the membership hook fires
     assert len(tracer.counters["osp.u_max"]) >= 2
-
-
-def test_sharded_bsp_supports_elastic_leave():
-    m = MembershipSchedule((WorkerLeave(worker=0, epoch=2),))
-    _trainer, _sync, res = run_elastic(m, sync=ShardedBSP(), n_epochs=4)
-    assert sorted(res.context.alive_workers) == [1, 2, 3]
-    assert res.recorder.counter("elastic.worker_leave") == 1
-
-
-def test_non_elastic_model_refuses_membership():
-    m = MembershipSchedule((WorkerLeave(worker=0, epoch=2),))
-    cfg = WorkloadConfig(
-        "resnet50-cifar10", n_workers=4, n_epochs=4,
-        iterations_per_epoch=3, membership=m,
-    )
-    with pytest.raises(ValueError, match="elastic"):
-        timing_trainer(cfg, BSP())
 
 
 def test_membership_schedule_validation():

@@ -18,10 +18,6 @@ class PeriodicBSP(SyncModel):
     def __init__(self, period: int = 4):
         self.period = period
 
-    def setup(self, ctx):
-        super().setup(ctx)
-        self._barrier = ctx.barrier()
-
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
         if iteration % self.period:
             if grads is not None:  # local step on the replica
@@ -32,9 +28,7 @@ class PeriodicBSP(SyncModel):
             return  # no communication at all
         nbytes = ctx.engine.model_bytes
         yield ctx.transfer_to_ps(worker, nbytes)
-        if ctx.ps.accumulate(f"p:{iteration}", worker, grads) == ctx.spec.n_workers:
-            ctx.ps.apply_average(f"p:{iteration}")
-        yield self._barrier.wait()
+        yield from self.sync_round(ctx, worker, iteration, grads)
         yield ctx.transfer_from_ps(worker, nbytes)
         ctx.engine.sync_replica(worker, ctx.ps)
 
@@ -50,6 +44,18 @@ def test_periodic_bsp_timing_mode_syncs_less():
     full = run(BSP())
     assert periodic.mean_bst < 0.5 * full.mean_bst
     assert periodic.throughput > 1.5 * full.throughput
+
+
+def test_periodic_bsp_survives_a_crash():
+    """The base round's barrier tracks the alive set: nothing to write."""
+    spec = ClusterSpec(n_workers=4, jitter=NoJitter())
+    plan = TrainingPlan(n_epochs=3, iterations_per_epoch=8)
+    engine = TimingEngine(get_card("resnet50-cifar10"), spec, total_iterations=24)
+    trainer = DistributedTrainer(spec, plan, engine, PeriodicBSP(period=4))
+    trainer.ctx.schedule_failure(2, before_epoch=1)
+    res = trainer.run()
+    assert len(res.recorder.epochs) == 3
+    assert res.recorder.counter("osp.degraded_quorum") == 4  # epochs 1-2, every 4th
 
 
 def test_periodic_bsp_numeric_mode_learns():

@@ -5,9 +5,9 @@ import pytest
 from repro.simcore import (
     AllOf,
     AnyOf,
-    Barrier,
     Environment,
     Interrupt,
+    QuorumBarrier,
     Resource,
     Store,
 )
@@ -33,7 +33,7 @@ def test_anyof_with_mixed_processed_and_pending():
 
 def test_interrupt_while_waiting_on_barrier():
     env = Environment()
-    bar = Barrier(env, parties=2)
+    bar = QuorumBarrier(env, parties=2)
     caught = []
 
     def waiter(env):
@@ -144,7 +144,7 @@ def test_store_interleaved_producers_consumers():
 
 def test_barrier_more_arrivals_than_parties_wraps_generations():
     env = Environment()
-    bar = Barrier(env, parties=2)
+    bar = QuorumBarrier(env, parties=2)
     gens = []
 
     def party(env):

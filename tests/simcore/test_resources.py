@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store, and Barrier."""
+"""Unit tests for Resource, Store, and QuorumBarrier (the one barrier class)."""
 
 import pytest
 
-from repro.simcore import Barrier, Environment, Resource, Store
+from repro.simcore import Environment, QuorumBarrier, Resource, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -139,7 +139,7 @@ def test_store_multiple_getters_fifo():
 # ---------------------------------------------------------------- Barrier
 def test_barrier_releases_all_at_last_arrival():
     env = Environment()
-    bar = Barrier(env, parties=3)
+    bar = QuorumBarrier(env, parties=3)
     released = []
 
     def party(env, pid, arrive):
@@ -156,7 +156,7 @@ def test_barrier_releases_all_at_last_arrival():
 
 def test_barrier_is_cyclic():
     env = Environment()
-    bar = Barrier(env, parties=2)
+    bar = QuorumBarrier(env, parties=2)
     gens = []
 
     def party(env, delay):
@@ -175,7 +175,7 @@ def test_barrier_is_cyclic():
 
 def test_barrier_single_party_never_blocks():
     env = Environment()
-    bar = Barrier(env, parties=1)
+    bar = QuorumBarrier(env, parties=1)
 
     def solo(env):
         for _ in range(5):
@@ -189,7 +189,7 @@ def test_barrier_single_party_never_blocks():
 
 def test_barrier_waiting_counter():
     env = Environment()
-    bar = Barrier(env, parties=3)
+    bar = QuorumBarrier(env, parties=3)
     bar.wait()
     bar.wait()
     assert bar.waiting == 2
@@ -200,13 +200,13 @@ def test_barrier_waiting_counter():
 def test_barrier_invalid_parties():
     env = Environment()
     with pytest.raises(ValueError):
-        Barrier(env, parties=0)
+        QuorumBarrier(env, parties=0)
 
 
 def test_barrier_models_bsp_straggler():
     """BSP semantics: iteration time = slowest worker (straggler)."""
     env = Environment()
-    bar = Barrier(env, parties=4)
+    bar = QuorumBarrier(env, parties=4)
     iteration_ends = []
 
     def worker(env, compute_time):
