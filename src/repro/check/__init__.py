@@ -2,8 +2,8 @@
 
 Two complementary correctness layers over the simulator:
 
-* :mod:`repro.check.monitors` — opt-in runtime invariant monitors wrapped
-  around a live trainer's event dispatch (netsim byte conservation, PS
+* :mod:`repro.check.monitors` — opt-in runtime invariant monitors that
+  subscribe to a live trainer's hook lists (netsim byte conservation, PS
   deposit/apply ledger, GIB partition + Eq. 5 budget chain, SSP/DSSP
   staleness bounds, quorum consistency, ICS in-flight accounting). Strict
   mode raises at the offending event; collect mode reports.
@@ -22,7 +22,6 @@ from repro.check.monitors import (
     ICSInflightMonitor,
     InvariantChecker,
     InvariantViolation,
-    MONITOR_REGISTRY,
     Monitor,
     NetworkConservationMonitor,
     PSLedgerMonitor,
@@ -53,7 +52,6 @@ __all__ = [
     "ICSInflightMonitor",
     "InvariantChecker",
     "InvariantViolation",
-    "MONITOR_REGISTRY",
     "Monitor",
     "NetworkConservationMonitor",
     "PSLedgerMonitor",

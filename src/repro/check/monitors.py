@@ -8,14 +8,14 @@ enforced only implicitly. The monitors here turn those claims into cheap,
 opt-in runtime checks that fire *at the simulation event where the
 invariant breaks* instead of surfacing as downstream accuracy drift.
 
-Mechanics: a monitor instruments the live objects a trainer owns
-(``Network.transfer``/``_drain``, ``ParameterServer.accumulate``/
-``apply_average``, ``OSP._refresh_gib``, ``SyncModel.on_round_close``,
-``SSP.before_compute``) by wrapping the *instance* attribute. The hooks
-run synchronously inside the kernel's event dispatch for that object, are
-strictly passive (no simulation events, timeouts or processes — the
-virtual timeline of a checked run is bit-identical to an unchecked one),
-and cost nothing when no checker is attached.
+Mechanics: a monitor *subscribes* — it appends a bound method to the hook
+lists of ``repro.obs.registry.HOOKS`` that ``Network``, ``ParameterServer``,
+``TrainerContext`` and ``OSP`` own, and reads public state only: nothing is
+patched, no underscore name touched (``tests/check/test_no_private_reach.py``).
+Subscribers run synchronously where the owner emits and are strictly passive
+(no simulation events, timeouts or processes — a checked run's virtual
+timeline is bit-identical to an unchecked one's); an empty list costs a
+``for`` over nothing.
 
 Usage::
 
@@ -29,7 +29,7 @@ or via the CLI: ``python -m repro check --sync osp``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.osp import OSP
 from repro.netsim.network import _BYTE_EPS
@@ -47,21 +47,6 @@ class InvariantViolation(AssertionError):
         super().__init__(f"[{monitor}]{stamp} {message}")
 
 
-def _wrap(obj, method_name: str, around: Callable) -> None:
-    """Replace ``obj.method_name`` with ``around(orig, *args, **kwargs)``.
-
-    Wraps the *instance* attribute, so internal ``self.method(...)`` calls
-    go through the wrapper too, and other instances stay untouched.
-    """
-    orig = getattr(obj, method_name)
-
-    def wrapper(*args, **kwargs):
-        return around(orig, *args, **kwargs)
-
-    wrapper.__wrapped__ = orig
-    setattr(obj, method_name, wrapper)
-
-
 class Monitor:
     """Base class: one named invariant, a check counter, and violations."""
 
@@ -76,7 +61,12 @@ class Monitor:
         self._checker: Optional["InvariantChecker"] = None
 
     def attach(self, checker: "InvariantChecker", trainer) -> bool:
-        """Instrument ``trainer``; return False when not applicable."""
+        """Report to ``checker`` and subscribe; False when not applicable."""
+        self._checker = checker
+        return self.subscribe(trainer)
+
+    def subscribe(self, trainer) -> bool:
+        """Append to ``trainer``'s hook lists; False when not applicable."""
         raise NotImplementedError
 
     def finish(self, trainer) -> None:
@@ -107,9 +97,9 @@ class NetworkConservationMonitor(Monitor):
     name = "net.conservation"
     cost = "O(active flows + links) per network drain"
 
-    def attach(self, checker, trainer) -> bool:
+    def subscribe(self, trainer) -> bool:
         net = trainer.network
-        if net._active:  # attached mid-run: history is unreconstructable
+        if net.active_flows:  # attached mid-run: history is unreconstructable
             return False
         self._net = net
         self._flows: dict[int, tuple[float, int]] = {}  # fid -> (eff, links)
@@ -117,28 +107,23 @@ class NetworkConservationMonitor(Monitor):
         self._done_bytes = 0.0
         self._done_eps = 0.0
         self._baseline = sum(l.bytes_carried for l in net.topology.links)
-        _wrap(net, "transfer", self._on_transfer)
-        _wrap(net, "_drain", self._on_drain)
+        net.flow_hooks.append(self._on_flow)
+        net.drain_hooks.append(self._verify)
         return True
 
-    def _on_transfer(self, orig, src, dst, size, tag=None, **flow_kwargs):
-        net = self._net
-        fid = net._next_fid
-        done = orig(src, dst, size, tag=tag, **flow_kwargs)
-        effective = float(size) * (1.0 + net.topology.route_loss(src, dst))
-        route = net.topology.route(src, dst)
+    def _on_flow(self, flow) -> None:
+        # Recomputed from the topology, not read off the flow: the monitor
+        # must not trust the scheduler's own inflation of the payload.
+        topology = self._net.topology
+        effective = flow.size * (1.0 + topology.route_loss(flow.src, flow.dst))
+        route = topology.route(flow.src, flow.dst)
         if route and effective > _BYTE_EPS:
-            self._flows[fid] = (effective, len(route))
-        return done
-
-    def _on_drain(self, orig):
-        orig()
-        self._verify()
+            self._flows[flow.fid] = (effective, len(route))
 
     def _verify(self) -> None:
         net = self._net
         carried = sum(l.bytes_carried for l in net.topology.links) - self._baseline
-        active = net._active
+        active = {flow.fid: flow for flow in net.active_flows}
         in_flight = 0.0
         finished = []
         for fid, (effective, n_links) in self._flows.items():
@@ -181,18 +166,17 @@ class PSLedgerMonitor(Monitor):
     name = "ps.ledger"
     cost = "O(1) per deposit/apply"
 
-    def attach(self, checker, trainer) -> bool:
+    def subscribe(self, trainer) -> bool:
         ps = trainer.ps
         self._ps = ps
-        self._trainer = trainer
         self._deposits: dict[str, set[int]] = {}
-        self._applies = 0
-        _wrap(ps, "accumulate", self._on_accumulate)
-        _wrap(ps, "apply_average", self._on_apply)
-        _wrap(ps, "apply_immediate", self._on_apply_immediate)
+        ps.deposit_hooks.append(self._on_deposit)
+        ps.apply_hooks.append(self._on_apply)
         return True
 
-    def _on_accumulate(self, orig, bucket, worker, grads):
+    def _on_deposit(self, bucket, worker) -> None:
+        # Runs before the PS stores the deposit, so a duplicate is reported
+        # here rather than as the PS's own RuntimeError.
         self.checks += 1
         seen = self._deposits.setdefault(bucket, set())
         if worker in seen:
@@ -201,18 +185,19 @@ class PSLedgerMonitor(Monitor):
                 bucket=bucket,
                 worker=worker,
             )
-        count = orig(bucket, worker, grads)
-        seen.add(worker)
+        count = self._ps.pending(bucket)
         if count != len(seen):
             self.fail(
                 f"bucket {bucket!r}: PS reports {count} deposits, ledger "
                 f"saw {len(seen)}",
                 bucket=bucket,
             )
-        return count
+        seen.add(worker)
 
-    def _on_apply(self, orig, bucket):
+    def _on_apply(self, bucket) -> None:
         self.checks += 1
+        if bucket is None:  # apply_immediate: no bucket, nothing to pair
+            return
         seen = self._deposits.get(bucket, set())
         if not seen:
             self.fail(
@@ -226,15 +211,7 @@ class PSLedgerMonitor(Monitor):
                 f"deposits, ledger saw {len(seen)}",
                 bucket=bucket,
             )
-        result = orig(bucket)
         self._deposits.pop(bucket, None)
-        self._applies += 1
-        return result
-
-    def _on_apply_immediate(self, orig, worker, grads):
-        self.checks += 1
-        self._applies += 1
-        return orig(worker, grads)
 
     def finish(self, trainer) -> None:
         stranded = {b: sorted(s) for b, s in self._deposits.items() if s}
@@ -259,10 +236,10 @@ class PSLedgerMonitor(Monitor):
 class GIBInvariantMonitor(Monitor):
     """GIB partition + Eq. 5 budget-chain invariants for OSP.
 
-    At every GIB *build* (``_refresh_gib``): RS ∪ ICS covers exactly the
+    At every GIB *build* (``gib_staged_hooks``): RS ∪ ICS covers exactly the
     model's layers, the two sets are disjoint, and the deferred bytes obey
     S(G^u) ≤ budget ≤ U_max ≤ ``max_model_fraction`` · model bytes. At
-    every round close (``on_round_close``), the adopted bitmap is
+    every round close (``round_close_hooks``), the adopted bitmap is
     re-validated — the budget is *not* rechecked there, because a
     membership change may legally clip it after a GIB was staged (the
     bitmap rebuilds at the next PGP pass). Forced modes additionally pin
@@ -272,15 +249,15 @@ class GIBInvariantMonitor(Monitor):
     name = "osp.gib"
     cost = "O(layers) per PGP refresh / RS round close"
 
-    def attach(self, checker, trainer) -> bool:
+    def subscribe(self, trainer) -> bool:
         sync = trainer.sync_model
         if not isinstance(sync, OSP):
             return False
         self._sync = sync
         self._engine = trainer.engine
         self._layers = frozenset(trainer.engine.splitter.layers)
-        _wrap(sync, "_refresh_gib", self._on_refresh)
-        _wrap(sync, "on_round_close", self._on_close)
+        sync.gib_staged_hooks.append(self._on_staged)
+        trainer.ctx.round_close_hooks.append(self._on_close)
         return True
 
     def _check_partition(self, gib, where: str) -> None:
@@ -303,11 +280,8 @@ class GIBInvariantMonitor(Monitor):
                 foreign=foreign,
             )
 
-    def _on_refresh(self, orig, ctx):
-        orig(ctx)
-        gib = self._sync._pending_gib
-        if gib is None:  # forced mode / BSP fallback: nothing staged
-            return
+    def _on_staged(self) -> None:
+        gib = self._sync.staged_gib
         self.checks += 1
         self._check_partition(gib, "staged GIB")
         deferred = self._engine.bytes_of_layers(gib.unimportant_layers)
@@ -336,10 +310,9 @@ class GIBInvariantMonitor(Monitor):
                 cap=cap,
             )
 
-    def _on_close(self, orig, ctx, iteration, n_deposits):
-        orig(ctx, iteration, n_deposits)
+    def _on_close(self, iteration, n_deposits) -> None:
         self.checks += 1
-        gib = self._sync._gib
+        gib = self._sync.current_gib
         self._check_partition(gib, f"adopted GIB (iteration {iteration})")
         n_layers = len(self._layers)
         if self._sync.force == "bsp" and gib.n_important != n_layers:
@@ -367,33 +340,30 @@ class StalenessBoundMonitor(Monitor):
     name = "sync.staleness"
     cost = "O(workers) per compute start"
 
-    def attach(self, checker, trainer) -> bool:
+    def subscribe(self, trainer) -> bool:
         sync = trainer.sync_model
         if not isinstance(sync, SSP):  # DSSP subclasses SSP
             return False
         self._sync = sync
-        monitor = self
-        orig = sync.before_compute
-
-        def wrapped(ctx, worker, iteration):
-            yield from orig(ctx, worker, iteration)
-            monitor.checks += 1
-            # Alive-only floor, mirroring the bound SSP actually enforces —
-            # a crashed worker's frozen progress is not a legal gate.
-            lag = iteration - monitor._sync._floor(ctx)
-            bound = monitor._sync.staleness
-            if lag > bound:
-                monitor.fail(
-                    f"worker {worker} starts iteration {iteration} with lag "
-                    f"{lag} > staleness bound {bound}",
-                    worker=worker,
-                    iteration=iteration,
-                    lag=lag,
-                    bound=bound,
-                )
-
-        sync.before_compute = wrapped
+        self._ctx = trainer.ctx
+        trainer.ctx.compute_start_hooks.append(self._on_compute_start)
         return True
+
+    def _on_compute_start(self, worker, iteration) -> None:
+        self.checks += 1
+        # Alive-only floor, mirroring the bound SSP actually enforces —
+        # a crashed worker's frozen progress is not a legal gate.
+        lag = iteration - self._sync.floor(self._ctx)
+        bound = self._sync.staleness
+        if lag > bound:
+            self.fail(
+                f"worker {worker} starts iteration {iteration} with lag "
+                f"{lag} > staleness bound {bound}",
+                worker=worker,
+                iteration=iteration,
+                lag=lag,
+                bound=bound,
+            )
 
 
 class QuorumConsistencyMonitor(Monitor):
@@ -410,7 +380,7 @@ class QuorumConsistencyMonitor(Monitor):
       bound allows under SSP/DSSP/ASP — so those are tolerated as early
       departures);
     * every :class:`QuorumBarrier` the context handed out is sized
-      ``max(1, |alive|)`` — the resize ``_notify_membership`` promises.
+      ``max(1, |alive|)`` — the resize every membership change promises.
 
     For OSP it additionally checks, at every RS round close, that the
     frozen ICS quorum (the deposit count the ICS stage will wait for)
@@ -420,7 +390,7 @@ class QuorumConsistencyMonitor(Monitor):
     name = "elastic.quorum"
     cost = "O(workers) per epoch boundary / RS round close"
 
-    def attach(self, checker, trainer) -> bool:
+    def subscribe(self, trainer) -> bool:
         spec = trainer.spec
         crashes = tuple(spec.faults.crash_events) if spec.faults else ()
         if spec.membership is None and not crashes:
@@ -436,7 +406,7 @@ class QuorumConsistencyMonitor(Monitor):
         sync = trainer.sync_model
         if isinstance(sync, OSP):
             self._sync = sync
-            _wrap(sync, "on_round_close", self._on_round_close)
+            trainer.ctx.round_close_hooks.append(self._on_round_close)
         return True
 
     def _expected_alive(self, epoch: int) -> set[int]:
@@ -468,7 +438,7 @@ class QuorumConsistencyMonitor(Monitor):
         # these hooks.
         early = {ev.worker for ev in self._crashes if ev.before_epoch > epoch}
         early |= {w for w, at in self._leaves.items() if at > epoch}
-        alive = set(ctx._alive)
+        alive = set(ctx.alive_workers)
         if not (expected - early <= alive <= expected):
             self.fail(
                 f"epoch {epoch}: live workers {sorted(alive)} do not match "
@@ -479,7 +449,7 @@ class QuorumConsistencyMonitor(Monitor):
                 expected=sorted(expected),
             )
         want_parties = max(1, len(alive))
-        for i, barrier in enumerate(ctx._quorum_barriers):
+        for i, barrier in enumerate(ctx.quorum_barriers):
             if barrier.parties != want_parties:
                 self.fail(
                     f"epoch {epoch}: quorum barrier #{i} sized "
@@ -491,11 +461,10 @@ class QuorumConsistencyMonitor(Monitor):
                     alive=len(alive),
                 )
 
-    def _on_round_close(self, orig, ctx, iteration, n_deposits):
-        orig(ctx, iteration, n_deposits)
+    def _on_round_close(self, iteration, n_deposits) -> None:
         self.checks += 1
-        frozen = self._sync._ics_expected.get(iteration)
-        n_alive = len(ctx._alive)
+        frozen = self._sync.ics_quorum(iteration)
+        n_alive = len(self._ctx.alive_workers)
         if frozen is not None and frozen > n_alive:
             self.fail(
                 f"iteration {iteration}: frozen ICS quorum {frozen} exceeds "
@@ -514,8 +483,8 @@ class ICSInflightMonitor(Monitor):
 
     * the netsim ground truth — payload sizes of active ``ics-push`` flows;
     * the traced ``osp.inflight_ics_bytes`` gauge (what dashboards sample);
-    * OSP's own ``_ics_unarrived`` ledger (what checkpoint discard policy
-      and ``worker_signals`` report).
+    * OSP's own unarrived-push ledger, ``inflight_bytes()`` (what checkpoint
+      discard policy and ``worker_signals`` report).
 
     The gauge/ledger pair must match exactly (both are updated in the same
     synchronous stretch of the ICS push process). The netsim view is a
@@ -530,27 +499,24 @@ class ICSInflightMonitor(Monitor):
     name = "osp.ics_inflight"
     cost = "O(active flows + links) per network drain"
 
-    def attach(self, checker, trainer) -> bool:
+    def subscribe(self, trainer) -> bool:
         sync = trainer.sync_model
         if not isinstance(sync, OSP) or not trainer.env.tracer:
             return False
         self._sync = sync
+        self._ctx = trainer.ctx
         self._net = trainer.network
         self._tracer = trainer.env.tracer
-        _wrap(self._net, "_drain", self._on_drain)
+        self._net.drain_hooks.append(self._verify)
         return True
-
-    def _on_drain(self, orig):
-        orig()
-        self._verify()
 
     def _verify(self) -> None:
         self.checks += 1
         gauge = self._tracer.gauge_value("osp.inflight_ics_bytes")
-        ledger = sum(self._sync._ics_unarrived.values())
+        ledger = self._sync.inflight_bytes(self._ctx)
         wire = sum(
             f.size
-            for f in self._net._active.values()
+            for f in self._net.active_flows
             if isinstance(f.tag, tuple) and f.tag and f.tag[0] == "ics-push"
         )
         eps = 1e-6 + 1e-9 * max(gauge, ledger, wire)
@@ -580,7 +546,7 @@ class ICSInflightMonitor(Monitor):
             return
         self.checks += 1
         gauge = self._tracer.gauge_value("osp.inflight_ics_bytes")
-        ledger = sum(self._sync._ics_unarrived.values())
+        ledger = self._sync.inflight_bytes(self._ctx)
         if abs(gauge) > 1e-6 or abs(ledger) > 1e-6:
             self.fail(
                 f"ICS in-flight not drained at run end: gauge {gauge:.3f} B, "
@@ -598,8 +564,6 @@ DEFAULT_MONITORS: tuple[type, ...] = (
     QuorumConsistencyMonitor,
     ICSInflightMonitor,
 )
-
-MONITOR_REGISTRY: dict[str, type] = {m.name: m for m in DEFAULT_MONITORS}
 
 
 @dataclass(frozen=True)
@@ -659,7 +623,6 @@ class InvariantChecker:
         self.skipped: list[str] = []
         for factory in DEFAULT_MONITORS if monitors is None else monitors:
             monitor = factory() if isinstance(factory, type) else factory
-            monitor._checker = self
             if monitor.attach(self, trainer):
                 self.monitors.append(monitor)
             else:
@@ -719,7 +682,6 @@ __all__ = [
     "ICSInflightMonitor",
     "InvariantChecker",
     "InvariantViolation",
-    "MONITOR_REGISTRY",
     "Monitor",
     "NetworkConservationMonitor",
     "PSLedgerMonitor",

@@ -13,8 +13,8 @@ reserved ``__meta__`` key) plus the numeric planes:
 Everything else (epoch counters, GIB bitmap, SGuTuner state, jitter RNG
 streams, fault schedules, the recorder) travels in the metadata blob.
 Writes are atomic (tmp file + ``os.replace``) and the format is versioned;
-an unreadable file, a mismatched version, or a plane that is missing or
-of the wrong size or dtype raises :class:`CheckpointError`.
+an unreadable file, a mismatched version, a missing metadata key, or a plane
+that is missing or of the wrong size or dtype raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ FORMAT_VERSION = 1
 
 _META_KEY = "__meta__"
 _SYNC_PREFIX = "sync/"
+#: Metadata keys read without a default (here and by ``TrainerContext``).
+_REQUIRED_META = (
+    "next_epoch", "time", "sync", "mode", "n_workers", "iterations_per_epoch",
+    "alive", "failure_schedule", "restart_schedule", "recorder",
+)  # fmt: skip
 
 
 class CheckpointError(ValueError):
@@ -119,6 +124,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: checkpoint format version {version!r} is not supported "
             f"(this build reads version {FORMAT_VERSION})"
         )
+    for key in _REQUIRED_META:
+        if key not in meta:
+            raise CheckpointError(f"{path}: metadata key {key!r} is missing")
     return Checkpoint(meta=meta, arrays=arrays, source=str(path))
 
 
@@ -204,17 +212,7 @@ def capture(
             "weight_decay": plan.weight_decay,
             "seed": plan.seed,
         },
-        "alive": sorted(ctx._alive),
-        "failure_schedule": {str(w): e for w, e in ctx._failure_schedule.items()},
-        "restart_schedule": {str(w): e for w, e in ctx._restart_schedule.items()},
-        "recover_modes": {str(w): m for w, m in ctx._recover_modes.items()},
-        "join_schedule": {str(w): e for w, e in ctx._join_schedule.items()},
-        "leave_schedule": {str(w): e for w, e in ctx._leave_schedule.items()},
-        "early_stop": {
-            "best_metric": float(ctx._best_metric),
-            "epochs_since_improvement": int(ctx._epochs_since_improvement),
-            "stop_after_epoch": ctx._stop_after_epoch,
-        },
+        **ctx.checkpoint_meta(),
         "lr": float(ps.optimizer.lr) if ps.optimizer is not None else None,
         "release_order": list(release_order) if release_order else None,
         "ics": {"policy": ics_policy, "discarded_bytes": float(ics_discarded_bytes)},

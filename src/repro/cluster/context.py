@@ -25,7 +25,9 @@ class TrainerContext:
     """Shared state + primitives for worker processes.
 
     Created by :class:`~repro.cluster.trainer.DistributedTrainer`; sync
-    models receive it in ``setup`` and in every worker process.
+    models receive it in ``setup`` and in every worker process. Whatever
+    watches a run (sync models, :mod:`repro.check`) appends to its
+    ``*_hooks`` lists; each list is called from exactly one place.
     """
 
     def __init__(
@@ -85,6 +87,12 @@ class TrainerContext:
         )
         #: hooks the active sync model can register
         self.epoch_end_hooks: list = []
+        #: called with ``(iteration, n_deposits)`` once per closed synchronous
+        #: round, after the model's own ``on_round_close``
+        self.round_close_hooks: list = []
+        #: called with ``(worker, iteration)`` when ``before_compute`` has
+        #: returned, i.e. the instant a worker is cleared to start computing
+        self.compute_start_hooks: list = []
         #: Co-tenancy compute-slot contention: worker -> shared-host
         #: :class:`Resource` (set by the multi-job runner for shared-host
         #: placements). ``None`` — the single-tenant default — keeps
@@ -299,6 +307,23 @@ class TrainerContext:
             return None
         return manager.gate(epoch)
 
+    def checkpoint_meta(self) -> dict:
+        """The metadata entries :meth:`load_checkpoint_meta` reads back
+        (``next_epoch`` aside, which the snapshot decides), in file order."""
+        return {
+            "alive": sorted(self._alive),
+            "failure_schedule": {str(w): e for w, e in self._failure_schedule.items()},
+            "restart_schedule": {str(w): e for w, e in self._restart_schedule.items()},
+            "recover_modes": {str(w): m for w, m in self._recover_modes.items()},
+            "join_schedule": {str(w): e for w, e in self._join_schedule.items()},
+            "leave_schedule": {str(w): e for w, e in self._leave_schedule.items()},
+            "early_stop": {
+                "best_metric": float(self._best_metric),
+                "epochs_since_improvement": int(self._epochs_since_improvement),
+                "stop_after_epoch": self._stop_after_epoch,
+            },
+        }
+
     def load_checkpoint_meta(self, meta: dict) -> None:
         """Restore context state from a checkpoint's metadata blob."""
         self.start_epoch = int(meta["next_epoch"])
@@ -407,6 +432,11 @@ class TrainerContext:
         )
         self._quorum_barriers.append(barrier)
         return barrier
+
+    @property
+    def quorum_barriers(self) -> tuple[QuorumBarrier, ...]:
+        """Every barrier :meth:`quorum_barrier` has handed out."""
+        return tuple(self._quorum_barriers)
 
     # -- compute -----------------------------------------------------------------
     def compute(self, worker: int, epoch: int, batch: int, extra_time: float = 0.0):

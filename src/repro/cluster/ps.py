@@ -19,7 +19,8 @@ from repro.optim.sgd import SGD
 
 
 class ParameterServer:
-    """Aggregation buffers + global model update logic.
+    """Aggregation buffers + global model update logic; ``deposit_hooks`` /
+    ``apply_hooks`` let a checker see each deposit and apply before it lands.
 
     Parameters
     ----------
@@ -60,6 +61,11 @@ class ParameterServer:
         #: Optional :class:`repro.obs.Tracer` (set by the trainer when
         #: tracing is enabled); apply events become PS-track spans.
         self.tracer = None
+        #: Subscribers (``repro.obs.registry.HOOKS``), called *before* the PS
+        #: acts: ``deposit_hooks`` with ``(bucket, worker)``, ``apply_hooks``
+        #: with the bucket (``None`` from :meth:`apply_immediate`).
+        self.deposit_hooks: list = []
+        self.apply_hooks: list = []
         #: bumps on every applied update; workers compare versions to detect
         #: staleness (diagnostics).
         self.version = 0
@@ -77,6 +83,8 @@ class ParameterServer:
     ) -> int:
         """Deposit a worker's gradients in a named bucket; returns how many
         workers have deposited. ``grads`` may be None in timing mode."""
+        for hook in self.deposit_hooks:
+            hook(bucket, worker)
         buf = self._buffers.setdefault(bucket, {})
         if worker in buf:
             raise RuntimeError(
@@ -100,6 +108,7 @@ class ParameterServer:
     def apply_average(self, bucket: str) -> None:
         """Weighted-average the bucket's gradients, apply via the optimizer,
         clear the bucket, bump the version. No-op arrays in timing mode."""
+        self._before_apply(bucket)
         buf = self._buffers.pop(bucket, None)
         if not buf:
             raise RuntimeError(f"apply_average on empty bucket {bucket!r}")
@@ -125,6 +134,7 @@ class ParameterServer:
         """ASP-style: apply one worker's gradients now, scaled by its
         aggregation weight (so a full round of N pushes moves the model as
         far as one BSP step)."""
+        self._before_apply(None)
         if self.numeric and grads:
             scale = float(self.worker_weights[worker])
             scaled = {n: scale * g for n, g in grads.items()}
@@ -135,6 +145,10 @@ class ParameterServer:
             self.last_aggregated.update(scaled)
         self.version += 1
         self._trace_apply(f"immediate:{worker}", 1)
+
+    def _before_apply(self, bucket: Optional[str]) -> None:
+        for hook in self.apply_hooks:
+            hook(bucket)
 
     def _trace_apply(self, bucket: str, deposits: int) -> None:
         """Emit a zero-duration ``ps_apply`` span + version gauge when

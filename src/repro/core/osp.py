@@ -115,6 +115,9 @@ class OSP(SyncModel):
         self.quorum_timeout = quorum_timeout
         self.deadline_k = deadline_k
         self.fallback_rounds = fallback_rounds
+        #: called with no arguments each time a PGP pass has staged (and
+        #: broadcast) a new bitmap; read it from :attr:`staged_gib`
+        self.gib_staged_hooks: list = []
         if force:
             self.name = f"osp-forced-{force}"
         elif fixed_budget_fraction is not None:
@@ -229,6 +232,15 @@ class OSP(SyncModel):
     @property
     def current_gib(self) -> GIB:
         return self._gib
+
+    @property
+    def staged_gib(self) -> Optional[GIB]:
+        """The bitmap the last PGP pass staged; adopted at the next round close."""
+        return self._pending_gib
+
+    def ics_quorum(self, iteration: int) -> Optional[int]:
+        """Deposits ``iteration``'s ICS round waits for (frozen at its RS close)."""
+        return self._ics_expected.get(iteration)
 
     @property
     def in_bsp_fallback(self) -> bool:
@@ -458,6 +470,8 @@ class OSP(SyncModel):
             ctx.transfer_from_ps(
                 w, new_gib.wire_bytes(), tag=("gib", w), prio=PRIO_URGENT
             )
+        for hook in self.gib_staged_hooks:
+            hook()
 
     def finalize(self, ctx, worker):
         proc = self._ics_proc[worker]

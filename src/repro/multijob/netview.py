@@ -114,9 +114,12 @@ class JobNetworkView:
     node ids through the placement's ``node_map`` and tag flows with the
     job name; completed flows are mirrored into the view's own
     :attr:`records`; everything else (``stats``, ``refresh_capacities``,
-    ``link_utilization``, ``_links_by_name``, ``active_flows``, ...)
-    delegates to the shared Network via ``__getattr__``, so probes,
-    monitors and the fault injector keep working unmodified.
+    ``link_utilization``, ``active_flows``, ``flow_hooks``,
+    ``drain_hooks``, ...) delegates to the shared Network via
+    ``__getattr__``. Probes and the fault injector read and call through
+    it; monitors append to the *fabric's* hook lists — the view defines
+    none — so the Network that actually drains calls them (a method
+    patched onto the view instance is never called by the fabric).
     """
 
     def __init__(

@@ -28,7 +28,9 @@ Scaling machinery:
   route each pair once. Topologies are static by contract (fault windows
   change link *attributes*, never the link set or routes).
 
-``stats`` tracks the ``netsim.*`` counters registered in
+``flow_hooks`` and ``drain_hooks`` are the two moments an observer can
+subscribe to (:mod:`repro.check` does): a flow going on the wire, and the
+end of every drain. ``stats`` tracks the ``netsim.*`` counters registered in
 :mod:`repro.obs.registry`; when a :class:`~repro.metrics.recorder.Recorder`
 is attached (the trainer does) they are mirrored there for summaries and
 checkpoints. Replay streams exclude the ``netsim.`` namespace: it counts
@@ -114,6 +116,10 @@ class Network:
         #: Optional Recorder mirror for the ``netsim.*`` counters in
         #: :attr:`stats` (the trainer attaches its recorder).
         self.recorder = None
+        #: Subscribers (``repro.obs.registry.HOOKS``): ``flow_hooks`` get each
+        #: :class:`Flow` as it goes on the wire, ``drain_hooks`` no arguments.
+        self.flow_hooks: list = []
+        self.drain_hooks: list = []
         #: Scheduler work counters (see repro.obs.registry COUNTERS).
         self.stats: dict[str, int] = {
             "netsim.rerates": 0,
@@ -165,8 +171,8 @@ class Network:
     # ------------------------------------------------------------------ API
     @property
     def active_flows(self) -> list[Flow]:
-        """Snapshot of in-flight flows (ordered by flow id)."""
-        return [self._active[fid] for fid in sorted(self._active)]
+        """Snapshot of in-flight flows by flow id (insertion order: fids only grow)."""
+        return list(self._active.values())
 
     def transfer(
         self,
@@ -258,6 +264,8 @@ class Network:
 
         self._drain()
         self._register(flow)
+        for hook in self.flow_hooks:
+            hook(flow)
         tr = self.env.tracer
         if tr:
             tr.gauge_delta("obs.net.inflight_bytes", flow.size)
@@ -376,28 +384,29 @@ class Network:
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._active:
-            return
-        cls_bytes = [0.0, 0.0, 0.0, 0.0]
-        job_bytes: dict[str, float] = {}
-        for flow in self._active.values():
-            moved = flow.rate * dt
-            if moved > 0:
-                # max(0.0, ·) and the horizon's min() as branches: the two
-                # builtin calls per flow were ~8% of a 128-way incast run.
-                rem = flow.remaining - moved
-                flow.remaining = rem if rem > 0.0 else 0.0
-                for link in flow.route:
-                    link.bytes_carried += moved
-                cls_bytes[flow.prio] += moved
-                if flow.job is not None:
-                    job_bytes[flow.job] = job_bytes.get(flow.job, 0.0) + moved
-        if self.priorities:
-            for cls, nbytes in enumerate(cls_bytes):
-                if nbytes > 0:
-                    self._count(_BYTE_COUNTERS[cls], nbytes)
-        for job, nbytes in job_bytes.items():
-            self._count(_job_counter(job), nbytes)
+        if dt > 0 and self._active:
+            cls_bytes = [0.0, 0.0, 0.0, 0.0]
+            job_bytes: dict[str, float] = {}
+            for flow in self._active.values():
+                moved = flow.rate * dt
+                if moved > 0:
+                    # max(0.0, ·) and the horizon's min() as branches: the two
+                    # builtin calls per flow were ~8% of a 128-way incast run.
+                    rem = flow.remaining - moved
+                    flow.remaining = rem if rem > 0.0 else 0.0
+                    for link in flow.route:
+                        link.bytes_carried += moved
+                    cls_bytes[flow.prio] += moved
+                    if flow.job is not None:
+                        job_bytes[flow.job] = job_bytes.get(flow.job, 0.0) + moved
+            if self.priorities:
+                for cls, nbytes in enumerate(cls_bytes):
+                    if nbytes > 0:
+                        self._count(_BYTE_COUNTERS[cls], nbytes)
+            for job, nbytes in job_bytes.items():
+                self._count(_job_counter(job), nbytes)
+        for hook in self.drain_hooks:
+            hook()
 
     def _schedule_rerate(self) -> None:
         """Arm (at most) one coalesced rerate for the current instant."""

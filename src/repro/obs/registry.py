@@ -133,6 +133,18 @@ TRACKS: frozenset[str] = frozenset(
     }
 )
 
+#: Subscriber lists: ``{name}_hooks`` is a plain list of callables on the
+#: object that owns the moment (table: docs/observability.md). The lint holds
+#: each to one emitting loop and at least one subscriber under ``src/``.
+HOOKS: frozenset[str] = frozenset(
+    {
+        "flow", "drain",  # repro.netsim.network.Network
+        "deposit", "apply",  # repro.cluster.ps.ParameterServer
+        "epoch_end", "membership", "round_close", "compute_start",  # TrainerContext
+        "gib_staged",  # repro.core.osp.OSP
+    }
+)  # fmt: skip
+
 ALL_NAMES: frozenset[str] = COUNTERS | GAUGES | HISTOGRAMS
 
 
@@ -210,6 +222,7 @@ __all__ = [
     "COUNTER_TEMPLATES",
     "GAUGES",
     "HISTOGRAMS",
+    "HOOKS",
     "TRACKS",
     "is_registered_counter",
     "is_registered_track",

@@ -160,12 +160,10 @@ class MetricSampler:
     def sample(self, now: float) -> None:
         """Take one sample of every tracer gauge and attached probe."""
         self.samples_taken += 1
-        tracer = getattr(self.env, "tracer", None)
+        tracer = self.env.tracer
         if tracer is not None:
-            gauges = getattr(tracer, "_gauge_last", None)
-            if gauges:
-                for name, value in gauges.items():
-                    self.series_for(name).append(now, value)
+            for name, value in tracer.gauge_last.items():
+                self.series_for(name).append(now, value)
         for probe in self._probes:
             for name, value in probe(now):
                 self.series_for(name).append(now, float(value))
@@ -267,8 +265,9 @@ class WorkerProbe:
         self._last_t: Optional[float] = None
         self._last_up_bytes: dict[int, float] = {}
         self._uplinks: dict[int, object] = {}
+        links = {link.name: link for link in trainer.network.topology.links}
         for w in range(n):
-            link = trainer.network._links_by_name.get(f"up:{w}")
+            link = links.get(f"up:{w}")
             if link is not None:
                 self._uplinks[w] = link
                 self._last_up_bytes[w] = link.bytes_carried

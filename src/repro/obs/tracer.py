@@ -190,7 +190,8 @@ class Tracer:
         self.histograms: dict[str, Histogram] = {}
         #: (stage, layer) -> total payload bytes moved for that layer
         self.traffic: dict[tuple[str, str], float] = {}
-        self._gauge_last: dict[str, float] = {}
+        #: counter track -> its most recent sample (what the sampler mirrors)
+        self.gauge_last: dict[str, float] = {}
         self._stacks: dict[Any, list[Span]] = {}
         self._root_stack: list[Span] = []
         self._next_sid = 0
@@ -297,15 +298,15 @@ class Tracer:
         """Sample a counter track at the current virtual time."""
         value = float(value)
         self.counters.setdefault(name, []).append((self.now, value))
-        self._gauge_last[name] = value
+        self.gauge_last[name] = value
 
     def gauge_delta(self, name: str, delta: float) -> None:
         """Adjust a running counter track by ``delta`` (starts at 0)."""
-        self.gauge(name, self._gauge_last.get(name, 0.0) + delta)
+        self.gauge(name, self.gauge_last.get(name, 0.0) + delta)
 
     def gauge_value(self, name: str) -> float:
         """Most recent sample of a counter track (0.0 if never sampled)."""
-        return self._gauge_last.get(name, 0.0)
+        return self.gauge_last.get(name, 0.0)
 
     def observe(self, name: str, value: float) -> None:
         """Add one observation to a named histogram."""

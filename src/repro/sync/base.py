@@ -104,6 +104,8 @@ class SyncModel:
                 # weights — the degraded-quorum reweighting.
                 ctx.ps.apply_average(bucket)
             self.on_round_close(ctx, iteration, n)
+            for hook in ctx.round_close_hooks:
+                hook(iteration, n)
 
     def on_round_close(self, ctx: TrainerContext, iteration: int, n_deposits: int) -> None:
         """Called once per closed round, after its average was applied."""
@@ -145,6 +147,8 @@ class SyncModel:
             for batch in range(ipe):
                 iteration = epoch * ipe + batch
                 yield from self.before_compute(ctx, worker, iteration)
+                for hook in ctx.compute_start_hooks:
+                    hook(worker, iteration)
                 it_span = trace.begin(
                     "iteration", actor, cat="iteration",
                     worker=worker, iteration=iteration, epoch=epoch,

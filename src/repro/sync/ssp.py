@@ -21,7 +21,7 @@ from repro.sync.asp import ASP
 class SSP(ASP):
     """Staleness-bounded asynchronous parallel.
 
-    The bound is computed over the *alive* worker set (see ``_floor``) and
+    The bound is computed over the *alive* worker set (see ``floor``) and
     blocked workers are woken on membership changes, so crashes, departures
     and late joiners neither deadlock nor stall the cohort.
     """
@@ -46,7 +46,7 @@ class SSP(ASP):
             old, self._progress_event = self._progress_event, ctx.env.event()
             old.succeed()
 
-    def _floor(self, ctx) -> int:
+    def floor(self, ctx) -> int:
         """Slowest *alive* worker's progress — the bound must not gate
         survivors on a crashed or departed worker's frozen counter."""
         alive = ctx.alive_workers
@@ -61,7 +61,7 @@ class SSP(ASP):
         if iteration > int(self._progress[worker]):
             self._progress[worker] = iteration
         span = None
-        while iteration - self._floor(ctx) > self.staleness:
+        while iteration - self.floor(ctx) > self.staleness:
             if span is None:
                 span = ctx.trace.begin(
                     "staleness_wait", f"worker {worker}",

@@ -104,14 +104,11 @@ def test_injected_gib_coverage_hole_is_caught():
     """A staged GIB that silently drops a layer must fail osp.gib."""
     trainer = timing_trainer(_cfg(), OSP())
     sync = trainer.sync_model
-    orig = sync._refresh_gib
 
-    def corrupt(ctx):
-        orig(ctx)
-        if sync._pending_gib is not None:
-            sync._pending_gib = GIB.all_unimportant(sync._pending_gib.layers[:-1])
+    def corrupt():
+        sync._pending_gib = GIB.all_unimportant(sync.staged_gib.layers[:-1])
 
-    sync._refresh_gib = corrupt  # checker wraps on top and sees the damage
+    sync.gib_staged_hooks.append(corrupt)  # subscribed first: the monitor sees the damage
     checker = InvariantChecker(trainer, strict=False)
     result = trainer.run()
     report = checker.finish()
@@ -149,15 +146,12 @@ def test_conservation_monitor_tracks_in_flight_flows_only():
     checker = InvariantChecker(trainer, monitors=[monitor], strict=True)
     net = trainer.network
     peak = {"tracked": 0, "active": 0}
-    transfer = net.transfer  # the monitor's wrapper: sample after it records
 
-    def sampled(*args, **kwargs):
-        done = transfer(*args, **kwargs)
+    def sampled(flow):
         peak["tracked"] = max(peak["tracked"], len(monitor._flows))
-        peak["active"] = max(peak["active"], len(net._active))
-        return done
+        peak["active"] = max(peak["active"], len(net.active_flows))
 
-    net.transfer = sampled
+    net.flow_hooks.append(sampled)  # subscribed after the monitor: it has recorded
     trainer.run()
     assert checker.finish().ok
     assert len(net.records) >= 200
@@ -199,14 +193,12 @@ def test_quorum_monitor_catches_off_by_one_resize():
         trainer, monitors=[QuorumConsistencyMonitor], strict=False
     )
     ctx = trainer.ctx
-    orig = ctx._notify_membership
 
-    def off_by_one():
-        orig()
-        for barrier in ctx._quorum_barriers:
+    def off_by_one(_n_alive):  # runs once the context has resized its barriers
+        for barrier in ctx.quorum_barriers:
             barrier.set_parties(max(1, barrier.parties - 1))  # injected bug
 
-    ctx._notify_membership = off_by_one
+    ctx.membership_hooks.append(off_by_one)
     trainer.run()
     report = checker.finish()
     assert not report.ok

@@ -59,14 +59,11 @@ def test_injected_gib_corruption_is_localized_with_span_context():
     def build_corrupted():
         trainer = _build()
         sync = trainer.sync_model
-        orig = sync._refresh_gib
 
-        def corrupt(ctx):
-            orig(ctx)
-            if sync._pending_gib is not None:
-                sync._pending_gib = GIB.all_unimportant(sync._pending_gib.layers)
+        def corrupt():
+            sync._pending_gib = GIB.all_unimportant(sync.staged_gib.layers)
 
-        sync._refresh_gib = corrupt
+        sync.gib_staged_hooks.append(corrupt)
         return trainer
 
     report = differential_replay(_build, build_corrupted, "clean", "corrupted")

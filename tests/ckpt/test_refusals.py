@@ -57,8 +57,22 @@ def _wrong_sync(ckpt):
     ckpt.meta["sync"] = "bsp"
 
 
+def _drop_meta(key):
+    return _rewritten(lambda ckpt: ckpt.meta.pop(key))
+
+
+#: every metadata key that is read without a default (was a ``KeyError``)
+META_KEYS = (
+    "next_epoch", "time", "sync", "mode", "n_workers", "iterations_per_epoch",
+    "alive", "failure_schedule", "restart_schedule", "recorder",
+)  # fmt: skip
+
 #: case -> (how to break a good file, does it still load, what the error says)
 CASES = {
+    **{
+        f"no-meta-{key}": (_drop_meta(key), False, rf"metadata key '{key}' is missing")
+        for key in META_KEYS
+    },
     "truncated": (_truncate, False, r"not a readable checkpoint \(BadZipFile"),
     "not-a-zip": (_not_a_zip, False, r"not a readable checkpoint \(ValueError"),
     "missing-plane": (

@@ -22,6 +22,13 @@ def make_ckpt():
         "format_version": FORMAT_VERSION,
         "next_epoch": 3,
         "time": 12.5,
+        "sync": "osp",
+        "mode": "numeric",
+        "n_workers": 2,
+        "iterations_per_epoch": 4,
+        "alive": [0, 1],
+        "failure_schedule": {},
+        "restart_schedule": {},
         "recorder": {"epochs": [], "iterations": [], "counters": {"ckpt.save": 1}},
         "ics": {"policy": "drain", "discarded_bytes": 0.0},
     }

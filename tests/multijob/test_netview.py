@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.check import run_checked
+from repro.core.osp import OSP
+from repro.harness.workloads import WorkloadConfig, timing_trainer
 from repro.multijob.netview import (
     FabricAccounting,
     JobNetworkView,
@@ -131,3 +134,29 @@ def test_view_delegates_fabric_wide_operations():
     assert view.stats is net.stats
     assert view.bulk_time(0, 1, 100.0) == net.bulk_time(0, 1, 100.0)
     view.refresh_capacities()  # must not raise (delegates to shared net)
+
+
+def test_monitors_check_as_often_through_an_identity_view():
+    """Monitors subscribe to hook lists the fabric owns and a view reaches
+    through ``__getattr__``, so the per-drain monitors see every drain of
+    the shared Network — not one check at ``finish``, which is all that
+    patching ``_drain`` on the view instance ever gave them."""
+    cfg = WorkloadConfig(
+        card_name="resnet50-cifar10", n_workers=4, n_epochs=3,
+        iterations_per_epoch=4, sigma=0.1, seed=7,
+    )  # fmt: skip
+    direct = timing_trainer(cfg, OSP())
+    env = Environment()
+    n = direct.spec.n_nodes
+    net = Network(env, StarTopology(n, default_spec=direct.spec.link))
+    view = JobNetworkView(net, "solo", range(n))
+    viewed = timing_trainer(cfg, OSP(), env=env, network=view)
+    reports = []
+    for trainer in (direct, viewed):
+        trainer.enable_tracing()
+        _result, report = run_checked(trainer, strict=True)
+        reports.append(report)
+    assert reports[1].monitors == reports[0].monitors
+    assert reports[1].skipped == reports[0].skipped
+    for name in ("net.conservation", "osp.ics_inflight"):  # one check per drain
+        assert reports[1].monitors[name][0] > 100

@@ -15,6 +15,7 @@ from repro.obs.registry import (
     COUNTER_TEMPLATES,
     GAUGES,
     HISTOGRAMS,
+    HOOKS,
     TRACKS,
     is_registered_counter,
     is_registered_track,
@@ -37,6 +38,12 @@ _OBSERVE = re.compile(r"""\.observe\(\s*(f?)(['"])([^'"]+)\2""")
 _TRACK_LITERAL = re.compile(
     r"""(f?)(['"])((?:timeseries|osp\.worker|multijob)\.[^'"]+)\2"""
 )
+
+#: The hook-list idiom, one regex per role: the owner creates the list in
+#: its constructor, one loop calls it, subscribers append to it.
+_HOOK_CREATED = re.compile(r"self\.(\w+)_hooks\b[^=\n]*= \[\]")
+_HOOK_EMITTED = re.compile(r"for \w+ in [\w.]+\.(\w+)_hooks:")
+_HOOK_SUBSCRIBED = re.compile(r"\.(\w+)_hooks\.append\(")
 
 
 def _call_sites(regex):
@@ -106,6 +113,17 @@ def test_every_track_literal_is_registered():
             f"{path}: time-series track {name!r} matches no registered "
             "TRACKS template or gauge"
         )
+
+
+def test_every_hook_list_is_declared_emitted_once_and_subscribed():
+    def names(regex):
+        text = "\n".join(p.read_text() for p in sorted(SRC.rglob("*.py")))
+        return sorted(regex.findall(text))
+
+    assert names(_HOOK_CREATED) == sorted(HOOKS), "a *_hooks list is undeclared, or declared twice"
+    assert names(_HOOK_EMITTED) == sorted(HOOKS), "each hook list has exactly one emitting loop"
+    unused = HOOKS - set(names(_HOOK_SUBSCRIBED))
+    assert not unused, f"hook lists nobody under src/ subscribes to: {sorted(unused)}"
 
 
 def test_registry_namespaces_are_well_formed():
