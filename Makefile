@@ -1,6 +1,6 @@
 # Canonical developer commands for the OSP reproduction.
 
-.PHONY: install test bench bench-full hostbench hostbench-numeric hostbench-compare faults ckpt check trace dash compare examples clean
+.PHONY: install test bench bench-full hostbench hostbench-numeric hostbench-compare hostbench-pairs faults ckpt check trace dash compare examples clean
 
 install:
 	pip install -e . || python setup.py develop --no-deps
@@ -30,6 +30,18 @@ hostbench-numeric:
 
 hostbench-compare:
 	python3 bench/compare.py $(A) $(B)
+
+# The claim protocol of a performance PR: $(PAIRS) alternating runs of one
+# workload on fresh copies of $(PARENT) and of the working tree, a new seed
+# per pair; exits 1 unless the change wins >= 9/10 pairs and the medians
+# differ by more than the parent's interquartile range.
+PARENT ?= HEAD
+WORKLOAD ?= t128_osp
+PAIRS ?= 10
+SEED0 ?= 71
+hostbench-pairs:
+	python3 tools/hostbench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+	  --pairs $(PAIRS) --seed0 $(SEED0)
 
 # Fault-injection smoke: the tier-1 fault tests, the sync-model conformance
 # matrix (every model x crash / restart / join / leave x checkpoint-resume)

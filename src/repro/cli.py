@@ -23,6 +23,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -57,6 +58,22 @@ SYNC_FACTORIES = {
 }
 
 
+class Refused(Exception):
+    """The arguments describe a spec, plan or trainer that cannot be built."""
+
+
+@contextlib.contextmanager
+def _constructing():
+    """Turn a ``ValueError`` from building a spec, plan or trainer into the
+    one ``error: …`` line :func:`main` prints. Only construction goes under
+    it: a ``ValueError`` out of a running simulation stays a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise Refused(str(exc)) from exc
+
+
+@_constructing()
 def _build_trainer(args, sync_name: str):
     faults = parse_faults(args.faults) if getattr(args, "faults", None) else None
     cfg = WorkloadConfig(
@@ -102,13 +119,13 @@ _HEADERS = ["sync", "samples/s", "BST (ms)", "BCT (ms)", "best metric", "virtual
 def cmd_run(args) -> int:
     from repro.ckpt import CheckpointError
 
+    trainer = _build_trainer(args, args.sync)  # loads and applies --resume
+    trainer.network.priorities = args.net_prio == "on"
+    if getattr(args, "summary", None):
+        trainer.enable_sampling()  # implies tracing (phase attribution)
+    if args.trace:
+        trainer.enable_tracing()
     try:
-        trainer = _build_trainer(args, args.sync)  # loads and applies --resume
-        trainer.network.priorities = args.net_prio == "on"
-        if getattr(args, "summary", None):
-            trainer.enable_sampling()  # implies tracing (phase attribution)
-        if args.trace:
-            trainer.enable_tracing()
         res = trainer.run()  # restores the sync model's checkpointed state
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -298,10 +315,13 @@ def cmd_multirun(args) -> int:
     from repro.multijob.report import save_summary as save_multijob_summary
 
     try:
-        jobs = (
-            _parse_jobs_spec(args.jobs)
-            if args.jobs
-            else osp_with_background(
+        jobs = _parse_jobs_spec(args.jobs) if args.jobs else None
+    except (OSError, ValueError) as exc:
+        print(f"error: bad --jobs spec: {exc}", file=sys.stderr)
+        return 2
+    with _constructing():
+        if jobs is None:
+            jobs = osp_with_background(
                 card_name=args.workload,
                 n_workers=args.workers,
                 n_epochs=args.epochs,
@@ -309,19 +329,15 @@ def cmd_multirun(args) -> int:
                 sigma=args.sigma,
                 seed=args.seed,
             )
+        runner = MultiJobRunner(
+            jobs,
+            n_hosts=args.hosts,
+            placement=args.placement,
+            admission=args.admission,
+            slots_per_host=args.slots_per_host,
+            gpus_per_host=args.gpus_per_host,
+            headroom=args.headroom,
         )
-    except (OSError, ValueError) as exc:
-        print(f"error: bad --jobs spec: {exc}", file=sys.stderr)
-        return 2
-    runner = MultiJobRunner(
-        jobs,
-        n_hosts=args.hosts,
-        placement=args.placement,
-        admission=args.admission,
-        slots_per_host=args.slots_per_host,
-        gpus_per_host=args.gpus_per_host,
-        headroom=args.headroom,
-    )
     runner.network.priorities = args.net_prio == "on"
     if args.dash:
         runner.enable_sampling()
@@ -419,19 +435,20 @@ def cmd_check(args) -> int:
         # --mode: the parameter-plane digest only exists for numeric runs,
         # and two full-scale extra runs would dominate the command's cost.
         faults = parse_faults(args.faults) if getattr(args, "faults", None) else None
-        cfg = WorkloadConfig(
-            args.workload,
-            n_workers=min(args.workers, 4),
-            n_epochs=min(args.epochs, 3),
-            iterations_per_epoch=min(args.iterations, 4),
-            sigma=args.sigma,
-            seed=args.seed,
-            colocated_ps=args.sync == "osp-c",
-            faults=faults,
-        )
-        data = make_numeric_dataset(
-            cfg.card, n_samples=min(args.samples, 400), seed=args.seed
-        )
+        with _constructing():
+            cfg = WorkloadConfig(
+                args.workload,
+                n_workers=min(args.workers, 4),
+                n_epochs=min(args.epochs, 3),
+                iterations_per_epoch=min(args.iterations, 4),
+                sigma=args.sigma,
+                seed=args.seed,
+                colocated_ps=args.sync == "osp-c",
+                faults=faults,
+            )
+            data = make_numeric_dataset(
+                cfg.card, n_samples=min(args.samples, 400), seed=args.seed
+            )
 
         def make_trainer(**trainer_kwargs):
             return numeric_trainer(
@@ -693,6 +710,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # stdout closed early (e.g. piped into `head`) — normal CLI exit.
         import os

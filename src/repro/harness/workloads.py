@@ -52,6 +52,16 @@ class WorkloadConfig:
     def total_iterations(self) -> int:
         return self.n_epochs * self.iterations_per_epoch
 
+    def check(self) -> None:
+        """Raise the ``ValueError`` a trainer builder would, now — for a
+        caller (a co-tenant job) whose trainer is only built mid-run."""
+        _spec(self)
+        TrainingPlan(
+            n_epochs=self.n_epochs,
+            iterations_per_epoch=self.iterations_per_epoch,
+            seed=self.seed,
+        )
+
 
 def _spec(cfg: WorkloadConfig) -> ClusterSpec:
     return ClusterSpec(

@@ -70,6 +70,9 @@ class JobSpec:
             raise ValueError(f"mode must be 'timing' or 'numeric', got {self.mode!r}")
         if self.default_prio is not None and self.default_prio not in CLASS_NAMES:
             raise ValueError(f"unknown priority class {self.default_prio!r}")
+        # The trainer is built on admission, mid-run: refuse a shape no
+        # trainer can be built from here, where the caller can still answer.
+        self.workload.check()
 
     @property
     def n_nodes(self) -> int:

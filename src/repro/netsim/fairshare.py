@@ -17,6 +17,16 @@ the star topologies the trainer uses (every route = one worker edge + one
 PS trunk edge) a flow dirties at most two links when it freezes, giving
 O(F log F) overall.
 
+A round whose bottleneck link carries every still-unfrozen flow is the
+*last* round: they all freeze at its share and nothing is read again, so it
+skips the subtraction, load and dirty-list bookkeeping. Round 1 reaches that
+test by counting alone, so a single-bottleneck incast — the steady state
+under OSP's RS barrier, re-solved at every departure — costs O(F + L) with
+no heap or membership list built; it exits only when every other loaded link
+clears the minimum by more than ``2·_EPS`` (an exact tie is not clear): past
+that gap neither the scan's ``_EPS`` hysteresis nor link discovery order can
+settle on another bottleneck.
+
 The plain O(L²·F) scan it replaced lives on as the test oracle
 (``tests/netsim/reference.py``); the two are bit-identical by
 construction: shares are computed from the same operands
@@ -97,12 +107,38 @@ def fair_rates(
     subtraction chain of that one value whose result depends only on how
     many of the round's flows crossed the link — never on the order they
     froze.
+
+    Single-round inputs (one link carries every flow, every other loaded
+    link more than ``2·_EPS`` clear of its share) get ``capacities[link] / n``
+    from a count-only pre-pass; a multi-round solve leaves at its last round.
     """
     if validate:
         rates, unfrozen = _validate_and_split(flow_routes, capacities)
     else:
         rates = {}
         unfrozen = flow_routes
+
+    # Round 1 by counting alone: per-link crossings, then the minimum share,
+    # its link and the smallest share on any *other* link. A link repeated in
+    # a route counts twice, which only lowers its share (the gap test stays
+    # conservative); the bottleneck's count is exact once every route is seen
+    # to cross it (n routes, n crossings: once each).
+    crossings: dict[Hashable, int] = {}
+    for route in unfrozen.values():
+        for link in route:
+            crossings[link] = crossings.get(link, 0) + 1
+    best_share = second = float("inf")
+    bottleneck, carried = None, 0
+    for link, n in crossings.items():
+        share = capacities[link] / n
+        if share < best_share:
+            best_share, second, bottleneck, carried = share, best_share, link, n
+        elif share < second:  # an exact tie on another link lands here
+            second = share
+    clear = carried == len(unfrozen) and second - best_share > 2 * _EPS
+    if clear and all(bottleneck in route for route in unfrozen.values()):
+        rates.update(dict.fromkeys(unfrozen, best_share))
+        return rates
     remaining = dict(capacities)
 
     # Per-flow unique links; per-link flow list (lazy deletion via the
@@ -190,6 +226,13 @@ def fair_rates(
                 if share < best_share - _EPS:
                     best_share = share
                     bottleneck = link
+
+        if load[bottleneck] == n_unfrozen:
+            # Last round: nothing reads the bookkeeping again.
+            for fid in members[bottleneck]:
+                if fid not in frozen:
+                    rates[fid] = best_share
+            return rates
 
         # Freeze the bottleneck's flows, then cascade through links the
         # round drove to zero remaining capacity while still loaded. The
@@ -351,19 +394,21 @@ def prio_fair_rates(
 
     leftover = dict(capacities)
     floor = {link: cap * _SAT_REL for link, cap in capacities.items()}
+    # One pass, insertion order kept within each class.
+    uniq = {fid: set(route) for fid, route in flow_routes.items()}
+    by_class: dict[int, list] = {cls: [] for cls in classes}
+    for fid in flow_routes:
+        by_class[prios[fid]].append(fid)
     rates: dict[Hashable, float] = {}
     for cls in classes:
         solve_routes: dict[Hashable, Sequence[Hashable]] = {}
         caps: dict[Hashable, float] = {}
-        for fid, route in flow_routes.items():
-            if prios[fid] != cls:
-                continue
-            uniq = set(route)
-            if any(leftover[l] <= floor[l] for l in uniq):
+        for fid in by_class[cls]:
+            if any(leftover[l] <= floor[l] for l in uniq[fid]):
                 rates[fid] = 0.0  # starved by a higher class
             else:
-                solve_routes[fid] = route
-                for l in uniq:
+                solve_routes[fid] = flow_routes[fid]
+                for l in uniq[fid]:
                     caps[l] = leftover[l]
         if not solve_routes:
             continue
@@ -376,7 +421,7 @@ def prio_fair_rates(
         for fid, rate in sub.items():
             rates[fid] = rate
             if rate > 0 and rate != float("inf"):
-                for l in set(flow_routes[fid]):
+                for l in uniq[fid]:
                     leftover[l] = max(0.0, leftover[l] - rate)
     return rates
 

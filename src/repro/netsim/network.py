@@ -11,7 +11,8 @@ The :class:`~repro.netsim.flows.Flow` objects are the only record of
 ``remaining``/``rate``: the drain and the completion horizon are one scalar
 loop each over the active flows.
 
-Scaling machinery:
+Scaling machinery (the solver it calls has its own: a round whose bottleneck
+carries every unfrozen flow ends the solve — see :mod:`.fairshare`):
 
 * **Coalesced rerates** — flow starts batch same-instant work into a single
   fair-share recompute via :meth:`Environment.defer` instead of re-solving

@@ -4,8 +4,9 @@ The production solver's whole contract is *bit-identical rate dicts* — not
 approximately-equal, ``==``-equal floats — on every input the reference
 scan (``reference.py``) accepts. Hypothesis drives randomized
 star topologies (the trainer's shape), multi-tier/general topologies,
-degenerate eps-scale capacities, and loopback/empty-route flows through
-both solvers.
+degenerate eps-scale capacities, loopback/empty-route flows, and
+single-bottleneck incasts with an edge share planted in every band of the
+last-round exit's near-tie guard through both solvers.
 """
 
 import pytest
@@ -13,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import fair_rates
-from tests.netsim.reference import reference_fair_rates
+from tests.netsim.reference import _EPS, reference_fair_rates
 
 
 # --------------------------------------------------- fast solver unit checks
-def test_fast_matches_legacy_on_textbook_cascade():
+def test_fast_matches_scan_oracle_on_textbook_cascade():
     routes = {
         "f1": ["l1"],
         "f2": ["l1", "l2"],
@@ -62,6 +63,112 @@ def test_zero_share_clamp_does_not_freeze_flows_at_zero():
         rates = solver(routes, caps)
         assert all(r > 0.0 for r in rates.values()), (solver.__name__, rates)
     assert reference_fair_rates(routes, caps) == fair_rates(routes, caps)
+
+
+# --------------------------------------------- planted single-bottleneck incast
+#: Where a planted edge link's share sits relative to the shared link's
+#: ``C / n``, by the band of the last-round exit's guard it lands in:
+#: (a) exact tie, (b) within ``±_EPS`` / ``±2·_EPS`` — both must take the full
+#: solver —, (c) clear of the guard (round-1 exit), (d) undercutting (two
+#: rounds, the second leaving by the in-loop exit).
+_BANDS = {
+    "a_exact_tie": lambda s: s,
+    "b_half_eps_above": lambda s: s + 0.5 * _EPS,
+    "b_half_eps_below": lambda s: s - 0.5 * _EPS,
+    "b_eps_above": lambda s: s + _EPS,
+    "b_eps_below": lambda s: s - _EPS,
+    "b_two_eps_above": lambda s: s + 2 * _EPS,
+    "b_two_eps_below": lambda s: s - 2 * _EPS,
+    "c_three_eps_clear": lambda s: s + 3 * _EPS,
+    "d_undercut": lambda s: 0.5 * s,
+}
+
+
+def _planted_incast(
+    n, capacity, planted, *, ps_first=False, clear=10.0, dup=(), loopback=False
+):
+    """One link carried by all ``n`` flows plus a private edge link each.
+
+    Links are small ints so ``set(route)`` iterates — and the solvers
+    discover links — in the same order in every process: with
+    ``ps_first=False`` flow 0's edge is discovered before the shared link,
+    the layout in which a near-tie changes the oracle's answer.
+    ``planted`` maps a flow index to its edge's band; the rest clear the
+    shared share by the factor ``clear``.
+    """
+    ps = 0 if ps_first else n
+    share = capacity / n
+    caps = {ps: capacity}
+    routes = {}
+    for i in range(n):
+        edge = i + 1 if ps_first else i
+        caps[edge] = _BANDS[planted[i]](share) if i in planted else clear * share
+        route = [ps, edge] if ps_first else [edge, ps]
+        routes[f"f{i}"] = route + route[:1] if i in dup else route
+    if loopback:
+        routes["lo"] = []
+    return routes, caps
+
+
+def _assert_matches_oracle_on_both_paths(routes, caps):
+    expected = reference_fair_rates(routes, caps)
+    assert fair_rates(routes, caps) == expected
+    trusted = {fid: tuple(route) for fid, route in routes.items() if route}
+    assert fair_rates(trusted, caps, validate=False) == fair_rates(trusted, caps)
+    return expected
+
+
+@pytest.mark.parametrize("band", _BANDS)
+def test_planted_incast_band_matches_scan_oracle(band):
+    uniform = {f"f{i}": 1.0 / 3 for i in range(3)}
+    for ps_first in (False, True):
+        for where in (0, 2):
+            for extras in ({}, {"dup": (where,), "loopback": True}):
+                routes, caps = _planted_incast(
+                    3, 1.0, {where: band}, ps_first=ps_first, **extras
+                )
+                expected = _assert_matches_oracle_on_both_paths(routes, caps)
+                expected.pop("lo", None)
+                if band == "c_three_eps_clear":
+                    assert expected == uniform
+                elif band == "d_undercut":
+                    assert expected == {**dict.fromkeys(uniform, 5 / 12), f"f{where}": 1 / 6}
+                elif band != "b_two_eps_above" and (ps_first, where) == (False, 0):
+                    # The tie is on the first-discovered link: the oracle does
+                    # not answer C/n for everyone, so an exit that ignored the
+                    # tie (or skipped equal shares) is red here.
+                    assert expected != uniform
+
+
+def test_repeated_link_cannot_pass_for_a_link_every_flow_crosses():
+    """Three crossings of "ps" by three flows — but one flow crosses it
+    twice and one not at all, so it is not a round that freezes everyone."""
+    routes = {"f0": ["ps", "e0", "ps"], "f1": ["e1"], "f2": ["e2", "ps"]}
+    caps = {"ps": 3.0, "e0": 50.0, "e1": 50.0, "e2": 50.0}
+    expected = _assert_matches_oracle_on_both_paths(routes, caps)
+    assert expected == {"f0": 1.5, "f1": 50.0, "f2": 1.5}
+
+
+@st.composite
+def incast_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=64))
+    share = draw(st.floats(min_value=1e-3, max_value=100.0, allow_nan=False))
+    flow = st.integers(min_value=0, max_value=n - 1)
+    return _planted_incast(
+        n,
+        share * n,
+        draw(st.dictionaries(flow, st.sampled_from(sorted(_BANDS)), max_size=3)),
+        ps_first=draw(st.booleans()),
+        clear=draw(st.floats(min_value=1.5, max_value=100.0, allow_nan=False)),
+        dup=draw(st.sets(flow, max_size=2)),
+        loopback=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(incast_cases())
+def test_fast_bit_identical_on_planted_incasts(case):
+    _assert_matches_oracle_on_both_paths(*case)
 
 
 # ------------------------------------------------------- hypothesis strategy

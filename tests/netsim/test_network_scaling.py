@@ -81,7 +81,7 @@ def test_coupled_flows_fall_back_to_solver():
     assert net.stats["netsim.fairshare_calls"] > 0
 
 
-def test_legacy_mode_always_solves():
+def test_per_event_reference_always_solves():
     """The reference really is the per-event model: same decoupled plan as
     above, and it never takes the skip path."""
     env = Environment()
@@ -92,6 +92,43 @@ def test_legacy_mode_always_solves():
     env.run()
     assert net.stats["netsim.rerate_skipped"] == 0
     assert net.stats["netsim.fairshare_calls"] > 0
+
+
+def _staggered_incast_run(fan_out, network=Network, n=48):
+    """``n`` staggered-size flows through the PS port (into it, or out of
+    it with ``fan_out``) on equal-capacity links, plus one late flow
+    between two idle hosts."""
+    env = Environment()
+    net = network(env, _star(n=n + 3, bandwidth=97.3))
+
+    def bystander():
+        yield env.timeout(1.0)
+        net.transfer(n + 1, n + 2, 40.0, tag="bystander")
+
+    env.process(bystander())
+    for w in range(1, n + 1):
+        src, dst = (0, w) if fan_out else (w, 0)
+        net.transfer(src, dst, 31.7 * w + 0.1 * w * w, tag=w)
+    env.run()
+    return net, env
+
+
+@pytest.mark.parametrize("fan_out", [False, True], ids=["incast", "fan_out"])
+def test_staggered_incast_matches_per_event_reference_counts_pinned(fan_out):
+    """Every departure re-rates a single-bottleneck incast: the solver's
+    last-round exit answers each of those solves (the final one-flow solve,
+    whose two links tie exactly, takes the full path). The counts are the
+    ones the scheduler gave before the exit existed — it lives inside
+    ``fair_rates``, it is not a scheduler skip."""
+    ref_net, ref_env = _staggered_incast_run(fan_out, network=PerEventNetwork)
+    net, env = _staggered_incast_run(fan_out)
+    assert _records_key(net) == _records_key(ref_net)
+    assert repr(env.now) == repr(ref_env.now)
+    # One coalesced start plus 47 departures solve; the bystander's start
+    # and finish are the two decoupled skips.
+    assert net.stats["netsim.fairshare_calls"] == 48
+    assert net.stats["netsim.rerate_skipped"] == 2
+    assert net.stats["netsim.rerates"] == 51
 
 
 def test_max_records_keeps_latest_and_counts_drops():

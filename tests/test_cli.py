@@ -287,3 +287,42 @@ def test_run_net_prio_sets_the_fabric_model_not_the_environment(capsys):
     assert os.environ == before
     # An earlier in-process `--net-prio off` must not leak into later runs.
     assert _run_osp_counters(capsys) == on
+
+
+_UNBUILDABLE = [
+    ("run --workers 0", "n_workers must be >= 1, got 0"),
+    ("run --epochs 0", "n_epochs must be >= 1, got 0"),
+    ("run --iterations 0", "iterations_per_epoch must be >= 1 when given"),
+    ("run --sigma -1", "sigma must be >= 0, got -1.0"),
+    ("check --workers 0", "n_workers must be >= 1, got 0"),
+    ("dash --workers 0 --out x.html", "n_workers must be >= 1, got 0"),
+    ("multirun --workers 0", "n_workers must be >= 1, got 0"),
+    ("multirun --hosts 0", "n_hosts must be >= 1, got 0"),
+    ("compare --workers 0", "n_workers must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, refusal", _UNBUILDABLE, ids=[argv for argv, _ in _UNBUILDABLE]
+)
+def test_unbuildable_spec_is_one_error_line_not_a_traceback(
+    argv, refusal, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)  # `dash --out x.html` must not be written
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {refusal}"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_value_error_mid_run_stays_loud(monkeypatch):
+    """Only construction is refused politely: an internal ``ValueError``
+    out of a running simulation is a bug and keeps its traceback."""
+    from repro.cluster.trainer import DistributedTrainer
+
+    def broken_run(self):
+        raise ValueError("internal invariant broken")
+
+    monkeypatch.setattr(DistributedTrainer, "run", broken_run)
+    with pytest.raises(ValueError, match="internal invariant broken"):
+        main(["run", "--workers", "2", "--epochs", "1", "--iterations", "1"])

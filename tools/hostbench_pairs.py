@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Alternating parent / change pairs of one benchmark workload.
+
+    python3 tools/hostbench_pairs.py --parent HEAD~1 --workload t128_osp
+
+The protocol every performance PR has to report (choosing-metrics §8):
+the parent commit and the working tree are each copied into a fresh
+temporary directory (``git archive`` and ``git ls-files``, so neither copy
+carries a ``__pycache__`` and ``.git`` is left alone), the benchmark command
+of ``BENCHMARK.json`` runs ``--workload W --seed s --seconds N --trace 0`` on
+both with a fresh seed per pair and the order flipped every pair, and the
+change is said to win only if it is better in at least nine tenths of the
+pairs (ties count for neither side), its median differs from the parent's by
+more than the parent's interquartile range, and no larger share of its ops
+failed. Exit status 0 on a win, 1 otherwise. Run it alone on the machine
+(``TMPDIR`` chooses where the copies go).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _git(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", ROOT, *argv], check=True, **kwargs)
+
+
+def export_parent(ref: str, dest: str) -> None:
+    archive = os.path.join(dest, "parent.tar")
+    _git("archive", "--format=tar", "-o", archive, ref)
+    shutil.unpack_archive(archive, dest)
+    os.remove(archive)
+
+
+def export_working_tree(dest: str) -> None:
+    listed = _git(
+        "ls-files", "-z", "--cached", "--others", "--exclude-standard",
+        stdout=subprocess.PIPE,
+    ).stdout.decode()
+    for rel in filter(None, listed.split("\0")):
+        src = os.path.join(ROOT, rel)
+        if os.path.isfile(src):  # a tracked file deleted in the tree is skipped
+            target = os.path.join(dest, rel)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(src, target)
+
+
+def run_once(checkout: str, command: list[str], workload: str, seed: int, seconds: int) -> dict:
+    """One benchmark run; its last stdout line is the result document."""
+    argv = command + [
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    try:  # a run with failed ops exits non-zero but still prints its document
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode} in {checkout}")
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        contract = json.load(fh)
+    metrics = {m["name"]: m for m in contract["end_to_end"]}
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git ref of the parent commit")
+    ap.add_argument("--workload", default="t128_osp",
+                    choices=[w["name"] for w in contract["workloads"]])
+    ap.add_argument("--metric", default="host_s", choices=sorted(metrics))
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed0", type=int, default=71, help="seed of the first pair")
+    args = ap.parse_args(argv)
+    lower = metrics[args.metric]["better"] == "lower"
+
+    sides = ("parent", "change")
+    values = {s: {name: [] for name in metrics} for s in sides}
+    ops = {s: [0, 0] for s in sides}  # attempted, failed
+    wins = ties = 0
+    with tempfile.TemporaryDirectory(prefix="hostbench-pairs-") as tmp:
+        where = {s: os.path.join(tmp, s) for s in sides}
+        for path in where.values():
+            os.mkdir(path)
+        export_parent(args.parent, where["parent"])
+        export_working_tree(where["change"])
+        print(f"{args.workload}, {args.pairs} alternating pairs, parent {args.parent} vs "
+              f"working tree, {contract['run_seconds']} s per run, claim on {args.metric}")
+        print("pair seed first  side   " + " ".join(f"{n:>12}" for n in metrics)
+              + "  failed/attempted")
+        for i in range(args.pairs):
+            seed = args.seed0 + i
+            order = sides if i % 2 == 0 else sides[::-1]
+            for side in order:
+                doc = run_once(where[side], contract["command"], args.workload,
+                               seed, contract["run_seconds"])
+                row = {n: doc["metrics"][n]["value"] for n in metrics}
+                for n, v in row.items():
+                    values[side][n].append(v)
+                # A run whose output checks failed counts as a failed op.
+                failed = max(doc["failed"], 0 if doc["correct"] else 1)
+                ops[side][0] += doc["attempted"]
+                ops[side][1] += failed
+                print(f"{i + 1:>4} {seed:>4} {order[0]:<6} {side:<6} "
+                      + " ".join(f"{row[n]:>12.4f}" for n in metrics)
+                      + f"  {failed}/{doc['attempted']}", flush=True)
+            p, c = (values[s][args.metric][-1] for s in sides)
+            if p == c:
+                ties += 1
+            elif (c < p) == lower:
+                wins += 1
+
+    stats = {s: {n: quartiles(values[s][n]) for n in metrics} for s in sides}
+    for n in metrics:
+        (p1, p2, p3), (c1, c2, c3) = (stats[s][n] for s in sides)
+        print(f"{n:<12} parent q1/med/q3 {p1:.4g}/{p2:.4g}/{p3:.4g} (IQR {p3 - p1:.3g})  "
+              f"change {c1:.4g}/{c2:.4g}/{c3:.4g} (IQR {c3 - c1:.3g})  "
+              f"change/parent {c2 / p2:.3f}")
+    q1, median, q3 = stats["parent"][args.metric]
+    gap = median - stats["change"][args.metric][1]
+    if not lower:
+        gap = -gap
+    needed = -(-9 * args.pairs // 10)  # ceil(0.9 * pairs)
+    fail_share = {s: ops[s][1] / max(1, ops[s][0]) for s in sides}
+    won = wins >= needed and gap > q3 - q1 and fail_share["change"] <= fail_share["parent"]
+    print(f"{args.metric}: change better in {wins} of {args.pairs} pairs (need {needed}), "
+          f"{ties} ties; medians apart by {gap:.4g} vs parent IQR {q3 - q1:.3g}; failed ops "
+          f"parent {ops['parent'][1]}/{ops['parent'][0]} change {ops['change'][1]}/{ops['change'][0]}")
+    print("verdict:", "change wins" if won else "no win shown")
+    return 0 if won else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
