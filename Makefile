@@ -34,9 +34,10 @@ hostbench-compare:
 # The claim protocol of a performance PR: $(PAIRS) alternating runs of one
 # workload on fresh copies of $(PARENT) and of the working tree, a new seed
 # per pair; exits 1 unless the change wins >= 9/10 pairs and the medians
-# differ by more than the parent's interquartile range.
+# differ by more than the parent's interquartile range, or if another
+# end-to-end metric is worse than its bound. WORKLOAD= has no default: a
+# claim names its workload.
 PARENT ?= HEAD
-WORKLOAD ?= t128_osp
 PAIRS ?= 10
 SEED0 ?= 71
 hostbench-pairs:

@@ -32,6 +32,8 @@ class Flow:
     #: Interned link-name tuple for the route, cached per (src, dst) by the
     #: Network so the fair-share solver never rebuilds name lists per call.
     names: tuple[str, ...] = ()
+    #: ``names`` without repeats (cached beside it): the links the flow loads.
+    links: tuple[str, ...] = ()
     #: Strict-priority transmission class (repro.netsim.prio constants).
     prio: int = PRIO_NORMAL
     #: DRR-style weight within the class (uniform weights = plain max–min).

@@ -20,14 +20,25 @@ carries every unfrozen flow ends the solve — see :mod:`.fairshare`):
   move within an instant, intermediate allocations are unobservable, and
   the coalesced solve sees exactly the flow set the last per-event solve
   would have seen.
-* **Decoupled-delta skipping** — when every flow added/removed since the
-  last solve rides links carrying no *other* flow, the surviving rates are
-  provably unchanged and a new flow's rate is exactly the min capacity on
-  its route, so the solver is skipped outright (``netsim.rerate_skipped``).
-* **Route caching** — interned ``(route, link-name tuple)`` per (src, dst),
-  so the solver never rebuilds name lists and topologies are only asked to
-  route each pair once. Topologies are static by contract (fault windows
-  change link *attributes*, never the link set or routes).
+* **Touched-component rerate** — rates couple only through shared links, so
+  a rerate walks from the links where a flow joined or left other flows
+  (link → its flows → their links) and solves only the flows it reaches:
+  ``fair_rates`` when they hold one class, the priority path when several.
+  Everything outside keeps the rate the same operands produced last time, so
+  the result is the whole-set solve's bit for bit (the solver's sub-``_EPS``
+  near-tie hysteresis cannot bite across components: above ~10⁴ B/s
+  ``2·_EPS`` is below one ulp of a share). OSP's HIGH pushes into the PS and
+  BULK pulls out of it share no link on a full-duplex star, so neither pays
+  for the other's departures. The whole fabric is just the component of
+  *every* loaded link: a capacity refresh marks them all, and so does a
+  rerate with work to do while a sliced flow is active (slice locks and
+  anchors are defined over the whole set). A walk that reaches nothing
+  solves nothing (``netsim.rerate_skipped``); a new flow it did not reach is
+  alone on its links and gets its route's min capacity.
+* **Route caching** — interned ``(route, link names, distinct link names)``
+  per (src, dst), so the solver never rebuilds name lists and topologies are
+  only asked to route each pair once. Topologies are static by contract
+  (fault windows change link *attributes*, never the link set or routes).
 
 ``flow_hooks`` and ``drain_hooks`` are the two moments an observer can
 subscribe to (:mod:`repro.check` does): a flow going on the wire, and the
@@ -55,6 +66,9 @@ from repro.simcore.priority import URGENT
 
 #: Flows with fewer remaining effective bytes than this are complete.
 _BYTE_EPS = 1e-6
+
+#: Completion horizon before any flow with a positive rate has been seen.
+_INF = float("inf")
 
 #: Per-class drained-byte counter names, indexed by class value.
 _BYTE_COUNTERS = tuple(
@@ -148,26 +162,26 @@ class Network:
         #: fids locked mid-slice by the last priority solve (their rates
         #: are pinned until the slice boundary).
         self._locked: list[int] = []
-        self._route_cache: dict[tuple, tuple[tuple[Link, ...], tuple[str, ...]]] = {}
-        #: active-flow count per link name (decoupling detector).
-        self._link_load: dict[str, int] = {}
+        #: (src, dst) -> (route, its link names, the distinct ones among them).
+        self._route_cache: dict[tuple, tuple[tuple[Link, ...], tuple, tuple]] = {}
+        #: The flow–link index, all the scheduler keeps about coupling: link
+        #: name -> fids of the active flows crossing it, in fid order.
+        self._link_flows: dict[str, dict[int, None]] = {
+            l.name: {} for l in topology.links
+        }
+        #: Links where a flow joined or left *other* flows since the last
+        #: solve: where the next rerate starts its walk.
+        self._touched: list[str] = []
         #: True while a coalesced rerate is armed for the current instant.
         self._pending = False
         #: fids added since the last rate assignment.
         self._pending_new: list[int] = []
-        #: True while every active flow's rate matches a full solve over the
-        #: current flow set and capacities (trivially true when empty).
-        self._rated = True
-        #: set when a non-decoupled add/remove or a capacity change forces
-        #: the next rerate through the solver.
-        self._solver_dirty = False
         #: Persistent fid -> route-name-tuple map for the solver. fids are
         #: handed out in increasing order and never reused, so dict
         #: insertion order *is* sorted-fid order.
         self._solver_routes: dict[int, tuple[str, ...]] = {}
-        #: Parallel fid -> class / weight maps for the priority solver.
+        #: Parallel fid -> class map for the priority solver.
         self._solver_prios: dict[int, int] = {}
-        self._solver_weights: dict[int, float] = {}
 
     # ------------------------------------------------------------------ API
     @property
@@ -219,9 +233,10 @@ class Network:
         cached = self._route_cache.get((src, dst))
         if cached is None:
             route = tuple(self.topology.route(src, dst))
-            cached = (route, tuple(l.name for l in route))
+            names = tuple(l.name for l in route)
+            cached = (route, names, tuple(dict.fromkeys(names)))
             self._route_cache[(src, dst)] = cached
-        route, names = cached
+        route, names, links = cached
         # Latency/loss are *live* reads (fault windows move them); computed
         # over the cached route with the same folds the topologies use.
         latency = 0.0
@@ -252,6 +267,7 @@ class Network:
             tag=tag,
             start_time=self.env.now,
             names=names,
+            links=links,
             prio=prio,
             weight=weight,
             slice_eff=slice_eff,
@@ -314,7 +330,7 @@ class Network:
         """
         self._drain()
         self._capacities = {l.name: l.bandwidth for l in self.topology.links}
-        self._solver_dirty = True  # cached allocations assume old capacities
+        self._touch_all()  # every allocation assumed the old capacities
         if self._sliced_count:
             # A fault transition applies immediately even to mid-slice
             # flows: force every slice to a boundary so the coming solve
@@ -337,29 +353,22 @@ class Network:
         self._pending_new.append(flow.fid)
         self._solver_routes[flow.fid] = flow.names
         self._solver_prios[flow.fid] = flow.prio
-        self._solver_weights[flow.fid] = flow.weight
-        # The decoupled-delta skip path stays valid across classes and
-        # weights: a flow alone on its links has no competitors of any
-        # class, so its priority-fair rate is exactly its route's min
-        # capacity — no extra dirtying needed here.
         self._class_count[flow.prio] = self._class_count.get(flow.prio, 0) + 1
         if flow.weight != 1.0:
             self._weighted_count += 1
         if flow.slice_eff is not None:
             self._sliced_count += 1
-        load = self._link_load
-        for name in set(flow.names):
-            n = load.get(name, 0)
-            load[name] = n + 1
-            if n > 0:
-                self._solver_dirty = True  # couples with an existing flow
+        for name in flow.links:
+            members = self._link_flows[name]
+            if members:
+                self._touched.append(name)  # couples with an existing flow
+            members[flow.fid] = None
 
     def _retire(self, flow: Flow, tr) -> None:
         """Remove a finished flow from the active set and the solver bookkeeping."""
         del self._active[flow.fid]
         del self._solver_routes[flow.fid]
         del self._solver_prios[flow.fid]
-        del self._solver_weights[flow.fid]
         n_cls = self._class_count[flow.prio] - 1
         if n_cls:
             self._class_count[flow.prio] = n_cls
@@ -372,12 +381,11 @@ class Network:
         if tr:
             tr.gauge_delta("obs.net.inflight_bytes", -flow.size)
             tr.gauge_delta("obs.net.active_flows", -1)
-        load = self._link_load
-        for name in set(flow.names):
-            n = load[name] - 1
-            load[name] = n
-            if n > 0:
-                self._solver_dirty = True  # survivors on this link speed up
+        for name in flow.links:
+            members = self._link_flows[name]
+            del members[flow.fid]
+            if members:
+                self._touched.append(name)  # survivors on this link speed up
         self._finish(flow)
 
     def _drain(self) -> None:
@@ -422,108 +430,145 @@ class Network:
         self._drain()
         self._rerate()
 
-    def _after_plain_solve(self) -> None:
-        """Bookkeeping after a single-class full solve.
+    def _touch_all(self) -> None:
+        """Mark every loaded link: the next rerate solves the whole fabric."""
+        self._touched = [n for n, members in self._link_flows.items() if members]
 
-        Plain solves apply allocations instantly (slicing never defers a
-        same-class fair-share adjustment), but each applied allocation
-        *starts a fresh slice*: anchor it so a higher-class arrival
-        mid-slice finds the flow locked at its running rate.
+    def _reach(self) -> dict[int, tuple[str, ...]]:
+        """Routes, in fid order, of the flows the touched links (consumed
+        here) can reach. A link carrying every active flow ends the walk: an
+        incast is recognised in O(1) and solved over the live route map.
         """
-        self._solver_dirty = False
-        self._rated = True
-        self._locked = []
-        if self._sliced_count:
-            for flow in self._active.values():
-                if flow.slice_eff is not None:
-                    flow.slice_next = max(0.0, flow.remaining - flow.slice_eff)
+        routes = self._solver_routes
+        touched = self._touched
+        index = self._link_flows
+        reached: set[int] = set()
+        seen: set[str] = set()
+        while touched:
+            name = touched.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            members = index[name]
+            if len(members) == len(routes):
+                touched.clear()
+                return routes
+            for fid in members:
+                if fid not in reached:
+                    reached.add(fid)
+                    touched.extend(routes[fid])
+        if len(reached) == len(routes):
+            return routes
+        return {fid: routes[fid] for fid in sorted(reached)}
 
-    def _prio_solve(self, fresh_anchor: set) -> None:
-        """Strict-priority allocation over a multi-class active set.
+    def _lock_slices(self, routes, fresh_anchor: set):
+        """P3-style slicing ahead of a multi-class solve of the whole fabric.
 
-        P3-style slicing first: a sliced flow that is mid-slice keeps its
-        current rate (locked) until the boundary; its pinned consumption
-        is subtracted from link capacities before the class loop, so even
-        a higher-class arrival waits out at most one slice — the modelled
-        preemption latency. Everything else goes through
+        A sliced flow that is mid-slice keeps its current rate (locked)
+        until the boundary; its pinned consumption is subtracted from link
+        capacities before the class loop, so even a higher-class arrival
+        waits out at most one slice — the modelled preemption latency.
+        Returns the routes still to solve, the capacities left for them and
+        the fids a lock starves outright.
+        """
+        active = self._active
+        locked: list[int] = []
+        for fid, flow in active.items():
+            if flow.slice_eff is None:
+                continue
+            if (
+                flow.slice_next >= 0.0
+                and flow.slice_eff > 0.0
+                and flow.remaining < flow.slice_next - _BYTE_EPS
+            ):
+                # Boundaries passed without a rerate (the flow ran
+                # uncontended): advance the anchor along its slice grid
+                # to the boundary of the slice `remaining` now sits in.
+                behind = flow.slice_next - flow.remaining
+                steps = math.ceil(behind / flow.slice_eff - 1e-9)
+                flow.slice_next = max(
+                    0.0, flow.slice_next - steps * flow.slice_eff
+                )
+            if (
+                flow.rate > 0.0
+                and flow.slice_next >= 0.0
+                and flow.remaining > flow.slice_next + _BYTE_EPS
+                and fid not in fresh_anchor
+            ):
+                locked.append(fid)
+            else:
+                flow.slice_next = max(0.0, flow.remaining - flow.slice_eff)
+                fresh_anchor.add(fid)
+        self._locked = locked
+        if not locked:
+            return routes, self._capacities, ()
+
+        caps = dict(self._capacities)
+        for fid in locked:
+            flow = active[fid]
+            for name in flow.links:
+                caps[name] = max(0.0, caps[name] - flow.rate)
+        # A flow crossing a link the locked slices fully consume is
+        # starved for the rest of the slice, whatever its class; the
+        # remaining links must reach the solver strictly positive.
+        starved: list[int] = []
+        unlocked: dict[int, tuple] = {}
+        full = self._capacities
+        lockset = set(locked)
+        for fid, names in routes.items():
+            if fid in lockset:
+                continue
+            if any(caps[n] <= full[n] * _SAT_REL for n in active[fid].links):
+                starved.append(fid)
+            else:
+                unlocked[fid] = names
+        return unlocked, caps, starved
+
+    def _solve(self, routes, fresh_anchor: set) -> None:
+        """Rate the flows of ``routes`` (whole link-components, fid order).
+
+        One class with unit weights is plain max–min. Otherwise
         :func:`prio_fair_rates`: classes solved highest first over the
-        leftover capacity, equal-class flows sharing by (weighted)
-        max–min, lower classes starved outright on saturated links
+        leftover capacity, equal-class flows sharing by (weighted) max–min,
+        lower classes starved outright on saturated links
         (``netsim.prio_preemptions`` counts flows whose running rate that
         drops to zero).
         """
         active = self._active
-        locked: list[int] = []
-        if self._sliced_count:
-            for fid, flow in active.items():
-                if flow.slice_eff is None:
-                    continue
-                if (
-                    flow.slice_next >= 0.0
-                    and flow.slice_eff > 0.0
-                    and flow.remaining < flow.slice_next - _BYTE_EPS
-                ):
-                    # Boundaries passed without a rerate (the flow ran
-                    # uncontended): advance the anchor along its slice grid
-                    # to the boundary of the slice `remaining` now sits in.
-                    behind = flow.slice_next - flow.remaining
-                    steps = math.ceil(behind / flow.slice_eff - 1e-9)
-                    flow.slice_next = max(
-                        0.0, flow.slice_next - steps * flow.slice_eff
-                    )
-                if (
-                    flow.rate > 0.0
-                    and flow.slice_next >= 0.0
-                    and flow.remaining > flow.slice_next + _BYTE_EPS
-                    and fid not in fresh_anchor
-                ):
-                    locked.append(fid)
-                else:
-                    flow.slice_next = max(0.0, flow.remaining - flow.slice_eff)
-                    fresh_anchor.add(fid)
-        self._locked = locked
-
-        starved_by_lock: list[int] = []
-        if locked:
-            caps = dict(self._capacities)
-            lockset = set(locked)
-            for fid in locked:
-                flow = active[fid]
-                for name in set(flow.names):
-                    caps[name] = max(0.0, caps[name] - flow.rate)
-            # A flow crossing a link the locked slices fully consume is
-            # starved for the rest of the slice, whatever its class; the
-            # remaining links must reach the solver strictly positive.
-            routes: dict[int, tuple] = {}
-            full = self._capacities
-            for fid, names in self._solver_routes.items():
-                if fid in lockset:
-                    continue
-                if any(caps[n] <= full[n] * _SAT_REL for n in set(names)):
-                    starved_by_lock.append(fid)
-                else:
-                    routes[fid] = names
-        else:
-            caps = self._capacities
-            routes = self._solver_routes
-
-        weights = self._solver_weights if self._weighted_count else None
-        rates = prio_fair_rates(
-            routes, caps, self._solver_prios, weights, validate=False
+        prios = self._solver_prios
+        caps = self._capacities
+        starved = ()
+        weights = None
+        if self._weighted_count:
+            weights = {fid: active[fid].weight for fid in routes}
+        several = (  # the fabric-wide count first: it is O(1)
+            len(self._class_count) > 1 and len({prios[f] for f in routes}) > 1
         )
+        self._locked = []
+        if several and self._sliced_count:
+            routes, caps, starved = self._lock_slices(routes, fresh_anchor)
+        elif self._sliced_count:
+            # A same-class adjustment applies instantly, but each applied
+            # allocation *starts a fresh slice*: anchor it so a higher-class
+            # arrival mid-slice finds the flow locked at its running rate.
+            for flow in active.values():
+                if flow.slice_eff is not None:
+                    flow.slice_next = max(0.0, flow.remaining - flow.slice_eff)
+        if several or weights is not None:
+            rates = prio_fair_rates(routes, caps, prios, weights, validate=False)
+        else:
+            rates = fair_rates(routes, caps, validate=False)
         self._count("netsim.fairshare_calls")
-        preempted = 0
-        for fid in starved_by_lock:
-            rates[fid] = 0.0
+        if several:  # a single class is never starved
+            rates.update(dict.fromkeys(starved, 0.0))
+            preempted = sum(
+                rate == 0.0 and active[fid].rate > 0.0
+                for fid, rate in rates.items()
+            )
+            if preempted:
+                self._count("netsim.prio_preemptions", preempted)
         for fid, rate in rates.items():
-            flow = active[fid]
-            if rate == 0.0 and flow.rate > 0.0:
-                preempted += 1
-            flow.rate = rate
-        if preempted:
-            self._count("netsim.prio_preemptions", preempted)
-        self._solver_dirty = False
-        self._rated = True
+            active[fid].rate = rate
 
     def _rerate(self) -> None:
         """Recompute fair rates, complete drained flows, arm the next timer."""
@@ -545,38 +590,29 @@ class Network:
             self._timer_version += 1
             if not self._active:
                 self._pending_new.clear()
+                self._touched.clear()
                 return
 
-            if self._rated and not self._solver_dirty:
-                # Every change since the last solve is decoupled: survivors
-                # keep their rates; each new flow is alone on its links, so
-                # its fair share is exactly its route's min capacity —
-                # regardless of class (no competitors to preempt or defer
-                # to) — so this path stays valid under priorities.
-                for fid in self._pending_new:
-                    flow = self._active.get(fid)
-                    if flow is not None:
-                        flow.rate = min(
-                            self._capacities[n] for n in set(flow.names)
-                        )
-                        if flow.slice_eff is not None:
-                            flow.slice_next = max(
-                                0.0, flow.remaining - flow.slice_eff
-                            )
-                self._count("netsim.rerate_skipped")
-            elif len(self._class_count) > 1:
-                self._prio_solve(fresh_anchor)
+            if self._touched and self._sliced_count:
+                # Slice locks and anchors are defined over the whole set.
+                self._touch_all()
+            routes = self._reach()
+            if routes:
+                self._solve(routes, fresh_anchor)
             else:
-                rates = fair_rates(
-                    self._solver_routes, self._capacities, validate=False
-                )
-                self._count("netsim.fairshare_calls")
-                for fid, flow in self._active.items():
-                    flow.rate = rates[fid]
-                self._after_plain_solve()
+                self._count("netsim.rerate_skipped")
+            for fid in self._pending_new:
+                if fid not in routes:
+                    # No touched link reached it: the flow is alone on its
+                    # links, so its share is its route's min capacity —
+                    # whatever its class (nobody to preempt or defer to).
+                    flow = self._active[fid]
+                    flow.rate = min(self._capacities[n] for n in flow.links)
+                    if flow.slice_eff is not None:
+                        flow.slice_next = max(0.0, flow.remaining - flow.slice_eff)
             self._pending_new.clear()
 
-            horizon = float("inf")
+            horizon = _INF
             for flow in self._active.values():
                 rate = flow.rate
                 if rate > 0:
@@ -593,7 +629,7 @@ class Network:
                             horizon,
                             (flow.remaining - flow.slice_next) / flow.rate,
                         )
-            if horizon == float("inf"):  # pragma: no cover - defensive
+            if horizon == _INF:  # pragma: no cover - defensive
                 raise RuntimeError("active flows but no positive rate")
 
             if now + horizon > now:
@@ -618,7 +654,7 @@ class Network:
                 ):
                     flow.slice_eff = None
                     self._sliced_count -= 1
-                    self._solver_dirty = True  # re-solve without the lock
+                    self._touch_all()  # re-solve without the lock
 
         version = self._timer_version
         timer = self.env.timeout(horizon)

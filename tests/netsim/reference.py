@@ -7,8 +7,9 @@ share, freezes that link's flows at it and subtracts their consumption
 from all their links. O(L²·F) worst case.
 
 :class:`PerEventNetwork` — the scheduler without its host-time shortcuts:
-one full solve per flow start/finish. An independent witness that rerate
-coalescing and decoupled-delta skipping change no virtual time.
+one solve of the whole fabric per flow start/finish. An independent witness
+that rerate coalescing and solving only the touched link-component change no
+virtual time.
 """
 
 from repro.netsim import Network
@@ -17,13 +18,15 @@ _EPS = 1e-12
 
 
 class PerEventNetwork(Network):
-    """Rerates inside every ``transfer()`` and never skips the solver."""
-
-    # Always reads True, whatever the scheduler assigns.
-    _solver_dirty = property(lambda self: True, lambda self, value: None)
+    """Rerates inside every ``transfer()``, and every loaded link is touched
+    at every flow event: each rerate solves the whole fabric."""
 
     def _schedule_rerate(self):
         self._rerate()
+
+    def _rerate(self):
+        self._touch_all()
+        super()._rerate()
 
 
 def reference_fair_rates(flow_routes, capacities):

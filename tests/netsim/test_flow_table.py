@@ -86,8 +86,10 @@ def test_scheduler_work_counts_are_those_of_the_array_plane():
     trainer.run()
     net = trainer.network
     assert net.stats["netsim.rerates"] == 236
-    assert net.stats["netsim.rerate_skipped"] == 5
-    assert net.stats["netsim.fairshare_calls"] == 203
+    # 13 of the parent's 203 solver calls had nothing to solve (departures
+    # that emptied a link in one instant): they count as skipped since PR 24.
+    assert net.stats["netsim.rerate_skipped"] == 5 + 13
+    assert net.stats["netsim.fairshare_calls"] == 203 - 13
     assert net.stats["netsim.prio_preemptions"] == 24
     assert len(net.records) == 288
 

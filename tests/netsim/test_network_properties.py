@@ -59,6 +59,45 @@ def _scheduler_plans(draw, classes, slices):
     return n_nodes, flows, kwargs, dip
 
 
+@st.composite
+def _merge_split_plans(draw):
+    """Link-components that merge and split mid-run.
+
+    Two link-disjoint groups in different classes through node 0 of a
+    full-duplex star — pushes into it (``up:w``, ``down:0``) and pulls out of
+    it (``up:0``, ``down:w``) — running from near t=0, plus short bridging
+    flows from a pusher to a puller (``up:pusher``, ``down:puller``) from
+    t=1 on: one joins the two components when it arrives and splits them
+    again when it leaves. Start times are distinct: a per-event model counts
+    a preemption on an intermediate same-instant allocation.
+    """
+    n_push = draw(st.integers(min_value=1, max_value=3))
+    n_pull = draw(st.integers(min_value=1, max_value=3))
+    pushers = list(range(1, 1 + n_push))
+    pullers = list(range(1 + n_push, 1 + n_push + n_pull))
+    classes = st.sampled_from((PRIO_BULK, PRIO_NORMAL, PRIO_HIGH, PRIO_URGENT))
+    cls_push = draw(classes)
+    cls_pull = draw(classes.filter(lambda c: c != cls_push))
+    long_size = st.floats(min_value=1e3, max_value=1e4)
+    pairs = [(w, 0, cls_push) for w in pushers for _ in range(draw(st.integers(1, 2)))]
+    pairs += [(0, w, cls_pull) for w in pullers]
+    n_bridges = draw(st.integers(min_value=1, max_value=4))
+
+    def distinct_starts(n, lo, hi):
+        times = st.floats(min_value=lo, max_value=hi, exclude_max=True)
+        return draw(st.lists(times, min_size=n, max_size=n, unique=True))
+
+    flows, kwargs = [], []
+    for (src, dst, cls), start in zip(pairs, distinct_starts(len(pairs), 0.0, 1.0)):
+        flows.append((src, dst, draw(long_size), start))
+        kwargs.append({"prio": cls})
+    for start in distinct_starts(n_bridges, 1.0, 7.0):
+        src, dst = draw(st.sampled_from(pushers)), draw(st.sampled_from(pullers))
+        flows.append((src, dst, draw(st.floats(min_value=10.0, max_value=2e3)), start))
+        kwargs.append({"prio": draw(classes)})
+    return 1 + n_push + n_pull, flows, kwargs
+
+
 def _run_plan(
     n_nodes, flows, bandwidth=1000.0, kwargs=None, dip=None,
     network=Network, **net_kwargs
@@ -161,6 +200,20 @@ def test_property_coalescing_and_skipping_change_no_virtual_time(plan):
     assert _outcome(net) == _outcome(ref)
     assert ref.stats["netsim.rerate_skipped"] == 0
     assert net.stats["netsim.rerates"] <= ref.stats["netsim.rerates"]
+
+
+@given(_merge_split_plans())
+@settings(max_examples=150, deadline=None)
+def test_property_components_that_merge_and_split_match_the_whole_fabric_solve(plan):
+    """Solving only what a change can reach ≡ solving every loaded link at
+    every flow event, while bridging flows join and part two components of
+    different classes."""
+    n_nodes, flows, kwargs = plan
+    net, _ = _run_plan(n_nodes, flows, kwargs=kwargs)
+    ref, _ = _run_plan(n_nodes, flows, kwargs=kwargs, network=PerEventNetwork)
+    assert _outcome(net) == _outcome(ref)
+    assert net.stats["netsim.prio_preemptions"] == ref.stats["netsim.prio_preemptions"]
+    assert net.stats["netsim.fairshare_calls"] <= ref.stats["netsim.fairshare_calls"]
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
 """Behavioral tests for the scaled network core.
 
-Covers the machinery around the solver: rerate coalescing,
-decoupled-delta solver skipping, the bounded records ring, the recorder
-counter mirror, and capacity refreshes across fault windows — with
-``PerEventNetwork`` (one full solve per flow event) as the semantic
-reference.
+Covers the machinery around the solver: rerate coalescing, the
+touched-component rerate (and the solves it skips), the bounded records ring,
+the recorder counter mirror, and capacity refreshes across fault windows —
+with ``PerEventNetwork`` (one whole-fabric solve per flow event) as the
+semantic reference.
 """
+
+from unittest import mock
 
 import pytest
 
+from repro.netsim import PRIO_BULK, PRIO_HIGH
+from repro.netsim import network as network_module
 from repro.netsim.links import LinkSpec
 from repro.netsim.network import Network
 from repro.netsim.topology import StarTopology
@@ -121,7 +125,11 @@ def test_staggered_incast_matches_per_event_reference_counts_pinned(fan_out):
     ones the scheduler gave before the exit existed — it lives inside
     ``fair_rates``, it is not a scheduler skip."""
     ref_net, ref_env = _staggered_incast_run(fan_out, network=PerEventNetwork)
-    net, env = _staggered_incast_run(fan_out)
+    with mock.patch.object(
+        network_module, "fair_rates", wraps=network_module.fair_rates
+    ) as solver:
+        net, env = _staggered_incast_run(fan_out)
+    assert solver.call_count == 48  # the counter below counts real solver runs
     assert _records_key(net) == _records_key(ref_net)
     assert repr(env.now) == repr(ref_env.now)
     # One coalesced start plus 47 departures solve; the bystander's start
@@ -129,6 +137,88 @@ def test_staggered_incast_matches_per_event_reference_counts_pinned(fan_out):
     assert net.stats["netsim.fairshare_calls"] == 48
     assert net.stats["netsim.rerate_skipped"] == 2
     assert net.stats["netsim.rerates"] == 51
+
+
+def _duplex_hub_run(network=Network, dip_at=None, watch=lambda net, event: None):
+    """OSP's two stages on a full-duplex star: 8 BULK pulls out of the hub
+    (all on ``up:0``) while 8 staggered HIGH pushes drain into it (all on
+    ``down:0``) — two classes that share no link. ``watch(net, event)`` runs
+    at every push departure and at both edges of the optional capacity dip."""
+    env = Environment()
+    topo = _star(n=9, bandwidth=800.0)
+    net = network(env, topo)
+    hub_ports = [l for l in topo.links if l.name in ("up:0", "down:0")]
+
+    def push(w):
+        yield net.transfer(w, 0, 40.0 * w, tag=("push", w), prio=PRIO_HIGH)
+        watch(net, ("push", w))
+
+    def dip():
+        yield env.timeout(dip_at)
+        for link in hub_ports:
+            link.apply_fault(bandwidth_factor=0.5)
+        net.refresh_capacities()
+        watch(net, "dip")
+        yield env.timeout(0.25)
+        for link in hub_ports:
+            link.clear_fault(bandwidth_factor=0.5)
+        net.refresh_capacities()
+        watch(net, "clear")
+
+    for w in range(1, 9):
+        net.transfer(0, w, 400.0, tag=("pull", w), prio=PRIO_BULK)
+        env.process(push(w))
+    if dip_at is not None:
+        env.process(dip())
+    env.run()
+    return net, env
+
+
+def _rates(net, prio):
+    return {f.fid: f.rate for f in net.active_flows if f.prio == prio}
+
+
+def test_push_departures_leave_the_pulls_on_the_other_direction_alone():
+    seen = []
+    with mock.patch.object(
+        network_module, "prio_fair_rates", wraps=network_module.prio_fair_rates
+    ) as prio_solver:
+        net, env = _duplex_hub_run(
+            watch=lambda net, event: seen.append(_rates(net, PRIO_BULK))
+        )
+    # Eight departures, the pulls all still running, none ever re-rated:
+    # 800 B/s over 8 pulls, the very same float every time.
+    assert seen == [dict.fromkeys(range(8), 100.0)] * 8
+    # Two classes on the fabric, never two in one link-component: only the
+    # t=0 burst, which touches both at once, is solved as a multi-class set
+    # (at the parent: all 8 solves — the burst and 7 departures with survivors).
+    assert prio_solver.call_count == 1
+    assert net.stats["netsim.fairshare_calls"] == 8
+    assert net.stats["netsim.prio_preemptions"] == 0
+    ref_net, ref_env = _duplex_hub_run(network=PerEventNetwork)
+    assert _records_key(net) == _records_key(ref_net)
+    assert repr(env.now) == repr(ref_env.now)
+
+
+def test_capacity_dip_rerates_both_components_at_the_fault_edge():
+    """No flow joins or leaves at a fault edge, yet every rate is stale:
+    ``refresh_capacities`` touches every loaded link."""
+    seen = {}
+
+    def watch(net, event):
+        seen[event] = (_rates(net, PRIO_BULK), _rates(net, PRIO_HIGH))
+
+    # t=1.0: pushes 1 and 2 have left (0.4 s, 0.75 s), push 3 leaves at 1.05 s.
+    net, env = _duplex_hub_run(dip_at=1.0, watch=watch)
+    pulls, pushes = seen["dip"]
+    assert list(pulls.values()) == [400.0 / 8] * 8
+    assert list(pushes.values()) == [400.0 / 6] * 6
+    pulls, pushes = seen["clear"]
+    assert list(pulls.values()) == [800.0 / 8] * 8
+    assert list(pushes.values()) == [800.0 / len(pushes)] * len(pushes)
+    ref_net, ref_env = _duplex_hub_run(network=PerEventNetwork, dip_at=1.0)
+    assert _records_key(net) == _records_key(ref_net)
+    assert repr(env.now) == repr(ref_env.now)
 
 
 def test_max_records_keeps_latest_and_counts_drops():

@@ -239,6 +239,62 @@ def test_network_slice_preempts_instantly_at_boundary():
     assert rec_b.end_time == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize(
+    "neighbour, drains, ends",
+    [
+        # A HIGH arrival at t=0.6 preempts NORMAL on ``down:4``.
+        (
+            "high_arrival",
+            [0.0, 0.6, 0.75, 0.8999999999999999, 1.0, 2.3],
+            [("high", 0.8999999999999999), ("bulk", 1.0), ("normal", 2.3)],
+        ),
+        # A NORMAL departure at t=0.6 speeds up the NORMAL it shared
+        # ``down:4`` with: one class in that component, two on the fabric.
+        (
+            "normal_departure",
+            [0.0, 0.6, 0.75, 1.0, 2.3],
+            [("n1", 0.6), ("bulk", 1.0), ("normal", 2.3)],
+        ),
+    ],
+    ids=["high_arrival", "normal_departure"],
+)
+def test_sliced_flow_off_the_changed_links_is_still_locked_and_anchored(
+    neighbour, drains, ends
+):
+    """While a sliced flow is active a solve covers the whole fabric: a change
+    on ``down:4`` also walks the sliced BULK flow on ``up:2``/``down:1`` — no
+    link in common — along its slice grid and locks it, so the scheduler
+    wakes at its boundary (t=0.75). Values are those of the commit before
+    the touched-component rerate."""
+    env, net = make_net(n=6, bandwidth=1000.0)
+    seen_drains = []
+    net.drain_hooks.append(lambda: seen_drains.append(env.now))
+    seen = {}
+
+    def driver(env):
+        net.transfer(2, 1, 1000.0, tag="bulk", prio=PRIO_BULK, slice_bytes=250.0)
+        if neighbour == "normal_departure":
+            net.transfer(3, 4, 300.0, tag="n1")
+            net.transfer(5, 4, 2000.0, tag="normal")
+            yield env.timeout(0.6)
+        else:
+            net.transfer(3, 4, 2000.0, tag="normal")
+            yield env.timeout(0.6)
+            net.transfer(5, 4, 300.0, tag="high", prio=PRIO_HIGH)
+        yield env.timeout(0.01)
+        for f in net.active_flows:
+            seen[f.tag] = (f.rate, f.slice_next)
+
+    env.process(driver(env))
+    env.run()
+    # Anchored at 750 when it started alone; at 400 B left it sits in the
+    # slice that ends at 250, and is locked there at its running rate.
+    assert seen["bulk"] == (1000.0, 250.0)
+    assert sorted(set(seen_drains)) == drains
+    assert [(r.tag, r.end_time) for r in net.records] == ends
+    assert net.stats["netsim.fairshare_calls"] == 3
+
+
 def test_transfer_rejects_bad_prio_and_weight():
     env, net = make_net()
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating parent / change pairs of one benchmark workload.
 
-    python3 tools/hostbench_pairs.py --parent HEAD~1 --workload t128_osp
+    python3 tools/hostbench_pairs.py --parent HEAD~1 --workload cotenant_pair
 
 The protocol every performance PR has to report (choosing-metrics §8):
 the parent commit and the working tree are each copied into a fresh
@@ -12,8 +12,11 @@ both with a fresh seed per pair and the order flipped every pair, and the
 change is said to win only if it is better in at least nine tenths of the
 pairs (ties count for neither side), its median differs from the parent's by
 more than the parent's interquartile range, and no larger share of its ops
-failed. Exit status 0 on a win, 1 otherwise. Run it alone on the machine
-(``TMPDIR`` chooses where the copies go).
+failed. Every other end-to-end metric is held to its ``BENCHMARK.json`` bound
+over the same runs: ``within``, ``worse``, or ``unresolved`` when the parent's
+own IQR is wider than the bound (unless every run of the change beats every
+run of the parent). Exit status 0 on a win with no ``worse`` row, 1 otherwise.
+Run it alone on the machine (``TMPDIR`` chooses where the copies go).
 """
 
 from __future__ import annotations
@@ -73,13 +76,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def judge(parent: list[float], change: list[float], spec: dict) -> str:
+    """An unclaimed metric against its bound (the rule of ``bench/compare.py``)."""
+    lower = spec["better"] == "lower"
+    (p1, pm, p3), cm = quartiles(parent), quartiles(change)[1]
+    if (p3 - p1) / pm > spec["bound"]:
+        clear = max(change) < min(parent) if lower else min(change) > max(parent)
+        return "within" if clear else "unresolved"
+    worsening = (cm - pm) / pm if lower else (pm - cm) / pm
+    return "worse" if worsening > spec["bound"] else "within"
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         contract = json.load(fh)
     metrics = {m["name"]: m for m in contract["end_to_end"]}
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")
-    ap.add_argument("--workload", default="t128_osp",
+    ap.add_argument("--workload", required=True,
                     choices=[w["name"] for w in contract["workloads"]])
     ap.add_argument("--metric", default="host_s", choices=sorted(metrics))
     ap.add_argument("--pairs", type=int, default=10)
@@ -124,11 +138,17 @@ def main(argv=None) -> int:
                 wins += 1
 
     stats = {s: {n: quartiles(values[s][n]) for n in metrics} for s in sides}
+    worse = []
     for n in metrics:
         (p1, p2, p3), (c1, c2, c3) = (stats[s][n] for s in sides)
+        word = "claimed"
+        if n != args.metric:
+            word = judge(values["parent"][n], values["change"][n], metrics[n])
+            if word == "worse":
+                worse.append(n)
         print(f"{n:<12} parent q1/med/q3 {p1:.4g}/{p2:.4g}/{p3:.4g} (IQR {p3 - p1:.3g})  "
               f"change {c1:.4g}/{c2:.4g}/{c3:.4g} (IQR {c3 - c1:.3g})  "
-              f"change/parent {c2 / p2:.3f}")
+              f"change/parent {c2 / p2:.3f}  {word}")
     q1, median, q3 = stats["parent"][args.metric]
     gap = median - stats["change"][args.metric][1]
     if not lower:
@@ -140,7 +160,9 @@ def main(argv=None) -> int:
           f"{ties} ties; medians apart by {gap:.4g} vs parent IQR {q3 - q1:.3g}; failed ops "
           f"parent {ops['parent'][1]}/{ops['parent'][0]} change {ops['change'][1]}/{ops['change'][0]}")
     print("verdict:", "change wins" if won else "no win shown")
-    return 0 if won else 1
+    if worse:
+        print("worse than its bound:", ", ".join(worse))
+    return 0 if won and not worse else 1
 
 
 if __name__ == "__main__":
