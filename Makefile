@@ -31,18 +31,21 @@ hostbench-numeric:
 hostbench-compare:
 	python3 bench/compare.py $(A) $(B)
 
-# The claim protocol of a performance PR: $(PAIRS) alternating runs of one
-# workload on fresh copies of $(PARENT) and of the working tree, a new seed
-# per pair; exits 1 unless the change wins >= 9/10 pairs and the medians
-# differ by more than the parent's interquartile range, or if another
-# end-to-end metric is worse than its bound. WORKLOAD= has no default: a
-# claim names its workload.
+# The pair protocol: $(PAIRS) alternating runs of one workload on fresh
+# copies of $(PARENT) and of the working tree, a new seed per pair. With
+# METRIC= a gain is claimed: exits 1 unless the change wins >= 9/10 pairs on
+# it and the medians differ by more than the parent's interquartile range,
+# or if another end-to-end metric is worse than its bound. Without METRIC=
+# nothing is claimed: exits 1 only if some metric is worse than its bound.
+# WORKLOAD= and METRIC= have no default: a claim names its workload and its
+# metric.
 PARENT ?= HEAD
 PAIRS ?= 10
 SEED0 ?= 71
+METRIC ?=
 hostbench-pairs:
 	python3 tools/hostbench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-	  --pairs $(PAIRS) --seed0 $(SEED0)
+	  --pairs $(PAIRS) --seed0 $(SEED0) $(if $(METRIC),--metric $(METRIC))
 
 # Fault-injection smoke: the tier-1 fault tests, the sync-model conformance
 # matrix (every model x crash / restart / join / leave x checkpoint-resume)

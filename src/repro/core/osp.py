@@ -287,23 +287,11 @@ class OSP(SyncModel):
             g_imp = g_unimp = None
 
         # (2) RS push, then the synchronous round over G^i (SyncModel.sync_round).
-        span = trace.begin(
-            "rs_push", actor, worker=worker, iteration=iteration, bytes=imp_bytes
-        )
-        yield ctx.transfer_to_ps(
-            worker, imp_bytes, tag=("rs-push", worker, iteration), prio=PRIO_HIGH
-        )
-        trace.end(span)
+        yield from self.push(ctx, worker, iteration, "rs", imp_bytes, prio=PRIO_HIGH)
         yield from self.sync_round(ctx, worker, iteration, g_imp)
 
         # (3) RS pull: updated important parameters.
-        span = trace.begin(
-            "rs_pull", actor, worker=worker, iteration=iteration, bytes=imp_bytes
-        )
-        yield ctx.transfer_from_ps(
-            worker, imp_bytes, tag=("rs-pull", worker, iteration), prio=PRIO_HIGH
-        )
-        trace.end(span)
+        yield from self.pull(ctx, worker, iteration, "rs", imp_bytes, prio=PRIO_HIGH)
 
         # (4) LGP Eq. 6.
         corrector = self._correctors[worker]
@@ -408,14 +396,8 @@ class OSP(SyncModel):
         )
         snapshot = yield ready
         trace.end(span)
-        span = trace.begin(
-            "ics_pull", actor, track="ics",
-            worker=worker, iteration=iteration, bytes=unimp_bytes,
-        )
-        yield ctx.transfer_from_ps(
-            worker, unimp_bytes, tag=("ics-pull", worker, iteration), prio=PRIO_BULK
-        )
-        trace.end(span)
+        yield from self.pull(ctx, worker, iteration, "ics", unimp_bytes,
+                             span="ics_pull", prio=PRIO_BULK, track="ics")
 
         # LGP Eq. 7, filtered by the *current* bitmap so layers promoted to
         # RS since are never overwritten with an older value.

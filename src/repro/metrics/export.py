@@ -69,7 +69,13 @@ def recorder_from_dict(payload: dict) -> Recorder:
     for i, d in enumerate(payload.get("epochs", [])):
         rec.record_epoch(_build_record(EpochRecord, d, f"epochs[{i}]"))
     for name, value in payload.get("counters", {}).items():
-        rec.incr(name, int(value))
+        # Byte counters are floats; truncating them would shift a resumed
+        # run's totals. A bool is a JSON `true`, not a count.
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ExportError(
+                f"counters[{name!r}]: expected a number, got {type(value).__name__}"
+            )
+        rec.incr(name, value)
     return rec
 
 

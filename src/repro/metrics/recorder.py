@@ -38,9 +38,10 @@ class Recorder:
 
     iterations: list[IterationRecord] = field(default_factory=list)
     epochs: list[EpochRecord] = field(default_factory=list)
-    #: Named event counters (``faults.*`` fault injections, ``osp.*``
-    #: degradation events). Plain ints, absent until first incremented.
-    counters: dict[str, int] = field(default_factory=dict)
+    #: Named counters, absent until first incremented: ints for event counts
+    #: (``faults.*`` fault injections, ``osp.*`` degradation events), floats
+    #: for byte totals (``netsim.prio_bytes.*``, ``multijob.*_bytes``).
+    counters: dict[str, int | float] = field(default_factory=dict)
 
     # -- recording ---------------------------------------------------------
     def record_iteration(self, rec: IterationRecord) -> None:
@@ -49,7 +50,7 @@ class Recorder:
     def record_epoch(self, rec: EpochRecord) -> None:
         self.epochs.append(rec)
 
-    def incr(self, name: str, n: int = 1) -> None:
+    def incr(self, name: str, n: int | float = 1) -> None:
         """Bump a named event counter."""
         self.counters[name] = self.counters.get(name, 0) + n
 

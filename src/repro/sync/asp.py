@@ -32,20 +32,10 @@ class ASP(SyncModel):
         }
 
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
-        trace = ctx.trace
-        actor = f"worker {worker}"
         nbytes = ctx.engine.model_bytes
-        span = trace.begin(
-            "push", actor, worker=worker, iteration=iteration, bytes=nbytes
-        )
-        yield ctx.transfer_to_ps(worker, nbytes, tag=("asp-push", worker, iteration))
-        trace.end(span)
+        yield from self.push(ctx, worker, iteration, "asp", nbytes, span="push")
         ctx.ps.apply_immediate(worker, grads)
-        span = trace.begin(
-            "pull", actor, worker=worker, iteration=iteration, bytes=nbytes
-        )
-        yield ctx.transfer_from_ps(worker, nbytes, tag=("asp-pull", worker, iteration))
-        trace.end(span)
+        yield from self.pull(ctx, worker, iteration, "asp", nbytes, span="pull")
         ctx.engine.sync_replica(worker, ctx.ps)
         self._pull_version[worker] = ctx.ps.version
 

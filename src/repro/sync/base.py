@@ -12,11 +12,19 @@ and is written nowhere else (``tests/sync/test_one_round.py`` holds that):
 BSP and its variants are the round over the whole model, OSP's RS stage
 (§4.3: all layers in RS *is* BSP) the round over the important layers. A
 round model keeps only its push / pull plan.
+
+That plan is spelled with :meth:`SyncModel.push` and :meth:`SyncModel.pull`:
+one span, one tag and one priority class per stage, and the flows under it.
+No other module starts a worker ↔ PS flow except the two OSP keeps by hand
+(the ICS push, whose event the next iteration's Eq. 5 check reads, and the
+fire-and-forget GIB broadcast), and the same test holds that too.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
+
+from repro.netsim.prio import PRIO_NORMAL
 
 if TYPE_CHECKING:
     from repro.cluster.context import TrainerContext
@@ -109,6 +117,28 @@ class SyncModel:
 
     def on_round_close(self, ctx: TrainerContext, iteration: int, n_deposits: int) -> None:
         """Called once per closed round, after its average was applied."""
+
+    # -- the traffic verbs -----------------------------------------------------
+    def push(self, ctx, worker, iteration, tag, nbytes, span="rs_push",
+             prio=PRIO_NORMAL, parts=None, track="workers"):
+        """Generator: move ``nbytes`` worker → PS under one ``span``.
+
+        The flow is tagged ``(f"{tag}-push", worker, iteration)`` and sent in
+        class ``prio``. With ``parts = [(key, nbytes, prio, ps_index), …]``
+        one concurrent flow per part is started instead, each tagged
+        ``(f"{tag}-push", worker, iteration, key)``, and they are waited on
+        in order; ``nbytes`` is then only the span's ``bytes``. ``track``
+        picks the timeline lane: ``"workers"`` (actor ``worker {w}``) or a
+        per-worker side lane such as ``"ics"`` (``worker {w} (ics)``).
+        """
+        return _move(ctx, ctx.transfer_to_ps, f"{tag}-push", worker, iteration,
+                     nbytes, span, prio, parts, track)
+
+    def pull(self, ctx, worker, iteration, tag, nbytes, span="rs_pull",
+             prio=PRIO_NORMAL, parts=None, track="workers"):
+        """Generator: the mirror of :meth:`push`, PS → worker, ``{tag}-pull``."""
+        return _move(ctx, ctx.transfer_from_ps, f"{tag}-pull", worker, iteration,
+                     nbytes, span, prio, parts, track)
 
     # -- the shared loop -----------------------------------------------------
     def worker_process(self, ctx: TrainerContext, worker: int):
@@ -241,6 +271,29 @@ class SyncModel:
         # The round pins every replica to the same version: staleness is
         # identically zero for every model that closes one.
         return {f"osp.worker.{w}.staleness": 0.0 for w in ctx.alive_workers}
+
+
+def _move(ctx, transfer, tag, worker, iteration, nbytes, span, prio, parts, track):
+    """The one body behind :meth:`SyncModel.push` / :meth:`SyncModel.pull`:
+    open the span, start the flows, wait on them in order, close the span.
+    Untraced, the span costs one falsy test on each side."""
+    trace = ctx.env.tracer
+    if trace:
+        actor = f"worker {worker}" if track == "workers" else f"worker {worker} ({track})"
+        opened = trace.begin(
+            span, actor, track=track, worker=worker, iteration=iteration, bytes=nbytes
+        )
+    if parts is None:
+        yield transfer(worker, nbytes, tag=(tag, worker, iteration), prio=prio)
+    else:
+        flows = [
+            transfer(worker, size, tag=(tag, worker, iteration, key), prio=cls, ps_index=ps)
+            for key, size, cls, ps in parts
+        ]
+        for flow in flows:
+            yield flow
+    if trace:
+        trace.end(opened)
 
 
 __all__ = ["SyncModel"]

@@ -20,20 +20,10 @@ class BSP(SyncModel):
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
         # Same span names as OSP's RS stage (BSP ≡ RS over the full model),
         # so traced timelines compare apples-to-apples.
-        trace = ctx.trace
-        actor = f"worker {worker}"
         nbytes = ctx.engine.model_bytes
-        span = trace.begin(
-            "rs_push", actor, worker=worker, iteration=iteration, bytes=nbytes
-        )
-        yield ctx.transfer_to_ps(worker, nbytes, tag=("bsp-push", worker, iteration))
-        trace.end(span)
+        yield from self.push(ctx, worker, iteration, "bsp", nbytes)
         yield from self.sync_round(ctx, worker, iteration, grads)
-        span = trace.begin(
-            "rs_pull", actor, worker=worker, iteration=iteration, bytes=nbytes
-        )
-        yield ctx.transfer_from_ps(worker, nbytes, tag=("bsp-pull", worker, iteration))
-        trace.end(span)
+        yield from self.pull(ctx, worker, iteration, "bsp", nbytes)
         ctx.engine.sync_replica(worker, ctx.ps)
 
 

@@ -58,24 +58,10 @@ class CompressedBSP(SyncModel):
             lossy = None
             push_bytes = model_bytes * self.nominal_ratio
 
-        trace = ctx.trace
-        actor = f"worker {worker}"
-        span = trace.begin(
-            "rs_push", actor, worker=worker, iteration=iteration, bytes=push_bytes
-        )
-        yield ctx.transfer_to_ps(
-            worker, push_bytes, tag=("cbsp-push", worker, iteration)
-        )
-        trace.end(span)
+        yield from self.push(ctx, worker, iteration, "cbsp", push_bytes)
         yield from self.sync_round(ctx, worker, iteration, lossy)
         # Dense parameter pull (sparse-push / dense-pull convention).
-        span = trace.begin(
-            "rs_pull", actor, worker=worker, iteration=iteration, bytes=model_bytes
-        )
-        yield ctx.transfer_from_ps(
-            worker, model_bytes, tag=("cbsp-pull", worker, iteration)
-        )
-        trace.end(span)
+        yield from self.pull(ctx, worker, iteration, "cbsp", model_bytes)
         ctx.engine.sync_replica(worker, ctx.ps)
 
     # -- checkpointing: a stateful codec's memory travels with the run ---------

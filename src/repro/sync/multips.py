@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from repro.cluster.context import TrainerContext
 
 from repro.core.groups import SyncGroupPlan, plan_sync_groups
+from repro.netsim.prio import PRIO_NORMAL
 from repro.sync.base import SyncModel
 
 
@@ -36,34 +37,16 @@ class ShardedBSP(SyncModel):
         self.plan: SyncGroupPlan = plan_sync_groups(
             ctx.engine.layer_bytes, ctx.spec.n_ps
         )
-
-    def _shard_flows(self, transfer, tag, worker, iteration) -> list:
-        """One concurrent flow per PS, each carrying that PS's shard."""
-        return [
-            transfer(worker, nbytes, tag=(tag, worker, iteration, ps), ps_index=ps)
-            for ps, nbytes in enumerate(self.plan.shard_bytes)
+        #: One concurrent flow per PS, each carrying that PS's shard.
+        self._parts = [
+            (ps, nbytes, PRIO_NORMAL, ps) for ps, nbytes in enumerate(self.plan.shard_bytes)
         ]
 
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
-        trace = ctx.trace
-        actor = f"worker {worker}"
         nbytes = ctx.engine.model_bytes
-        # One span around each direction's concurrent per-PS flows.
-        span = trace.begin(
-            "rs_push", actor, worker=worker, iteration=iteration, bytes=nbytes
-        )
-        yield ctx.env.all_of(
-            self._shard_flows(ctx.transfer_to_ps, "sbsp-push", worker, iteration)
-        )
-        trace.end(span)
+        yield from self.push(ctx, worker, iteration, "sbsp", nbytes, parts=self._parts)
         yield from self.sync_round(ctx, worker, iteration, grads)
-        span = trace.begin(
-            "rs_pull", actor, worker=worker, iteration=iteration, bytes=nbytes
-        )
-        yield ctx.env.all_of(
-            self._shard_flows(ctx.transfer_from_ps, "sbsp-pull", worker, iteration)
-        )
-        trace.end(span)
+        yield from self.pull(ctx, worker, iteration, "sbsp", nbytes, parts=self._parts)
         ctx.engine.sync_replica(worker, ctx.ps)
 
 

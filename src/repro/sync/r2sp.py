@@ -47,19 +47,11 @@ class R2SP(SyncModel):
         )
 
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
-        trace = ctx.trace
-        actor = f"worker {worker}"
         nbytes = ctx.engine.model_bytes
         yield self._push_token.request()
         held = self._push_token  # released in `finally`, whichever it is
         try:
-            span = trace.begin(
-                "push", actor, worker=worker, iteration=iteration, bytes=nbytes
-            )
-            yield ctx.transfer_to_ps(
-                worker, nbytes, tag=("r2sp-push", worker, iteration)
-            )
-            trace.end(span)
+            yield from self.push(ctx, worker, iteration, "r2sp", nbytes, span="push")
             ctx.ps.apply_immediate(worker, grads)
             if self.duplex:
                 # Hand the push token on before pulling; otherwise one
@@ -68,13 +60,7 @@ class R2SP(SyncModel):
                 held = None
                 yield self._pull_token.request()
                 held = self._pull_token
-            span = trace.begin(
-                "pull", actor, worker=worker, iteration=iteration, bytes=nbytes
-            )
-            yield ctx.transfer_from_ps(
-                worker, nbytes, tag=("r2sp-pull", worker, iteration)
-            )
-            trace.end(span)
+            yield from self.pull(ctx, worker, iteration, "r2sp", nbytes, span="pull")
         finally:
             if held is not None:
                 held.release()

@@ -5,22 +5,18 @@ afterwards. Implemented as an extension baseline/ablation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.cluster.context import TrainerContext
-
 from repro.sync.asp import ASP
 from repro.sync.bsp import BSP
-from repro.sync.base import SyncModel
 
 
-class SyncSwitch(SyncModel):
+class SyncSwitch(ASP):
     """BSP for ``switch_epoch`` epochs, then ASP.
 
     The switch happens at an epoch boundary for all workers. Because BSP
     keeps workers in lockstep through its barrier, every worker reaches the
-    boundary at the same iteration count, so the hand-off is clean.
+    boundary at the same iteration count, so the hand-off is clean. One
+    model, one setup: the BSP phase runs the base's round on this model's
+    own barrier.
     """
 
     name = "sync-switch"
@@ -29,17 +25,11 @@ class SyncSwitch(SyncModel):
         if switch_epoch < 1:
             raise ValueError(f"switch_epoch must be >= 1, got {switch_epoch}")
         self.switch_epoch = switch_epoch
-        self._bsp = BSP()
-        self._asp = ASP()
-
-    def setup(self, ctx: TrainerContext) -> None:
-        super().setup(ctx)
-        self._bsp.setup(ctx)
-        self._asp.setup(ctx)
 
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
-        model = self._bsp if epoch < self.switch_epoch else self._asp
-        yield from model.synchronize(ctx, worker, epoch, iteration, grads, loss)
+        if epoch < self.switch_epoch:
+            return BSP.synchronize(self, ctx, worker, epoch, iteration, grads, loss)
+        return super().synchronize(ctx, worker, epoch, iteration, grads, loss)
 
 
 __all__ = ["SyncSwitch"]

@@ -99,7 +99,6 @@ class WFBP(SyncModel):
         # 0..i-1. We approximate per-layer backward cost as proportional to
         # its byte share (documented approximation; conv FLOP shares are
         # not represented in the cards).
-        exposed_done = []  # completion events for the exposed remainder
         # All N workers backprop in near-lockstep, so the overlapped window
         # moves bytes at the incast fair share b/N. Layers become ready
         # sequentially and transfers are FIFO per worker, so a layer's push
@@ -110,38 +109,17 @@ class WFBP(SyncModel):
             self._t_bwd,
             fair_rate,
         )
-        trace = ctx.trace
-        actor = f"worker {worker}"
-        # One span around the concurrent per-layer flows: the exposed push.
-        span = trace.begin(
-            "rs_push", actor, worker=worker, iteration=iteration,
-            bytes=sum(exposed for _l, _h, exposed in schedule),
-        )
-        for layer, _hidden, exposed_bytes in schedule:
-            if exposed_bytes > 0:
-                exposed_done.append(
-                    ctx.transfer_to_ps(
-                        worker,
-                        exposed_bytes,
-                        tag=("wfbp-push", worker, iteration, layer),
-                        prio=PRIO_HIGH if layer in self._prio_layers else PRIO_NORMAL,
-                    )
-                )
-
-        for ev in exposed_done:
-            yield ev
-        trace.end(span)
+        # The exposed push: one concurrent flow per layer with bytes left
+        # over, all under one span.
+        exposed = [
+            (layer, nbytes, PRIO_HIGH if layer in self._prio_layers else PRIO_NORMAL, 0)
+            for layer, _hidden, nbytes in schedule
+            if nbytes > 0
+        ]
+        total = sum(nbytes for _l, _h, nbytes in schedule)
+        yield from self.push(ctx, worker, iteration, "wfbp", total, parts=exposed)
         yield from self.sync_round(ctx, worker, iteration, grads)
-        span = trace.begin(
-            "rs_pull", actor, worker=worker, iteration=iteration, bytes=engine.model_bytes
-        )
-        yield ctx.transfer_from_ps(
-            worker,
-            engine.model_bytes,
-            tag=("wfbp-pull", worker, iteration),
-            prio=PRIO_HIGH,
-        )
-        trace.end(span)
+        yield from self.pull(ctx, worker, iteration, "wfbp", engine.model_bytes, prio=PRIO_HIGH)
         ctx.engine.sync_replica(worker, ctx.ps)
 
 

@@ -27,9 +27,9 @@ class PeriodicBSP(SyncModel):
                     replica[name][...] -= lr * g
             return  # no communication at all
         nbytes = ctx.engine.model_bytes
-        yield ctx.transfer_to_ps(worker, nbytes)
+        yield from self.push(ctx, worker, iteration, "pbsp", nbytes)
         yield from self.sync_round(ctx, worker, iteration, grads)
-        yield ctx.transfer_from_ps(worker, nbytes)
+        yield from self.pull(ctx, worker, iteration, "pbsp", nbytes)
         ctx.engine.sync_replica(worker, ctx.ps)
 
 
@@ -44,6 +44,24 @@ def test_periodic_bsp_timing_mode_syncs_less():
     full = run(BSP())
     assert periodic.mean_bst < 0.5 * full.mean_bst
     assert periodic.throughput > 1.5 * full.throughput
+
+
+def test_periodic_bsp_gets_spans_and_tags_for_free():
+    """`push` / `pull` trace and tag the stage like every model's."""
+    spec = ClusterSpec(n_workers=2, jitter=NoJitter())
+    plan = TrainingPlan(n_epochs=1, iterations_per_epoch=4)
+    engine = TimingEngine(get_card("resnet50-cifar10"), spec, total_iterations=4)
+    trainer = DistributedTrainer(spec, plan, engine, PeriodicBSP(period=2))
+    tracer = trainer.enable_tracing()
+    trainer.run()
+    spans = [(s.name, s.actor, s.iteration) for s in tracer.spans_named("rs_push", "rs_pull")]
+    assert spans == [
+        (name, f"worker {w}", i) for i in (0, 2) for name in ("rs_push", "rs_pull") for w in (0, 1)
+    ]
+    tags = sorted(r.tag for r in trainer.network.records)
+    assert tags == sorted(
+        (f"pbsp-{d}", w, i) for d in ("push", "pull") for w in (0, 1) for i in (0, 2)
+    )
 
 
 def test_periodic_bsp_survives_a_crash():

@@ -89,6 +89,28 @@ def test_real_run_roundtrips(tmp_path):
     assert loaded.mean_bst() == pytest.approx(res.recorder.mean_bst())
 
 
+def test_every_counter_of_an_osp_run_roundtrips_exactly():
+    """Byte counters are floats: `netsim.prio_bytes.urgent` (the GIB
+    broadcasts) read 28.00000009628434 here and came back as 28."""
+    from repro.core import OSP
+    from repro.harness.workloads import WorkloadConfig, timing_trainer
+
+    cfg = WorkloadConfig("resnet50-cifar10", n_workers=4, n_epochs=2, iterations_per_epoch=2)
+    rec = timing_trainer(cfg, OSP()).run().recorder
+    assert any(isinstance(v, float) for v in rec.counters.values())
+    back = recorder_from_dict(json.loads(json.dumps(recorder_to_dict(rec))))
+    assert back.counters == rec.counters
+    assert [type(v) for v in back.counters.values()] == [type(v) for v in rec.counters.values()]
+
+
+@pytest.mark.parametrize("value", ["12", True, None, [1]])
+def test_from_dict_refuses_a_counter_that_is_not_a_number(value):
+    from repro.metrics.export import ExportError
+
+    with pytest.raises(ExportError, match=r"counters\['osp.degraded_quorum'\]: expected a number"):
+        recorder_from_dict({"counters": {"osp.degraded_quorum": value}})
+
+
 def test_from_dict_rejects_unknown_fields():
     from repro.metrics.export import ExportError
 
