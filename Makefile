@@ -36,15 +36,16 @@ hostbench-compare:
 # METRIC= a gain is claimed: exits 1 unless the change wins >= 9/10 pairs on
 # it and the medians differ by more than the parent's interquartile range,
 # or if another end-to-end metric is worse than its bound. Without METRIC=
-# nothing is claimed: exits 1 only if some metric is worse than its bound.
-# WORKLOAD= and METRIC= have no default: a claim names its workload and its
-# metric.
+# nothing is claimed: exits 1 only if some metric is worse than its bound,
+# and WORKLOAD= may list several (WORKLOAD="t8_osp t128_osp cotenant_pair"),
+# each judged on the same two copies. WORKLOAD= and METRIC= have no default:
+# a claim names its one workload and its metric.
 PARENT ?= HEAD
 PAIRS ?= 10
 SEED0 ?= 71
 METRIC ?=
 hostbench-pairs:
-	python3 tools/hostbench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+	python3 tools/hostbench_pairs.py --parent $(PARENT) $(foreach w,$(WORKLOAD),--workload $(w)) \
 	  --pairs $(PAIRS) --seed0 $(SEED0) $(if $(METRIC),--metric $(METRIC))
 
 # Fault-injection smoke: the tier-1 fault tests, the sync-model conformance

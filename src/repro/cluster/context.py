@@ -374,7 +374,7 @@ class TrainerContext:
         """Worker → PS transfer; returns an event that fires once the bytes
         have arrived AND that PS's (serialised, memory-bound) aggregator has
         ingested them — see ``ClusterSpec.ps_agg_bandwidth``. Extra keyword
-        arguments (``prio``, ``weight``, ``slice_bytes``) pass through to
+        arguments (``prio``) pass through to
         :meth:`repro.netsim.network.Network.transfer`."""
         net_done = self.network.transfer(
             self.spec.worker_node(worker),

@@ -36,10 +36,14 @@ from pathlib import Path
 from typing import ClassVar, Optional, Sequence, Union
 
 
+# Every bound below is written so that NaN fails it: ``not x >= 0`` rejects
+# NaN where ``x < 0`` would let it through to the event queue.
+
+
 def _check_window(start: float, duration: float) -> None:
-    if start < 0:
+    if not start >= 0:
         raise ValueError(f"start must be >= 0, got {start}")
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
 
 
@@ -112,9 +116,9 @@ class StragglerSlowdown:
 
     def __post_init__(self) -> None:
         _check_window(self.start, self.duration)
-        if self.worker < 0:
+        if not self.worker >= 0:
             raise ValueError(f"worker must be >= 0, got {self.worker}")
-        if self.factor < 1.0:
+        if not self.factor >= 1.0:
             raise ValueError(f"factor must be >= 1, got {self.factor}")
 
 
@@ -137,14 +141,14 @@ class WorkerCrash:
     recover: str = "cold"
 
     def __post_init__(self) -> None:
-        if self.worker < 0:
+        if not self.worker >= 0:
             raise ValueError(f"worker must be >= 0, got {self.worker}")
-        if self.before_epoch < 1:
+        if not self.before_epoch >= 1:
             raise ValueError(
                 "workers can only fail after completing an epoch "
                 f"(before_epoch >= 1), got {self.before_epoch}"
             )
-        if self.restart_epoch is not None and self.restart_epoch <= self.before_epoch:
+        if self.restart_epoch is not None and not self.restart_epoch > self.before_epoch:
             raise ValueError(
                 f"restart_epoch ({self.restart_epoch}) must be after "
                 f"before_epoch ({self.before_epoch})"

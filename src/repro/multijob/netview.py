@@ -110,12 +110,11 @@ class MappedStarTopology(StarTopology):
 class JobNetworkView:
     """A co-tenant trainer's window onto the shared Network.
 
-    ``transfer``/``transfer_process``/``bulk_time`` translate job-local
-    node ids through the placement's ``node_map`` and tag flows with the
-    job name; completed flows are mirrored into the view's own
-    :attr:`records`; everything else (``stats``, ``refresh_capacities``,
-    ``link_utilization``, ``active_flows``, ``flow_hooks``,
-    ``drain_hooks``, ...) delegates to the shared Network via
+    ``transfer``/``bulk_time`` translate job-local node ids through the
+    placement's ``node_map`` and tag flows with the job name; completed
+    flows are mirrored into the view's own :attr:`records`; everything
+    else (``stats``, ``refresh_capacities``, ``link_utilization``,
+    ``active_flows``, ``flow_hooks``, ``drain_hooks``, ...) delegates to the shared Network via
     ``__getattr__``. Probes and the fault injector read and call through
     it; monitors append to the *fabric's* hook lists — the view defines
     none — so the Network that actually drains calls them (a method
@@ -139,7 +138,6 @@ class JobNetworkView:
         #: This job's completed transfers only (the shared Network's
         #: ``records`` interleaves every tenant).
         self.records: list = []
-        self.keep_records = network.keep_records
         #: Recorder mirror slot — the trainer assigns its per-job recorder
         #: here (NOT on the shared Network, whose mirror stays unset so
         #: fabric counters never leak into one tenant's stream).
@@ -162,15 +160,11 @@ class JobNetworkView:
             ) from exc
 
     # -- traffic ------------------------------------------------------------
-    def transfer(
-        self, src, dst, size: float, tag: Any = None,
-        prio: int = PRIO_NORMAL, **kwargs,
-    ):
+    def transfer(self, src, dst, size: float, tag: Any = None, prio: int = PRIO_NORMAL):
         if self.default_prio is not None and prio == PRIO_NORMAL:
             prio = self.default_prio
         done = self._net.transfer(
-            self._host(src), self._host(dst), size,
-            tag=tag, prio=prio, job=self.job, **kwargs,
+            self._host(src), self._host(dst), size, tag=tag, prio=prio, job=self.job
         )
         acct = self.accounting
         if acct is not None:
@@ -178,13 +172,8 @@ class JobNetworkView:
             done.callbacks.append(
                 lambda ev: acct.on_end(self.job, float(size), self.env.now)
             )
-        if self.keep_records:
-            done.callbacks.append(lambda ev: self.records.append(ev.value))
+        done.callbacks.append(lambda ev: self.records.append(ev.value))
         return done
-
-    def transfer_process(self, src, dst, size: float, tag: Any = None, **kwargs):
-        record = yield self.transfer(src, dst, size, tag=tag, **kwargs)
-        return record
 
     def bulk_time(self, src, dst, size: float) -> float:
         return self._net.bulk_time(self._host(src), self._host(dst), size)

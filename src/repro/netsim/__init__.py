@@ -20,11 +20,7 @@ event that succeeds when the flow completes.
 
 from repro.netsim.links import Link, LinkSpec
 from repro.netsim.topology import GraphTopology, StarTopology, SWITCH, make_multirack_topology
-from repro.netsim.fairshare import (
-    fair_rates,
-    prio_fair_rates,
-    weighted_max_min_fair_rates,
-)
+from repro.netsim.fairshare import fair_rates, prio_fair_rates
 from repro.netsim.flows import Flow, FlowRecord
 from repro.netsim.network import Network
 from repro.netsim.prio import (
@@ -52,5 +48,4 @@ __all__ = [
     "SWITCH",
     "make_multirack_topology",
     "prio_fair_rates",
-    "weighted_max_min_fair_rates",
 ]

@@ -39,7 +39,7 @@ sub-``_EPS`` near-tie replays the scan's round verbatim).
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Mapping, Sequence
 
 _EPS = 1e-12
 
@@ -63,15 +63,6 @@ def _validate_and_split(flow_routes, capacities):
         else:
             unfrozen[fid] = route
     return rates, unfrozen
-
-
-def _link_flows_of(unfrozen):
-    """Flows per link, insertion-ordered exactly like the reference scan."""
-    link_flows: dict[Hashable, set] = {}
-    for fid, route in unfrozen.items():
-        for link in set(route):
-            link_flows.setdefault(link, set()).add(fid)
-    return link_flows
 
 
 def fair_rates(
@@ -284,80 +275,6 @@ def fair_rates(
     return rates
 
 
-def _sort_key(fid) -> tuple:
-    """Deterministic ordering key for heterogeneous flow ids."""
-    return (str(type(fid).__name__), str(fid))
-
-
-def weighted_max_min_fair_rates(
-    flow_routes: Mapping[Hashable, Sequence[Hashable]],
-    capacities: Mapping[Hashable, float],
-    weights: Mapping[Hashable, float],
-) -> dict[Hashable, float]:
-    """Weighted max–min fair rates (progressive filling by link scan).
-
-    Each flow ``f`` carries a positive weight ``w_f``; a link's fair
-    *share* is ``remaining / Σ w`` over its unfrozen flows and a flow
-    freezes at ``share · w_f`` — i.e. rates are max–min fair in the
-    normalized coordinates ``rate / weight``. With every weight equal the
-    allocation degenerates to plain max–min fairness (and with every
-    weight exactly ``1.0`` the float operations — ``Σ 1.0 == n`` and
-    ``share · 1.0 == share`` — are bit-identical to :func:`fair_rates`).
-
-    The zero-share freeze cascade mirrors :func:`fair_rates`: a loaded
-    link clamped to zero remaining capacity freezes its flows at the
-    bottleneck share explicitly rather than letting a later round "find"
-    it at share 0.
-    """
-    for fid, w in weights.items():
-        if not w > 0:
-            raise ValueError(f"flow {fid!r} has non-positive weight {w}")
-    rates, unfrozen = _validate_and_split(flow_routes, capacities)
-    for fid in unfrozen:
-        if fid not in weights:
-            raise ValueError(f"flow {fid!r} has no weight")
-    remaining = dict(capacities)
-    link_flows = _link_flows_of(unfrozen)
-    wsum = {
-        link: sum(weights[fid] for fid in flows)
-        for link, flows in link_flows.items()
-    }
-
-    def freeze_link(link, best_share):
-        for fid in sorted(link_flows[link], key=_sort_key):
-            rate = best_share * weights[fid]
-            rates[fid] = rate
-            for l in set(unfrozen[fid]):
-                remaining[l] = max(0.0, remaining[l] - rate)
-                link_flows[l].discard(fid)
-                wsum[l] -= weights[fid]
-            del unfrozen[fid]
-
-    while unfrozen:
-        bottleneck = None
-        best_share = float("inf")
-        for link, flows in link_flows.items():
-            if not flows:
-                continue
-            share = remaining[link] / wsum[link]
-            if share < best_share - _EPS:
-                best_share = share
-                bottleneck = link
-        if bottleneck is None:  # pragma: no cover - defensive
-            raise RuntimeError("no bottleneck found with unfrozen flows left")
-        freeze_link(bottleneck, best_share)
-        while True:
-            zeroed = [
-                l for l, fl in link_flows.items() if fl and remaining[l] <= 0.0
-            ]
-            if not zeroed:
-                break
-            for link in zeroed:
-                freeze_link(link, best_share)
-
-    return rates
-
-
 #: Relative headroom below which a link counts as saturated by higher
 #: classes: the clamped subtraction chains of a max–min solve leave float
 #: residue of at most a few ulps per frozen flow, so anything under
@@ -369,27 +286,23 @@ def prio_fair_rates(
     flow_routes: Mapping[Hashable, Sequence[Hashable]],
     capacities: Mapping[Hashable, float],
     prios: Mapping[Hashable, int],
-    weights: Optional[Mapping[Hashable, float]] = None,
     *,
     validate: bool = True,
 ) -> dict[Hashable, float]:
-    """Strict-priority-then-weighted max–min fair rates.
+    """Strict priority over :func:`fair_rates` per class.
 
     Classes are solved highest first; each class sees only the capacity
     left over after every higher class took its allocation, so on a
     saturated link higher classes starve lower ones outright (rate 0.0)
-    while flows of equal class keep the plain (or, with non-uniform
-    weights, weighted) max–min semantics within the leftover.
+    while flows of equal class share the leftover by plain max–min.
 
-    When every flow sits in a single class — *any* class — and its
-    weights are uniform, the call delegates to the plain solver over the
-    full capacities, making the result bit-identical to the non-priority
-    scheduler. ``validate`` is forwarded to :func:`fair_rates` for the
-    uniform-weight subproblems.
+    When every flow sits in a single class — *any* class — the call
+    delegates to the plain solver over the full capacities, making the
+    result bit-identical to the non-priority scheduler. ``validate`` is
+    forwarded to :func:`fair_rates` for every subproblem.
     """
     classes = sorted({prios[fid] for fid in flow_routes}, reverse=True)
-    uniform = weights is None or len(set(weights.values())) <= 1
-    if len(classes) <= 1 and uniform:
+    if len(classes) <= 1:
         return fair_rates(flow_routes, capacities, validate=validate)
 
     leftover = dict(capacities)
@@ -412,12 +325,7 @@ def prio_fair_rates(
                     caps[l] = leftover[l]
         if not solve_routes:
             continue
-        if weights is None or len({weights[f] for f in solve_routes}) <= 1:
-            sub = fair_rates(solve_routes, caps, validate=validate)
-        else:
-            sub = weighted_max_min_fair_rates(
-                solve_routes, caps, {f: weights[f] for f in solve_routes}
-            )
+        sub = fair_rates(solve_routes, caps, validate=validate)
         for fid, rate in sub.items():
             rates[fid] = rate
             if rate > 0 and rate != float("inf"):
@@ -426,8 +334,4 @@ def prio_fair_rates(
     return rates
 
 
-__all__ = [
-    "fair_rates",
-    "prio_fair_rates",
-    "weighted_max_min_fair_rates",
-]
+__all__ = ["fair_rates", "prio_fair_rates"]

@@ -36,15 +36,6 @@ class Flow:
     links: tuple[str, ...] = ()
     #: Strict-priority transmission class (repro.netsim.prio constants).
     prio: int = PRIO_NORMAL
-    #: DRR-style weight within the class (uniform weights = plain max–min).
-    weight: float = 1.0
-    #: Effective bytes per P3-style slice, or ``None`` for an unsliced
-    #: flow (rate changes apply instantly). Sliced flows only accept a new
-    #: allocation at slice boundaries under multi-class contention.
-    slice_eff: Optional[float] = None
-    #: Remaining-bytes threshold of the current slice boundary; ``-1.0``
-    #: means no slice has been anchored yet.
-    slice_next: float = -1.0
     #: Owning job name under multi-job co-tenancy, or ``None`` for a
     #: single-tenant flow. Drained bytes of tagged flows are accounted to
     #: ``netsim.job_bytes.{job}``.

@@ -30,15 +30,19 @@ carries every unfrozen flow ends the solve — see :mod:`.fairshare`):
   ``2·_EPS`` is below one ulp of a share). OSP's HIGH pushes into the PS and
   BULK pulls out of it share no link on a full-duplex star, so neither pays
   for the other's departures. The whole fabric is just the component of
-  *every* loaded link: a capacity refresh marks them all, and so does a
-  rerate with work to do while a sliced flow is active (slice locks and
-  anchors are defined over the whole set). A walk that reaches nothing
-  solves nothing (``netsim.rerate_skipped``); a new flow it did not reach is
-  alone on its links and gets its route's min capacity.
+  *every* loaded link: a capacity refresh marks them all. A walk that
+  reaches nothing solves nothing (``netsim.rerate_skipped``); a new flow it
+  did not reach is alone on its links and gets its route's min capacity.
 * **Route caching** — interned ``(route, link names, distinct link names)``
   per (src, dst), so the solver never rebuilds name lists and topologies are
   only asked to route each pair once. Topologies are static by contract
   (fault windows change link *attributes*, never the link set or routes).
+
+No flow carries scheduler state from one solve to the next, so after every
+rerate each live rate *is* the strict-priority max–min solve
+(:func:`prio_fair_rates`) of the current flow set over the current
+capacities — a property ``tests/netsim/test_network_properties.py`` checks
+at every drain.
 
 ``flow_hooks`` and ``drain_hooks`` are the two moments an observer can
 subscribe to (:mod:`repro.check` does): a flow going on the wire, and the
@@ -51,11 +55,9 @@ how *often* the scheduler recomputes, not what it computes.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
-from repro.netsim.fairshare import _SAT_REL, fair_rates, prio_fair_rates
+from repro.netsim.fairshare import fair_rates, prio_fair_rates
 from repro.netsim.flows import Flow, FlowRecord
 from repro.netsim.links import Link
 from repro.netsim.prio import CLASS_NAMES, PRIO_NORMAL
@@ -95,39 +97,26 @@ class Network:
     topology:
         Any object exposing ``route``, ``route_latency``, ``route_loss`` and
         ``links`` (see :class:`~repro.netsim.topology.StarTopology`).
-    keep_records:
-        If True (default), completed transfers are appended to
-        :attr:`records` for post-hoc analysis (BST breakdowns, Fig. 1/2
-        timelines).
-    max_records:
-        Optional cap on :attr:`records`. When set, the newest
-        ``max_records`` records are kept (keep-latest ring) and each drop
-        increments the ``netsim.records_dropped`` counter — long
-        elastic/fault runs with records enabled stay memory-bounded.
     priorities:
         Whether the fabric schedules by priority class (default). It is a
         plain attribute read when a flow is admitted: while False, every
-        flow enters as NORMAL/unit-weight/unsliced and the links are
-        plainly fair-shared. Set it before the run starts.
+        flow enters as NORMAL and the links are plainly fair-shared. Set it
+        before the run starts.
+
+    Every completed transfer is appended to :attr:`records` for post-hoc
+    analysis (BST breakdowns, Fig. 1/2 timelines).
     """
 
     def __init__(
         self,
         env: Environment,
         topology: StarTopology,
-        keep_records: bool = True,
-        max_records: Optional[int] = None,
         priorities: bool = True,
     ) -> None:
         self.env = env
         self.topology = topology
-        self.keep_records = keep_records
-        self.max_records = max_records
         self.priorities = priorities
-        if keep_records and max_records is not None:
-            self.records = deque(maxlen=max_records)
-        else:
-            self.records: list[FlowRecord] = []
+        self.records: list[FlowRecord] = []
         #: Optional Recorder mirror for the ``netsim.*`` counters in
         #: :attr:`stats` (the trainer attaches its recorder).
         self.recorder = None
@@ -140,7 +129,6 @@ class Network:
             "netsim.rerates": 0,
             "netsim.rerate_skipped": 0,
             "netsim.fairshare_calls": 0,
-            "netsim.records_dropped": 0,
             "netsim.prio_preemptions": 0,
             "netsim.prio_bytes.bulk": 0.0,
             "netsim.prio_bytes.normal": 0.0,
@@ -156,12 +144,6 @@ class Network:
 
         #: Active-flow count per priority class (multi-class detector).
         self._class_count: dict[int, int] = {}
-        #: Active flows with a non-unit weight / with slicing enabled.
-        self._weighted_count = 0
-        self._sliced_count = 0
-        #: fids locked mid-slice by the last priority solve (their rates
-        #: are pinned until the slice boundary).
-        self._locked: list[int] = []
         #: (src, dst) -> (route, its link names, the distinct ones among them).
         self._route_cache: dict[tuple, tuple[tuple[Link, ...], tuple, tuple]] = {}
         #: The flow–link index, all the scheduler keeps about coupling: link
@@ -196,8 +178,6 @@ class Network:
         size: float,
         tag: Any = None,
         prio: int = PRIO_NORMAL,
-        weight: Optional[float] = None,
-        slice_bytes: Optional[float] = None,
         job: Optional[str] = None,
     ) -> Event:
         """Start a transfer of ``size`` payload bytes from ``src`` to ``dst``.
@@ -208,12 +188,8 @@ class Network:
         instant, modelling co-located PS communication through shared memory.
 
         ``prio`` picks the strict-priority class (repro.netsim.prio
-        constants); ``weight`` is the flow's DRR weight for weighted
-        sharing *within* the class (default 1.0); ``slice_bytes`` enables
-        P3-style slicing — under multi-class contention the flow only
-        accepts a *new* rate at slice boundaries, modelling bounded
-        preemption latency. All three are ignored (coerced to
-        NORMAL/unit/unsliced) while :attr:`priorities` is False.
+        constants); it is coerced to NORMAL while :attr:`priorities` is
+        False.
 
         ``job`` attributes the flow to a co-tenant training job: its
         drained bytes are accounted to ``netsim.job_bytes.{job}``.
@@ -225,11 +201,7 @@ class Network:
         if prio not in CLASS_NAMES:
             raise ValueError(f"unknown priority class {prio!r}")
         if not self.priorities:
-            prio, weight, slice_bytes = PRIO_NORMAL, 1.0, None
-        elif weight is None:
-            weight = 1.0
-        elif not weight > 0:
-            raise ValueError(f"non-positive flow weight {weight}")
+            prio = PRIO_NORMAL
         cached = self._route_cache.get((src, dst))
         if cached is None:
             route = tuple(self.topology.route(src, dst))
@@ -248,13 +220,6 @@ class Network:
         done = Event(self.env)
         fid = self._next_fid
         self._next_fid += 1
-
-        # A slice grain at or below the completion epsilon is unresolvable
-        # — treat the flow as unsliced rather than spin on the boundary.
-        slice_eff = None
-        if slice_bytes is not None and float(slice_bytes) > _BYTE_EPS:
-            slice_eff = float(slice_bytes) * (1.0 + loss)
-
         flow = Flow(
             fid=fid,
             src=src,
@@ -269,8 +234,6 @@ class Network:
             names=names,
             links=links,
             prio=prio,
-            weight=weight,
-            slice_eff=slice_eff,
             job=job,
         )
 
@@ -289,11 +252,6 @@ class Network:
             tr.gauge_delta("obs.net.active_flows", 1)
         self._schedule_rerate()
         return done
-
-    def transfer_process(self, src, dst, size: float, tag: Any = None, **kwargs):
-        """Generator wrapper so callers can ``yield from`` a transfer."""
-        record = yield self.transfer(src, dst, size, tag=tag, **kwargs)
-        return record
 
     def bulk_time(self, src, dst, size: float) -> float:
         """Analytic duration of a *lone* transfer (no contention).
@@ -331,13 +289,6 @@ class Network:
         self._drain()
         self._capacities = {l.name: l.bandwidth for l in self.topology.links}
         self._touch_all()  # every allocation assumed the old capacities
-        if self._sliced_count:
-            # A fault transition applies immediately even to mid-slice
-            # flows: force every slice to a boundary so the coming solve
-            # re-rates them against the new capacities.
-            for flow in self._active.values():
-                if flow.slice_eff is not None:
-                    flow.slice_next = -1.0
         self._rerate()
 
     # ------------------------------------------------------------ internals
@@ -354,10 +305,6 @@ class Network:
         self._solver_routes[flow.fid] = flow.names
         self._solver_prios[flow.fid] = flow.prio
         self._class_count[flow.prio] = self._class_count.get(flow.prio, 0) + 1
-        if flow.weight != 1.0:
-            self._weighted_count += 1
-        if flow.slice_eff is not None:
-            self._sliced_count += 1
         for name in flow.links:
             members = self._link_flows[name]
             if members:
@@ -374,10 +321,6 @@ class Network:
             self._class_count[flow.prio] = n_cls
         else:
             del self._class_count[flow.prio]
-        if flow.weight != 1.0:
-            self._weighted_count -= 1
-        if flow.slice_eff is not None:
-            self._sliced_count -= 1
         if tr:
             tr.gauge_delta("obs.net.inflight_bytes", -flow.size)
             tr.gauge_delta("obs.net.active_flows", -1)
@@ -461,106 +404,27 @@ class Network:
             return routes
         return {fid: routes[fid] for fid in sorted(reached)}
 
-    def _lock_slices(self, routes, fresh_anchor: set):
-        """P3-style slicing ahead of a multi-class solve of the whole fabric.
-
-        A sliced flow that is mid-slice keeps its current rate (locked)
-        until the boundary; its pinned consumption is subtracted from link
-        capacities before the class loop, so even a higher-class arrival
-        waits out at most one slice — the modelled preemption latency.
-        Returns the routes still to solve, the capacities left for them and
-        the fids a lock starves outright.
-        """
-        active = self._active
-        locked: list[int] = []
-        for fid, flow in active.items():
-            if flow.slice_eff is None:
-                continue
-            if (
-                flow.slice_next >= 0.0
-                and flow.slice_eff > 0.0
-                and flow.remaining < flow.slice_next - _BYTE_EPS
-            ):
-                # Boundaries passed without a rerate (the flow ran
-                # uncontended): advance the anchor along its slice grid
-                # to the boundary of the slice `remaining` now sits in.
-                behind = flow.slice_next - flow.remaining
-                steps = math.ceil(behind / flow.slice_eff - 1e-9)
-                flow.slice_next = max(
-                    0.0, flow.slice_next - steps * flow.slice_eff
-                )
-            if (
-                flow.rate > 0.0
-                and flow.slice_next >= 0.0
-                and flow.remaining > flow.slice_next + _BYTE_EPS
-                and fid not in fresh_anchor
-            ):
-                locked.append(fid)
-            else:
-                flow.slice_next = max(0.0, flow.remaining - flow.slice_eff)
-                fresh_anchor.add(fid)
-        self._locked = locked
-        if not locked:
-            return routes, self._capacities, ()
-
-        caps = dict(self._capacities)
-        for fid in locked:
-            flow = active[fid]
-            for name in flow.links:
-                caps[name] = max(0.0, caps[name] - flow.rate)
-        # A flow crossing a link the locked slices fully consume is
-        # starved for the rest of the slice, whatever its class; the
-        # remaining links must reach the solver strictly positive.
-        starved: list[int] = []
-        unlocked: dict[int, tuple] = {}
-        full = self._capacities
-        lockset = set(locked)
-        for fid, names in routes.items():
-            if fid in lockset:
-                continue
-            if any(caps[n] <= full[n] * _SAT_REL for n in active[fid].links):
-                starved.append(fid)
-            else:
-                unlocked[fid] = names
-        return unlocked, caps, starved
-
-    def _solve(self, routes, fresh_anchor: set) -> None:
+    def _solve(self, routes) -> None:
         """Rate the flows of ``routes`` (whole link-components, fid order).
 
-        One class with unit weights is plain max–min. Otherwise
-        :func:`prio_fair_rates`: classes solved highest first over the
-        leftover capacity, equal-class flows sharing by (weighted) max–min,
-        lower classes starved outright on saturated links
-        (``netsim.prio_preemptions`` counts flows whose running rate that
-        drops to zero).
+        One class is plain max–min. Several go to :func:`prio_fair_rates`:
+        classes solved highest first over the leftover capacity, equal-class
+        flows sharing by max–min, lower classes starved outright on
+        saturated links (``netsim.prio_preemptions`` counts flows whose
+        running rate drops to zero).
         """
         active = self._active
         prios = self._solver_prios
         caps = self._capacities
-        starved = ()
-        weights = None
-        if self._weighted_count:
-            weights = {fid: active[fid].weight for fid in routes}
         several = (  # the fabric-wide count first: it is O(1)
             len(self._class_count) > 1 and len({prios[f] for f in routes}) > 1
         )
-        self._locked = []
-        if several and self._sliced_count:
-            routes, caps, starved = self._lock_slices(routes, fresh_anchor)
-        elif self._sliced_count:
-            # A same-class adjustment applies instantly, but each applied
-            # allocation *starts a fresh slice*: anchor it so a higher-class
-            # arrival mid-slice finds the flow locked at its running rate.
-            for flow in active.values():
-                if flow.slice_eff is not None:
-                    flow.slice_next = max(0.0, flow.remaining - flow.slice_eff)
-        if several or weights is not None:
-            rates = prio_fair_rates(routes, caps, prios, weights, validate=False)
+        if several:
+            rates = prio_fair_rates(routes, caps, prios, validate=False)
         else:
             rates = fair_rates(routes, caps, validate=False)
         self._count("netsim.fairshare_calls")
         if several:  # a single class is never starved
-            rates.update(dict.fromkeys(starved, 0.0))
             preempted = sum(
                 rate == 0.0 and active[fid].rate > 0.0
                 for fid, rate in rates.items()
@@ -576,9 +440,6 @@ class Network:
         self._pending = False
         self._count("netsim.rerates")
         tr = self.env.tracer
-        #: fids whose slice was (re-)anchored during *this* rerate — they
-        #: must not be considered mid-slice by a later loop iteration.
-        fresh_anchor: set[int] = set()
         while True:
             # Complete flows that have fully drained.
             finished = [
@@ -593,12 +454,9 @@ class Network:
                 self._touched.clear()
                 return
 
-            if self._touched and self._sliced_count:
-                # Slice locks and anchors are defined over the whole set.
-                self._touch_all()
             routes = self._reach()
             if routes:
-                self._solve(routes, fresh_anchor)
+                self._solve(routes)
             else:
                 self._count("netsim.rerate_skipped")
             for fid in self._pending_new:
@@ -608,8 +466,6 @@ class Network:
                     # whatever its class (nobody to preempt or defer to).
                     flow = self._active[fid]
                     flow.rate = min(self._capacities[n] for n in flow.links)
-                    if flow.slice_eff is not None:
-                        flow.slice_next = max(0.0, flow.remaining - flow.slice_eff)
             self._pending_new.clear()
 
             horizon = _INF
@@ -619,16 +475,6 @@ class Network:
                     eta = flow.remaining / rate
                     if eta < horizon:
                         horizon = eta
-            if self._locked:
-                # A mid-slice flow's pinned rate expires at its slice
-                # boundary — wake there so deferred allocations apply.
-                for fid in self._locked:
-                    flow = self._active.get(fid)
-                    if flow is not None and flow.rate > 0 and flow.slice_eff:
-                        horizon = min(
-                            horizon,
-                            (flow.remaining - flow.slice_next) / flow.rate,
-                        )
             if horizon == _INF:  # pragma: no cover - defensive
                 raise RuntimeError("active flows but no positive rate")
 
@@ -641,20 +487,6 @@ class Network:
             for flow in self._active.values():
                 if flow.rate > 0 and now + flow.remaining / flow.rate <= now:
                     flow.remaining = 0.0
-            for fid in self._locked:
-                # Same guard for slice boundaries: a grain too fine to
-                # advance the clock degrades the flow to unsliced.
-                flow = self._active.get(fid)
-                if (
-                    flow is not None
-                    and flow.slice_eff is not None
-                    and flow.rate > 0
-                    and now + (flow.remaining - flow.slice_next) / flow.rate
-                    <= now
-                ):
-                    flow.slice_eff = None
-                    self._sliced_count -= 1
-                    self._touch_all()  # re-solve without the lock
 
         version = self._timer_version
         timer = self.env.timeout(horizon)
@@ -677,13 +509,7 @@ class Network:
             start_time=flow.start_time,
             end_time=self.env.now + flow.latency,
         )
-        if self.keep_records:
-            if (
-                self.max_records is not None
-                and len(self.records) >= self.max_records
-            ):
-                self._count("netsim.records_dropped")
-            self.records.append(record)
+        self.records.append(record)
         if flow.latency > 0:
             timer = self.env.timeout(flow.latency)
             timer.callbacks.append(

@@ -4,9 +4,9 @@ OSP's protocol stages have sharply different latency sensitivity: the RS
 stage is barrier-closed (every worker waits on it), the GIB bitmap
 broadcast gates the *next* round's classification, while ICS rounds and
 injected background tenants are explicitly off the critical path (PAPER
-§3, Fig. 5). P3 (Jayarajan et al., MLSys'19) showed that class- and
-slice-based transmission scheduling recovers exactly the overlap a
-FIFO/fair-shared fabric loses. This module defines the class lattice the
+§3, Fig. 5). P3 (Jayarajan et al., MLSys'19) showed that class-based
+transmission scheduling recovers exactly the overlap a FIFO/fair-shared
+fabric loses. This module defines the class lattice the
 :class:`~repro.netsim.network.Network` scheduler uses:
 
 =========  =====  =============================================
@@ -19,10 +19,11 @@ BULK         0    ICS rounds, background/cross-tenant load
 =========  =====  =============================================
 
 Scheduling is strict-priority *per link*: a higher class starves lower
-classes on every link they share; flows of equal class keep today's
-(weighted) max–min semantics. When every active flow is in one class —
-any class — the allocation degenerates to the plain solver and is
-bit-identical to the pre-priority scheduler.
+classes on every link they share; flows of equal class share by plain
+max–min. When every active flow is in one class — any class — the
+allocation degenerates to the plain solver and is bit-identical to the
+pre-priority scheduler. P3's slice-boundary preemption is not modelled:
+a higher-class arrival takes the link at once.
 
 A fabric without class scheduling is ``Network(..., priorities=False)``:
 every flow is admitted as NORMAL and the links are plainly fair-shared.

@@ -57,7 +57,6 @@ COUNTERS: frozenset[str] = frozenset(
         "netsim.rerates",
         "netsim.rerate_skipped",
         "netsim.fairshare_calls",
-        "netsim.records_dropped",
         # priority scheduling (repro.netsim.network; see docs/performance.md)
         "netsim.prio_preemptions",
         "netsim.prio_bytes.urgent",

@@ -134,7 +134,7 @@ def test_timing_resume_bit_identical(tmp_path):
     assert base.recorder.epochs == res.recorder.epochs
 
 
-def test_discard_policy_records_dropped_bytes(tmp_path):
+def test_discard_policy_counts_discarded_bytes(tmp_path):
     cfg = WorkloadConfig(
         "resnet50-cifar10", n_workers=4, n_epochs=4, iterations_per_epoch=3
     )

@@ -146,6 +146,36 @@ def test_fault_schedule_validation():
         )
     assert not FaultSchedule()
     assert FaultSchedule((LinkFlap(start=0.0, duration=1.0),))
+    # An infinite window lasts to the end of the run.
+    assert LinkFlap(start=0.0, duration=float("inf")).duration == float("inf")
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LossBurst(start=_NAN, duration=1.0),
+        lambda: LossBurst(start=0.0, duration=1.0, loss_rate=_NAN),
+        lambda: BandwidthDip(start=_NAN, duration=1.0),
+        lambda: BandwidthDip(start=0.0, duration=_NAN),
+        lambda: BandwidthDip(start=0.0, duration=1.0, factor=_NAN),
+        lambda: LinkFlap(start=0.0, duration=_NAN),
+        lambda: StragglerSlowdown(worker=0, start=0.0, duration=1.0, factor=_NAN),
+        lambda: StragglerSlowdown(worker=_NAN, start=0.0, duration=1.0),
+        lambda: WorkerCrash(worker=0, before_epoch=_NAN),
+        lambda: WorkerCrash(worker=0, before_epoch=1, restart_epoch=_NAN),
+    ],
+    ids=[
+        "loss-start", "loss-rate", "dip-start", "dip-duration", "dip-factor",
+        "flap-duration", "straggler-factor", "straggler-worker",
+        "crash-before-epoch", "crash-restart-epoch",
+    ],
+)
+def test_fault_schedule_rejects_nan(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_parse_faults_inline_and_file(tmp_path):
@@ -328,6 +358,22 @@ def test_cli_faults_flag(capsys, tmp_path):
         assert out["counters"]["faults.worker_crash"] == 1
         assert out["counters"]["faults.loss_burst"] == 1
         assert out["wall_time"] >= out["iteration_end_time"]
+
+
+def test_cli_refuses_a_nan_fault_field(capsys):
+    from repro.cli import main
+
+    spec = '[{"kind":"straggler","worker":0,"start":0,"duration":1,"factor":NaN}]'
+    code = main(
+        [
+            "run", "--sync", "osp", "--workers", "4", "--epochs", "2",
+            "--iterations", "3", "--faults", spec,
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: factor must be >= 1, got nan")
+    assert len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------- wall time

@@ -169,32 +169,12 @@ def test_flow_records_accumulate():
     assert {r.tag for r in net.records} == {"push", "pull"}
 
 
-def test_records_disabled():
-    env = Environment()
-    net = Network(env, StarTopology(2), keep_records=False)
-    net.transfer(0, 1, size=10.0)
-    env.run()
-    assert net.records == []
-
-
 def test_link_bytes_accounting():
     env, net = make_net(bandwidth=100.0)
     net.transfer(0, 1, size=100.0)
     env.run()
     assert net.link_utilization("up:0") == pytest.approx(1.0)
     assert net.link_utilization("down:1") == pytest.approx(1.0)
-
-
-def test_transfer_process_generator():
-    env, net = make_net(bandwidth=100.0)
-
-    def proc(env):
-        rec = yield from net.transfer_process(0, 1, 100.0, tag="gen")
-        return rec.duration
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == pytest.approx(1.0)
 
 
 def test_effective_rate_property():

@@ -13,6 +13,7 @@ from repro.netsim import (
     LinkSpec,
     Network,
     StarTopology,
+    prio_fair_rates,
 )
 from repro.simcore import Environment
 from tests.netsim.reference import PerEventNetwork
@@ -35,18 +36,11 @@ def _flow_plans(draw):
 
 
 @st.composite
-def _scheduler_plans(draw, classes, slices):
-    """A flow plan plus per-flow scheduling kwargs (class from ``classes``,
-    P3-style slicing on some flows if ``slices``) and an optional
+def _scheduler_plans(draw, classes):
+    """A flow plan plus each flow's class (from ``classes``) and an optional
     bandwidth-dip window on one node's links."""
     n_nodes, flows = draw(_flow_plans())
-    slice_bytes = st.none()
-    if slices:
-        slice_bytes |= st.floats(min_value=50.0, max_value=2e3)
-    kwargs = [
-        {"prio": draw(st.sampled_from(classes)), "slice_bytes": draw(slice_bytes)}
-        for _ in flows
-    ]
+    kwargs = [{"prio": draw(st.sampled_from(classes))} for _ in flows]
     dip = draw(
         st.none()
         | st.tuples(
@@ -181,17 +175,13 @@ def test_property_deterministic_replay(plan):
         assert a.end_time == b.end_time
 
 
-@given(
-    _scheduler_plans((PRIO_BULK, PRIO_NORMAL, PRIO_HIGH, PRIO_URGENT), slices=False)
-)
+_ALL_CLASSES = (PRIO_BULK, PRIO_NORMAL, PRIO_HIGH, PRIO_URGENT)
+
+
+@given(_scheduler_plans(_ALL_CLASSES))
 @settings(max_examples=150, deadline=None)
 def test_property_coalescing_and_skipping_change_no_virtual_time(plan):
-    """The scheduler ≡ one that fully re-solves inside every transfer().
-
-    Unsliced flows only: a sliced flow locks onto whatever rate it holds,
-    so the per-event model's intermediate same-instant allocation — which
-    moves no bytes — would pin it where the coalesced solve never put it.
-    """
+    """The scheduler ≡ one that fully re-solves inside every transfer()."""
     n_nodes, flows, kwargs, dip = plan
     net, _ = _run_plan(n_nodes, flows, kwargs=kwargs, dip=dip)
     ref, _ = _run_plan(
@@ -216,6 +206,55 @@ def test_property_components_that_merge_and_split_match_the_whole_fabric_solve(p
     assert net.stats["netsim.fairshare_calls"] <= ref.stats["netsim.fairshare_calls"]
 
 
+def _solve_checked_network(checks):
+    """A ``Network`` factory whose drain hook holds every live rate to the
+    strict-priority max–min solve of the active flow set, at each drain
+    where the clock moved (within an instant a coalesced rerate may still
+    be pending); ``checks`` collects the clock of every check."""
+
+    def build(env, topo, **net_kwargs):
+        net = Network(env, topo, **net_kwargs)
+        capacities = {l.name: l.bandwidth for l in topo.links}
+        last = [env.now]
+
+        def check():
+            if env.now == last[0]:
+                return
+            last[0] = env.now
+            active = net.active_flows
+            solve = prio_fair_rates(
+                {f.fid: f.names for f in active},
+                capacities,
+                {f.fid: f.prio for f in active},
+            )
+            for flow in active:
+                assert flow.rate == pytest.approx(solve[flow.fid], rel=1e-9), (
+                    env.now, flow,
+                )
+            checks.append(env.now)
+
+        net.drain_hooks.append(check)
+        return net
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "plans",
+    [_scheduler_plans(_ALL_CLASSES), _merge_split_plans()],
+    ids=["four_classes", "merge_split"],
+)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_every_rate_is_the_solve_of_the_flow_set(plans, data):
+    """No flow carries scheduler state from one solve to the next: a live
+    rate is a function of the current flow set and capacities alone."""
+    n_nodes, flows, kwargs = data.draw(plans)[:3]  # no dip window
+    checks = []
+    _run_plan(n_nodes, flows, kwargs=kwargs, network=_solve_checked_network(checks))
+    assert checks
+
+
 @pytest.mark.parametrize(
     "cls", [PRIO_NORMAL, PRIO_BULK, PRIO_HIGH], ids=["normal", "bulk", "high"]
 )
@@ -224,7 +263,7 @@ def test_property_components_that_merge_and_split_match_the_whole_fabric_solve(p
 def test_property_single_class_is_the_plain_fair_shared_fabric(cls, data):
     """All traffic in one class — any class — must not notice the class
     scheduler exists: bit-exact against ``priorities=False``."""
-    n_nodes, flows, kwargs, dip = data.draw(_scheduler_plans((cls,), slices=True))
+    n_nodes, flows, kwargs, dip = data.draw(_scheduler_plans((cls,)))
     on, _ = _run_plan(n_nodes, flows, kwargs=kwargs, dip=dip)
     off, _ = _run_plan(n_nodes, flows, kwargs=kwargs, dip=dip, priorities=False)
     assert _outcome(on) == _outcome(off)

@@ -221,27 +221,6 @@ def test_capacity_dip_rerates_both_components_at_the_fault_edge():
     assert repr(env.now) == repr(ref_env.now)
 
 
-def test_max_records_keeps_latest_and_counts_drops():
-    env = Environment()
-    net = Network(env, _star(), max_records=3)
-    for i in range(8):
-        net.transfer(1, 0, 10.0, tag=i)
-        env.run()
-    assert len(net.records) == 3
-    assert [r.tag for r in net.records] == [5, 6, 7]  # keep-latest ring
-    assert net.stats["netsim.records_dropped"] == 5
-
-
-def test_max_records_unset_keeps_everything():
-    env = Environment()
-    net = Network(env, _star())
-    for i in range(5):
-        net.transfer(1, 0, 10.0, tag=i)
-    env.run()
-    assert len(net.records) == 5
-    assert net.stats["netsim.records_dropped"] == 0
-
-
 def test_recorder_mirror_receives_netsim_counters():
     class FakeRecorder:
         def __init__(self):

@@ -1,4 +1,4 @@
-"""Priority/weight-aware transmission scheduling (solver + Network)."""
+"""Priority-aware transmission scheduling (solver + Network)."""
 
 from unittest import mock
 
@@ -17,7 +17,6 @@ from repro.netsim import (
     StarTopology,
     fair_rates,
     prio_fair_rates,
-    weighted_max_min_fair_rates,
 )
 from repro.simcore import Environment
 from tests.netsim.reference import reference_fair_rates
@@ -27,23 +26,6 @@ def make_net(n=4, bandwidth=1000.0, **net_kwargs):
     env = Environment()
     topo = StarTopology(n, default_spec=LinkSpec(bandwidth=bandwidth, latency=0.0))
     return env, Network(env, topo, **net_kwargs)
-
-
-# ------------------------------------------------------ weighted solver
-
-def test_weighted_shares_split_by_weight():
-    rates = weighted_max_min_fair_rates(
-        {"a": ["L"], "b": ["L"]}, {"L": 90.0}, {"a": 2.0, "b": 1.0}
-    )
-    assert rates["a"] == pytest.approx(60.0)
-    assert rates["b"] == pytest.approx(30.0)
-
-
-def test_weighted_validation():
-    with pytest.raises(ValueError):
-        weighted_max_min_fair_rates({"a": ["L"]}, {"L": 1.0}, {"a": 0.0})
-    with pytest.raises(ValueError):
-        weighted_max_min_fair_rates({"a": ["L"]}, {"L": 1.0}, {})
 
 
 @st.composite
@@ -62,32 +44,6 @@ def _random_networks(draw):
             st.lists(st.sampled_from(links), min_size=k, max_size=k, unique=True)
         )
     return routes, caps
-
-
-@given(_random_networks())
-@settings(max_examples=150, deadline=None)
-def test_weighted_all_ones_bit_identical_to_plain(net):
-    routes, caps = net
-    plain = fair_rates(routes, caps)
-    weighted = weighted_max_min_fair_rates(
-        routes, caps, {f: 1.0 for f in routes}
-    )
-    assert weighted == plain  # exact float equality, not approx
-
-
-@given(_random_networks())
-@settings(max_examples=150, deadline=None)
-def test_weighted_never_oversubscribes(net):
-    routes, caps = net
-    rng = np.random.default_rng(0)
-    weights = {f: float(rng.uniform(0.5, 4.0)) for f in routes}
-    rates = weighted_max_min_fair_rates(routes, caps, weights)
-    load = {l: 0.0 for l in caps}
-    for fid, route in routes.items():
-        for l in set(route):
-            load[l] += rates[fid]
-    for l in caps:
-        assert load[l] <= caps[l] * (1 + 1e-9)
 
 
 # ------------------------------------------------------ priority solver
@@ -115,7 +71,7 @@ def test_lower_class_takes_leftover_on_unsaturated_links():
 @given(_random_networks())
 @settings(max_examples=150, deadline=None)
 def test_single_class_delegates_bit_identical(net):
-    """Any single class + uniform weights ≡ the plain solver, bit-exact."""
+    """Any single class ≡ the plain solver, bit-exact."""
     routes, caps = net
     plain = fair_rates(routes, caps)
     for cls in (PRIO_URGENT, PRIO_NORMAL, PRIO_BULK):
@@ -197,110 +153,13 @@ def test_network_equal_class_keeps_fair_share():
     assert net.stats["netsim.prio_preemptions"] == 0
 
 
-def test_network_slice_defers_preemption_to_boundary():
-    env, net = make_net(bandwidth=1000.0)
-
-    def driver(env):
-        bulk = net.transfer(2, 1, 1000.0, tag="bulk", prio=PRIO_BULK,
-                            slice_bytes=250.0)
-        # At t=0.6 bulk has moved 600 B: mid slice 3 (grid 750/500/250),
-        # whose boundary sits at remaining=250 — i.e. t=0.75.
-        yield env.timeout(0.6)
-        high = net.transfer(3, 1, 500.0, tag="high", prio=PRIO_HIGH)
-        rec_h = yield high
-        rec_b = yield bulk
-        return rec_h, rec_b
-
-    p = env.process(driver(env))
-    env.run(until=p)
-    rec_h, rec_b = p.value
-    # HIGH waits out the in-flight slice (until t=0.75), then takes the
-    # link: 500 B / 1000 B/s; bulk's last 250 B follow.
-    assert rec_h.end_time == pytest.approx(1.25)
-    assert rec_b.end_time == pytest.approx(1.5)
-
-
-def test_network_slice_preempts_instantly_at_boundary():
-    env, net = make_net(bandwidth=1000.0)
-
-    def driver(env):
-        bulk = net.transfer(2, 1, 1000.0, tag="bulk", prio=PRIO_BULK,
-                            slice_bytes=250.0)
-        yield env.timeout(0.5)  # exactly two slices consumed: at a boundary
-        high = net.transfer(3, 1, 500.0, tag="high", prio=PRIO_HIGH)
-        rec_h = yield high
-        rec_b = yield bulk
-        return rec_h, rec_b
-
-    p = env.process(driver(env))
-    env.run(until=p)
-    rec_h, rec_b = p.value
-    assert rec_h.end_time == pytest.approx(1.0)  # no wait: boundary hit
-    assert rec_b.end_time == pytest.approx(1.5)
-
-
-@pytest.mark.parametrize(
-    "neighbour, drains, ends",
-    [
-        # A HIGH arrival at t=0.6 preempts NORMAL on ``down:4``.
-        (
-            "high_arrival",
-            [0.0, 0.6, 0.75, 0.8999999999999999, 1.0, 2.3],
-            [("high", 0.8999999999999999), ("bulk", 1.0), ("normal", 2.3)],
-        ),
-        # A NORMAL departure at t=0.6 speeds up the NORMAL it shared
-        # ``down:4`` with: one class in that component, two on the fabric.
-        (
-            "normal_departure",
-            [0.0, 0.6, 0.75, 1.0, 2.3],
-            [("n1", 0.6), ("bulk", 1.0), ("normal", 2.3)],
-        ),
-    ],
-    ids=["high_arrival", "normal_departure"],
-)
-def test_sliced_flow_off_the_changed_links_is_still_locked_and_anchored(
-    neighbour, drains, ends
-):
-    """While a sliced flow is active a solve covers the whole fabric: a change
-    on ``down:4`` also walks the sliced BULK flow on ``up:2``/``down:1`` — no
-    link in common — along its slice grid and locks it, so the scheduler
-    wakes at its boundary (t=0.75). Values are those of the commit before
-    the touched-component rerate."""
-    env, net = make_net(n=6, bandwidth=1000.0)
-    seen_drains = []
-    net.drain_hooks.append(lambda: seen_drains.append(env.now))
-    seen = {}
-
-    def driver(env):
-        net.transfer(2, 1, 1000.0, tag="bulk", prio=PRIO_BULK, slice_bytes=250.0)
-        if neighbour == "normal_departure":
-            net.transfer(3, 4, 300.0, tag="n1")
-            net.transfer(5, 4, 2000.0, tag="normal")
-            yield env.timeout(0.6)
-        else:
-            net.transfer(3, 4, 2000.0, tag="normal")
-            yield env.timeout(0.6)
-            net.transfer(5, 4, 300.0, tag="high", prio=PRIO_HIGH)
-        yield env.timeout(0.01)
-        for f in net.active_flows:
-            seen[f.tag] = (f.rate, f.slice_next)
-
-    env.process(driver(env))
-    env.run()
-    # Anchored at 750 when it started alone; at 400 B left it sits in the
-    # slice that ends at 250, and is locked there at its running rate.
-    assert seen["bulk"] == (1000.0, 250.0)
-    assert sorted(set(seen_drains)) == drains
-    assert [(r.tag, r.end_time) for r in net.records] == ends
-    assert net.stats["netsim.fairshare_calls"] == 3
-
-
 def test_transfer_rejects_bad_prio_and_weight():
+    """An unknown class is refused; a per-flow weight is not an option."""
     env, net = make_net()
     with pytest.raises(ValueError):
         net.transfer(0, 1, 10.0, prio=7)
-    with pytest.raises(ValueError):
-        net.transfer(0, 1, 10.0, weight=0.0)
+    with pytest.raises(TypeError):
+        net.transfer(0, 1, 10.0, weight=2.0)
 
 
 def _contended_run(**net_kwargs):

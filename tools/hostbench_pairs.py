@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Alternating parent / change pairs of one benchmark workload.
+"""Alternating parent / change pairs of benchmark workloads.
 
     python3 tools/hostbench_pairs.py --parent HEAD~1 --workload cotenant_pair --metric host_s
-    python3 tools/hostbench_pairs.py --parent HEAD~1 --workload t8_osp
+    python3 tools/hostbench_pairs.py --parent HEAD~1 --workload t8_osp --workload t128_osp
 
 The protocol every performance PR has to report (choosing-metrics §8):
 the parent commit and the working tree are each copied into a fresh
@@ -21,7 +21,10 @@ neither side), its median differs from the parent's by more than the
 parent's interquartile range, and no larger share of its ops failed; exit
 status 0 on a win with no ``worse`` row, 1 otherwise. Without it nothing is
 claimed and every metric is judged: exit status 0 if and only if none is
-``worse`` and no larger share of the change's ops failed. Run it alone on
+``worse`` and no larger share of the change's ops failed. A claim takes
+exactly one ``--workload``; without one, ``--workload`` may be repeated and
+each named workload gets its own pairs and verdict over the same two copies
+(exit status 0 only if every verdict is "nothing worse"). Run it alone on
 the machine (``TMPDIR`` chooses where the copies go).
 """
 
@@ -93,57 +96,40 @@ def judge(parent: list[float], change: list[float], spec: dict) -> str:
     return "worse" if worsening > spec["bound"] else "within"
 
 
-def main(argv=None) -> int:
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        contract = json.load(fh)
+def run_pairs(where: dict, contract: dict, workload: str, args) -> bool:
+    """The pairs of one workload and their verdict; True if it passes."""
     metrics = {m["name"]: m for m in contract["end_to_end"]}
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, help="git ref of the parent commit")
-    ap.add_argument("--workload", required=True,
-                    choices=[w["name"] for w in contract["workloads"]])
-    ap.add_argument("--metric", choices=sorted(metrics),
-                    help="the metric a gain is claimed on (default: no claim)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed0", type=int, default=71, help="seed of the first pair")
-    args = ap.parse_args(argv)
-
     sides = ("parent", "change")
     values = {s: {name: [] for name in metrics} for s in sides}
     ops = {s: [0, 0] for s in sides}  # attempted, failed
     wins = ties = 0
-    with tempfile.TemporaryDirectory(prefix="hostbench-pairs-") as tmp:
-        where = {s: os.path.join(tmp, s) for s in sides}
-        for path in where.values():
-            os.mkdir(path)
-        export_parent(args.parent, where["parent"])
-        export_working_tree(where["change"])
-        print(f"{args.workload}, {args.pairs} alternating pairs, parent {args.parent} vs "
-              f"working tree, {contract['run_seconds']} s per run, "
-              + (f"claim on {args.metric}" if args.metric else "no claim"))
-        print("pair seed first  side   " + " ".join(f"{n:>12}" for n in metrics)
-              + "  failed/attempted")
-        for i in range(args.pairs):
-            seed = args.seed0 + i
-            order = sides if i % 2 == 0 else sides[::-1]
-            for side in order:
-                doc = run_once(where[side], contract["command"], args.workload,
-                               seed, contract["run_seconds"])
-                row = {n: doc["metrics"][n]["value"] for n in metrics}
-                for n, v in row.items():
-                    values[side][n].append(v)
-                # A run whose output checks failed counts as a failed op.
-                failed = max(doc["failed"], 0 if doc["correct"] else 1)
-                ops[side][0] += doc["attempted"]
-                ops[side][1] += failed
-                print(f"{i + 1:>4} {seed:>4} {order[0]:<6} {side:<6} "
-                      + " ".join(f"{row[n]:>12.4f}" for n in metrics)
-                      + f"  {failed}/{doc['attempted']}", flush=True)
-            if args.metric:
-                p, c = (values[s][args.metric][-1] for s in sides)
-                if p == c:
-                    ties += 1
-                elif (c < p) == (metrics[args.metric]["better"] == "lower"):
-                    wins += 1
+    print(f"{workload}, {args.pairs} alternating pairs, parent {args.parent} vs "
+          f"working tree, {contract['run_seconds']} s per run, "
+          + (f"claim on {args.metric}" if args.metric else "no claim"))
+    print("pair seed first  side   " + " ".join(f"{n:>12}" for n in metrics)
+          + "  failed/attempted")
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        order = sides if i % 2 == 0 else sides[::-1]
+        for side in order:
+            doc = run_once(where[side], contract["command"], workload,
+                           seed, contract["run_seconds"])
+            row = {n: doc["metrics"][n]["value"] for n in metrics}
+            for n, v in row.items():
+                values[side][n].append(v)
+            # A run whose output checks failed counts as a failed op.
+            failed = max(doc["failed"], 0 if doc["correct"] else 1)
+            ops[side][0] += doc["attempted"]
+            ops[side][1] += failed
+            print(f"{i + 1:>4} {seed:>4} {order[0]:<6} {side:<6} "
+                  + " ".join(f"{row[n]:>12.4f}" for n in metrics)
+                  + f"  {failed}/{doc['attempted']}", flush=True)
+        if args.metric:
+            p, c = (values[s][args.metric][-1] for s in sides)
+            if p == c:
+                ties += 1
+            elif (c < p) == (metrics[args.metric]["better"] == "lower"):
+                wins += 1
 
     stats = {s: {n: quartiles(values[s][n]) for n in metrics} for s in sides}
     worse = []
@@ -176,7 +162,39 @@ def main(argv=None) -> int:
         print("verdict:", "nothing worse" if passed and not worse else "regression shown")
     if worse:
         print("worse than its bound:", ", ".join(worse))
-    return 0 if passed and not worse else 1
+    return passed and not worse
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        contract = json.load(fh)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git ref of the parent commit")
+    ap.add_argument("--workload", required=True, action="append",
+                    choices=[w["name"] for w in contract["workloads"]],
+                    help="repeatable when no gain is claimed")
+    ap.add_argument("--metric", choices=sorted(m["name"] for m in contract["end_to_end"]),
+                    help="the metric a gain is claimed on (default: no claim)")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed0", type=int, default=71, help="seed of the first pair")
+    args = ap.parse_args(argv)
+    if args.metric and len(args.workload) != 1:
+        ap.error("a claim (--metric) takes exactly one --workload")
+
+    verdicts = {}
+    with tempfile.TemporaryDirectory(prefix="hostbench-pairs-") as tmp:
+        where = {s: os.path.join(tmp, s) for s in ("parent", "change")}
+        for path in where.values():
+            os.mkdir(path)
+        export_parent(args.parent, where["parent"])
+        export_working_tree(where["change"])
+        for workload in args.workload:
+            verdicts[workload] = run_pairs(where, contract, workload, args)
+            print()
+    if len(verdicts) > 1:
+        print("all workloads:", ", ".join(
+            f"{w} {'pass' if ok else 'FAIL'}" for w, ok in verdicts.items()))
+    return 0 if all(verdicts.values()) else 1
 
 
 if __name__ == "__main__":
