@@ -88,7 +88,7 @@ def _build_trainer(args, sync_name: str):
     )
     sync = SYNC_FACTORIES[sync_name]()
     trainer_kwargs = {}
-    if getattr(args, "checkpoint_every", None):
+    if getattr(args, "checkpoint_every", None) is not None:  # 0 is refused, not off
         trainer_kwargs["checkpoint_every"] = args.checkpoint_every
         trainer_kwargs["checkpoint_dir"] = args.checkpoint_dir or "checkpoints"
         trainer_kwargs["checkpoint_policy"] = args.checkpoint_policy

@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.cluster.engines import Engine
 
+from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -80,8 +81,10 @@ class TrainerContext:
         self._best_metric = -np.inf
         self._epochs_since_improvement = 0
         self._lr_scheduler = None  # set by trainer
-        self._agg_resources = (
-            [Resource(env, capacity=1) for _ in spec.ps_nodes]
+        #: Per-PS aggregator FIFO of arrived pushes ``(nbytes, record, done)``:
+        #: the head is in service, the rest wait (see :meth:`transfer_to_ps`).
+        self._agg_queues: Optional[list[deque]] = (
+            [deque() for _ in spec.ps_nodes]
             if spec.ps_agg_bandwidth is not None
             else None
         )
@@ -375,7 +378,13 @@ class TrainerContext:
         have arrived AND that PS's (serialised, memory-bound) aggregator has
         ingested them — see ``ClusterSpec.ps_agg_bandwidth``. Extra keyword
         arguments (``prio``) pass through to
-        :meth:`repro.netsim.network.Network.transfer`."""
+        :meth:`repro.netsim.network.Network.transfer`.
+
+        The aggregator is a FIFO of callbacks: an arriving push starts its
+        ``nbytes / ps_agg_bandwidth`` service timer if the aggregator is idle,
+        else queues; a finishing timer arms the next queued push's timer.
+        ``tests/cluster/reference.py`` holds the ordering oracle.
+        """
         net_done = self.network.transfer(
             self.spec.worker_node(worker),
             self.spec.ps_nodes[ps_index],
@@ -383,23 +392,31 @@ class TrainerContext:
             tag=tag,
             **flow_kwargs,
         )
-        if self._agg_resources is None or nbytes <= 0:
+        if self._agg_queues is None or nbytes <= 0:
             return net_done
         done = Event(self.env)
-        self.env.process(
-            self._ingest(net_done, nbytes, done, self._agg_resources[ps_index])
+        queue = self._agg_queues[ps_index]
+        net_done.callbacks.append(
+            lambda ev: self._agg_arrive(queue, (nbytes, ev.value, done))
         )
         return done
 
-    def _ingest(self, net_done: Event, nbytes: float, done: Event, agg: Resource):
-        record = yield net_done
-        req = agg.request()
-        yield req
-        try:
-            yield self.env.timeout(nbytes / self.spec.ps_agg_bandwidth)
-        finally:
-            agg.release()
+    def _agg_arrive(self, queue: deque, push: tuple) -> None:
+        queue.append(push)
+        if len(queue) == 1:  # the aggregator was idle
+            self._agg_serve(queue)
+
+    def _agg_serve(self, queue: deque) -> None:
+        timer = self.env.timeout(queue[0][0] / self.spec.ps_agg_bandwidth)
+        timer.callbacks.append(lambda _ev: self._agg_served(queue))
+
+    def _agg_served(self, queue: deque) -> None:
+        # Succeed ``done`` before arming the next timer, so entries that tie
+        # keep that insertion order.
+        _nbytes, record, done = queue.popleft()
         done.succeed(record)
+        if queue:
+            self._agg_serve(queue)
 
     def transfer_from_ps(
         self,

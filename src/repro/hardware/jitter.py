@@ -12,6 +12,7 @@ All models are deterministic given their seed.
 
 from __future__ import annotations
 
+import math
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -54,6 +55,8 @@ class LognormalJitter:
     def __init__(
         self, sigma: float = 0.2, seed: int = 0, n_workers: int = DEFAULT_STREAMS
     ) -> None:
+        if not math.isfinite(sigma):  # NaN passes `sigma < 0`
+            raise ValueError(f"sigma must be finite, got {sigma}")
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         self.sigma = float(sigma)

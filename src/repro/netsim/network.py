@@ -499,7 +499,12 @@ class Network:
         self._rerate()
 
     def _finish(self, flow: Flow) -> None:
-        """Deliver the completion event after the route's one-way latency."""
+        """Deliver the completion event after the route's one-way latency.
+
+        With latency, ``done`` is queued NORMAL at ``now + latency`` and
+        stays untriggered until its entry pops; without, it succeeds URGENT
+        at this instant.
+        """
         record = FlowRecord(
             fid=flow.fid,
             src=flow.src,
@@ -511,10 +516,7 @@ class Network:
         )
         self.records.append(record)
         if flow.latency > 0:
-            timer = self.env.timeout(flow.latency)
-            timer.callbacks.append(
-                lambda _ev: flow.done.succeed(record, priority=URGENT)
-            )
+            self.env.deliver(flow.done, record, flow.latency)
         else:
             flow.done.succeed(record, priority=URGENT)
 

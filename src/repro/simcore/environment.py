@@ -6,7 +6,7 @@ import heapq
 from contextlib import contextmanager
 from typing import Any, Generator, Optional
 
-from repro.simcore.events import Event, Timeout
+from repro.simcore.events import Event, EventAlreadyTriggered, Timeout
 from repro.simcore.priority import NORMAL
 
 
@@ -115,11 +115,31 @@ class Environment:
         self.schedule(ev, 0.0, priority)
         return ev
 
+    def deliver(self, event: Event, value: Any, delay: float) -> None:
+        """Succeed ``event`` with ``value`` at ``now + delay``, as one queue entry.
+
+        ``event`` itself is queued at NORMAL, in the slot a timeout created
+        now would take. It stays untriggered until the entry pops —
+        ``triggered`` is False and waiters may still register — and takes
+        ``value`` just before its callbacks run, in registration order.
+        """
+        if event.triggered:
+            raise EventAlreadyTriggered(f"{event!r} already triggered")
+        self.schedule(event, delay)  # checks the delay
+
+        def settle(ev: Event) -> None:
+            if ev.triggered:  # succeeded, failed or delivered again meanwhile
+                raise EventAlreadyTriggered(f"{ev!r} already triggered")
+            ev._ok = True
+            ev._value = value
+
+        event.callbacks.insert(0, settle)
+
     # -- scheduling ----------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Queue a triggered event for processing at ``now + delay``."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # written so that a NaN delay fails here, not later
+            raise ValueError(f"delay must be >= 0, got {delay}")
         self._eid += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
 

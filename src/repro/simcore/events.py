@@ -122,8 +122,8 @@ class Timeout(Event):
     """An event that triggers ``delay`` time units after creation."""
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:  # noqa: F821
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # written so that NaN fails too
+            raise ValueError(f"delay must be >= 0, got {delay}")
         super().__init__(env)
         self.delay = float(delay)
         self._ok = True

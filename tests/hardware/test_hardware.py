@@ -147,6 +147,14 @@ def test_lognormal_jitter_validation():
         LognormalJitter(sigma=-0.1)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+def test_lognormal_jitter_refuses_non_finite_sigma(sigma):
+    """NaN used to pass ``sigma < 0`` and surface mid-run as a NaN timeout;
+    inf made every compute time inf or 0."""
+    with pytest.raises(ValueError, match=f"sigma must be finite, got {sigma}"):
+        LognormalJitter(sigma=sigma)
+
+
 def test_lognormal_jitter_out_of_range_worker_names_the_limit():
     j = LognormalJitter(sigma=0.1, seed=0, n_workers=4)
     with pytest.raises(ValueError, match="worker 4 out of range.*n_workers=4"):

@@ -1,5 +1,7 @@
 """Unit tests for the Environment run loop and determinism guarantees."""
 
+import math
+
 import pytest
 
 from repro.simcore import Environment, SimulationError
@@ -101,10 +103,24 @@ def test_initial_time_offset():
 
 
 def test_schedule_negative_delay_rejected():
+    """NaN included: it fails where it is made, not as "event queue went
+    backwards in time" at some later step."""
     env = Environment()
-    ev = env.event()
-    with pytest.raises(ValueError):
-        env.schedule(ev, delay=-0.1)
+    for delay in (-0.1, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"delay must be >= 0, got {delay}"):
+            env.schedule(env.event(), delay=delay)
+        with pytest.raises(ValueError, match=f"delay must be >= 0, got {delay}"):
+            env.timeout(delay)
+    assert not env._queue
+
+
+def test_infinite_delay_stays_legal():
+    env = Environment()
+    env.timeout(math.inf)
+    env.schedule(env.event(), delay=math.inf)
+    assert env.peek() == math.inf
+    env.run(until=10.0)
+    assert env.now == 10.0
 
 
 def test_determinism_full_replay():

@@ -294,6 +294,14 @@ _UNBUILDABLE = [
     ("run --epochs 0", "n_epochs must be >= 1, got 0"),
     ("run --iterations 0", "iterations_per_epoch must be >= 1 when given"),
     ("run --sigma -1", "sigma must be >= 0, got -1.0"),
+    ("run --sigma nan", "sigma must be finite, got nan"),
+    ("run --sigma inf", "sigma must be finite, got inf"),
+    ("run --sigma=-inf", "sigma must be finite, got -inf"),
+    ("multirun --sigma nan", "sigma must be finite, got nan"),
+    (
+        "run --checkpoint-every 0 --checkpoint-dir D",
+        "checkpoint interval must be >= 1, got 0",
+    ),
     ("check --workers 0", "n_workers must be >= 1, got 0"),
     ("dash --workers 0 --out x.html", "n_workers must be >= 1, got 0"),
     ("multirun --workers 0", "n_workers must be >= 1, got 0"),
@@ -313,6 +321,15 @@ def test_unbuildable_spec_is_one_error_line_not_a_traceback(
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {refusal}"]
     assert not list(tmp_path.iterdir())
+
+
+def test_jobs_spec_with_nan_sigma_is_a_bad_spec(capsys):
+    jobs = '[{"name":"a","sync":"osp","workers":2,"epochs":1,"iterations":2,"sigma":NaN}]'
+    assert main(["multirun", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: bad --jobs spec: sigma must be finite, got nan"
+    ]
 
 
 def test_value_error_mid_run_stays_loud(monkeypatch):
