@@ -179,13 +179,36 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    from pathlib import Path
-
+def _file_report(text: str):
+    """The overlap report of a unified trace or a saved recorder, from the
+    file's text; text that is neither raises ``ValueError``."""
+    from repro.metrics.export import recorder_from_dict
     from repro.obs.overlap import (
         overlap_report_from_recorder,
         overlap_report_from_trace,
     )
+
+    payload = json.loads(text)
+    if isinstance(payload, list):  # legacy bare event array
+        payload = {"traceEvents": payload}
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"expected a JSON object or event list, got {type(payload).__name__}"
+        )
+    if "traceEvents" in payload:
+        return overlap_report_from_trace(payload)
+    if not payload.keys() & {"iterations", "epochs", "counters"}:
+        raise ValueError(
+            "neither a trace ('traceEvents') nor a recorder "
+            "('iterations', 'epochs' or 'counters')"
+        )
+    return overlap_report_from_recorder(
+        recorder_from_dict(payload), sync_name="recorder"
+    )
+
+
+def cmd_report(args) -> int:
+    from pathlib import Path
 
     if args.compare:
         from repro.obs.compare import compare_runs
@@ -197,9 +220,8 @@ def cmd_report(args) -> int:
         except FileNotFoundError as exc:
             missing = getattr(exc, "filename", None) or exc
             print(
-                f"error: summary file not found: {missing}\n"
-                "write one with `repro run --summary FILE` or "
-                "`repro dash --summary FILE`",
+                f"error: summary file not found: {missing} (write one with "
+                "`repro run --summary FILE` or `repro dash --summary FILE`)",
                 file=sys.stderr,
             )
             return 2
@@ -216,17 +238,17 @@ def cmd_report(args) -> int:
               file=sys.stderr)
         return 2
 
-    payload = json.loads(Path(args.file).read_text())
-    if isinstance(payload, list) or "traceEvents" in payload:
-        if isinstance(payload, list):  # legacy bare event array
-            payload = {"traceEvents": payload}
-        report = overlap_report_from_trace(payload)
-    else:
-        from repro.metrics.export import recorder_from_dict
-
-        report = overlap_report_from_recorder(
-            recorder_from_dict(payload), sync_name="recorder"
-        )
+    try:
+        report = _file_report(Path(args.file).read_text())
+    except OSError as exc:
+        print(f"error: {args.file}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except json.JSONDecodeError as exc:
+        print(f"error: {args.file}: not JSON ({exc})", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # includes ExportError
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
@@ -283,6 +305,8 @@ def _parse_jobs_spec(spec: str):
     }
     jobs = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"job #{i}: expected a JSON object, got {entry!r}")
         unknown = set(entry) - allowed
         if unknown:
             raise ValueError(f"job #{i}: unknown keys {sorted(unknown)}")
@@ -434,8 +458,8 @@ def cmd_check(args) -> int:
         # Replay runs in numeric mode at a reduced scale regardless of
         # --mode: the parameter-plane digest only exists for numeric runs,
         # and two full-scale extra runs would dominate the command's cost.
-        faults = parse_faults(args.faults) if getattr(args, "faults", None) else None
         with _constructing():
+            faults = parse_faults(args.faults) if args.faults else None
             cfg = WorkloadConfig(
                 args.workload,
                 n_workers=min(args.workers, 4),

@@ -9,7 +9,6 @@ sync-model comparison needs from CIFAR-style data.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from repro.data.dataset import Dataset
 
@@ -45,6 +44,8 @@ def make_image_classification(
         raise ValueError(f"need >= {n_classes} samples, got {n_samples}")
     if n_classes < 2:
         raise ValueError(f"need >= 2 classes, got {n_classes}")
+    from scipy.ndimage import gaussian_filter
+
     rng = np.random.default_rng(seed)
 
     prototypes = rng.normal(size=(n_classes, channels, image_size, image_size))

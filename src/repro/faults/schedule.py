@@ -235,9 +235,9 @@ class FaultSchedule:
 def parse_faults(spec: Union[str, Path]) -> FaultSchedule:
     """Build a schedule from inline JSON or a JSON file path.
 
-    Accepts either a JSON list of event objects or ``{"events": [...]}``;
-    each object needs a ``"kind"`` from :data:`EVENT_KINDS` plus that
-    event's fields::
+    Accepts either a JSON list of event objects or ``{"events": [...]}``
+    (no other key); each object needs a ``"kind"`` from :data:`EVENT_KINDS`
+    plus that event's fields::
 
         [{"kind": "loss_burst", "start": 2.0, "duration": 5.0,
           "loss_rate": 0.2},
@@ -245,10 +245,20 @@ def parse_faults(spec: Union[str, Path]) -> FaultSchedule:
     """
     text = str(spec).strip()
     if not text.startswith(("[", "{")):
-        text = Path(text).read_text()
+        try:
+            text = Path(text).read_text()
+        except OSError as exc:
+            raise ValueError(
+                f"cannot read fault file {text}: {exc.strerror or exc}"
+            ) from exc
     payload = json.loads(text)
     if isinstance(payload, dict):
-        payload = payload.get("events", [])
+        # Any other key (a typo such as "event") would silently run fault-free.
+        if set(payload) != {"events"}:
+            raise ValueError(
+                f"fault spec object takes only an 'events' key, got {sorted(payload)}"
+            )
+        payload = payload["events"]
     if not isinstance(payload, list):
         raise ValueError("fault spec must be a JSON list or {'events': [...]}")
     events = []
@@ -264,7 +274,10 @@ def parse_faults(spec: Union[str, Path]) -> FaultSchedule:
             )
         if "nodes" in entry and entry["nodes"] is not None:
             entry["nodes"] = tuple(entry["nodes"])
-        events.append(cls(**entry))
+        try:
+            events.append(cls(**entry))
+        except TypeError as exc:  # a missing or unknown field
+            raise ValueError(f"fault {kind!r}: {exc}") from exc
     return FaultSchedule(tuple(events))
 
 

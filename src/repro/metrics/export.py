@@ -61,14 +61,23 @@ def recorder_to_dict(recorder: Recorder) -> dict:
     }
 
 
+def _section(payload: dict, key: str, kind: type):
+    """``payload[key]`` (empty when missing), refused unless it is a ``kind``."""
+    value = payload.get(key, kind())
+    if not isinstance(value, kind):
+        expected = "a list" if kind is list else "an object"
+        raise ExportError(f"{key}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def recorder_from_dict(payload: dict) -> Recorder:
     """Inverse of :func:`recorder_to_dict` (summary is recomputed)."""
     rec = Recorder()
-    for i, d in enumerate(payload.get("iterations", [])):
+    for i, d in enumerate(_section(payload, "iterations", list)):
         rec.record_iteration(_build_record(IterationRecord, d, f"iterations[{i}]"))
-    for i, d in enumerate(payload.get("epochs", [])):
+    for i, d in enumerate(_section(payload, "epochs", list)):
         rec.record_epoch(_build_record(EpochRecord, d, f"epochs[{i}]"))
-    for name, value in payload.get("counters", {}).items():
+    for name, value in _section(payload, "counters", dict).items():
         # Byte counters are floats; truncating them would shift a resumed
         # run's totals. A bool is a JSON `true`, not a count.
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -7,16 +7,19 @@ models this, with optional per-node heterogeneous link specs (§6.2
 communication heterogeneity).
 
 For generality (multi-rack studies), :class:`GraphTopology` routes over an
-arbitrary ``networkx`` digraph by shortest path.
+arbitrary ``networkx`` digraph by shortest path. ``networkx`` is imported
+only by the code that builds or routes over such a graph, so a run on a
+:class:`StarTopology` never loads it.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.netsim.links import Link, LinkSpec
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Pseudo-node id for the switch in :class:`GraphTopology` graphs.
 SWITCH = "switch"
@@ -111,6 +114,8 @@ def make_multirack_topology(
         raise ValueError(f"need at least one host per rack ({n_racks})")
     if oversubscription < 1.0:
         raise ValueError(f"oversubscription must be >= 1, got {oversubscription}")
+    import networkx as nx
+
     spec = default_spec or LinkSpec()
     g = nx.DiGraph()
     hosts_per_rack = [0] * n_racks
@@ -139,6 +144,8 @@ class GraphTopology:
     """
 
     def __init__(self, graph: nx.DiGraph) -> None:
+        import networkx as nx
+
         if not isinstance(graph, nx.DiGraph):
             raise TypeError("GraphTopology requires a networkx.DiGraph")
         self.graph = graph
@@ -158,6 +165,8 @@ class GraphTopology:
         """Links along the shortest src→dst path."""
         if src == dst:
             return []
+        import networkx as nx
+
         try:
             path: Sequence = nx.shortest_path(self.graph, src, dst)
         except nx.NetworkXNoPath as exc:

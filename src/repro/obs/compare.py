@@ -126,6 +126,11 @@ def save_summary(summary: dict, path: Union[str, Path]) -> Path:
 def load_summary(path: Union[str, Path]) -> dict:
     """Read a run summary written by :func:`save_summary`, validating its schema."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"{path}: not a run summary (expected an object, got "
+            f"{type(doc).__name__})"
+        )
     if doc.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(
             f"{path}: not a run summary (schema={doc.get('schema')!r}, "

@@ -294,12 +294,18 @@ def overlap_report_from_trace(payload: dict) -> OverlapReport:
     """Build a report from a parsed unified trace file (the JSON written
     by :func:`~repro.obs.chrome.write_unified_trace`)."""
     events = payload.get("traceEvents", [])
+    if not isinstance(events, list):
+        raise ValueError(f"traceEvents: expected a list, got {type(events).__name__}")
     other = payload.get("otherData", {})
     report = OverlapReport(sync_name=str(other.get("sync", "?")))
 
     compute_by_worker: dict[int, list[tuple[float, float]]] = {}
     flows = []
-    for ev in events:
+    for i, ev in enumerate(events):
+        if not isinstance(ev, dict):
+            raise ValueError(
+                f"traceEvents[{i}]: expected an object, got {type(ev).__name__}"
+            )
         if ev.get("ph") != "X":
             continue
         args = ev.get("args", {})

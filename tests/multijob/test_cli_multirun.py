@@ -74,8 +74,12 @@ def test_multirun_summary_and_dash_artifacts(tmp_path, capsys):
         '[{"name": "a.b"}]',  # dots are not legal counter segments
         '[{"name": "a", "workload": "vgg16-cifar10", "sync": "bogus"}]',
         '[{"name": "a", "workload": "vgg16-cifar10", "sync": "bsp", "frob": 1}]',
+        "[1, 2]",
     ],
-    ids=["missing-file", "empty-list", "bad-name", "bad-sync", "unknown-key"],
+    ids=[
+        "missing-file", "empty-list", "bad-name", "bad-sync", "unknown-key",
+        "non-object-entry",
+    ],
 )
 def test_multirun_bad_jobs_spec_exits_2(spec, capsys):
     assert _multirun("--jobs", spec) == 2

@@ -289,6 +289,8 @@ def test_run_net_prio_sets_the_fabric_model_not_the_environment(capsys):
     assert _run_osp_counters(capsys) == on
 
 
+_NO_FAULT_FILE = "cannot read fault file nope.json: No such file or directory"
+
 _UNBUILDABLE = [
     ("run --workers 0", "n_workers must be >= 1, got 0"),
     ("run --epochs 0", "n_epochs must be >= 1, got 0"),
@@ -307,6 +309,23 @@ _UNBUILDABLE = [
     ("multirun --workers 0", "n_workers must be >= 1, got 0"),
     ("multirun --hosts 0", "n_hosts must be >= 1, got 0"),
     ("compare --workers 0", "n_workers must be >= 1, got 0"),
+    (
+        'run --faults {"event":[]}',
+        "fault spec object takes only an 'events' key, got ['event']",
+    ),
+    (
+        'run --faults {"faults":5}',
+        "fault spec object takes only an 'events' key, got ['faults']",
+    ),
+    (
+        'run --faults [{"kind":"straggler","wrker":1}]',
+        "fault 'straggler': StragglerSlowdown.__init__() got an unexpected "
+        "keyword argument 'wrker'",
+    ),
+    ("run --faults nope.json", _NO_FAULT_FILE),
+    ("dash --faults nope.json --out x.html", _NO_FAULT_FILE),
+    ("check --faults nope.json", _NO_FAULT_FILE),
+    ("compare --faults nope.json", _NO_FAULT_FILE),
 ]
 
 
@@ -321,6 +340,47 @@ def test_unbuildable_spec_is_one_error_line_not_a_traceback(
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {refusal}"]
     assert not list(tmp_path.iterdir())
+
+
+_REPORT_CORPUS = [
+    # (argv tail, file text or None for a missing file, stderr line)
+    ((), None, "error: {f}: No such file or directory"),
+    ((), "", "error: {f}: not JSON (Expecting value: line 1 column 1 (char 0))"),
+    ((), "{not json", "error: {f}: not JSON (Expecting property name enclosed "
+                      "in double quotes: line 1 column 2 (char 1))"),
+    ((), '"trace"', "error: {f}: expected a JSON object or event list, got str"),
+    ((), "5", "error: {f}: expected a JSON object or event list, got int"),
+    ((), '{"traceEvents": 5}', "error: {f}: traceEvents: expected a list, got int"),
+    ((), "[1]", "error: {f}: traceEvents[0]: expected an object, got int"),
+    ((), '{"counters": {"x": "y"}}',
+     "error: {f}: counters['x']: expected a number, got str"),
+    ((), '{"iterations": 5}', "error: {f}: iterations: expected a list, got int"),
+    ((), '{"a": 1}', "error: {f}: neither a trace ('traceEvents') nor a "
+                     "recorder ('iterations', 'epochs' or 'counters')"),
+    (("--compare",), None,
+     "error: summary file not found: {f} (write one with `repro run --summary "
+     "FILE` or `repro dash --summary FILE`)"),
+    (("--compare",), "[]", "error: not a comparable run summary: {f}: not a "
+                           "run summary (expected an object, got list)"),
+    (("--compare",), '"s"', "error: not a comparable run summary: {f}: not a "
+                            "run summary (expected an object, got str)"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, text, line",
+    _REPORT_CORPUS,
+    ids=[f"{' '.join(f) or 'file'}:{t!r}" for f, t, _ in _REPORT_CORPUS],
+)
+def test_report_refuses_unusable_file_in_one_line(flags, text, line, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    if text is not None:
+        path.write_text(text)
+    files = [str(path)] * (2 if flags else 1)
+    assert main(["report", *flags, *files]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line.format(f=path)]
+    assert captured.out == ""
 
 
 def test_jobs_spec_with_nan_sigma_is_a_bad_spec(capsys):
