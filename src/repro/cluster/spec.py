@@ -157,7 +157,7 @@ class ClusterSpec:
                     )
             if len(self.membership.initially_absent) >= self.n_workers:
                 raise ValueError("at least one worker must be present at epoch 0")
-        if self.ps_agg_bandwidth is not None and self.ps_agg_bandwidth <= 0:
+        if self.ps_agg_bandwidth is not None and not (self.ps_agg_bandwidth > 0):
             raise ValueError(
                 f"ps_agg_bandwidth must be positive or None, got {self.ps_agg_bandwidth}"
             )
@@ -214,7 +214,7 @@ class TrainingPlan:
             raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs}")
         if self.iterations_per_epoch is not None and self.iterations_per_epoch < 1:
             raise ValueError("iterations_per_epoch must be >= 1 when given")
-        if self.lr <= 0:
+        if not (self.lr > 0):
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1 when given")

@@ -102,9 +102,9 @@ class DistributedTrainer:
         job: Optional[str] = None,
     ) -> None:
         """``topology`` (optional) overrides the default single-rack star —
-        e.g. :func:`repro.netsim.make_multirack_topology` for cross-rack
-        studies. It must route between the spec's node ids (workers
-        0..N−1 and the PS node(s))."""
+        e.g. ``StarTopology(spec.n_nodes, spec.link, n_racks=2)`` for
+        cross-rack studies. It must route between the spec's node ids
+        (workers 0..N−1 and the PS node(s))."""
         self.spec = spec
         self.plan = plan
         self.engine = engine

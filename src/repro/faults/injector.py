@@ -29,7 +29,6 @@ from repro.faults.schedule import (
     StragglerSlowdown,
 )
 from repro.netsim.links import Link
-from repro.netsim.topology import StarTopology
 
 #: Residual bandwidth factor for a flapped ("down") link. Not exactly zero:
 #: max–min fair sharing needs positive capacities, and a crawling link is
@@ -85,11 +84,6 @@ class FaultInjector:
         topo = self.ctx.network.topology
         if nodes is None:
             return list(topo.links)
-        if not isinstance(topo, StarTopology):
-            raise ValueError(
-                "node-targeted network faults require a StarTopology; "
-                "use nodes=None for fabric-wide faults"
-            )
         links: list[Link] = []
         for n in nodes:
             if not (0 <= n < topo.n_nodes):

@@ -57,7 +57,7 @@ class LossBurst:
     """Extra packet loss on the targeted nodes' links for a window.
 
     ``nodes=None`` hits every link in the fabric; otherwise the listed
-    nodes' uplink+downlink pairs (StarTopology only).
+    nodes' uplink+downlink pairs.
     """
 
     kind: ClassVar[str] = "loss_burst"

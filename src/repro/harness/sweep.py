@@ -1,5 +1,5 @@
 """Parameter sweeps: sensitivity of the sync-model comparison to cluster
-knobs (bandwidth, worker count, jitter, compute speed).
+knobs (bandwidth, jitter).
 
 The headline use is the **crossover analysis**: OSP's advantage over BSP
 and its parity with ASP depend on the compute/communication ratio
@@ -99,31 +99,6 @@ def sweep_bandwidth(
     return parallel_map(one, tasks, jobs=jobs, seed_base=seed)
 
 
-def sweep_workers(
-    sync_factories: Sequence[Callable],
-    worker_counts: Iterable[int],
-    card_name: str = "resnet50-cifar10",
-    bandwidth: float | None = None,
-    sigma: float = 0.1,
-    epochs: int = 16,
-    ipe: int = 6,
-    seed: int = 0,
-    jobs: int = 1,
-) -> list[SweepPoint]:
-    """Sweep the cluster size (``jobs``: see :func:`sweep_bandwidth`)."""
-    b = bandwidth if bandwidth is not None else LinkSpec().bandwidth
-
-    def one(task: tuple[int, Callable]) -> SweepPoint:
-        n, factory = task
-        thr, bst, rho = _run_one(
-            card_name, factory, b, int(n), sigma, epochs, ipe, seed
-        )
-        return SweepPoint("workers", float(n), factory().name, thr, bst, rho)
-
-    tasks = [(n, f) for n in worker_counts for f in sync_factories]
-    return parallel_map(one, tasks, jobs=jobs, seed_base=seed)
-
-
 def sweep_jitter(
     sync_factories: Sequence[Callable],
     sigmas: Iterable[float],
@@ -164,5 +139,4 @@ __all__ = [
     "speedup_over",
     "sweep_bandwidth",
     "sweep_jitter",
-    "sweep_workers",
 ]

@@ -90,11 +90,11 @@ class MappedStarTopology(StarTopology):
 
     Local node ``i``'s up/down links *are* pool host ``node_map[i]``'s
     links (shared objects, not copies), so node-targeted fault windows
-    expressed in job-local ids hit the right fabric links — and
-    ``isinstance(..., StarTopology)`` keeps holding for the injector's
-    check. ``links`` is the job's slice of the fabric: a job's
-    fabric-wide fault (``nodes=None``) degrades its own hosts' links,
-    not every tenant's.
+    expressed in job-local ids hit the right fabric links. Each local node
+    keeps its host's rack, and the rack links are the pool's own.
+    ``links`` is the job's slice of the fabric — its hosts' links plus the
+    rack links — so a job's fabric-wide fault (``nodes=None``) degrades
+    what its own traffic crosses, not every tenant's host links.
     """
 
     def __init__(self, base: StarTopology, node_map) -> None:
@@ -105,6 +105,9 @@ class MappedStarTopology(StarTopology):
         self.default_spec = base.default_spec
         self.uplinks = [base.uplinks[h] for h in self.node_map]
         self.downlinks = [base.downlinks[h] for h in self.node_map]
+        self.rack_of = [base.rack_of[h] for h in self.node_map]
+        self.rack_uplinks = base.rack_uplinks
+        self.rack_downlinks = base.rack_downlinks
 
 
 class JobNetworkView:
@@ -142,12 +145,7 @@ class JobNetworkView:
         #: here (NOT on the shared Network, whose mirror stays unset so
         #: fabric counters never leak into one tenant's stream).
         self.recorder = None
-        base = network.topology
-        self.topology = (
-            MappedStarTopology(base, self.node_map)
-            if isinstance(base, StarTopology)
-            else base
-        )
+        self.topology = MappedStarTopology(network.topology, self.node_map)
 
     # -- node mapping -------------------------------------------------------
     def _host(self, node) -> int:

@@ -5,9 +5,9 @@ shared :class:`~repro.netsim.topology.StarTopology`) and hands jobs
 *placements* — a job-local→pool node map. Two modes:
 
 * ``exclusive`` — every pool host carries at most one job node; co-tenant
-  jobs contend only where their placements share links (never, on a pure
-  star — use shared placement or an oversubscribed GraphTopology for
-  fabric contention studies).
+  jobs contend only where their placements share links (never, on the
+  pool's one-rack star — use shared placement for fabric contention
+  studies).
 * ``shared`` — hosts carry up to ``slots_per_host`` job nodes; co-located
   tenants share the host's up/down links (real network contention) and
   its ``gpus_per_host``-deep compute-slot :class:`Resource`, so

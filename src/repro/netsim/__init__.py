@@ -19,7 +19,7 @@ event that succeeds when the flow completes.
 """
 
 from repro.netsim.links import Link, LinkSpec
-from repro.netsim.topology import GraphTopology, StarTopology, SWITCH, make_multirack_topology
+from repro.netsim.topology import StarTopology
 from repro.netsim.fairshare import fair_rates, prio_fair_rates
 from repro.netsim.flows import Flow, FlowRecord
 from repro.netsim.network import Network
@@ -35,7 +35,6 @@ __all__ = [
     "CLASS_NAMES",
     "Flow",
     "FlowRecord",
-    "GraphTopology",
     "Link",
     "LinkSpec",
     "Network",
@@ -45,7 +44,5 @@ __all__ = [
     "PRIO_URGENT",
     "StarTopology",
     "fair_rates",
-    "SWITCH",
-    "make_multirack_topology",
     "prio_fair_rates",
 ]

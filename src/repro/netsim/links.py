@@ -34,9 +34,9 @@ class LinkSpec:
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
+        if not (self.bandwidth > 0):
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.latency < 0:
+        if not (self.latency >= 0):
             raise ValueError(f"latency must be >= 0, got {self.latency}")
         if not (0.0 <= self.loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0,1), got {self.loss_rate}")

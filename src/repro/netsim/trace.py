@@ -1,16 +1,15 @@
-"""Chrome-tracing export for simulation runs.
+"""Trace events for flow and iteration records.
 
 Converts flow records and iteration records into the Trace Event Format
 (the JSON consumed by ``chrome://tracing`` / Perfetto), so a simulated
 training run can be inspected on a real timeline UI: one row per node for
-transfers, one row per worker for compute/sync phases.
+transfers, one row per worker for compute/sync phases. The file itself is
+written by :func:`repro.obs.chrome.write_unified_trace`.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable
 
 from repro.metrics.recorder import IterationRecord
 from repro.netsim.flows import FlowRecord
@@ -84,22 +83,7 @@ def iterations_to_trace_events(records: Iterable[IterationRecord]) -> list[dict]
     return events
 
 
-def write_chrome_trace(
-    path: Union[str, Path],
-    flow_records: Iterable[FlowRecord] = (),
-    iteration_records: Iterable[IterationRecord] = (),
-) -> int:
-    """Write a combined trace file; returns the number of events."""
-    events = flows_to_trace_events(flow_records) + iterations_to_trace_events(
-        iteration_records
-    )
-    events.sort(key=lambda e: (e["ts"], str(e.get("pid", "")), str(e.get("tid", ""))))
-    Path(path).write_text(json.dumps({"traceEvents": events}))
-    return len(events)
-
-
 __all__ = [
     "flows_to_trace_events",
     "iterations_to_trace_events",
-    "write_chrome_trace",
 ]

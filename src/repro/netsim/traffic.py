@@ -1,68 +1,17 @@
-"""Background (cross-) traffic generators.
+"""Background (cross-) traffic generator.
 
 Production racks are multi-tenant: training shares the ToR with storage,
-logging, and other jobs. These generators inject such cross-traffic as
-ordinary flows so the fluid scheduler makes training and background flows
-contend realistically — used by the congestion robustness study.
+logging, and other jobs. :func:`constant_background_load` injects such
+cross-traffic as ordinary flows so the fluid scheduler makes training and
+background flows contend realistically — used by the congestion
+robustness study.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from repro.netsim.network import Network
 from repro.netsim.prio import PRIO_BULK
 from repro.simcore.environment import Environment
-
-
-def poisson_background(
-    env: Environment,
-    network: Network,
-    pairs: Sequence[tuple[int, int]],
-    mean_interarrival: float,
-    mean_size: float,
-    rng: np.random.Generator,
-    until: float | None = None,
-):
-    """Generator process: Poisson arrivals of exponential-size flows.
-
-    Each arrival picks a (src, dst) pair uniformly. Returns the number of
-    flows injected (available as the process's value). Flows are
-    fire-and-forget: their completion events are defused so an unfinished
-    flow at simulation end is not an error.
-
-    Parameters
-    ----------
-    pairs:
-        Candidate (src, dst) node pairs.
-    mean_interarrival:
-        Mean seconds between flow arrivals (exponential).
-    mean_size:
-        Mean flow size in bytes (exponential).
-    until:
-        Stop injecting at this virtual time (None = run as long as the
-        simulation has other work; the generator stops when interrupted or
-        the horizon passes).
-    """
-    if not pairs:
-        raise ValueError("need at least one (src, dst) pair")
-    if mean_interarrival <= 0 or mean_size <= 0:
-        raise ValueError("mean_interarrival and mean_size must be positive")
-    count = 0
-    while until is None or env.now < until:
-        yield env.timeout(rng.exponential(mean_interarrival))
-        if until is not None and env.now >= until:
-            break
-        src, dst = pairs[int(rng.integers(len(pairs)))]
-        size = max(1.0, rng.exponential(mean_size))
-        done = network.transfer(
-            src, dst, size, tag=("background", count), prio=PRIO_BULK
-        )
-        done.defused = True
-        count += 1
-    return count
 
 
 def constant_background_load(
@@ -103,4 +52,4 @@ def constant_background_load(
     return count
 
 
-__all__ = ["constant_background_load", "poisson_background"]
+__all__ = ["constant_background_load"]

@@ -7,7 +7,6 @@ parameter registry — the same granularity OSP's Gradient Importance Bitmap
 
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
@@ -31,7 +30,6 @@ from repro.nn.loss import (
 from repro.nn import init
 
 __all__ = [
-    "AvgPool2d",
     "BatchNorm2d",
     "Conv2d",
     "Dropout",

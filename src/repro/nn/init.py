@@ -21,13 +21,6 @@ def kaiming_normal(shape, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def xavier_uniform(shape, rng: np.random.Generator) -> np.ndarray:
-    """Glorot uniform: U(-a, a), a = sqrt(6/(fan_in+fan_out))."""
-    fan_in, fan_out = _fan_in_out(shape)
-    a = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=shape)
-
-
 def normal(shape, rng: np.random.Generator, std: float = 0.02) -> np.ndarray:
     """Plain Gaussian init (transformer convention)."""
     return rng.normal(0.0, std, size=shape)
@@ -43,4 +36,4 @@ def ones(shape) -> np.ndarray:
     return np.ones(shape)
 
 
-__all__ = ["kaiming_normal", "normal", "ones", "xavier_uniform", "zeros"]
+__all__ = ["kaiming_normal", "normal", "ones", "zeros"]

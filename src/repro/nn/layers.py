@@ -171,17 +171,6 @@ class MaxPool2d(Module):
         return F.max_pool2d(x, kernel=self.kernel, stride=self.stride)
 
 
-class AvgPool2d(Module):
-    """Non-overlapping average pooling."""
-
-    def __init__(self, kernel: int = 2) -> None:
-        super().__init__()
-        self.kernel = kernel
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, kernel=self.kernel)
-
-
 class Flatten(Module):
     """Flatten all but the batch dimension."""
 
@@ -201,7 +190,6 @@ class Embedding(Module):
 
 
 __all__ = [
-    "AvgPool2d",
     "BatchNorm2d",
     "Conv2d",
     "Dropout",

@@ -213,6 +213,16 @@ class RegressionReport:
         return "\n".join(lines)
 
 
+def _comparable(doc: Union[dict, str, Path], name: str) -> dict:
+    """``doc`` as a summary dict holding the fields :func:`compare_runs` reads."""
+    if not isinstance(doc, dict):
+        name, doc = str(doc), load_summary(doc)
+    for field in ("wall_time", "phases"):
+        if field not in doc:
+            raise ValueError(f"{name}: run summary has no {field!r} field")
+    return doc
+
+
 def compare_runs(
     a: Union[dict, str, Path], b: Union[dict, str, Path], max_slowdown: float = 0.05
 ) -> RegressionReport:
@@ -221,10 +231,7 @@ def compare_runs(
     ``max_slowdown`` is the relative wall-clock growth tolerated before the
     verdict flips to ``regression`` (symmetric for ``improvement``).
     """
-    if not isinstance(a, dict):
-        a = load_summary(a)
-    if not isinstance(b, dict):
-        b = load_summary(b)
+    a, b = _comparable(a, "A"), _comparable(b, "B")
     report = RegressionReport(
         wall_a=float(a["wall_time"]),
         wall_b=float(b["wall_time"]),

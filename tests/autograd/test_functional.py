@@ -126,14 +126,15 @@ def test_conv2d_gradcheck_strided():
     grad_check(lambda a, ww: (F.conv2d(a, ww, stride=2) ** 2).sum(), [x, w])
 
 
-def test_conv2d_matches_scipy_correlate():
-    from scipy.signal import correlate2d
-
+def test_conv2d_matches_direct_correlation():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(1, 1, 6, 6))
     w = rng.normal(size=(1, 1, 3, 3))
     ours = F.conv2d(Tensor(x), Tensor(w)).data[0, 0]
-    ref = correlate2d(x[0, 0], w[0, 0], mode="valid")
+    ref = np.zeros((4, 4))
+    for i in range(4):
+        for j in range(4):
+            ref[i, j] = np.sum(x[0, 0, i:i + 3, j:j + 3] * w[0, 0])
     assert np.allclose(ours, ref)
 
 

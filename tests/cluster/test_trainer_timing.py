@@ -11,6 +11,7 @@ from repro.cluster import (
 )
 from repro.core import OSP, ColocatedOSP
 from repro.hardware import LognormalJitter, NoJitter, PersistentStraggler
+from repro.netsim import LinkSpec, StarTopology
 from repro.nn.models import get_card
 from repro.sync import ASP, BSP, R2SP, SSP, SyncSwitch
 
@@ -148,6 +149,29 @@ def test_early_stopping_with_barrier_model_no_deadlock():
     engine = TimingEngine(get_card("resnet50-cifar10"), spec, total_iterations=40)
     res = DistributedTrainer(spec, plan, engine, OSP()).run()
     assert res.recorder.total_iterations > 0
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LinkSpec(bandwidth=_NAN),
+        lambda: LinkSpec(latency=_NAN),
+        lambda: TrainingPlan(n_epochs=1, lr=_NAN),
+        lambda: ClusterSpec(n_workers=2, ps_agg_bandwidth=_NAN),
+        lambda: StarTopology(4, n_racks=2, oversubscription=_NAN),
+    ],
+    ids=["link-bandwidth", "link-latency", "plan-lr", "ps-agg-bandwidth",
+         "oversubscription"],
+)
+def test_spec_constructors_reject_nan(make):
+    """Each check used to be ``x <= 0`` / ``x < 0``, false for NaN:
+    ``latency=nan`` ran as zero latency and ``ps_agg_bandwidth=nan`` died
+    inside the event loop."""
+    with pytest.raises(ValueError, match="nan"):
+        make()
 
 
 def test_timing_mode_requires_iterations_per_epoch():

@@ -13,6 +13,7 @@ from repro.data import (
     shard_iid,
     train_test_split,
 )
+from repro.data.synthetic_images import _blur
 
 
 # ---------------------------------------------------------------- Dataset
@@ -95,6 +96,41 @@ def test_image_dataset_validation():
         make_image_classification(5, n_classes=10)
     with pytest.raises(ValueError):
         make_image_classification(10, n_classes=1)
+    for smoothness in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="prototype_smoothness"):
+            make_image_classification(10, n_classes=2, prototype_smoothness=smoothness)
+
+
+def _mirror(i, n):
+    """Index ``i`` folded into [0, n) by edge-inclusive mirroring."""
+    i %= 2 * n
+    return i if i < n else 2 * n - 1 - i
+
+
+@pytest.mark.parametrize("size, sigma", [(2, 2.0), (5, 1.5), (8, 1.0), (9, 2.0)])
+def test_prototype_blur_matches_a_direct_loop(size, sigma):
+    """The blur against scalar loops in the same arithmetic order — the
+    centre tap, then each mirrored pair from the outermost inward — so the
+    two agree bit for bit, pads wider than the image included."""
+    x = np.random.default_rng(size).normal(size=(2, 2, size, size))
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = (w / w.sum())[r:].tolist()
+    ref = x.copy()
+    for axis in (2, 3):
+        src = ref.copy()
+        for idx in np.ndindex(*src.shape):
+            def at(k):
+                j = list(idx)
+                j[axis] = _mirror(k, size)
+                return float(src[tuple(j)])
+
+            i = idx[axis]
+            acc = at(i) * w[0]
+            for j in range(r, 0, -1):
+                acc += (at(i - j) + at(i + j)) * w[j]
+            ref[idx] = acc
+    assert np.array_equal(_blur(x, sigma), ref)
 
 
 # --------------------------------------------------------------- synthetic QA

@@ -7,7 +7,6 @@ from repro.harness.sweep import (
     speedup_over,
     sweep_bandwidth,
     sweep_jitter,
-    sweep_workers,
 )
 from repro.core import OSP
 from repro.sync import ASP, BSP
@@ -27,15 +26,19 @@ def test_sweep_rho_scales_with_bandwidth():
     assert by_bw[1e10] == pytest.approx(10 * by_bw[1e9])
 
 
-def test_sweep_workers_rho_inverse_in_n():
-    pts = sweep_workers([BSP], [2, 4], epochs=2, ipe=2)
-    by_n = {p.value: p.comm_compute_ratio for p in pts}
-    assert by_n[2] == pytest.approx(2 * by_n[4])
+def test_sweep_bandwidth_rho_inverse_in_workers():
+    by_n = {
+        n: sweep_bandwidth([BSP], [1e9], n_workers=n, epochs=2, ipe=2)[0]
+        for n in (2, 4)
+    }
+    assert by_n[2].comm_compute_ratio == pytest.approx(
+        2 * by_n[4].comm_compute_ratio
+    )
 
 
-def test_sweep_workers_past_default_jitter_streams():
-    (pt,) = sweep_workers((OSP,), [96], epochs=1, ipe=2)
-    assert pt.value == 96 and pt.throughput > 0
+def test_sweep_bandwidth_past_default_jitter_streams():
+    (pt,) = sweep_bandwidth((OSP,), [1e9], n_workers=96, epochs=1, ipe=2)
+    assert pt.value == 1e9 and pt.throughput > 0
 
 
 def test_sweep_jitter_runs():

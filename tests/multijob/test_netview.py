@@ -117,7 +117,7 @@ def test_mapped_topology_borrows_pool_links():
     view = JobNetworkView(net, "j", node_map=[4, 5])
     topo = view.topology
     assert isinstance(topo, MappedStarTopology)
-    # the fault injector's isinstance(StarTopology) gate must hold
+    # a job-local window is still a StarTopology
     assert isinstance(topo, StarTopology)
     assert topo.n_nodes == 2
     # local node 0's links ARE pool host 4's link objects, not copies
@@ -126,6 +126,19 @@ def test_mapped_topology_borrows_pool_links():
     # inherited routing works on the borrowed links
     route = topo.route(0, 1)
     assert [l.name for l in route] == ["up:4", "down:5"]
+
+
+def test_mapped_topology_keeps_each_hosts_rack():
+    env = Environment()
+    net = Network(env, StarTopology(6, n_racks=2))
+    topo = JobNetworkView(net, "j", node_map=[4, 1, 2]).topology
+    assert topo.rack_of == [0, 1, 0]
+    assert topo.rack_uplinks is net.topology.rack_uplinks
+    # local 0 -> 1 is pool host 4 (rack 0) -> host 1 (rack 1): via the core
+    assert [l.name for l in topo.route(0, 1)] == [
+        "up:4", "up:tor0", "down:tor1", "down:1"
+    ]
+    assert [l.name for l in topo.route(0, 2)] == ["up:4", "down:2"]
 
 
 def test_view_delegates_fabric_wide_operations():

@@ -1,23 +1,22 @@
-"""Property test: GraphTopology over a star-shaped graph ≡ StarTopology.
+"""Property test: inside one rack, a k-rack StarTopology ≡ the one-rack star.
 
-StarTopology is the hand-rolled fast path for the paper's single-rack
-testbed; GraphTopology is the general shortest-path router. For any star
-— including heterogeneous per-node link specs — the two must be
-indistinguishable: every route crosses the same links (same specs, same
-order, host-uplink then host-downlink), and a fluid-flow Network driving
-identical staggered transfer schedules over either topology drains every
-flow at the same instant. Hypothesis sweeps node counts, per-node
-bandwidth/latency heterogeneity, and overlapping transfer schedules.
+The one-rack star is the paper's testbed; ``n_racks > 1`` adds a ToR
+uplink and downlink per rack that only cross-rack routes take. For any
+star — including heterogeneous per-node link specs — a flow whose two ends
+share a rack must not notice the racks: its route crosses the same two
+host links (same specs, same order, host uplink then host downlink), and a
+fluid-flow Network driving identical staggered intra-rack transfer
+schedules over either topology drains every flow at the same instant.
+Hypothesis sweeps node and rack counts, per-node bandwidth/latency
+heterogeneity, and overlapping transfer schedules.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import networkx as nx
-
 from repro.netsim.links import LinkSpec
 from repro.netsim.network import Network
-from repro.netsim.topology import SWITCH, GraphTopology, StarTopology
+from repro.netsim.topology import StarTopology
 from repro.simcore.environment import Environment
 
 # Bounded, well-scaled floats: the property is about routing/fair-share
@@ -29,37 +28,30 @@ _delays = st.floats(min_value=0.0, max_value=10.0)
 
 
 @st.composite
-def star_cases(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
+def rack_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    racks = draw(st.integers(min_value=2, max_value=n))
     specs = [
         LinkSpec(bandwidth=draw(_bandwidths), latency=draw(_latencies))
         for _ in range(n)
     ]
     n_flows = draw(st.integers(min_value=1, max_value=8))
-    flows = [
-        (
-            draw(st.integers(min_value=0, max_value=n - 1)),
-            draw(st.integers(min_value=0, max_value=n - 1)),
-            draw(_sizes),
-            draw(_delays),
-        )
-        for _ in range(n_flows)
-    ]
-    return n, specs, flows
+    flows = []
+    for _ in range(n_flows):
+        src = draw(st.integers(min_value=0, max_value=n - 1))
+        # host i sits in rack i % racks: dst is drawn from src's rack
+        dst = draw(st.sampled_from(range(src % racks, n, racks)))
+        flows.append((src, dst, draw(_sizes), draw(_delays)))
+    return n, racks, specs, flows
 
 
-def _star_topology(n, specs):
+def _topology(n, specs, racks=1):
     return StarTopology(
-        n, default_spec=specs[0], overrides={i: s for i, s in enumerate(specs)}
+        n,
+        default_spec=specs[0],
+        overrides={i: s for i, s in enumerate(specs)},
+        n_racks=racks,
     )
-
-
-def _star_graph(n, specs):
-    g = nx.DiGraph()
-    for i, spec in enumerate(specs):
-        g.add_edge(i, SWITCH, spec=spec)   # uplink
-        g.add_edge(SWITCH, i, spec=spec)   # downlink
-    return GraphTopology(g)
 
 
 def _drain(topology, flows):
@@ -68,54 +60,50 @@ def _drain(topology, flows):
     net = Network(env, topology)
     records = []
 
-    def _submit(src, dst, size):
-        def _driver():
-            done = net.transfer(src, dst, size)
-            rec = yield done
-            records.append((rec.start_time, rec.end_time))
+    def _delayed(src, dst, size, delay):
+        yield env.timeout(delay)
+        rec = yield net.transfer(src, dst, size)
+        records.append((rec.start_time, rec.end_time))
 
-        return _driver
-
-    drivers = []
-    for src, dst, size, delay in flows:
-
-        def _delayed(src=src, dst=dst, size=size, delay=delay):
-            yield env.timeout(delay)
-            yield from _submit(src, dst, size)()
-
-        drivers.append(env.process(_delayed()))
+    drivers = [env.process(_delayed(*flow)) for flow in flows]
     env.run(until=env.all_of(drivers))
     return records
 
 
 @settings(max_examples=60, deadline=None)
-@given(star_cases())
+@given(rack_cases())
 def test_routes_cross_equivalent_links(case):
-    n, specs, _flows = case
-    star = _star_topology(n, specs)
-    graph = _star_graph(n, specs)
+    n, racks, specs, _flows = case
+    star = _topology(n, specs)
+    racked = _topology(n, specs, racks)
     for src in range(n):
         for dst in range(n):
             s_route = star.route(src, dst)
-            g_route = graph.route(src, dst)
-            assert len(s_route) == len(g_route)
-            assert [l.spec for l in s_route] == [l.spec for l in g_route]
-            if src != dst:
-                # same physical hops in the same order
-                assert [l.name for l in s_route] == [f"up:{src}", f"down:{dst}"]
-                assert [l.name for l in g_route] == [
-                    f"{src}->{SWITCH}",
-                    f"{SWITCH}->{dst}",
+            r_route = racked.route(src, dst)
+            if src == dst:
+                assert s_route == r_route == []
+            elif src % racks == dst % racks:
+                assert [l.name for l in r_route] == [f"up:{src}", f"down:{dst}"]
+                assert [l.name for l in s_route] == [l.name for l in r_route]
+                assert [l.spec for l in s_route] == [l.spec for l in r_route]
+                assert star.route_latency(src, dst) == racked.route_latency(src, dst)
+            else:
+                assert [l.name for l in r_route] == [
+                    f"up:{src}", f"up:tor{src % racks}",
+                    f"down:tor{dst % racks}", f"down:{dst}",
                 ]
-            assert star.route_latency(src, dst) == graph.route_latency(src, dst)
+                assert [r_route[0].spec, r_route[-1].spec] == [
+                    l.spec for l in s_route
+                ]
 
 
 @settings(max_examples=40, deadline=None)
-@given(star_cases())
+@given(rack_cases())
 def test_fluid_drain_times_identical(case):
-    n, specs, flows = case
-    star_times = _drain(_star_topology(n, specs), flows)
-    graph_times = _drain(_star_graph(n, specs), flows)
-    # Same link specs + same flow arrival order = the max-min fair-share
-    # computation runs through identical arithmetic: bit-equal, not approx.
-    assert star_times == graph_times
+    n, racks, specs, flows = case
+    star_times = _drain(_topology(n, specs), flows)
+    racked_times = _drain(_topology(n, specs, racks), flows)
+    # Same host-link specs + same flow arrival order = the max-min
+    # fair-share computation runs through identical arithmetic: bit-equal,
+    # not approx.
+    assert star_times == racked_times

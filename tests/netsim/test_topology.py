@@ -1,10 +1,9 @@
 """Unit tests for topologies."""
 
-import networkx as nx
 import pytest
 
 from repro.netsim.links import LinkSpec
-from repro.netsim.topology import GraphTopology, StarTopology
+from repro.netsim.topology import StarTopology
 
 
 def test_star_route_is_uplink_plus_downlink():
@@ -74,35 +73,3 @@ def test_linkspec_validation():
 def test_link_utilization_zero_elapsed():
     topo = StarTopology(1)
     assert topo.uplinks[0].utilization(0.0) == 0.0
-
-
-def test_graph_topology_routes_shortest_path():
-    g = nx.DiGraph()
-    spec = LinkSpec(bandwidth=100.0)
-    g.add_edge("a", "sw1", spec=spec)
-    g.add_edge("sw1", "sw2", spec=spec)
-    g.add_edge("sw2", "b", spec=spec)
-    topo = GraphTopology(g)
-    route = topo.route("a", "b")
-    assert [l.name for l in route] == ["a->sw1", "sw1->sw2", "sw2->b"]
-
-
-def test_graph_topology_no_path_raises():
-    g = nx.DiGraph()
-    g.add_edge("a", "b", spec=LinkSpec())
-    g.add_node("c")
-    topo = GraphTopology(g)
-    with pytest.raises(ValueError):
-        topo.route("a", "c")
-
-
-def test_graph_topology_missing_spec_raises():
-    g = nx.DiGraph()
-    g.add_edge("a", "b")
-    with pytest.raises(ValueError):
-        GraphTopology(g)
-
-
-def test_graph_topology_requires_digraph():
-    with pytest.raises(TypeError):
-        GraphTopology(nx.Graph())

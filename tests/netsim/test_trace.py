@@ -4,12 +4,9 @@ import json
 
 from repro.cluster import ClusterSpec, DistributedTrainer, TimingEngine, TrainingPlan
 from repro.hardware import NoJitter
-from repro.netsim.trace import (
-    flows_to_trace_events,
-    iterations_to_trace_events,
-    write_chrome_trace,
-)
+from repro.netsim.trace import flows_to_trace_events, iterations_to_trace_events
 from repro.nn.models import get_card
+from repro.obs import write_unified_trace
 from repro.sync import BSP
 
 
@@ -52,31 +49,22 @@ def test_iteration_events_are_contiguous():
             assert b["ts"] >= a["ts"] + a["dur"] - 2  # 2us rounding slack
 
 
-def test_write_chrome_trace_valid_json(tmp_path):
-    trainer, res = run_small()
-    path = tmp_path / "trace.json"
-    n = write_chrome_trace(path, trainer.network.records, res.recorder.iterations)
-    payload = json.loads(path.read_text())
-    assert len(payload["traceEvents"]) == n
-    assert n > 0
-
-
 def test_empty_inputs_produce_empty_trace(tmp_path):
     assert flows_to_trace_events([]) == []
     assert iterations_to_trace_events([]) == []
     path = tmp_path / "empty.json"
-    assert write_chrome_trace(path) == 0
-    assert json.loads(path.read_text()) == {"traceEvents": []}
+    assert write_unified_trace(path) == 0
+    assert json.loads(path.read_text())["traceEvents"] == []
 
 
 def test_out_of_order_records_are_sorted_in_file(tmp_path):
     trainer, res = run_small()
     path = tmp_path / "trace.json"
     # Feed records in reverse: the file must still come out time-ordered.
-    write_chrome_trace(
+    write_unified_trace(
         path,
-        list(reversed(trainer.network.records)),
-        list(reversed(res.recorder.iterations)),
+        flow_records=list(reversed(trainer.network.records)),
+        iteration_records=list(reversed(res.recorder.iterations)),
     )
     events = json.loads(path.read_text())["traceEvents"]
     ts = [e["ts"] for e in events]
@@ -88,7 +76,11 @@ def test_trace_event_schema(tmp_path):
     the right types (Perfetto rejects malformed ones silently)."""
     trainer, res = run_small()
     path = tmp_path / "trace.json"
-    write_chrome_trace(path, trainer.network.records, res.recorder.iterations)
+    write_unified_trace(
+        path,
+        flow_records=trainer.network.records,
+        iteration_records=res.recorder.iterations,
+    )
     events = json.loads(path.read_text())["traceEvents"]
     assert events
     for ev in events:

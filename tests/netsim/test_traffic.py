@@ -1,10 +1,9 @@
 """Tests for background-traffic generators."""
 
-import numpy as np
 import pytest
 
 from repro.netsim import LinkSpec, Network, PRIO_BULK, PRIO_NORMAL, StarTopology
-from repro.netsim.traffic import constant_background_load, poisson_background
+from repro.netsim.traffic import constant_background_load
 from repro.simcore import Environment
 
 
@@ -12,42 +11,6 @@ def make_net(n=4, bandwidth=1000.0):
     env = Environment()
     topo = StarTopology(n, default_spec=LinkSpec(bandwidth=bandwidth, latency=0.0))
     return env, Network(env, topo)
-
-
-def test_poisson_background_injects_flows():
-    env, net = make_net()
-    rng = np.random.default_rng(0)
-    p = env.process(
-        poisson_background(env, net, [(0, 1)], mean_interarrival=0.5,
-                           mean_size=100.0, rng=rng, until=10.0)
-    )
-    env.run()
-    assert p.value > 5
-    assert any(
-        isinstance(r.tag, tuple) and r.tag[0] == "background" for r in net.records
-    )
-
-
-def test_poisson_background_validation():
-    env, net = make_net()
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        next(poisson_background(env, net, [], 1.0, 1.0, rng))
-    with pytest.raises(ValueError):
-        next(poisson_background(env, net, [(0, 1)], 0.0, 1.0, rng))
-
-
-def test_poisson_background_deterministic():
-    def run():
-        env, net = make_net()
-        rng = np.random.default_rng(7)
-        p = env.process(
-            poisson_background(env, net, [(0, 1), (2, 3)], 0.3, 50.0, rng, until=5.0)
-        )
-        env.run()
-        return p.value, len(net.records)
-
-    assert run() == run()
 
 
 def _probe_transfer_time(with_load, probe_prio):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.osp import OSP
 from repro.harness.stats import run_seeds
-from repro.harness.sweep import sweep_bandwidth, sweep_jitter, sweep_workers
+from repro.harness.sweep import sweep_bandwidth, sweep_jitter
 from repro.harness.workloads import WorkloadConfig, timing_trainer
 from repro.perf.executor import parallel_map
 from repro.sync import ASP, BSP
@@ -52,11 +52,8 @@ def test_sweep_bandwidth_parallel_equals_serial(jobs):
     assert serial == parallel  # SweepPoint is a frozen dataclass: == is exact
 
 
-def test_sweep_workers_and_jitter_parallel_equal_serial():
+def test_sweep_jitter_parallel_equals_serial():
     factories = (ASP,)
-    assert sweep_workers(factories, [2, 4], epochs=4, ipe=4, jobs=1) == sweep_workers(
-        factories, [2, 4], epochs=4, ipe=4, jobs=2
-    )
     assert sweep_jitter(factories, [0.1, 0.3], epochs=4, ipe=4, jobs=1) == sweep_jitter(
         factories, [0.1, 0.3], epochs=4, ipe=4, jobs=2
     )

@@ -364,6 +364,9 @@ _REPORT_CORPUS = [
                            "run summary (expected an object, got list)"),
     (("--compare",), '"s"', "error: not a comparable run summary: {f}: not a "
                             "run summary (expected an object, got str)"),
+    (("--compare",), '{"schema": "repro.run_summary/1"}',
+     "error: not a comparable run summary: {f}: run summary has no "
+     "'wall_time' field"),
 ]
 
 

@@ -1,12 +1,15 @@
-"""A run imports scipy and networkx only when it calls them.
+"""numpy is the only third-party package ``repro`` imports.
 
-A third-party package other than numpy is imported inside the function that
-needs it: ``scipy.ndimage`` by the synthetic image dataset, ``networkx`` by
-the multi-rack topology. A timing run builds neither, so importing the CLI
-and running timing trainers must leave both out of ``sys.modules``. Checked
-in a fresh interpreter, since the test session itself has long loaded them.
+Two checks. A fresh interpreter imports the CLI, runs timing trainers, a
+shared-fabric pair and a small numeric job, and after the timing half and
+again after the numeric half no third-party top-level module but numpy may
+have been loaded (a fresh interpreter, since the test session itself loads
+pytest, hypothesis and whatever else is installed). And an AST scan of
+``src/repro`` finds no import outside the standard library, numpy and
+``repro`` itself — not even one deferred into a function body.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,10 +20,27 @@ import repro
 _COLD_RUN = """
 import sys
 
+before = {m.split(".")[0] for m in sys.modules}
+
+
+def third_party():
+    # A module with no __spec__ was not imported but registered by hand
+    # (multiprocessing's __mp_main__, Cython's runtime modules).
+    loaded = {
+        name.split(".")[0]
+        for name, mod in list(sys.modules.items())
+        if getattr(mod, "__spec__", None) is not None
+    }
+    return sorted(
+        loaded - before - set(sys.stdlib_module_names) - {"numpy", "repro"}
+    )
+
+
 import repro.cli
 from repro.core.osp import OSP
 from repro.harness import (
-    WorkloadConfig, osp_with_background, shared_fabric_runner, timing_trainer,
+    WorkloadConfig, make_numeric_dataset, numeric_trainer, osp_with_background,
+    shared_fabric_runner, timing_trainer,
 )
 
 cfg = WorkloadConfig("resnet50-cifar10", n_workers=2, n_epochs=1,
@@ -29,11 +49,16 @@ timing_trainer(cfg, OSP()).run()
 jobs = osp_with_background("vgg16-cifar10", n_workers=2, n_epochs=1,
                            iterations_per_epoch=2, seed=0)
 shared_fabric_runner(jobs).run()
-print(sorted(m for m in sys.modules if m.split(".")[0] in {"scipy", "networkx"}))
+print("timing", third_party())
+
+data = make_numeric_dataset(cfg.card, n_samples=40)
+numeric_trainer(WorkloadConfig("resnet50-cifar10", n_workers=2, n_epochs=1),
+                OSP(), data=data, batch_size=10).run()
+print("numeric", third_party())
 """
 
 
-def test_timing_runs_never_import_scipy_or_networkx():
+def test_timing_and_numeric_runs_load_no_third_party_module_but_numpy():
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -47,20 +72,26 @@ def test_timing_runs_never_import_scipy_or_networkx():
         check=True,
         timeout=120,
     )
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert out.stdout.strip().splitlines()[-2:] == ["timing []", "numeric []"]
 
 
-def test_lazy_users_still_load_their_dependency():
-    from repro.data.synthetic_images import make_image_classification
-    from repro.netsim.topology import GraphTopology, make_multirack_topology
+def _foreign_imports(package: Path) -> list[str]:
+    allowed = set(sys.stdlib_module_names) | {"numpy", "repro"}
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in allowed:
+                    found.append(f"{path.relative_to(package)}:{node.lineno}: {name}")
+    return found
 
-    data = make_image_classification(20, n_classes=2, image_size=4, seed=1)
-    assert len(data) == 20
-    assert "scipy.ndimage" in sys.modules
 
-    topo = make_multirack_topology(4, n_racks=2)
-    assert isinstance(topo, GraphTopology)
-    assert [l.name for l in topo.route(0, 1)] == [
-        "0->tor0", "tor0->core", "core->tor1", "tor1->1"
-    ]
-    assert "networkx" in sys.modules
+def test_src_imports_only_stdlib_numpy_and_repro():
+    package = Path(repro.__file__).resolve().parent
+    assert _foreign_imports(package) == []
