@@ -70,12 +70,13 @@ ckpt:
 # Invariant-checker smoke: an OSP run with an active fault window under
 # every runtime monitor, the differential replay (resumed vs uninterrupted),
 # then the repro.check tier-1 tests (the no-private-reach guard among them)
-# and the view test: monitors check as often through a JobNetworkView.
+# and the placement test: monitors check as often through an identity
+# placement on a network the trainer does not own.
 check:
 	PYTHONPATH=src python -m repro check --sync osp --workers 4 --epochs 6 \
 	  --iterations 4 \
 	  --faults '[{"kind": "bandwidth_dip", "start": 0.5, "duration": 2.0, "factor": 0.5}]'
-	PYTHONPATH=src pytest tests/check tests/multijob/test_netview.py -q
+	PYTHONPATH=src pytest tests/check tests/multijob/test_placement.py -q
 
 # Observability smoke: run a traced OSP workload, validate the unified
 # trace's schema, and render the overlap report from the file.

@@ -142,7 +142,9 @@ def cmd_run(args) -> int:
         n = write_unified_trace(
             args.trace,
             tracer=res.tracer,
-            flow_records=trainer.network.records,
+            flow_records=[
+                r for r in trainer.network.records if r.job == trainer.placement.job
+            ],
             iteration_records=res.recorder.iterations,
             recorder=res.recorder,
             sync_name=res.sync_name,

@@ -19,6 +19,7 @@ from :mod:`repro.hardware`.
 from repro.cluster.spec import (
     ClusterSpec,
     MembershipSchedule,
+    Placement,
     TrainingPlan,
     WorkerJoin,
     WorkerLeave,
@@ -35,6 +36,7 @@ __all__ = [
     "MembershipSchedule",
     "NumericEngine",
     "ParameterServer",
+    "Placement",
     "TimingEngine",
     "TrainerContext",
     "TrainingPlan",

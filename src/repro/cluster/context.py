@@ -13,9 +13,10 @@ from typing import Optional
 import numpy as np
 
 from repro.cluster.ps import ParameterServer
-from repro.cluster.spec import ClusterSpec, TrainingPlan, WorkerJoin
+from repro.cluster.spec import ClusterSpec, Placement, TrainingPlan, WorkerJoin
 from repro.metrics.recorder import EpochRecord, IterationRecord, Recorder
 from repro.netsim.network import Network
+from repro.netsim.prio import PRIO_NORMAL
 from repro.obs.tracer import NULL_TRACER
 from repro.simcore.environment import Environment
 from repro.simcore.events import Event
@@ -41,9 +42,19 @@ class TrainerContext:
         ps: ParameterServer,
         recorder: Recorder,
         iterations_per_epoch: int,
+        placement: Optional[Placement] = None,
     ) -> None:
+        if placement is None:
+            placement = Placement(None, range(spec.n_nodes))
+        if len(placement.hosts) != spec.n_nodes:
+            raise ValueError(
+                f"placement has {len(placement.hosts)} hosts for {spec.n_nodes} nodes"
+            )
         self.env = env
         self.network = network
+        #: where the spec's nodes sit on ``network``'s topology (the
+        #: identity placement when the trainer owns its network)
+        self.placement = placement
         self.spec = spec
         self.plan = plan
         self.engine = engine
@@ -372,25 +383,20 @@ class TrainerContext:
         nbytes: float,
         tag=None,
         ps_index: int = 0,
-        **flow_kwargs,
+        prio: int = PRIO_NORMAL,
     ) -> Event:
-        """Worker → PS transfer; returns an event that fires once the bytes
-        have arrived AND that PS's (serialised, memory-bound) aggregator has
-        ingested them — see ``ClusterSpec.ps_agg_bandwidth``. Extra keyword
-        arguments (``prio``) pass through to
-        :meth:`repro.netsim.network.Network.transfer`.
+        """Worker → PS transfer in class ``prio``; returns an event that
+        fires once the bytes have arrived AND that PS's (serialised,
+        memory-bound) aggregator has ingested them — see
+        ``ClusterSpec.ps_agg_bandwidth``.
 
         The aggregator is a FIFO of callbacks: an arriving push starts its
         ``nbytes / ps_agg_bandwidth`` service timer if the aggregator is idle,
         else queues; a finishing timer arms the next queued push's timer.
         ``tests/cluster/reference.py`` holds the ordering oracle.
         """
-        net_done = self.network.transfer(
-            self.spec.worker_node(worker),
-            self.spec.ps_nodes[ps_index],
-            nbytes,
-            tag=tag,
-            **flow_kwargs,
+        net_done = self._send(
+            self.spec.worker_node(worker), self.spec.ps_nodes[ps_index], nbytes, tag, prio
         )
         if self._agg_queues is None or nbytes <= 0:
             return net_done
@@ -424,16 +430,22 @@ class TrainerContext:
         nbytes: float,
         tag=None,
         ps_index: int = 0,
-        **flow_kwargs,
+        prio: int = PRIO_NORMAL,
     ) -> Event:
-        """PS → worker transfer; returns the completion event. Extra
-        keyword arguments pass through to ``Network.transfer``."""
+        """PS → worker transfer in class ``prio``; returns the completion event."""
+        return self._send(
+            self.spec.ps_nodes[ps_index], self.spec.worker_node(worker), nbytes, tag, prio
+        )
+
+    def _send(self, src: int, dst: int, nbytes: float, tag, prio: int) -> Event:
+        """Start a flow between two of the spec's nodes: placed on their
+        hosts, tagged with the job, NORMAL replaced by its default class."""
+        placement = self.placement
+        if prio == PRIO_NORMAL and placement.default_prio is not None:
+            prio = placement.default_prio
+        hosts = placement.hosts
         return self.network.transfer(
-            self.spec.ps_nodes[ps_index],
-            self.spec.worker_node(worker),
-            nbytes,
-            tag=tag,
-            **flow_kwargs,
+            hosts[src], hosts[dst], nbytes, tag=tag, prio=prio, job=placement.job
         )
 
     def quorum_barrier(self, timeout=None, on_degraded=None) -> QuorumBarrier:

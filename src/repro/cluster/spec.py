@@ -191,6 +191,27 @@ class ClusterSpec:
 
 
 @dataclass(frozen=True)
+class Placement:
+    """Where a job's nodes sit on the fabric and how its flows are tagged.
+
+    Node ``i`` of the job's :class:`ClusterSpec` (see :meth:`~ClusterSpec.
+    worker_node` and :attr:`~ClusterSpec.ps_nodes`) is topology host
+    ``hosts[i]``. Every flow the job starts carries ``job`` (drained bytes
+    count to ``netsim.job_bytes.{job}``), and ``default_prio``, when set,
+    replaces the class of the job's NORMAL flows. A trainer that owns its
+    network runs on the identity placement ``Placement(None,
+    range(n_nodes))``, so a solo run is the one-job case of co-tenancy.
+    """
+
+    job: Optional[str]
+    hosts: tuple[int, ...]
+    default_prio: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hosts", tuple(self.hosts))
+
+
+@dataclass(frozen=True)
 class TrainingPlan:
     """How long and how to train.
 
@@ -223,6 +244,7 @@ class TrainingPlan:
 __all__ = [
     "ClusterSpec",
     "MembershipSchedule",
+    "Placement",
     "TrainingPlan",
     "WorkerJoin",
     "WorkerLeave",

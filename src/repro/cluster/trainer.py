@@ -9,7 +9,7 @@ from typing import Optional, Union
 
 from repro.cluster.context import TrainerContext
 from repro.cluster.engines import Engine, NumericEngine
-from repro.cluster.spec import ClusterSpec, TrainingPlan
+from repro.cluster.spec import ClusterSpec, Placement, TrainingPlan
 from repro.metrics.recorder import Recorder
 from repro.netsim.network import Network
 from repro.netsim.topology import StarTopology
@@ -74,16 +74,17 @@ class DistributedTrainer:
         resume from. The virtual clock, recorder history, schedules and all
         parameter/momentum/sync state continue from the snapshot, so a
         resumed run is bit-identical to one that never stopped.
-    env, network:
-        Co-tenancy hooks: hand the trainer a *shared* environment and a
-        network (normally a :class:`repro.multijob.JobNetworkView` that
-        maps job-local node ids onto the shared fabric and tags flows with
-        the job name). When omitted the trainer owns both, exactly as
-        before. A shared environment is incompatible with checkpointing
-        and resume (the snapshot would capture the whole fabric's clock).
-    job:
-        Optional co-tenant job name; worker processes are created inside
-        ``env.job_scope(job)`` so tracer spans carry the job dimension.
+    env, network, placement:
+        Co-tenancy: hand the trainer a *shared* environment and
+        :class:`~repro.netsim.network.Network` plus the
+        :class:`~repro.cluster.spec.Placement` of this job on it (which
+        hosts its nodes sit on, the job name every flow and worker process
+        carries, the class its NORMAL flows are demoted to). When omitted
+        the trainer owns the environment and the network and runs on the
+        identity placement; only then does it mirror the ``netsim.*``
+        counters into its recorder. A shared environment is incompatible
+        with checkpointing and resume (the snapshot would capture the
+        whole fabric's clock).
     """
 
     def __init__(
@@ -99,7 +100,7 @@ class DistributedTrainer:
         resume_from=None,
         env: Optional[Environment] = None,
         network: Optional[Network] = None,
-        job: Optional[str] = None,
+        placement: Optional[Placement] = None,
     ) -> None:
         """``topology`` (optional) overrides the default single-rack star —
         e.g. ``StarTopology(spec.n_nodes, spec.link, n_racks=2)`` for
@@ -110,7 +111,6 @@ class DistributedTrainer:
         self.engine = engine
         self.sync_model = sync_model
         self._topology_override = topology
-        self.job = job
         if network is not None and topology is not None:
             raise ValueError("pass either a shared network= or a topology=, not both")
         if network is not None and env is None:
@@ -149,6 +149,8 @@ class DistributedTrainer:
         self.env = env if env is not None else Environment(
             initial_time=self._snapshot.time if self._snapshot else 0.0
         )
+        self.ps = engine.make_ps(plan)
+        self.recorder = Recorder()
         if network is not None:
             self.network = network
         else:
@@ -158,10 +160,8 @@ class DistributedTrainer:
                 else StarTopology(spec.n_nodes, default_spec=spec.link)
             )
             self.network = Network(self.env, topo)
-        self.ps = engine.make_ps(plan)
-        self.recorder = Recorder()
-        # Mirror netsim.* scheduler counters into the run's counter table.
-        self.network.recorder = self.recorder
+            # Mirror netsim.* scheduler counters into the run's counter table.
+            self.network.recorder = self.recorder
         self.ctx = TrainerContext(
             env=self.env,
             network=self.network,
@@ -171,7 +171,9 @@ class DistributedTrainer:
             ps=self.ps,
             recorder=self.recorder,
             iterations_per_epoch=ipe,
+            placement=placement,
         )
+        self.placement = self.ctx.placement
         if self.ps.optimizer is not None:
             self.ctx._lr_scheduler = StepLR(
                 self.ps.optimizer,
@@ -289,7 +291,7 @@ class DistributedTrainer:
             release = self._snapshot.meta.get("release_order") or []
             seen = [w for w in release if 0 <= w < self.spec.n_workers]
             order = seen + [w for w in order if w not in seen]
-        with self.env.job_scope(self.job):
+        with self.env.job_scope(self.placement.job):
             procs = [
                 self.env.process(self.sync_model.worker_process(self.ctx, w))
                 for w in order

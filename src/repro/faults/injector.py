@@ -81,15 +81,24 @@ class FaultInjector:
         raise TypeError(f"not a network fault: {ev!r}")  # pragma: no cover
 
     def _links_for(self, nodes) -> list[Link]:
+        """The links a window degrades: each targeted node's host links, or
+        with ``nodes=None`` every host link of the job plus the rack links
+        (for the identity placement, ``topology.links``)."""
         topo = self.ctx.network.topology
+        hosts = self.ctx.placement.hosts
         if nodes is None:
-            return list(topo.links)
+            return (
+                [topo.uplinks[h] for h in hosts]
+                + [topo.downlinks[h] for h in hosts]
+                + topo.rack_uplinks
+                + topo.rack_downlinks
+            )
         links: list[Link] = []
         for n in nodes:
-            if not (0 <= n < topo.n_nodes):
+            if not (0 <= n < len(hosts)):
                 raise ValueError(f"fault targets unknown node {n}")
-            links.append(topo.uplinks[n])
-            links.append(topo.downlinks[n])
+            links.append(topo.uplinks[hosts[n]])
+            links.append(topo.downlinks[hosts[n]])
         return links
 
     def _network_window(self, ev):

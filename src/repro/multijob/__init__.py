@@ -7,9 +7,9 @@ tagging through the priority scheduler, and cross-job interference
 attribution. See ``docs/multijob.md``.
 """
 
+from repro.cluster.spec import Placement
 from repro.multijob.job import JobSpec, background_job
-from repro.multijob.netview import FabricAccounting, JobNetworkView, MappedStarTopology
-from repro.multijob.pool import PLACEMENT_MODES, NodePool, Placement
+from repro.multijob.pool import PLACEMENT_MODES, NodePool
 from repro.multijob.report import (
     MULTIJOB_SCHEMA,
     multijob_summary,
@@ -26,13 +26,10 @@ from repro.multijob.runner import (
 
 __all__ = [
     "ADMISSION_MODES",
-    "FabricAccounting",
-    "JobNetworkView",
     "JobRun",
     "JobScheduler",
     "JobSpec",
     "MULTIJOB_SCHEMA",
-    "MappedStarTopology",
     "MultiJobResult",
     "MultiJobRunner",
     "NodePool",

@@ -47,7 +47,7 @@ class JobSpec:
     default_prio:
         Optional priority-class override for the job's *default-class*
         flows: every flow the job submits without an explicit class
-        (NORMAL) is re-tagged to this class at the fabric boundary.
+        (NORMAL) is re-tagged to this class (``Placement.default_prio``).
         Flows with an explicit class (OSP's HIGH RS, URGENT GIB, BULK
         ICS) keep it. Use :func:`background_job` for the common
         demote-to-BULK tenant.
@@ -81,13 +81,13 @@ class JobSpec:
             0 if self.workload.colocated_ps else self.workload.n_ps
         )
 
-    def build_trainer(self, env, network):
+    def build_trainer(self, env, network, placement):
         """Fresh :class:`~repro.cluster.trainer.DistributedTrainer` for
-        this job over the shared environment and (view of the) network."""
+        this job over the shared environment and network, on ``placement``."""
         from repro.harness.workloads import numeric_trainer, timing_trainer
 
         sync_model = self.sync_factory()
-        kwargs = dict(env=env, network=network, job=self.name)
+        kwargs = dict(env=env, network=network, placement=placement)
         if self.mode == "numeric":
             return numeric_trainer(
                 self.workload, sync_model, **self.numeric_kwargs, **kwargs

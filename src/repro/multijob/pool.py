@@ -1,8 +1,9 @@
 """Shared node pool: host inventory, placement, compute-slot contention.
 
 The pool owns the co-tenant fabric's hosts (nodes ``0..n_hosts-1`` of one
-shared :class:`~repro.netsim.topology.StarTopology`) and hands jobs
-*placements* — a job-local→pool node map. Two modes:
+shared :class:`~repro.netsim.topology.StarTopology`) and hands jobs a
+:class:`~repro.cluster.spec.Placement`: job node ``i`` on ``hosts[i]``. The
+slots each placement took stay with the pool. Two modes:
 
 * ``exclusive`` — every pool host carries at most one job node; co-tenant
   jobs contend only where their placements share links (never, on the
@@ -16,29 +17,15 @@ shared :class:`~repro.netsim.topology.StarTopology`) and hands jobs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.cluster.spec import Placement
 from repro.netsim.links import LinkSpec
 from repro.netsim.topology import StarTopology
 from repro.simcore.environment import Environment
 from repro.simcore.resources import Resource
 
 PLACEMENT_MODES = ("exclusive", "shared")
-
-
-@dataclass(frozen=True)
-class Placement:
-    """One job's node assignment: local node ``i`` lives on ``hosts[i]``."""
-
-    job: str
-    mode: str
-    hosts: tuple[int, ...]
-    #: placement slots consumed per host (freed on release)
-    consumed: dict[int, int] = field(default_factory=dict)
-
-    def node_map(self) -> list[int]:
-        return list(self.hosts)
 
 
 class NodePool:
@@ -74,6 +61,8 @@ class NodePool:
         #: reproduce the direct-run topology bit-for-bit.
         self.topology = StarTopology(self.n_hosts, default_spec=self.link)
         self._free = [self.slots_per_host] * self.n_hosts
+        #: job -> {host: slots its placement took}, returned on release
+        self._consumed: dict[str, dict[int, int]] = {}
         #: Per-host compute-slot resource (lazy: only shared placements
         #: route compute through it).
         self.compute_slots = [
@@ -106,6 +95,8 @@ class NodePool:
         self._check_mode(mode)
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+        if job in self._consumed:
+            raise ValueError(f"job {job!r} is already placed")
         consumed: dict[int, int] = {}
         if mode == "exclusive":
             hosts = [
@@ -135,11 +126,12 @@ class NodePool:
                 self._free[h] -= 1
                 consumed[h] = consumed.get(h, 0) + 1
                 hosts.append(h)
-        return Placement(job=job, mode=mode, hosts=tuple(hosts), consumed=consumed)
+        self._consumed[job] = consumed
+        return Placement(job, hosts)
 
     def release(self, placement: Placement) -> None:
         """Return a placement's slots to the pool."""
-        for host, n in placement.consumed.items():
+        for host, n in self._consumed.pop(placement.job).items():
             self._free[host] += n
             if self._free[host] > self.slots_per_host:  # pragma: no cover
                 raise RuntimeError(f"double release on host {host}")
@@ -156,4 +148,4 @@ class NodePool:
             )
 
 
-__all__ = ["NodePool", "Placement", "PLACEMENT_MODES"]
+__all__ = ["NodePool", "PLACEMENT_MODES"]

@@ -17,12 +17,12 @@ from repro.multijob.runner import MultiJobResult
 MULTIJOB_SCHEMA = "repro.multijob_summary/1"
 
 
-def _job_dict(run) -> dict:
+def _job_dict(run, placement_mode: str) -> dict:
     res = run.result
     return {
         "sync": res.sync_name,
         "hosts": list(run.placement.hosts),
-        "placement_mode": run.placement.mode,
+        "placement_mode": placement_mode,
         "submitted": run.submitted,
         "admitted": run.admitted,
         "finished": run.finished,
@@ -52,7 +52,9 @@ def multijob_summary(result: MultiJobResult) -> dict:
         "n_hosts": result.n_hosts,
         "slots_per_host": result.slots_per_host,
         "gpus_per_host": result.gpus_per_host,
-        "jobs": {name: _job_dict(run) for name, run in result.jobs.items()},
+        "jobs": {
+            name: _job_dict(run, result.placement) for name, run in result.jobs.items()
+        },
         "interference": result.interference_matrix(),
         "network": {
             k: v for k, v in sorted(result.network_stats.items())

@@ -3,11 +3,13 @@
 :class:`MultiJobRunner` runs N independent :class:`~repro.multijob.job.
 JobSpec` jobs over ONE shared :class:`~repro.simcore.environment.
 Environment` and :class:`~repro.netsim.network.Network`. Each job gets a
-small driver process that (1) waits for admission, (2) takes a placement
-from the :class:`~repro.multijob.pool.NodePool`, (3) builds its own
-:class:`~repro.cluster.trainer.DistributedTrainer` over a
-:class:`~repro.multijob.netview.JobNetworkView`, (4) runs its workers to
-completion, and (5) returns its hosts to the pool (waking queued jobs).
+small driver process that (1) waits for admission, (2) takes a
+:class:`~repro.cluster.spec.Placement` from the
+:class:`~repro.multijob.pool.NodePool`, (3) builds its own
+:class:`~repro.cluster.trainer.DistributedTrainer` over the shared network
+and that placement, (4) runs its workers to completion, and (5) returns its
+hosts to the pool (waking queued jobs). Per-job bytes, contended bytes and
+overlap seconds are what the network's drain counted for the job's tag.
 
 Admission policies (:data:`ADMISSION_MODES`):
 
@@ -22,19 +24,19 @@ Admission policies (:data:`ADMISSION_MODES`):
 
 A single job on an ``exclusive`` identity placement reproduces the direct
 ``DistributedTrainer`` run bit-for-bit (same topology construction, same
-process creation order, passive views) — the differential test in
-``tests/multijob/test_identity.py`` pins this.
+process creation order; the job tag only adds bookkeeping) — the
+differential test in ``tests/multijob/test_identity.py`` pins this.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
+from repro.cluster.spec import Placement
 from repro.cluster.trainer import TrainingResult
 from repro.multijob.job import JobSpec
-from repro.multijob.netview import FabricAccounting, JobNetworkView
-from repro.multijob.pool import PLACEMENT_MODES, NodePool, Placement
+from repro.multijob.pool import PLACEMENT_MODES, NodePool
 from repro.netsim.links import LinkSpec
 from repro.netsim.network import Network
 from repro.simcore.environment import Environment
@@ -55,11 +57,16 @@ class JobRun:
     finished: float
     #: effective bytes the fabric drained for this job
     job_bytes: float = 0.0
-    #: bytes started while ≥1 other tenant had flows in flight
+    #: of those, bytes drained while ≥1 other tenant had flows in flight
     contended_bytes: float = 0.0
-    solo_bytes: float = 0.0
+    #: seconds this job had flows in flight, and those shared with a tenant
     active_seconds: float = 0.0
     contended_seconds: float = 0.0
+
+    @property
+    def solo_bytes(self) -> float:
+        """Bytes drained while no other tenant had flows in flight."""
+        return self.job_bytes - self.contended_bytes
 
     @property
     def queue_wait(self) -> float:
@@ -74,8 +81,7 @@ class JobRun:
     @property
     def contended_share(self) -> float:
         """Fraction of this job's traffic that faced a co-tenant."""
-        total = self.contended_bytes + self.solo_bytes
-        return self.contended_bytes / total if total > 0 else 0.0
+        return self.contended_bytes / self.job_bytes if self.job_bytes > 0 else 0.0
 
 
 @dataclass
@@ -92,8 +98,8 @@ class MultiJobResult:
     #: shared-fabric scheduler counters (netsim.* incl. per-job/per-class
     #: byte accounting), snapshotted at collection
     network_stats: dict = field(default_factory=dict)
-    #: frozenset({a, b}) -> seconds both tenants had flows in flight
-    pair_overlap: dict = field(default_factory=dict)
+    #: frozenset(jobs in flight) -> seconds (``Network.job_overlap``)
+    job_overlap: dict = field(default_factory=dict)
     tracer: object = None
     sampler: object = None
 
@@ -105,9 +111,11 @@ class MultiJobResult:
         fabric (symmetric, zero diagonal)."""
         names = list(self.jobs)
         matrix = {a: {b: 0.0 for b in names} for a in names}
-        for pair, seconds in self.pair_overlap.items():
-            a, b = sorted(pair)
-            matrix[a][b] = matrix[b][a] = seconds
+        for jobs, seconds in self.job_overlap.items():
+            for a in jobs:
+                for b in jobs:
+                    if a != b:
+                        matrix[a][b] += seconds
         return matrix
 
 
@@ -225,7 +233,6 @@ class MultiJobRunner:
             gpus_per_host=gpus_per_host,
         )
         self.network = Network(self.env, self.pool.topology)
-        self.accounting = FabricAccounting()
         self.scheduler = JobScheduler(
             self.env, self.pool, admission, placement, headroom=headroom
         )
@@ -254,7 +261,7 @@ class MultiJobRunner:
         kwargs = {} if capacity is None else {"capacity": capacity}
         sampler = MetricSampler(self.env, interval, **kwargs)
         sampler.add_probe(NetworkProbe(self.network))
-        sampler.add_probe(MultiJobProbe(self.accounting, [j.name for j in self.jobs]))
+        sampler.add_probe(MultiJobProbe(self.network, [j.name for j in self.jobs]))
         self.env.metric_sampler = sampler
         self._sampler = sampler
         return sampler
@@ -270,11 +277,19 @@ class MultiJobRunner:
         for d in drivers:
             if not d.ok:  # pragma: no cover - defensive
                 raise d.value
-        self.accounting._advance(self.env.now)
-        # Per-job interference counters land on each job's own recorder
-        # (multijob.* is excluded from replay streams, so a solo job's
-        # stream stays bit-identical to a direct run's).
+        # Attribution is what the drain counted under each job's tag; the
+        # counters land on each job's own recorder (multijob.* is excluded
+        # from replay streams, so a solo job's stream stays bit-identical
+        # to a direct run's).
+        net = self.network
         for name, run in self._runs.items():
+            run.job_bytes = net.job_bytes(name)
+            run.contended_bytes = net.contended_bytes(name)
+            for jobs, seconds in net.job_overlap.items():
+                if name in jobs:
+                    run.active_seconds += seconds
+                    if len(jobs) > 1:
+                        run.contended_seconds += seconds
             rec = run.result.recorder
             rec.incr("multijob.job_bytes", run.job_bytes)
             rec.incr("multijob.contended_bytes", run.contended_bytes)
@@ -288,7 +303,7 @@ class MultiJobRunner:
             slots_per_host=self.pool.slots_per_host,
             gpus_per_host=self.pool.gpus_per_host,
             network_stats=dict(self.network.stats),
-            pair_overlap=dict(self.accounting.pair_overlap),
+            job_overlap=dict(net.job_overlap),
             tracer=self._tracer,
             sampler=self._sampler,
         )
@@ -297,16 +312,12 @@ class MultiJobRunner:
         """Per-job driver process: admit → place → train → release."""
         submitted = self.env.now
         yield from self.scheduler.wait_admission(job, idx)
-        placement = self.pool.allocate(job.name, job.n_nodes, self.placement)
-        admitted = self.env.now
-        view = JobNetworkView(
-            self.network,
-            job.name,
-            placement.node_map(),
-            accounting=self.accounting,
+        placement = replace(
+            self.pool.allocate(job.name, job.n_nodes, self.placement),
             default_prio=job.default_prio,
         )
-        trainer = job.build_trainer(self.env, view)
+        admitted = self.env.now
+        trainer = job.build_trainer(self.env, self.network, placement)
         if self._tracer is not None:
             trainer.ps.tracer = self._tracer
             trainer.engine.tracer = self._tracer
@@ -320,7 +331,6 @@ class MultiJobRunner:
         result = trainer.finish()
         self.pool.release(placement)
         self.scheduler.job_done(idx)
-        acct = self.accounting.job_summary(job.name)
         self._runs[job.name] = JobRun(
             name=job.name,
             result=result,
@@ -328,11 +338,6 @@ class MultiJobRunner:
             submitted=submitted,
             admitted=admitted,
             finished=self.env.now,
-            job_bytes=self.network.job_bytes(job.name),
-            contended_bytes=acct["contended_bytes"],
-            solo_bytes=acct["solo_bytes"],
-            active_seconds=acct["active_seconds"],
-            contended_seconds=acct["contended_seconds"],
         )
 
 

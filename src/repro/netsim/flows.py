@@ -62,6 +62,9 @@ class FlowRecord:
     tag: Any
     start_time: float
     end_time: float
+    #: The owning job's name (``Flow.job``); a job's records are the
+    #: fabric's records with its name.
+    job: Optional[str] = None
 
     @property
     def duration(self) -> float:

@@ -87,6 +87,12 @@ def _job_counter(job: str) -> str:
     return f"netsim.job_bytes.{job}"
 
 
+def _contended_counter(job: str) -> str:
+    """The share of ``netsim.job_bytes.{job}`` drained while another job
+    had flows in flight (registered template ``netsim.job_contended_bytes.{job}``)."""
+    return f"netsim.job_contended_bytes.{job}"
+
+
 class Network:
     """Transfer scheduler over a topology.
 
@@ -117,6 +123,9 @@ class Network:
         self.topology = topology
         self.priorities = priorities
         self.records: list[FlowRecord] = []
+        #: frozenset of the jobs with flows in flight -> virtual seconds the
+        #: fabric spent in that state (job-tagged flows only; see _drain).
+        self.job_overlap: dict[frozenset, float] = {}
         #: Optional Recorder mirror for the ``netsim.*`` counters in
         #: :attr:`stats` (the trainer attaches its recorder).
         self.recorder = None
@@ -191,10 +200,10 @@ class Network:
         constants); it is coerced to NORMAL while :attr:`priorities` is
         False.
 
-        ``job`` attributes the flow to a co-tenant training job: its
-        drained bytes are accounted to ``netsim.job_bytes.{job}``.
-        Untagged transfers (the single-tenant default) skip the job
-        accounting path entirely.
+        ``job`` attributes the flow to a training job: its drained bytes
+        are accounted to ``netsim.job_bytes.{job}`` and its time on the
+        wire to :attr:`job_overlap`. Untagged transfers (a trainer that
+        owns its network) skip the job accounting path entirely.
         """
         if size < 0:
             raise ValueError(f"negative transfer size {size}")
@@ -276,6 +285,11 @@ class Network:
         """Effective bytes drained so far for flows tagged ``job=``."""
         return float(self.stats.get(_job_counter(job), 0.0))
 
+    def contended_bytes(self, job: str) -> float:
+        """Those of :meth:`job_bytes` drained while another job had flows
+        in flight."""
+        return float(self.stats.get(_contended_counter(job), 0.0))
+
     def refresh_capacities(self) -> None:
         """Re-read link bandwidths after a fault changed them.
 
@@ -332,7 +346,14 @@ class Network:
         self._finish(flow)
 
     def _drain(self) -> None:
-        """Advance all active flows to the current instant."""
+        """Advance all active flows to the current instant.
+
+        The active set is constant over the drained interval, so it is also
+        where per-job attribution is exact: the interval's ``dt`` goes to
+        :attr:`job_overlap` under the set of jobs in flight, and when that
+        set has more than one job each job's moved bytes also count as
+        contended (``netsim.job_contended_bytes.{job}``).
+        """
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
@@ -351,12 +372,21 @@ class Network:
                     cls_bytes[flow.prio] += moved
                     if flow.job is not None:
                         job_bytes[flow.job] = job_bytes.get(flow.job, 0.0) + moved
+                elif flow.job is not None:  # preempted, still in flight
+                    job_bytes.setdefault(flow.job, 0.0)
             if self.priorities:
                 for cls, nbytes in enumerate(cls_bytes):
                     if nbytes > 0:
                         self._count(_BYTE_COUNTERS[cls], nbytes)
-            for job, nbytes in job_bytes.items():
-                self._count(_job_counter(job), nbytes)
+            if job_bytes:
+                jobs = frozenset(job_bytes)
+                self.job_overlap[jobs] = self.job_overlap.get(jobs, 0.0) + dt
+                contended = len(jobs) > 1
+                for job, nbytes in job_bytes.items():
+                    if nbytes > 0:
+                        self._count(_job_counter(job), nbytes)
+                        if contended:
+                            self._count(_contended_counter(job), nbytes)
         for hook in self.drain_hooks:
             hook()
 
@@ -513,6 +543,7 @@ class Network:
             tag=flow.tag,
             start_time=flow.start_time,
             end_time=self.env.now + flow.latency,
+            job=flow.job,
         )
         self.records.append(record)
         if flow.latency > 0:

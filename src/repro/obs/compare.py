@@ -220,6 +220,15 @@ def _comparable(doc: Union[dict, str, Path], name: str) -> dict:
     for field in ("wall_time", "phases"):
         if field not in doc:
             raise ValueError(f"{name}: run summary has no {field!r} field")
+    wall = doc["wall_time"]
+    if isinstance(wall, bool) or not isinstance(wall, (int, float)):
+        raise ValueError(f"{name}: wall_time: expected a number, got {type(wall).__name__}")
+    for field in ("phases", "workers"):
+        value = doc.get(field, {})
+        if not isinstance(value, dict):
+            raise ValueError(
+                f"{name}: {field}: expected an object, got {type(value).__name__}"
+            )
     return doc
 
 

@@ -242,8 +242,9 @@ def overlap_report_from_run(
     result, tracer: Optional[Tracer] = None
 ) -> OverlapReport:
     """Build a report from a finished
-    :class:`~repro.cluster.trainer.TrainingResult` (flow records come from
-    ``result.context.network``; tracer spans are used when available)."""
+    :class:`~repro.cluster.trainer.TrainingResult` (flow records are the
+    network's records tagged with the run's job; tracer spans are used when
+    available)."""
     recorder = result.recorder
     tracer = tracer if tracer is not None else getattr(result, "tracer", None)
     report = OverlapReport(sync_name=result.sync_name)
@@ -257,7 +258,8 @@ def overlap_report_from_run(
         report.bst.observe(r.sync_time)
 
     flows = []
-    for rec in result.context.network.records:
+    ctx = result.context
+    for rec in [r for r in ctx.network.records if r.job == ctx.placement.job]:
         sl = _flow_slice(rec)
         if sl is not None:
             flows.append(sl)

@@ -79,6 +79,8 @@ COUNTER_TEMPLATES: frozenset[str] = frozenset(
     {
         # per-tenant effective bytes drained by the shared fabric
         "netsim.job_bytes.{job}",
+        # ... of which drained while another tenant had flows in flight
+        "netsim.job_contended_bytes.{job}",
     }
 )
 

@@ -263,14 +263,10 @@ class WorkerProbe:
         self._sync: dict[int, float] = {}
         self._progress: dict[int, int] = {w: 0 for w in range(n)}
         self._last_t: Optional[float] = None
-        self._last_up_bytes: dict[int, float] = {}
-        self._uplinks: dict[int, object] = {}
-        links = {link.name: link for link in trainer.network.topology.links}
-        for w in range(n):
-            link = links.get(f"up:{w}")
-            if link is not None:
-                self._uplinks[w] = link
-                self._last_up_bytes[w] = link.bytes_carried
+        uplinks = trainer.network.topology.uplinks
+        hosts = trainer.placement.hosts
+        self._uplinks = {w: uplinks[hosts[trainer.spec.worker_node(w)]] for w in range(n)}
+        self._last_up_bytes = {w: link.bytes_carried for w, link in self._uplinks.items()}
 
     def __call__(self, now: float) -> Iterable[tuple[str, float]]:
         trainer = self.trainer
@@ -304,23 +300,26 @@ class WorkerProbe:
 class MultiJobProbe:
     """Per-tenant fabric signals under ``multijob.{job}.*``.
 
-    Reads the multi-job runner's :class:`repro.multijob.FabricAccounting`
-    — active flow count and in-flight payload bytes per job — so a
-    sampled co-tenant run shows each tenant's traffic envelope on one
-    shared timeline.
+    The shared network's active flows grouped by ``flow.job``: each job's
+    flow count and remaining bytes (as :class:`NetworkProbe` counts them
+    fabric-wide), so a sampled co-tenant run shows each tenant's traffic
+    envelope on one shared timeline.
     """
 
-    def __init__(self, accounting, jobs: "Iterable[str]") -> None:
-        self.accounting = accounting
+    def __init__(self, network, jobs: "Iterable[str]") -> None:
+        self.network = network
         self.jobs = list(jobs)
 
     def __call__(self, now: float) -> Iterable[tuple[str, float]]:
-        acct = self.accounting
+        flows = {job: 0 for job in self.jobs}
+        inflight = {job: 0.0 for job in self.jobs}
+        for f in self.network.active_flows:
+            if f.job in flows:
+                flows[f.job] += 1
+                inflight[f.job] += max(f.remaining, 0.0)
         for job in self.jobs:
-            yield f"multijob.{job}.active_flows", float(acct.active.get(job, 0))
-            yield f"multijob.{job}.inflight_bytes", float(
-                max(acct.inflight_bytes.get(job, 0.0), 0.0)
-            )
+            yield f"multijob.{job}.active_flows", float(flows[job])
+            yield f"multijob.{job}.inflight_bytes", inflight[job]
 
 
 def default_interval(trainer: "DistributedTrainer") -> float:

@@ -1,10 +1,11 @@
 """Single-job bit-identity: repro.multijob must be free when you're alone.
 
 A solo job on an exclusive identity placement goes through every new
-layer — JobNetworkView, job tagging, fabric accounting, the runner's
-driver process — and must still produce a replay stream (iterations,
-epochs, counters, wall time) bit-identical to the same workload run
-directly through ``DistributedTrainer``. This is the differential that
+layer — the runner's network and placement, job tagging, the drain's
+per-job attribution, the runner's driver process — and must still
+produce a replay stream (iterations, epochs, counters, wall time)
+bit-identical to the same workload run directly through
+``DistributedTrainer``. This is the differential that
 licenses routing *all* runs through the co-tenancy path.
 """
 

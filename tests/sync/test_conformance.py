@@ -9,9 +9,10 @@ bit-identical to the uninterrupted run. A model added to
 ``repro.sync.__all__`` gets every cell without touching this file (give it
 constructor arguments in ``ARGS`` if it needs any).
 
-Beside the timing matrix: a numeric column (real gradients, stateful
-codecs, ``recover="checkpoint"``), one CLI cell, and the ordered span names
-of one worker-iteration per model.
+Beside the timing matrix: a co-tenancy column (``plain`` as the one job of
+``repro.multijob`` gives the direct run's stream), a numeric column (real
+gradients, stateful codecs, ``recover="checkpoint"``), one CLI cell, and the
+ordered span names of one worker-iteration per model.
 """
 
 import json
@@ -19,7 +20,7 @@ import json
 import pytest
 
 import repro.sync as zoo
-from repro.check import replay_resume, run_checked
+from repro.check import capture_stream, replay_resume, run_checked, stream_digest
 from repro.cli import main
 from repro.cluster import ClusterSpec, DistributedTrainer, NumericEngine, TrainingPlan
 from repro.cluster.spec import MembershipSchedule, WorkerJoin, WorkerLeave
@@ -29,6 +30,7 @@ from repro.data import make_image_classification, train_test_split
 from repro.faults.schedule import FaultSchedule, WorkerCrash
 from repro.hardware import LognormalJitter
 from repro.harness.workloads import WorkloadConfig, timing_trainer
+from repro.multijob import JobSpec, run_jobs
 from repro.nn.models import MLP
 from repro.nn.models.registry import ModelCard
 
@@ -107,6 +109,23 @@ def test_timing_cell(model, scenario, tmp_path):
         assert result.recorder.counter("faults.worker_crash") == 1
         restarts = 1 if fields["faults"].crash_events[0].restart_epoch else 0
         assert result.recorder.counter("faults.worker_restart") == restarts
+
+
+# --------------------------------------------------------- co-tenancy column
+@pytest.mark.parametrize("model", MODELS)
+def test_multijob_plain_cell(model):
+    """``plain`` as the one job of ``repro.multijob``: the identity
+    placement on the runner's pool and network gives the direct stream."""
+    cfg = WorkloadConfig(
+        "resnet50-cifar10", n_workers=N_WORKERS, n_epochs=N_EPOCHS,
+        iterations_per_epoch=IPE, sigma=0.4, seed=5, **SPEC.get(model, {}),
+    )  # fmt: skip
+    trainer = timing_trainer(cfg, MODELS[model]())
+    direct = capture_stream(trainer, trainer.run())
+    solo = run_jobs([JobSpec(name="solo", workload=cfg, sync_factory=MODELS[model])])
+    result = solo["solo"].result
+    assert result.context.placement.hosts == tuple(range(trainer.spec.n_nodes))
+    assert stream_digest(capture_stream(result.context, result)) == stream_digest(direct)
 
 
 # ------------------------------------------------------------ numeric column

@@ -367,6 +367,13 @@ _REPORT_CORPUS = [
     (("--compare",), '{"schema": "repro.run_summary/1"}',
      "error: not a comparable run summary: {f}: run summary has no "
      "'wall_time' field"),
+    (("--compare",), '{"schema": "repro.run_summary/1", "wall_time": "1", "phases": {}}',
+     "error: not a comparable run summary: {f}: wall_time: expected a number, got str"),
+    (("--compare",), '{"schema": "repro.run_summary/1", "wall_time": 1.0, "phases": [1, 2]}',
+     "error: not a comparable run summary: {f}: phases: expected an object, got list"),
+    (("--compare",),
+     '{"schema": "repro.run_summary/1", "wall_time": 1.0, "phases": {}, "workers": [1]}',
+     "error: not a comparable run summary: {f}: workers: expected an object, got list"),
 ]
 
 
