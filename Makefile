@@ -49,10 +49,13 @@ hostbench-pairs:
 	  --pairs $(PAIRS) --seed0 $(SEED0) $(if $(METRIC),--metric $(METRIC))
 
 # Fault-injection smoke: the tier-1 fault tests, the sync-model conformance
-# matrix (every model x crash / restart / join / leave x checkpoint-resume)
-# plus the robustness bench.
+# matrix (every model x crash / restart / join / leave x checkpoint-resume),
+# an elastic leave + join from --faults JSON, plus the robustness bench.
 faults:
 	pytest tests/cluster/test_faults.py tests/sync/test_conformance.py -q
+	PYTHONPATH=src python -m repro run --sync bsp --workers 4 --epochs 4 --iterations 2 \
+	  --faults '[{"kind":"worker_leave","worker":1,"epoch":2},{"kind":"worker_join","worker":3,"epoch":1}]' \
+	  --json
 	pytest benchmarks/bench_fault_robustness.py --benchmark-only -s
 
 # Checkpoint smoke: checkpointed run -> inspect the snapshot -> resume it,

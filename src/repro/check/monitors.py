@@ -367,13 +367,14 @@ class StalenessBoundMonitor(Monitor):
 
 
 class QuorumConsistencyMonitor(Monitor):
-    """Elastic membership schedule vs live quorum sizes (ROADMAP item).
+    """Membership timeline vs live quorum sizes (ROADMAP item).
 
-    Replays the spec's membership and crash/restart schedules into the
-    worker set that *should* be alive when each epoch completes, and at
-    every epoch boundary asserts:
+    Reads the spec's membership timeline (crash, restart, join, leave: one
+    list per worker in the fault schedule) for the worker set that *should*
+    be alive when each epoch completes, and at every epoch boundary — of a
+    resumed run too, from its first epoch on — asserts:
 
-    * the context's live set matches the schedule (crash/leave events
+    * the context's live set matches the timeline (crash/leave events
       dated a *later* epoch may legitimately have fired already — a fast
       worker reaches its epoch top before stragglers finish an earlier
       epoch, by one epoch under a barrier and by as many as the staleness
@@ -392,16 +393,11 @@ class QuorumConsistencyMonitor(Monitor):
 
     def subscribe(self, trainer) -> bool:
         spec = trainer.spec
-        crashes = tuple(spec.faults.crash_events) if spec.faults else ()
-        if spec.membership is None and not crashes:
+        if spec.faults is None or not spec.faults.membership_events:
             return False
-        if trainer.ctx.start_epoch > 0:
-            return False  # resumed run: schedule prefix already consumed
         self._ctx = trainer.ctx
-        self._spec = spec
-        self._joins = dict(spec.membership.join_epochs) if spec.membership else {}
-        self._leaves = dict(spec.membership.leave_epochs) if spec.membership else {}
-        self._crashes = sorted(crashes, key=lambda ev: ev.before_epoch)
+        self._timeline = spec.faults
+        self._workers = range(spec.n_workers)
         trainer.ctx.epoch_end_hooks.append(self._on_epoch_end)
         sync = trainer.sync_model
         if isinstance(sync, OSP):
@@ -409,40 +405,27 @@ class QuorumConsistencyMonitor(Monitor):
             trainer.ctx.round_close_hooks.append(self._on_round_close)
         return True
 
-    def _expected_alive(self, epoch: int) -> set[int]:
-        """Worker set implied by the schedules once ``epoch`` completed."""
-        alive = set(range(self._spec.n_workers)) - set(self._joins)
-        for worker, at in self._joins.items():
-            if at <= epoch:
-                alive.add(worker)
-        for worker, at in self._leaves.items():
-            if at <= epoch:
-                alive.discard(worker)
-        for ev in self._crashes:  # in before_epoch order: crash then revive
-            if ev.before_epoch <= epoch:
-                if ev.restart_epoch is not None and ev.restart_epoch <= epoch:
-                    alive.add(ev.worker)
-                else:
-                    alive.discard(ev.worker)
-        return alive
-
     def _on_epoch_end(self, epoch: int, train_loss: float, metric: float) -> None:
         ctx = self._ctx
         if ctx.stopped:
             return  # early stop cuts the schedule short: sets legally differ
         self.checks += 1
-        expected = self._expected_alive(epoch)
+        timeline = self._timeline
+        expected = {w for w in self._workers if timeline.present(w, epoch)}
         # Later-epoch crash/leave events may already have fired (see class
         # docstring); later joins and restarts cannot — admission waits on
         # the preceding epoch's completion event, which succeeds after
         # these hooks.
-        early = {ev.worker for ev in self._crashes if ev.before_epoch > epoch}
-        early |= {w for w, at in self._leaves.items() if at > epoch}
+        early = {
+            w for w in self._workers
+            for at, entering, _ev in timeline.transitions(w)
+            if not entering and at > epoch
+        }  # fmt: skip
         alive = set(ctx.alive_workers)
         if not (expected - early <= alive <= expected):
             self.fail(
                 f"epoch {epoch}: live workers {sorted(alive)} do not match "
-                f"membership schedule (expected {sorted(expected)}, "
+                f"membership timeline (expected {sorted(expected)}, "
                 f"tolerating early departure of {sorted(early)})",
                 epoch=epoch,
                 alive=sorted(alive),

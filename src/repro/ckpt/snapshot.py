@@ -11,7 +11,10 @@ reserved ``__meta__`` key) plus the numeric planes:
 - ``sync/...`` — sync-model-owned arrays (e.g. EMA-LGP state).
 
 Everything else (epoch counters, GIB bitmap, SGuTuner state, jitter RNG
-streams, fault schedules, the recorder) travels in the metadata blob.
+streams, the alive-worker set, the recorder) travels in the metadata blob.
+The membership timeline (crash, restart, join, leave) is not stored: it is
+the spec's, and a resumed run reads it from its own spec, as it does the
+fault windows.
 Writes are atomic (tmp file + ``os.replace``) and the format is versioned;
 an unreadable file, a mismatched version, a missing metadata key, or a plane
 that is missing or of the wrong size or dtype raises :class:`CheckpointError`.
@@ -35,14 +38,14 @@ from repro.metrics.export import recorder_from_dict, recorder_to_dict
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.trainer import DistributedTrainer
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _META_KEY = "__meta__"
 _SYNC_PREFIX = "sync/"
 #: Metadata keys read without a default (here and by ``TrainerContext``).
 _REQUIRED_META = (
     "next_epoch", "time", "sync", "mode", "n_workers", "iterations_per_epoch",
-    "alive", "failure_schedule", "restart_schedule", "recorder",
+    "alive", "recorder",
 )  # fmt: skip
 
 
@@ -259,11 +262,10 @@ def _plane(ckpt: Checkpoint, key: str, layout: PlaneLayout) -> np.ndarray:
 def apply_checkpoint(trainer: "DistributedTrainer", ckpt: Checkpoint) -> None:
     """Load ``ckpt`` into a freshly-constructed trainer.
 
-    Called from ``DistributedTrainer.__init__`` after the optimizer, LR
-    scheduler, and fault injector exist: the restored LR must not disturb
-    ``StepLR``'s captured base rate, and the restored failure schedules
-    must overwrite the ones the injector re-registered.  Sync-model state
-    is applied later, in ``run()``, once ``setup()`` has built it.
+    Called from ``DistributedTrainer.__init__`` after the optimizer and LR
+    scheduler exist: the restored LR must not disturb ``StepLR``'s captured
+    base rate. Sync-model state is applied later, in ``run()``, once
+    ``setup()`` has built it.
 
     Everything is validated before anything is written, so a refused
     checkpoint raises :class:`CheckpointError` and leaves the trainer as

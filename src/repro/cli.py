@@ -545,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--faults",
             metavar="SPEC",
-            help="fault schedule: inline JSON (list of {kind,...} events) "
+            help="fault schedule and membership timeline (worker_crash, "
+            "worker_join, worker_leave): inline JSON (list of {kind,...} events) "
             "or a path to a JSON file — see repro.faults.parse_faults",
         )
 

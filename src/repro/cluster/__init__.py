@@ -16,14 +16,7 @@ Communication times always come from :mod:`repro.netsim`; compute times
 from :mod:`repro.hardware`.
 """
 
-from repro.cluster.spec import (
-    ClusterSpec,
-    MembershipSchedule,
-    Placement,
-    TrainingPlan,
-    WorkerJoin,
-    WorkerLeave,
-)
+from repro.cluster.spec import ClusterSpec, Placement, TrainingPlan
 from repro.cluster.ps import ParameterServer
 from repro.cluster.engines import Engine, NumericEngine, TimingEngine
 from repro.cluster.context import TrainerContext
@@ -33,7 +26,6 @@ __all__ = [
     "ClusterSpec",
     "DistributedTrainer",
     "Engine",
-    "MembershipSchedule",
     "NumericEngine",
     "ParameterServer",
     "Placement",
@@ -41,6 +33,4 @@ __all__ = [
     "TrainerContext",
     "TrainingPlan",
     "TrainingResult",
-    "WorkerJoin",
-    "WorkerLeave",
 ]

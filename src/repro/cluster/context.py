@@ -13,7 +13,8 @@ from typing import Optional
 import numpy as np
 
 from repro.cluster.ps import ParameterServer
-from repro.cluster.spec import ClusterSpec, Placement, TrainingPlan, WorkerJoin
+from repro.cluster.spec import ClusterSpec, Placement, TrainingPlan
+from repro.faults.schedule import FaultSchedule, MembershipEvent, WorkerJoin, WorkerLeave
 from repro.metrics.recorder import EpochRecord, IterationRecord, Recorder
 from repro.netsim.network import Network
 from repro.netsim.prio import PRIO_NORMAL
@@ -62,10 +63,10 @@ class TrainerContext:
         self.recorder = recorder
         self.iterations_per_epoch = iterations_per_epoch
         self._stop_after_epoch: Optional[int] = None
-        self._alive = set(range(spec.n_workers))
-        self._failure_schedule: dict[int, int] = {}
-        self._restart_schedule: dict[int, int] = {}
-        self._recover_modes: dict[int, str] = {}
+        #: the membership timeline (crash, restart, join, leave) is the
+        #: spec's; with ``_alive`` it is the whole membership state
+        self._timeline = spec.faults if spec.faults is not None else FaultSchedule()
+        self._alive = {w for w in range(spec.n_workers) if self._timeline.present(w, 0)}
         #: first epoch this run executes (> 0 when resumed from a checkpoint)
         self.start_epoch = 0
         #: the run's CheckpointManager, set by the trainer when enabled
@@ -73,15 +74,6 @@ class TrainerContext:
         #: called with the new alive-count after every membership change
         #: (crash, restart, elastic join/leave); OSP re-derives U_max here
         self.membership_hooks: list = []
-        self._join_schedule: dict[int, int] = {}
-        self._leave_schedule: dict[int, int] = {}
-        if spec.membership is not None:
-            for ev in spec.membership.events:
-                if isinstance(ev, WorkerJoin):
-                    self._join_schedule[ev.worker] = ev.epoch
-                    self._alive.discard(ev.worker)
-                else:
-                    self._leave_schedule[ev.worker] = ev.epoch
         self._epoch_arrivals: dict[int, int] = {}
         self._epoch_losses: dict[int, list[float]] = {}
         self._completed: set[int] = set()
@@ -138,93 +130,47 @@ class TrainerContext:
         """
         return self._stop_after_epoch is not None and epoch > self._stop_after_epoch
 
-    # -- fault injection ----------------------------------------------------
+    # -- membership -------------------------------------------------------------
     @property
     def alive_workers(self) -> frozenset[int]:
         """Workers still participating."""
         return frozenset(self._alive)
 
-    def schedule_failure(
-        self,
-        worker: int,
-        before_epoch: int,
-        restart_epoch: Optional[int] = None,
-        recover: str = "cold",
-    ) -> None:
-        """Inject a crash: ``worker`` dies before starting ``before_epoch``.
+    def next_entry(self, worker: int, epoch: int) -> Optional[int]:
+        """The first epoch ``>= epoch`` at which the timeline brings the
+        absent ``worker`` in (its join, or the restart after its crash), or
+        None if it never comes (back)."""
+        return next(
+            (at for at, entering, _ev in self._timeline.transitions(worker)
+             if entering and at >= epoch),
+            None,
+        )  # fmt: skip
 
-        This demonstrates the PS architecture's fault resilience the paper
-        motivates in §1 (vs Ring-AllReduce's fragility): training continues
-        with the surviving workers. Barrier-free sync models (ASP, SSP/DSSP,
-        R²SP) shrink naturally; every model with a synchronous round runs
-        it on the :meth:`quorum_barrier` that ``SyncModel.setup`` opens, so
-        the quorum shrinks with the cluster (BSP exactly as OSP's RS).
+    def admit(self, worker: int, epoch: int) -> bool:
+        """Bring the absent ``worker`` in at ``epoch``, its timeline entry.
 
-        ``restart_epoch`` (optional) makes this a crash/restart cycle: the
-        worker rejoins once the survivors finish epoch ``restart_epoch−1``.
-        ``recover="checkpoint"`` makes the restarted worker resume its
-        replica from the latest checkpoint instead of cold-syncing from the
-        PS (requires the run to have a checkpoint manager).
-        """
-        if not (0 <= worker < self.spec.n_workers):
-            raise ValueError(f"unknown worker {worker}")
-        if before_epoch < 1:
-            raise ValueError("workers can only fail after completing an epoch")
-        if restart_epoch is not None and restart_epoch <= before_epoch:
-            raise ValueError("restart_epoch must be after before_epoch")
-        if recover not in ("cold", "checkpoint"):
-            raise ValueError(f"recover must be 'cold' or 'checkpoint', got {recover!r}")
-        self._failure_schedule[worker] = before_epoch
-        if restart_epoch is not None:
-            self._restart_schedule[worker] = restart_epoch
-        self._recover_modes[worker] = recover
+        An elastic joiner gets a fresh copy of the global model. A restarted
+        worker is cold-synced from the PS too, unless its crash says
+        ``recover="checkpoint"`` and a snapshot is available, in which case
+        it resumes from the checkpointed replica.
 
-    def should_fail(self, worker: int, epoch: int) -> bool:
-        """Does the injected fault schedule kill this worker now?"""
-        target = self._failure_schedule.get(worker)
-        return target is not None and epoch >= target
-
-    def retire_worker(self, worker: int) -> Optional[int]:
-        """Remove a (crashed) worker; completes any epochs it was the last
-        missing arrival for; shrinks registered quorum barriers. Returns the
-        worker's scheduled restart epoch (None = permanent loss); the entry
-        stays scheduled until the restart consumes it, so a checkpoint
-        written while the worker is down still carries it."""
-        if worker in self._alive:
-            self._alive.discard(worker)
-            self.recorder.incr("faults.worker_crash")
-            self.trace.instant(
-                "faults.worker_crash", actor="faults", track="faults", worker=worker
-            )
-        # Consume the schedule entry so a restarted worker does not re-crash.
-        self._failure_schedule.pop(worker, None)
-        if self._alive:
-            self._notify_membership()
-            for epoch in sorted(self._epoch_arrivals):
-                self._maybe_complete_epoch(epoch)
-        return self._restart_schedule.get(worker)
-
-    def revive_worker(self, worker: int) -> bool:
-        """Re-admit a restarted worker.
-
-        The replica is cold-synced from the PS unless the worker's crash
-        was scheduled with ``recover="checkpoint"`` and a snapshot is
-        available, in which case it resumes from the checkpointed replica.
-
-        Returns False — and leaves the worker retired — if early stopping
+        Returns False — and leaves the worker out — if early stopping
         already ended the run; rejoining closed epochs would hang.
         """
         if self.stopped:
             return False
+        event = self._timeline.last_step(worker, epoch)[2]
+        joining = isinstance(event, WorkerJoin)
+        group, name = (
+            ("elastic", "elastic.worker_join") if joining
+            else ("faults", "faults.worker_restart")
+        )  # fmt: skip
         self._alive.add(worker)
-        self._restart_schedule.pop(worker, None)
-        self.recorder.incr("faults.worker_restart")
-        self.trace.instant(
-            "faults.worker_restart", actor="faults", track="faults", worker=worker
-        )
+        self.recorder.incr(name)
+        self.trace.instant(name, actor=group, track=group, worker=worker)
         self._notify_membership()
         recovered = False
-        if self._recover_modes.get(worker) == "checkpoint" and self.checkpoints is not None:
+        if not joining and event.recover == "checkpoint" and self.checkpoints is not None:
             recovered = self.checkpoints.recover_worker(worker)
             if recovered:
                 self.recorder.incr("ckpt.worker_recover")
@@ -235,6 +181,34 @@ class TrainerContext:
             self.engine.sync_replica(worker, self.ps)
         return True
 
+    def depart(self, worker: int, epoch: int) -> Optional[MembershipEvent]:
+        """Take ``worker`` out when ``epoch`` begins if its timeline's last
+        step by then is an exit — a crash or a graceful leave — and return
+        that event; None leaves it in.
+
+        Training goes on with the survivors — the PS architecture's
+        resilience the paper motivates in §1, against Ring-AllReduce's
+        fragility: removing the worker completes any epoch it was the last
+        missing arrival for and resizes every quorum barrier, so a round
+        shrinks with the cluster (BSP exactly as OSP's RS).
+        """
+        step = self._timeline.last_step(worker, epoch)
+        if step is None or step[1]:
+            return None
+        event = step[2]
+        group, name = (
+            ("elastic", "elastic.worker_leave") if isinstance(event, WorkerLeave)
+            else ("faults", "faults.worker_crash")
+        )  # fmt: skip
+        self._alive.discard(worker)
+        self.recorder.incr(name)
+        self.trace.instant(name, actor=group, track=group, worker=worker)
+        if self._alive:
+            self._notify_membership()
+            for open_epoch in sorted(self._epoch_arrivals):
+                self._maybe_complete_epoch(open_epoch)
+        return event
+
     def _notify_membership(self) -> None:
         """Resize quorum barriers and tell listeners the cluster changed size."""
         n = len(self._alive)
@@ -242,65 +216,6 @@ class TrainerContext:
             barrier.set_parties(max(1, n))
         for hook in self.membership_hooks:
             hook(n)
-
-    # -- elastic membership ---------------------------------------------------
-    def entry_epoch(self, worker: int) -> Optional[int]:
-        """First epoch ``worker`` participates in, or None if it never will.
-
-        ``start_epoch`` for initially-present workers; the scheduled join
-        epoch for elastic joiners; the restart epoch for workers whose
-        crash/restart cycle spans a checkpoint resume.
-        """
-        if worker in self._alive:
-            return self.start_epoch
-        join = self._join_schedule.get(worker)
-        if join is not None and join > self.start_epoch:
-            return join
-        restart = self._restart_schedule.get(worker)
-        if restart is not None and restart > self.start_epoch:
-            return restart
-        return None
-
-    def admit_worker(self, worker: int) -> bool:
-        """Bring an absent worker in at an epoch boundary (elastic join, or
-        a restart whose crash happened before a checkpoint resume)."""
-        if worker in self._join_schedule and worker not in self._restart_schedule:
-            return self.join_worker(worker)
-        return self.revive_worker(worker)
-
-    def join_worker(self, worker: int) -> bool:
-        """Elastic join: admit a brand-new worker with a fresh model copy."""
-        if self.stopped:
-            return False
-        self._alive.add(worker)
-        self._join_schedule.pop(worker, None)
-        self.recorder.incr("elastic.worker_join")
-        self.trace.instant(
-            "elastic.worker_join", actor="elastic", track="elastic", worker=worker
-        )
-        self._notify_membership()
-        self.engine.sync_replica(worker, self.ps)
-        return True
-
-    def should_leave(self, worker: int, epoch: int) -> bool:
-        """Does the membership schedule retire this worker at this boundary?"""
-        target = self._leave_schedule.get(worker)
-        return target is not None and epoch >= target
-
-    def depart_worker(self, worker: int) -> None:
-        """Elastic leave: gracefully remove a worker at an epoch boundary."""
-        if worker not in self._alive:
-            return
-        self._alive.discard(worker)
-        self._leave_schedule.pop(worker, None)
-        self.recorder.incr("elastic.worker_leave")
-        self.trace.instant(
-            "elastic.worker_leave", actor="elastic", track="elastic", worker=worker
-        )
-        if self._alive:
-            self._notify_membership()
-            for epoch in sorted(self._epoch_arrivals):
-                self._maybe_complete_epoch(epoch)
 
     # -- checkpointing --------------------------------------------------------
     def checkpoint_pause(self, worker: int, epoch: int):
@@ -326,11 +241,6 @@ class TrainerContext:
         (``next_epoch`` aside, which the snapshot decides), in file order."""
         return {
             "alive": sorted(self._alive),
-            "failure_schedule": {str(w): e for w, e in self._failure_schedule.items()},
-            "restart_schedule": {str(w): e for w, e in self._restart_schedule.items()},
-            "recover_modes": {str(w): m for w, m in self._recover_modes.items()},
-            "join_schedule": {str(w): e for w, e in self._join_schedule.items()},
-            "leave_schedule": {str(w): e for w, e in self._leave_schedule.items()},
             "early_stop": {
                 "best_metric": float(self._best_metric),
                 "epochs_since_improvement": int(self._epochs_since_improvement),
@@ -339,14 +249,14 @@ class TrainerContext:
         }
 
     def load_checkpoint_meta(self, meta: dict) -> None:
-        """Restore context state from a checkpoint's metadata blob."""
+        """Restore context state from a checkpoint's metadata blob.
+
+        Membership needs only ``alive``: the timeline is the spec's, and its
+        transitions at epochs ``>= next_epoch`` are the pending ones — an
+        entry whose worker is already alive has fired before the capture.
+        """
         self.start_epoch = int(meta["next_epoch"])
         self._alive = set(int(w) for w in meta["alive"])
-        self._failure_schedule = {int(w): int(e) for w, e in meta["failure_schedule"].items()}
-        self._restart_schedule = {int(w): int(e) for w, e in meta["restart_schedule"].items()}
-        self._recover_modes = {int(w): str(m) for w, m in meta.get("recover_modes", {}).items()}
-        self._join_schedule = {int(w): int(e) for w, e in meta.get("join_schedule", {}).items()}
-        self._leave_schedule = {int(w): int(e) for w, e in meta.get("leave_schedule", {}).items()}
         # Epochs before the resume point are history; completion events for
         # them must fire immediately (restarting workers may wait on them).
         self._completed = set(range(self.start_epoch))
@@ -543,7 +453,7 @@ class TrainerContext:
         count = self._epoch_arrivals.get(epoch, 0)
         if count < len(self._alive):
             return
-        # mark completed so retire_worker re-checks cannot double-fire
+        # mark completed so the re-checks in depart cannot double-fire
         self._completed.add(epoch)
 
         losses = self._epoch_losses.get(epoch, [0.0])

@@ -3,105 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.faults.schedule import FaultSchedule
 from repro.hardware.gpu import GPUSpec, get_gpu
 from repro.hardware.jitter import JitterModel, NoJitter
 from repro.netsim.links import LinkSpec
-
-
-@dataclass(frozen=True)
-class WorkerJoin:
-    """Worker ``worker`` joins the cluster when epoch ``epoch`` begins.
-
-    The worker sits out epochs ``0..epoch-1`` (it is not counted alive) and
-    enters at the epoch boundary with a fresh copy of the global model.
-    """
-
-    worker: int
-    epoch: int
-
-    def __post_init__(self) -> None:
-        if self.worker < 0:
-            raise ValueError(f"worker must be >= 0, got {self.worker}")
-        if self.epoch < 1:
-            raise ValueError(
-                f"membership changes happen at epoch boundaries (epoch >= 1), got {self.epoch}"
-            )
-
-
-@dataclass(frozen=True)
-class WorkerLeave:
-    """Worker ``worker`` leaves the cluster when epoch ``epoch`` begins.
-
-    The departure is graceful: the worker finishes epoch ``epoch-1``
-    (including any in-flight ICS push) before leaving.
-    """
-
-    worker: int
-    epoch: int
-
-    def __post_init__(self) -> None:
-        if self.worker < 0:
-            raise ValueError(f"worker must be >= 0, got {self.worker}")
-        if self.epoch < 1:
-            raise ValueError(
-                f"membership changes happen at epoch boundaries (epoch >= 1), got {self.epoch}"
-            )
-
-
-MembershipEvent = Union[WorkerJoin, WorkerLeave]
-
-
-@dataclass(frozen=True)
-class MembershipSchedule:
-    """Elastic worker join/leave events, all at epoch boundaries.
-
-    At most one join and one leave per worker; a worker that both joins
-    and leaves must leave strictly after joining.
-    """
-
-    events: tuple[MembershipEvent, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-        joins: dict[int, int] = {}
-        leaves: dict[int, int] = {}
-        for ev in self.events:
-            if isinstance(ev, WorkerJoin):
-                if ev.worker in joins:
-                    raise ValueError(f"worker {ev.worker} has multiple join events")
-                joins[ev.worker] = ev.epoch
-            elif isinstance(ev, WorkerLeave):
-                if ev.worker in leaves:
-                    raise ValueError(f"worker {ev.worker} has multiple leave events")
-                leaves[ev.worker] = ev.epoch
-            else:
-                raise TypeError(f"unknown membership event {ev!r}")
-        for worker, leave_epoch in leaves.items():
-            join_epoch = joins.get(worker)
-            if join_epoch is not None and leave_epoch <= join_epoch:
-                raise ValueError(
-                    f"worker {worker} leaves at epoch {leave_epoch} but only "
-                    f"joins at epoch {join_epoch}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @property
-    def join_epochs(self) -> dict[int, int]:
-        return {ev.worker: ev.epoch for ev in self.events if isinstance(ev, WorkerJoin)}
-
-    @property
-    def leave_epochs(self) -> dict[int, int]:
-        return {ev.worker: ev.epoch for ev in self.events if isinstance(ev, WorkerLeave)}
-
-    @property
-    def initially_absent(self) -> frozenset[int]:
-        """Workers that only come into existence at their join epoch."""
-        return frozenset(self.join_epochs)
 
 
 @dataclass(frozen=True)
@@ -127,36 +34,16 @@ class ClusterSpec:
     ps_agg_bandwidth: float | None = 6e9
     #: Number of parameter servers (§6.1 synchronization groups).
     n_ps: int = 1
-    #: Scheduled faults replayed against the run (None = fault-free).
+    #: Scheduled faults replayed against the run, the membership timeline
+    #: (crash, restart, join, leave) among them; None = fault-free and
+    #: static membership.
     faults: Optional[FaultSchedule] = None
-    #: Elastic worker join/leave schedule (None = static membership).
-    membership: Optional[MembershipSchedule] = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.faults is not None:
-            for crash in self.faults.crash_events:
-                if crash.worker >= self.n_workers:
-                    raise ValueError(
-                        f"fault schedule crashes unknown worker {crash.worker}"
-                    )
-        if self.membership is not None:
-            crash_workers = (
-                {c.worker for c in self.faults.crash_events} if self.faults else set()
-            )
-            for ev in self.membership.events:
-                if ev.worker >= self.n_workers:
-                    raise ValueError(
-                        f"membership schedule references unknown worker {ev.worker}"
-                    )
-                if ev.worker in crash_workers:
-                    raise ValueError(
-                        f"worker {ev.worker} appears in both the crash and "
-                        "membership schedules"
-                    )
-            if len(self.membership.initially_absent) >= self.n_workers:
-                raise ValueError("at least one worker must be present at epoch 0")
+            self._check_timeline(self.faults)
         if self.ps_agg_bandwidth is not None and not (self.ps_agg_bandwidth > 0):
             raise ValueError(
                 f"ps_agg_bandwidth must be positive or None, got {self.ps_agg_bandwidth}"
@@ -165,6 +52,25 @@ class ClusterSpec:
             raise ValueError(f"n_ps must be >= 1, got {self.n_ps}")
         if self.colocated_ps and self.n_ps != 1:
             raise ValueError("colocated_ps supports a single PS only")
+
+    def _check_timeline(self, faults: FaultSchedule) -> None:
+        """The membership rules that need ``n_workers``: every event names a
+        worker of this cluster, and nobody waits to enter an empty cluster
+        (no epoch before the last join or restart has no one in it)."""
+        workers = range(self.n_workers)
+        for ev in faults.membership_events:
+            if ev.worker >= self.n_workers:
+                raise ValueError(f"fault schedule {ev.kind} names unknown worker {ev.worker}")
+        last_entry = max(
+            (at for w in workers for at, entering, _ev in faults.transitions(w) if entering),
+            default=0,
+        )
+        for epoch in range(last_entry):
+            if not any(faults.present(w, epoch) for w in workers):
+                raise ValueError(
+                    f"no worker is in the cluster during epoch {epoch}, "
+                    "but a later join or restart waits on it"
+                )
 
     @property
     def n_nodes(self) -> int:
@@ -241,11 +147,4 @@ class TrainingPlan:
             raise ValueError("early_stop_patience must be >= 1 when given")
 
 
-__all__ = [
-    "ClusterSpec",
-    "MembershipSchedule",
-    "Placement",
-    "TrainingPlan",
-    "WorkerJoin",
-    "WorkerLeave",
-]
+__all__ = ["ClusterSpec", "Placement", "TrainingPlan"]

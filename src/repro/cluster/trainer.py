@@ -201,9 +201,7 @@ class DistributedTrainer:
             self.ctx.faults = self.injector
             self.injector.start()
         if self._snapshot is not None:
-            # Applied last so the restored failure/restart/membership
-            # schedules overwrite whatever the injector registered above,
-            # and the restored lr overrides the freshly-built scheduler.
+            # After the LR scheduler, so the restored lr overrides it.
             from repro.ckpt import apply_checkpoint
 
             apply_checkpoint(self, self._snapshot)

@@ -1,6 +1,7 @@
 """Fault injection: scheduled network/worker faults + PS-side resilience.
 
-See :mod:`repro.faults.schedule` for the event taxonomy and
+See :mod:`repro.faults.schedule` for the event taxonomy (network windows,
+stragglers, and the membership timeline: crash, restart, join, leave) and
 :mod:`repro.faults.injector` for how events are replayed against a live
 simulation. PS-side resilience lives in the one synchronous round
 (:meth:`repro.sync.base.SyncModel.sync_round` on a
@@ -19,6 +20,8 @@ from repro.faults.schedule import (
     LossBurst,
     StragglerSlowdown,
     WorkerCrash,
+    WorkerJoin,
+    WorkerLeave,
     parse_faults,
 )
 
@@ -33,5 +36,7 @@ __all__ = [
     "LossBurst",
     "StragglerSlowdown",
     "WorkerCrash",
+    "WorkerJoin",
+    "WorkerLeave",
     "parse_faults",
 ]

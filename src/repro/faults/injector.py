@@ -5,10 +5,12 @@ The injector bridges the declarative schedule and the live simulation:
 * network events become simcore processes that toggle multiplicative fault
   state on the targeted :class:`~repro.netsim.links.Link` objects and ask
   the :class:`~repro.netsim.network.Network` to re-run fair sharing;
-* crashes register with the :class:`~repro.cluster.context.TrainerContext`
-  failure schedule (the worker loop consults it at epoch boundaries);
 * straggler windows are answered on demand via :meth:`compute_factor`,
   which the context multiplies into each iteration's compute time.
+
+Crashes, joins and leaves are not replayed here: they are epoch-indexed,
+and :class:`~repro.cluster.context.TrainerContext` reads them from the
+spec's schedule as the run's membership timeline.
 
 Every fired fault increments a ``faults.*`` counter on the run's
 :class:`~repro.metrics.recorder.Recorder`.
@@ -45,17 +47,10 @@ class FaultInjector:
         self._started = False
 
     def start(self) -> None:
-        """Register crashes and spawn the window processes (idempotent)."""
+        """Spawn the window processes (idempotent)."""
         if self._started:
             return
         self._started = True
-        for crash in self.schedule.crash_events:
-            self.ctx.schedule_failure(
-                crash.worker,
-                crash.before_epoch,
-                restart_epoch=crash.restart_epoch,
-                recover=crash.recover,
-            )
         for ev in self.schedule.network_events:
             self.ctx.env.process(self._network_window(ev))
         for ev in self.schedule.straggler_events:

@@ -21,9 +21,20 @@ Worker:
 * :class:`StragglerSlowdown` — a worker's compute time is multiplied by a
   factor ≥ 1 inside the window (deterministic straggler, unlike the
   stochastic :class:`~repro.hardware.jitter.LognormalJitter`).
+
+Membership (epoch-indexed; together the run's one membership timeline):
+
 * :class:`WorkerCrash` — the worker dies before starting ``before_epoch``;
   with ``restart_epoch`` set it rejoins at that epoch after re-syncing its
-  replica from the PS.
+  replica from the PS (or from the latest checkpoint).
+* :class:`WorkerJoin` — an elastic worker enters when ``epoch`` begins; it
+  is absent before.
+* :class:`WorkerLeave` — a worker leaves gracefully when ``epoch`` begins.
+
+:meth:`FaultSchedule.transitions` reads them as one per-worker list of
+``(epoch, entering, event)``; :meth:`FaultSchedule.present` says who is in
+the cluster during an epoch. A worker has at most one event of each kind, a
+leave comes after its join, and a crashed worker never joins or leaves.
 
 All times are virtual seconds; epochs are 0-based plan epochs.
 """
@@ -45,6 +56,24 @@ def _check_window(start: float, duration: float) -> None:
         raise ValueError(f"start must be >= 0, got {start}")
     if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
+
+
+def _check_int(name: str, value) -> None:
+    # A float or bool epoch or worker id would compare, hash and index as a
+    # number and quietly run a different schedule.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_boundary(worker, epoch) -> None:
+    _check_int("worker", worker)
+    _check_int("epoch", epoch)
+    if worker < 0:
+        raise ValueError(f"worker must be >= 0, got {worker}")
+    if epoch < 1:
+        raise ValueError(
+            f"membership changes happen at epoch boundaries (epoch >= 1), got {epoch}"
+        )
 
 
 def _freeze_nodes(obj, nodes) -> None:
@@ -141,14 +170,18 @@ class WorkerCrash:
     recover: str = "cold"
 
     def __post_init__(self) -> None:
-        if not self.worker >= 0:
+        _check_int("worker", self.worker)
+        _check_int("before_epoch", self.before_epoch)
+        if self.restart_epoch is not None:
+            _check_int("restart_epoch", self.restart_epoch)
+        if self.worker < 0:
             raise ValueError(f"worker must be >= 0, got {self.worker}")
-        if not self.before_epoch >= 1:
+        if self.before_epoch < 1:
             raise ValueError(
                 "workers can only fail after completing an epoch "
                 f"(before_epoch >= 1), got {self.before_epoch}"
             )
-        if self.restart_epoch is not None and not self.restart_epoch > self.before_epoch:
+        if self.restart_epoch is not None and self.restart_epoch <= self.before_epoch:
             raise ValueError(
                 f"restart_epoch ({self.restart_epoch}) must be after "
                 f"before_epoch ({self.before_epoch})"
@@ -161,13 +194,54 @@ class WorkerCrash:
             raise ValueError("recover='checkpoint' requires restart_epoch")
 
 
-FaultEvent = Union[LossBurst, BandwidthDip, LinkFlap, StragglerSlowdown, WorkerCrash]
+@dataclass(frozen=True)
+class WorkerJoin:
+    """Worker ``worker`` joins the cluster when epoch ``epoch`` begins.
+
+    The worker sits out epochs ``0..epoch-1`` (it is not counted alive) and
+    enters at the epoch boundary with a fresh copy of the global model.
+    """
+
+    kind: ClassVar[str] = "worker_join"
+    worker: int
+    epoch: int
+
+    def __post_init__(self) -> None:
+        _check_boundary(self.worker, self.epoch)
+
+
+@dataclass(frozen=True)
+class WorkerLeave:
+    """Worker ``worker`` leaves the cluster when epoch ``epoch`` begins.
+
+    The departure is graceful: the worker finishes epoch ``epoch-1``
+    (including any in-flight ICS push) before leaving.
+    """
+
+    kind: ClassVar[str] = "worker_leave"
+    worker: int
+    epoch: int
+
+    def __post_init__(self) -> None:
+        _check_boundary(self.worker, self.epoch)
+
+
+MembershipEvent = Union[WorkerCrash, WorkerJoin, WorkerLeave]
+FaultEvent = Union[
+    LossBurst, BandwidthDip, LinkFlap, StragglerSlowdown, WorkerCrash, WorkerJoin, WorkerLeave
+]
+_MEMBERSHIP = (WorkerCrash, WorkerJoin, WorkerLeave)
+#: One step of a worker's membership timeline: ``(epoch, entering, event)``.
+Transition = tuple[int, bool, MembershipEvent]
 
 #: JSON ``kind`` → event class, for :func:`parse_faults`.
 EVENT_KINDS: dict[str, type] = {
     cls.kind: cls
-    for cls in (LossBurst, BandwidthDip, LinkFlap, StragglerSlowdown, WorkerCrash)
-}
+    for cls in (
+        LossBurst, BandwidthDip, LinkFlap, StragglerSlowdown,
+        WorkerCrash, WorkerJoin, WorkerLeave,
+    )
+}  # fmt: skip
 
 
 @dataclass(frozen=True)
@@ -181,10 +255,37 @@ class FaultSchedule:
         for ev in events:
             if type(ev) not in EVENT_KINDS.values():
                 raise TypeError(f"not a fault event: {ev!r}")
-        crashes = [ev.worker for ev in events if isinstance(ev, WorkerCrash)]
-        if len(crashes) != len(set(crashes)):
-            raise ValueError("at most one WorkerCrash per worker")
+        by_worker: dict[int, dict[str, MembershipEvent]] = {}
+        for ev in events:
+            if isinstance(ev, _MEMBERSHIP):
+                kinds = by_worker.setdefault(ev.worker, {})
+                if ev.kind in kinds:
+                    raise ValueError(f"worker {ev.worker} has more than one {ev.kind} event")
+                kinds[ev.kind] = ev
+        timeline: dict[int, tuple[Transition, ...]] = {}
+        for worker, kinds in by_worker.items():
+            if "worker_crash" in kinds and len(kinds) > 1:
+                raise ValueError(
+                    f"worker {worker} both crashes and joins or leaves; "
+                    "a worker's membership events are a crash or a join/leave"
+                )
+            join, leave = kinds.get("worker_join"), kinds.get("worker_leave")
+            if join is not None and leave is not None and leave.epoch <= join.epoch:
+                raise ValueError(
+                    f"worker {worker} leaves at epoch {leave.epoch} but only "
+                    f"joins at epoch {join.epoch}"
+                )
+            steps = []
+            for ev in kinds.values():
+                if isinstance(ev, WorkerCrash):
+                    steps.append((ev.before_epoch, False, ev))
+                    if ev.restart_epoch is not None:
+                        steps.append((ev.restart_epoch, True, ev))
+                else:
+                    steps.append((ev.epoch, isinstance(ev, WorkerJoin), ev))
+            timeline[worker] = tuple(sorted(steps, key=lambda step: step[0]))
         object.__setattr__(self, "events", events)
+        object.__setattr__(self, "_timeline", timeline)
 
     def __bool__(self) -> bool:
         return bool(self.events)
@@ -204,20 +305,44 @@ class FaultSchedule:
         return tuple(ev for ev in self.events if isinstance(ev, StragglerSlowdown))
 
     @property
-    def crash_events(self) -> tuple[WorkerCrash, ...]:
-        return tuple(ev for ev in self.events if isinstance(ev, WorkerCrash))
+    def membership_events(self) -> tuple[MembershipEvent, ...]:
+        """Crashes, joins and leaves: every event of the membership timeline."""
+        return tuple(ev for ev in self.events if isinstance(ev, _MEMBERSHIP))
+
+    def transitions(self, worker: int) -> tuple[Transition, ...]:
+        """``worker``'s membership timeline, in epoch order: a crash is an
+        exit at ``before_epoch`` (and an entry at ``restart_epoch``), a join
+        an entry, a leave an exit."""
+        return self._timeline.get(worker, ())
+
+    def last_step(self, worker: int, epoch: int) -> Optional[Transition]:
+        """``worker``'s last transition at or before ``epoch``, if any."""
+        last = None
+        for step in self.transitions(worker):
+            if step[0] <= epoch:
+                last = step
+        return last
+
+    def present(self, worker: int, epoch: int) -> bool:
+        """Is ``worker`` in the cluster during ``epoch``? Its last transition
+        by then decides; before any, everyone but a joiner is in."""
+        step = self.last_step(worker, epoch)
+        if step is None:
+            return not any(isinstance(s[2], WorkerJoin) for s in self.transitions(worker))
+        return step[1]
 
     def windows(self) -> list[tuple[str, float, float, str]]:
         """Time windows for dashboard shading: ``(kind, start, duration,
         detail)`` per windowed event, sorted by start time.
 
-        Crashes are epoch-indexed rather than time-indexed, so they are
-        excluded — the dashboard shades them from the tracer's fault spans,
-        which carry the realised virtual-time window.
+        Crashes, joins and leaves are epoch-indexed rather than
+        time-indexed, so they are excluded — the dashboard shades them from
+        the tracer's fault spans, which carry the realised virtual-time
+        window.
         """
         out: list[tuple[str, float, float, str]] = []
         for ev in self.events:
-            if isinstance(ev, WorkerCrash):
+            if isinstance(ev, _MEMBERSHIP):
                 continue
             if isinstance(ev, StragglerSlowdown):
                 detail = f"worker {ev.worker} x{ev.factor:g}"
@@ -237,11 +362,15 @@ def parse_faults(spec: Union[str, Path]) -> FaultSchedule:
 
     Accepts either a JSON list of event objects or ``{"events": [...]}``
     (no other key); each object needs a ``"kind"`` from :data:`EVENT_KINDS`
-    plus that event's fields::
+    (network windows, stragglers, and the membership kinds
+    ``worker_crash`` / ``worker_join`` / ``worker_leave``) plus that event's
+    fields, worker ids and epochs as JSON integers::
 
         [{"kind": "loss_burst", "start": 2.0, "duration": 5.0,
           "loss_rate": 0.2},
-         {"kind": "worker_crash", "worker": 3, "before_epoch": 2}]
+         {"kind": "worker_crash", "worker": 3, "before_epoch": 2},
+         {"kind": "worker_join", "worker": 4, "epoch": 1},
+         {"kind": "worker_leave", "worker": 0, "epoch": 3}]
     """
     text = str(spec).strip()
     if not text.startswith(("[", "{")):
@@ -288,7 +417,10 @@ __all__ = [
     "FaultSchedule",
     "LinkFlap",
     "LossBurst",
+    "MembershipEvent",
     "StragglerSlowdown",
     "WorkerCrash",
+    "WorkerJoin",
+    "WorkerLeave",
     "parse_faults",
 ]

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.cluster.engines import NumericEngine, TimingEngine
-from repro.cluster.spec import ClusterSpec, MembershipSchedule, TrainingPlan
+from repro.cluster.spec import ClusterSpec, TrainingPlan
 from repro.cluster.trainer import DistributedTrainer
 from repro.faults.schedule import FaultSchedule
 from repro.data.dataset import Dataset, train_test_split
@@ -41,8 +41,8 @@ class WorkloadConfig:
     seed: int = 0
     colocated_ps: bool = False
     n_ps: int = 1
+    #: fault windows and the membership timeline (crash, join, leave)
     faults: Optional[FaultSchedule] = None
-    membership: Optional[MembershipSchedule] = None
 
     @property
     def card(self) -> ModelCard:
@@ -74,7 +74,6 @@ def _spec(cfg: WorkloadConfig) -> ClusterSpec:
         colocated_ps=cfg.colocated_ps,
         n_ps=cfg.n_ps,
         faults=cfg.faults,
-        membership=cfg.membership,
     )
 
 

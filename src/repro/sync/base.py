@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.faults.schedule import WorkerLeave
 from repro.netsim.prio import PRIO_NORMAL
 
 if TYPE_CHECKING:
@@ -144,36 +145,29 @@ class SyncModel:
     def worker_process(self, ctx: TrainerContext, worker: int):
         """The per-worker simcore process driving training."""
         ipe = ctx.iterations_per_epoch
-        resume_at = ctx.start_epoch - 1
         trace = ctx.trace  # NULL_TRACER when tracing is off (all no-ops)
         actor = f"worker {worker}"
-        entry = ctx.entry_epoch(worker)
-        if entry is None:
-            return  # permanently out (left or crashed before a resume point)
-        if entry > ctx.start_epoch:
-            # Elastic joiner, or a crash/restart cycle spanning a checkpoint
-            # resume.
-            if not (yield from self._sit_out(ctx, worker, entry)):
+        epoch = ctx.start_epoch
+        if worker not in ctx.alive_workers:
+            # An elastic joiner, or a restart whose crash precedes a
+            # checkpoint resume: enter at the timeline's next entry.
+            epoch = yield from self._sit_out(ctx, worker, epoch)
+            if epoch is None:
                 return
-            resume_at = entry
-        for epoch in range(ctx.start_epoch, ctx.plan.n_epochs):
-            if ctx.should_fail(worker, epoch):
-                # Crash (no finalize: in-flight state is lost), and with a
-                # restart scheduled the same sit-out, then rejoin there.
-                restart = ctx.retire_worker(worker)
-                if not (yield from self._sit_out(ctx, worker, restart)):
-                    return
-                resume_at = restart
-            if epoch < resume_at:
-                continue
+        while epoch < ctx.plan.n_epochs:
             if ctx.skip_epoch(epoch):
                 break
-            if ctx.should_leave(worker, epoch):
-                # Graceful elastic departure: announce, then drain any
-                # in-flight background work before the process exits.
-                ctx.depart_worker(worker)
-                yield from self.finalize(ctx, worker)
-                return
+            departure = ctx.depart(worker, epoch)
+            if departure is not None:
+                # A graceful leave drains in-flight background work first; a
+                # crash loses it. Either way the worker is out until its
+                # timeline's next entry (a restart), if any.
+                if isinstance(departure, WorkerLeave):
+                    yield from self.finalize(ctx, worker)
+                epoch = yield from self._sit_out(ctx, worker, epoch)
+                if epoch is None:
+                    return
+                continue
             for batch in range(ipe):
                 iteration = epoch * ipe + batch
                 yield from self.before_compute(ctx, worker, iteration)
@@ -211,22 +205,25 @@ class SyncModel:
                 )
             ctx.epoch_done(worker, epoch)
             yield from ctx.checkpoint_pause(worker, epoch)
+            epoch += 1
         yield from self.finalize(ctx, worker)
 
-    def _sit_out(self, ctx: TrainerContext, worker: int, entry: Optional[int]):
-        """Generator: stay out until the cluster finishes epoch ``entry``−1,
-        then re-sync the replica and (re)join. Returns False when the worker
-        never comes back: no entry epoch, or the run ended (early stop)
-        while it was out."""
+    def _sit_out(self, ctx: TrainerContext, worker: int, epoch: int):
+        """Generator: stay out until the cluster finishes the epoch before
+        ``worker``'s next timeline entry at or after ``epoch``, then admit it
+        there. Returns that entry epoch, or None when the worker never
+        comes (back): no entry within the plan, or the run ended (early
+        stop) while it was out."""
+        entry = ctx.next_entry(worker, epoch)
         if entry is None or entry >= ctx.plan.n_epochs:
-            return False
+            return None
         yield ctx.epoch_completion(entry - 1)
-        if not ctx.admit_worker(worker):
-            return False
+        if not ctx.admit(worker, entry):
+            return None
         gate = ctx.checkpoint_gate(entry - 1)
         if gate is not None:
             yield gate  # don't race an in-progress snapshot drain
-        return True
+        return entry
 
     def finalize(self, ctx: TrainerContext, worker: int):
         """Generator hook after a worker's last iteration (drain in-flight

@@ -10,10 +10,9 @@ from repro.check import (
     QuorumConsistencyMonitor,
     run_checked,
 )
-from repro.cluster import MembershipSchedule, WorkerJoin, WorkerLeave
 from repro.core.gib import GIB
 from repro.core.osp import OSP
-from repro.faults import BandwidthDip, FaultSchedule
+from repro.faults import BandwidthDip, FaultSchedule, WorkerJoin, WorkerLeave
 from repro.harness.workloads import (
     WorkloadConfig,
     make_numeric_dataset,
@@ -167,7 +166,7 @@ def _elastic_cfg():
         iterations_per_epoch=3,
         sigma=0.1,
         seed=7,
-        membership=MembershipSchedule(
+        faults=FaultSchedule(
             (WorkerJoin(worker=3, epoch=2), WorkerLeave(worker=0, epoch=4))
         ),
     )
@@ -175,6 +174,20 @@ def _elastic_cfg():
 
 def test_quorum_monitor_passes_on_elastic_run():
     _result, report = run_checked(timing_trainer(_elastic_cfg(), OSP()))
+    assert report.ok
+    checks, violations = report.monitors["elastic.quorum"]
+    assert checks > 0
+    assert violations == 0
+
+
+def test_quorum_monitor_checks_a_resumed_run(tmp_path):
+    """The timeline is the spec's, so a run resumed on the join's own epoch
+    is checked from there on."""
+    timing_trainer(_elastic_cfg(), OSP(), checkpoint_every=2, checkpoint_dir=tmp_path).run()
+    resumed = timing_trainer(
+        _elastic_cfg(), OSP(), resume_from=str(tmp_path / "ckpt-epoch0002.npz")
+    )
+    _result, report = run_checked(resumed, strict=True)
     assert report.ok
     checks, violations = report.monitors["elastic.quorum"]
     assert checks > 0

@@ -56,7 +56,7 @@ def test_checkpoint_planes_hold_the_live_state_in_layer_order():
     engine.sync_replica(1, ps)  # replica 1 now differs from replica 0
 
     ckpt = capture(trainer, next_epoch=0)
-    assert FORMAT_VERSION == 1 == ckpt.format_version
+    assert FORMAT_VERSION == 2 == ckpt.format_version
 
     def concat(arrays):
         return np.concatenate([arrays[n].ravel() for n in order])

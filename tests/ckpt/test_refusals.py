@@ -53,6 +53,12 @@ def _float32_params(ckpt):
     ckpt.arrays["ps/params"] = ckpt.arrays["ps/params"].astype(np.float32)
 
 
+def _version_1(ckpt):
+    # A v1 file also carried the membership schedules, now read from the spec.
+    ckpt.meta["format_version"] = 1
+    ckpt.meta["failure_schedule"] = ckpt.meta["restart_schedule"] = {}
+
+
 def _wrong_sync(ckpt):
     ckpt.meta["sync"] = "bsp"
 
@@ -64,7 +70,7 @@ def _drop_meta(key):
 #: every metadata key that is read without a default (was a ``KeyError``)
 META_KEYS = (
     "next_epoch", "time", "sync", "mode", "n_workers", "iterations_per_epoch",
-    "alive", "failure_schedule", "restart_schedule", "recorder",
+    "alive", "recorder",
 )  # fmt: skip
 
 #: case -> (how to break a good file, does it still load, what the error says)
@@ -73,6 +79,10 @@ CASES = {
         f"no-meta-{key}": (_drop_meta(key), False, rf"metadata key '{key}' is missing")
         for key in META_KEYS
     },
+    "version-1": (
+        _rewritten(_version_1), False,
+        r"checkpoint format version 1 is not supported \(this build reads version 2\)",
+    ),
     "truncated": (_truncate, False, r"not a readable checkpoint \(BadZipFile"),
     "not-a-zip": (_not_a_zip, False, r"not a readable checkpoint \(ValueError"),
     "missing-plane": (

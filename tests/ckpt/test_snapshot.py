@@ -27,8 +27,6 @@ def make_ckpt():
         "n_workers": 2,
         "iterations_per_epoch": 4,
         "alive": [0, 1],
-        "failure_schedule": {},
-        "restart_schedule": {},
         "recorder": {"epochs": [], "iterations": [], "counters": {"ckpt.save": 1}},
         "ics": {"policy": "drain", "discarded_bytes": 0.0},
     }

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterSpec, DistributedTrainer, TimingEngine, TrainingPlan
-from repro.cluster import MembershipSchedule, WorkerJoin
+from repro.faults import FaultSchedule, WorkerJoin
 from repro.faults import FaultSchedule, WorkerCrash
 from repro.hardware import NoJitter, PersistentStraggler
 from repro.nn.models import get_card
@@ -71,7 +71,7 @@ def test_dssp_adapts_before_elastic_worker_joins():
     spec = ClusterSpec(
         n_workers=4,
         jitter=PersistentStraggler(slow_workers=[0], slow_factor=3.0),
-        membership=MembershipSchedule((WorkerJoin(worker=3, epoch=1),)),
+        faults=FaultSchedule((WorkerJoin(worker=3, epoch=1),)),
     )
     plan = TrainingPlan(n_epochs=3, iterations_per_epoch=6)
     engine = TimingEngine(get_card("resnet50-cifar10"), spec, total_iterations=18)

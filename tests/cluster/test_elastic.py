@@ -1,27 +1,24 @@
 """Elastic membership: worker join/leave at epoch boundaries, with the OSP
-ICS budget (Eq. 5 U_max) re-derived for the new cluster size."""
+ICS budget (Eq. 5 U_max) re-derived for the new cluster size. Joins and
+leaves are events of the fault schedule, beside crashes: one membership
+timeline per worker."""
 
 import pytest
 
-from repro.cluster.spec import (
-    ClusterSpec,
-    MembershipSchedule,
-    WorkerJoin,
-    WorkerLeave,
-)
+from repro.cluster.spec import ClusterSpec
 from repro.core import OSP
 from repro.core.tuning import ics_upper_bound
-from repro.faults.schedule import FaultSchedule, WorkerCrash
+from repro.faults.schedule import FaultSchedule, WorkerCrash, WorkerJoin, WorkerLeave
 from repro.harness.workloads import WorkloadConfig, timing_trainer
 
 
-def run_elastic(membership, sync=None, n_workers=4, n_epochs=6):
+def run_elastic(*events, sync=None, n_workers=4, n_epochs=6):
     cfg = WorkloadConfig(
         "resnet50-cifar10",
         n_workers=n_workers,
         n_epochs=n_epochs,
         iterations_per_epoch=3,
-        membership=membership,
+        faults=FaultSchedule(events),
     )
     sync = sync or OSP()
     trainer = timing_trainer(cfg, sync)
@@ -29,10 +26,7 @@ def run_elastic(membership, sync=None, n_workers=4, n_epochs=6):
 
 
 def test_join_and_leave_change_alive_set_and_counters():
-    m = MembershipSchedule(
-        (WorkerJoin(worker=3, epoch=2), WorkerLeave(worker=0, epoch=4))
-    )
-    trainer, _sync, res = run_elastic(m)
+    trainer, _sync, res = run_elastic(WorkerJoin(worker=3, epoch=2), WorkerLeave(worker=0, epoch=4))
     assert sorted(res.context.alive_workers) == [1, 2, 3]
     assert res.recorder.counter("elastic.worker_join") == 1
     assert res.recorder.counter("elastic.worker_leave") == 1
@@ -45,8 +39,7 @@ def test_join_and_leave_change_alive_set_and_counters():
 
 
 def test_u_max_recomputed_for_new_cluster_size():
-    m = MembershipSchedule((WorkerLeave(worker=0, epoch=3),))
-    trainer, sync, res = run_elastic(m)
+    trainer, sync, res = run_elastic(WorkerLeave(worker=0, epoch=3))
     assert sorted(res.context.alive_workers) == [1, 2, 3]
     spec, engine = trainer.spec, trainer.engine
     route_loss = 1.0 - (1.0 - spec.link.loss_rate) ** 2
@@ -62,13 +55,12 @@ def test_u_max_recomputed_for_new_cluster_size():
 
 
 def test_membership_changes_visible_in_trace():
-    m = MembershipSchedule((WorkerJoin(worker=3, epoch=2),))
     cfg = WorkloadConfig(
         "resnet50-cifar10",
         n_workers=4,
         n_epochs=4,
         iterations_per_epoch=3,
-        membership=m,
+        faults=FaultSchedule((WorkerJoin(worker=3, epoch=2),)),
     )
     trainer = timing_trainer(cfg, OSP())
     tracer = trainer.enable_tracing()
@@ -82,24 +74,36 @@ def test_membership_changes_visible_in_trace():
 def test_membership_schedule_validation():
     with pytest.raises(ValueError, match="epoch boundaries"):
         WorkerJoin(worker=0, epoch=0)
-    with pytest.raises(ValueError):
-        MembershipSchedule((WorkerJoin(worker=1, epoch=2), WorkerJoin(worker=1, epoch=3)))
+    with pytest.raises(ValueError, match="more than one worker_join"):
+        FaultSchedule((WorkerJoin(worker=1, epoch=2), WorkerJoin(worker=1, epoch=3)))
+    with pytest.raises(ValueError, match="more than one worker_crash"):
+        FaultSchedule((WorkerCrash(1, before_epoch=2), WorkerCrash(1, before_epoch=3)))
     with pytest.raises(ValueError, match="leaves"):
-        MembershipSchedule((WorkerJoin(worker=1, epoch=3), WorkerLeave(worker=1, epoch=2)))
+        FaultSchedule((WorkerJoin(worker=1, epoch=3), WorkerLeave(worker=1, epoch=2)))
+    # a worker cannot both crash and have a join or leave
+    with pytest.raises(ValueError, match="both crashes and joins or leaves"):
+        FaultSchedule((WorkerLeave(worker=1, epoch=3), WorkerCrash(worker=1, before_epoch=2)))
 
 
 def test_spec_membership_validation():
-    m = MembershipSchedule((WorkerJoin(worker=9, epoch=2),))
-    with pytest.raises(ValueError):
-        ClusterSpec(n_workers=4, membership=m)
-    # a worker cannot both crash and have a membership event
-    m2 = MembershipSchedule((WorkerLeave(worker=1, epoch=3),))
-    faults = FaultSchedule((WorkerCrash(worker=1, before_epoch=2),))
-    with pytest.raises(ValueError):
-        ClusterSpec(n_workers=4, membership=m2, faults=faults)
-    # every worker initially absent is rejected
-    m3 = MembershipSchedule(
-        tuple(WorkerJoin(worker=w, epoch=1) for w in range(2))
+    with pytest.raises(ValueError, match="unknown worker 9"):
+        ClusterSpec(n_workers=4, faults=FaultSchedule((WorkerJoin(worker=9, epoch=2),)))
+    # Nobody would finish the empty epoch, so the entry after it would wait
+    # forever: every worker initially absent, both crashed until a restart,
+    # or the only worker gone before the join.
+    for empty, events in (
+        (0, (WorkerJoin(0, 1), WorkerJoin(1, 1))),
+        (1, (WorkerCrash(0, 1, restart_epoch=2), WorkerCrash(1, 1, restart_epoch=2))),
+        (1, (WorkerLeave(0, 1), WorkerJoin(1, 2))),
+    ):
+        with pytest.raises(ValueError, match=f"no worker is in the cluster during epoch {empty}"):
+            ClusterSpec(n_workers=2, faults=FaultSchedule(events))
+
+
+def test_everyone_leaving_ends_the_run_early():
+    _trainer, _sync, res = run_elastic(
+        WorkerLeave(worker=0, epoch=2), WorkerLeave(worker=1, epoch=2), n_workers=2
     )
-    with pytest.raises(ValueError, match="present at epoch 0"):
-        ClusterSpec(n_workers=2, membership=m3)
+    assert res.context.alive_workers == frozenset()
+    assert len(res.recorder.epochs) == 2
+    assert res.recorder.counter("elastic.worker_leave") == 2

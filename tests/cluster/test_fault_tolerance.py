@@ -6,30 +6,33 @@ import pytest
 
 from repro.cluster import ClusterSpec, DistributedTrainer, NumericEngine, TimingEngine, TrainingPlan
 from repro.data import make_image_classification, train_test_split
+from repro.faults import FaultSchedule, WorkerCrash
 from repro.hardware import NoJitter
 from repro.nn.models import MLP, get_card
 from repro.nn.models.registry import ModelCard
 from repro.sync import ASP, R2SP, SSP
 
 
-def make_trainer(sync, workers=4, epochs=4, ipe=4):
-    spec = ClusterSpec(n_workers=workers, jitter=NoJitter())
+def crash(worker, before_epoch):
+    return FaultSchedule((WorkerCrash(worker, before_epoch=before_epoch),))
+
+
+def make_trainer(sync, workers=4, epochs=4, ipe=4, faults=None):
+    spec = ClusterSpec(n_workers=workers, jitter=NoJitter(), faults=faults)
     plan = TrainingPlan(n_epochs=epochs, iterations_per_epoch=ipe)
     engine = TimingEngine(get_card("resnet50-cifar10"), spec, total_iterations=epochs * ipe)
     return DistributedTrainer(spec, plan, engine, sync)
 
 
-def test_schedule_failure_validation():
-    trainer = make_trainer(ASP())
-    with pytest.raises(ValueError):
-        trainer.ctx.schedule_failure(99, 1)
-    with pytest.raises(ValueError):
-        trainer.ctx.schedule_failure(0, 0)
+def test_crash_schedule_validation():
+    with pytest.raises(ValueError, match="unknown worker 99"):
+        ClusterSpec(n_workers=4, faults=crash(99, 1))
+    with pytest.raises(ValueError, match="before_epoch >= 1"):
+        crash(0, 0)
 
 
 def test_asp_survives_worker_crash():
-    trainer = make_trainer(ASP(), workers=4, epochs=4, ipe=4)
-    trainer.ctx.schedule_failure(2, before_epoch=2)
+    trainer = make_trainer(ASP(), workers=4, epochs=4, ipe=4, faults=crash(2, 2))
     res = trainer.run()
     # worker 2 did 2 epochs, the other three all 4.
     per_worker = {}
@@ -44,8 +47,7 @@ def test_asp_survives_worker_crash():
 
 @pytest.mark.parametrize("sync_factory", [ASP, lambda: SSP(staleness=3), R2SP])
 def test_barrier_free_models_survive_crash(sync_factory):
-    trainer = make_trainer(sync_factory(), workers=3, epochs=3, ipe=3)
-    trainer.ctx.schedule_failure(0, before_epoch=2)
+    trainer = make_trainer(sync_factory(), workers=3, epochs=3, ipe=3, faults=crash(0, 2))
     res = trainer.run()
     assert len(res.recorder.epochs) == 3
 
@@ -53,12 +55,11 @@ def test_barrier_free_models_survive_crash(sync_factory):
 def test_crash_of_last_arrival_completes_pending_epoch():
     """If the crashed worker was the only one missing from an epoch's
     arrivals, retiring it must complete (evaluate) that epoch."""
-    trainer = make_trainer(ASP(), workers=2, epochs=3, ipe=2)
+    trainer = make_trainer(ASP(), workers=2, epochs=3, ipe=2, faults=crash(1, 1))
     # Worker 1 is much slower: make worker 0 wait on worker 1's arrival.
     from repro.hardware import PersistentStraggler
 
     object.__setattr__(trainer.spec, "jitter", PersistentStraggler([1], 5.0))
-    trainer.ctx.schedule_failure(1, before_epoch=1)
     res = trainer.run()
     assert len(res.recorder.epochs) == 3
 
@@ -78,10 +79,9 @@ def test_numeric_training_continues_after_crash():
     )
     ds = make_image_classification(480, n_classes=4, image_size=8, noise=1.5, seed=0)
     train, test = train_test_split(ds, 0.25, seed=1)
-    spec = ClusterSpec(n_workers=3, jitter=NoJitter())
+    spec = ClusterSpec(n_workers=3, jitter=NoJitter(), faults=crash(1, 2))
     plan = TrainingPlan(n_epochs=5, lr=0.1, momentum=0.9)
     engine = NumericEngine(card, train, test, spec, batch_size=16, seed=0)
     trainer = DistributedTrainer(spec, plan, engine, ASP())
-    trainer.ctx.schedule_failure(1, before_epoch=2)
     res = trainer.run()
     assert res.best_metric > 0.6  # survivors finish the job

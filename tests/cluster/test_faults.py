@@ -193,7 +193,7 @@ def test_parse_faults_inline_and_file(tmp_path):
     sched = parse_faults(spec)
     assert len(sched) == 4
     assert sched.network_events[1].nodes == (0, 2)
-    assert sched.crash_events[0].restart_epoch == 4
+    assert sched.events[3].restart_epoch == 4
 
     path = tmp_path / "faults.json"
     path.write_text(json.dumps({"events": json.loads(spec)}))

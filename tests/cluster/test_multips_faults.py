@@ -9,16 +9,14 @@ than ``trainer.run()``.
 
 import pytest
 
-from repro.cluster.spec import MembershipSchedule, WorkerJoin, WorkerLeave
-from repro.faults.schedule import FaultSchedule, LinkFlap, WorkerCrash
+from repro.faults.schedule import FaultSchedule, LinkFlap, WorkerCrash, WorkerJoin, WorkerLeave
 from repro.harness.workloads import WorkloadConfig, timing_trainer
 from repro.sync import ShardedBSP
 
 pytestmark = pytest.mark.tier1
 
 
-def _run(n_ps=2, n_workers=4, n_epochs=4, faults=None, membership=None,
-         max_steps=500_000):
+def _run(n_ps=2, n_workers=4, n_epochs=4, faults=None, max_steps=500_000):
     cfg = WorkloadConfig(
         "resnet50-cifar10",
         n_workers=n_workers,
@@ -26,7 +24,6 @@ def _run(n_ps=2, n_workers=4, n_epochs=4, faults=None, membership=None,
         iterations_per_epoch=3,
         n_ps=n_ps,
         faults=faults,
-        membership=membership,
     )
     trainer = timing_trainer(cfg, ShardedBSP())
     # step manually under a budget: a barrier hang fails instead of wedging
@@ -92,8 +89,7 @@ def test_link_flap_during_shard_push_stretches_not_hangs():
 
 
 def test_elastic_join_at_epoch_boundary_raises_apply_threshold():
-    m = MembershipSchedule((WorkerJoin(worker=3, epoch=2),))
-    trainer = _run(membership=m)
+    trainer = _run(faults=FaultSchedule((WorkerJoin(worker=3, epoch=2),)))
     assert sorted(trainer.ctx.alive_workers) == [0, 1, 2, 3]
     assert trainer.recorder.counter("elastic.worker_join") == 1
     # joiner trained epochs 2..3 only; the apply threshold tracked the
@@ -102,10 +98,8 @@ def test_elastic_join_at_epoch_boundary_raises_apply_threshold():
 
 
 def test_elastic_join_then_leave_with_sharded_ps():
-    m = MembershipSchedule(
-        (WorkerJoin(worker=3, epoch=1), WorkerLeave(worker=0, epoch=3))
-    )
-    trainer = _run(membership=m)
+    m = FaultSchedule((WorkerJoin(worker=3, epoch=1), WorkerLeave(worker=0, epoch=3)))
+    trainer = _run(faults=m)
     assert sorted(trainer.ctx.alive_workers) == [1, 2, 3]
     assert _iters_by_worker(trainer) == {0: 9, 1: 12, 2: 12, 3: 9}
     # shard plan is membership-independent: still n_ps shards, all used

@@ -5,6 +5,7 @@ import numpy as np
 
 from repro.cluster import ClusterSpec, DistributedTrainer, NumericEngine, TimingEngine, TrainingPlan
 from repro.data import make_image_classification, train_test_split
+from repro.faults import FaultSchedule, WorkerCrash
 from repro.hardware import NoJitter
 from repro.nn.models import MLP, get_card
 from repro.nn.models.registry import ModelCard
@@ -66,11 +67,11 @@ def test_periodic_bsp_gets_spans_and_tags_for_free():
 
 def test_periodic_bsp_survives_a_crash():
     """The base round's barrier tracks the alive set: nothing to write."""
-    spec = ClusterSpec(n_workers=4, jitter=NoJitter())
+    crash = FaultSchedule((WorkerCrash(2, before_epoch=1),))
+    spec = ClusterSpec(n_workers=4, jitter=NoJitter(), faults=crash)
     plan = TrainingPlan(n_epochs=3, iterations_per_epoch=8)
     engine = TimingEngine(get_card("resnet50-cifar10"), spec, total_iterations=24)
     trainer = DistributedTrainer(spec, plan, engine, PeriodicBSP(period=4))
-    trainer.ctx.schedule_failure(2, before_epoch=1)
     res = trainer.run()
     assert len(res.recorder.epochs) == 3
     assert res.recorder.counter("osp.degraded_quorum") == 4  # epochs 1-2, every 4th

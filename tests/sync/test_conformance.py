@@ -1,13 +1,19 @@
 """Sync-model conformance matrix (ROADMAP item 1, the deterministic core).
 
 Every model in ``repro.sync.__all__`` plus OSP runs every scenario — plain,
-crashes with and without a restart (one spanning the first checkpoint),
-elastic leave + join — and each cell must: evaluate every epoch, give each
-worker exactly the epochs its schedule allows, stay green under the strict
+crashes with and without a restart (one spanning the first checkpoint, one
+entering on its resume epoch), elastic leave + join, a join on the resume
+epoch — and each cell must: evaluate every epoch, give each worker exactly
+the epochs its membership timeline allows, stay green under the strict
 invariant monitors, and resume from its first checkpoint to a stream
 bit-identical to the uninterrupted run. A model added to
 ``repro.sync.__all__`` gets every cell without touching this file (give it
 constructor arguments in ``ARGS`` if it needs any).
+
+The stream digest of every crash and elastic cell that predates the one
+membership timeline is pinned in ``golden_membership_digests.json``: those
+runs are held bit-identical to the code before it, not only to themselves.
+Never regenerate that file for a refactor.
 
 Beside the timing matrix: a co-tenancy column (``plain`` as the one job of
 ``repro.multijob`` gives the direct run's stream), a numeric column (real
@@ -16,6 +22,7 @@ ordered span names of one worker-iteration per model.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +30,10 @@ import repro.sync as zoo
 from repro.check import capture_stream, replay_resume, run_checked, stream_digest
 from repro.cli import main
 from repro.cluster import ClusterSpec, DistributedTrainer, NumericEngine, TrainingPlan
-from repro.cluster.spec import MembershipSchedule, WorkerJoin, WorkerLeave
 from repro.compression import RandomK, ResidualMemory, TopK
 from repro.core import OSP
 from repro.data import make_image_classification, train_test_split
-from repro.faults.schedule import FaultSchedule, WorkerCrash
+from repro.faults.schedule import FaultSchedule, WorkerCrash, WorkerJoin, WorkerLeave
 from repro.hardware import LognormalJitter
 from repro.harness.workloads import WorkloadConfig, timing_trainer
 from repro.multijob import JobSpec, run_jobs
@@ -61,20 +67,24 @@ def _crash(before, restart=None, recover="cold"):
 
 
 def _elastic(leave_epoch, join_epoch):
-    return MembershipSchedule(
+    return FaultSchedule(
         (WorkerLeave(worker=1, epoch=leave_epoch), WorkerJoin(worker=3, epoch=join_epoch))
     )
 
 
-#: name -> (spec fields, epochs run by the workers that do not run all six)
+#: name -> (membership timeline, epochs run by the workers that do not run all six)
 SCENARIOS = {
-    "plain": ({}, {}),
-    "crash@2": ({"faults": _crash(2)}, {1: 2}),
-    "crash@3-restart@5": ({"faults": _crash(3, 5)}, {1: 4}),
+    "plain": (None, {}),
+    "crash@2": (_crash(2), {1: 2}),
+    "crash@3-restart@5": (_crash(3, 5), {1: 4}),
     # down across the first checkpoint (epoch 2): the restart must survive it
-    "crash@1-restart@4": ({"faults": _crash(1, 4)}, {1: 3}),
-    "leave@3-join@1": ({"membership": _elastic(3, 1)}, {1: 3, 3: 5}),
-    "leave@1-join@4": ({"membership": _elastic(1, 4)}, {1: 1, 3: 2}),
+    "crash@1-restart@4": (_crash(1, 4), {1: 3}),
+    # entering on the first checkpoint's resume epoch: the snapshot is taken
+    # before the admission, so the resumed run must still admit the worker
+    "crash@1-restart@2": (_crash(1, 2), {1: 5}),
+    "join@2": (FaultSchedule((WorkerJoin(worker=3, epoch=2),)), {3: 4}),
+    "leave@3-join@1": (_elastic(3, 1), {1: 3, 3: 5}),
+    "leave@1-join@4": (_elastic(1, 4), {1: 1, 3: 2}),
 }
 
 
@@ -93,22 +103,31 @@ def _check_cell(make, tmp_path, n_epochs, ipe, short_epochs):
     return result
 
 
+def _timing_trainer(model, scenario, **kw):
+    cfg = WorkloadConfig(
+        "resnet50-cifar10", n_workers=N_WORKERS, n_epochs=N_EPOCHS,
+        iterations_per_epoch=IPE, sigma=0.4, seed=5, faults=SCENARIOS[scenario][0],
+        **SPEC.get(model, {}),
+    )  # fmt: skip
+    return timing_trainer(cfg, MODELS[model](), **kw)
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("model", MODELS)
 def test_timing_cell(model, scenario, tmp_path):
-    fields, short_epochs = SCENARIOS[scenario]
-    cfg = WorkloadConfig(
-        "resnet50-cifar10", n_workers=N_WORKERS, n_epochs=N_EPOCHS,
-        iterations_per_epoch=IPE, sigma=0.4, seed=5, **fields, **SPEC.get(model, {}),
-    )
+    faults, short_epochs = SCENARIOS[scenario]
     result = _check_cell(
-        lambda **kw: timing_trainer(cfg, MODELS[model](), **kw),
+        lambda **kw: _timing_trainer(model, scenario, **kw),
         tmp_path, N_EPOCHS, IPE, short_epochs,
     )
-    if "faults" in fields:
-        assert result.recorder.counter("faults.worker_crash") == 1
-        restarts = 1 if fields["faults"].crash_events[0].restart_epoch else 0
-        assert result.recorder.counter("faults.worker_restart") == restarts
+    events = faults.membership_events if faults else ()
+    kinds = [ev.kind for ev in events]
+    restarts = [ev for ev in events if getattr(ev, "restart_epoch", None) is not None]
+    counter = result.recorder.counter
+    assert counter("faults.worker_crash") == kinds.count("worker_crash")
+    assert counter("faults.worker_restart") == len(restarts)
+    assert counter("elastic.worker_join") == kinds.count("worker_join")
+    assert counter("elastic.worker_leave") == kinds.count("worker_leave")
 
 
 # --------------------------------------------------------- co-tenancy column
@@ -143,6 +162,7 @@ NUMERIC_MODELS = {
     "CompressedBSP-residual-topk": lambda: zoo.CompressedBSP(ResidualMemory(TopK(0.1))),
     "CompressedBSP-randomk": lambda: zoo.CompressedBSP(RandomK(0.1, seed=3)),
 }
+NUMERIC_EPOCHS = 4
 NUMERIC_SCENARIOS = {
     "plain": (None, {}),
     # down across the checkpoint, back from the checkpointed replica
@@ -156,24 +176,49 @@ def data():
     return train_test_split(ds, test_fraction=0.25, seed=1)
 
 
+def _numeric_trainer(model, scenario, data, **kw):
+    spec = ClusterSpec(
+        n_workers=N_WORKERS,
+        jitter=LognormalJitter(sigma=0.4, seed=5),
+        faults=NUMERIC_SCENARIOS[scenario][0],
+    )
+    plan = TrainingPlan(n_epochs=NUMERIC_EPOCHS, lr=0.1, momentum=0.9)
+    engine = NumericEngine(TINY_CARD, *data, spec, batch_size=16, seed=0)
+    return DistributedTrainer(spec, plan, engine, NUMERIC_MODELS[model](), **kw)
+
+
 @pytest.mark.parametrize("scenario", NUMERIC_SCENARIOS)
 @pytest.mark.parametrize("model", NUMERIC_MODELS)
 def test_numeric_cell(model, scenario, data, tmp_path):
     faults, short_epochs = NUMERIC_SCENARIOS[scenario]
-    n_epochs = 4
 
     def make(**kw):
-        spec = ClusterSpec(
-            n_workers=N_WORKERS, jitter=LognormalJitter(sigma=0.4, seed=5), faults=faults
-        )
-        plan = TrainingPlan(n_epochs=n_epochs, lr=0.1, momentum=0.9)
-        engine = NumericEngine(TINY_CARD, *data, spec, batch_size=16, seed=0)
-        return DistributedTrainer(spec, plan, engine, NUMERIC_MODELS[model](), **kw)
+        return _numeric_trainer(model, scenario, data, **kw)
 
     ipe = make().iterations_per_epoch
-    result = _check_cell(make, tmp_path, n_epochs, ipe, short_epochs)
+    result = _check_cell(make, tmp_path, NUMERIC_EPOCHS, ipe, short_epochs)
     if faults is not None:
         assert result.recorder.counter("ckpt.worker_recover") == 1
+
+
+# ------------------------------------------------------------ pinned digests
+PINNED = json.loads(
+    Path(__file__).with_name("golden_membership_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED))
+def test_membership_cell_digest_is_pinned(cell, data, tmp_path):
+    """``{column}/{model}/{scenario}``, run with checkpointing on as in its
+    cell, streams exactly what the code before the membership timeline did."""
+    column, model, scenario = cell.split("/")
+    kw = {"checkpoint_every": EVERY, "checkpoint_dir": tmp_path}
+    trainer = (
+        _timing_trainer(model, scenario, **kw)
+        if column == "timing"
+        else _numeric_trainer(model, scenario, data, **kw)
+    )
+    assert stream_digest(capture_stream(trainer, trainer.run())) == PINNED[cell]
 
 
 # ------------------------------------------------------------------ CLI cell

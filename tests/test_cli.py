@@ -289,6 +289,19 @@ def test_run_net_prio_sets_the_fabric_model_not_the_environment(capsys):
     assert _run_osp_counters(capsys) == on
 
 
+def test_run_elastic_leave_and_join_from_faults_json(capsys):
+    """Joins and leaves reach the CLI as fault kinds, beside crashes."""
+    code = main([
+        "run", "--sync", "bsp", "--workers", "4", "--epochs", "4", "--iterations", "2",
+        "--faults", '[{"kind":"worker_leave","worker":1,"epoch":2},'
+        '{"kind":"worker_join","worker":3,"epoch":1}]', "--json",
+    ])  # fmt: skip
+    assert code == 0
+    counters = json.loads(capsys.readouterr().out)["counters"]
+    assert counters["elastic.worker_leave"] == 1
+    assert counters["elastic.worker_join"] == 1
+
+
 _NO_FAULT_FILE = "cannot read fault file nope.json: No such file or directory"
 
 _UNBUILDABLE = [
@@ -321,6 +334,36 @@ _UNBUILDABLE = [
         'run --faults [{"kind":"straggler","wrker":1}]',
         "fault 'straggler': StragglerSlowdown.__init__() got an unexpected "
         "keyword argument 'wrker'",
+    ),
+    # worker ids and epochs of the membership kinds are JSON integers
+    (
+        'run --faults [{"kind":"worker_crash","worker":1.5,"before_epoch":1}]',
+        "worker must be an integer, got 1.5",
+    ),
+    (
+        'run --faults [{"kind":"worker_crash","worker":1,"before_epoch":1.5}]',
+        "before_epoch must be an integer, got 1.5",
+    ),
+    (
+        'run --faults [{"kind":"worker_crash","worker":true,"before_epoch":1}]',
+        "worker must be an integer, got True",
+    ),
+    (
+        'run --faults [{"kind":"worker_crash","worker":1,"before_epoch":1,"restart_epoch":2.5}]',
+        "restart_epoch must be an integer, got 2.5",
+    ),
+    (
+        'run --faults [{"kind":"worker_join","worker":3,"epoch":1.0}]',
+        "epoch must be an integer, got 1.0",
+    ),
+    (
+        'run --faults [{"kind":"worker_leave","worker":"1","epoch":2}]',
+        "worker must be an integer, got '1'",
+    ),
+    (
+        'run --workers 2 --faults [{"kind":"worker_leave","worker":0,"epoch":1},'
+        '{"kind":"worker_join","worker":1,"epoch":2}]',
+        "no worker is in the cluster during epoch 1, but a later join or restart waits on it",
     ),
     ("run --faults nope.json", _NO_FAULT_FILE),
     ("dash --faults nope.json --out x.html", _NO_FAULT_FILE),
