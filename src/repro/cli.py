@@ -3,7 +3,7 @@
 Commands
 --------
 ``run``      one (workload, sync model) training simulation
-``report``   overlap/BST report from a trace.json or recorder.json
+``report``   overlap/BST report from a trace.json (``run --trace``)
 ``compare``  all four paper sync models on one workload
 ``figures``  list the figure-regeneration benchmarks
 ``cards``    list the model cards (paper-scale workload descriptions)
@@ -121,16 +121,14 @@ def cmd_run(args) -> int:
 
     trainer = _build_trainer(args, args.sync)  # loads and applies --resume
     trainer.network.priorities = args.net_prio == "on"
-    if getattr(args, "summary", None):
-        trainer.enable_sampling()  # implies tracing (phase attribution)
-    if args.trace:
-        trainer.enable_tracing()
+    if args.summary or args.trace:
+        trainer.enable_tracing()  # the summary's phase attribution reads spans
     try:
         res = trainer.run()  # restores the sync model's checkpointed state
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "summary", None):
+    if args.summary:
         from repro.obs.compare import run_summary, save_summary
 
         save_summary(run_summary(res), args.summary)
@@ -139,16 +137,7 @@ def cmd_run(args) -> int:
     if args.trace:
         from repro.obs.chrome import write_unified_trace
 
-        n = write_unified_trace(
-            args.trace,
-            tracer=res.tracer,
-            flow_records=[
-                r for r in trainer.network.records if r.job == trainer.placement.job
-            ],
-            iteration_records=res.recorder.iterations,
-            recorder=res.recorder,
-            sync_name=res.sync_name,
-        )
+        n = write_unified_trace(args.trace, res)
         print(f"wrote {n} trace events to {args.trace} "
               "(open in chrome://tracing or Perfetto; "
               f"analyse with `repro report {args.trace}`)")
@@ -181,37 +170,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _file_report(text: str):
-    """The overlap report of a unified trace or a saved recorder, from the
-    file's text; text that is neither raises ``ValueError``."""
-    from repro.metrics.export import recorder_from_dict
-    from repro.obs.overlap import (
-        overlap_report_from_recorder,
-        overlap_report_from_trace,
-    )
-
-    payload = json.loads(text)
-    if isinstance(payload, list):  # legacy bare event array
-        payload = {"traceEvents": payload}
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"expected a JSON object or event list, got {type(payload).__name__}"
-        )
-    if "traceEvents" in payload:
-        return overlap_report_from_trace(payload)
-    if not payload.keys() & {"iterations", "epochs", "counters"}:
-        raise ValueError(
-            "neither a trace ('traceEvents') nor a recorder "
-            "('iterations', 'epochs' or 'counters')"
-        )
-    return overlap_report_from_recorder(
-        recorder_from_dict(payload), sync_name="recorder"
-    )
-
-
 def cmd_report(args) -> int:
-    from pathlib import Path
-
     if args.compare:
         from repro.obs.compare import compare_runs
 
@@ -240,17 +199,21 @@ def cmd_report(args) -> int:
               file=sys.stderr)
         return 2
 
+    from repro.obs.chrome import read_trace
+    from repro.obs.overlap import overlap_report_from_trace
+
     try:
-        report = _file_report(Path(args.file).read_text())
+        doc = read_trace(args.file)
     except OSError as exc:
         print(f"error: {args.file}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: {args.file}: not JSON ({exc})", file=sys.stderr)
         return 2
-    except ValueError as exc:  # includes ExportError
+    except ValueError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
+    report = overlap_report_from_trace(doc)
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
@@ -338,7 +301,7 @@ def cmd_multirun(args) -> int:
 
     from repro.harness.cotenancy import osp_with_background
     from repro.multijob import MultiJobRunner, multijob_summary, render_report
-    from repro.multijob.report import save_summary as save_multijob_summary
+    from repro.obs.compare import save_summary
 
     try:
         jobs = _parse_jobs_spec(args.jobs) if args.jobs else None
@@ -373,7 +336,7 @@ def cmd_multirun(args) -> int:
     else:
         print(render_report(result))
     if args.summary:
-        save_multijob_summary(multijob_summary(result), args.summary)
+        save_summary(multijob_summary(result), args.summary)
         print(f"wrote multijob summary to {args.summary}")
     if args.dash:
         from repro.obs.dash import render_multijob_dashboard
@@ -555,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--sync", default="osp", choices=sorted(SYNC_FACTORIES))
     p_run.add_argument("--json", action="store_true", help="emit JSON")
     p_run.add_argument(
-        "--trace", metavar="FILE", help="write a Chrome-tracing timeline JSON"
+        "--trace", metavar="FILE",
+        help="trace the run and write its unified trace JSON "
+        "(Perfetto; `repro report FILE`)",
     )
     p_run.add_argument(
         "--checkpoint-every", type=int, metavar="N",
@@ -575,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--summary", metavar="FILE",
-        help="sample the run and write a run-summary JSON for "
+        help="trace the run and write a run-summary JSON for "
         "`repro report --compare`",
     )
     p_run.add_argument(
@@ -587,12 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser(
         "report",
-        help="overlap/BST report from a trace.json or recorder.json, "
+        help="overlap/BST report from a trace.json, "
         "or --compare two run summaries",
     )
     p_rep.add_argument(
         "file", nargs="?", default=None,
-        help="unified trace JSON or saved recorder JSON",
+        help="unified trace JSON (from `repro run --trace FILE`)",
     )
     p_rep.add_argument(
         "--compare", nargs=2, metavar=("A.json", "B.json"),

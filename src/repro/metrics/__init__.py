@@ -5,7 +5,6 @@ plus BCT for the co-located-PS overhead study (§5.4)."""
 from repro.metrics.recorder import EpochRecord, IterationRecord, Recorder
 from repro.metrics.report import format_series, format_table
 from repro.metrics.timeline import render_timeline
-from repro.metrics.export import load_recorder, save_recorder
 
 __all__ = [
     "EpochRecord",
@@ -13,7 +12,5 @@ __all__ = [
     "Recorder",
     "format_series",
     "format_table",
-    "load_recorder",
     "render_timeline",
-    "save_recorder",
 ]

@@ -1,16 +1,12 @@
-"""JSON (de)serialisation for experiment results.
+"""Plain-dict (de)serialisation of a :class:`Recorder`.
 
-Benchmarks and the CLI can persist a :class:`Recorder` to disk and reload
-it for post-hoc analysis without re-running simulations.
+A checkpoint stores the recorder this way, so a resumed run continues the
+history it was interrupted in.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-from pathlib import Path
-from typing import Union
 
 from repro.metrics.recorder import EpochRecord, IterationRecord, Recorder
 
@@ -88,24 +84,8 @@ def recorder_from_dict(payload: dict) -> Recorder:
     return rec
 
 
-def save_recorder(recorder: Recorder, path: Union[str, Path]) -> None:
-    """Write a recorder to a JSON file (atomically: temp file + rename,
-    so a crash mid-write never leaves a truncated file behind)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(recorder_to_dict(recorder)))
-    os.replace(tmp, path)
-
-
-def load_recorder(path: Union[str, Path]) -> Recorder:
-    """Read a recorder from a JSON file."""
-    return recorder_from_dict(json.loads(Path(path).read_text()))
-
-
 __all__ = [
     "ExportError",
-    "load_recorder",
     "recorder_from_dict",
     "recorder_to_dict",
-    "save_recorder",
 ]

@@ -1,15 +1,12 @@
 """Reporting for co-tenant runs: per-job table, interference attribution.
 
 ``multijob_summary`` is the JSON artifact (schema-tagged like the
-single-run summaries in :mod:`repro.obs.compare`); ``render_report`` is
-the human-readable view the CLI prints.
+single-run summaries in :mod:`repro.obs.compare`, and written by the same
+:func:`~repro.obs.compare.save_summary`); ``render_report`` is the
+human-readable view the CLI prints.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
-from typing import Union
 
 from repro.metrics.report import format_table
 from repro.multijob.runner import MultiJobResult
@@ -62,12 +59,6 @@ def multijob_summary(result: MultiJobResult) -> dict:
     }
 
 
-def save_summary(summary: dict, path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def render_report(result: MultiJobResult) -> str:
     """Per-job table plus cross-job interference attribution."""
     rows = []
@@ -118,4 +109,4 @@ def render_report(result: MultiJobResult) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["MULTIJOB_SCHEMA", "multijob_summary", "render_report", "save_summary"]
+__all__ = ["MULTIJOB_SCHEMA", "multijob_summary", "render_report"]

@@ -6,11 +6,12 @@ The measurement substrate for every performance claim in this repo:
   histograms over virtual time (passive: never perturbs the simulation);
 * :mod:`repro.obs.registry` — the central counter/gauge/histogram name
   registry (``osp.* / faults.* / obs.*``), lint-enforced;
-* :class:`OverlapReport` — hidden-sync ratio, exact BST decomposition and
+* :func:`trace_document` / :func:`write_unified_trace` — a traced run's
+  one record: a Perfetto-loadable Chrome trace with spans + network flows
+  + counter tracks + fault instants, read back by :func:`read_trace`;
+* :class:`OverlapReport` — hidden-sync ratio, BST decomposition and
   per-layer RS/ICS traffic accounting (the quantitative form of the
-  paper's Figs. 1–3);
-* :func:`write_unified_trace` — one Perfetto-loadable Chrome trace with
-  spans + network flows + counter tracks + fault instants;
+  paper's Figs. 1–3), built from that trace in memory or from its file;
 * :class:`MetricSampler` (``repro.obs.timeseries``) — clock-driven ring
   buffer sampling of gauges, links, PS and per-worker health signals;
 * :func:`health_report` — per-worker straggler z-scores / utilisation /
@@ -23,7 +24,12 @@ The measurement substrate for every performance claim in this repo:
 See ``docs/observability.md`` for the span taxonomy and workflow.
 """
 
-from repro.obs.chrome import read_trace, tracer_to_trace_events, write_unified_trace
+from repro.obs.chrome import (
+    read_trace,
+    trace_document,
+    tracer_to_trace_events,
+    write_unified_trace,
+)
 from repro.obs.compare import (
     PHASE_GROUPS,
     PHASES,
@@ -82,6 +88,7 @@ __all__ = [
     "render_dashboard",
     "run_summary",
     "save_summary",
+    "trace_document",
     "tracer_to_trace_events",
     "write_unified_trace",
 ]

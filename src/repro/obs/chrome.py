@@ -1,7 +1,7 @@
-"""Unified Chrome/Perfetto trace emission for traced runs.
+"""The unified Chrome/Perfetto trace: the one record of a traced run.
 
-One ``repro run --trace out.json`` produces a single Trace-Event-Format
-file combining every observability stream:
+:func:`trace_document` turns a traced run into a single
+Trace-Event-Format document combining every observability stream:
 
 * tracer **spans** → complete (``X``) events, grouped by track (``pid``)
   and actor (``tid``) so Perfetto shows one row per worker, one per
@@ -9,32 +9,76 @@ file combining every observability stream:
 * tracer **instants** (fault activations, GIB broadcasts) → ``i`` events;
 * tracer **counter tracks** (in-flight ICS bytes, S(G^u) budget, quorum
   size, network backlog) → ``C`` events;
-* network **flow records** → ``X`` events on the ``network`` track (via
-  :mod:`repro.netsim.trace`), with structured phase/worker/iteration args.
+* network **flow records** → ``X`` events on the ``network`` track, with
+  structured phase/worker/iteration args.
 
 Machine-readable extras (per-layer traffic, recorder counters, the sync
 model name) ride along under the top-level ``otherData`` key, which the
 Trace Event Format reserves for exactly this and viewers ignore — so the
-same file feeds both Perfetto and ``repro report``.
+same document feeds Perfetto, ``repro report`` (via :func:`read_trace`)
+and the in-memory :func:`~repro.obs.overlap.overlap_report_from_run`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from repro.netsim.trace import flows_to_trace_events, iterations_to_trace_events
+from repro.netsim.flows import FlowRecord
 from repro.obs.tracer import Tracer
 
+#: Trace timestamps are microseconds.
 _US = 1e6
 
 
-def tracer_to_trace_events(tracer: Tracer) -> list[dict]:
-    """Convert a tracer's spans/instants/counters to trace events."""
+def _tag_args(tag) -> dict:
+    """Structured attribution from the conventional flow-tag tuple
+    ``(phase, worker[, iteration])`` used by all sync models."""
+    if not (isinstance(tag, tuple) and tag and isinstance(tag[0], str)):
+        return {}
+    args: dict = {"phase": tag[0]}
+    if len(tag) > 1 and isinstance(tag[1], int):
+        args["worker"] = tag[1]
+    if len(tag) > 2 and isinstance(tag[2], int):
+        args["iteration"] = tag[2]
+    return args
+
+
+def flows_to_trace_events(records: Iterable[FlowRecord]) -> list[dict]:
+    """One complete ('X') event per flow, on the source node's row."""
+    events = []
+    for r in records:
+        args = {"bytes": r.size, "src": str(r.src), "dst": str(r.dst)}
+        args.update(_tag_args(r.tag))
+        events.append(
+            {
+                "name": str(r.tag) if r.tag is not None else f"flow{r.fid}",
+                "cat": "network",
+                "ph": "X",
+                "ts": r.start_time * _US,
+                "dur": max(1.0, r.duration * _US),
+                "pid": "network",
+                "tid": f"node {r.src} -> {r.dst}",
+                "args": args,
+            }
+        )
+    return events
+
+
+def tracer_to_trace_events(tracer: Tracer, job: Optional[str] = None) -> list[dict]:
+    """Convert a tracer's spans/instants/counters to trace events.
+
+    Only the spans of ``job`` are kept (``None``: a single-tenant run);
+    instants and counter tracks belong to the shared fabric and are kept
+    whole.
+    """
     events: list[dict] = []
     horizon = tracer.now
     for span in tracer.spans:
+        if span.job != job:
+            continue
         end = span.end if span.end is not None else horizon
         args = {"sid": span.sid}
         if span.parent is not None:
@@ -86,53 +130,119 @@ def tracer_to_trace_events(tracer: Tracer) -> list[dict]:
     return events
 
 
-def read_trace(path: Union[str, Path]) -> dict:
-    """Load a trace file, normalising the bare-array JSON variant."""
-    payload = json.loads(Path(path).read_text())
-    if isinstance(payload, list):  # legacy bare event array form
-        payload = {"traceEvents": payload}
-    if "traceEvents" not in payload:
-        raise ValueError(f"{path} is not a Chrome trace (no 'traceEvents' key)")
-    return payload
+def trace_document(result) -> dict:
+    """The unified trace of a traced
+    :class:`~repro.cluster.trainer.TrainingResult`, as a JSON-able dict.
 
-
-def write_unified_trace(
-    path: Union[str, Path],
-    tracer: Optional[Tracer] = None,
-    flow_records: Iterable = (),
-    iteration_records: Iterable = (),
-    recorder=None,
-    sync_name: Optional[str] = None,
-) -> int:
-    """Write one Perfetto-loadable file; returns the event count.
-
-    With a tracer, worker timelines come from its spans (hierarchical);
-    ``iteration_records`` is the fallback for untraced runs and is ignored
-    when a tracer is supplied (the spans subsume it).
+    It holds the run's job slice: the flows and spans whose ``job`` is
+    the run's placement job, so a co-tenant's trace never shows its
+    neighbour's traffic.
     """
-    events = list(flows_to_trace_events(flow_records))
-    if tracer is not None:
-        events += tracer_to_trace_events(tracer)
-    else:
-        events += iterations_to_trace_events(iteration_records)
+    tracer = result.tracer
+    if tracer is None:
+        raise ValueError(
+            "the run was not traced: call enable_tracing() before run()"
+        )
+    ctx = result.context
+    job = ctx.placement.job
+    events = flows_to_trace_events(r for r in ctx.network.records if r.job == job)
+    events += tracer_to_trace_events(tracer, job)
     events.sort(key=lambda e: (e["ts"], e.get("pid", ""), e.get("tid", "")))
 
-    other: dict = {}
-    if sync_name is not None:
-        other["sync"] = sync_name
-    if tracer is not None and tracer.traffic:
+    other: dict = {"sync": result.sync_name}
+    if tracer.traffic:
         traffic: dict[str, dict[str, float]] = {}
         for (stage, layer), nbytes in tracer.traffic.items():
             traffic.setdefault(stage, {})[layer] = nbytes
         other["traffic"] = traffic
-    if recorder is not None:
-        other["recorderCounters"] = dict(recorder.counters)
-
-    payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if other:
-        payload["otherData"] = other
-    Path(path).write_text(json.dumps(payload))
-    return len(events)
+    other["recorderCounters"] = dict(result.recorder.counters)
+    return {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}
 
 
-__all__ = ["read_trace", "tracer_to_trace_events", "write_unified_trace"]
+def write_unified_trace(path: Union[str, Path], result) -> int:
+    """Write :func:`trace_document` of ``result`` to ``path``; returns the
+    event count."""
+    doc = trace_document(result)
+    Path(path).write_text(json.dumps(doc))
+    return len(doc["traceEvents"])
+
+
+def _expect(ok: bool, where: str, expected: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{where}: expected {expected}, got {type(value).__name__}")
+
+
+def _number(value, where: str) -> None:
+    _expect(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        where, "a number", value,
+    )
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number, got {value}")
+
+
+def _optional_int(args: dict, key: str, where: str) -> None:
+    value = args.get(key)
+    if value is not None:
+        _expect(
+            isinstance(value, int) and not isinstance(value, bool),
+            f"{where}.{key}", "an integer", value,
+        )
+
+
+def read_trace(path: Union[str, Path]) -> dict:
+    """Load a unified trace file, refusing with a ``ValueError`` that
+    names the first field :func:`~repro.obs.overlap.overlap_report_from_trace`
+    could not read."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict) or "traceEvents" not in doc:
+        raise ValueError(
+            "not a trace: expected an object with 'traceEvents' "
+            "(write one with `repro run --trace FILE`)"
+        )
+    events = doc["traceEvents"]
+    _expect(isinstance(events, list), "traceEvents", "a list", events)
+    for i, ev in enumerate(events):
+        where = f"traceEvents[{i}]"
+        _expect(isinstance(ev, dict), where, "an object", ev)
+        if ev.get("ph") != "X":
+            continue
+        if "ts" not in ev:
+            raise ValueError(f"{where}: an 'X' event needs a 'ts'")
+        _number(ev["ts"], f"{where}.ts")
+        if "dur" in ev:
+            _number(ev["dur"], f"{where}.dur")
+        name = ev.get("name", "")
+        _expect(isinstance(name, str), f"{where}.name", "a string", name)
+        args = ev.get("args", {})
+        _expect(isinstance(args, dict), f"{where}.args", "an object", args)
+        _optional_int(args, "worker", f"{where}.args")
+        _optional_int(args, "iteration", f"{where}.args")
+        if ev.get("pid") == "network" and "bytes" in args:
+            _number(args["bytes"], f"{where}.args.bytes")
+
+    other = doc.get("otherData", {})
+    _expect(isinstance(other, dict), "otherData", "an object", other)
+    traffic = other.get("traffic", {})
+    _expect(isinstance(traffic, dict), "otherData.traffic", "an object", traffic)
+    for stage, layers in traffic.items():
+        where = f"otherData.traffic[{stage!r}]"
+        _expect(isinstance(layers, dict), where, "an object", layers)
+        for layer, nbytes in layers.items():
+            _number(nbytes, f"{where}[{layer!r}]")
+    counters = other.get("recorderCounters", {})
+    _expect(
+        isinstance(counters, dict), "otherData.recorderCounters", "an object", counters
+    )
+    for name, value in counters.items():
+        _number(value, f"otherData.recorderCounters[{name!r}]")
+    return doc
+
+
+__all__ = [
+    "flows_to_trace_events",
+    "read_trace",
+    "trace_document",
+    "tracer_to_trace_events",
+    "write_unified_trace",
+]

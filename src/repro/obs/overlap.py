@@ -8,27 +8,28 @@ that claim measurable for any recorded run:
 * **hidden-sync ratio** — for every sync transfer, the fraction of its
   lifetime that overlapped the owning worker's compute intervals, weighted
   by payload bytes: ``Σ bytes·overlap_frac ÷ Σ bytes``. BSP/ASP score 0
-  (every transfer happens inside the blocking sync phase); OSP scores > 0
-  as soon as ICS carries traffic.
-* **BST decomposition** — exact per-phase time attribution
+  up to the rounding of microsecond timestamps (every transfer happens
+  inside the blocking sync phase); OSP scores > 0 as soon as ICS carries
+  traffic.
+* **BST decomposition** — per-phase time attribution
   (``rs_push / rs_barrier_wait / rs_pull / ...``) from tracer spans.
 * **per-layer RS/ICS traffic** — which layers the GIB kept synchronous
   and which it deferred, in bytes.
 
-Reports build either from a finished in-memory run
-(:func:`overlap_report_from_run`) or from a unified trace file written by
-:func:`~repro.obs.chrome.write_unified_trace`
-(:func:`overlap_report_from_trace`), so ``repro report trace.json`` works
-offline.
+One builder, :func:`overlap_report_from_trace`, reads the unified trace
+document (:mod:`repro.obs.chrome`). A finished traced run
+(:func:`overlap_report_from_run`) and the trace file it writes
+(``repro report trace.json``, offline) therefore give equal reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.metrics.report import format_table
-from repro.obs.tracer import Histogram, Tracer
+from repro.obs.chrome import trace_document
+from repro.obs.tracer import Histogram
 
 #: Span names that are whole-iteration envelopes, not sync phases.
 _ENVELOPE_SPANS = frozenset({"iteration", "compute", "sync"})
@@ -217,97 +218,24 @@ def _accumulate(
     report.per_iteration = [(it, b, h) for it, (b, h) in sorted(per_it.items())]
 
 
-def _flow_slice(record) -> Optional[dict]:
-    """Parse a FlowRecord's conventional ``(phase, worker[, iteration])``
-    tag into an attribution slice; None for untagged/foreign flows."""
-    tag = record.tag
-    if (
-        isinstance(tag, tuple)
-        and len(tag) >= 2
-        and isinstance(tag[0], str)
-        and isinstance(tag[1], int)
-    ):
-        return {
-            "phase": tag[0],
-            "worker": tag[1],
-            "iteration": tag[2] if len(tag) > 2 else None,
-            "bytes": record.size,
-            "start": record.start_time,
-            "end": record.end_time,
-        }
-    return None
-
-
-def overlap_report_from_run(
-    result, tracer: Optional[Tracer] = None
-) -> OverlapReport:
-    """Build a report from a finished
-    :class:`~repro.cluster.trainer.TrainingResult` (flow records are the
-    network's records tagged with the run's job; tracer spans are used when
-    available)."""
-    recorder = result.recorder
-    tracer = tracer if tracer is not None else getattr(result, "tracer", None)
-    report = OverlapReport(sync_name=result.sync_name)
-    report.n_iterations = recorder.total_iterations
-
-    compute_by_worker: dict[int, list[tuple[float, float]]] = {}
-    for r in recorder.iterations:
-        compute_by_worker.setdefault(r.worker, []).append(
-            (r.start_time, r.start_time + r.compute_time)
-        )
-        report.bst.observe(r.sync_time)
-
-    flows = []
-    ctx = result.context
-    for rec in [r for r in ctx.network.records if r.job == ctx.placement.job]:
-        sl = _flow_slice(rec)
-        if sl is not None:
-            flows.append(sl)
-    _accumulate(report, compute_by_worker, flows)
-
-    if tracer:
-        for span in tracer.spans:
-            if span.name in _ENVELOPE_SPANS or span.end is None:
-                continue
-            report.phase_time[span.name] = (
-                report.phase_time.get(span.name, 0.0) + span.duration
-            )
-        for (stage, layer), nbytes in tracer.traffic.items():
-            report.layer_traffic.setdefault(stage, {})[layer] = nbytes
-    report.counters = dict(recorder.counters)
-    return report
-
-
-def overlap_report_from_recorder(recorder, sync_name: str = "?") -> OverlapReport:
-    """Build a (flow-less) report from a bare
-    :class:`~repro.metrics.recorder.Recorder` — e.g. a ``recorder.json``
-    reloaded via :func:`repro.metrics.export.load_recorder`. BST stats and
-    counters are exact; byte-level overlap needs flow records, so the
-    hidden-sync ratio reads 0 here."""
-    report = OverlapReport(sync_name=sync_name)
-    report.n_iterations = recorder.total_iterations
-    for r in recorder.iterations:
-        report.bst.observe(r.sync_time)
-    report.counters = dict(recorder.counters)
-    return report
+def overlap_report_from_run(result) -> OverlapReport:
+    """Build a report from a finished, traced
+    :class:`~repro.cluster.trainer.TrainingResult`: the report of its
+    :func:`~repro.obs.chrome.trace_document`, so it equals the report of
+    the trace file the run writes."""
+    return overlap_report_from_trace(trace_document(result))
 
 
 def overlap_report_from_trace(payload: dict) -> OverlapReport:
-    """Build a report from a parsed unified trace file (the JSON written
-    by :func:`~repro.obs.chrome.write_unified_trace`)."""
-    events = payload.get("traceEvents", [])
-    if not isinstance(events, list):
-        raise ValueError(f"traceEvents: expected a list, got {type(events).__name__}")
+    """Build a report from a unified trace document:
+    :func:`~repro.obs.chrome.trace_document`, or a file loaded (and
+    checked) by :func:`~repro.obs.chrome.read_trace`."""
     other = payload.get("otherData", {})
     report = OverlapReport(sync_name=str(other.get("sync", "?")))
 
     compute_by_worker: dict[int, list[tuple[float, float]]] = {}
     flows = []
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict):
-            raise ValueError(
-                f"traceEvents[{i}]: expected an object, got {type(ev).__name__}"
-            )
+    for ev in payload["traceEvents"]:
         if ev.get("ph") != "X":
             continue
         args = ev.get("args", {})
@@ -353,7 +281,6 @@ def overlap_report_from_trace(payload: dict) -> OverlapReport:
 __all__ = [
     "BACKGROUND_SPANS",
     "OverlapReport",
-    "overlap_report_from_recorder",
     "overlap_report_from_run",
     "overlap_report_from_trace",
 ]

@@ -1,15 +1,10 @@
-"""Tests for recorder JSON export/import."""
+"""Tests for the recorder's plain-dict form (what a checkpoint stores)."""
 
 import json
 
 import pytest
 
-from repro.metrics.export import (
-    load_recorder,
-    recorder_from_dict,
-    recorder_to_dict,
-    save_recorder,
-)
+from repro.metrics.export import recorder_from_dict, recorder_to_dict
 from repro.metrics.recorder import EpochRecord, IterationRecord, Recorder
 
 
@@ -45,20 +40,12 @@ def test_dict_is_json_serialisable():
     json.dumps(recorder_to_dict(make_recorder()))
 
 
-def test_file_roundtrip(tmp_path):
-    rec = make_recorder()
-    path = tmp_path / "run.json"
-    save_recorder(rec, path)
-    loaded = load_recorder(path)
-    assert loaded.iterations == rec.iterations
-    assert loaded.throughput() == pytest.approx(rec.throughput())
+def _json_roundtrip(rec):
+    return recorder_from_dict(json.loads(json.dumps(recorder_to_dict(rec))))
 
 
-def test_empty_recorder_roundtrip(tmp_path):
-    path = tmp_path / "empty.json"
-    save_recorder(Recorder(), path)
-    loaded = load_recorder(path)
-    assert loaded.total_iterations == 0
+def test_empty_recorder_roundtrip():
+    assert _json_roundtrip(Recorder()).total_iterations == 0
 
 
 def test_from_dict_tolerates_missing_sections():
@@ -66,7 +53,7 @@ def test_from_dict_tolerates_missing_sections():
     assert rec.total_iterations == 0
 
 
-def test_real_run_roundtrips(tmp_path):
+def test_real_run_roundtrips():
     """End-to-end: a real trainer's recorder survives the JSON roundtrip."""
     from repro.cluster import (
         ClusterSpec,
@@ -82,9 +69,8 @@ def test_real_run_roundtrips(tmp_path):
     plan = TrainingPlan(n_epochs=1, iterations_per_epoch=2)
     engine = TimingEngine(get_card("resnet50-cifar10"), spec, total_iterations=2)
     res = DistributedTrainer(spec, plan, engine, BSP()).run()
-    path = tmp_path / "real.json"
-    save_recorder(res.recorder, path)
-    loaded = load_recorder(path)
+    loaded = _json_roundtrip(res.recorder)
+    assert loaded.iterations == res.recorder.iterations
     assert loaded.throughput() == pytest.approx(res.recorder.throughput())
     assert loaded.mean_bst() == pytest.approx(res.recorder.mean_bst())
 
@@ -98,7 +84,7 @@ def test_every_counter_of_an_osp_run_roundtrips_exactly():
     cfg = WorkloadConfig("resnet50-cifar10", n_workers=4, n_epochs=2, iterations_per_epoch=2)
     rec = timing_trainer(cfg, OSP()).run().recorder
     assert any(isinstance(v, float) for v in rec.counters.values())
-    back = recorder_from_dict(json.loads(json.dumps(recorder_to_dict(rec))))
+    back = _json_roundtrip(rec)
     assert back.counters == rec.counters
     assert [type(v) for v in back.counters.values()] == [type(v) for v in rec.counters.values()]
 
@@ -140,17 +126,3 @@ def test_export_error_is_a_value_error():
     from repro.metrics.export import ExportError
 
     assert issubclass(ExportError, ValueError)
-
-
-def test_save_is_atomic_no_temp_left_behind(tmp_path):
-    path = tmp_path / "run.json"
-    save_recorder(make_recorder(), path)
-    assert json.loads(path.read_text())  # complete, parseable file
-    assert list(tmp_path.iterdir()) == [path]  # temp file renamed away
-
-
-def test_save_overwrites_existing_file(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text("corrupt-old-content")
-    save_recorder(make_recorder(), path)
-    assert json.loads(path.read_text())["summary"]["total_iterations"] == 1

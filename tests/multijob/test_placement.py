@@ -78,7 +78,6 @@ def test_default_prio_demotes_only_default_class():
 
 
 def test_per_job_records_are_the_job_tagged_slice():
-    from repro.multijob import JobSpec, MultiJobRunner
     from repro.obs.overlap import overlap_report_from_run
 
     env, net = _fabric(4)
@@ -89,14 +88,41 @@ def test_per_job_records_are_the_job_tagged_slice():
     assert [r.size for r in net.records if r.job == "b"] == [200.0]
     assert len(net.records) == 2
     # the overlap report of each tenant reads its own slice only
-    cfg = WorkloadConfig("vgg16-cifar10", n_workers=2, n_epochs=1, iterations_per_epoch=2)
-    pair = MultiJobRunner(
-        [JobSpec(name=n, workload=cfg, sync_factory=BSP) for n in ("x", "y")]
-    ).run()
-    solo = MultiJobRunner([JobSpec(name="x", workload=cfg, sync_factory=BSP)]).run()
-    mine, alone = (overlap_report_from_run(r["x"].result) for r in (pair, solo))
+    mine, alone = (
+        overlap_report_from_run(r["x"].result)
+        for r in _traced_runs({"x": BSP, "y": BSP}, {"x": BSP})
+    )
     assert mine.n_flows == alone.n_flows > 0
     assert mine.total_sync_bytes == alone.total_sync_bytes
+
+
+def _traced_runs(*tenancies):
+    """One traced ``MultiJobRunner`` result per ``{name: sync factory}``."""
+    from repro.multijob import JobSpec, MultiJobRunner
+
+    cfg = WorkloadConfig("vgg16-cifar10", n_workers=2, n_epochs=1, iterations_per_epoch=2)
+    results = []
+    for jobs in tenancies:
+        runner = MultiJobRunner(
+            [JobSpec(name=n, workload=cfg, sync_factory=f) for n, f in jobs.items()]
+        )
+        runner.enable_tracing()
+        results.append(runner.run())
+    return results
+
+
+def test_cotenant_report_reads_its_own_spans():
+    """A shared tracer holds every tenant's spans; BSP ``x``'s BST
+    decomposition must not list ASP ``y``'s push / pull."""
+    from repro.obs.overlap import overlap_report_from_run
+    from repro.sync import ASP
+
+    mine, alone = (
+        overlap_report_from_run(r["x"].result)
+        for r in _traced_runs({"x": BSP, "y": ASP}, {"x": BSP})
+    )
+    assert set(mine.phase_time) == set(alone.phase_time)
+    assert "push" not in mine.phase_time
 
 
 def test_contended_bytes_are_the_bytes_moved_beside_another_job():

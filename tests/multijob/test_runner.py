@@ -110,7 +110,8 @@ def test_sampling_tracks_per_tenant_occupancy():
 def test_summary_and_report_round_trip(tmp_path):
     import json
 
-    from repro.multijob.report import MULTIJOB_SCHEMA, save_summary
+    from repro.multijob.report import MULTIJOB_SCHEMA
+    from repro.obs.compare import save_summary
 
     res = shared_fabric_runner(_pair()).run()
     summary = multijob_summary(res)

@@ -10,11 +10,10 @@ from repro.obs import read_trace, write_unified_trace
 from repro.obs.overlap import (
     OverlapReport,
     _overlap_seconds,
-    overlap_report_from_recorder,
     overlap_report_from_run,
     overlap_report_from_trace,
 )
-from repro.sync import ASP, BSP
+from repro.sync import ASP, BSP, R2SP, SSP, WFBP
 
 pytestmark = pytest.mark.tier1
 
@@ -58,7 +57,8 @@ def test_osp_hides_sync_bsp_and_asp_do_not():
         baseline_phases = {
             p: h for p, (_b, h) in report.phase_bytes.items()
         }
-        assert report.hidden_sync_ratio == pytest.approx(0.0), baseline_phases
+        # µs timestamps leave float dust, never more
+        assert report.hidden_sync_ratio <= 1e-12, baseline_phases
 
 
 def test_report_attribution_totals():
@@ -95,35 +95,10 @@ def test_render_and_to_dict_complete():
 
 # -- trace-file parity ---------------------------------------------------------
 def test_report_from_trace_matches_report_from_run(tmp_path):
-    trainer, res = run(OSP(fixed_budget_fraction=0.5))
-    from_run = overlap_report_from_run(res)
-
-    path = tmp_path / "trace.json"
-    write_unified_trace(
-        path,
-        tracer=res.tracer,
-        flow_records=trainer.network.records,
-        recorder=res.recorder,
-        sync_name=res.sync_name,
-    )
-    from_trace = overlap_report_from_trace(read_trace(path))
-
-    assert from_trace.sync_name == from_run.sync_name
-    assert from_trace.n_flows == from_run.n_flows
-    assert from_trace.n_iterations == from_run.n_iterations
-    assert from_trace.total_sync_bytes == pytest.approx(from_run.total_sync_bytes)
-    # microsecond quantisation in the trace file: ratios agree to ~1e-3
-    assert from_trace.hidden_sync_ratio == pytest.approx(
-        from_run.hidden_sync_ratio, abs=1e-3
-    )
-    assert from_trace.layer_traffic == from_run.layer_traffic
-    assert from_trace.counters == from_run.counters
-
-
-def test_report_from_recorder_is_flowless_but_exact():
-    _t, res = run(BSP(), epochs=2)
-    report = overlap_report_from_recorder(res.recorder, sync_name="bsp")
-    assert report.sync_name == "bsp"
-    assert report.n_iterations == res.recorder.total_iterations
-    assert report.bst.mean() == pytest.approx(res.recorder.mean_bst())
-    assert report.hidden_sync_ratio == 0.0  # no flow records available
+    """Both are built from one document, so they are equal, not close."""
+    for sync in (BSP(), ASP(), SSP(), R2SP(), WFBP(), OSP(fixed_budget_fraction=0.5)):
+        _t, res = run(sync)
+        path = tmp_path / f"{sync.name}.json"
+        write_unified_trace(path, res)
+        from_trace = overlap_report_from_trace(read_trace(path))
+        assert from_trace.to_dict() == overlap_report_from_run(res).to_dict(), sync.name

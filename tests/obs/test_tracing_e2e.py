@@ -122,15 +122,9 @@ def test_untraced_run_attaches_no_tracer():
 
 # -- unified trace file --------------------------------------------------------
 def test_unified_trace_schema(tmp_path):
-    trainer, res, tracer = traced_run(OSP(fixed_budget_fraction=0.5))
+    _trainer, res, _tracer = traced_run(OSP(fixed_budget_fraction=0.5))
     path = tmp_path / "trace.json"
-    n = write_unified_trace(
-        path,
-        tracer=tracer,
-        flow_records=trainer.network.records,
-        recorder=res.recorder,
-        sync_name=res.sync_name,
-    )
+    n = write_unified_trace(path, res)
     payload = read_trace(path)
     events = payload["traceEvents"]
     assert len(events) == n

@@ -174,13 +174,15 @@ def test_report_json_from_trace(tmp_path, capsys):
     assert main(["report", str(trace), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["sync"] == "bsp"
-    # µs quantisation in the trace file leaves float dust; the in-memory
-    # path (tests/obs/test_overlap.py) asserts exact zero.
+    # µs timestamps leave float dust, the same in memory
+    # (tests/obs/test_overlap.py) as from the file.
     assert abs(payload["hidden_sync_ratio"]) < 1e-12
     assert payload["n_iterations"] == 8
 
 
 def test_report_from_recorder_json(tmp_path, capsys):
+    """A dumped recorder is not a trace: it is refused in one line that
+    says how to get one."""
     from repro.cluster import (
         ClusterSpec,
         DistributedTrainer,
@@ -188,7 +190,7 @@ def test_report_from_recorder_json(tmp_path, capsys):
         TrainingPlan,
     )
     from repro.hardware import NoJitter
-    from repro.metrics.export import save_recorder
+    from repro.metrics.export import recorder_to_dict
     from repro.nn.models import get_card
     from repro.sync import BSP
 
@@ -197,11 +199,12 @@ def test_report_from_recorder_json(tmp_path, capsys):
     engine = TimingEngine(get_card("resnet50-cifar10"), spec, total_iterations=2)
     res = DistributedTrainer(spec, plan, engine, BSP()).run()
     path = tmp_path / "recorder.json"
-    save_recorder(res.recorder, path)
+    path.write_text(json.dumps(recorder_to_dict(res.recorder)))
 
-    assert main(["report", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "Batch synchronization time" in out
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {path}: {_NOT_A_TRACE}"]
+    assert captured.out == ""
 
 
 def _run_with_checkpoints(ckpt_dir, extra=()):
@@ -385,21 +388,50 @@ def test_unbuildable_spec_is_one_error_line_not_a_traceback(
     assert not list(tmp_path.iterdir())
 
 
+_NOT_A_TRACE = (
+    "not a trace: expected an object with 'traceEvents' "
+    "(write one with `repro run --trace FILE`)"
+)
+
 _REPORT_CORPUS = [
     # (argv tail, file text or None for a missing file, stderr line)
     ((), None, "error: {f}: No such file or directory"),
     ((), "", "error: {f}: not JSON (Expecting value: line 1 column 1 (char 0))"),
     ((), "{not json", "error: {f}: not JSON (Expecting property name enclosed "
                       "in double quotes: line 1 column 2 (char 1))"),
-    ((), '"trace"', "error: {f}: expected a JSON object or event list, got str"),
-    ((), "5", "error: {f}: expected a JSON object or event list, got int"),
+    ((), '"trace"', "error: {f}: " + _NOT_A_TRACE),
+    ((), "5", "error: {f}: " + _NOT_A_TRACE),
     ((), '{"traceEvents": 5}', "error: {f}: traceEvents: expected a list, got int"),
-    ((), "[1]", "error: {f}: traceEvents[0]: expected an object, got int"),
-    ((), '{"counters": {"x": "y"}}',
-     "error: {f}: counters['x']: expected a number, got str"),
-    ((), '{"iterations": 5}', "error: {f}: iterations: expected a list, got int"),
-    ((), '{"a": 1}', "error: {f}: neither a trace ('traceEvents') nor a "
-                     "recorder ('iterations', 'epochs' or 'counters')"),
+    ((), "[1]", "error: {f}: " + _NOT_A_TRACE),
+    ((), '{"traceEvents": [1]}', "error: {f}: traceEvents[0]: expected an object, got int"),
+    ((), '{"counters": {"x": "y"}}', "error: {f}: " + _NOT_A_TRACE),
+    ((), '{"iterations": 5}', "error: {f}: " + _NOT_A_TRACE),
+    ((), '{"a": 1}', "error: {f}: " + _NOT_A_TRACE),
+    ((), '{"traceEvents": [{"ph": "X"}]}',
+     "error: {f}: traceEvents[0]: an 'X' event needs a 'ts'"),
+    ((), '{"traceEvents": [{"ph": "X", "ts": "a"}]}',
+     "error: {f}: traceEvents[0].ts: expected a number, got str"),
+    ((), '{"traceEvents": [{"ph": "X", "ts": NaN}]}',
+     "error: {f}: traceEvents[0].ts: expected a finite number, got nan"),
+    ((), '{"traceEvents": [{"ph": "X", "ts": 0, "dur": true}]}',
+     "error: {f}: traceEvents[0].dur: expected a number, got bool"),
+    ((), '{"traceEvents": [{"ph": "X", "ts": 0, "name": 5}]}',
+     "error: {f}: traceEvents[0].name: expected a string, got int"),
+    ((), '{"traceEvents": [{"ph": "X", "ts": 0, "args": []}]}',
+     "error: {f}: traceEvents[0].args: expected an object, got list"),
+    ((), '{"traceEvents": [{"ph": "X", "ts": 0, "name": "compute", "args": {"worker": "a"}}]}',
+     "error: {f}: traceEvents[0].args.worker: expected an integer, got str"),
+    ((), '{"traceEvents": [{"ph": "X", "ts": 0, "pid": "network", '
+         '"args": {"phase": "p", "bytes": null}}]}',
+     "error: {f}: traceEvents[0].args.bytes: expected a number, got NoneType"),
+    ((), '{"traceEvents": [], "otherData": 3}',
+     "error: {f}: otherData: expected an object, got int"),
+    ((), '{"traceEvents": [], "otherData": {"traffic": {"rs": 5}}}',
+     "error: {f}: otherData.traffic['rs']: expected an object, got int"),
+    ((), '{"traceEvents": [], "otherData": {"traffic": {"rs": {"fc": "1"}}}}',
+     "error: {f}: otherData.traffic['rs']['fc']: expected a number, got str"),
+    ((), '{"traceEvents": [], "otherData": {"recorderCounters": {"x": "y"}}}',
+     "error: {f}: otherData.recorderCounters['x']: expected a number, got str"),
     (("--compare",), None,
      "error: summary file not found: {f} (write one with `repro run --summary "
      "FILE` or `repro dash --summary FILE`)"),
