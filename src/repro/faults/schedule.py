@@ -145,7 +145,8 @@ class StragglerSlowdown:
 
     def __post_init__(self) -> None:
         _check_window(self.start, self.duration)
-        if not self.worker >= 0:
+        _check_int("worker", self.worker)
+        if self.worker < 0:
             raise ValueError(f"worker must be >= 0, got {self.worker}")
         if not self.factor >= 1.0:
             raise ValueError(f"factor must be >= 1, got {self.factor}")

@@ -20,9 +20,13 @@ O(F log F) overall.
 A round whose bottleneck link carries every still-unfrozen flow is the
 *last* round: they all freeze at its share and nothing is read again, so it
 skips the subtraction, load and dirty-list bookkeeping. Round 1 reaches that
-test by counting alone, so a single-bottleneck incast — the steady state
-under OSP's RS barrier, re-solved at every departure — costs O(F + L) with
-no heap or membership list built; it exits only when every other loaded link
+test from per-link loads alone, with no heap or membership list built. A
+caller that keeps a live flow–link index (the Network does) hands it over as
+``link_flows`` and round 1 reads each load as ``len()``: a single-bottleneck
+incast — the steady state under OSP's RS barrier, re-solved at every
+departure — then costs O(L) plus the O(F) write of the answer, with no pass
+over the routes. Without the index the loads are counted from the routes in
+O(F + L). Either way round 1 exits only when every other loaded link
 clears the minimum by more than ``2·_EPS`` (an exact tie is not clear): past
 that gap neither the scan's ``_EPS`` hysteresis nor link discovery order can
 settle on another bottleneck.
@@ -39,7 +43,7 @@ sub-``_EPS`` near-tie replays the scan's round verbatim).
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Mapping, Sequence
+from typing import Collection, Hashable, Mapping, Optional, Sequence
 
 _EPS = 1e-12
 
@@ -70,6 +74,7 @@ def fair_rates(
     capacities: Mapping[Hashable, float],
     *,
     validate: bool = True,
+    link_flows: Optional[Mapping[Hashable, Collection[Hashable]]] = None,
 ) -> dict[Hashable, float]:
     """Compute max–min fair rates via heap-driven progressive filling.
 
@@ -85,6 +90,12 @@ def fair_rates(
         trusted callers (the Network, whose route map never contains
         empty routes or unknown links) — every entry must be a non-empty
         sequence of known links with positive capacities.
+    link_flows:
+        Optional live index ``link_id -> the flows crossing it`` (each at
+        most once) over exactly the links of ``flow_routes``' flows and no
+        other flow — the Network's own flow–link index. Round 1 then reads
+        each link's load as ``len()`` instead of counting routes; the rates
+        are the same.
 
     Returns ``flow_id -> rate``, deterministic for identical inputs
     (iteration follows insertion order of the mappings; exact share ties
@@ -101,7 +112,7 @@ def fair_rates(
 
     Single-round inputs (one link carries every flow, every other loaded
     link more than ``2·_EPS`` clear of its share) get ``capacities[link] / n``
-    from a count-only pre-pass; a multi-round solve leaves at its last round.
+    from a load-only pre-pass; a multi-round solve leaves at its last round.
     """
     if validate:
         rates, unfrozen = _validate_and_split(flow_routes, capacities)
@@ -109,25 +120,37 @@ def fair_rates(
         rates = {}
         unfrozen = flow_routes
 
-    # Round 1 by counting alone: per-link crossings, then the minimum share,
-    # its link and the smallest share on any *other* link. A link repeated in
-    # a route counts twice, which only lowers its share (the gap test stays
-    # conservative); the bottleneck's count is exact once every route is seen
-    # to cross it (n routes, n crossings: once each).
-    crossings: dict[Hashable, int] = {}
-    for route in unfrozen.values():
-        for link in route:
-            crossings[link] = crossings.get(link, 0) + 1
+    # Round 1: each loaded link's load, then the minimum share, its link and
+    # the smallest share on any *other* link. Without ``link_flows`` the
+    # loads come from counting crossings; a link repeated in a route counts
+    # twice, which only lowers its share (the gap test stays conservative),
+    # and the bottleneck's count is exact once every route is seen to cross
+    # it (n routes, n crossings: once each). The live index holds distinct
+    # flows, so there ``carried == n`` alone says every flow crosses it.
+    if link_flows is None:
+        crossings: dict[Hashable, int] = {}
+        for route in unfrozen.values():
+            for link in route:
+                crossings[link] = crossings.get(link, 0) + 1
+        loads = crossings.items()
+    else:
+        loads = zip(link_flows, map(len, link_flows.values()))
     best_share = second = float("inf")
     bottleneck, carried = None, 0
-    for link, n in crossings.items():
+    for link, n in loads:
         share = capacities[link] / n
         if share < best_share:
             best_share, second, bottleneck, carried = share, best_share, link, n
         elif share < second:  # an exact tie on another link lands here
             second = share
-    clear = carried == len(unfrozen) and second - best_share > 2 * _EPS
-    if clear and all(bottleneck in route for route in unfrozen.values()):
+    if (
+        carried == len(unfrozen)
+        and second - best_share > 2 * _EPS
+        and (
+            link_flows is not None
+            or all(bottleneck in route for route in unfrozen.values())
+        )
+    ):
         rates.update(dict.fromkeys(unfrozen, best_share))
         return rates
     remaining = dict(capacities)

@@ -8,8 +8,12 @@ than cancelled (the kernel has no cancellation primitive — versioning is
 cheaper and deterministic).
 
 The :class:`~repro.netsim.flows.Flow` objects are the only record of
-``remaining``/``rate``: the drain and the completion horizon are one scalar
-loop each over the active flows.
+``remaining``/``rate``, and a rerate touches each active flow as few times as
+it can: the drain is one scalar loop over them that also notes each flow
+crossing the completion threshold (so retiring needs no scan), and the
+solve's write-back takes the completion horizon as it assigns rates — a
+second pass over the active flows runs only when the solved component is not
+all of them.
 
 Scaling machinery (the solver it calls has its own: a round whose bottleneck
 carries every unfrozen flow ends the solve — see :mod:`.fairshare`):
@@ -33,6 +37,11 @@ carries every unfrozen flow ends the solve — see :mod:`.fairshare`):
   *every* loaded link: a capacity refresh marks them all. A walk that
   reaches nothing solves nothing (``netsim.rerate_skipped``); a new flow it
   did not reach is alone on its links and gets its route's min capacity.
+* **Live link loads** — the flow–link index holds only loaded links, each
+  with its flows in fid order, so a link's ``len()`` is its live load. The
+  walk hands the solver the component's links with their members (the index
+  itself when the component is the whole fabric), and ``fair_rates`` reads
+  round 1's loads from them instead of recounting every route.
 * **Route caching** — interned ``(route, link names, distinct link names)``
   per (src, dst), so the solver never rebuilds name lists and topologies are
   only asked to route each pair once. Topologies are static by contract
@@ -55,6 +64,7 @@ how *often* the scheduler recomputes, not what it computes.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional
 
 from repro.netsim.fairshare import fair_rates, prio_fair_rates
@@ -155,11 +165,15 @@ class Network:
         self._class_count: dict[int, int] = {}
         #: (src, dst) -> (route, its link names, the distinct ones among them).
         self._route_cache: dict[tuple, tuple[tuple[Link, ...], tuple, tuple]] = {}
-        #: The flow–link index, all the scheduler keeps about coupling: link
-        #: name -> fids of the active flows crossing it, in fid order.
-        self._link_flows: dict[str, dict[int, None]] = {
-            l.name: {} for l in topology.links
-        }
+        #: The flow–link index, all the scheduler keeps about coupling: loaded
+        #: link name -> fids of the active flows crossing it, in fid order. A
+        #: link enters with its first flow and leaves with its last, so
+        #: ``len(members)`` is its live load (what ``fair_rates`` reads).
+        self._link_flows: dict[str, dict[int, None]] = {}
+        #: Active flows whose ``remaining`` the drain took to ``_BYTE_EPS`` or
+        #: below (or the float guard zeroed), in fid order: what the next
+        #: rerate retires.
+        self._finished: list[Flow] = []
         #: Links where a flow joined or left *other* flows since the last
         #: solve: where the next rerate starts its walk.
         self._touched: list[str] = []
@@ -205,6 +219,8 @@ class Network:
         wire to :attr:`job_overlap`. Untagged transfers (a trainer that
         owns its network) skip the job accounting path entirely.
         """
+        if not math.isfinite(size):
+            raise ValueError(f"non-finite transfer size {size}")
         if size < 0:
             raise ValueError(f"negative transfer size {size}")
         if prio not in CLASS_NAMES:
@@ -319,11 +335,14 @@ class Network:
         self._solver_routes[flow.fid] = flow.names
         self._solver_prios[flow.fid] = flow.prio
         self._class_count[flow.prio] = self._class_count.get(flow.prio, 0) + 1
+        index = self._link_flows
         for name in flow.links:
-            members = self._link_flows[name]
-            if members:
+            members = index.get(name)
+            if members is None:
+                index[name] = {flow.fid: None}
+            else:
                 self._touched.append(name)  # couples with an existing flow
-            members[flow.fid] = None
+                members[flow.fid] = None
 
     def _retire(self, flow: Flow, tr) -> None:
         """Remove a finished flow from the active set and the solver bookkeeping."""
@@ -338,11 +357,14 @@ class Network:
         if tr:
             tr.gauge_delta("obs.net.inflight_bytes", -flow.size)
             tr.gauge_delta("obs.net.active_flows", -1)
+        index = self._link_flows
         for name in flow.links:
-            members = self._link_flows[name]
+            members = index[name]
             del members[flow.fid]
             if members:
                 self._touched.append(name)  # survivors on this link speed up
+            else:
+                del index[name]
         self._finish(flow)
 
     def _drain(self) -> None:
@@ -353,6 +375,10 @@ class Network:
         :attr:`job_overlap` under the set of jobs in flight, and when that
         set has more than one job each job's moved bytes also count as
         contended (``netsim.job_contended_bytes.{job}``).
+
+        It is also where a flow finishes: one whose ``remaining`` crosses
+        ``_BYTE_EPS`` here joins :attr:`_finished` (in fid order, as the
+        active set iterates), so the rerate retires without a scan.
         """
         now = self.env.now
         dt = now - self._last_update
@@ -360,12 +386,16 @@ class Network:
         if dt > 0 and self._active:
             cls_bytes = [0.0, 0.0, 0.0, 0.0]
             job_bytes: dict[str, float] = {}
+            finished = self._finished
+            eps = _BYTE_EPS
             for flow in self._active.values():
                 moved = flow.rate * dt
                 if moved > 0:
                     # max(0.0, ·) and the horizon's min() as branches: the two
                     # builtin calls per flow were ~8% of a 128-way incast run.
                     rem = flow.remaining - moved
+                    if rem <= eps < flow.remaining:
+                        finished.append(flow)
                     flow.remaining = rem if rem > 0.0 else 0.0
                     for link in flow.route:
                         link.bytes_carried += moved
@@ -405,37 +435,43 @@ class Network:
 
     def _touch_all(self) -> None:
         """Mark every loaded link: the next rerate solves the whole fabric."""
-        self._touched = [n for n, members in self._link_flows.items() if members]
+        self._touched = list(self._link_flows)
 
-    def _reach(self) -> dict[int, tuple[str, ...]]:
+    def _reach(self) -> tuple[dict[int, tuple[str, ...]], dict[str, dict]]:
         """Routes, in fid order, of the flows the touched links (consumed
-        here) can reach. A link carrying every active flow ends the walk: an
-        incast is recognised in O(1) and solved over the live route map.
+        here) can reach, and those flows' links with their members. A link
+        carrying every active flow ends the walk: an incast is recognised in
+        O(1) and solved over the live route map and the live index. A
+        touched link that has emptied since is skipped.
         """
         routes = self._solver_routes
         touched = self._touched
         index = self._link_flows
         reached: set[int] = set()
-        seen: set[str] = set()
+        seen: dict[str, dict[int, None]] = {}
         while touched:
             name = touched.pop()
             if name in seen:
                 continue
-            seen.add(name)
-            members = index[name]
+            members = index.get(name)
+            if members is None:
+                continue
             if len(members) == len(routes):
                 touched.clear()
-                return routes
+                return routes, index
+            seen[name] = members
             for fid in members:
                 if fid not in reached:
                     reached.add(fid)
                     touched.extend(routes[fid])
         if len(reached) == len(routes):
-            return routes
-        return {fid: routes[fid] for fid in sorted(reached)}
+            return routes, index
+        return {fid: routes[fid] for fid in sorted(reached)}, seen
 
-    def _solve(self, routes) -> None:
-        """Rate the flows of ``routes`` (whole link-components, fid order).
+    def _solve(self, routes, links) -> float:
+        """Rate the flows of ``routes`` (whole link-components, fid order)
+        over ``links``, their links with members; return the nearest
+        completion among them (``_INF`` when none has a positive rate).
 
         One class is plain max–min. Several go to :func:`prio_fair_rates`:
         classes solved highest first over the leftover capacity, equal-class
@@ -452,7 +488,7 @@ class Network:
         if several:
             rates = prio_fair_rates(routes, caps, prios, validate=False)
         else:
-            rates = fair_rates(routes, caps, validate=False)
+            rates = fair_rates(routes, caps, validate=False, link_flows=links)
         self._count("netsim.fairshare_calls")
         if several:  # a single class is never starved
             preempted = sum(
@@ -461,8 +497,15 @@ class Network:
             )
             if preempted:
                 self._count("netsim.prio_preemptions", preempted)
+        horizon = _INF
         for fid, rate in rates.items():
-            active[fid].rate = rate
+            flow = active[fid]
+            flow.rate = rate
+            if rate > 0:
+                eta = flow.remaining / rate
+                if eta < horizon:
+                    horizon = eta
+        return horizon
 
     def _rerate(self) -> None:
         """Recompute fair rates, complete drained flows, arm the next timer."""
@@ -471,10 +514,9 @@ class Network:
         self._count("netsim.rerates")
         tr = self.env.tracer
         while True:
-            # Complete flows that have fully drained.
-            finished = [
-                f for f in self._active.values() if f.remaining <= _BYTE_EPS
-            ]
+            # Complete the flows the drain (or the guard below) finished.
+            finished = self._finished
+            self._finished = []
             for flow in finished:
                 self._retire(flow, tr)
 
@@ -484,9 +526,9 @@ class Network:
                 self._touched.clear()
                 return
 
-            routes = self._reach()
+            routes, links = self._reach()
             if routes:
-                self._solve(routes)
+                horizon = self._solve(routes, links)
             else:
                 self._count("netsim.rerate_skipped")
             for fid in self._pending_new:
@@ -498,13 +540,15 @@ class Network:
                     flow.rate = min(self._capacities[n] for n in flow.links)
             self._pending_new.clear()
 
-            horizon = _INF
-            for flow in self._active.values():
-                rate = flow.rate
-                if rate > 0:
-                    eta = flow.remaining / rate
-                    if eta < horizon:
-                        horizon = eta
+            if len(routes) < len(self._active):
+                # Flows outside the solved component count too.
+                horizon = _INF
+                for flow in self._active.values():
+                    rate = flow.rate
+                    if rate > 0:
+                        eta = flow.remaining / rate
+                        if eta < horizon:
+                            horizon = eta
             if horizon == _INF:  # pragma: no cover - defensive
                 raise RuntimeError("active flows but no positive rate")
 
@@ -517,6 +561,7 @@ class Network:
             for flow in self._active.values():
                 if flow.rate > 0 and now + flow.remaining / flow.rate <= now:
                     flow.remaining = 0.0
+                    self._finished.append(flow)
 
         version = self._timer_version
         timer = self.env.timeout(horizon)

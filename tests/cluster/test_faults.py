@@ -178,6 +178,12 @@ def test_fault_schedule_rejects_nan(make):
         make()
 
 
+@pytest.mark.parametrize("worker", [1.5, True, "1"])
+def test_straggler_worker_must_be_an_integer(worker):
+    with pytest.raises(ValueError, match=f"worker must be an integer, got {worker!r}"):
+        StragglerSlowdown(worker=worker, start=0.0, duration=1.0)
+
+
 def test_parse_faults_inline_and_file(tmp_path):
     spec = json.dumps(
         [

@@ -6,7 +6,9 @@ scan (``reference.py``) accepts. Hypothesis drives randomized
 star topologies (the trainer's shape), multi-tier/general topologies,
 degenerate eps-scale capacities, loopback/empty-route flows, and
 single-bottleneck incasts with an edge share planted in every band of the
-last-round exit's near-tie guard through both solvers.
+last-round exit's near-tie guard through both solvers. The same strategies
+hold the Network's calling convention — round 1's loads read from a live
+flow–link index (``link_flows=``) — to the counting path.
 """
 
 import pytest
@@ -110,11 +112,36 @@ def _planted_incast(
     return routes, caps
 
 
+def _live_index(routes, reverse=False):
+    """The Network's flow–link index over ``routes``: each loaded link ->
+    the flows crossing it (once each, in flow order), links in order of
+    first load — or the reverse, which round 1 must not notice."""
+    index = {}
+    for fid, route in routes.items():
+        for link in route:
+            index.setdefault(link, {})[fid] = None
+    return dict(reversed(index.items())) if reverse else index
+
+
+def _assert_live_index_matches_counting(routes, caps):
+    """``fair_rates`` handed the live index answers exactly what it answers
+    counting loads from the routes: same values, same reprs, same order."""
+    trusted = {fid: tuple(route) for fid, route in routes.items() if route}
+    counted = fair_rates(trusted, caps, validate=False)
+    for reverse in (False, True):
+        live = fair_rates(
+            trusted, caps, validate=False, link_flows=_live_index(trusted, reverse)
+        )
+        assert live == counted
+        assert list(map(repr, live.items())) == list(map(repr, counted.items()))
+
+
 def _assert_matches_oracle_on_both_paths(routes, caps):
     expected = reference_fair_rates(routes, caps)
     assert fair_rates(routes, caps) == expected
     trusted = {fid: tuple(route) for fid, route in routes.items() if route}
     assert fair_rates(trusted, caps, validate=False) == fair_rates(trusted, caps)
+    _assert_live_index_matches_counting(routes, caps)
     return expected
 
 
@@ -245,3 +272,13 @@ def test_fast_trusted_path_matches_validating_path(case):
     assert fair_rates(trusted, caps, validate=False) == fair_rates(
         trusted, caps
     )
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(star_cases(), general_cases(), incast_cases()))
+def test_live_index_path_bit_identical_to_counting_path(case):
+    """Loads read from the Network's live index (distinct flows per link)
+    rather than counted from the routes change no rate: on stars, general
+    topologies with eps-scale capacities, and planted incasts in every
+    near-tie band with repeated links."""
+    _assert_live_index_matches_counting(*case)

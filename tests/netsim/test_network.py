@@ -66,6 +66,16 @@ def test_negative_size_rejected():
         net.transfer(0, 1, size=-1.0)
 
 
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_size_rejected(size):
+    """A NaN flow never drains below the completion threshold and an
+    infinite one never finishes: both are refused before touching the fabric."""
+    env, net = make_net()
+    with pytest.raises(ValueError, match=f"^non-finite transfer size {size}$"):
+        net.transfer(0, 1, size=size)
+    assert net.active_flows == [] and net.records == []
+
+
 def test_loss_inflates_duration():
     env, net = make_net(bandwidth=100.0, loss=0.05)
     done = net.transfer(0, 1, size=1000.0)

@@ -15,6 +15,7 @@ from repro.netsim import (
     StarTopology,
     prio_fair_rates,
 )
+from repro.netsim.network import _BYTE_EPS
 from repro.simcore import Environment
 from tests.netsim.reference import PerEventNetwork
 
@@ -253,6 +254,82 @@ def test_property_every_rate_is_the_solve_of_the_flow_set(plans, data):
     checks = []
     _run_plan(n_nodes, flows, kwargs=kwargs, network=_solve_checked_network(checks))
     assert checks
+
+
+def _index_checked_network(drains):
+    """A ``Network`` factory whose drain hook holds the scheduler's live
+    bookkeeping to the active flow set at every drain: the flow–link index
+    is exactly the links active flows cross, each with its flows in fid
+    order, and the flows awaiting retirement are exactly the active ones at
+    or below ``_BYTE_EPS``, in fid order. ``drains`` counts the checks."""
+
+    def build(env, topo, **net_kwargs):
+        net = Network(env, topo, **net_kwargs)
+
+        def check():
+            active = net.active_flows
+            crossing: dict[str, list[int]] = {}
+            for flow in active:
+                for name in flow.links:
+                    crossing.setdefault(name, []).append(flow.fid)
+            index = {name: list(members) for name, members in net._link_flows.items()}
+            assert index == crossing, env.now
+            finished = [f.fid for f in net._finished]
+            assert finished == [f.fid for f in active if f.remaining <= _BYTE_EPS]
+            drains.append(env.now)
+
+        net.drain_hooks.append(check)
+        return net
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "plans",
+    [_scheduler_plans(_ALL_CLASSES), _merge_split_plans()],
+    ids=["four_classes", "merge_split"],
+)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_link_index_is_the_active_flow_set_at_every_drain(plans, data):
+    """A link is in the index while, and only while, an active flow crosses
+    it — through starts, finishes, dip windows and components that merge
+    and split."""
+    n_nodes, flows, kwargs, *dip = data.draw(plans)
+    drains = []
+    net, _ = _run_plan(
+        n_nodes, flows, kwargs=kwargs, dip=dip[0] if dip else None,
+        network=_index_checked_network(drains),
+    )
+    assert drains
+    assert net._link_flows == {} and net._finished == []
+
+
+def test_two_drained_flows_and_a_guard_zeroed_one_retire_in_fid_order():
+    """Flows 0 and 1 cross ``_BYTE_EPS`` in the same drain; flow 2, 0.01 B
+    behind them, is left with a remainder too small to move a 10⁶ s clock
+    once it has the downlink alone, so the float guard zeroes it at the
+    same instant. The records come out in fid order."""
+    env = Environment(initial_time=1e6)
+    topo = StarTopology(4, default_spec=LinkSpec(bandwidth=1e9, latency=0.0))
+    drains = []
+    net = _index_checked_network(drains)(env, topo)
+    at_finish = []
+
+    def note_finishes():
+        if net._finished:
+            remaining = {f.fid: f.remaining for f in net.active_flows}
+            at_finish.append(([f.fid for f in net._finished], remaining))
+
+    net.drain_hooks.append(note_finishes)
+    for src, size in ((0, 1e6), (1, 1e6), (2, 1e6 + 0.01)):
+        net.transfer(src, 3, size)
+    env.run()
+    [(finished, remaining)] = at_finish
+    assert finished == [0, 1]
+    assert remaining[2] > _BYTE_EPS  # not the drain's: the guard's
+    assert [r.fid for r in net.records] == [0, 1, 2]
+    assert len({r.end_time for r in net.records}) == 1
 
 
 @pytest.mark.parametrize(

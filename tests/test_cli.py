@@ -356,6 +356,10 @@ _UNBUILDABLE = [
         "restart_epoch must be an integer, got 2.5",
     ),
     (
+        'run --faults [{"kind":"straggler","worker":1.5,"start":0,"duration":1}]',
+        "worker must be an integer, got 1.5",
+    ),
+    (
         'run --faults [{"kind":"worker_join","worker":3,"epoch":1.0}]',
         "epoch must be an integer, got 1.0",
     ),
