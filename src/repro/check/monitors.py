@@ -29,11 +29,15 @@ or via the CLI: ``python -m repro check --sync osp``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from repro.core.osp import OSP
 from repro.netsim.network import _BYTE_EPS
 from repro.sync.ssp import SSP
+
+
+_CARRIED = attrgetter("bytes_carried")
 
 
 class InvariantViolation(AssertionError):
@@ -92,21 +96,27 @@ class NetworkConservationMonitor(Monitor):
     float accumulation drift. A flow is tracked only while it is in flight:
     the first drain that finds it gone from the active set folds its full
     contribution and its residue budget into running totals.
+
+    One pass per drain: the links are summed from a tuple cached at
+    subscription, ``in_flight`` walks the active flows once (in fid order,
+    the order the tracked flows were added), and the finished fids are
+    looked for only when fewer tracked flows were active than are tracked.
     """
 
     name = "net.conservation"
-    cost = "O(active flows + links) per network drain"
+    cost = "O(active flows + links) per network drain, + O(tracked flows) when one finished"
 
     def subscribe(self, trainer) -> bool:
         net = trainer.network
         if net.active_flows:  # attached mid-run: history is unreconstructable
             return False
         self._net = net
+        self._links = tuple(net.topology.links)
         self._flows: dict[int, tuple[float, int]] = {}  # fid -> (eff, links)
         #: Totals over finished flows: drained link-bytes and eps budget.
         self._done_bytes = 0.0
         self._done_eps = 0.0
-        self._baseline = sum(l.bytes_carried for l in net.topology.links)
+        self._baseline = sum(map(_CARRIED, self._links))
         net.flow_hooks.append(self._on_flow)
         net.drain_hooks.append(self._verify)
         return True
@@ -121,21 +131,23 @@ class NetworkConservationMonitor(Monitor):
             self._flows[flow.fid] = (effective, len(route))
 
     def _verify(self) -> None:
-        net = self._net
-        carried = sum(l.bytes_carried for l in net.topology.links) - self._baseline
-        active = {flow.fid: flow for flow in net.active_flows}
+        carried = sum(map(_CARRIED, self._links)) - self._baseline
+        flows = self._flows
+        active = self._net.active_flows
         in_flight = 0.0
-        finished = []
-        for fid, (effective, n_links) in self._flows.items():
-            flow = active.get(fid)
-            if flow is None:  # finished: credited up to the sub-eps residue
-                finished.append(fid)
-            else:
+        seen = 0
+        for flow in active:
+            tracked = flows.get(flow.fid)
+            if tracked is not None:
+                seen += 1
+                effective, n_links = tracked
                 in_flight += (effective - flow.remaining) * n_links
-        for fid in finished:
-            effective, n_links = self._flows.pop(fid)
-            self._done_bytes += effective * n_links
-            self._done_eps += _BYTE_EPS * n_links
+        if seen < len(flows):  # some finished: credited up to the sub-eps residue
+            live = {flow.fid for flow in active}
+            for fid in [fid for fid in flows if fid not in live]:
+                effective, n_links = flows.pop(fid)
+                self._done_bytes += effective * n_links
+                self._done_eps += _BYTE_EPS * n_links
         expected = self._done_bytes + in_flight
         tol = 1e-3 + self._done_eps + 1e-9 * max(abs(carried), abs(expected))
         self.checks += 1
@@ -480,7 +492,7 @@ class ICSInflightMonitor(Monitor):
     """
 
     name = "osp.ics_inflight"
-    cost = "O(active flows + links) per network drain"
+    cost = "O(active flows) per network drain"
 
     def subscribe(self, trainer) -> bool:
         sync = trainer.sync_model
@@ -497,11 +509,11 @@ class ICSInflightMonitor(Monitor):
         self.checks += 1
         gauge = self._tracer.gauge_value("osp.inflight_ics_bytes")
         ledger = self._sync.inflight_bytes(self._ctx)
-        wire = sum(
-            f.size
-            for f in self._net.active_flows
-            if isinstance(f.tag, tuple) and f.tag and f.tag[0] == "ics-push"
-        )
+        wire = 0
+        for f in self._net.active_flows:
+            tag = f.tag
+            if isinstance(tag, tuple) and tag and tag[0] == "ics-push":
+                wire += f.size
         eps = 1e-6 + 1e-9 * max(gauge, ledger, wire)
         if abs(gauge - ledger) > eps:
             self.fail(

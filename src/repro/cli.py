@@ -228,7 +228,11 @@ def cmd_dash(args) -> int:
     from repro.obs.dash import export_csv, export_prometheus, render_dashboard
 
     trainer = _build_trainer(args, args.sync)
-    sampler = trainer.enable_sampling(interval=args.interval)
+    try:
+        sampler = trainer.enable_sampling(interval=args.interval)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     res = trainer.run()
     title = f"{args.workload} / {res.sync_name}"
     out = Path(args.out)

@@ -274,12 +274,9 @@ class OSP(SyncModel):
         unimp_layers = gib.unimportant_layers
         imp_bytes = ctx.engine.bytes_of_layers(imp_layers)
         unimp_bytes = ctx.engine.bytes_of_layers(unimp_layers)
-        if trace:
-            layer_bytes = ctx.engine.layer_bytes
-            for l in imp_layers:  # push + pull both move these layers
-                trace.add_traffic("rs", l, 2 * layer_bytes[l])
-            for l in unimp_layers:
-                trace.add_traffic("ics", l, 2 * layer_bytes[l])
+        if trace:  # push + pull both move every layer of each stage
+            trace.add_traffic("rs", imp_layers, ctx.engine.layer_bytes, moves=2)
+            trace.add_traffic("ics", unimp_layers, ctx.engine.layer_bytes, moves=2)
 
         if grads is not None:
             g_imp, g_unimp = self.splitter.split(grads, gib)

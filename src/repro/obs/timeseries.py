@@ -2,9 +2,16 @@
 
 :class:`MetricSampler` hangs off ``Environment.metric_sampler`` and is
 invoked by the kernel once per processed event (after its callbacks ran).
-When the clock has crossed the next sampling edge it reads every attached
-probe and every tracer counter track into fixed-capacity numpy ring
-buffers (:class:`Series`) keyed by registered track names.
+When the clock has crossed the next sampling edge it reads every tracer
+counter track and every attached probe (each returns a ``{track: value}``
+mapping) and stores the tick as one row: the tick's time, and for each
+value its series' column index and the value, appended to flat ``array``
+columns. Rows are folded into the per-series fixed-capacity numpy rings
+(:class:`Series`) when the series are read (``series``, ``series_for``,
+``as_dict``) and every ``capacity`` ticks, so a series keeps exactly the
+last-``capacity`` window and ``dropped`` count that appending to it at
+every tick would give, and the pending rows never outgrow one ring's worth
+of ticks. A track name is validated the first time the sampler sees it.
 
 Two invariants, inherited from the tracer (see ``docs/observability.md``):
 
@@ -19,14 +26,16 @@ Two invariants, inherited from the tracer (see ``docs/observability.md``):
    hooks), so :meth:`DistributedTrainer.enable_sampling` attaches both.
 
 Every series name must be a registered gauge or match a
-``repro.obs.registry.TRACKS`` template — :meth:`MetricSampler.series_for`
-raises on anything undeclared, and the registry lint test enforces the
-same rule over literal call sites.
+``repro.obs.registry.TRACKS`` template — the sampler raises on anything
+undeclared, and the registry lint test enforces the same rule over literal
+call sites.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+import math
+from array import array
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -39,8 +48,17 @@ if TYPE_CHECKING:
 #: time) this covers thousands of iterations before the ring wraps.
 DEFAULT_CAPACITY = 4096
 
-#: A probe reads simulator state and yields ``(track_name, value)`` pairs.
-Probe = Callable[[float], Iterable[tuple[str, float]]]
+#: A probe reads simulator state and returns ``{track_name: value}``.
+Probe = Callable[[float], Mapping[str, float]]
+
+
+_EMPTY = np.empty(0, dtype=np.float64)
+
+
+def _check_capacity(capacity) -> int:
+    if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity <= 0:
+        raise ValueError(f"capacity must be a positive int, got {capacity!r}")
+    return capacity
 
 
 class Series:
@@ -48,23 +66,27 @@ class Series:
 
     Appending past capacity overwrites the oldest samples and counts them
     in :attr:`dropped`; :attr:`times` / :attr:`values` always return the
-    retained window in chronological order.
+    retained window in chronological order. The two buffers are allocated
+    at the first write, so a series nobody has filled yet costs no ring.
     """
 
     __slots__ = ("name", "capacity", "_t", "_v", "_head", "_count", "dropped")
 
     def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
         self.name = name
-        self.capacity = int(capacity)
-        self._t = np.empty(self.capacity, dtype=np.float64)
-        self._v = np.empty(self.capacity, dtype=np.float64)
+        self.capacity = _check_capacity(capacity)
+        self._t = self._v = _EMPTY
         self._head = 0  # next write slot
         self._count = 0
         self.dropped = 0
 
+    def _allocate(self) -> None:
+        self._t = np.empty(self.capacity, dtype=np.float64)
+        self._v = np.empty(self.capacity, dtype=np.float64)
+
     def append(self, t: float, v: float) -> None:
+        if self._t is _EMPTY:
+            self._allocate()
         self._t[self._head] = t
         self._v[self._head] = v
         self._head = (self._head + 1) % self.capacity
@@ -72,6 +94,26 @@ class Series:
             self._count += 1
         else:
             self.dropped += 1
+
+    def extend(self, times: np.ndarray, values: np.ndarray) -> None:
+        """Append aligned samples in order: the same ring, ``dropped`` and
+        ``last()`` as calling :meth:`append` on each pair."""
+        n = len(times)
+        if n and self._t is _EMPTY:
+            self._allocate()
+        cap = self.capacity
+        self.dropped += max(0, self._count + n - cap)
+        self._count = min(cap, self._count + n)
+        if n > cap:  # only the last ``cap`` survive; they fill the whole ring
+            times, values = times[n - cap :], values[n - cap :]
+            n = cap
+        head = self._head
+        first = min(n, cap - head)
+        self._t[head : head + first] = times[:first]
+        self._v[head : head + first] = values[:first]
+        self._t[: n - first] = times[first:]
+        self._v[: n - first] = values[first:]
+        self._head = (head + n) % cap
 
     def __len__(self) -> int:
         return self._count
@@ -112,18 +154,27 @@ class MetricSampler:
         ``env.tracer`` lazily at each edge so it works regardless of
         attach order.
     interval:
-        Virtual seconds between sampling edges.
+        Virtual seconds between sampling edges: finite and positive.
     capacity:
-        Ring capacity for every series.
+        Ring capacity for every series: a positive ``int``.
     """
 
     def __init__(self, env, interval: float, capacity: int = DEFAULT_CAPACITY) -> None:
-        if interval <= 0:
-            raise ValueError(f"sampling interval must be positive, got {interval}")
+        if not (0 < interval < math.inf):
+            raise ValueError(
+                f"interval must be a finite positive number of seconds, got {interval!r}"
+            )
         self.env = env
         self.interval = float(interval)
-        self.capacity = int(capacity)
-        self.series: dict[str, Series] = {}
+        self.capacity = _check_capacity(capacity)
+        self._series: dict[str, Series] = {}  # first-seen order
+        self._column: dict[str, int] = {}  # track name -> its index in _series
+        # Pending rows, one per tick since the last fold: its time and how
+        # many (column, value) items it wrote to the flat columns.
+        self._tick_t = array("d")
+        self._tick_n = array("q")
+        self._cols = array("q")
+        self._vals = array("d")
         self._probes: list[Probe] = []
         self._next = env.now  # first edge fires on the first event at/after start
         self.samples_taken = 0
@@ -133,17 +184,26 @@ class MetricSampler:
         """Register a probe called at every sampling edge."""
         self._probes.append(probe)
 
+    @property
+    def series(self) -> dict[str, Series]:
+        """Every series by track name, in the order first sampled."""
+        self._fold()
+        return self._series
+
     def series_for(self, name: str) -> Series:
         """The (lazily created) series for a registered track name."""
-        s = self.series.get(name)
-        if s is None:
-            if not is_registered_track(name):
-                raise ValueError(
-                    f"unregistered time-series track {name!r}: declare it in "
-                    "repro.obs.registry (GAUGES or TRACKS) first"
-                )
-            s = Series(name, self.capacity)
-            self.series[name] = s
+        self._fold()
+        s = self._series.get(name)
+        return self._add(name) if s is None else s
+
+    def _add(self, name: str) -> Series:
+        if not is_registered_track(name):
+            raise ValueError(
+                f"unregistered time-series track {name!r}: declare it in "
+                "repro.obs.registry (GAUGES or TRACKS) first"
+            )
+        self._column[name] = len(self._series)
+        s = self._series[name] = Series(name, self.capacity)
         return s
 
     # ------------------------------------------------------------------ kernel
@@ -160,13 +220,49 @@ class MetricSampler:
     def sample(self, now: float) -> None:
         """Take one sample of every tracer gauge and attached probe."""
         self.samples_taken += 1
+        before = len(self._vals)
         tracer = self.env.tracer
         if tracer is not None:
-            for name, value in tracer.gauge_last.items():
-                self.series_for(name).append(now, value)
+            self._write(tracer.gauge_last)
         for probe in self._probes:
-            for name, value in probe(now):
-                self.series_for(name).append(now, float(value))
+            self._write(probe(now))
+        self._tick_t.append(now)
+        self._tick_n.append(len(self._vals) - before)
+        if len(self._tick_t) >= self.capacity:
+            self._fold()
+
+    def _write(self, values: Mapping[str, float]) -> None:
+        column = self._column
+        try:
+            cols = [column[name] for name in values]
+        except KeyError:  # a name never seen before: validate and add it
+            for name in values:
+                if name not in column:
+                    self._add(name)
+            cols = [column[name] for name in values]
+        self._cols.extend(cols)
+        self._vals.extend(values.values())
+
+    def _fold(self) -> None:
+        """Move the pending rows into the rings, each series in tick order."""
+        if not self._tick_t:
+            return
+        cols = np.frombuffer(self._cols, dtype=np.int64)
+        vals = np.frombuffer(self._vals, dtype=np.float64)
+        times = np.repeat(
+            np.frombuffer(self._tick_t, dtype=np.float64),
+            np.frombuffer(self._tick_n, dtype=np.int64),
+        )
+        order = np.argsort(cols, kind="stable")
+        bounds = np.cumsum(np.bincount(cols, minlength=len(self._series))).tolist()
+        start = 0
+        for ring, stop in zip(self._series.values(), bounds):
+            if stop > start:
+                seg = order[start:stop]
+                ring.extend(times[seg], vals[seg])
+            start = stop
+        self._tick_t, self._tick_n = array("d"), array("q")
+        self._cols, self._vals = array("q"), array("d")
 
     # ------------------------------------------------------------------ export
     def as_dict(self) -> dict[str, dict[str, list[float]]]:
@@ -192,44 +288,55 @@ class NetworkProbe:
       — priority-scheduler activity (cumulative, from ``Network.stats``).
     """
 
+    _PRIO_BYTES = tuple(
+        (f"timeseries.net.prio.{cls}.bytes", f"netsim.prio_bytes.{cls}")
+        for cls in ("urgent", "high", "normal", "bulk")
+    )
+
     def __init__(self, network) -> None:
         self.network = network
+        self._links = tuple(network.topology.links)
+        self._tracks = tuple(
+            (
+                f"timeseries.link.{link.name}.queue_depth",
+                f"timeseries.link.{link.name}.utilization",
+                f"timeseries.link.{link.name}.bandwidth_factor",
+            )
+            for link in self._links
+        )
         self._last_t: Optional[float] = None
-        self._last_bytes: dict[str, float] = {
-            link.name: link.bytes_carried for link in network.topology.links
-        }
+        self._last_bytes = [link.bytes_carried for link in self._links]
 
-    def __call__(self, now: float) -> Iterable[tuple[str, float]]:
+    def __call__(self, now: float) -> dict[str, float]:
         net = self.network
         flows = net.active_flows
-        yield "timeseries.net.inflight_bytes", float(
-            sum(max(f.remaining, 0.0) for f in flows)
-        )
-        yield "timeseries.net.active_flows", float(len(flows))
+        out = {
+            "timeseries.net.inflight_bytes": float(
+                sum(max(f.remaining, 0.0) for f in flows)
+            ),
+            "timeseries.net.active_flows": float(len(flows)),
+        }
         depth: dict[str, int] = {}
         for f in flows:
             for link in f.route:
                 depth[link.name] = depth.get(link.name, 0) + 1
         elapsed = 0.0 if self._last_t is None else now - self._last_t
-        for link in net.topology.links:
-            window = link.bytes_carried - self._last_bytes.get(link.name, 0.0)
-            self._last_bytes[link.name] = link.bytes_carried
-            yield f"timeseries.link.{link.name}.queue_depth", float(
-                depth.get(link.name, 0)
-            )
-            yield f"timeseries.link.{link.name}.utilization", link.window_utilization(
-                window, elapsed
-            )
-            yield f"timeseries.link.{link.name}.bandwidth_factor", link.bandwidth_factor
+        last_bytes = self._last_bytes
+        for i, (link, (queue, util, factor)) in enumerate(zip(self._links, self._tracks)):
+            carried = link.bytes_carried
+            window = carried - last_bytes[i]
+            last_bytes[i] = carried
+            out[queue] = float(depth.get(link.name, 0))
+            out[util] = link.window_utilization(window, elapsed)
+            out[factor] = link.bandwidth_factor
         self._last_t = now
         stats = net.stats
-        yield "timeseries.net.prio.preemptions", float(
+        out["timeseries.net.prio.preemptions"] = float(
             stats.get("netsim.prio_preemptions", 0)
         )
-        for cls_name in ("urgent", "high", "normal", "bulk"):
-            yield f"timeseries.net.prio.{cls_name}.bytes", float(
-                stats.get(f"netsim.prio_bytes.{cls_name}", 0.0)
-            )
+        for track, counter in self._PRIO_BYTES:
+            out[track] = float(stats.get(counter, 0.0))
+        return out
 
 
 class PSProbe:
@@ -238,9 +345,11 @@ class PSProbe:
     def __init__(self, ps) -> None:
         self.ps = ps
 
-    def __call__(self, now: float) -> Iterable[tuple[str, float]]:
-        yield "timeseries.ps.pending_deposits", float(self.ps.pending_total())
-        yield "timeseries.ps.open_buckets", float(self.ps.open_buckets())
+    def __call__(self, now: float) -> dict[str, float]:
+        return {
+            "timeseries.ps.pending_deposits": float(self.ps.pending_total()),
+            "timeseries.ps.open_buckets": float(self.ps.open_buckets()),
+        }
 
 
 class WorkerProbe:
@@ -259,6 +368,16 @@ class WorkerProbe:
         self.trainer = trainer
         self._cursor = 0
         n = trainer.spec.n_workers
+        self._tracks = {
+            w: (
+                f"osp.worker.{w}.progress",
+                f"osp.worker.{w}.staleness",
+                f"osp.worker.{w}.compute_time",
+                f"osp.worker.{w}.sync_time",
+                f"osp.worker.{w}.effective_bandwidth",
+            )
+            for w in range(n)
+        }
         self._compute: dict[int, float] = {}
         self._sync: dict[int, float] = {}
         self._progress: dict[int, int] = {w: 0 for w in range(n)}
@@ -268,7 +387,7 @@ class WorkerProbe:
         self._uplinks = {w: uplinks[hosts[trainer.spec.worker_node(w)]] for w in range(n)}
         self._last_up_bytes = {w: link.bytes_carried for w, link in self._uplinks.items()}
 
-    def __call__(self, now: float) -> Iterable[tuple[str, float]]:
+    def __call__(self, now: float) -> dict[str, float]:
         trainer = self.trainer
         records = trainer.recorder.iterations
         while self._cursor < len(records):
@@ -278,23 +397,24 @@ class WorkerProbe:
             self._sync[rec.worker] = rec.sync_time
             self._progress[rec.worker] = self._progress.get(rec.worker, 0) + 1
         fastest = max(self._progress.values(), default=0)
+        tracks = self._tracks
         signals: dict[str, float] = {}
         for w, done in sorted(self._progress.items()):
-            signals[f"osp.worker.{w}.progress"] = float(done)
-            signals[f"osp.worker.{w}.staleness"] = float(fastest - done)
+            progress, staleness, compute, sync, _bw = tracks[w]
+            signals[progress] = float(done)
+            signals[staleness] = float(fastest - done)
             if w in self._compute:
-                signals[f"osp.worker.{w}.compute_time"] = self._compute[w]
-                signals[f"osp.worker.{w}.sync_time"] = self._sync[w]
+                signals[compute] = self._compute[w]
+                signals[sync] = self._sync[w]
         elapsed = 0.0 if self._last_t is None else now - self._last_t
         for w, link in self._uplinks.items():
             window = link.bytes_carried - self._last_up_bytes[w]
             self._last_up_bytes[w] = link.bytes_carried
-            signals[f"osp.worker.{w}.effective_bandwidth"] = (
-                window / elapsed if elapsed > 0 else 0.0
-            )
+            *_, bandwidth = tracks[w]
+            signals[bandwidth] = window / elapsed if elapsed > 0 else 0.0
         self._last_t = now
         signals.update(trainer.sync_model.worker_signals(trainer.ctx))
-        return signals.items()
+        return signals
 
 
 class MultiJobProbe:
@@ -309,17 +429,23 @@ class MultiJobProbe:
     def __init__(self, network, jobs: "Iterable[str]") -> None:
         self.network = network
         self.jobs = list(jobs)
+        self._tracks = {
+            job: (f"multijob.{job}.active_flows", f"multijob.{job}.inflight_bytes")
+            for job in self.jobs
+        }
 
-    def __call__(self, now: float) -> Iterable[tuple[str, float]]:
+    def __call__(self, now: float) -> dict[str, float]:
         flows = {job: 0 for job in self.jobs}
         inflight = {job: 0.0 for job in self.jobs}
         for f in self.network.active_flows:
             if f.job in flows:
                 flows[f.job] += 1
                 inflight[f.job] += max(f.remaining, 0.0)
-        for job in self.jobs:
-            yield f"multijob.{job}.active_flows", float(flows[job])
-            yield f"multijob.{job}.inflight_bytes", inflight[job]
+        out: dict[str, float] = {}
+        for job, (n_flows, nbytes) in self._tracks.items():
+            out[n_flows] = float(flows[job])
+            out[nbytes] = inflight[job]
+        return out
 
 
 def default_interval(trainer: "DistributedTrainer") -> float:

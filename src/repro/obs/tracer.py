@@ -12,7 +12,8 @@ Recorder` cannot: *where* inside an iteration the time went. It collects
 * **counter tracks** (streaming gauges: in-flight ICS bytes, the S(G^u)
   budget, quorum size, network backlog) sampled at virtual timestamps;
 * **histograms** (sync-time distributions) via :class:`Histogram`;
-* per-``(stage, layer)`` **traffic** accounting (RS vs ICS bytes).
+* per-``(stage, layer)`` **traffic** accounting (RS vs ICS bytes),
+  counted per use of a layer tuple and materialised when read.
 
 Span parenting uses the simulation kernel's *process-local current-span
 context*: :class:`~repro.simcore.environment.Environment` exposes
@@ -38,7 +39,7 @@ from typing import Any, Optional
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One named interval on an actor's timeline (``end`` None while open)."""
 
@@ -188,8 +189,9 @@ class Tracer:
         #: counter-track samples: name -> [(virtual time, value), ...]
         self.counters: dict[str, list[tuple[float, float]]] = {}
         self.histograms: dict[str, Histogram] = {}
-        #: (stage, layer) -> total payload bytes moved for that layer
-        self.traffic: dict[tuple[str, str], float] = {}
+        #: (stage, layers, moves, id(layer_bytes)) -> [uses, layer_bytes],
+        #: in first-use order (what :attr:`traffic` is materialised from)
+        self._traffic_uses: dict[tuple, list] = {}
         #: counter track -> its most recent sample (what the sampler mirrors)
         self.gauge_last: dict[str, float] = {}
         self._stacks: dict[Any, list[Span]] = {}
@@ -204,12 +206,6 @@ class Tracer:
         return self.env.now
 
     # -- spans -------------------------------------------------------------
-    def _stack(self) -> list[Span]:
-        proc = getattr(self.env, "active_process", None)
-        if proc is None:
-            return self._root_stack
-        return self._stacks.setdefault(proc, [])
-
     def begin(
         self,
         name: str,
@@ -227,22 +223,27 @@ class Tracer:
         With no explicit ``parent`` the span nests under the calling
         process's innermost open span (the process-local context).
         """
-        stack = self._stack()
+        proc = getattr(self.env, "active_process", None)
+        if proc is None:
+            stack = self._root_stack
+        else:
+            stack = self._stacks.get(proc)
+            if stack is None:
+                stack = self._stacks[proc] = []
         if parent is None and stack:
             parent = stack[-1]
-        proc = getattr(self.env, "active_process", None)
         span = Span(
             sid=self._next_sid,
             name=name,
             actor=actor,
             track=track,
             cat=cat,
-            start=self.now,
+            start=self.env.now,
             parent=None if parent is None else parent.sid,
             worker=worker,
             iteration=iteration,
             job=None if proc is None else getattr(proc, "job", None),
-            attrs=dict(attrs),
+            attrs=attrs,  # a fresh dict per call already
         )
         self._next_sid += 1
         self.spans.append(span)
@@ -255,11 +256,14 @@ class Tracer:
             return span
         if span.end is not None:
             raise RuntimeError(f"span {span.name!r} (sid={span.sid}) already ended")
-        span.end = self.now
+        span.end = self.env.now
         if attrs:
             span.attrs.update(attrs)
-        stack = self._stack()
-        if span in stack:
+        proc = getattr(self.env, "active_process", None)
+        stack = self._root_stack if proc is None else self._stacks.get(proc, [])
+        if stack and stack[-1] is span:  # the usual case: innermost open span
+            stack.pop()
+        elif span in stack:
             stack.remove(span)
         else:  # ended from a different process than it was begun in
             for other in self._stacks.values():
@@ -302,7 +306,12 @@ class Tracer:
 
     def gauge_delta(self, name: str, delta: float) -> None:
         """Adjust a running counter track by ``delta`` (starts at 0)."""
-        self.gauge(name, self.gauge_last.get(name, 0.0) + delta)
+        value = float(self.gauge_last.get(name, 0.0) + delta)
+        samples = self.counters.get(name)
+        if samples is None:
+            samples = self.counters[name] = []
+        samples.append((self.env.now, value))
+        self.gauge_last[name] = value
 
     def gauge_value(self, name: str) -> float:
         """Most recent sample of a counter track (0.0 if never sampled)."""
@@ -315,10 +324,36 @@ class Tracer:
             hist = self.histograms[name] = Histogram(name)
         hist.observe(value)
 
-    def add_traffic(self, stage: str, layer: str, nbytes: float) -> None:
-        """Account ``nbytes`` of stage traffic (``rs``/``ics``/...) to a layer."""
-        key = (stage, layer)
-        self.traffic[key] = self.traffic.get(key, 0.0) + float(nbytes)
+    def add_traffic(
+        self, stage: str, layers: tuple[str, ...], layer_bytes, moves: int = 1
+    ) -> None:
+        """Account one use of ``layers`` by a traffic stage (``rs``/``ics``/...):
+        each layer moves ``moves × layer_bytes[layer]`` bytes.
+
+        A use is a count: per-layer bytes are multiplied out only when
+        :attr:`traffic` is read, so ``layer_bytes`` is read then and must
+        not change in between (an engine's sizes are fixed for its run).
+        """
+        key = (stage, layers, moves, id(layer_bytes))
+        uses = self._traffic_uses.get(key)
+        if uses is None:  # holds the mapping, so its id stays its own
+            self._traffic_uses[key] = [1, layer_bytes]
+        else:
+            uses[0] += 1
+
+    @property
+    def traffic(self) -> dict[tuple[str, str], float]:
+        """(stage, layer) -> total payload bytes moved, in first-use order.
+
+        Byte counts are ints, so ``uses × moves × bytes`` is exactly the
+        float a running per-use sum would reach.
+        """
+        out: dict[tuple[str, str], float] = {}
+        for (stage, layers, moves, _id), (uses, layer_bytes) in self._traffic_uses.items():
+            for layer in layers:
+                key = (stage, layer)
+                out[key] = out.get(key, 0.0) + float(uses * moves * layer_bytes[layer])
+        return out
 
     # -- views ---------------------------------------------------------------
     def spans_named(self, *names: str) -> list[Span]:

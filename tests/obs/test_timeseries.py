@@ -46,6 +46,30 @@ def test_series_before_wrap_and_empty():
         Series("timeseries.net.active_flows", capacity=0)
 
 
+def test_series_extend_equals_appends():
+    """Every start state (empty, partly full, wrapped) and every batch size,
+    including batches longer than the ring."""
+    for cap in (1, 3, 4):
+        for prefill in range(9):
+            for n in range(10):
+                by_append = Series("timeseries.net.active_flows", capacity=cap)
+                by_extend = Series("timeseries.net.active_flows", capacity=cap)
+                for i in range(prefill):
+                    by_append.append(float(i), -float(i))
+                    by_extend.append(float(i), -float(i))
+                t = np.arange(prefill, prefill + n, dtype=np.float64)
+                for ti in t:
+                    by_append.append(ti, -ti)
+                by_extend.extend(t, -t)
+                case = (cap, prefill, n)
+                assert by_extend.times.tolist() == by_append.times.tolist(), case
+                assert by_extend.values.tolist() == by_append.values.tolist(), case
+                assert by_extend.last() == by_append.last(), case
+                assert (len(by_extend), by_extend.dropped) == (
+                    len(by_append), by_append.dropped
+                ), case
+
+
 # --------------------------------------------------------------- MetricSampler
 def test_series_for_rejects_unregistered_tracks():
     sampler = MetricSampler(_Clock(), interval=1.0)
@@ -64,7 +88,7 @@ def test_on_advance_samples_once_per_crossing():
     clock = _Clock()
     sampler = MetricSampler(clock, interval=1.0)
     seen = []
-    sampler.add_probe(lambda now: [("timeseries.net.active_flows", now)])
+    sampler.add_probe(lambda now: {"timeseries.net.active_flows": now})
     for t in (0.0, 0.4, 0.9, 1.0, 3.7, 3.8, 4.05):
         clock.now = t
         sampler.on_advance(t)
@@ -75,9 +99,37 @@ def test_on_advance_samples_once_per_crossing():
     assert sampler.samples_taken == 4
 
 
+def test_pending_rows_never_outgrow_one_ring():
+    clock = _Clock()
+    sampler = MetricSampler(clock, interval=1.0, capacity=8)
+    sampler.add_probe(lambda now: {"timeseries.net.active_flows": now})
+    for t in range(100):
+        clock.now = float(t)
+        sampler.on_advance(clock.now)
+        assert len(sampler._tick_t) < 8  # folded every `capacity` ticks
+    s = sampler.series["timeseries.net.active_flows"]
+    assert s.times.tolist() == [float(t) for t in range(92, 100)]
+    assert s.dropped == 92
+
+
 def test_sampler_rejects_bad_interval():
     with pytest.raises(ValueError):
         MetricSampler(_Clock(), interval=0.0)
+
+
+@pytest.mark.parametrize("interval", [0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_sampler_refuses_a_bad_interval_at_construction(interval):
+    # nan used to construct and die mid-run; inf took one sample, silently.
+    with pytest.raises(ValueError, match=r"^interval must be a finite positive"):
+        MetricSampler(_Clock(), interval=interval)
+
+
+@pytest.mark.parametrize("capacity", [0, -3, 2.5, True, "8"])
+def test_sampler_refuses_a_bad_capacity_at_construction(capacity):
+    with pytest.raises(ValueError, match=r"^capacity must be a positive int"):
+        MetricSampler(_Clock(), interval=1.0, capacity=capacity)
+    with pytest.raises(ValueError, match=r"^capacity must be a positive int"):
+        Series("timeseries.net.active_flows", capacity=capacity)
 
 
 # -------------------------------------------------------- registry coverage

@@ -128,12 +128,20 @@ def test_observe_builds_histograms():
 
 def test_traffic_accounting():
     _env, tracer = make_tracer()
-    tracer.add_traffic("rs", "layer0", 100.0)
-    tracer.add_traffic("rs", "layer0", 50.0)
-    tracer.add_traffic("ics", "layer1", 10.0)
+    sizes = {"layer0": 50, "layer1": 5, "layer2": 7}
+    tracer.add_traffic("rs", ("layer0",), {"layer0": 100})
+    tracer.add_traffic("rs", ("layer0",), sizes)
+    tracer.add_traffic("ics", ("layer1",), sizes, moves=2)
     assert tracer.traffic[("rs", "layer0")] == 150.0
     assert tracer.stage_bytes("rs") == 150.0
     assert tracer.stage_bytes("ics") == 10.0
+    # Repeated uses of one layer tuple are counted, and read out per layer
+    # in first-use order with the running sum's exact value.
+    for _ in range(3):
+        tracer.add_traffic("ics", ("layer2", "layer1"), sizes, moves=2)
+    assert list(tracer.traffic) == [("rs", "layer0"), ("ics", "layer1"), ("ics", "layer2")]
+    assert tracer.traffic[("ics", "layer1")] == 10.0 + 3 * 10.0
+    assert tracer.traffic[("ics", "layer2")] == 3 * 14.0
 
 
 def test_instants_record_time_and_attrs():

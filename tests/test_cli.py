@@ -392,6 +392,19 @@ def test_unbuildable_spec_is_one_error_line_not_a_traceback(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("interval", ["nan", "inf", "0", "-1"])
+def test_dash_refuses_a_bad_interval_in_one_line(interval, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # `dash --out x.html` must not be written
+    argv = ["dash", "--workers", "2", "--epochs", "1", "--iterations", "2",
+            f"--interval={interval}", "--out", "x.html"]  # fmt: skip
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: interval must be a finite positive number of seconds, "
+        f"got {float(interval)!r}"
+    ]
+    assert not list(tmp_path.iterdir())
+
+
 _NOT_A_TRACE = (
     "not a trace: expected an object with 'traceEvents' "
     "(write one with `repro run --trace FILE`)"
