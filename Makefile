@@ -102,9 +102,9 @@ dash:
 # the report must attribute the delta to the rs phase and exit non-zero.
 compare:
 	PYTHONPATH=src python -m repro run --sync osp --workers 4 --epochs 3 \
-	  --iterations 6 --summary /tmp/repro-compare-a.json
+	  --iterations 6 --trace /tmp/repro-compare-a.json
 	PYTHONPATH=src python -m repro run --sync osp --workers 4 --epochs 3 \
-	  --iterations 6 --summary /tmp/repro-compare-b.json \
+	  --iterations 6 --trace /tmp/repro-compare-b.json \
 	  --faults '[{"kind": "bandwidth_dip", "start": 2.0, "duration": 120.0, "factor": 0.25}]'
 	PYTHONPATH=src python -m repro report --compare /tmp/repro-compare-a.json /tmp/repro-compare-b.json; \
 	  test $$? -eq 1

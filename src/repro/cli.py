@@ -3,7 +3,8 @@
 Commands
 --------
 ``run``      one (workload, sync model) training simulation
-``report``   overlap/BST report from a trace.json (``run --trace``)
+``report``   overlap/BST report from a trace.json (``run --trace``), or
+             ``--compare`` two of them
 ``compare``  all four paper sync models on one workload
 ``figures``  list the figure-regeneration benchmarks
 ``cards``    list the model cards (paper-scale workload descriptions)
@@ -121,26 +122,21 @@ def cmd_run(args) -> int:
 
     trainer = _build_trainer(args, args.sync)  # loads and applies --resume
     trainer.network.priorities = args.net_prio == "on"
-    if args.summary or args.trace:
-        trainer.enable_tracing()  # the summary's phase attribution reads spans
+    if args.trace:
+        trainer.enable_tracing()
     try:
         res = trainer.run()  # restores the sync model's checkpointed state
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.summary:
-        from repro.obs.compare import run_summary, save_summary
-
-        save_summary(run_summary(res), args.summary)
-        print(f"wrote run summary to {args.summary} "
-              "(diff two with `repro report --compare A.json B.json`)")
     if args.trace:
         from repro.obs.chrome import write_unified_trace
 
         n = write_unified_trace(args.trace, res)
         print(f"wrote {n} trace events to {args.trace} "
               "(open in chrome://tracing or Perfetto; "
-              f"analyse with `repro report {args.trace}`)")
+              f"analyse with `repro report {args.trace}`, "
+              "diff two with `repro report --compare A.json B.json`)")
     if args.json:
         rec = res.recorder
         print(
@@ -170,61 +166,60 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _open_trace(path: str, compare: bool):
+    """``read_trace(path)``, or None after printing the one ``error: FILE: …``
+    line. A trace to compare must also hold the run's wall clock."""
+    from repro.obs.chrome import read_trace
+    from repro.obs.compare import wall_time
+
+    try:
+        doc = read_trace(path)
+        if compare:
+            wall_time(doc)
+        return doc
+    except OSError as exc:
+        why = exc.strerror or exc
+    except json.JSONDecodeError as exc:
+        why = f"not JSON ({exc})"
+    except ValueError as exc:
+        why = exc
+    print(f"error: {path}: {why}", file=sys.stderr)
+    return None
+
+
 def cmd_report(args) -> int:
+    files = args.compare or [args.file]
+    if files[0] is None:
+        print("error: report needs a FILE or --compare A.json B.json",
+              file=sys.stderr)
+        return 2
+    docs = []
+    for path in files:
+        doc = _open_trace(path, compare=bool(args.compare))
+        if doc is None:
+            return 2
+        docs.append(doc)
     if args.compare:
         from repro.obs.compare import compare_runs
 
         try:
-            report = compare_runs(
-                args.compare[0], args.compare[1], max_slowdown=args.max_slowdown
-            )
-        except FileNotFoundError as exc:
-            missing = getattr(exc, "filename", None) or exc
-            print(
-                f"error: summary file not found: {missing} (write one with "
-                "`repro run --summary FILE` or `repro dash --summary FILE`)",
-                file=sys.stderr,
-            )
+            report = compare_runs(*docs, max_slowdown=args.max_slowdown)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        except ValueError as exc:  # includes json.JSONDecodeError
-            print(f"error: not a comparable run summary: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(report.as_dict()))
-        else:
-            print(report.render())
+        print(json.dumps(report.as_dict()) if args.json else report.render())
         return 1 if report.verdict == "regression" else 0
-    if args.file is None:
-        print("error: report needs a FILE or --compare A.json B.json",
-              file=sys.stderr)
-        return 2
 
-    from repro.obs.chrome import read_trace
     from repro.obs.overlap import overlap_report_from_trace
 
-    try:
-        doc = read_trace(args.file)
-    except OSError as exc:
-        print(f"error: {args.file}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.file}: not JSON ({exc})", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 2
-    report = overlap_report_from_trace(doc)
-    if args.json:
-        print(json.dumps(report.to_dict()))
-    else:
-        print(report.render())
+    report = overlap_report_from_trace(docs[0])
+    print(json.dumps(report.to_dict()) if args.json else report.render())
     return 0
 
 
 def cmd_dash(args) -> int:
     from pathlib import Path
 
-    from repro.obs.compare import run_summary, save_summary
     from repro.obs.dash import export_csv, export_prometheus, render_dashboard
 
     trainer = _build_trainer(args, args.sync)
@@ -245,9 +240,6 @@ def cmd_dash(args) -> int:
     if args.prom:
         Path(args.prom).write_text(export_prometheus(sampler))
         print(f"wrote Prometheus text exposition to {args.prom}")
-    if args.summary:
-        save_summary(run_summary(res, sampler), args.summary)
-        print(f"wrote run summary to {args.summary}")
     return 0
 
 
@@ -305,7 +297,6 @@ def cmd_multirun(args) -> int:
 
     from repro.harness.cotenancy import osp_with_background
     from repro.multijob import MultiJobRunner, multijob_summary, render_report
-    from repro.obs.compare import save_summary
 
     try:
         jobs = _parse_jobs_spec(args.jobs) if args.jobs else None
@@ -339,9 +330,6 @@ def cmd_multirun(args) -> int:
         print(json.dumps(multijob_summary(result)))
     else:
         print(render_report(result))
-    if args.summary:
-        save_summary(multijob_summary(result), args.summary)
-        print(f"wrote multijob summary to {args.summary}")
     if args.dash:
         from repro.obs.dash import render_multijob_dashboard
 
@@ -524,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--trace", metavar="FILE",
         help="trace the run and write its unified trace JSON "
-        "(Perfetto; `repro report FILE`)",
+        "(Perfetto; `repro report FILE`, `repro report --compare A B`)",
     )
     p_run.add_argument(
         "--checkpoint-every", type=int, metavar="N",
@@ -543,11 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", metavar="FILE", help="resume from a checkpoint file"
     )
     p_run.add_argument(
-        "--summary", metavar="FILE",
-        help="trace the run and write a run-summary JSON for "
-        "`repro report --compare`",
-    )
-    p_run.add_argument(
         "--net-prio", choices=["on", "off"], default="on",
         help="priority-aware network scheduling (off: a plainly "
         "fair-shared fabric; see docs/performance.md)",
@@ -557,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser(
         "report",
         help="overlap/BST report from a trace.json, "
-        "or --compare two run summaries",
+        "or --compare two of them",
     )
     p_rep.add_argument(
         "file", nargs="?", default=None,
@@ -565,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument(
         "--compare", nargs=2, metavar=("A.json", "B.json"),
-        help="diff two run summaries (from `repro run --summary` or "
-        "`repro dash --summary`); exits 1 on a regression verdict",
+        help="diff two unified traces (from `repro run --trace FILE`); "
+        "exits 1 on a regression verdict",
     )
     p_rep.add_argument(
         "--max-slowdown", type=float, default=0.05,
@@ -597,10 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash.add_argument(
         "--prom", metavar="FILE",
         help="also export last values in Prometheus text format",
-    )
-    p_dash.add_argument(
-        "--summary", metavar="FILE",
-        help="also write a run-summary JSON for `repro report --compare`",
     )
     p_dash.set_defaults(fn=cmd_dash)
 
@@ -652,9 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bandwidth-admission capacity factor",
     )
     p_multi.add_argument("--json", action="store_true", help="emit JSON summary")
-    p_multi.add_argument(
-        "--summary", metavar="FILE", help="write the multijob summary JSON"
-    )
     p_multi.add_argument(
         "--dash", metavar="FILE",
         help="sample the run and write a co-tenancy HTML dashboard",

@@ -1,9 +1,8 @@
 """Reporting for co-tenant runs: per-job table, interference attribution.
 
-``multijob_summary`` is the JSON artifact (schema-tagged like the
-single-run summaries in :mod:`repro.obs.compare`, and written by the same
-:func:`~repro.obs.compare.save_summary`); ``render_report`` is the
-human-readable view the CLI prints.
+``multijob_summary`` is the schema-tagged JSON document that
+``repro multirun --json`` prints; ``render_report`` is the human-readable
+view the CLI prints without ``--json``.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ Admission policies (:data:`ADMISSION_MODES`):
   admits while the sum of running jobs' estimated offered load (workers ×
   host line rate) stays within ``headroom`` × the pool's aggregate
   capacity — a deterministic stand-in for a telemetry-driven admission
-  controller.
+  controller. A job whose load alone exceeds that capacity is refused when
+  the runner is built, since it could never admit.
 
 A single job on an ``exclusive`` identity placement reproduces the direct
 ``DistributedTrainer`` run bit-for-bit (same topology construction, same
@@ -30,6 +31,7 @@ differential test in ``tests/multijob/test_identity.py`` pins this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -140,6 +142,8 @@ class JobScheduler:
             raise ValueError(
                 f"admission mode must be one of {ADMISSION_MODES}, got {mode!r}"
             )
+        if not 0 < headroom < math.inf:
+            raise ValueError(f"headroom must be a finite number > 0, got {headroom!r}")
         self.env = env
         self.pool = pool
         self.mode = mode
@@ -157,6 +161,23 @@ class JobScheduler:
     def _capacity(self) -> float:
         return self.pool.n_hosts * self.pool.link.bandwidth * self.headroom
 
+    def _over_capacity(self, used: float, job: JobSpec) -> bool:
+        return self.mode == "bandwidth" and (
+            used + self._demand(job) > self._capacity() + 1e-9
+        )
+
+    def check_admissible(self, job: JobSpec) -> None:
+        """Refuse a job the bandwidth gate could not admit even alone: its
+        driver would wait for a wake-up that never comes."""
+        if self._over_capacity(0.0, job):
+            n_workers, n_hosts = job.workload.n_workers, self.pool.n_hosts
+            raise ValueError(
+                f"job {job.name!r} can never be admitted: {n_workers} workers "
+                f"at line rate exceed headroom {self.headroom:g} x {n_hosts} "
+                f"hosts (bandwidth admission needs headroom >= "
+                f"{n_workers}/{n_hosts})"
+            )
+
     def _may_admit(self, job: JobSpec, idx: int) -> bool:
         if self.mode == "immediate":
             return True
@@ -164,11 +185,7 @@ class JobScheduler:
             return False  # strict submission order
         if not self.pool.can_allocate(job.n_nodes, self.placement):
             return False
-        if self.mode == "bandwidth":
-            used = sum(self._running_demand.values())
-            if used + self._demand(job) > self._capacity() + 1e-9:
-                return False
-        return True
+        return not self._over_capacity(sum(self._running_demand.values()), job)
 
     # -- driver-side --------------------------------------------------------
     def wait_admission(self, job: JobSpec, idx: int):
@@ -236,6 +253,8 @@ class MultiJobRunner:
         self.scheduler = JobScheduler(
             self.env, self.pool, admission, placement, headroom=headroom
         )
+        for job in self.jobs:
+            self.scheduler.check_admissible(job)
         self._runs: dict[str, JobRun] = {}
         self._tracer = None
         self._sampler = None

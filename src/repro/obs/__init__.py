@@ -2,9 +2,9 @@
 
 The measurement substrate for every performance claim in this repo:
 
-* :class:`Tracer` — hierarchical spans / instants / counter tracks /
-  histograms over virtual time (passive: never perturbs the simulation);
-* :mod:`repro.obs.registry` — the central counter/gauge/histogram name
+* :class:`Tracer` — hierarchical spans / instants / counter tracks over
+  virtual time (passive: never perturbs the simulation);
+* :mod:`repro.obs.registry` — the central counter/gauge/track name
   registry (``osp.* / faults.* / obs.*``), lint-enforced;
 * :func:`trace_document` / :func:`write_unified_trace` — a traced run's
   one record: a Perfetto-loadable Chrome trace with spans + network flows
@@ -18,8 +18,8 @@ The measurement substrate for every performance claim in this repo:
   staleness histograms;
 * :func:`render_dashboard` / :func:`export_csv` / :func:`export_prometheus`
   — the ``repro dash`` static-HTML dashboard and its exports;
-* :func:`run_summary` / :func:`compare_runs` — cross-run regression
-  diffing with per-phase / per-worker wall-clock attribution.
+* :func:`compare_runs` — cross-run regression diffing of two unified
+  traces with per-phase / per-worker wall-clock attribution.
 
 See ``docs/observability.md`` for the span taxonomy and workflow.
 """
@@ -35,9 +35,6 @@ from repro.obs.compare import (
     PHASES,
     RegressionReport,
     compare_runs,
-    load_summary,
-    run_summary,
-    save_summary,
 )
 from repro.obs.dash import export_csv, export_prometheus, render_dashboard
 from repro.obs.health import HealthReport, WorkerHealth, health_report
@@ -46,7 +43,7 @@ from repro.obs.overlap import (
     overlap_report_from_run,
     overlap_report_from_trace,
 )
-from repro.obs.registry import ALL_NAMES, COUNTERS, GAUGES, HISTOGRAMS, TRACKS
+from repro.obs.registry import ALL_NAMES, COUNTERS, GAUGES, TRACKS
 from repro.obs.timeseries import MetricSampler, Series
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -61,7 +58,6 @@ __all__ = [
     "ALL_NAMES",
     "COUNTERS",
     "GAUGES",
-    "HISTOGRAMS",
     "HealthReport",
     "Histogram",
     "Instant",
@@ -81,13 +77,10 @@ __all__ = [
     "export_csv",
     "export_prometheus",
     "health_report",
-    "load_summary",
     "overlap_report_from_run",
     "overlap_report_from_trace",
     "read_trace",
     "render_dashboard",
-    "run_summary",
-    "save_summary",
     "trace_document",
     "tracer_to_trace_events",
     "write_unified_trace",

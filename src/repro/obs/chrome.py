@@ -13,10 +13,11 @@ Trace-Event-Format document combining every observability stream:
   structured phase/worker/iteration args.
 
 Machine-readable extras (per-layer traffic, recorder counters, the sync
-model name) ride along under the top-level ``otherData`` key, which the
-Trace Event Format reserves for exactly this and viewers ignore — so the
-same document feeds Perfetto, ``repro report`` (via :func:`read_trace`)
-and the in-memory :func:`~repro.obs.overlap.overlap_report_from_run`.
+model name, the run's wall clock) ride along under the top-level
+``otherData`` key, which the Trace Event Format reserves for exactly this
+and viewers ignore — so the same document feeds Perfetto, ``repro report``
+and ``repro report --compare`` (via :func:`read_trace`), and the
+in-memory :func:`~repro.obs.overlap.overlap_report_from_run`.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def trace_document(result) -> dict:
     events += tracer_to_trace_events(tracer, job)
     events.sort(key=lambda e: (e["ts"], e.get("pid", ""), e.get("tid", "")))
 
-    other: dict = {"sync": result.sync_name}
+    # wall_time is the job's own end time, also on a shared fabric
+    other: dict = {"sync": result.sync_name, "wallTime": float(result.wall_time)}
     if tracer.traffic:
         traffic: dict[str, dict[str, float]] = {}
         for (stage, layer), nbytes in tracer.traffic.items():
@@ -193,7 +195,7 @@ def _optional_int(args: dict, key: str, where: str) -> None:
 def read_trace(path: Union[str, Path]) -> dict:
     """Load a unified trace file, refusing with a ``ValueError`` that
     names the first field :func:`~repro.obs.overlap.overlap_report_from_trace`
-    could not read."""
+    or :func:`~repro.obs.compare.compare_runs` could not read."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or "traceEvents" not in doc:
         raise ValueError(
@@ -223,6 +225,8 @@ def read_trace(path: Union[str, Path]) -> dict:
 
     other = doc.get("otherData", {})
     _expect(isinstance(other, dict), "otherData", "an object", other)
+    if "wallTime" in other:
+        _number(other["wallTime"], "otherData.wallTime")
     traffic = other.get("traffic", {})
     _expect(isinstance(traffic, dict), "otherData.traffic", "an object", traffic)
     for stage, layers in traffic.items():

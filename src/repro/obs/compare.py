@@ -1,11 +1,13 @@
-"""Cross-run regression diffing: summaries, phase/worker attribution, verdicts.
+"""Cross-run regression diffing: phase/worker attribution and verdicts.
 
-:func:`run_summary` condenses a (traced) run into a JSON-able document:
-wall clock, per-phase seconds (compute / rs / ics / lgp / pgp), the same
-split per worker, counters and per-worker health. :func:`compare_runs`
-diffs two summaries and attributes the wall-clock delta to the phase and
-the worker that moved most — turning "run B is 12% slower" into "worker 2's
-compute grew 9.3s inside the straggler window".
+:func:`compare_runs` diffs two unified traces (the document
+:func:`~repro.obs.chrome.trace_document` builds, or a file that
+:func:`~repro.obs.chrome.read_trace` loads) and attributes the wall-clock
+delta to the phase and the worker that moved most — turning "run B is 12%
+slower" into "worker 2's compute grew 9.3s inside the straggler window".
+The per-phase seconds (compute / rs / ics / lgp / pgp / wait) are summed
+from the trace's span events, cluster-wide and per worker; the wall clock
+is the trace's ``otherData.wallTime``.
 
 The verdict (``ok`` / ``improvement`` / ``regression``) is a relative
 wall-clock slowdown against ``max_slowdown``, so CI can gate on
@@ -14,14 +16,12 @@ wall-clock slowdown against ``max_slowdown``, so CI can gate on
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.obs.health import health_report
-
-SUMMARY_SCHEMA = "repro.run_summary/1"
+from repro.obs.chrome import read_trace
 
 #: Leaf span name → attribution phase. Only leaf phases are listed, so
 #: summing them never double-counts their ``iteration``/``sync`` parents.
@@ -52,97 +52,39 @@ PHASES: tuple[str, ...] = ("compute", "rs", "ics", "lgp", "pgp", "wait")
 CAUSAL_PHASES: tuple[str, ...] = ("compute", "rs", "ics", "lgp", "pgp")
 
 
-def _phase_times(tracer) -> tuple[dict[str, float], dict[int, dict[str, float]]]:
-    """(cluster-wide, per-worker) seconds per phase from leaf spans."""
+def _phase_times(doc: dict) -> tuple[dict[str, float], dict[int, dict[str, float]]]:
+    """(cluster-wide, per-worker) seconds per phase from a trace's leaf
+    span events (network flows are not spans)."""
     total = {p: 0.0 for p in PHASES}
     per_worker: dict[int, dict[str, float]] = {}
-    for span in getattr(tracer, "spans", []) or []:
-        phase = PHASE_GROUPS.get(span.name)
-        if phase is None or span.end is None:
+    for ev in doc["traceEvents"]:
+        if ev.get("ph") != "X" or ev.get("pid") == "network":
             continue
-        dur = span.end - span.start
+        phase = PHASE_GROUPS.get(ev.get("name"))
+        if phase is None:
+            continue
+        dur = ev.get("dur", 0.0) / 1e6
         total[phase] += dur
-        if span.worker is not None:
-            per_worker.setdefault(span.worker, {p: 0.0 for p in PHASES})[
-                phase
-            ] += dur
+        worker = ev.get("args", {}).get("worker")
+        if worker is not None:
+            per_worker.setdefault(worker, {p: 0.0 for p in PHASES})[phase] += dur
     return total, per_worker
 
 
-def run_summary(result, sampler=None) -> dict:
-    """A JSON-able cross-run comparison document for one finished run."""
-    if sampler is None:
-        sampler = getattr(result, "sampler", None)
-    tracer = getattr(result, "tracer", None)
-    health = health_report(result, sampler)
-
-    if tracer is not None:
-        phases, worker_phases = _phase_times(tracer)
-    else:
-        # Untraced fallback: the recorder still splits compute vs sync, so
-        # the sync side is attributed to rs (the blocking stage).
-        phases = {p: 0.0 for p in PHASES}
-        worker_phases = {}
-        for rec in result.recorder.iterations:
-            phases["compute"] += rec.compute_time
-            phases["rs"] += rec.sync_time
-            wp = worker_phases.setdefault(rec.worker, {p: 0.0 for p in PHASES})
-            wp["compute"] += rec.compute_time
-            wp["rs"] += rec.sync_time
-
-    workers = {}
-    for wh in health.workers:
-        workers[str(wh.worker)] = {
-            "phases": worker_phases.get(wh.worker, {p: 0.0 for p in PHASES}),
-            "iterations": wh.iterations,
-            "mean_compute": wh.mean_compute,
-            "mean_sync": wh.mean_sync,
-            "straggler_z": wh.straggler_z,
-            "utilization": wh.utilization,
-        }
-    return {
-        "schema": SUMMARY_SCHEMA,
-        "sync": result.sync_name,
-        "wall_time": float(result.wall_time),
-        "iteration_end_time": float(result.iteration_end_time),
-        "throughput": float(result.throughput),
-        "mean_bst": float(result.mean_bst),
-        "mean_bct": float(result.mean_bct),
-        "iterations": len(result.recorder.iterations),
-        "phases": phases,
-        "workers": workers,
-        "counters": dict(result.recorder.counters),
-        "stragglers": health.stragglers,
-    }
-
-
-def save_summary(summary: dict, path: Union[str, Path]) -> Path:
-    """Write a run summary as canonical (sorted-key) JSON and return the path."""
-    path = Path(path)
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_summary(path: Union[str, Path]) -> dict:
-    """Read a run summary written by :func:`save_summary`, validating its schema."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
+def wall_time(doc: dict) -> float:
+    """The run's wall clock from a unified trace's ``otherData.wallTime``."""
+    wall = doc.get("otherData", {}).get("wallTime")
+    if wall is None:
         raise ValueError(
-            f"{path}: not a run summary (expected an object, got "
-            f"{type(doc).__name__})"
+            "otherData.wallTime is missing, so the trace cannot be compared "
+            "(write it again with `repro run --trace FILE`)"
         )
-    if doc.get("schema") != SUMMARY_SCHEMA:
-        raise ValueError(
-            f"{path}: not a run summary (schema={doc.get('schema')!r}, "
-            f"expected {SUMMARY_SCHEMA!r}) — write one with "
-            "`repro run --summary` or `repro dash`"
-        )
-    return doc
+    return float(wall)
 
 
 @dataclass
 class RegressionReport:
-    """The diff of two run summaries, wall-delta attributed."""
+    """The diff of two runs' traces, wall-delta attributed."""
 
     wall_a: float
     wall_b: float
@@ -213,52 +155,35 @@ class RegressionReport:
         return "\n".join(lines)
 
 
-def _comparable(doc: Union[dict, str, Path], name: str) -> dict:
-    """``doc`` as a summary dict holding the fields :func:`compare_runs` reads."""
-    if not isinstance(doc, dict):
-        name, doc = str(doc), load_summary(doc)
-    for field in ("wall_time", "phases"):
-        if field not in doc:
-            raise ValueError(f"{name}: run summary has no {field!r} field")
-    wall = doc["wall_time"]
-    if isinstance(wall, bool) or not isinstance(wall, (int, float)):
-        raise ValueError(f"{name}: wall_time: expected a number, got {type(wall).__name__}")
-    for field in ("phases", "workers"):
-        value = doc.get(field, {})
-        if not isinstance(value, dict):
-            raise ValueError(
-                f"{name}: {field}: expected an object, got {type(value).__name__}"
-            )
-    return doc
-
-
 def compare_runs(
     a: Union[dict, str, Path], b: Union[dict, str, Path], max_slowdown: float = 0.05
 ) -> RegressionReport:
-    """Diff two run summaries (dicts or paths) and attribute the delta.
+    """Diff two unified traces (documents or paths) and attribute the delta.
 
     ``max_slowdown`` is the relative wall-clock growth tolerated before the
-    verdict flips to ``regression`` (symmetric for ``improvement``).
+    verdict flips to ``regression`` (symmetric for ``improvement``); it must
+    be a finite number >= 0.
     """
-    a, b = _comparable(a, "A"), _comparable(b, "B")
+    if not 0 <= max_slowdown < math.inf:
+        raise ValueError(
+            f"max_slowdown must be a finite number >= 0, got {max_slowdown!r}"
+        )
+    a, b = (doc if isinstance(doc, dict) else read_trace(doc) for doc in (a, b))
     report = RegressionReport(
-        wall_a=float(a["wall_time"]),
-        wall_b=float(b["wall_time"]),
-        threshold=float(max_slowdown),
+        wall_a=wall_time(a), wall_b=wall_time(b), threshold=float(max_slowdown)
     )
+    (phases_a, workers_a), (phases_b, workers_b) = _phase_times(a), _phase_times(b)
     for phase in PHASES:
-        pa = float(a["phases"].get(phase, 0.0))
-        pb = float(b["phases"].get(phase, 0.0))
+        pa, pb = phases_a[phase], phases_b[phase]
         report.phases[phase] = (pa, pb, pb - pa)
 
-    def active(doc: dict, wid: str) -> float:
-        phases = doc.get("workers", {}).get(wid, {}).get("phases", {})
-        return sum(float(phases.get(p, 0.0)) for p in CAUSAL_PHASES)
+    def active(workers: dict, wid: int) -> float:
+        phases = workers.get(wid, {})
+        return sum(phases.get(p, 0.0) for p in CAUSAL_PHASES)
 
-    ids = set(a.get("workers", {})) | set(b.get("workers", {}))
-    for wid in sorted(ids, key=int):
-        wa, wb = active(a, wid), active(b, wid)
-        report.workers[int(wid)] = (wa, wb, wb - wa)
+    for wid in sorted(set(workers_a) | set(workers_b)):
+        wa, wb = active(workers_a, wid), active(workers_b, wid)
+        report.workers[wid] = (wa, wb, wb - wa)
 
     # Dominant phase: the causal phase that moved most. The wait phase only
     # wins when nothing causal explains it (e.g. the PS itself got slower),
@@ -281,9 +206,6 @@ __all__ = [
     "PHASES",
     "PHASE_GROUPS",
     "RegressionReport",
-    "SUMMARY_SCHEMA",
     "compare_runs",
-    "load_summary",
-    "run_summary",
-    "save_summary",
+    "wall_time",
 ]

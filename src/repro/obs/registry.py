@@ -1,15 +1,14 @@
 """Central registry of observable-name conventions.
 
 Every ``recorder.incr(...)`` counter, tracer gauge (counter track) and
-tracer histogram must use a name declared here. Namespaces:
+sampled time-series track must use a name declared here. Namespaces:
 
 * ``osp.*``    — OSP protocol events (degradations, deadline misses);
 * ``faults.*`` — injected fault activations;
 * ``ckpt.*``   — checkpoint/restore events (repro.ckpt);
 * ``elastic.*`` — elastic membership changes (worker join/leave);
 * ``check.*``  — runtime invariant checker (repro.check);
-* ``obs.*``    — measurement-layer streams (network backlog, PS state,
-  sync-time distributions).
+* ``obs.*``    — measurement-layer streams (network backlog, PS state).
 
 A tier-1 lint test (``tests/obs/test_registry_lint.py``) greps the source
 tree for ``.incr(`` call sites and fails on any name not declared here, so
@@ -97,9 +96,6 @@ GAUGES: frozenset[str] = frozenset(
     }
 )
 
-#: Histograms collected on the :class:`~repro.obs.Tracer`.
-HISTOGRAMS: frozenset[str] = frozenset({"obs.bst", "obs.bct"})
-
 #: Time-series track name *templates* sampled by
 #: :class:`~repro.obs.timeseries.MetricSampler`. ``{...}`` placeholders
 #: stand for a single dotted segment (a worker index, a link name, …).
@@ -146,7 +142,7 @@ HOOKS: frozenset[str] = frozenset(
     }
 )  # fmt: skip
 
-ALL_NAMES: frozenset[str] = COUNTERS | GAUGES | HISTOGRAMS
+ALL_NAMES: frozenset[str] = COUNTERS | GAUGES
 
 
 def is_registered_counter(name: str) -> bool:
@@ -222,7 +218,6 @@ __all__ = [
     "COUNTERS",
     "COUNTER_TEMPLATES",
     "GAUGES",
-    "HISTOGRAMS",
     "HOOKS",
     "TRACKS",
     "is_registered_counter",

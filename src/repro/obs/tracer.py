@@ -11,7 +11,6 @@ Recorder` cannot: *where* inside an iteration the time went. It collects
   broadcasts, evaluations);
 * **counter tracks** (streaming gauges: in-flight ICS bytes, the S(G^u)
   budget, quorum size, network backlog) sampled at virtual timestamps;
-* **histograms** (sync-time distributions) via :class:`Histogram`;
 * per-``(stage, layer)`` **traffic** accounting (RS vs ICS bytes),
   counted per use of a layer tuple and materialised when read.
 
@@ -164,9 +163,6 @@ class NullTracer:
     def gauge_delta(self, *_a, **_k) -> None:
         return None
 
-    def observe(self, *_a, **_k) -> None:
-        return None
-
     def add_traffic(self, *_a, **_k) -> None:
         return None
 
@@ -176,7 +172,7 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Collects spans/instants/gauges/histograms against an environment's
+    """Collects spans/instants/gauges/traffic against an environment's
     virtual clock. Attach with ``env.tracer = Tracer(env)`` (or
     :meth:`~repro.cluster.trainer.DistributedTrainer.enable_tracing`)."""
 
@@ -188,7 +184,6 @@ class Tracer:
         self.instants: list[Instant] = []
         #: counter-track samples: name -> [(virtual time, value), ...]
         self.counters: dict[str, list[tuple[float, float]]] = {}
-        self.histograms: dict[str, Histogram] = {}
         #: (stage, layers, moves, id(layer_bytes)) -> [uses, layer_bytes],
         #: in first-use order (what :attr:`traffic` is materialised from)
         self._traffic_uses: dict[tuple, list] = {}
@@ -292,7 +287,7 @@ class Tracer:
         """Spans not yet ended (normally empty after a clean run)."""
         return [s for s in self.spans if s.end is None]
 
-    # -- instants / counters / histograms ------------------------------------
+    # -- instants / counters ------------------------------------------------
     def instant(self, name: str, actor: str = "", track: str = "events", **attrs: Any) -> Instant:
         inst = Instant(name=name, time=self.now, actor=actor, track=track, attrs=dict(attrs))
         self.instants.append(inst)
@@ -316,13 +311,6 @@ class Tracer:
     def gauge_value(self, name: str) -> float:
         """Most recent sample of a counter track (0.0 if never sampled)."""
         return self.gauge_last.get(name, 0.0)
-
-    def observe(self, name: str, value: float) -> None:
-        """Add one observation to a named histogram."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram(name)
-        hist.observe(value)
 
     def add_traffic(
         self, stage: str, layers: tuple[str, ...], layer_bytes, moves: int = 1

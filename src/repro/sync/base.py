@@ -192,8 +192,6 @@ class SyncModel:
                 )
                 trace.end(sync_span)
                 trace.end(it_span)
-                trace.observe("obs.bst", ctx.env.now - sync_start)
-                trace.observe("obs.bct", t_c)
                 ctx.record_iteration(
                     worker,
                     iteration,

@@ -57,11 +57,11 @@ def test_multirun_jobs_spec_inline_and_file(tmp_path, capsys):
     assert set(doc["jobs"]) == {"a", "b"}
 
 
-def test_multirun_summary_and_dash_artifacts(tmp_path, capsys):
-    summary = tmp_path / "mj.json"
+def test_multirun_json_and_dash_artifacts(tmp_path, capsys):
     dash = tmp_path / "mj.html"
-    assert _multirun("--summary", str(summary), "--dash", str(dash)) == 0
-    doc = json.loads(summary.read_text())
+    assert _multirun("--json", "--dash", str(dash)) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out.splitlines()[0])
     assert doc["schema"] == "repro.multijob_summary/1"
     assert "Interference" in dash.read_text()
 
@@ -91,16 +91,17 @@ def test_report_compare_missing_file_exits_2(tmp_path, capsys):
     code = main(["report", "--compare", str(missing), str(missing)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "summary file not found" in err
-    assert "--summary" in err  # the hint tells the user how to make one
+    assert err.splitlines() == [f"error: {missing}: No such file or directory"]
 
 
 def test_report_compare_schema_mismatch_exits_2(tmp_path, capsys):
+    # A multijob summary is not a trace: `report --compare` reads only traces.
     bogus = tmp_path / "bogus.json"
     bogus.write_text(json.dumps({"schema": "something/else", "jobs": {}}))
     code = main(["report", "--compare", str(bogus), str(bogus)])
     assert code == 2
-    assert "not a comparable run summary" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not a trace" in err and "repro run --trace FILE" in err
 
 
 def test_report_compare_corrupt_json_exits_2(tmp_path, capsys):
@@ -108,25 +109,7 @@ def test_report_compare_corrupt_json_exits_2(tmp_path, capsys):
     broken.write_text("{not json")
     code = main(["report", "--compare", str(broken), str(broken)])
     assert code == 2
-    assert "not a comparable run summary" in capsys.readouterr().err
-
-
-def test_report_compare_still_works_on_valid_summaries(tmp_path, capsys):
-    from repro.core.osp import OSP
-    from repro.harness.workloads import WorkloadConfig, timing_trainer
-    from repro.obs.compare import run_summary, save_summary
-
-    trainer = timing_trainer(
-        WorkloadConfig(
-            "vgg16-cifar10", n_workers=2, n_epochs=1, iterations_per_epoch=2
-        ),
-        OSP(),
-    )
-    res = trainer.run()
-    path = tmp_path / "run.json"
-    save_summary(run_summary(res), path)
-    assert main(["report", "--compare", str(path), str(path)]) == 0
-    assert "verdict: OK" in capsys.readouterr().out
+    assert f"error: {broken}: not JSON" in capsys.readouterr().err
 
 
 def test_multirun_net_prio_sets_the_fabric_model_not_the_environment(capsys):

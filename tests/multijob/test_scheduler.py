@@ -94,3 +94,26 @@ def test_runner_rejects_bad_config():
         MultiJobRunner(_jobs(1), admission="bogus")
     with pytest.raises(ValueError, match="placement mode"):
         MultiJobRunner(_jobs(1), placement="bogus")
+
+
+@pytest.mark.parametrize("headroom", [0.0, -1.0, float("nan"), float("inf")])
+def test_runner_refuses_a_headroom_outside_zero_to_inf(headroom):
+    with pytest.raises(ValueError, match="headroom must be a finite number > 0"):
+        MultiJobRunner(_jobs(1), admission="bandwidth", headroom=headroom)
+
+
+def test_bandwidth_refuses_a_job_it_could_never_admit():
+    # 4 workers need 4 lines; 5 hosts at headroom 0.5 offer 2.5, so the
+    # job would wait forever for a wake-up. The refusal names the job and
+    # the smallest headroom that admits it.
+    jobs = [_jobs(1)[0], _jobs(1, workers=4)[0]]
+    jobs[1] = JobSpec(name="wide", workload=jobs[1].workload,
+                      sync_factory=jobs[1].sync_factory)  # fmt: skip
+    with pytest.raises(ValueError) as caught:
+        MultiJobRunner(jobs, n_hosts=5, admission="bandwidth", headroom=0.5)
+    assert str(caught.value) == (
+        "job 'wide' can never be admitted: 4 workers at line rate exceed "
+        "headroom 0.5 x 5 hosts (bandwidth admission needs headroom >= 4/5)"
+    )
+    res = run_jobs(jobs, n_hosts=5, admission="bandwidth", headroom=0.8)
+    assert res.jobs["wide"].admitted >= res.jobs["j0"].finished

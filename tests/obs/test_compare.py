@@ -1,12 +1,14 @@
 """Cross-run regression diffing: attribution correctness and verdicts."""
 
+import json
+
 import pytest
 
 from repro.core.osp import OSP
 from repro.faults import BandwidthDip, FaultSchedule, StragglerSlowdown
 from repro.harness.workloads import WorkloadConfig, timing_trainer
-from repro.obs import compare_runs, load_summary, run_summary, save_summary
-from repro.obs.compare import CAUSAL_PHASES, PHASES
+from repro.obs import compare_runs, trace_document
+from repro.obs.compare import CAUSAL_PHASES, PHASE_GROUPS, PHASES, _phase_times
 
 
 def _cfg(**kw):
@@ -22,32 +24,35 @@ def _cfg(**kw):
     return WorkloadConfig(**defaults)
 
 
-def _summary(faults=None):
+def _trace(faults=None):
     trainer = timing_trainer(_cfg(faults=faults), OSP())
     trainer.enable_sampling()
     result = trainer.run()
-    return run_summary(result)
+    return trace_document(result)
 
 
 @pytest.fixture(scope="module")
 def baseline():
-    return _summary()
+    return _trace()
 
 
 def test_summary_schema_and_round_trip(tmp_path, baseline):
-    assert baseline["schema"] == "repro.run_summary/1"
-    assert set(PHASES) == set(baseline["phases"])
-    assert len(baseline["workers"]) == 4
-    path = save_summary(baseline, tmp_path / "a.json")
-    assert load_summary(path) == baseline
+    phases, workers = _phase_times(baseline)
+    assert set(PHASES) == set(phases)
+    assert sorted(workers) == [0, 1, 2, 3]
+    # A path is read through read_trace and compares equal to the document.
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(baseline))
+    rep = compare_runs(baseline, path)
+    assert rep.as_dict() == compare_runs(baseline, baseline).as_dict()
     bogus = tmp_path / "bogus.json"
     bogus.write_text('{"schema": "nope"}')
-    with pytest.raises(ValueError, match="not a run summary"):
-        load_summary(bogus)
+    with pytest.raises(ValueError, match="not a trace"):
+        compare_runs(baseline, bogus)
 
 
 def test_identical_runs_verdict_ok(baseline):
-    rep = compare_runs(baseline, _summary())
+    rep = compare_runs(baseline, _trace())
     assert rep.verdict == "ok"
     assert abs(rep.delta) < 1e-9
     assert all(abs(d) < 1e-9 for _a, _b, d in rep.phases.values())
@@ -61,7 +66,7 @@ def test_straggler_attributed_to_compute_and_worker(baseline):
     faults = FaultSchedule(
         events=(StragglerSlowdown(worker=2, start=2.0, duration=120.0, factor=3.0),)
     )
-    rep = compare_runs(baseline, _summary(faults))
+    rep = compare_runs(baseline, _trace(faults))
     assert rep.verdict == "regression"
     assert rep.pct > 0.05
     assert rep.dominant_phase == "compute"
@@ -76,7 +81,7 @@ def test_bandwidth_dip_attributed_to_rs(baseline):
     faults = FaultSchedule(
         events=(BandwidthDip(start=2.0, duration=120.0, factor=0.25),)
     )
-    rep = compare_runs(baseline, _summary(faults))
+    rep = compare_runs(baseline, _trace(faults))
     assert rep.verdict == "regression"
     assert rep.dominant_phase == "rs"
 
@@ -85,7 +90,7 @@ def test_improvement_is_symmetric(baseline):
     faults = FaultSchedule(
         events=(StragglerSlowdown(worker=2, start=2.0, duration=120.0, factor=3.0),)
     )
-    slow = _summary(faults)
+    slow = _trace(faults)
     rep = compare_runs(slow, baseline)
     assert rep.verdict == "improvement"
     assert rep.pct < -0.05
@@ -94,7 +99,8 @@ def test_improvement_is_symmetric(baseline):
 
 
 def test_threshold_gates_verdict(baseline):
-    slow = dict(baseline, wall_time=baseline["wall_time"] * 1.04)
+    other = baseline["otherData"]
+    slow = dict(baseline, otherData=dict(other, wallTime=other["wallTime"] * 1.04))
     assert compare_runs(baseline, slow, max_slowdown=0.05).verdict == "ok"
     assert compare_runs(baseline, slow, max_slowdown=0.02).verdict == "regression"
 
@@ -103,7 +109,7 @@ def test_render_marks_dominants(baseline):
     faults = FaultSchedule(
         events=(StragglerSlowdown(worker=2, start=2.0, duration=120.0, factor=3.0),)
     )
-    rep = compare_runs(baseline, _summary(faults))
+    rep = compare_runs(baseline, _trace(faults))
     text = rep.render()
     assert "REGRESSION" in text
     assert "<- dominant" in text
@@ -112,3 +118,22 @@ def test_render_marks_dominants(baseline):
     assert doc["dominant_worker"] == 2
     assert set(doc["phases"]) == set(PHASES)
     assert set(CAUSAL_PHASES) < set(PHASES)
+
+
+def test_trace_phases_match_the_spans_within_the_clamp():
+    # The trace stores span durations in microseconds, clamped below at 1 us,
+    # so each phase total read back from it is within 1 us per span of the
+    # sum over the tracer's own spans.
+    trainer = timing_trainer(_cfg(), OSP())
+    tracer = trainer.enable_tracing()
+    phases, _workers = _phase_times(trace_document(trainer.run()))
+    spans = {p: 0.0 for p in PHASES}
+    counts = {p: 0 for p in PHASES}
+    for span in tracer.spans:
+        phase = PHASE_GROUPS.get(span.name)
+        if phase is not None:
+            spans[phase] += span.end - span.start
+            counts[phase] += 1
+    assert counts["wait"] > 0
+    for phase in PHASES:
+        assert abs(phases[phase] - spans[phase]) <= 1e-6 * counts[phase] + 1e-9

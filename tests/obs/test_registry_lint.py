@@ -1,4 +1,4 @@
-"""Lint: every counter/gauge/histogram name used in src/ is registered.
+"""Lint: every counter/gauge/track name used in src/ is registered.
 
 The registry (repro.obs.registry) is the contract between producers
 (sync models, fault injector, network) and consumers (benches, reports,
@@ -14,7 +14,6 @@ from repro.obs.registry import (
     COUNTERS,
     COUNTER_TEMPLATES,
     GAUGES,
-    HISTOGRAMS,
     HOOKS,
     TRACKS,
     is_registered_counter,
@@ -30,7 +29,6 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: re-load loop only replay names that were linted at the original site).
 _INCR = re.compile(r"""\.incr\(\s*(f?)(['"])([^'"]+)\2""")
 _GAUGE = re.compile(r"""\.(?:gauge|gauge_delta)\(\s*(f?)(['"])([^'"]+)\2""")
-_OBSERVE = re.compile(r"""\.observe\(\s*(f?)(['"])([^'"]+)\2""")
 #: Any string literal naming a sampled time-series track. The sampler
 #: raises at runtime on unregistered names; this sweep catches producer
 #: *and* consumer sites (probes, health, dashboard lookups) statically,
@@ -84,14 +82,6 @@ def test_every_gauge_call_site_uses_a_registered_gauge():
             assert name in GAUGES, (
                 f"{path}: gauge {name!r} not in repro.obs.registry.GAUGES"
             )
-
-
-def test_every_histogram_call_site_is_registered():
-    sites = [s for s in _call_sites(_OBSERVE) if "." in s[2]]
-    for path, _is_fstring, name in sites:
-        assert name in HISTOGRAMS, (
-            f"{path}: histogram {name!r} not in repro.obs.registry.HISTOGRAMS"
-        )
 
 
 def test_every_track_literal_is_registered():

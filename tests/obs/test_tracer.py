@@ -98,7 +98,7 @@ def test_spans_named_view():
     assert len(tracer.spans_named("rs_push", "rs_pull")) == 3
 
 
-# -- counters / histograms / traffic -----------------------------------------
+# -- counters / traffic ------------------------------------------------------
 def test_gauge_and_delta_track_running_value():
     env, tracer = make_tracer()
     tracer.gauge("osp.sgu_budget", 100.0)
@@ -115,15 +115,6 @@ def test_gauge_delta_starts_at_zero():
     tracer.gauge_delta("obs.net.active_flows", 1)
     assert tracer.gauge_value("obs.net.active_flows") == 1.0
     assert tracer.gauge_value("never.sampled") == 0.0
-
-
-def test_observe_builds_histograms():
-    _env, tracer = make_tracer()
-    for v in (1.0, 2.0, 3.0):
-        tracer.observe("obs.bst", v)
-    hist = tracer.histograms["obs.bst"]
-    assert hist.count == 3
-    assert hist.mean() == pytest.approx(2.0)
 
 
 def test_traffic_accounting():
@@ -184,7 +175,6 @@ def test_null_tracer_is_falsy_and_inert():
     NULL_TRACER.instant("e")
     NULL_TRACER.gauge("g", 1.0)
     NULL_TRACER.gauge_delta("g", 1.0)
-    NULL_TRACER.observe("h", 1.0)
     NULL_TRACER.add_traffic("rs", "l", 1.0)
 
 

@@ -59,13 +59,6 @@ def test_traced_spans_nest_iteration_compute():
         assert parent.start <= c.start and c.end <= parent.end
 
 
-def test_bst_histogram_matches_recorder():
-    _trainer, res, tracer = traced_run(BSP(), workers=2, epochs=2, ipe=2)
-    hist = tracer.histograms["obs.bst"]
-    assert hist.count == res.recorder.total_iterations
-    assert hist.mean() == pytest.approx(res.recorder.mean_bst())
-
-
 def test_gauges_sampled():
     _trainer, _res, tracer = traced_run(OSP(fixed_budget_fraction=0.5))
     for name in (

@@ -324,6 +324,17 @@ _UNBUILDABLE = [
     ("dash --workers 0 --out x.html", "n_workers must be >= 1, got 0"),
     ("multirun --workers 0", "n_workers must be >= 1, got 0"),
     ("multirun --hosts 0", "n_hosts must be >= 1, got 0"),
+    # a headroom outside (0, inf), and a job bandwidth admission could never admit
+    *(
+        (f"multirun --workers 2 --epochs 1 --admission bandwidth --headroom={h}",
+         f"headroom must be a finite number > 0, got {float(h)!r}")
+        for h in ("0", "-1", "nan", "inf")
+    ),
+    (
+        "multirun --workers 2 --epochs 1 --admission bandwidth --headroom 0.5",
+        "job 'osp' can never be admitted: 2 workers at line rate exceed "
+        "headroom 0.5 x 3 hosts (bandwidth admission needs headroom >= 2/3)",
+    ),
     ("compare --workers 0", "n_workers must be >= 1, got 0"),
     (
         'run --faults {"event":[]}',
@@ -411,68 +422,65 @@ _NOT_A_TRACE = (
 )
 
 _REPORT_CORPUS = [
-    # (argv tail, file text or None for a missing file, stderr line)
-    ((), None, "error: {f}: No such file or directory"),
-    ((), "", "error: {f}: not JSON (Expecting value: line 1 column 1 (char 0))"),
-    ((), "{not json", "error: {f}: not JSON (Expecting property name enclosed "
-                      "in double quotes: line 1 column 2 (char 1))"),
-    ((), '"trace"', "error: {f}: " + _NOT_A_TRACE),
-    ((), "5", "error: {f}: " + _NOT_A_TRACE),
-    ((), '{"traceEvents": 5}', "error: {f}: traceEvents: expected a list, got int"),
-    ((), "[1]", "error: {f}: " + _NOT_A_TRACE),
-    ((), '{"traceEvents": [1]}', "error: {f}: traceEvents[0]: expected an object, got int"),
-    ((), '{"counters": {"x": "y"}}', "error: {f}: " + _NOT_A_TRACE),
-    ((), '{"iterations": 5}', "error: {f}: " + _NOT_A_TRACE),
-    ((), '{"a": 1}', "error: {f}: " + _NOT_A_TRACE),
-    ((), '{"traceEvents": [{"ph": "X"}]}',
+    # (file text or None for a missing file, stderr line)
+    (None, "error: {f}: No such file or directory"),
+    ("", "error: {f}: not JSON (Expecting value: line 1 column 1 (char 0))"),
+    ("{not json", "error: {f}: not JSON (Expecting property name enclosed "
+                  "in double quotes: line 1 column 2 (char 1))"),
+    ('"trace"', "error: {f}: " + _NOT_A_TRACE),
+    ("5", "error: {f}: " + _NOT_A_TRACE),
+    ('{"traceEvents": 5}', "error: {f}: traceEvents: expected a list, got int"),
+    ("[1]", "error: {f}: " + _NOT_A_TRACE),
+    ('{"traceEvents": [1]}', "error: {f}: traceEvents[0]: expected an object, got int"),
+    ('{"counters": {"x": "y"}}', "error: {f}: " + _NOT_A_TRACE),
+    ('{"iterations": 5}', "error: {f}: " + _NOT_A_TRACE),
+    ('{"a": 1}', "error: {f}: " + _NOT_A_TRACE),
+    ('{"traceEvents": [{"ph": "X"}]}',
      "error: {f}: traceEvents[0]: an 'X' event needs a 'ts'"),
-    ((), '{"traceEvents": [{"ph": "X", "ts": "a"}]}',
+    ('{"traceEvents": [{"ph": "X", "ts": "a"}]}',
      "error: {f}: traceEvents[0].ts: expected a number, got str"),
-    ((), '{"traceEvents": [{"ph": "X", "ts": NaN}]}',
+    ('{"traceEvents": [{"ph": "X", "ts": NaN}]}',
      "error: {f}: traceEvents[0].ts: expected a finite number, got nan"),
-    ((), '{"traceEvents": [{"ph": "X", "ts": 0, "dur": true}]}',
+    ('{"traceEvents": [{"ph": "X", "ts": 0, "dur": true}]}',
      "error: {f}: traceEvents[0].dur: expected a number, got bool"),
-    ((), '{"traceEvents": [{"ph": "X", "ts": 0, "name": 5}]}',
+    ('{"traceEvents": [{"ph": "X", "ts": 0, "name": 5}]}',
      "error: {f}: traceEvents[0].name: expected a string, got int"),
-    ((), '{"traceEvents": [{"ph": "X", "ts": 0, "args": []}]}',
+    ('{"traceEvents": [{"ph": "X", "ts": 0, "args": []}]}',
      "error: {f}: traceEvents[0].args: expected an object, got list"),
-    ((), '{"traceEvents": [{"ph": "X", "ts": 0, "name": "compute", "args": {"worker": "a"}}]}',
+    ('{"traceEvents": [{"ph": "X", "ts": 0, "name": "compute", "args": {"worker": "a"}}]}',
      "error: {f}: traceEvents[0].args.worker: expected an integer, got str"),
-    ((), '{"traceEvents": [{"ph": "X", "ts": 0, "pid": "network", '
-         '"args": {"phase": "p", "bytes": null}}]}',
+    ('{"traceEvents": [{"ph": "X", "ts": 0, "pid": "network", '
+     '"args": {"phase": "p", "bytes": null}}]}',
      "error: {f}: traceEvents[0].args.bytes: expected a number, got NoneType"),
-    ((), '{"traceEvents": [], "otherData": 3}',
+    ('{"traceEvents": [], "otherData": 3}',
      "error: {f}: otherData: expected an object, got int"),
-    ((), '{"traceEvents": [], "otherData": {"traffic": {"rs": 5}}}',
+    ('{"traceEvents": [], "otherData": {"traffic": {"rs": 5}}}',
      "error: {f}: otherData.traffic['rs']: expected an object, got int"),
-    ((), '{"traceEvents": [], "otherData": {"traffic": {"rs": {"fc": "1"}}}}',
+    ('{"traceEvents": [], "otherData": {"traffic": {"rs": {"fc": "1"}}}}',
      "error: {f}: otherData.traffic['rs']['fc']: expected a number, got str"),
-    ((), '{"traceEvents": [], "otherData": {"recorderCounters": {"x": "y"}}}',
+    ('{"traceEvents": [], "otherData": {"recorderCounters": {"x": "y"}}}',
      "error: {f}: otherData.recorderCounters['x']: expected a number, got str"),
-    (("--compare",), None,
-     "error: summary file not found: {f} (write one with `repro run --summary "
-     "FILE` or `repro dash --summary FILE`)"),
-    (("--compare",), "[]", "error: not a comparable run summary: {f}: not a "
-                           "run summary (expected an object, got list)"),
-    (("--compare",), '"s"', "error: not a comparable run summary: {f}: not a "
-                            "run summary (expected an object, got str)"),
-    (("--compare",), '{"schema": "repro.run_summary/1"}',
-     "error: not a comparable run summary: {f}: run summary has no "
-     "'wall_time' field"),
-    (("--compare",), '{"schema": "repro.run_summary/1", "wall_time": "1", "phases": {}}',
-     "error: not a comparable run summary: {f}: wall_time: expected a number, got str"),
-    (("--compare",), '{"schema": "repro.run_summary/1", "wall_time": 1.0, "phases": [1, 2]}',
-     "error: not a comparable run summary: {f}: phases: expected an object, got list"),
-    (("--compare",),
-     '{"schema": "repro.run_summary/1", "wall_time": 1.0, "phases": {}, "workers": [1]}',
-     "error: not a comparable run summary: {f}: workers: expected an object, got list"),
+    ('{"traceEvents": [], "otherData": {"wallTime": "1"}}',
+     "error: {f}: otherData.wallTime: expected a number, got str"),
+    ('{"traceEvents": [], "otherData": {"wallTime": Infinity}}',
+     "error: {f}: otherData.wallTime: expected a finite number, got inf"),
+    ("[]", "error: {f}: " + _NOT_A_TRACE),
+    ('"s"', "error: {f}: " + _NOT_A_TRACE),
+]
+
+#: ``report FILE`` and ``report --compare FILE FILE`` open files through one
+#: reader, so every unusable file is refused the same way by both.
+_REPORT_CASES = [
+    (flags, text, line)
+    for flags in ((), ("--compare",))
+    for text, line in _REPORT_CORPUS
 ]
 
 
 @pytest.mark.parametrize(
     "flags, text, line",
-    _REPORT_CORPUS,
-    ids=[f"{' '.join(f) or 'file'}:{t!r}" for f, t, _ in _REPORT_CORPUS],
+    _REPORT_CASES,
+    ids=[f"{' '.join(f) or 'file'}:{t!r}" for f, t, _ in _REPORT_CASES],
 )
 def test_report_refuses_unusable_file_in_one_line(flags, text, line, tmp_path, capsys):
     path = tmp_path / "in.json"
@@ -482,6 +490,67 @@ def test_report_refuses_unusable_file_in_one_line(flags, text, line, tmp_path, c
     assert main(["report", *flags, *files]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [line.format(f=path)]
+    assert captured.out == ""
+
+
+def _traced_run(path, *extra):
+    argv = ["run", "--workload", "vgg16-cifar10", "--workers", "4", "--epochs", "3",
+            "--iterations", "6", "--trace", str(path), *extra]  # fmt: skip
+    assert main(argv) == 0
+
+
+@pytest.fixture(scope="module")
+def compare_traces(tmp_path_factory):
+    """A clean traced run and the same run under the Makefile's bandwidth dip."""
+    root = tmp_path_factory.mktemp("compare")
+    clean, dip = root / "clean.json", root / "dip.json"
+    _traced_run(clean)
+    _traced_run(dip, "--faults", '[{"kind": "bandwidth_dip", "start": 2.0, '
+                                 '"duration": 120.0, "factor": 0.25}]')
+    return clean, dip
+
+
+def test_report_compare_reads_two_traces(compare_traces, capsys):
+    clean, dip = compare_traces
+    capsys.readouterr()
+    assert main(["report", "--compare", str(clean), str(dip), "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "regression"
+    assert doc["dominant_phase"] == "rs"
+    assert main(["report", "--compare", str(clean), str(clean)]) == 0
+    assert "verdict: OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "-0.5"])
+def test_report_compare_refuses_a_bad_max_slowdown(bound, compare_traces, capsys):
+    clean, _dip = compare_traces
+    capsys.readouterr()
+    argv = ["report", "--compare", str(clean), str(clean), f"--max-slowdown={bound}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: max_slowdown must be a finite number >= 0, got {float(bound)!r}"
+    ]
+    assert captured.out == ""
+
+
+def test_report_compare_refuses_a_trace_without_its_wall_time(
+    compare_traces, tmp_path, capsys
+):
+    clean, _dip = compare_traces
+    doc = json.loads(clean.read_text())
+    del doc["otherData"]["wallTime"]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", str(old)]) == 0  # the overlap report does not need it
+    capsys.readouterr()
+    assert main(["report", "--compare", str(clean), str(old)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {old}: otherData.wallTime is missing, so the trace cannot be "
+        "compared (write it again with `repro run --trace FILE`)"
+    ]
     assert captured.out == ""
 
 
