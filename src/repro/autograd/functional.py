@@ -225,25 +225,6 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     return Tensor._from_op(out_data, [(x, grad_fn_strided)], "max_pool2d")
 
 
-def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Non-overlapping average pooling (NCHW)."""
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(f"pool kernel {kernel} does not divide {h}x{w}")
-    out_h, out_w = h // kernel, w // kernel
-    blocks = x.data.reshape(n, c, out_h, kernel, out_w, kernel)
-    out_data = blocks.mean(axis=(3, 5))
-
-    def grad_fn(g):
-        g_exp = np.broadcast_to(
-            g[:, :, :, None, :, None] / (kernel * kernel),
-            (n, c, out_h, kernel, out_w, kernel),
-        )
-        return g_exp.reshape(n, c, h, w)
-
-    return Tensor._from_op(out_data, [(x, grad_fn)], "avg_pool2d")
-
-
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Mean over spatial dims: (N, C, H, W) -> (N, C)."""
     return x.mean(axis=(2, 3))
@@ -262,7 +243,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
 
 
 __all__ = [
-    "avg_pool2d",
     "conv2d",
     "dropout",
     "embedding",

@@ -118,10 +118,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array (no copy). Mutating it is on you."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.item())
 

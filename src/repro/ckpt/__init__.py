@@ -16,7 +16,6 @@ from repro.ckpt.snapshot import (
     apply_checkpoint,
     capture,
     describe,
-    latest_checkpoint,
     load_checkpoint,
     params_plane,
     verify_roundtrip,
@@ -31,7 +30,6 @@ __all__ = [
     "apply_checkpoint",
     "capture",
     "describe",
-    "latest_checkpoint",
     "load_checkpoint",
     "params_plane",
     "verify_roundtrip",

@@ -174,12 +174,6 @@ def verify_roundtrip(ckpt: Checkpoint, path: str | Path) -> None:
             )
 
 
-def latest_checkpoint(directory: str | Path) -> Optional[Path]:
-    """Newest checkpoint file in ``directory`` by epoch number, or None."""
-    paths = sorted(Path(directory).glob("ckpt-epoch*.npz"))
-    return paths[-1] if paths else None
-
-
 def capture(
     trainer: "DistributedTrainer",
     next_epoch: int,
@@ -361,7 +355,6 @@ __all__ = [
     "apply_checkpoint",
     "capture",
     "describe",
-    "latest_checkpoint",
     "load_checkpoint",
     "params_plane",
     "verify_roundtrip",

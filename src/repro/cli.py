@@ -243,6 +243,20 @@ def cmd_dash(args) -> int:
     return 0
 
 
+#: The keys of one ``--jobs`` entry: accepted JSON types and their wording.
+_JOB_KEYS = {
+    "name": ((str,), "a string"),
+    "workload": ((str,), "a string"),
+    "sync": ((str,), "a string"),
+    "workers": ((int,), "an integer"),
+    "epochs": ((int,), "an integer"),
+    "iterations": ((int,), "an integer"),
+    "seed": ((int,), "an integer"),
+    "sigma": ((int, float), "a number"),
+    "background": ((bool,), "true or false"),
+}
+
+
 def _parse_jobs_spec(spec: str):
     """--jobs value: inline JSON list or a path to a JSON file.
 
@@ -260,22 +274,29 @@ def _parse_jobs_spec(spec: str):
     entries = json.loads(text)
     if not isinstance(entries, list) or not entries:
         raise ValueError("--jobs must be a non-empty JSON list of job objects")
-    allowed = {
-        "name", "workload", "sync", "workers", "epochs",
-        "iterations", "sigma", "seed", "background",
-    }
     jobs = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"job #{i}: expected a JSON object, got {entry!r}")
-        unknown = set(entry) - allowed
+        unknown = set(entry) - set(_JOB_KEYS)
         if unknown:
             raise ValueError(f"job #{i}: unknown keys {sorted(unknown)}")
+        for key, value in entry.items():
+            types, what = _JOB_KEYS[key]
+            # bool is an int subclass, but a count or a rate is never a flag.
+            is_flag = isinstance(value, bool)
+            if not isinstance(value, types) or is_flag != (bool in types):
+                raise ValueError(f"job #{i}: {key!r} must be {what}, got {value!r}")
+        workload = entry.get("workload", "vgg16-cifar10")
+        if workload not in MODEL_CARDS:
+            raise ValueError(
+                f"job #{i}: 'workload' must be a known card, got {workload!r}"
+            )
         sync_name = entry.get("sync", "bsp")
         if sync_name not in SYNC_FACTORIES:
             raise ValueError(f"job #{i}: unknown sync {sync_name!r}")
         cfg = WorkloadConfig(
-            entry.get("workload", "vgg16-cifar10"),
+            workload,
             n_workers=entry.get("workers", 4),
             n_epochs=entry.get("epochs", 2),
             iterations_per_epoch=entry.get("iterations", 4),
@@ -457,7 +478,7 @@ def cmd_check(args) -> int:
 
 def cmd_figures(_args) -> int:
     print(
-        "Figure-regeneration benchmarks (run with "
+        "Paper-figure, ablation and robustness benchmarks (run with "
         "`pytest benchmarks/ --benchmark-only -s`):\n"
         "  bench_fig1_fig2_timelines   Figs. 1-2  BSP/ASP timelines\n"
         "  bench_fig3_comm_share       Fig. 3     comm share vs scale\n"
@@ -472,7 +493,12 @@ def cmd_figures(_args) -> int:
         "  bench_ablation_*            our ablations (LGP, Algorithm 1,\n"
         "                              degradation, scaling, baselines,\n"
         "                              non-IID, congestion, compression)\n"
-        "  bench_sensitivity_crossover rho-regime crossover analysis"
+        "  bench_sensitivity_crossover rho-regime crossover analysis\n"
+        "  bench_seed_robustness       Fig. 6(a)  ordering across seeds\n"
+        "  bench_fault_robustness      §4.3       OSP under injected faults\n"
+        "  bench_multijob              co-tenancy: OSP beside a BULK tenant\n"
+        "  bench_netprio               RS-stage wait under priority scheduling\n"
+        "  bench_sampling_overhead     cost of tracing and sampling"
     )
     return 0
 

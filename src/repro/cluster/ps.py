@@ -139,7 +139,7 @@ class ParameterServer:
             scale = float(self.worker_weights[worker])
             scaled = {n: scale * g for n, g in grads.items()}
             self.optimizer.step_with_grads(scaled)
-            # Store what was actually applied: apply_average records the
+            # Keep what was actually applied: apply_average records the
             # weighted average, so PGP importance sees consistently
             # scaled gradients whichever path produced them.
             self.last_aggregated.update(scaled)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,6 +43,10 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+        if not (0 <= self.fixed_overhead < math.inf):
+            raise ValueError(
+                f"fixed_overhead must be finite and >= 0, got {self.fixed_overhead}"
+            )
         if self.faults is not None:
             self._check_timeline(self.faults)
         if self.ps_agg_bandwidth is not None and not (self.ps_agg_bandwidth > 0):
@@ -141,8 +146,20 @@ class TrainingPlan:
             raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs}")
         if self.iterations_per_epoch is not None and self.iterations_per_epoch < 1:
             raise ValueError("iterations_per_epoch must be >= 1 when given")
-        if not (self.lr > 0):
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (0 < self.lr < math.inf):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not (0 <= self.momentum < 1):
+            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
+        if not (0 <= self.weight_decay < math.inf):
+            raise ValueError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
+        if not (0 < self.lr_gamma <= 1):
+            raise ValueError(f"lr_gamma must be in (0,1], got {self.lr_gamma}")
+        if not (0 <= self.early_stop_delta < math.inf):
+            raise ValueError(
+                f"early_stop_delta must be finite and >= 0, got {self.early_stop_delta}"
+            )
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1 when given")
 

@@ -19,7 +19,6 @@ from repro.harness import figures, sweep
 from repro.harness.cotenancy import (
     osp_with_background,
     shared_fabric_runner,
-    uniform_jobs,
 )
 from repro.harness.priority import (
     osp_beside_bulk_cotenant,
@@ -44,5 +43,4 @@ __all__ = [
     "shared_fabric_runner",
     "sweep",
     "timing_trainer",
-    "uniform_jobs",
 ]

@@ -9,7 +9,7 @@ what ``benchmarks/bench_multijob.py`` and ``repro multirun`` default to.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.harness.workloads import WorkloadConfig
 from repro.multijob.job import JobSpec, background_job
@@ -58,39 +58,6 @@ def osp_with_background(
     ]
 
 
-def uniform_jobs(
-    n_jobs: int,
-    card_name: str = "vgg16-cifar10",
-    sync_factory: Optional[Callable] = None,
-    n_workers: int = 4,
-    n_epochs: int = 2,
-    iterations_per_epoch: int = 4,
-    sigma: float = 0.1,
-    seed: int = 0,
-) -> list[JobSpec]:
-    """``n_jobs`` same-shape tenants (``j0``..) with per-job seeds — the
-    admission-policy and queueing-study scenario."""
-    if sync_factory is None:
-        from repro.sync import BSP
-
-        sync_factory = BSP
-    return [
-        JobSpec(
-            name=f"j{i}",
-            workload=WorkloadConfig(
-                card_name,
-                n_workers=n_workers,
-                n_epochs=n_epochs,
-                iterations_per_epoch=iterations_per_epoch,
-                sigma=sigma,
-                seed=seed + i,
-            ),
-            sync_factory=sync_factory,
-        )
-        for i in range(n_jobs)
-    ]
-
-
 def shared_fabric_runner(
     jobs: Sequence[JobSpec], gpus_per_host: Optional[int] = None, **kwargs
 ) -> MultiJobRunner:
@@ -109,4 +76,4 @@ def shared_fabric_runner(
     )
 
 
-__all__ = ["osp_with_background", "shared_fabric_runner", "uniform_jobs"]
+__all__ = ["osp_with_background", "shared_fabric_runner"]

@@ -205,29 +205,6 @@ def accuracy_experiment(
     return out
 
 
-def fig6b_fig6c_accuracy(quick: bool = True, workloads: Iterable[str] | None = None) -> dict[str, dict]:
-    """Top-1/F1 and iterations-to-best per workload and sync model."""
-    if workloads is None:
-        workloads = (
-            ("resnet50-cifar10", "bertbase-squad")
-            if quick
-            else EVALUATION_WORKLOADS
-        )
-    return {w: accuracy_experiment(w, quick=quick) for w in workloads}
-
-
-def fig7_tta_images(quick: bool = True, workload: str = "resnet50-cifar10") -> dict[str, list]:
-    """Time-to-accuracy curves on an image-classification task."""
-    results = accuracy_experiment(workload, quick=quick)
-    return {name: d["tta"] for name, d in results.items()}
-
-
-def fig8_tta_nlp(quick: bool = True) -> dict[str, list]:
-    """Time-to-F1 curves on the QA fine-tuning task."""
-    results = accuracy_experiment("bertbase-squad", quick=quick)
-    return {name: d["tta"] for name, d in results.items()}
-
-
 # ------------------------------------------------------------------ Fig. 9
 def fig9_bct_colocated(quick: bool = True, workloads: Iterable[str] = EVALUATION_WORKLOADS) -> list[tuple]:
     """Batch computation time: BSP vs OSP-S (standalone PS) vs OSP-C
@@ -268,10 +245,7 @@ __all__ = [
     "fig1_fig2_timelines",
     "fig3_comm_share",
     "fig6a_throughput",
-    "fig6b_fig6c_accuracy",
     "fig6d_bst",
-    "fig7_tta_images",
-    "fig8_tta_nlp",
     "fig9_bct_colocated",
     "motivation_gpu_comm",
     "paper_sync_models",

@@ -13,7 +13,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.cluster.trainer import TrainingResult
 from repro.perf.executor import parallel_map
 
 
@@ -56,14 +55,6 @@ class MultiSeedResult:
     throughput: SeedStats
     best_metric: SeedStats
     mean_bst: SeedStats
-
-    @classmethod
-    def from_results(cls, results: Sequence[TrainingResult]) -> "MultiSeedResult":
-        return cls(
-            throughput=SeedStats(tuple(r.throughput for r in results)),
-            best_metric=SeedStats(tuple(r.best_metric for r in results)),
-            mean_bst=SeedStats(tuple(r.mean_bst for r in results)),
-        )
 
 
 def run_seeds(

@@ -21,7 +21,6 @@ from repro.multijob.runner import (
     JobScheduler,
     MultiJobResult,
     MultiJobRunner,
-    run_jobs,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "background_job",
     "multijob_summary",
     "render_report",
-    "run_jobs",
 ]

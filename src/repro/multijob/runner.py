@@ -360,16 +360,10 @@ class MultiJobRunner:
         )
 
 
-def run_jobs(jobs: Sequence[JobSpec], **runner_kwargs) -> MultiJobResult:
-    """One-shot convenience: build a runner, run it, return the result."""
-    return MultiJobRunner(jobs, **runner_kwargs).run()
-
-
 __all__ = [
     "ADMISSION_MODES",
     "JobRun",
     "JobScheduler",
     "MultiJobResult",
     "MultiJobRunner",
-    "run_jobs",
 ]

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
 #: Bytes per second for a 10 Gigabit/s Ethernet link (the paper's testbed).
 TEN_GBPS = 10e9 / 8.0
-#: Bytes per second for 1/25/40/100 GbE, for scaling studies.
-ONE_GBPS = 1e9 / 8.0
-TWENTY_FIVE_GBPS = 25e9 / 8.0
-FORTY_GBPS = 40e9 / 8.0
-HUNDRED_GBPS = 100e9 / 8.0
 
 
 @dataclass(frozen=True)
@@ -34,10 +30,12 @@ class LinkSpec:
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if not (self.latency >= 0):
-            raise ValueError(f"latency must be >= 0, got {self.latency}")
+        if not (0 < self.bandwidth < math.inf):
+            raise ValueError(
+                f"bandwidth must be finite and positive, got {self.bandwidth}"
+            )
+        if not (0 <= self.latency < math.inf):
+            raise ValueError(f"latency must be finite and >= 0, got {self.latency}")
         if not (0.0 <= self.loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0,1), got {self.loss_rate}")
 
@@ -137,9 +135,5 @@ class Link:
 __all__ = [
     "Link",
     "LinkSpec",
-    "ONE_GBPS",
     "TEN_GBPS",
-    "TWENTY_FIVE_GBPS",
-    "FORTY_GBPS",
-    "HUNDRED_GBPS",
 ]

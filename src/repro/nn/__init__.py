@@ -17,13 +17,11 @@ from repro.nn.layers import (
     Linear,
     MaxPool2d,
     ReLU,
-    Tanh,
 )
 from repro.nn.attention import MultiHeadSelfAttention, TransformerBlock
 from repro.nn.loss import (
     accuracy,
     cross_entropy,
-    mse_loss,
     qa_span_accuracy,
     qa_span_loss,
 )
@@ -44,12 +42,10 @@ __all__ = [
     "Parameter",
     "ReLU",
     "Sequential",
-    "Tanh",
     "TransformerBlock",
     "accuracy",
     "cross_entropy",
     "init",
-    "mse_loss",
     "qa_span_accuracy",
     "qa_span_loss",
 ]

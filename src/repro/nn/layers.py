@@ -132,13 +132,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
 class GELU(Module):
     """Gaussian error linear unit (tanh approximation, as in BERT)."""
 
@@ -200,5 +193,4 @@ __all__ = [
     "Linear",
     "MaxPool2d",
     "ReLU",
-    "Tanh",
 ]

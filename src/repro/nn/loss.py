@@ -25,12 +25,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return -picked.mean()
 
 
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error."""
-    diff = pred - Tensor(np.asarray(target, dtype=pred.data.dtype))
-    return (diff * diff).mean()
-
-
 def qa_span_loss(
     start_logits: Tensor,
     end_logits: Tensor,
@@ -70,7 +64,6 @@ def qa_span_accuracy(
 __all__ = [
     "accuracy",
     "cross_entropy",
-    "mse_loss",
     "qa_span_accuracy",
     "qa_span_loss",
 ]

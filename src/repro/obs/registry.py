@@ -19,7 +19,6 @@ counter names cannot silently drift between producers and the dashboards
 
 from __future__ import annotations
 
-import fnmatch
 import re
 
 #: Event counters recorded on :class:`~repro.metrics.recorder.Recorder`.
@@ -145,18 +144,6 @@ HOOKS: frozenset[str] = frozenset(
 ALL_NAMES: frozenset[str] = COUNTERS | GAUGES
 
 
-def is_registered_counter(name: str) -> bool:
-    """Is ``name`` a declared recorder counter?
-
-    True for literal :data:`COUNTERS` members and for concrete
-    instantiations of the :data:`COUNTER_TEMPLATES` (one dot-free segment
-    per placeholder, same semantics as track templates).
-    """
-    if name in COUNTERS:
-        return True
-    return any(_template_matches(t, name) for t in COUNTER_TEMPLATES)
-
-
 def is_registered_track(name: str) -> bool:
     """Is ``name`` a valid time-series track?
 
@@ -178,41 +165,6 @@ def _template_matches(template: str, name: str) -> bool:
     return re.fullmatch(pattern, name) is not None
 
 
-def track_pattern_matches_registered(pattern: str) -> bool:
-    """Does a (possibly f-string) track-name literal fit the registry?
-
-    Each ``{expr}`` placeholder in ``pattern`` is a single-segment
-    wildcard; the pattern must match a concrete instantiation of some
-    :data:`TRACKS` template (placeholders instantiated with a sample
-    segment) or a declared gauge. Handles concrete names, producer
-    templates (``osp.worker.{w}.staleness``) and consumer templates with
-    wildcard suffixes (``osp.worker.{w}.{suffix}``) uniformly.
-    """
-    regex = re.sub(r"\\\{[^}]*\\\}", r"[^.]+", re.escape(pattern))
-    samples = [re.sub(r"\{[^}]*\}", "0", t) for t in TRACKS]
-    samples.extend(GAUGES)
-    return any(re.fullmatch(regex, s) for s in samples)
-
-
-def pattern_matches_registered(pattern: str, names: frozenset[str] = COUNTERS) -> bool:
-    """Does an f-string name template match ≥1 declared name?
-
-    ``{expr}`` placeholders are treated as single-segment wildcards, so
-    ``"faults.{ev.kind}"`` matches ``faults.loss_burst`` but a template
-    with an undeclared static prefix matches nothing.
-    """
-    glob = re.sub(r"\{[^}]*\}", "*", pattern)
-    if any(fnmatch.fnmatchcase(n, glob) for n in names):
-        return True
-    if names is COUNTERS:
-        # f-string producers of templated counters ("netsim.job_bytes.{job}")
-        # match a sample instantiation, exactly like track templates do.
-        regex = re.sub(r"\\\{[^}]*\\\}", r"[^.]+", re.escape(pattern))
-        samples = [re.sub(r"\{[^}]*\}", "0", t) for t in COUNTER_TEMPLATES]
-        return any(re.fullmatch(regex, s) for s in samples)
-    return False
-
-
 __all__ = [
     "ALL_NAMES",
     "COUNTERS",
@@ -220,8 +172,5 @@ __all__ = [
     "GAUGES",
     "HOOKS",
     "TRACKS",
-    "is_registered_counter",
     "is_registered_track",
-    "pattern_matches_registered",
-    "track_pattern_matches_registered",
 ]

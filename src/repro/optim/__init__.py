@@ -5,6 +5,6 @@ epochs (:class:`StepLR` with ``step_epochs=10, gamma=0.5``).
 """
 
 from repro.optim.sgd import SGD
-from repro.optim.lr_scheduler import CosineLR, StepLR, WarmupLR
+from repro.optim.lr_scheduler import StepLR
 
-__all__ = ["CosineLR", "SGD", "StepLR", "WarmupLR"]
+__all__ = ["SGD", "StepLR"]

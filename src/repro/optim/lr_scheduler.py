@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 class StepLR:
     """Multiply LR by ``gamma`` every ``step_epochs`` epochs.
@@ -28,53 +26,4 @@ class StepLR:
         return self.optimizer.lr
 
 
-class WarmupLR:
-    """Linear warm-up over the first ``warmup_epochs``, then a wrapped
-    schedule (Goyal et al.'s large-minibatch recipe, paper ref [29])."""
-
-    def __init__(self, optimizer, warmup_epochs: int, after=None) -> None:
-        if warmup_epochs < 1:
-            raise ValueError(f"warmup_epochs must be >= 1, got {warmup_epochs}")
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.warmup_epochs = warmup_epochs
-        self.after = after
-        optimizer.lr = self.base_lr / warmup_epochs  # epoch 0 LR
-
-    def epoch_end(self, epoch: int) -> float:
-        nxt = epoch + 1
-        if nxt < self.warmup_epochs:
-            self.optimizer.lr = self.base_lr * (nxt + 1) / self.warmup_epochs
-        elif nxt == self.warmup_epochs:
-            # Warm-up just ended: the first post-warmup epoch runs at the
-            # full base LR. The wrapped schedule takes over at the *next*
-            # boundary with an explicit 0-indexed epoch (it must never see
-            # a negative epoch).
-            self.optimizer.lr = self.base_lr
-        elif self.after is not None:
-            self.after.epoch_end(nxt - self.warmup_epochs - 1)
-        else:
-            self.optimizer.lr = self.base_lr
-        return self.optimizer.lr
-
-
-class CosineLR:
-    """Cosine annealing from the base LR to ``min_lr`` over ``total_epochs``."""
-
-    def __init__(self, optimizer, total_epochs: int, min_lr: float = 0.0) -> None:
-        if total_epochs < 1:
-            raise ValueError(f"total_epochs must be >= 1, got {total_epochs}")
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.total_epochs = total_epochs
-        self.min_lr = min_lr
-
-    def epoch_end(self, epoch: int) -> float:
-        frac = min(1.0, (epoch + 1) / self.total_epochs)
-        self.optimizer.lr = self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (
-            1 + math.cos(math.pi * frac)
-        )
-        return self.optimizer.lr
-
-
-__all__ = ["CosineLR", "StepLR", "WarmupLR"]
+__all__ = ["StepLR"]

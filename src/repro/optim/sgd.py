@@ -40,11 +40,11 @@ class SGD:
         weight_decay: float = 0.0,
         nesterov: bool = False,
     ) -> None:
-        if lr <= 0:
+        if not (lr > 0):
             raise ValueError(f"lr must be positive, got {lr}")
         if not (0.0 <= momentum < 1.0):
             raise ValueError(f"momentum must be in [0,1), got {momentum}")
-        if weight_decay < 0:
+        if not (weight_decay >= 0):
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         if nesterov and momentum == 0.0:
             raise ValueError("nesterov requires momentum > 0")

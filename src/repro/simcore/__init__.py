@@ -25,7 +25,6 @@ Example
 
 from repro.simcore.events import (
     AllOf,
-    AnyOf,
     Event,
     EventAlreadyTriggered,
     Interrupt,
@@ -33,12 +32,11 @@ from repro.simcore.events import (
 )
 from repro.simcore.environment import Environment, SimulationError
 from repro.simcore.process import Process
-from repro.simcore.resources import QuorumBarrier, Resource, Store
-from repro.simcore.priority import URGENT, NORMAL, LOW
+from repro.simcore.resources import QuorumBarrier, Resource
+from repro.simcore.priority import URGENT, NORMAL
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "EventAlreadyTriggered",
@@ -47,9 +45,7 @@ __all__ = [
     "QuorumBarrier",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
     "URGENT",
     "NORMAL",
-    "LOW",
 ]

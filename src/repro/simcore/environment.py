@@ -90,12 +90,6 @@ class Environment:
 
         return AllOf(self, events)
 
-    def any_of(self, events) -> Event:
-        """Event that fires when any of ``events`` has succeeded."""
-        from repro.simcore.events import AnyOf
-
-        return AnyOf(self, events)
-
     def defer(self, fn, priority: int = NORMAL) -> Event:
         """Same-instant batching hook: run ``fn()`` later *this* instant.
 

@@ -101,13 +101,6 @@ class Event:
         self.env.schedule(self, priority=priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of another (triggered) event onto this one."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     # -- misc -------------------------------------------------------------
     def __repr__(self) -> str:
         state = (
@@ -134,11 +127,11 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay} at {hex(id(self))}>"
 
 
-class Condition(Event):
-    """Base for composite events over a set of child events.
+class AllOf(Event):
+    """Triggers when *all* child events have succeeded.
 
-    Subclasses define :meth:`_check` returning True when the condition is
-    satisfied. Child failures propagate immediately.
+    Value is a dict mapping each child event to its value. A child failure
+    propagates immediately.
     """
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
@@ -168,34 +161,12 @@ class Condition(Event):
             self.fail(event._value, priority=URGENT)
             return
         self._count += 1
-        if self._check():
+        if self._count == len(self.events):
             self.succeed(self._collect(), priority=URGENT)
-
-    def _check(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Triggers when *all* child events have succeeded.
-
-    Value is a dict mapping each child event to its value.
-    """
-
-    def _check(self) -> bool:
-        return self._count == len(self.events)
-
-
-class AnyOf(Condition):
-    """Triggers when *any* child event has succeeded."""
-
-    def _check(self) -> bool:
-        return self._count >= 1
 
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Condition",
     "Event",
     "EventAlreadyTriggered",
     "Interrupt",

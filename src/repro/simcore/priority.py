@@ -3,12 +3,10 @@
 Lower numeric value runs first. ``URGENT`` is used by the kernel for
 bookkeeping that must precede user callbacks at the same instant (e.g. a
 flow-rate recomputation before a dependent completion fires); ``NORMAL`` is
-the default for user events; ``LOW`` runs after everything else at that
-instant (used e.g. for metric sampling hooks).
+the default for user events.
 """
 
 URGENT = 0
 NORMAL = 1
-LOW = 2
 
-__all__ = ["URGENT", "NORMAL", "LOW"]
+__all__ = ["URGENT", "NORMAL"]

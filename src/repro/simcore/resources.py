@@ -2,8 +2,6 @@
 
 - :class:`Resource` — counted resource with FIFO request queue (e.g. a PS
   that serves one worker at a time under round-robin R²SP).
-- :class:`Store` — unbounded FIFO message store (producer/consumer channel;
-  used for worker↔PS control messages such as GIB delivery).
 - :class:`QuorumBarrier` — the one cyclic barrier (BSP's global barrier and
   OSP's RS barrier are the same synchronous round, see
   :mod:`repro.sync.base`): its party count can shrink/grow at runtime
@@ -14,7 +12,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Callable, Deque, Optional
 
 from repro.simcore.events import Event
 from repro.simcore.priority import URGENT
@@ -70,38 +68,6 @@ class Resource:
             self._waiters.popleft().succeed(priority=URGENT)
         else:
             self._in_use -= 1
-
-
-class Store:
-    """Unbounded FIFO store of items (an async channel).
-
-    ``put(item)`` is immediate; ``get()`` returns an event that succeeds with
-    the next item (immediately if one is buffered).
-    """
-
-    def __init__(self, env: "Environment") -> None:  # noqa: F821
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item; wakes the oldest waiting getter, if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item, priority=URGENT)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that succeeds with the next item in FIFO order."""
-        ev = Event(self.env)
-        if self._items:
-            ev.succeed(self._items.popleft(), priority=URGENT)
-        else:
-            self._getters.append(ev)
-        return ev
 
 
 class QuorumBarrier:
@@ -197,4 +163,4 @@ class QuorumBarrier:
             self.on_degraded(gen, size)
 
 
-__all__ = ["QuorumBarrier", "Resource", "Store"]
+__all__ = ["QuorumBarrier", "Resource"]

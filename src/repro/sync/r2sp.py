@@ -15,7 +15,7 @@ Two service disciplines:
   tokens, so worker *k+1*'s push overlaps worker *k*'s pull and the PS's
   full-duplex link is saturated in both directions. This is the best-case
   reading of the paper's "fully utilise the bandwidth of the PS's duplex
-  links" and is kept as an ablation (``bench_ablation_r2sp_duplex``).
+  links" and is kept as an ablation (``bench_ablation_baselines``).
 """
 
 from __future__ import annotations

@@ -169,19 +169,6 @@ def test_max_pool2d_bad_geometry():
         F.max_pool2d(rand((1, 1, 5, 5)), kernel=2)
 
 
-def test_avg_pool2d_values_and_grad():
-    x = t(np.ones((1, 1, 4, 4)))
-    out = F.avg_pool2d(x, kernel=2)
-    assert np.allclose(out.data, 1.0)
-    out.sum().backward()
-    assert np.allclose(x.grad, 0.25)
-
-
-def test_avg_pool2d_bad_geometry():
-    with pytest.raises(ValueError):
-        F.avg_pool2d(rand((1, 1, 5, 5)), kernel=2)
-
-
 def test_global_avg_pool2d():
     x = rand((2, 3, 4, 4))
     out = F.global_avg_pool2d(x)

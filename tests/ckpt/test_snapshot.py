@@ -11,7 +11,6 @@ from repro.ckpt import (
     CheckpointError,
     CheckpointManager,
     describe,
-    latest_checkpoint,
     load_checkpoint,
     write_checkpoint,
 )
@@ -78,13 +77,6 @@ def test_non_checkpoint_npz_refused(tmp_path):
         np.savez(f, stuff=np.zeros(3))
     with pytest.raises(CheckpointError, match="not a repro checkpoint"):
         load_checkpoint(path)
-
-
-def test_latest_checkpoint_picks_highest_epoch(tmp_path):
-    assert latest_checkpoint(tmp_path) is None
-    for epoch in (2, 10, 4):
-        write_checkpoint(make_ckpt(), tmp_path / f"ckpt-epoch{epoch:04d}.npz")
-    assert latest_checkpoint(tmp_path).name == "ckpt-epoch0010.npz"
 
 
 def test_describe_summarises(tmp_path):

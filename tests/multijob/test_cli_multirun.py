@@ -86,6 +86,34 @@ def test_multirun_bad_jobs_spec_exits_2(spec, capsys):
     assert "bad --jobs spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, refusal",
+    [
+        ({"workers": "x"}, "'workers' must be an integer, got 'x'"),
+        ({"workers": True}, "'workers' must be an integer, got True"),
+        ({"workers": 2.0}, "'workers' must be an integer, got 2.0"),
+        ({"epochs": 1.5}, "'epochs' must be an integer, got 1.5"),
+        ({"iterations": 2.5}, "'iterations' must be an integer, got 2.5"),
+        ({"seed": "1"}, "'seed' must be an integer, got '1'"),
+        ({"sigma": "0.1"}, "'sigma' must be a number, got '0.1'"),
+        ({"sigma": False}, "'sigma' must be a number, got False"),
+        ({"name": 5}, "'name' must be a string, got 5"),
+        ({"workload": 5}, "'workload' must be a string, got 5"),
+        ({"workload": "nope"}, "'workload' must be a known card, got 'nope'"),
+        ({"sync": 5}, "'sync' must be a string, got 5"),
+        ({"background": "no"}, "'background' must be true or false, got 'no'"),
+        ({"background": 1}, "'background' must be true or false, got 1"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else "",
+)
+def test_multirun_wrong_typed_job_key_is_one_line_exit_2(entry, refusal, capsys):
+    job = {"name": "a", "workers": 2, "epochs": 1, "iterations": 2} | entry
+    assert _multirun("--jobs", json.dumps([job])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: bad --jobs spec: job #0: {refusal}"]
+    assert captured.out == ""
+
+
 def test_report_compare_missing_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code = main(["report", "--compare", str(missing), str(missing)])

@@ -14,7 +14,7 @@ import pytest
 from repro.check import capture_stream, first_divergence, stream_digest
 from repro.core.osp import OSP
 from repro.harness.workloads import WorkloadConfig, timing_trainer
-from repro.multijob import JobSpec, MultiJobRunner, run_jobs
+from repro.multijob import JobSpec, MultiJobRunner
 from repro.sync import ASP, BSP
 
 _CFG = dict(n_workers=4, n_epochs=2, iterations_per_epoch=4, sigma=0.1, seed=7)
@@ -31,9 +31,9 @@ def _direct_stream(sync_factory):
 
 
 def _multijob_stream(sync_factory):
-    res = run_jobs(
+    res = MultiJobRunner(
         [JobSpec(name="solo", workload=_workload(), sync_factory=sync_factory)]
-    )
+    ).run()
     result = res["solo"].result
     # TrainerContext carries ps/engine, which is all capture_stream needs
     return capture_stream(result.context, result)
@@ -51,7 +51,9 @@ def test_solo_job_stream_bit_identical_to_direct_run(sync_factory):
 def test_solo_job_metadata_matches_direct_run():
     trainer = timing_trainer(_workload(), OSP())
     direct = trainer.run()
-    res = run_jobs([JobSpec(name="solo", workload=_workload(), sync_factory=OSP)])
+    res = MultiJobRunner(
+        [JobSpec(name="solo", workload=_workload(), sync_factory=OSP)]
+    ).run()
     run = res["solo"]
     assert run.result.wall_time == direct.wall_time
     assert run.result.throughput == direct.throughput
@@ -67,7 +69,9 @@ def test_solo_job_recorder_gains_only_excluded_namespaces():
 
     trainer = timing_trainer(_workload(), OSP())
     direct = trainer.run()
-    res = run_jobs([JobSpec(name="solo", workload=_workload(), sync_factory=OSP)])
+    res = MultiJobRunner(
+        [JobSpec(name="solo", workload=_workload(), sync_factory=OSP)]
+    ).run()
     extra = set(res["solo"].result.recorder.counters) - set(
         direct.recorder.counters
     )
@@ -94,5 +98,7 @@ def test_shared_placement_with_cotenant_differs():
     runner.network.priorities = False
     pair = runner.run()
 
-    solo = run_jobs([JobSpec(name="osp", workload=_workload(), sync_factory=OSP)])
+    solo = MultiJobRunner(
+        [JobSpec(name="osp", workload=_workload(), sync_factory=OSP)]
+    ).run()
     assert pair["osp"].result.wall_time > solo["osp"].result.wall_time

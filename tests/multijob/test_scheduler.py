@@ -2,9 +2,29 @@
 
 import pytest
 
-from repro.harness.cotenancy import uniform_jobs
-from repro.multijob import JobSpec, MultiJobRunner, run_jobs
+from repro.harness.workloads import WorkloadConfig
+from repro.multijob import JobSpec, MultiJobRunner
 from repro.simcore.environment import SimulationError
+from repro.sync import BSP
+
+
+def uniform_jobs(n_jobs, n_workers, n_epochs, iterations_per_epoch, seed):
+    """``n_jobs`` same-shape BSP tenants (``j0``..) with per-job seeds."""
+    return [
+        JobSpec(
+            name=f"j{i}",
+            workload=WorkloadConfig(
+                "vgg16-cifar10",
+                n_workers=n_workers,
+                n_epochs=n_epochs,
+                iterations_per_epoch=iterations_per_epoch,
+                sigma=0.1,
+                seed=seed + i,
+            ),
+            sync_factory=BSP,
+        )
+        for i in range(n_jobs)
+    ]
 
 
 def _jobs(n, workers=2):
@@ -14,7 +34,7 @@ def _jobs(n, workers=2):
 
 
 def test_immediate_starts_everyone_at_zero():
-    res = run_jobs(_jobs(3), admission="immediate")
+    res = MultiJobRunner(_jobs(3), admission="immediate").run()
     assert all(r.admitted == 0.0 for r in res.jobs.values())
     # exclusive default pool sized to fit all three at once
     assert res.n_hosts == sum(j.n_nodes for j in _jobs(3))
@@ -22,7 +42,7 @@ def test_immediate_starts_everyone_at_zero():
 
 def test_fifo_serializes_on_a_tight_pool():
     jobs = _jobs(3)
-    res = run_jobs(jobs, n_hosts=jobs[0].n_nodes, admission="fifo")
+    res = MultiJobRunner(jobs, n_hosts=jobs[0].n_nodes, admission="fifo").run()
     j0, j1, j2 = (res.jobs[f"j{i}"] for i in range(3))
     assert j0.admitted == 0.0
     assert j1.admitted == pytest.approx(j0.finished)
@@ -46,7 +66,7 @@ def test_fifo_preserves_submission_order_even_when_later_fits():
     blocker = _named("blocker", 2, 5)
     # pool of 5: blocker (3 nodes) admits first, wide (5 nodes) waits,
     # narrow (2 nodes) would fit beside blocker but queues behind wide.
-    res = run_jobs([blocker, wide, narrow], n_hosts=5, admission="fifo")
+    res = MultiJobRunner([blocker, wide, narrow], n_hosts=5, admission="fifo").run()
     assert res.jobs["blocker"].admitted == 0.0
     assert res.jobs[wide.name].admitted == pytest.approx(
         res.jobs["blocker"].finished
@@ -57,7 +77,7 @@ def test_fifo_preserves_submission_order_even_when_later_fits():
 def test_bandwidth_gate_limits_concurrent_offered_load():
     jobs = _jobs(3)  # 2 workers each -> demand 2 lines/job
     # 9 hosts, headroom 0.5 -> capacity 4.5 lines: two jobs fit, not three
-    res = run_jobs(jobs, n_hosts=9, admission="bandwidth", headroom=0.5)
+    res = MultiJobRunner(jobs, n_hosts=9, admission="bandwidth", headroom=0.5).run()
     admits = sorted(r.admitted for r in res.jobs.values())
     assert admits[0] == admits[1] == 0.0
     assert admits[2] > 0.0
@@ -65,8 +85,8 @@ def test_bandwidth_gate_limits_concurrent_offered_load():
 
 def test_bandwidth_with_full_headroom_matches_fifo_placement_gate():
     jobs = _jobs(2)
-    bw = run_jobs(jobs, n_hosts=12, admission="bandwidth", headroom=1.0)
-    fifo = run_jobs(jobs, n_hosts=12, admission="fifo")
+    bw = MultiJobRunner(jobs, n_hosts=12, admission="bandwidth", headroom=1.0).run()
+    fifo = MultiJobRunner(jobs, n_hosts=12, admission="fifo").run()
     assert [bw.jobs[j.name].admitted for j in jobs] == [
         fifo.jobs[j.name].admitted for j in jobs
     ]
@@ -75,13 +95,13 @@ def test_bandwidth_with_full_headroom_matches_fifo_placement_gate():
 def test_unplaceable_job_deadlocks_loudly():
     jobs = _jobs(1, workers=8)  # needs 9 hosts
     with pytest.raises(SimulationError):
-        run_jobs(jobs, n_hosts=4, admission="fifo")
+        MultiJobRunner(jobs, n_hosts=4, admission="fifo").run()
 
 
 def test_immediate_on_too_small_pool_raises_placement_error():
     jobs = _jobs(2)
     with pytest.raises(RuntimeError, match="cannot place"):
-        run_jobs(jobs, n_hosts=jobs[0].n_nodes, admission="immediate")
+        MultiJobRunner(jobs, n_hosts=jobs[0].n_nodes, admission="immediate").run()
 
 
 def test_runner_rejects_bad_config():
@@ -115,5 +135,5 @@ def test_bandwidth_refuses_a_job_it_could_never_admit():
         "job 'wide' can never be admitted: 4 workers at line rate exceed "
         "headroom 0.5 x 5 hosts (bandwidth admission needs headroom >= 4/5)"
     )
-    res = run_jobs(jobs, n_hosts=5, admission="bandwidth", headroom=0.8)
+    res = MultiJobRunner(jobs, n_hosts=5, admission="bandwidth", headroom=0.8).run()
     assert res.jobs["wide"].admitted >= res.jobs["j0"].finished

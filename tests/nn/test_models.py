@@ -9,7 +9,6 @@ from repro.nn import (
     TransformerBlock,
     accuracy,
     cross_entropy,
-    mse_loss,
     qa_span_accuracy,
     qa_span_loss,
 )
@@ -57,11 +56,6 @@ def test_cross_entropy_gradient_signs():
     cross_entropy(logits, np.array([0])).backward()
     assert logits.grad[0, 0] < 0  # push up the true class
     assert logits.grad[0, 1] > 0
-
-
-def test_mse_loss():
-    pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    assert mse_loss(pred, np.array([0.0, 0.0])).item() == pytest.approx(2.5)
 
 
 def test_accuracy_metric():

@@ -6,6 +6,7 @@ dashboards). This test greps the source tree so an unregistered name
 fails tier-1 instead of silently creating a counter nobody reads.
 """
 
+import fnmatch
 import re
 from pathlib import Path
 
@@ -16,10 +17,7 @@ from repro.obs.registry import (
     GAUGES,
     HOOKS,
     TRACKS,
-    is_registered_counter,
     is_registered_track,
-    pattern_matches_registered,
-    track_pattern_matches_registered,
 )
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -42,6 +40,56 @@ _TRACK_LITERAL = re.compile(
 _HOOK_CREATED = re.compile(r"self\.(\w+)_hooks\b[^=\n]*= \[\]")
 _HOOK_EMITTED = re.compile(r"for \w+ in [\w.]+\.(\w+)_hooks:")
 _HOOK_SUBSCRIBED = re.compile(r"\.(\w+)_hooks\.append\(")
+
+
+def _placeholder_regex(pattern: str) -> str:
+    """``pattern`` as a regex whose ``{...}`` placeholders each match one
+    dot-free segment (``{w}`` cannot swallow several dotted segments)."""
+    return re.sub(r"\\\{[^}]*\\\}", r"[^.]+", re.escape(pattern))
+
+
+def _samples(templates) -> list[str]:
+    """One concrete instantiation of each template (placeholders -> ``0``)."""
+    return [re.sub(r"\{[^}]*\}", "0", t) for t in templates]
+
+
+def is_registered_counter(name: str) -> bool:
+    """Is ``name`` a declared counter: a literal :data:`COUNTERS` member or
+    a concrete instantiation of a :data:`COUNTER_TEMPLATES` entry?"""
+    if name in COUNTERS:
+        return True
+    return any(re.fullmatch(_placeholder_regex(t), name) for t in COUNTER_TEMPLATES)
+
+
+def pattern_matches_registered(pattern: str, names: frozenset[str] = COUNTERS) -> bool:
+    """Does an f-string name template match >= 1 declared name?
+
+    ``{expr}`` placeholders are single-segment wildcards, so
+    ``"faults.{ev.kind}"`` matches ``faults.loss_burst`` but a template
+    with an undeclared static prefix matches nothing. Counter producers of
+    templated counters (``"netsim.job_bytes.{job}"``) match a sample
+    instantiation of a :data:`COUNTER_TEMPLATES` entry.
+    """
+    glob = re.sub(r"\{[^}]*\}", "*", pattern)
+    if any(fnmatch.fnmatchcase(n, glob) for n in names):
+        return True
+    if names is COUNTERS:
+        regex = _placeholder_regex(pattern)
+        return any(re.fullmatch(regex, s) for s in _samples(COUNTER_TEMPLATES))
+    return False
+
+
+def track_pattern_matches_registered(pattern: str) -> bool:
+    """Does a (possibly f-string) track-name literal fit the registry?
+
+    Each ``{expr}`` placeholder is a single-segment wildcard; the pattern
+    must match a sample instantiation of some :data:`TRACKS` template or a
+    declared gauge. Handles concrete names, producer templates
+    (``osp.worker.{w}.staleness``) and consumer templates with wildcard
+    suffixes (``osp.worker.{w}.{suffix}``) alike.
+    """
+    regex = _placeholder_regex(pattern)
+    return any(re.fullmatch(regex, s) for s in [*_samples(TRACKS), *GAUGES])
 
 
 def _call_sites(regex):

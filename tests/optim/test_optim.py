@@ -6,7 +6,7 @@ import pytest
 from repro.autograd import Tensor
 from repro.nn import Linear, cross_entropy
 from repro.nn.models import MLP
-from repro.optim import SGD, CosineLR, StepLR, WarmupLR
+from repro.optim import SGD, StepLR
 
 
 def rng(seed=0):
@@ -167,87 +167,3 @@ def test_steplr_validation():
         StepLR(opt, step_epochs=0)
     with pytest.raises(ValueError):
         StepLR(opt, gamma=0)
-
-
-def test_warmup_ramps_then_delegates():
-    opt = SGD(make_model(), lr=1.0)
-    after = StepLR(opt, step_epochs=1, gamma=0.5)
-    sched = WarmupLR(opt, warmup_epochs=4, after=after)
-    assert opt.lr == pytest.approx(0.25)
-    sched.epoch_end(0)
-    assert opt.lr == pytest.approx(0.5)
-    for e in range(1, 6):
-        sched.epoch_end(e)
-    assert opt.lr < 1.0
-
-
-def test_warmup_without_after_restores_base():
-    opt = SGD(make_model(), lr=0.8)
-    sched = WarmupLR(opt, warmup_epochs=2)
-    sched.epoch_end(0)
-    sched.epoch_end(1)
-    assert opt.lr == pytest.approx(0.8)
-
-
-class _SpySchedule:
-    """Records the epochs a WarmupLR hands to its wrapped schedule."""
-
-    def __init__(self, optimizer):
-        self.optimizer = optimizer
-        self.calls = []
-
-    def epoch_end(self, epoch):
-        self.calls.append(epoch)
-        return self.optimizer.lr
-
-
-def test_warmup_hands_wrapped_schedule_zero_indexed_epochs():
-    # Regression: the first post-warmup call used to hand epoch −1 to the
-    # wrapped schedule. The hand-off must start at 0 and never go negative.
-    opt = SGD(make_model(), lr=1.0)
-    spy = _SpySchedule(opt)
-    sched = WarmupLR(opt, warmup_epochs=2, after=spy)
-    for e in range(5):
-        sched.epoch_end(e)
-    assert spy.calls == [0, 1, 2]
-    assert min(spy.calls) >= 0
-
-
-def test_warmup_then_steplr_value_sequence():
-    opt = SGD(make_model(), lr=1.0)
-    after = StepLR(opt, step_epochs=1, gamma=0.5)
-    sched = WarmupLR(opt, warmup_epochs=2, after=after)
-    lrs = [sched.epoch_end(e) for e in range(5)]
-    # warm-up completes at full LR, then StepLR halves every epoch starting
-    # from its own epoch 0 — exactly the values an unwrapped StepLR yields.
-    assert lrs == pytest.approx([1.0, 1.0, 0.5, 0.25, 0.125])
-
-
-def test_warmup_then_cosine_value_sequence():
-    opt = SGD(make_model(), lr=1.0)
-    after = CosineLR(opt, total_epochs=4, min_lr=0.0)
-    sched = WarmupLR(opt, warmup_epochs=2, after=after)
-    lrs = [sched.epoch_end(e) for e in range(6)]
-
-    ref_opt = SGD(make_model(), lr=1.0)
-    ref = CosineLR(ref_opt, total_epochs=4, min_lr=0.0)
-    expected = [ref.epoch_end(e) for e in range(4)]
-    assert lrs[0] == pytest.approx(1.0)  # end of warm-up ramp
-    assert lrs[1] == pytest.approx(1.0)  # full LR before the wrapped schedule
-    assert lrs[2:] == pytest.approx(expected)
-    assert lrs[-1] == pytest.approx(0.0)
-
-
-def test_cosine_decays_to_min():
-    opt = SGD(make_model(), lr=1.0)
-    sched = CosineLR(opt, total_epochs=10, min_lr=0.01)
-    for e in range(10):
-        sched.epoch_end(e)
-    assert opt.lr == pytest.approx(0.01)
-
-
-def test_cosine_monotone_decreasing():
-    opt = SGD(make_model(), lr=1.0)
-    sched = CosineLR(opt, total_epochs=20)
-    lrs = [sched.epoch_end(e) for e in range(20)]
-    assert all(a >= b for a, b in zip(lrs, lrs[1:]))

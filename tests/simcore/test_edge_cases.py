@@ -4,12 +4,10 @@ import pytest
 
 from repro.simcore import (
     AllOf,
-    AnyOf,
     Environment,
     Interrupt,
     QuorumBarrier,
     Resource,
-    Store,
 )
 
 
@@ -20,15 +18,6 @@ def test_condition_over_already_processed_children():
     both = AllOf(env, [t1])
     assert both.triggered
     assert both.value == {t1: "a"}
-
-
-def test_anyof_with_mixed_processed_and_pending():
-    env = Environment()
-    t1 = env.timeout(1)
-    env.run()
-    t2 = env.timeout(100)
-    either = AnyOf(env, [t1, t2])
-    assert either.triggered  # t1 already done
 
 
 def test_interrupt_while_waiting_on_barrier():
@@ -118,28 +107,6 @@ def test_nested_process_chain_values():
     p = env.process(root(env))
     env.run()
     assert p.value == 3
-
-
-def test_store_interleaved_producers_consumers():
-    env = Environment()
-    store = Store(env)
-    consumed = []
-
-    def producer(env, items, delay):
-        for item in items:
-            yield env.timeout(delay)
-            store.put(item)
-
-    def consumer(env, n):
-        for _ in range(n):
-            v = yield store.get()
-            consumed.append((env.now, v))
-
-    env.process(producer(env, ["a", "b"], delay=2))
-    env.process(producer(env, ["x", "y"], delay=3))
-    env.process(consumer(env, 4))
-    env.run()
-    assert [v for _t, v in consumed] == ["a", "x", "b", "y"]
 
 
 def test_barrier_more_arrivals_than_parties_wraps_generations():

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.simcore import Environment, SimulationError
-from repro.simcore.priority import LOW, NORMAL, URGENT
+from repro.simcore.priority import NORMAL, URGENT
 
 
 def test_run_until_time_stops_clock_exactly():
@@ -88,7 +88,7 @@ def test_priority_beats_insertion_order():
     hi.callbacks.append(lambda e: order.append("urgent"))
     nm = env.event()
     nm.callbacks.append(lambda e: order.append("normal"))
-    lo.succeed(priority=LOW)
+    lo.succeed(priority=NORMAL + 1)
     nm.succeed(priority=NORMAL)
     hi.succeed(priority=URGENT)
     env.run()

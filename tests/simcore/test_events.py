@@ -4,7 +4,6 @@ import pytest
 
 from repro.simcore import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     EventAlreadyTriggered,
@@ -110,24 +109,6 @@ def test_allof_empty_triggers_immediately():
     both = AllOf(env, [])
     assert both.triggered
     assert both.value == {}
-
-
-def test_anyof_triggers_on_first():
-    env = Environment()
-    t1 = env.timeout(1, value="fast")
-    t2 = env.timeout(10, value="slow")
-    either = AnyOf(env, [t1, t2])
-
-    done_at = []
-
-    def watcher(env):
-        yield either
-        done_at.append(env.now)
-
-    env.process(watcher(env))
-    env.run()
-    assert done_at == [1]
-    assert t1 in either.value
 
 
 def test_allof_propagates_failure():

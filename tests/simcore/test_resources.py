@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store, and QuorumBarrier (the one barrier class)."""
+"""Unit tests for Resource and QuorumBarrier (the one barrier class)."""
 
 import pytest
 
-from repro.simcore import Environment, QuorumBarrier, Resource, Store
+from repro.simcore import Environment, QuorumBarrier, Resource
 
 
 # ---------------------------------------------------------------- Resource
@@ -67,73 +67,6 @@ def test_resource_serialization_matches_capacity():
         env.process(user(env))
     env.run()
     assert max_active[0] == 3
-
-
-# ---------------------------------------------------------------- Store
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-    got = []
-
-    def getter(env):
-        got.append((yield store.get()))
-        got.append((yield store.get()))
-
-    env.process(getter(env))
-    env.run()
-    assert got == ["a", "b"]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def getter(env):
-        v = yield store.get()
-        got.append((env.now, v))
-
-    def putter(env):
-        yield env.timeout(4)
-        store.put("late")
-
-    env.process(getter(env))
-    env.process(putter(env))
-    env.run()
-    assert got == [(4, "late")]
-
-
-def test_store_len_counts_buffered_items():
-    env = Environment()
-    store = Store(env)
-    assert len(store) == 0
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-
-
-def test_store_multiple_getters_fifo():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def getter(env, gid):
-        v = yield store.get()
-        got.append((gid, v))
-
-    for gid in range(3):
-        env.process(getter(env, gid))
-
-    def putter(env):
-        yield env.timeout(1)
-        for item in "xyz":
-            store.put(item)
-
-    env.process(putter(env))
-    env.run()
-    assert got == [(0, "x"), (1, "y"), (2, "z")]
 
 
 # ---------------------------------------------------------------- Barrier

@@ -36,7 +36,7 @@ from repro.data import make_image_classification, train_test_split
 from repro.faults.schedule import FaultSchedule, WorkerCrash, WorkerJoin, WorkerLeave
 from repro.hardware import LognormalJitter
 from repro.harness.workloads import WorkloadConfig, timing_trainer
-from repro.multijob import JobSpec, run_jobs
+from repro.multijob import JobSpec, MultiJobRunner
 from repro.nn.models import MLP
 from repro.nn.models.registry import ModelCard
 
@@ -141,7 +141,9 @@ def test_multijob_plain_cell(model):
     )  # fmt: skip
     trainer = timing_trainer(cfg, MODELS[model]())
     direct = capture_stream(trainer, trainer.run())
-    solo = run_jobs([JobSpec(name="solo", workload=cfg, sync_factory=MODELS[model])])
+    solo = MultiJobRunner(
+        [JobSpec(name="solo", workload=cfg, sync_factory=MODELS[model])]
+    ).run()
     result = solo["solo"].result
     assert result.context.placement.hosts == tuple(range(trainer.spec.n_nodes))
     assert stream_digest(capture_stream(result.context, result)) == stream_digest(direct)

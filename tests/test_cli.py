@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,13 @@ def test_figures_command(capsys):
     out = capsys.readouterr().out
     assert "bench_fig6a_throughput" in out
     assert "bench_fig9_bct_colocated" in out
+    benches = Path(__file__).resolve().parents[1] / "benchmarks"
+    on_disk = {path.stem for path in benches.glob("bench_*.py")}
+    printed = set(re.findall(r"\bbench_\w+", out))
+    assert printed - on_disk == {"bench_ablation_"}  # the `bench_ablation_*` glob
+    assert {
+        name for name in on_disk if not name.startswith("bench_ablation_")
+    } <= printed
 
 
 def test_run_timing_mode(capsys):
@@ -290,6 +299,81 @@ def test_run_net_prio_sets_the_fabric_model_not_the_environment(capsys):
     assert os.environ == before
     # An earlier in-process `--net-prio off` must not leak into later runs.
     assert _run_osp_counters(capsys) == on
+
+
+def test_run_seed_picks_the_jitter_draws(capsys):
+    def wall_time(seed):
+        code = main(["run", "--sync", "osp", "--workers", "2", "--epochs", "2",
+                     "--iterations", "2", "--sigma", "0.3", "--seed", seed, "--json"])
+        assert code == 0
+        return json.loads(capsys.readouterr().out)["wall_time"]
+
+    assert wall_time("1") == wall_time("1")
+    assert wall_time("1") != wall_time("2")
+
+
+def test_run_checkpoint_policy_discard_records_the_dropped_ics_bytes(tmp_path, capsys):
+    def ckpt_counters(*extra):
+        assert _run_with_checkpoints(tmp_path / "ck", extra=["--json", *extra]) == 0
+        counters = json.loads(capsys.readouterr().out)["counters"]
+        return {k: v for k, v in counters.items() if k.startswith("ckpt.")}
+
+    discarded = "ckpt.ics_discarded_bytes"
+    assert ckpt_counters("--checkpoint-policy", "discard")[discarded] > 0
+    assert discarded not in ckpt_counters("--checkpoint-policy", "drain")
+    assert discarded not in ckpt_counters()  # drain is the default
+
+
+def test_dash_csv_and_prom_exports(tmp_path, capsys):
+    csv, prom = tmp_path / "samples.csv", tmp_path / "last.prom"
+    code = main(["dash", "--workers", "2", "--epochs", "2", "--iterations", "2",
+                 "--out", str(tmp_path / "d.html"), "--csv", str(csv),
+                 "--prom", str(prom)])
+    assert code == 0
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "time,track,value" and len(rows) > 1
+    lines = prom.read_text().splitlines()
+    types = [line for line in lines if line.startswith("# TYPE")]
+    assert types and all(line.endswith((" gauge", " counter")) for line in types)
+
+
+def _multirun_summary(capsys, *extra):
+    code = main(["multirun", "--workers", "2", "--epochs", "1", "--iterations", "2",
+                 "--json", *extra])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_multirun_placement_exclusive_gives_each_job_its_own_hosts(capsys):
+    shared = _multirun_summary(capsys)  # shared is the default
+    exclusive = _multirun_summary(capsys, "--placement", "exclusive")
+    assert (shared["placement"], exclusive["placement"]) == ("shared", "exclusive")
+    # two 3-node jobs (2 workers + a PS): stacked on 3 hosts, or 6 apart
+    assert (shared["n_hosts"], exclusive["n_hosts"]) == (3, 6)
+    assert {j["placement_mode"] for j in exclusive["jobs"].values()} == {"exclusive"}
+
+
+def test_multirun_slots_and_gpus_per_host(capsys):
+    wide = _multirun_summary(capsys, "--slots-per-host", "3")
+    # the compute slots default to the tenant slots
+    assert (wide["slots_per_host"], wide["gpus_per_host"]) == (3, 3)
+    default = _multirun_summary(capsys)
+    one_gpu = _multirun_summary(capsys, "--gpus-per-host", "1")
+    assert (one_gpu["slots_per_host"], one_gpu["gpus_per_host"]) == (2, 1)
+    # two tenants on one GPU per host serialise their compute
+    for job in ("osp", "bulk"):
+        assert one_gpu["jobs"][job]["mean_bct"] > default["jobs"][job]["mean_bct"]
+
+
+def test_check_no_replay_skips_the_differential_replay(capsys):
+    def payload(*extra):
+        code = main(["check", "--sync", "osp", "--workers", "2", "--epochs", "2",
+                     "--iterations", "2", "--json", *extra])
+        assert code == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert "replays" not in payload("--no-replay")
+    assert payload()["replays"][0]["identical"] is True
 
 
 def test_run_elastic_leave_and_join_from_faults_json(capsys):
