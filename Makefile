@@ -12,7 +12,7 @@ bench:
 	pytest benchmarks/ --benchmark-only -s
 
 bench-full:
-	REPRO_BENCH_FULL=1 pytest benchmarks/ --benchmark-only -s
+	pytest benchmarks/ --benchmark-only -s --full
 
 # Host-time benchmark (BENCHMARK.json, bench/README.md): every workload's
 # end-to-end metrics to $(OUT). Every optimisation PR reports

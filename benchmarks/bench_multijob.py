@@ -1,7 +1,7 @@
 """Multi-job co-tenancy on the shared fabric.
 
 Runs ``repro.harness.osp_beside_bulk_cotenant`` (quick mode by default,
-four epochs with ``REPRO_BENCH_FULL=1``), prints the per-tenant table, and
+four epochs with ``--full``), prints the per-tenant table, and
 asserts the OSP tenant's RS-stage p90 wait is protected by at least 1.5x
 when a background BULK tenant shares its hosts and the priority scheduler
 is on (1.97x at full scale when the multi-job layer landed).

@@ -1,7 +1,7 @@
 """Priority-aware communication scheduling under background tenants.
 
 Runs ``repro.harness.rs_under_bulk_tenants`` (quick mode by default, four
-epochs with ``REPRO_BENCH_FULL=1``), prints the contended RS-stage wait
+epochs with ``--full``), prints the contended RS-stage wait
 table, and asserts the RS-stage p90 wait improves by at least 1.5x with
 priorities on (1.99x at full scale when the scheduler landed).
 """

@@ -17,6 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+from repro.bounds import COUNT, check_bounds
 from repro.ckpt.layout import PlaneLayout
 from repro.ckpt.snapshot import (
     Checkpoint,
@@ -41,6 +42,8 @@ class CheckpointManager:
     the dropped bytes under the ``ckpt.ics_discarded_bytes`` counter.
     """
 
+    BOUNDS = {"every": COUNT}
+
     def __init__(
         self,
         trainer: "DistributedTrainer",
@@ -48,12 +51,11 @@ class CheckpointManager:
         directory: str | Path,
         policy: str = "drain",
     ) -> None:
-        if every < 1:
-            raise ValueError(f"checkpoint interval must be >= 1, got {every}")
+        self.every = every
+        check_bounds(self)
         if policy not in POLICIES:
             raise ValueError(f"checkpoint policy must be one of {POLICIES}, got {policy!r}")
         self.trainer = trainer
-        self.every = int(every)
         self.directory = Path(directory)
         self.policy = policy
         self.latest: Optional[Checkpoint] = None

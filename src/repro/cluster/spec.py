@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.bounds import COUNT, FRACTION, INDEX, NON_NEGATIVE, POSITIVE, Bound, check_bounds
 from repro.faults.schedule import FaultSchedule
 from repro.hardware.gpu import GPUSpec, get_gpu
 from repro.hardware.jitter import JitterModel, NoJitter
@@ -40,32 +40,29 @@ class ClusterSpec:
     #: static membership.
     faults: Optional[FaultSchedule] = None
 
+    BOUNDS = {"n_workers": COUNT, "fixed_overhead": NON_NEGATIVE, "n_ps": COUNT,
+              "ps_agg_bandwidth": Bound(0, ends="()", optional=True)}  # fmt: skip
+
     def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if not (0 <= self.fixed_overhead < math.inf):
-            raise ValueError(
-                f"fixed_overhead must be finite and >= 0, got {self.fixed_overhead}"
-            )
-        if self.faults is not None:
-            self._check_timeline(self.faults)
-        if self.ps_agg_bandwidth is not None and not (self.ps_agg_bandwidth > 0):
-            raise ValueError(
-                f"ps_agg_bandwidth must be positive or None, got {self.ps_agg_bandwidth}"
-            )
-        if self.n_ps < 1:
-            raise ValueError(f"n_ps must be >= 1, got {self.n_ps}")
+        check_bounds(self)
         if self.colocated_ps and self.n_ps != 1:
             raise ValueError("colocated_ps supports a single PS only")
+        if self.faults is not None:
+            self._check_timeline(self.faults)
 
     def _check_timeline(self, faults: FaultSchedule) -> None:
-        """The membership rules that need ``n_workers``: every event names a
-        worker of this cluster, and nobody waits to enter an empty cluster
-        (no epoch before the last join or restart has no one in it)."""
+        """The schedule rules that need the cluster's shape: every event
+        names a worker or node of this cluster, and nobody waits to enter an
+        empty cluster (no epoch before the last join or restart has no one
+        in it)."""
         workers = range(self.n_workers)
-        for ev in faults.membership_events:
-            if ev.worker >= self.n_workers:
-                raise ValueError(f"fault schedule {ev.kind} names unknown worker {ev.worker}")
+        for ev in faults.events:
+            worker = getattr(ev, "worker", None)
+            if worker is not None and worker >= self.n_workers:
+                raise ValueError(f"fault schedule {ev.kind} names unknown worker {worker}")
+            for node in getattr(ev, "nodes", None) or ():
+                if node >= self.n_nodes:
+                    raise ValueError(f"fault schedule {ev.kind} names unknown node {node}")
         last_entry = max(
             (at for w in workers for at, entering, _ev in faults.transitions(w) if entering),
             default=0,
@@ -141,27 +138,14 @@ class TrainingPlan:
     early_stop_delta: float = 1e-3
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.n_epochs < 1:
-            raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs}")
-        if self.iterations_per_epoch is not None and self.iterations_per_epoch < 1:
-            raise ValueError("iterations_per_epoch must be >= 1 when given")
-        if not (0 < self.lr < math.inf):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if not (0 <= self.momentum < 1):
-            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        if not (0 <= self.weight_decay < math.inf):
-            raise ValueError(
-                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
-            )
-        if not (0 < self.lr_gamma <= 1):
-            raise ValueError(f"lr_gamma must be in (0,1], got {self.lr_gamma}")
-        if not (0 <= self.early_stop_delta < math.inf):
-            raise ValueError(
-                f"early_stop_delta must be finite and >= 0, got {self.early_stop_delta}"
-            )
-        if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1 when given")
+    BOUNDS = {
+        "n_epochs": COUNT, "iterations_per_epoch": Bound(1, integer=True, optional=True),
+        "lr": POSITIVE, "momentum": Bound(0, 1), "weight_decay": NON_NEGATIVE,
+        "lr_step_epochs": COUNT, "lr_gamma": FRACTION,
+        "early_stop_patience": Bound(1, integer=True, optional=True),
+        "early_stop_delta": NON_NEGATIVE, "seed": INDEX,
+    }  # fmt: skip
+    __post_init__ = check_bounds
 
 
 __all__ = ["ClusterSpec", "Placement", "TrainingPlan"]

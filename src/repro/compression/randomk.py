@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bounds import FRACTION, INDEX, check_bounds
 from repro.compression.base import GradientDict
 from repro.compression.topk import TopK, sparse_wire_bytes
 
@@ -15,10 +16,13 @@ class RandomK:
     unbiased estimator of the dense one.
     """
 
+    BOUNDS = {"ratio": FRACTION, "seed": INDEX}
+
     def __init__(self, ratio: float, seed: int = 0, unbiased: bool = True) -> None:
-        if not (0.0 < ratio <= 1.0):
-            raise ValueError(f"ratio must be in (0,1], got {ratio}")
-        self.ratio = float(ratio)
+        self.ratio = ratio
+        self.seed = seed
+        check_bounds(self)
+        self.ratio = float(ratio)  # a numpy scalar would promote float32 values
         self.unbiased = unbiased
         self._rng = np.random.default_rng(seed)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bounds import FRACTION, check_bounds
 from repro.compression.base import (
     GradientDict,
     _BYTES_PER_FLOAT,
@@ -30,10 +31,11 @@ class TopK:
     any more than their magnitudes warrant.
     """
 
+    BOUNDS = {"ratio": FRACTION}
+
     def __init__(self, ratio: float) -> None:
-        if not (0.0 < ratio <= 1.0):
-            raise ValueError(f"ratio must be in (0,1], got {ratio}")
-        self.ratio = float(ratio)
+        self.ratio = ratio
+        check_bounds(self)
 
     def compress(self, grads: GradientDict):
         flat = np.concatenate([g.ravel() for g in grads.values()])

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.cluster.context import TrainerContext
 
+from repro.bounds import INDEX
 from repro.core.osp import OSP
 
 
@@ -30,11 +31,11 @@ class ColocatedOSP(OSP):
 
     name = "osp-c"
 
+    BOUNDS = {**OSP.BOUNDS, "ps_worker": INDEX}
+
     def __init__(self, ps_worker: int = 0, **osp_kwargs) -> None:
-        super().__init__(**osp_kwargs)
-        if ps_worker < 0:
-            raise ValueError(f"ps_worker must be >= 0, got {ps_worker}")
         self.ps_worker = ps_worker
+        super().__init__(**osp_kwargs)
         self.name = "osp-c"
 
     def setup(self, ctx: TrainerContext) -> None:

@@ -26,6 +26,8 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.bounds import POSITIVE, Bound, check_bounds
+
 
 class LGPCorrector:
     """Applies Eq. 6 / Eq. 7 to a worker's live parameter arrays.
@@ -86,6 +88,8 @@ class EMALGPCorrector(LGPCorrector):
     value it predicted vs. what arrived).
     """
 
+    BOUNDS = {"beta": Bound(0, 1, ends="[]"), "decay": Bound(0, 1), "lr_hint": POSITIVE}
+
     def __init__(
         self,
         params: Mapping[str, np.ndarray],
@@ -94,13 +98,10 @@ class EMALGPCorrector(LGPCorrector):
         lr_hint: float = 0.1,
     ) -> None:
         super().__init__(params)
-        if not (0.0 <= beta <= 1.0):
-            raise ValueError(f"beta must be in [0,1], got {beta}")
-        if not (0.0 <= decay < 1.0):
-            raise ValueError(f"decay must be in [0,1), got {decay}")
         self.beta = beta
         self.decay = decay
         self.lr_hint = lr_hint
+        check_bounds(self)
         self._ema: dict[str, np.ndarray] = {}
         self._pre_correction: dict[str, np.ndarray] = {}
 

@@ -38,6 +38,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.bounds import COUNT, FRACTION, Bound, check_bounds
 from repro.core.gib import GIB
 from repro.core.lgp import EMALGPCorrector, LGPCorrector
 from repro.core.tuning import MAX_MODEL_FRACTION, SGuTuner, ics_upper_bound
@@ -82,6 +83,13 @@ class OSP(SyncModel):
 
     name = "osp"
 
+    BOUNDS = {
+        "max_model_fraction": FRACTION, "fallback_rounds": COUNT,
+        "fixed_budget_fraction": Bound(0, 1, ends="[]", optional=True),
+        "quorum_timeout": Bound(0, ends="()", optional=True),
+        "deadline_k": Bound(1, integer=True, optional=True),
+    }  # fmt: skip
+
     def __init__(
         self,
         max_model_fraction: float = MAX_MODEL_FRACTION,
@@ -96,18 +104,6 @@ class OSP(SyncModel):
             raise ValueError(f"unknown lgp mode {lgp!r}")
         if force not in (None, "bsp", "asp"):
             raise ValueError(f"unknown force mode {force!r}")
-        if fixed_budget_fraction is not None and not (
-            0.0 <= fixed_budget_fraction <= 1.0
-        ):
-            raise ValueError(
-                f"fixed_budget_fraction must be in [0,1], got {fixed_budget_fraction}"
-            )
-        if quorum_timeout is not None and quorum_timeout <= 0:
-            raise ValueError(f"quorum_timeout must be positive, got {quorum_timeout}")
-        if deadline_k is not None and deadline_k < 1:
-            raise ValueError(f"deadline_k must be >= 1, got {deadline_k}")
-        if fallback_rounds < 1:
-            raise ValueError(f"fallback_rounds must be >= 1, got {fallback_rounds}")
         self.max_model_fraction = max_model_fraction
         self.lgp_mode = lgp
         self.force = force
@@ -115,6 +111,7 @@ class OSP(SyncModel):
         self.quorum_timeout = quorum_timeout
         self.deadline_k = deadline_k
         self.fallback_rounds = fallback_rounds
+        check_bounds(self)
         #: called with no arguments each time a PGP pass has staged (and
         #: broadcast) a new bitmap; read it from :attr:`staged_gib`
         self.gib_staged_hooks: list = []

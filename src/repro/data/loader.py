@@ -6,6 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.bounds import COUNT, INDEX, check_bounds
 from repro.data.dataset import Dataset
 
 
@@ -17,6 +18,8 @@ class BatchLoader:
     so no fixed subset always trains on post-LGP stale parameters.
     """
 
+    BOUNDS = {"batch_size": COUNT, "seed": INDEX}
+
     def __init__(
         self,
         dataset: Dataset,
@@ -24,8 +27,9 @@ class BatchLoader:
         seed: int = 0,
         drop_last: bool = True,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        self.batch_size = batch_size
+        self.seed = seed
+        check_bounds(self)
         if len(dataset) == 0:
             raise ValueError("empty dataset")
         if drop_last and len(dataset) < batch_size:
@@ -34,8 +38,6 @@ class BatchLoader:
                 "with drop_last=True"
             )
         self.dataset = dataset
-        self.batch_size = int(batch_size)
-        self.seed = int(seed)
         self.drop_last = drop_last
         self._perm_cache: tuple[int, np.ndarray] | None = None
 

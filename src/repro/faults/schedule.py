@@ -42,43 +42,25 @@ All times are virtual seconds; epochs are 0-based plan epochs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Optional, Sequence, Union
 
-
-# Every bound below is written so that NaN fails it: ``not x >= 0`` rejects
-# NaN where ``x < 0`` would let it through to the event queue.
+from repro.bounds import COUNT, FRACTION, INDEX, NON_NEGATIVE, Bound, check_bounds
 
 
-def _check_window(start: float, duration: float) -> None:
-    if not start >= 0:
-        raise ValueError(f"start must be >= 0, got {start}")
-    if not duration > 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+#: The bounds every windowed event shares. An infinite ``duration`` lasts to
+#: the end of the run; ``nodes=None`` targets every link.
+_WINDOW = {"start": NON_NEGATIVE, "duration": Bound(0, math.inf, ends="(]")}
+_NODES = Bound(0, integer=True, optional=True, each=True)
 
 
-def _check_int(name: str, value) -> None:
-    # A float or bool epoch or worker id would compare, hash and index as a
-    # number and quietly run a different schedule.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_boundary(worker, epoch) -> None:
-    _check_int("worker", worker)
-    _check_int("epoch", epoch)
-    if worker < 0:
-        raise ValueError(f"worker must be >= 0, got {worker}")
-    if epoch < 1:
-        raise ValueError(
-            f"membership changes happen at epoch boundaries (epoch >= 1), got {epoch}"
-        )
-
-
-def _freeze_nodes(obj, nodes) -> None:
-    if nodes is not None:
-        object.__setattr__(obj, "nodes", tuple(int(n) for n in nodes))
+def _window_post_init(event) -> None:
+    """Hold ``nodes`` as a tuple, then check every declared input."""
+    if event.nodes is not None:
+        object.__setattr__(event, "nodes", tuple(event.nodes))
+    check_bounds(event)
 
 
 @dataclass(frozen=True)
@@ -95,11 +77,8 @@ class LossBurst:
     loss_rate: float = 0.05
     nodes: Optional[tuple[int, ...]] = None
 
-    def __post_init__(self) -> None:
-        _check_window(self.start, self.duration)
-        if not (0.0 <= self.loss_rate < 1.0):
-            raise ValueError(f"loss_rate must be in [0,1), got {self.loss_rate}")
-        _freeze_nodes(self, self.nodes)
+    BOUNDS = {**_WINDOW, "loss_rate": Bound(0, 1), "nodes": _NODES}
+    __post_init__ = _window_post_init
 
 
 @dataclass(frozen=True)
@@ -112,11 +91,8 @@ class BandwidthDip:
     factor: float = 0.5
     nodes: Optional[tuple[int, ...]] = None
 
-    def __post_init__(self) -> None:
-        _check_window(self.start, self.duration)
-        if not (0.0 < self.factor <= 1.0):
-            raise ValueError(f"factor must be in (0,1], got {self.factor}")
-        _freeze_nodes(self, self.nodes)
+    BOUNDS = {**_WINDOW, "factor": FRACTION, "nodes": _NODES}
+    __post_init__ = _window_post_init
 
 
 @dataclass(frozen=True)
@@ -128,9 +104,8 @@ class LinkFlap:
     duration: float
     nodes: Optional[tuple[int, ...]] = None
 
-    def __post_init__(self) -> None:
-        _check_window(self.start, self.duration)
-        _freeze_nodes(self, self.nodes)
+    BOUNDS = {**_WINDOW, "nodes": _NODES}
+    __post_init__ = _window_post_init
 
 
 @dataclass(frozen=True)
@@ -143,13 +118,8 @@ class StragglerSlowdown:
     duration: float
     factor: float = 2.0
 
-    def __post_init__(self) -> None:
-        _check_window(self.start, self.duration)
-        _check_int("worker", self.worker)
-        if self.worker < 0:
-            raise ValueError(f"worker must be >= 0, got {self.worker}")
-        if not self.factor >= 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
+    BOUNDS = {"worker": INDEX, **_WINDOW, "factor": Bound(1)}
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
@@ -170,18 +140,11 @@ class WorkerCrash:
     restart_epoch: Optional[int] = None
     recover: str = "cold"
 
+    BOUNDS = {"worker": INDEX, "before_epoch": COUNT,
+              "restart_epoch": Bound(2, integer=True, optional=True)}  # fmt: skip
+
     def __post_init__(self) -> None:
-        _check_int("worker", self.worker)
-        _check_int("before_epoch", self.before_epoch)
-        if self.restart_epoch is not None:
-            _check_int("restart_epoch", self.restart_epoch)
-        if self.worker < 0:
-            raise ValueError(f"worker must be >= 0, got {self.worker}")
-        if self.before_epoch < 1:
-            raise ValueError(
-                "workers can only fail after completing an epoch "
-                f"(before_epoch >= 1), got {self.before_epoch}"
-            )
+        check_bounds(self)
         if self.restart_epoch is not None and self.restart_epoch <= self.before_epoch:
             raise ValueError(
                 f"restart_epoch ({self.restart_epoch}) must be after "
@@ -207,8 +170,8 @@ class WorkerJoin:
     worker: int
     epoch: int
 
-    def __post_init__(self) -> None:
-        _check_boundary(self.worker, self.epoch)
+    BOUNDS = {"worker": INDEX, "epoch": COUNT}
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
@@ -223,8 +186,8 @@ class WorkerLeave:
     worker: int
     epoch: int
 
-    def __post_init__(self) -> None:
-        _check_boundary(self.worker, self.epoch)
+    BOUNDS = {"worker": INDEX, "epoch": COUNT}
+    __post_init__ = check_bounds
 
 
 MembershipEvent = Union[WorkerCrash, WorkerJoin, WorkerLeave]
@@ -402,8 +365,6 @@ def parse_faults(spec: Union[str, Path]) -> FaultSchedule:
             raise ValueError(
                 f"unknown fault kind {kind!r}; expected one of {sorted(EVENT_KINDS)}"
             )
-        if "nodes" in entry and entry["nodes"] is not None:
-            entry["nodes"] = tuple(entry["nodes"])
         try:
             events.append(cls(**entry))
         except TypeError as exc:  # a missing or unknown field

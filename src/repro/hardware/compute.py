@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.bounds import NON_NEGATIVE, POSITIVE, check_bounds
 from repro.hardware.gpu import GPUSpec
 
 #: backward pass ≈ 2x the forward pass.
@@ -42,11 +43,8 @@ class ComputeModel:
     fixed_overhead: float = 4e-3
     pgp_bandwidth: float = 3e9
 
-    def __post_init__(self) -> None:
-        if self.fixed_overhead < 0:
-            raise ValueError(f"fixed_overhead must be >= 0, got {self.fixed_overhead}")
-        if self.pgp_bandwidth <= 0:
-            raise ValueError(f"pgp_bandwidth must be positive, got {self.pgp_bandwidth}")
+    BOUNDS = {"fixed_overhead": NON_NEGATIVE, "pgp_bandwidth": POSITIVE}
+    __post_init__ = check_bounds
 
     def iteration_time(self, flops_per_sample: float, batch_size: int) -> float:
         """Seconds for one forward+backward over ``batch_size`` samples."""

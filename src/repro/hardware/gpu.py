@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.bounds import FRACTION, POSITIVE, check_bounds
+
 
 @dataclass(frozen=True)
 class GPUSpec:
@@ -31,11 +33,8 @@ class GPUSpec:
     memory_gb: float = 16.0
     efficiency: float = 0.33
 
-    def __post_init__(self) -> None:
-        if self.tflops <= 0:
-            raise ValueError(f"tflops must be positive, got {self.tflops}")
-        if not (0 < self.efficiency <= 1):
-            raise ValueError(f"efficiency must be in (0,1], got {self.efficiency}")
+    BOUNDS = {"tflops": POSITIVE, "memory_gb": POSITIVE, "efficiency": FRACTION}
+    __post_init__ = check_bounds
 
     @property
     def achieved_flops(self) -> float:

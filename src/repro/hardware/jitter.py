@@ -12,10 +12,11 @@ All models are deterministic given their seed.
 
 from __future__ import annotations
 
-import math
 from typing import Protocol, Sequence
 
 import numpy as np
+
+from repro.bounds import COUNT, INDEX, NON_NEGATIVE, Bound, check_bounds
 
 
 class JitterModel(Protocol):
@@ -52,15 +53,15 @@ class LognormalJitter:
     on the order in which workers ask.
     """
 
+    BOUNDS = {"sigma": NON_NEGATIVE, "seed": INDEX, "n_workers": COUNT}
+
     def __init__(
         self, sigma: float = 0.2, seed: int = 0, n_workers: int = DEFAULT_STREAMS
     ) -> None:
-        if not math.isfinite(sigma):  # NaN passes `sigma < 0`
-            raise ValueError(f"sigma must be finite, got {sigma}")
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        self.sigma = float(sigma)
-        self.seed = int(seed)
+        self.sigma = sigma
+        self.seed = seed
+        self.n_workers = n_workers
+        check_bounds(self)
         self._streams = [
             np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, w])))
             for w in range(n_workers)
@@ -108,16 +109,18 @@ class PersistentStraggler:
     times multiplied by ``slow_factor``.
     """
 
+    BOUNDS = {"slow_workers": Bound(0, integer=True, each=True), "slow_factor": Bound(1)}
+
     def __init__(
         self,
         slow_workers: Sequence[int],
         slow_factor: float = 2.0,
         inner: JitterModel | None = None,
     ) -> None:
-        if slow_factor < 1.0:
-            raise ValueError(f"slow_factor must be >= 1, got {slow_factor}")
-        self.slow_workers = frozenset(int(w) for w in slow_workers)
-        self.slow_factor = float(slow_factor)
+        self.slow_workers = slow_workers
+        self.slow_factor = slow_factor
+        check_bounds(self)
+        self.slow_workers = frozenset(slow_workers)
         self.inner = inner or NoJitter()
 
     def sample(self, base_time: float, worker: int, iteration: int) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.bounds import COUNT, Bound, check_bounds
 from repro.cluster.spec import Placement
 from repro.netsim.links import LinkSpec
 from repro.netsim.topology import StarTopology
@@ -35,6 +36,9 @@ class NodePool:
     around an environment does not perturb any co-tenant timeline.
     """
 
+    BOUNDS = {"n_hosts": COUNT, "slots_per_host": COUNT,
+              "gpus_per_host": Bound(1, integer=True, optional=True)}  # fmt: skip
+
     def __init__(
         self,
         env: Environment,
@@ -43,19 +47,14 @@ class NodePool:
         slots_per_host: int = 1,
         gpus_per_host: Optional[int] = None,
     ) -> None:
-        if n_hosts < 1:
-            raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
-        if slots_per_host < 1:
-            raise ValueError(f"slots_per_host must be >= 1, got {slots_per_host}")
         self.env = env
-        self.n_hosts = int(n_hosts)
+        self.n_hosts = n_hosts
         self.link = link or LinkSpec()
-        self.slots_per_host = int(slots_per_host)
-        self.gpus_per_host = (
-            self.slots_per_host if gpus_per_host is None else int(gpus_per_host)
-        )
-        if self.gpus_per_host < 1:
-            raise ValueError(f"gpus_per_host must be >= 1, got {self.gpus_per_host}")
+        self.slots_per_host = slots_per_host
+        self.gpus_per_host = gpus_per_host
+        check_bounds(self)
+        if gpus_per_host is None:
+            self.gpus_per_host = slots_per_host
         #: The shared fabric all tenants ride; built exactly like a
         #: single-tenant trainer's star so exclusive identity placements
         #: reproduce the direct-run topology bit-for-bit.

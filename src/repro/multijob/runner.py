@@ -31,10 +31,10 @@ differential test in ``tests/multijob/test_identity.py`` pins this.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
+from repro.bounds import POSITIVE, check_bounds
 from repro.cluster.spec import Placement
 from repro.cluster.trainer import TrainingResult
 from repro.multijob.job import JobSpec
@@ -130,6 +130,8 @@ class JobScheduler:
     submission order (no overtaking), so admission is deterministic.
     """
 
+    BOUNDS = {"headroom": POSITIVE}
+
     def __init__(
         self,
         env: Environment,
@@ -142,13 +144,12 @@ class JobScheduler:
             raise ValueError(
                 f"admission mode must be one of {ADMISSION_MODES}, got {mode!r}"
             )
-        if not 0 < headroom < math.inf:
-            raise ValueError(f"headroom must be a finite number > 0, got {headroom!r}")
         self.env = env
         self.pool = pool
         self.mode = mode
         self.placement = placement
-        self.headroom = float(headroom)
+        self.headroom = headroom
+        check_bounds(self)
         self._admitted: set[int] = set()
         self._running_demand: dict[int, float] = {}
         self._waiters: list[Event] = []
@@ -166,17 +167,32 @@ class JobScheduler:
             used + self._demand(job) > self._capacity() + 1e-9
         )
 
-    def check_admissible(self, job: JobSpec) -> None:
-        """Refuse a job the bandwidth gate could not admit even alone: its
-        driver would wait for a wake-up that never comes."""
-        if self._over_capacity(0.0, job):
-            n_workers, n_hosts = job.workload.n_workers, self.pool.n_hosts
-            raise ValueError(
-                f"job {job.name!r} can never be admitted: {n_workers} workers "
-                f"at line rate exceed headroom {self.headroom:g} x {n_hosts} "
-                f"hosts (bandwidth admission needs headroom >= "
-                f"{n_workers}/{n_hosts})"
-            )
+    def check_admissible(self, jobs: Sequence[JobSpec]) -> None:
+        """Refuse a job whose driver would wait for a wake-up that never
+        comes: one the pool can never place (under ``immediate`` admission
+        with every job before it, otherwise alone), or one the bandwidth
+        gate could not admit even alone."""
+        pool, shared = self.pool, self.placement == "shared"
+        room = pool.n_hosts * (pool.slots_per_host if shared else 1)
+        needed = 0
+        for job in jobs:
+            needed = needed + job.n_nodes if self.mode == "immediate" else job.n_nodes
+            if needed > room:
+                slots = f" x {pool.slots_per_host} slots" if shared else ""
+                when = "at once" if self.mode == "immediate" else "alone"
+                raise ValueError(
+                    f"job {job.name!r} can never be placed: {self.mode} admission "
+                    f"needs room for {needed} nodes {when}, and the {self.placement} "
+                    f"pool of {pool.n_hosts} hosts{slots} holds {room}"
+                )
+            if self._over_capacity(0.0, job):
+                n_workers, n_hosts = job.workload.n_workers, pool.n_hosts
+                raise ValueError(
+                    f"job {job.name!r} can never be admitted: {n_workers} workers "
+                    f"at line rate exceed headroom {self.headroom:g} x {n_hosts} "
+                    f"hosts (bandwidth admission needs headroom >= "
+                    f"{n_workers}/{n_hosts})"
+                )
 
     def _may_admit(self, job: JobSpec, idx: int) -> bool:
         if self.mode == "immediate":
@@ -253,8 +269,7 @@ class MultiJobRunner:
         self.scheduler = JobScheduler(
             self.env, self.pool, admission, placement, headroom=headroom
         )
-        for job in self.jobs:
-            self.scheduler.check_admissible(job)
+        self.scheduler.check_admissible(self.jobs)
         self._runs: dict[str, JobRun] = {}
         self._tracer = None
         self._sampler = None

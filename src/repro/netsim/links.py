@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+from repro.bounds import NON_NEGATIVE, POSITIVE, Bound, check_bounds
 
 
 #: Bytes per second for a 10 Gigabit/s Ethernet link (the paper's testbed).
@@ -29,15 +30,8 @@ class LinkSpec:
     latency: float = 50e-6
     loss_rate: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not (0 < self.bandwidth < math.inf):
-            raise ValueError(
-                f"bandwidth must be finite and positive, got {self.bandwidth}"
-            )
-        if not (0 <= self.latency < math.inf):
-            raise ValueError(f"latency must be finite and >= 0, got {self.latency}")
-        if not (0.0 <= self.loss_rate < 1.0):
-            raise ValueError(f"loss_rate must be in [0,1), got {self.loss_rate}")
+    BOUNDS = {"bandwidth": POSITIVE, "latency": NON_NEGATIVE, "loss_rate": Bound(0, 1)}
+    __post_init__ = check_bounds
 
 
 @dataclass

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from repro.bounds import COUNT, Bound, check_bounds
 from repro.netsim.links import Link, LinkSpec
 
 
@@ -43,6 +44,8 @@ class StarTopology:
         Unused with one rack.
     """
 
+    BOUNDS = {"n_nodes": COUNT, "n_racks": COUNT, "oversubscription": Bound(1)}
+
     def __init__(
         self,
         n_nodes: int,
@@ -51,15 +54,12 @@ class StarTopology:
         n_racks: int = 1,
         oversubscription: float = 4.0,
     ) -> None:
-        if n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-        if n_racks < 1:
-            raise ValueError(f"n_racks must be >= 1, got {n_racks}")
+        self.n_nodes = n_nodes
+        self.n_racks = n_racks
+        self.oversubscription = oversubscription
+        check_bounds(self)
         if n_nodes < n_racks:
             raise ValueError(f"need at least one host per rack ({n_racks})")
-        if not (oversubscription >= 1.0):
-            raise ValueError(f"oversubscription must be >= 1, got {oversubscription}")
-        self.n_nodes = int(n_nodes)
         self.default_spec = default_spec or LinkSpec()
         overrides = dict(overrides or {})
         for nid in overrides:

@@ -33,12 +33,12 @@ call sites.
 
 from __future__ import annotations
 
-import math
 from array import array
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
+from repro.bounds import COUNT, POSITIVE, check_bounds
 from repro.obs.registry import is_registered_track
 
 if TYPE_CHECKING:
@@ -55,12 +55,6 @@ Probe = Callable[[float], Mapping[str, float]]
 _EMPTY = np.empty(0, dtype=np.float64)
 
 
-def _check_capacity(capacity) -> int:
-    if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity <= 0:
-        raise ValueError(f"capacity must be a positive int, got {capacity!r}")
-    return capacity
-
-
 class Series:
     """A fixed-capacity ring buffer of ``(virtual time, value)`` samples.
 
@@ -71,10 +65,12 @@ class Series:
     """
 
     __slots__ = ("name", "capacity", "_t", "_v", "_head", "_count", "dropped")
+    BOUNDS = {"capacity": COUNT}
 
     def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
         self.name = name
-        self.capacity = _check_capacity(capacity)
+        self.capacity = capacity
+        check_bounds(self)
         self._t = self._v = _EMPTY
         self._head = 0  # next write slot
         self._count = 0
@@ -154,19 +150,18 @@ class MetricSampler:
         ``env.tracer`` lazily at each edge so it works regardless of
         attach order.
     interval:
-        Virtual seconds between sampling edges: finite and positive.
+        Virtual seconds between sampling edges.
     capacity:
-        Ring capacity for every series: a positive ``int``.
+        Ring capacity for every series.
     """
 
+    BOUNDS = {"interval": POSITIVE, "capacity": COUNT}
+
     def __init__(self, env, interval: float, capacity: int = DEFAULT_CAPACITY) -> None:
-        if not (0 < interval < math.inf):
-            raise ValueError(
-                f"interval must be a finite positive number of seconds, got {interval!r}"
-            )
         self.env = env
-        self.interval = float(interval)
-        self.capacity = _check_capacity(capacity)
+        self.interval = interval
+        self.capacity = capacity
+        check_bounds(self)
         self._series: dict[str, Series] = {}  # first-seen order
         self._column: dict[str, int] = {}  # track name -> its index in _series
         # Pending rows, one per tick since the last fold: its time and how

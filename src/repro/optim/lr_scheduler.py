@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.bounds import COUNT, FRACTION, check_bounds
+
 
 class StepLR:
     """Multiply LR by ``gamma`` every ``step_epochs`` epochs.
@@ -9,15 +11,14 @@ class StepLR:
     The paper's schedule (§5.1.3) is ``StepLR(opt, step_epochs=10, gamma=0.5)``.
     """
 
+    BOUNDS = {"step_epochs": COUNT, "gamma": FRACTION}
+
     def __init__(self, optimizer, step_epochs: int = 10, gamma: float = 0.5) -> None:
-        if step_epochs < 1:
-            raise ValueError(f"step_epochs must be >= 1, got {step_epochs}")
-        if not (0 < gamma <= 1):
-            raise ValueError(f"gamma must be in (0,1], got {gamma}")
         self.optimizer = optimizer
         self.base_lr = optimizer.lr
         self.step_epochs = step_epochs
         self.gamma = gamma
+        check_bounds(self)
 
     def epoch_end(self, epoch: int) -> float:
         """Update LR after 0-indexed ``epoch`` finishes; returns the new LR."""

@@ -12,6 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.bounds import NON_NEGATIVE, POSITIVE, Bound, check_bounds
 from repro.nn.module import Module
 
 
@@ -32,6 +33,8 @@ class SGD:
         Use Nesterov momentum.
     """
 
+    BOUNDS = {"lr": POSITIVE, "momentum": Bound(0, 1), "weight_decay": NON_NEGATIVE}
+
     def __init__(
         self,
         module: Module,
@@ -40,18 +43,13 @@ class SGD:
         weight_decay: float = 0.0,
         nesterov: bool = False,
     ) -> None:
-        if not (lr > 0):
-            raise ValueError(f"lr must be positive, got {lr}")
-        if not (0.0 <= momentum < 1.0):
-            raise ValueError(f"momentum must be in [0,1), got {momentum}")
-        if not (weight_decay >= 0):
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+        self.module = module
+        self.lr, self.momentum, self.weight_decay = lr, momentum, weight_decay
+        check_bounds(self)
         if nesterov and momentum == 0.0:
             raise ValueError("nesterov requires momentum > 0")
-        self.module = module
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
+        # Python floats: a numpy scalar would promote float32 updates to float64.
+        self.lr, self.momentum, self.weight_decay = float(lr), float(momentum), float(weight_decay)
         self.nesterov = nesterov
         self._params = dict(module.named_parameters())
         #: momentum buffer per parameter name; a name appears at its first

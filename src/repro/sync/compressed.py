@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bounds import FRACTION, check_bounds
 from repro.compression.base import Compressor, dense_bytes
 from repro.sync.base import SyncModel
 
@@ -35,16 +36,17 @@ class CompressedBSP(SyncModel):
 
     name = "compressed-bsp"
 
+    BOUNDS = {"nominal_ratio": FRACTION}
+
     def __init__(
         self,
         compressor: Compressor,
         nominal_ratio: float = 0.1,
         label: str | None = None,
     ) -> None:
-        if not (0.0 < nominal_ratio <= 1.0):
-            raise ValueError(f"nominal_ratio must be in (0,1], got {nominal_ratio}")
         self.compressor = compressor
         self.nominal_ratio = nominal_ratio
+        check_bounds(self)
         suffix = label if label is not None else type(compressor).__name__.lower()
         self.name = f"compressed-bsp-{suffix}"
 

@@ -22,6 +22,7 @@ if TYPE_CHECKING:
 
 import numpy as np
 
+from repro.bounds import COUNT, INDEX
 from repro.sync.ssp import SSP
 
 
@@ -30,15 +31,15 @@ class DSSP(SSP):
 
     name = "dssp"
 
+    BOUNDS = {"s_min": INDEX, "s_max": INDEX, "window": COUNT}
+
     def __init__(self, s_min: int = 1, s_max: int = 6, window: int = 8) -> None:
-        if not (0 <= s_min <= s_max):
-            raise ValueError(f"need 0 <= s_min <= s_max, got [{s_min},{s_max}]")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        super().__init__(staleness=s_min)
         self.s_min = s_min
         self.s_max = s_max
         self.window = window
+        super().__init__(staleness=s_min)
+        if s_min > s_max:
+            raise ValueError(f"need s_min <= s_max, got [{s_min},{s_max}]")
         self._durations: dict[int, list[float]] = {}
 
     def setup(self, ctx: TrainerContext) -> None:

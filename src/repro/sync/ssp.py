@@ -14,6 +14,7 @@ if TYPE_CHECKING:
 
 import numpy as np
 
+from repro.bounds import INDEX, check_bounds
 from repro.simcore.events import Event
 from repro.sync.asp import ASP
 
@@ -28,10 +29,11 @@ class SSP(ASP):
 
     name = "ssp"
 
+    BOUNDS = {"staleness": INDEX}
+
     def __init__(self, staleness: int = 3) -> None:
-        if staleness < 0:
-            raise ValueError(f"staleness must be >= 0, got {staleness}")
         self.staleness = staleness
+        check_bounds(self)
 
     def setup(self, ctx: TrainerContext) -> None:
         super().setup(ctx)

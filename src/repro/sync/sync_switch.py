@@ -5,6 +5,7 @@ afterwards. Implemented as an extension baseline/ablation.
 
 from __future__ import annotations
 
+from repro.bounds import COUNT, check_bounds
 from repro.sync.asp import ASP
 from repro.sync.bsp import BSP
 
@@ -21,10 +22,11 @@ class SyncSwitch(ASP):
 
     name = "sync-switch"
 
+    BOUNDS = {"switch_epoch": COUNT}
+
     def __init__(self, switch_epoch: int = 5) -> None:
-        if switch_epoch < 1:
-            raise ValueError(f"switch_epoch must be >= 1, got {switch_epoch}")
         self.switch_epoch = switch_epoch
+        check_bounds(self)
 
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
         if epoch < self.switch_epoch:

@@ -72,7 +72,7 @@ def test_membership_changes_visible_in_trace():
 
 
 def test_membership_schedule_validation():
-    with pytest.raises(ValueError, match="epoch boundaries"):
+    with pytest.raises(ValueError, match=r"^epoch must be an integer in \[1, inf\), got 0$"):
         WorkerJoin(worker=0, epoch=0)
     with pytest.raises(ValueError, match="more than one worker_join"):
         FaultSchedule((WorkerJoin(worker=1, epoch=2), WorkerJoin(worker=1, epoch=3)))

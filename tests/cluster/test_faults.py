@@ -7,6 +7,7 @@ of wedging the suite.
 """
 
 import json
+import re
 
 import pytest
 
@@ -180,7 +181,7 @@ def test_fault_schedule_rejects_nan(make):
 
 @pytest.mark.parametrize("worker", [1.5, True, "1"])
 def test_straggler_worker_must_be_an_integer(worker):
-    with pytest.raises(ValueError, match=f"worker must be an integer, got {worker!r}"):
+    with pytest.raises(ValueError, match=re.escape(f"worker must be an integer in [0, inf), got {worker!r}")):
         StragglerSlowdown(worker=worker, start=0.0, duration=1.0)
 
 
@@ -378,7 +379,7 @@ def test_cli_refuses_a_nan_fault_field(capsys):
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: factor must be >= 1, got nan")
+    assert err.startswith("error: factor must be a real in [1, inf), got nan")
     assert len(err.strip().splitlines()) == 1
 
 

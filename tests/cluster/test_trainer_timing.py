@@ -12,8 +12,7 @@ from repro.cluster import (
 from repro.core import OSP, ColocatedOSP
 from repro.hardware import LognormalJitter, NoJitter, PersistentStraggler
 from repro.netsim import LinkSpec, StarTopology
-from repro.nn.models import MLP, get_card
-from repro.optim import SGD
+from repro.nn.models import get_card
 from repro.sync import ASP, BSP, R2SP, SSP, SyncSwitch
 
 
@@ -173,47 +172,6 @@ def test_spec_constructors_reject_nan(make):
     inside the event loop."""
     with pytest.raises(ValueError, match="nan"):
         make()
-
-
-_INF = float("inf")
-
-
-def _sgd(**kw):
-    return SGD(MLP([2, 2], seed=0), **kw)
-
-
-@pytest.mark.parametrize(
-    "make, field, value",
-    [
-        (ClusterSpec, "fixed_overhead", _NAN),
-        (ClusterSpec, "fixed_overhead", _INF),
-        (ClusterSpec, "fixed_overhead", -1.0),
-        (TrainingPlan, "lr", _INF),
-        (TrainingPlan, "momentum", _NAN),
-        (TrainingPlan, "momentum", 1.0),
-        (TrainingPlan, "momentum", -0.1),
-        (TrainingPlan, "weight_decay", _NAN),
-        (TrainingPlan, "weight_decay", _INF),
-        (TrainingPlan, "weight_decay", -1.0),
-        (TrainingPlan, "lr_gamma", _NAN),
-        (TrainingPlan, "lr_gamma", 0.0),
-        (TrainingPlan, "lr_gamma", 1.5),
-        (TrainingPlan, "early_stop_delta", _NAN),
-        (TrainingPlan, "early_stop_delta", _INF),
-        (TrainingPlan, "early_stop_delta", -1.0),
-        (LinkSpec, "bandwidth", _INF),
-        (LinkSpec, "latency", _INF),
-        (_sgd, "lr", _NAN),
-        (_sgd, "weight_decay", _NAN),
-    ],
-    ids=lambda v: getattr(v, "__name__", str(v)),
-)
-def test_float_fields_refuse_non_finite_and_out_of_range_values(make, field, value):
-    """Each pair used to construct: NaN and infinities slipped past checks
-    written ``x <= 0`` / ``x < 0``, and several fields had no check, so the
-    value surfaced later as a run-time error that named no field."""
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        make(**{field: value})
 
 
 def test_timing_mode_requires_iterations_per_epoch():

@@ -114,6 +114,40 @@ def test_multirun_wrong_typed_job_key_is_one_line_exit_2(entry, refusal, capsys)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, refusal",
+    [
+        ("--slots-per-host 1", "job 'bulk' can never be placed: immediate "
+         "admission needs room for 10 nodes at once, and the shared pool of "
+         "5 hosts x 1 slots holds 5"),
+        ("--hosts 2", "job 'osp' can never be placed: immediate admission needs "
+         "room for 5 nodes at once, and the shared pool of 2 hosts x 2 slots "
+         "holds 4"),
+        ("--placement exclusive --hosts 3", "job 'osp' can never be placed: "
+         "immediate admission needs room for 5 nodes at once, and the exclusive "
+         "pool of 3 hosts holds 3"),
+        ("--admission fifo --hosts 2", "job 'osp' can never be placed: fifo "
+         "admission needs room for 5 nodes alone, and the shared pool of 2 "
+         "hosts x 2 slots holds 4"),
+        ("--admission bandwidth --hosts 2 --headroom 10", "job 'osp' can never "
+         "be placed: bandwidth admission needs room for 5 nodes alone, and the "
+         "shared pool of 2 hosts x 2 slots holds 4"),
+        ("--placement exclusive --admission fifo --hosts 3", "job 'osp' can "
+         "never be placed: fifo admission needs room for 5 nodes alone, and "
+         "the exclusive pool of 3 hosts holds 3"),
+    ],
+)  # fmt: skip
+def test_multirun_on_a_pool_too_small_for_its_jobs_is_one_error_line(
+    flags, refusal, capsys
+):
+    # The default scenario: two 5-node jobs (4 workers and a PS each). These
+    # used to die mid-run placing 'bulk', or wedge waiting for room.
+    assert main(["multirun", *flags.split()]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {refusal}"]
+    assert captured.out == ""
+
+
 def test_report_compare_missing_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code = main(["report", "--compare", str(missing), str(missing)])

@@ -1,10 +1,11 @@
 """Admission policies: immediate, FIFO ordering, bandwidth headroom."""
 
+import re
+
 import pytest
 
 from repro.harness.workloads import WorkloadConfig
 from repro.multijob import JobSpec, MultiJobRunner
-from repro.simcore.environment import SimulationError
 from repro.sync import BSP
 
 
@@ -92,16 +93,26 @@ def test_bandwidth_with_full_headroom_matches_fifo_placement_gate():
     ]
 
 
-def test_unplaceable_job_deadlocks_loudly():
-    jobs = _jobs(1, workers=8)  # needs 9 hosts
-    with pytest.raises(SimulationError):
-        MultiJobRunner(jobs, n_hosts=4, admission="fifo").run()
+def test_unplaceable_job_is_refused_at_construction():
+    # The job needs 9 hosts: under fifo its driver used to wait forever.
+    jobs = _jobs(1, workers=8)
+    with pytest.raises(ValueError) as caught:
+        MultiJobRunner(jobs, n_hosts=4, admission="fifo")
+    assert str(caught.value) == (
+        "job 'j0' can never be placed: fifo admission needs room for 9 nodes "
+        "alone, and the exclusive pool of 4 hosts holds 4"
+    )
 
 
-def test_immediate_on_too_small_pool_raises_placement_error():
+def test_immediate_on_too_small_pool_is_refused_at_construction():
+    # Each job fits alone, but immediate admission places both at once.
     jobs = _jobs(2)
-    with pytest.raises(RuntimeError, match="cannot place"):
-        MultiJobRunner(jobs, n_hosts=jobs[0].n_nodes, admission="immediate").run()
+    n = jobs[0].n_nodes
+    with pytest.raises(ValueError, match=f"^job 'j1' can never be placed: immediate "
+                       f"admission needs room for {2 * n} nodes at once, and the exclusive "
+                       f"pool of {n} hosts holds {n}$"):
+        MultiJobRunner(jobs, n_hosts=n, admission="immediate")
+    MultiJobRunner(jobs, n_hosts=n, admission="fifo")
 
 
 def test_runner_rejects_bad_config():
@@ -118,7 +129,7 @@ def test_runner_rejects_bad_config():
 
 @pytest.mark.parametrize("headroom", [0.0, -1.0, float("nan"), float("inf")])
 def test_runner_refuses_a_headroom_outside_zero_to_inf(headroom):
-    with pytest.raises(ValueError, match="headroom must be a finite number > 0"):
+    with pytest.raises(ValueError, match=re.escape("headroom must be a real in (0, inf), got")):
         MultiJobRunner(_jobs(1), admission="bandwidth", headroom=headroom)
 
 

@@ -392,26 +392,26 @@ def test_run_elastic_leave_and_join_from_faults_json(capsys):
 _NO_FAULT_FILE = "cannot read fault file nope.json: No such file or directory"
 
 _UNBUILDABLE = [
-    ("run --workers 0", "n_workers must be >= 1, got 0"),
-    ("run --epochs 0", "n_epochs must be >= 1, got 0"),
-    ("run --iterations 0", "iterations_per_epoch must be >= 1 when given"),
-    ("run --sigma -1", "sigma must be >= 0, got -1.0"),
-    ("run --sigma nan", "sigma must be finite, got nan"),
-    ("run --sigma inf", "sigma must be finite, got inf"),
-    ("run --sigma=-inf", "sigma must be finite, got -inf"),
-    ("multirun --sigma nan", "sigma must be finite, got nan"),
+    ("run --workers 0", "n_workers must be an integer in [1, inf), got 0"),
+    ("run --epochs 0", "n_epochs must be an integer in [1, inf), got 0"),
+    ("run --iterations 0", "iterations_per_epoch must be an integer in [1, inf) or None, got 0"),
+    ("run --sigma -1", "sigma must be a real in [0, inf), got -1.0"),
+    ("run --sigma nan", "sigma must be a real in [0, inf), got nan"),
+    ("run --sigma inf", "sigma must be a real in [0, inf), got inf"),
+    ("run --sigma=-inf", "sigma must be a real in [0, inf), got -inf"),
+    ("multirun --sigma nan", "sigma must be a real in [0, inf), got nan"),
     (
         "run --checkpoint-every 0 --checkpoint-dir D",
-        "checkpoint interval must be >= 1, got 0",
+        "every must be an integer in [1, inf), got 0",
     ),
-    ("check --workers 0", "n_workers must be >= 1, got 0"),
-    ("dash --workers 0 --out x.html", "n_workers must be >= 1, got 0"),
-    ("multirun --workers 0", "n_workers must be >= 1, got 0"),
-    ("multirun --hosts 0", "n_hosts must be >= 1, got 0"),
+    ("check --workers 0", "n_workers must be an integer in [1, inf), got 0"),
+    ("dash --workers 0 --out x.html", "n_workers must be an integer in [1, inf), got 0"),
+    ("multirun --workers 0", "n_workers must be an integer in [1, inf), got 0"),
+    ("multirun --hosts 0", "n_hosts must be an integer in [1, inf), got 0"),
     # a headroom outside (0, inf), and a job bandwidth admission could never admit
     *(
         (f"multirun --workers 2 --epochs 1 --admission bandwidth --headroom={h}",
-         f"headroom must be a finite number > 0, got {float(h)!r}")
+         f"headroom must be a real in (0, inf), got {float(h)!r}")
         for h in ("0", "-1", "nan", "inf")
     ),
     (
@@ -419,7 +419,7 @@ _UNBUILDABLE = [
         "job 'osp' can never be admitted: 2 workers at line rate exceed "
         "headroom 0.5 x 3 hosts (bandwidth admission needs headroom >= 2/3)",
     ),
-    ("compare --workers 0", "n_workers must be >= 1, got 0"),
+    ("compare --workers 0", "n_workers must be an integer in [1, inf), got 0"),
     (
         'run --faults {"event":[]}',
         "fault spec object takes only an 'events' key, got ['event']",
@@ -436,36 +436,45 @@ _UNBUILDABLE = [
     # worker ids and epochs of the membership kinds are JSON integers
     (
         'run --faults [{"kind":"worker_crash","worker":1.5,"before_epoch":1}]',
-        "worker must be an integer, got 1.5",
+        "worker must be an integer in [0, inf), got 1.5",
     ),
     (
         'run --faults [{"kind":"worker_crash","worker":1,"before_epoch":1.5}]',
-        "before_epoch must be an integer, got 1.5",
+        "before_epoch must be an integer in [1, inf), got 1.5",
     ),
     (
         'run --faults [{"kind":"worker_crash","worker":true,"before_epoch":1}]',
-        "worker must be an integer, got True",
+        "worker must be an integer in [0, inf), got True",
     ),
     (
         'run --faults [{"kind":"worker_crash","worker":1,"before_epoch":1,"restart_epoch":2.5}]',
-        "restart_epoch must be an integer, got 2.5",
+        "restart_epoch must be an integer in [2, inf) or None, got 2.5",
     ),
     (
         'run --faults [{"kind":"straggler","worker":1.5,"start":0,"duration":1}]',
-        "worker must be an integer, got 1.5",
+        "worker must be an integer in [0, inf), got 1.5",
     ),
     (
         'run --faults [{"kind":"worker_join","worker":3,"epoch":1.0}]',
-        "epoch must be an integer, got 1.0",
+        "epoch must be an integer in [1, inf), got 1.0",
     ),
     (
         'run --faults [{"kind":"worker_leave","worker":"1","epoch":2}]',
-        "worker must be an integer, got '1'",
+        "worker must be an integer in [0, inf), got '1'",
     ),
     (
         'run --workers 2 --faults [{"kind":"worker_leave","worker":0,"epoch":1},'
         '{"kind":"worker_join","worker":1,"epoch":2}]',
         "no worker is in the cluster during epoch 1, but a later join or restart waits on it",
+    ),
+    # a fault aimed at a worker or node the cluster lacks
+    (
+        'run --faults [{"kind":"straggler","worker":99,"start":0,"duration":1}]',
+        "fault schedule straggler names unknown worker 99",
+    ),
+    (
+        'run --faults [{"kind":"link_flap","start":0,"duration":1,"nodes":[0,99]}]',
+        "fault schedule link_flap names unknown node 99",
     ),
     ("run --faults nope.json", _NO_FAULT_FILE),
     ("dash --faults nope.json --out x.html", _NO_FAULT_FILE),
@@ -494,8 +503,7 @@ def test_dash_refuses_a_bad_interval_in_one_line(interval, capsys, tmp_path, mon
             f"--interval={interval}", "--out", "x.html"]  # fmt: skip
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: interval must be a finite positive number of seconds, "
-        f"got {float(interval)!r}"
+        f"error: interval must be a real in (0, inf), got {float(interval)!r}"
     ]
     assert not list(tmp_path.iterdir())
 
@@ -643,7 +651,7 @@ def test_jobs_spec_with_nan_sigma_is_a_bad_spec(capsys):
     assert main(["multirun", "--jobs", jobs]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "error: bad --jobs spec: sigma must be finite, got nan"
+        "error: bad --jobs spec: sigma must be a real in [0, inf), got nan"
     ]
 
 
