@@ -22,9 +22,11 @@ def run(sync_model, jitter, epochs=12, ipe=8, workers=8):
     spec = ClusterSpec(n_workers=workers, jitter=jitter)
     plan = TrainingPlan(n_epochs=epochs, iterations_per_epoch=ipe)
     engine = TimingEngine(
-        get_card("resnet50-cifar10"), spec, total_iterations=epochs * ipe
+        get_card("resnet50-cifar10"),
+        spec,
+        total_iterations=epochs * ipe,
+        tau=epochs * ipe / 6,
     )
-    engine.tau = epochs * ipe / 6
     return DistributedTrainer(spec, plan, engine, sync_model).run()
 
 

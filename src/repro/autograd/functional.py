@@ -230,21 +230,8 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
     return x.mean(axis=(2, 3))
 
 
-# --------------------------------------------------------------- dropout
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: scale kept units by 1/(1-p) during training."""
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"dropout p must be in [0,1), got {p}")
-    if not training or p == 0.0:
-        return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-
-    return Tensor._from_op(x.data * mask, [(x, lambda g: g * mask)], "dropout")
-
-
 __all__ = [
     "conv2d",
-    "dropout",
     "embedding",
     "global_avg_pool2d",
     "log_softmax",

@@ -12,7 +12,6 @@ from repro.autograd.tensor import Tensor
 def grad_check(
     fn: Callable[..., Tensor],
     inputs: Sequence[Tensor],
-    eps: float = 1e-6,
     rtol: float = 1e-4,
     atol: float = 1e-6,
 ) -> bool:
@@ -24,6 +23,7 @@ def grad_check(
 
     Inputs should be float64 for the tolerances to be meaningful.
     """
+    eps = 1e-6  # the central-difference step
     inputs = list(inputs)
     for t in inputs:
         if not t.requires_grad:

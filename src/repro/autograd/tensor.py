@@ -121,10 +121,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        """A new leaf sharing this tensor's data, cut from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
         self.grad = None

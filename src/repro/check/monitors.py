@@ -164,6 +164,17 @@ class NetworkConservationMonitor(Monitor):
         self._verify()
 
 
+def _degraded(recorder) -> bool:
+    """Whether a round of the run was degraded or shrunk (a crash, a quorum
+    timeout or a leave): such a round legitimately strands late deposits
+    and ICS bytes, so the end-of-run ledgers excuse what is left over."""
+    return bool(
+        recorder.counter("faults.worker_crash")
+        or recorder.counter("osp.quorum_timeout")
+        or recorder.counter("elastic.worker_leave")
+    )
+
+
 class PSLedgerMonitor(Monitor):
     """PS ``accumulate``/``apply_average`` pairing and no-lost-deposit.
 
@@ -229,13 +240,7 @@ class PSLedgerMonitor(Monitor):
         stranded = {b: sorted(s) for b, s in self._deposits.items() if s}
         if not stranded:
             return
-        rec = trainer.recorder
-        excusable = (
-            rec.counter("faults.worker_crash")
-            or rec.counter("osp.quorum_timeout")
-            or rec.counter("elastic.worker_leave")
-        )
-        if excusable:
+        if _degraded(trainer.recorder):
             return  # late arrivals after a degraded/shrunk round: by design
         self.checks += 1
         self.fail(
@@ -531,13 +536,7 @@ class ICSInflightMonitor(Monitor):
             )
 
     def finish(self, trainer) -> None:
-        rec = trainer.recorder
-        excusable = (
-            rec.counter("faults.worker_crash")
-            or rec.counter("osp.quorum_timeout")
-            or rec.counter("elastic.worker_leave")
-        )
-        if excusable:
+        if _degraded(trainer.recorder):
             return
         self.checks += 1
         gauge = self._tracer.gauge_value("osp.inflight_ics_bytes")

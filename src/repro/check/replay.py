@@ -152,13 +152,9 @@ def load_stream(path: str | Path) -> list[ReplayEvent]:
     return events
 
 
-def _prefix_digest(events: Sequence[ReplayEvent], k: int) -> bytes:
-    h = hashlib.sha256()
-    for ev in events[:k]:
-        # repr round-trips float64 exactly, so bit-level divergence is seen.
-        h.update(repr((ev.kind, ev.key, ev.value)).encode())
-        h.update(b"\x00")
-    return h.digest()
+def _witness(ev: ReplayEvent) -> str:
+    # repr round-trips float64 exactly, so bit-level divergence is seen.
+    return repr((ev.kind, ev.key, ev.value))
 
 
 def stream_digest(events: Sequence[ReplayEvent]) -> str:
@@ -168,27 +164,23 @@ def stream_digest(events: Sequence[ReplayEvent]) -> str:
     of :func:`first_divergence` used by bench fingerprints, where only the
     yes/no (plus a committable witness string) is needed.
     """
-    return _prefix_digest(events, len(events)).hex()
+    h = hashlib.sha256()
+    for ev in events:
+        h.update(_witness(ev).encode())
+        h.update(b"\x00")
+    return h.hexdigest()
 
 
 def first_divergence(
     a: Sequence[ReplayEvent], b: Sequence[ReplayEvent]
 ) -> Optional[int]:
     """Index of the first event where the two streams differ (None if
-    identical). Binary search over prefix digests: "prefixes of length k
-    are equal" is monotone in k, so O(log n) digest probes localize the
-    first divergent event exactly."""
-    n = min(len(a), len(b))
-    if _prefix_digest(a, n) == _prefix_digest(b, n):
-        return None if len(a) == len(b) else n  # one is a strict prefix
-    lo, hi = 0, n  # invariant: prefix(lo) equal, prefix(hi) not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _prefix_digest(a, mid) == _prefix_digest(b, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    identical; the shorter length if one is a strict prefix of the other).
+    Events are compared by the same witness :func:`stream_digest` hashes."""
+    for index, (ev_a, ev_b) in enumerate(zip(a, b)):
+        if _witness(ev_a) != _witness(ev_b):
+            return index
+    return None if len(a) == len(b) else min(len(a), len(b))
 
 
 def span_context(tracer, event: Optional[ReplayEvent]) -> tuple[str, ...]:
@@ -308,16 +300,15 @@ def differential_replay(
     build_b: Callable[[], object],
     label_a: str = "A",
     label_b: str = "B",
-    trace: bool = True,
 ) -> ReplayReport:
     """Run two trainer factories and diff their event streams.
 
     ``build_*`` must each construct a *fresh* :class:`DistributedTrainer`
-    (trainers are single-use). ``trace=True`` attaches the passive tracer
+    (trainers are single-use). Both run with the passive tracer attached,
     so a divergence carries span context; it does not perturb virtual time.
     """
-    _ta, result_a, stream_a = _run_one(build_a, trace)
-    _tb, result_b, stream_b = _run_one(build_b, trace)
+    _ta, result_a, stream_a = _run_one(build_a, True)
+    _tb, result_b, stream_b = _run_one(build_b, True)
     return _diff(
         stream_a, stream_b, result_a.tracer, result_b.tracer, label_a, label_b
     )

@@ -16,14 +16,17 @@ The membership timeline (crash, restart, join, leave) is not stored: it is
 the spec's, and a resumed run reads it from its own spec, as it does the
 fault windows.
 Writes are atomic (tmp file + ``os.replace``) and the format is versioned;
-an unreadable file, a mismatched version, a missing metadata key, or a plane
+an unreadable file, a mismatched version, a missing or wrong-typed metadata
+key, a metadata value this trainer's run cannot have reached, or a plane
 that is missing or of the wrong size or dtype raises :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import reprlib
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,8 +52,68 @@ _REQUIRED_META = (
 )  # fmt: skip
 
 
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _kind(kind):
+    return lambda value: isinstance(value, kind)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(check(v) for v in value)
+
+
+def _or_null(check):
+    return lambda value: value is None or check(value)
+
+
+_integers = _list_of(_integer)
+
+
+#: The type of every metadata key a reader reads (``dotted.keys`` inside an
+#: object, checked when the object has them), as ``(description, test)``.
+#: A parent comes before its children.
+_META_TYPES = {
+    "next_epoch": ("an integer", _integer),
+    "time": ("a number", _number),
+    "sync": ("a string", _kind(str)),
+    "mode": ("a string", _kind(str)),
+    "n_workers": ("an integer", _integer),
+    "iterations_per_epoch": ("an integer", _integer),
+    "alive": ("a list of integers", _integers),
+    "release_order": ("null or a list of integers", _or_null(_integers)),
+    "lr": ("null or a number", _or_null(_number)),
+    "jitter": ("null or an object", _or_null(_kind(dict))),
+    "engine_state": ("an object", _kind(dict)),
+    "sync_state": ("an object", _kind(dict)),
+    "aggregate_seen": ("a list of strings", _list_of(_kind(str))),
+    "ics": ("an object", _kind(dict)),
+    "ics.policy": ("a string", _kind(str)),
+    "ics.discarded_bytes": ("a number", _number),
+    "early_stop": ("an object", _kind(dict)),
+    "early_stop.best_metric": ("a number", _number),
+    "early_stop.epochs_since_improvement": ("an integer", _integer),
+    "early_stop.stop_after_epoch": ("null or an integer", _or_null(_integer)),
+    "recorder": ("an object", _kind(dict)),
+    "recorder.iterations": ("a list", _kind(list)),
+    "recorder.epochs": ("a list", _kind(list)),
+    "recorder.counters": ("an object", _kind(dict)),
+}
+
+
 class CheckpointError(ValueError):
     """A checkpoint cannot be loaded or applied to this trainer."""
+
+
+def _refuse(source, key: str, must: str, value) -> CheckpointError:
+    return CheckpointError(
+        f"{source}: metadata key {key!r} must be {must}, got {reprlib.repr(value)}"
+    )
 
 
 @dataclass
@@ -130,6 +193,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for key in _REQUIRED_META:
         if key not in meta:
             raise CheckpointError(f"{path}: metadata key {key!r} is missing")
+    for key, (must, ok) in _META_TYPES.items():
+        parent, _, leaf = key.rpartition(".")
+        holder = meta.get(parent) if parent else meta
+        if isinstance(holder, dict) and leaf in holder and not ok(holder[leaf]):
+            raise _refuse(path, key, must, holder[leaf])
     return Checkpoint(meta=meta, arrays=arrays, source=str(path))
 
 
@@ -253,6 +321,41 @@ def _plane(ckpt: Checkpoint, key: str, layout: PlaneLayout) -> np.ndarray:
     return plane
 
 
+def _check_run_state(ckpt: Checkpoint, recorder, n_workers: int) -> None:
+    """Refuse metadata values a run of ``n_workers`` cannot have reached at
+    a checkpoint: the membership, the epoch counter against the recorded
+    epochs, the clock against the last epoch's, and the release order."""
+    meta = ckpt.meta
+
+    def distinct_workers(value) -> bool:
+        return len(set(value)) == len(value) and all(0 <= w < n_workers for w in value)
+
+    alive = meta["alive"]
+    if not alive or not distinct_workers(alive):
+        raise _refuse(
+            ckpt.source, "alive",
+            f"a non-empty list of distinct workers in range({n_workers})", alive,
+        )  # fmt: skip
+    epochs = len(recorder.epochs)
+    if meta["next_epoch"] < 1 or meta["next_epoch"] != epochs:
+        raise _refuse(
+            ckpt.source, "next_epoch",
+            f"the number of recorded epochs ({epochs}), at least 1", meta["next_epoch"],
+        )  # fmt: skip
+    last = recorder.epochs[-1].time if recorder.epochs else 0.0
+    if not (math.isfinite(meta["time"]) and meta["time"] >= last):
+        raise _refuse(
+            ckpt.source, "time",
+            f"finite and not before the last recorded epoch ({last!r})", meta["time"],
+        )  # fmt: skip
+    order = meta.get("release_order")
+    if order is not None and not distinct_workers(order):
+        raise _refuse(
+            ckpt.source, "release_order",
+            f"null or a list of distinct workers in range({n_workers})", order,
+        )  # fmt: skip
+
+
 def apply_checkpoint(trainer: "DistributedTrainer", ckpt: Checkpoint) -> None:
     """Load ``ckpt`` into a freshly-constructed trainer.
 
@@ -293,7 +396,11 @@ def apply_checkpoint(trainer: "DistributedTrainer", ckpt: Checkpoint) -> None:
             "checkpoint carries jitter RNG state but this spec's jitter "
             "model cannot restore it"
         )
-    recorder = recorder_from_dict(meta["recorder"])
+    try:
+        recorder = recorder_from_dict(meta["recorder"])
+    except ValueError as exc:
+        raise CheckpointError(f"{ckpt.source}: metadata key 'recorder': {exc}") from exc
+    _check_run_state(ckpt, recorder, trainer.spec.n_workers)
 
     if ps.numeric:
         layout = PlaneLayout.of(engine, ps)
@@ -307,6 +414,15 @@ def apply_checkpoint(trainer: "DistributedTrainer", ckpt: Checkpoint) -> None:
             key: _plane(ckpt, key, layout)
             for key in ("ps/params", "ps/velocity", "ps/aggregate", *replica_keys)
         }
+
+    # The first write: a refused jitter state (a stream count that is not
+    # this model's) is refused before the model changes.
+    if jitter_state is not None:
+        try:
+            load_jitter(jitter_state)
+        except ValueError as exc:
+            raise CheckpointError(f"{ckpt.source}: metadata key 'jitter': {exc}") from exc
+    if ps.numeric:
         layout.unpack_into(planes["ps/params"], ps.snapshot(copy=False))
         # Every name gets a buffer; zeros for a never-stepped parameter are
         # what its lazy zero-init would have produced.
@@ -318,8 +434,6 @@ def apply_checkpoint(trainer: "DistributedTrainer", ckpt: Checkpoint) -> None:
             ps.optimizer.lr = float(meta["lr"])
 
     engine.restore_checkpoint_state(meta.get("engine_state", {}))
-    if jitter_state is not None:
-        load_jitter(jitter_state)
     ctx.load_checkpoint_meta(meta)
     ctx.recorder.restore_from(recorder)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.autograd.tensor import no_grad
 from repro.cluster.ps import ParameterServer
-from repro.cluster.spec import ClusterSpec, TrainingPlan
+from repro.cluster.spec import GPU, ClusterSpec, TrainingPlan
 from repro.core.pgp import layer_importance
 from repro.core.splitter import GradientSplitter
 from repro.data.dataset import Dataset
@@ -31,6 +31,16 @@ from repro.hardware.compute import ComputeModel
 from repro.nn.loss import accuracy, cross_entropy, qa_span_accuracy, qa_span_loss
 from repro.nn.models.registry import BYTES_PER_PARAM, ModelCard, synthetic_layer_sizes
 from repro.optim.sgd import SGD
+
+#: The timing engine's synthetic learning curves: the loss falls from
+#: ``INITIAL_LOSS`` toward ``LOSS_FLOOR`` and the metric rises toward
+#: ``MAX_METRIC``.
+INITIAL_LOSS = 2.3
+LOSS_FLOOR = 0.05
+MAX_METRIC = 0.93
+
+#: Test samples each numeric evaluation scores (the head of the test set).
+EVAL_SAMPLES = 512
 
 
 class Engine:
@@ -65,7 +75,7 @@ class Engine:
     def base_compute_time(self, spec: ClusterSpec) -> float:
         """Nominal per-iteration T_c on this cluster's GPU (the card's
         kernel-efficiency factor applied)."""
-        cm = ComputeModel(spec.gpu, fixed_overhead=spec.fixed_overhead)
+        cm = ComputeModel(GPU, fixed_overhead=spec.fixed_overhead)
         return (
             cm.iteration_time(self.card.paper_flops_per_sample, self.card.batch_size)
             / self.card.efficiency_factor
@@ -73,7 +83,7 @@ class Engine:
 
     def pgp_compute_time(self, spec: ClusterSpec) -> float:
         """PS-side PGP + sort cost (charged to a co-located worker, §4.4)."""
-        cm = ComputeModel(spec.gpu, fixed_overhead=0.0)
+        cm = ComputeModel(GPU, fixed_overhead=0.0)
         return cm.pgp_time(self.card.paper_params, self.card.paper_layers)
 
     def make_ps(self, plan: TrainingPlan) -> ParameterServer:
@@ -125,8 +135,6 @@ class NumericEngine(Engine):
     batch_size:
         Mini-batch size for the numeric models (timing always uses the
         card's paper batch size).
-    eval_samples:
-        Test-set subsample size per evaluation (speed knob).
     sharding:
         ``"iid"`` (default) or ``"dirichlet"`` — the non-IID regime the
         paper highlights as HSP's weakness (§2.2.1). ``dirichlet_alpha``
@@ -141,7 +149,6 @@ class NumericEngine(Engine):
         spec: ClusterSpec,
         batch_size: int = 16,
         seed: int = 0,
-        eval_samples: int = 512,
         sharding: str = "iid",
         dirichlet_alpha: float = 0.5,
     ) -> None:
@@ -149,7 +156,6 @@ class NumericEngine(Engine):
         self.spec = spec
         self.seed = seed
         self.test = test
-        self.eval_samples = eval_samples
         self.global_model = card.make_mini(seed=seed)
         self.replicas = [card.make_mini(seed=seed) for _ in range(spec.n_workers)]
         self._replica_params = [dict(r.named_parameters()) for r in self.replicas]
@@ -238,10 +244,10 @@ class NumericEngine(Engine):
         self._eval_model.load_state_dict(ps.snapshot(copy=False))
         # Train mode so BatchNorm uses batch statistics: the PS's canonical
         # model never runs forward passes, so it has no meaningful running
-        # stats to evaluate with. None of the registry models use dropout
-        # at a non-zero rate, so train mode is otherwise equivalent.
+        # stats to evaluate with. No registry model has dropout, so train
+        # mode is otherwise equivalent.
         self._eval_model.train()
-        n = min(self.eval_samples, len(self.test))
+        n = min(EVAL_SAMPLES, len(self.test))
         x = self.test.inputs[:n]
         y = self.test.targets[:n]
         with no_grad():
@@ -272,14 +278,12 @@ class NumericEngine(Engine):
 class TimingEngine(Engine):
     """Paper-scale byte/FLOP bookkeeping with synthetic learning curves.
 
-    The loss curve is ``floor + (L0 − floor)·exp(−step/tau)`` — the standard
-    empirical shape — feeding Algorithm 1; the metric curve rises toward
-    ``max_metric`` correspondingly.
+    The loss curve is ``LOSS_FLOOR + (INITIAL_LOSS − LOSS_FLOOR)·exp(−step/tau)``
+    — the standard empirical shape — feeding Algorithm 1; the metric curve
+    rises toward ``MAX_METRIC`` correspondingly.
 
-    ``tau`` (the curve's time constant, in per-worker iterations) is a
-    constructor argument; it defaults to ``total_iterations / 3``. The
-    attribute remains a plain writable alias for backwards compatibility,
-    but callers should prefer passing it at construction.
+    ``tau`` is the curves' time constant, in per-worker iterations; it
+    defaults to ``total_iterations / 3``.
     """
 
     def __init__(
@@ -287,9 +291,6 @@ class TimingEngine(Engine):
         card: ModelCard,
         spec: ClusterSpec,
         total_iterations: int,
-        initial_loss: float = 2.3,
-        loss_floor: float = 0.05,
-        max_metric: float = 0.93,
         seed: int = 0,
         tau: Optional[float] = None,
     ) -> None:
@@ -300,9 +301,6 @@ class TimingEngine(Engine):
         self.card = card
         self.spec = spec
         self.total_iterations = total_iterations
-        self.initial_loss = initial_loss
-        self.loss_floor = loss_floor
-        self.max_metric = max_metric
         self.tau = float(tau) if tau is not None else max(1.0, total_iterations / 3.0)
         sizes = synthetic_layer_sizes(card)
         width = len(str(len(sizes)))
@@ -333,9 +331,7 @@ class TimingEngine(Engine):
 
     def synthetic_loss(self, step: int) -> float:
         """Loss after ``step`` per-worker iterations."""
-        return self.loss_floor + (self.initial_loss - self.loss_floor) * math.exp(
-            -step / self.tau
-        )
+        return LOSS_FLOOR + (INITIAL_LOSS - LOSS_FLOOR) * math.exp(-step / self.tau)
 
     def make_ps(self, plan: TrainingPlan) -> ParameterServer:
         return ParameterServer(None, None, self.spec.n_workers)
@@ -355,7 +351,7 @@ class TimingEngine(Engine):
 
     def evaluate(self, ps: ParameterServer, iterations_done: int) -> float:
         per_worker = iterations_done / max(1, self.spec.n_workers)
-        metric = self.max_metric * (1.0 - math.exp(-per_worker / self.tau))
+        metric = MAX_METRIC * (1.0 - math.exp(-per_worker / self.tau))
         self._trace_eval(metric, iterations_done)
         return metric
 

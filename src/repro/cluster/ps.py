@@ -190,8 +190,5 @@ class ParameterServer:
             out[n] = self._params[n].data.copy() if copy else self._params[n].data
         return out
 
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(self._params.keys())
-
 
 __all__ = ["ParameterServer"]

@@ -12,6 +12,10 @@ from repro.hardware.jitter import JitterModel, NoJitter
 from repro.netsim.links import LinkSpec
 
 
+#: Every worker's GPU: the paper's testbed (§5.1.1) is Tesla T4s.
+GPU: GPUSpec = get_gpu("tesla-t4")
+
+
 @dataclass(frozen=True)
 class ClusterSpec:
     """Physical cluster description (paper §5.1.1 defaults).
@@ -25,7 +29,6 @@ class ClusterSpec:
 
     n_workers: int = 8
     link: LinkSpec = field(default_factory=LinkSpec)
-    gpu: GPUSpec = field(default_factory=lambda: get_gpu("tesla-t4"))
     jitter: JitterModel = field(default_factory=NoJitter)
     colocated_ps: bool = False
     fixed_overhead: float = 4e-3  # per-iteration host-side cost (seconds)

@@ -18,12 +18,11 @@ class RandomK:
 
     BOUNDS = {"ratio": FRACTION, "seed": INDEX}
 
-    def __init__(self, ratio: float, seed: int = 0, unbiased: bool = True) -> None:
+    def __init__(self, ratio: float, seed: int = 0) -> None:
         self.ratio = ratio
         self.seed = seed
         check_bounds(self)
         self.ratio = float(ratio)  # a numpy scalar would promote float32 values
-        self.unbiased = unbiased
         self._rng = np.random.default_rng(seed)
 
     def compress(self, grads: GradientDict):
@@ -31,7 +30,7 @@ class RandomK:
         k = max(1, int(round(self.ratio * flat.size)))
         indices = np.sort(self._rng.choice(flat.size, size=k, replace=False))
         values = flat[indices]
-        if self.unbiased and self.ratio < 1.0:
+        if self.ratio < 1.0:
             values = values / self.ratio
         payload = {
             "shapes": {name: g.shape for name, g in grads.items()},

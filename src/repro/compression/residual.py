@@ -40,14 +40,5 @@ class ResidualMemory:
     def decompress(self, payload: Any) -> GradientDict:
         return self.inner.decompress(payload)
 
-    @property
-    def residual_norm(self) -> float:
-        """L2 norm of the carried-forward error (diagnostics)."""
-        if not self._residual:
-            return 0.0
-        return float(
-            np.sqrt(sum(float((r**2).sum()) for r in self._residual.values()))
-        )
-
 
 __all__ = ["ResidualMemory"]

@@ -22,27 +22,26 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.cluster.context import TrainerContext
 
-from repro.bounds import INDEX
 from repro.core.osp import OSP
 
 
 class ColocatedOSP(OSP):
-    """OSP-C: worker ``ps_worker`` doubles as the parameter server."""
+    """OSP-C: worker 0 doubles as the parameter server."""
 
     name = "osp-c"
 
-    BOUNDS = {**OSP.BOUNDS, "ps_worker": INDEX}
+    #: OSP's declarations, checked again under OSP-C's own constructor.
+    BOUNDS = OSP.BOUNDS
 
-    def __init__(self, ps_worker: int = 0, **osp_kwargs) -> None:
-        self.ps_worker = ps_worker
+    def __init__(self, **osp_kwargs) -> None:
         super().__init__(**osp_kwargs)
         self.name = "osp-c"
 
     def setup(self, ctx: TrainerContext) -> None:
-        if ctx.spec.ps_node != ctx.spec.worker_node(self.ps_worker):
+        if ctx.spec.ps_node != ctx.spec.worker_node(0):
             raise ValueError(
-                "ColocatedOSP requires ClusterSpec(colocated_ps=True) with "
-                f"the PS on worker {self.ps_worker}'s node"
+                "ColocatedOSP requires ClusterSpec(colocated_ps=True), which "
+                "puts the PS on worker 0's node"
             )
         super().setup(ctx)
         self._pgp_time = ctx.engine.pgp_compute_time(ctx.spec)
@@ -50,7 +49,7 @@ class ColocatedOSP(OSP):
     def extra_compute_time(self, ctx: TrainerContext, worker: int) -> float:
         """The preliminary OSP-C deployment (§5.4): the PS worker begins
         training only after completing PGP calculation and sorting."""
-        return self._pgp_time if worker == self.ps_worker else 0.0
+        return self._pgp_time if worker == 0 else 0.0
 
 
 __all__ = ["ColocatedOSP"]

@@ -239,11 +239,6 @@ class OSP(SyncModel):
         """Deposits ``iteration``'s ICS round waits for (frozen at its RS close)."""
         return self._ics_expected.get(iteration)
 
-    @property
-    def in_bsp_fallback(self) -> bool:
-        """True while the §4.3 deadline-triggered BSP fallback is active."""
-        return self._fallback_remaining > 0
-
     # ------------------------------------------------------ synchronization
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
         trace = ctx.trace

@@ -108,10 +108,6 @@ class SGuTuner:
         frac = 1.0 - epoch_loss / self._initial_loss
         return max(0.0, frac) * self.u_max
 
-    def reset(self) -> None:
-        """Forget L (start of a fresh training run)."""
-        self._initial_loss = None
-
     def set_u_max(self, u_max: float) -> None:
         """Re-derive the budget ceiling for a new worker count (Eq. 5).
 

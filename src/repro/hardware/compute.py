@@ -55,14 +55,6 @@ class ComputeModel:
         flops = (1.0 + BACKWARD_FACTOR) * flops_per_sample * batch_size
         return flops / self.gpu.achieved_flops + self.fixed_overhead
 
-    def forward_time(self, flops_per_sample: float, batch_size: int) -> float:
-        """Seconds for the forward pass alone (used for evaluation passes)."""
-        if flops_per_sample <= 0:
-            raise ValueError(f"flops_per_sample must be positive, got {flops_per_sample}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        return flops_per_sample * batch_size / self.gpu.achieved_flops
-
     def pgp_time(self, n_params: int, n_layers: int) -> float:
         """Cost of PGP importance computation + per-layer sort (§4.4).
 

@@ -23,11 +23,10 @@ def osp_with_background(
     iterations_per_epoch: int = 6,
     sigma: float = 0.1,
     seed: int = 7,
-    bg_card_name: Optional[str] = None,
-    bg_seed: Optional[int] = None,
 ) -> list[JobSpec]:
     """The paper-motivated pair: a latency-sensitive OSP job plus a
-    best-effort BSP tenant whose traffic is demoted to BULK.
+    best-effort BSP tenant whose traffic is demoted to BULK. Both run the
+    same card and seed.
 
     Under priority scheduling the OSP job's RS stage preempts the
     background tenant's bulk pushes; with priorities off both compete at
@@ -36,7 +35,7 @@ def osp_with_background(
     from repro.core.osp import OSP
     from repro.sync import BSP
 
-    fg = WorkloadConfig(
+    cfg = WorkloadConfig(
         card_name,
         n_workers=n_workers,
         n_epochs=n_epochs,
@@ -44,17 +43,9 @@ def osp_with_background(
         sigma=sigma,
         seed=seed,
     )
-    bg = WorkloadConfig(
-        bg_card_name or card_name,
-        n_workers=n_workers,
-        n_epochs=n_epochs,
-        iterations_per_epoch=iterations_per_epoch,
-        sigma=sigma,
-        seed=seed if bg_seed is None else bg_seed,
-    )
     return [
-        JobSpec(name="osp", workload=fg, sync_factory=OSP),
-        background_job("bulk", bg, BSP),
+        JobSpec(name="osp", workload=cfg, sync_factory=OSP),
+        background_job("bulk", cfg, BSP),
     ]
 
 

@@ -179,8 +179,6 @@ def fig6d_bst(quick: bool = True, workloads: Iterable[str] = EVALUATION_WORKLOAD
 def accuracy_experiment(
     workload: str,
     quick: bool = True,
-    seed: int = 0,
-    sync_models: Sequence | None = None,
 ) -> dict[str, dict]:
     """Shared numeric run behind Figs. 6(b), 6(c), 7 and 8.
 
@@ -191,10 +189,10 @@ def accuracy_experiment(
     n_samples = 1600 if quick else 6000
     # 8 workers as in the paper's testbed: R2SP's round-robin cycle only
     # starts queueing (its real cost) at this scale.
-    cfg = WorkloadConfig(workload, n_workers=8, n_epochs=epochs, sigma=0.3, seed=seed)
-    data = make_numeric_dataset(cfg.card, n_samples=n_samples, seed=seed)
+    cfg = WorkloadConfig(workload, n_workers=8, n_epochs=epochs, sigma=0.3, seed=0)
+    data = make_numeric_dataset(cfg.card, n_samples=n_samples, seed=0)
     out = {}
-    for sync in sync_models if sync_models is not None else paper_sync_models():
+    for sync in paper_sync_models():
         res = numeric_trainer(cfg, sync, data=data).run()
         out[sync.name] = {
             "best_metric": res.best_metric,

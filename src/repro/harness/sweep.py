@@ -102,26 +102,24 @@ def sweep_bandwidth(
 def sweep_jitter(
     sync_factories: Sequence[Callable],
     sigmas: Iterable[float],
-    card_name: str = "resnet50-cifar10",
     n_workers: int = 8,
     epochs: int = 16,
     ipe: int = 6,
-    seed: int = 0,
     jobs: int = 1,
 ) -> list[SweepPoint]:
-    """Sweep straggler severity (lognormal sigma; ``jobs``: see
-    :func:`sweep_bandwidth`)."""
+    """Sweep straggler severity (lognormal sigma) on ResNet50 at seed 0
+    (``jobs``: see :func:`sweep_bandwidth`)."""
     b = LinkSpec().bandwidth
 
     def one(task: tuple[float, Callable]) -> SweepPoint:
         s, factory = task
         thr, bst, rho = _run_one(
-            card_name, factory, b, n_workers, float(s), epochs, ipe, seed
+            "resnet50-cifar10", factory, b, n_workers, float(s), epochs, ipe, 0
         )
         return SweepPoint("sigma", float(s), factory().name, thr, bst, rho)
 
     tasks = [(s, f) for s in sigmas for f in sync_factories]
-    return parallel_map(one, tasks, jobs=jobs, seed_base=seed)
+    return parallel_map(one, tasks, jobs=jobs, seed_base=0)
 
 
 def speedup_over(points: Sequence[SweepPoint], base_sync: str, sync: str) -> list[tuple[float, float]]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -36,8 +35,8 @@ class EpochRecord:
 class Recorder:
     """Accumulates iteration and epoch records; computes summaries."""
 
-    iterations: list[IterationRecord] = field(default_factory=list)
-    epochs: list[EpochRecord] = field(default_factory=list)
+    iterations: list[IterationRecord] = field(default_factory=list, init=False)
+    epochs: list[EpochRecord] = field(default_factory=list, init=False)
     #: Named counters, absent until first incremented: ints for event counts
     #: (``faults.*`` fault injections, ``osp.*`` degradation events), floats
     #: for byte totals (``netsim.prio_bytes.*``, ``multijob.*_bytes``).
@@ -133,14 +132,6 @@ class Recorder:
     def time_to_accuracy(self) -> list[tuple[float, float]]:
         """(virtual time, metric) curve (§5.1.4 metric 5; Figs. 7–8)."""
         return [(e.time, e.metric) for e in self.epochs]
-
-    def time_to_reach(self, target: float) -> Optional[float]:
-        """Virtual time when the metric first reached ``target`` (None if
-        never)."""
-        for e in self.epochs:
-            if e.metric >= target:
-                return e.time
-        return None
 
     def mean_iteration_time(self) -> float:
         """Mean wall time of one iteration (compute + sync)."""

@@ -9,14 +9,13 @@ def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence],
     title: str | None = None,
-    float_fmt: str = "{:.4g}",
 ) -> str:
     """Render rows as a padded ASCII table (the benches print these)."""
     str_rows = []
     for row in rows:
         str_rows.append(
             [
-                float_fmt.format(cell) if isinstance(cell, float) else str(cell)
+                f"{cell:.4g}" if isinstance(cell, float) else str(cell)
                 for cell in row
             ]
         )
@@ -44,7 +43,6 @@ def format_table(
 def format_series(
     name: str,
     points: Sequence[tuple[float, float]],
-    x_label: str = "time_s",
     y_label: str = "metric",
     max_points: int = 40,
 ) -> str:
@@ -57,7 +55,7 @@ def format_series(
             kept.append(pts[-1])
         pts = kept
     body = "  ".join(f"({x:.4g},{y:.4g})" for x, y in pts)
-    return f"{name} [{x_label} -> {y_label}]: {body}"
+    return f"{name} [time_s -> {y_label}]: {body}"
 
 
 __all__ = ["format_series", "format_table"]

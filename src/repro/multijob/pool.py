@@ -43,13 +43,12 @@ class NodePool:
         self,
         env: Environment,
         n_hosts: int,
-        link: Optional[LinkSpec] = None,
         slots_per_host: int = 1,
         gpus_per_host: Optional[int] = None,
     ) -> None:
         self.env = env
         self.n_hosts = n_hosts
-        self.link = link or LinkSpec()
+        self.link = LinkSpec()
         self.slots_per_host = slots_per_host
         self.gpus_per_host = gpus_per_host
         check_bounds(self)
@@ -69,9 +68,6 @@ class NodePool:
         ]
 
     # -- capacity -----------------------------------------------------------
-    def free_slots(self, host: int) -> int:
-        return self._free[host]
-
     def can_allocate(self, n_nodes: int, mode: str) -> bool:
         """Would :meth:`allocate` succeed right now?"""
         self._check_mode(mode)

@@ -39,7 +39,6 @@ from repro.cluster.spec import Placement
 from repro.cluster.trainer import TrainingResult
 from repro.multijob.job import JobSpec
 from repro.multijob.pool import PLACEMENT_MODES, NodePool
-from repro.netsim.links import LinkSpec
 from repro.netsim.network import Network
 from repro.simcore.environment import Environment
 from repro.simcore.events import Event
@@ -231,7 +230,6 @@ class MultiJobRunner:
         self,
         jobs: Sequence[JobSpec],
         n_hosts: Optional[int] = None,
-        link: Optional[LinkSpec] = None,
         placement: str = "exclusive",
         admission: str = "immediate",
         slots_per_host: int = 1,
@@ -261,7 +259,6 @@ class MultiJobRunner:
         self.pool = NodePool(
             self.env,
             n_hosts,
-            link=link,
             slots_per_host=slots_per_host,
             gpus_per_host=gpus_per_host,
         )

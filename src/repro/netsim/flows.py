@@ -71,12 +71,5 @@ class FlowRecord:
         """Wall-clock (virtual) duration of the transfer in seconds."""
         return self.end_time - self.start_time
 
-    @property
-    def effective_rate(self) -> float:
-        """Average goodput in bytes/second."""
-        if self.duration <= 0:
-            return float("inf")
-        return self.size / self.duration
-
 
 __all__ = ["Flow", "FlowRecord"]

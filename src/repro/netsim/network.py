@@ -111,13 +111,13 @@ class Network:
     env:
         Simulation environment (clock source and event queue).
     topology:
-        Any object exposing ``route``, ``route_latency``, ``route_loss`` and
-        ``links`` (see :class:`~repro.netsim.topology.StarTopology`).
-    priorities:
-        Whether the fabric schedules by priority class (default). It is a
-        plain attribute read when a flow is admitted: while False, every
-        flow enters as NORMAL and the links are plainly fair-shared. Set it
-        before the run starts.
+        Any object exposing ``route``, ``route_loss`` and ``links``
+        (see :class:`~repro.netsim.topology.StarTopology`).
+
+    :attr:`priorities` says whether the fabric schedules by priority class
+    (it does until set False). It is read when a flow is admitted: while
+    False, every flow enters as NORMAL and the links are plainly
+    fair-shared. Set it before the run starts.
 
     Every completed transfer is appended to :attr:`records` for post-hoc
     analysis (BST breakdowns, Fig. 1/2 timelines).
@@ -127,11 +127,10 @@ class Network:
         self,
         env: Environment,
         topology: StarTopology,
-        priorities: bool = True,
     ) -> None:
         self.env = env
         self.topology = topology
-        self.priorities = priorities
+        self.priorities = True
         self.records: list[FlowRecord] = []
         #: frozenset of the jobs with flows in flight -> virtual seconds the
         #: fabric spent in that state (job-tagged flows only; see _drain).
@@ -277,25 +276,6 @@ class Network:
             tr.gauge_delta("obs.net.active_flows", 1)
         self._schedule_rerate()
         return done
-
-    def bulk_time(self, src, dst, size: float) -> float:
-        """Analytic duration of a *lone* transfer (no contention).
-
-        Useful for closed-form expectations in tests and for the paper's
-        Eq. 5 upper-bound computation.
-        """
-        route = self.topology.route(src, dst)
-        latency = self.topology.route_latency(src, dst)
-        if not route or size <= 0:
-            return latency
-        loss = self.topology.route_loss(src, dst)
-        bottleneck = min(l.bandwidth for l in route)
-        return size * (1.0 + loss) / bottleneck + latency
-
-    def link_utilization(self, name: str) -> float:
-        """Average utilisation of link ``name`` since t=0."""
-        link = self._links_by_name[name]
-        return link.utilization(self.env.now)
 
     def job_bytes(self, job: str) -> float:
         """Effective bytes drained so far for flows tagged ``job=``."""

@@ -25,8 +25,10 @@ allocation degenerates to the plain solver and is bit-identical to the
 pre-priority scheduler. P3's slice-boundary preemption is not modelled:
 a higher-class arrival takes the link at once.
 
-A fabric without class scheduling is ``Network(..., priorities=False)``:
-every flow is admitted as NORMAL and the links are plainly fair-shared.
+A fabric without class scheduling is a ``Network`` whose ``priorities``
+attribute is set False before the run (``repro run --net-prio off`` does
+this): every flow is admitted as NORMAL and the links are plainly
+fair-shared.
 """
 
 from __future__ import annotations

@@ -107,10 +107,6 @@ class StarTopology:
             self.downlinks[dst],
         ]
 
-    def route_latency(self, src: int, dst: int) -> float:
-        """One-way latency of the route in seconds."""
-        return sum(l.spec.latency for l in self.route(src, dst))
-
     def route_loss(self, src: int, dst: int) -> float:
         """Combined loss rate of the route: 1 − Π(1 − p_link).
 

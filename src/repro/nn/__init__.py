@@ -9,7 +9,6 @@ from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Embedding,
     Flatten,
     GELU,
@@ -30,7 +29,6 @@ from repro.nn import init
 __all__ = [
     "BatchNorm2d",
     "Conv2d",
-    "Dropout",
     "Embedding",
     "Flatten",
     "GELU",

@@ -6,8 +6,11 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
-from repro.nn.layers import Dropout, GELU, LayerNorm, Linear
+from repro.nn.layers import GELU, LayerNorm, Linear
 from repro.nn.module import Module
+
+#: Hidden width of the MLP, as a multiple of the model width (BERT's 4).
+MLP_RATIO = 4
 
 
 class MultiHeadSelfAttention(Module):
@@ -51,27 +54,18 @@ class TransformerBlock(Module):
     """Pre-norm transformer encoder block: LN → MHSA → residual, LN → MLP →
     residual."""
 
-    def __init__(
-        self,
-        dim: int,
-        n_heads: int,
-        rng: np.random.Generator,
-        mlp_ratio: int = 4,
-        dropout: float = 0.0,
-    ) -> None:
+    def __init__(self, dim: int, n_heads: int, rng: np.random.Generator) -> None:
         super().__init__()
         self.ln1 = LayerNorm(dim)
         self.attn = MultiHeadSelfAttention(dim, n_heads, rng)
         self.ln2 = LayerNorm(dim)
-        self.fc1 = Linear(dim, dim * mlp_ratio, rng)
+        self.fc1 = Linear(dim, dim * MLP_RATIO, rng)
         self.act = GELU()
-        self.fc2 = Linear(dim * mlp_ratio, dim, rng)
-        self.drop = Dropout(dropout, rng)
+        self.fc2 = Linear(dim * MLP_RATIO, dim, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))
-        h = self.fc2(self.act(self.fc1(self.ln2(x))))
-        return x + self.drop(h)
+        return x + self.fc2(self.act(self.fc1(self.ln2(x))))
 
 
 __all__ = ["MultiHeadSelfAttention", "TransformerBlock"]

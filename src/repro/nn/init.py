@@ -21,9 +21,10 @@ def kaiming_normal(shape, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def normal(shape, rng: np.random.Generator, std: float = 0.02) -> np.ndarray:
-    """Plain Gaussian init (transformer convention)."""
-    return rng.normal(0.0, std, size=shape)
+def normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """Plain Gaussian init with standard deviation 0.02 (transformer
+    convention)."""
+    return rng.normal(0.0, 0.02, size=shape)
 
 
 def zeros(shape) -> np.ndarray:

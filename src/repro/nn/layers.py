@@ -13,6 +13,9 @@ from repro.autograd.tensor import Tensor
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
+#: Added to the variance before the square root in every normalisation.
+EPS = 1e-5
+
 
 class Linear(Module):
     """Affine map ``y = x W + b`` with W of shape (in_features, out_features)."""
@@ -23,12 +26,11 @@ class Linear(Module):
         out_features: int,
         rng: np.random.Generator,
         bias: bool = True,
-        init_fn=init.kaiming_normal,
     ) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(init_fn((in_features, out_features), rng))
+        self.weight = Parameter(init.kaiming_normal((in_features, out_features), rng))
         self.bias = Parameter(init.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -82,12 +84,11 @@ def _batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class BatchNorm2d(Module):
     """Batch normalisation over (N, H, W) per channel, with running stats."""
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
+    def __init__(self, num_features: int, momentum: float = 0.1) -> None:
         super().__init__()
         self.gamma = Parameter(init.ones(num_features))
         self.beta = Parameter(init.zeros(num_features))
         self.momentum = momentum
-        self.eps = eps
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
 
@@ -103,7 +104,7 @@ class BatchNorm2d(Module):
         # Normalise with the (non-differentiated) batch statistics. Treating
         # mean/var as constants is the "frozen statistics" approximation; it
         # keeps the tape small and is accurate for the small LR regime here.
-        scale = self.gamma * (1.0 / np.sqrt(var + self.eps))
+        scale = self.gamma * (1.0 / np.sqrt(var + EPS))
         shift = self.beta - Tensor(mean) * scale
         return x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
 
@@ -111,17 +112,16 @@ class BatchNorm2d(Module):
 class LayerNorm(Module):
     """Layer normalisation over the last dimension (transformer convention)."""
 
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
+    def __init__(self, dim: int) -> None:
         super().__init__()
         self.gamma = Parameter(init.ones(dim))
         self.beta = Parameter(init.zeros(dim))
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
         var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / ((var + self.eps) ** 0.5)
+        normed = centered / ((var + EPS) ** 0.5)
         return normed * self.gamma + self.beta
 
 
@@ -140,28 +140,15 @@ class GELU(Module):
         return x * (inner.tanh() + 1.0) * 0.5
 
 
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.p = p
-        self.rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.rng, training=self.training)
-
-
 class MaxPool2d(Module):
     """Max pooling."""
 
-    def __init__(self, kernel: int = 2, stride: int | None = None) -> None:
+    def __init__(self, kernel: int = 2) -> None:
         super().__init__()
         self.kernel = kernel
-        self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, kernel=self.kernel, stride=self.stride)
+        return F.max_pool2d(x, kernel=self.kernel)
 
 
 class Flatten(Module):
@@ -185,7 +172,6 @@ class Embedding(Module):
 __all__ = [
     "BatchNorm2d",
     "Conv2d",
-    "Dropout",
     "Embedding",
     "Flatten",
     "GELU",

@@ -46,14 +46,13 @@ class MiniInception(Module):
     def __init__(
         self,
         n_classes: int = 100,
-        in_channels: int = 3,
         width: int = 8,
         n_blocks: int = 2,
         seed: int = 0,
     ) -> None:
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.stem = Conv2d(in_channels, width, 3, rng, padding=1)
+        self.stem = Conv2d(3, width, 3, rng, padding=1)  # RGB input
         self.stem_bn = BatchNorm2d(width)
         self.pool = MaxPool2d(2)
         blocks: list[Module] = []

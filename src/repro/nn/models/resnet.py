@@ -51,14 +51,13 @@ class MiniResNet(Module):
     def __init__(
         self,
         n_classes: int = 10,
-        in_channels: int = 3,
         width: int = 8,
         blocks_per_stage: tuple[int, ...] = (1, 1),
         seed: int = 0,
     ) -> None:
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.stem = Conv2d(in_channels, width, 3, rng, padding=1, bias=False)
+        self.stem = Conv2d(3, width, 3, rng, padding=1, bias=False)  # RGB input
         self.stem_bn = BatchNorm2d(width)
         stages: list[Module] = []
         channels = width

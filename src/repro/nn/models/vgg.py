@@ -24,7 +24,6 @@ class MiniVGG(Module):
     def __init__(
         self,
         n_classes: int = 10,
-        in_channels: int = 3,
         image_size: int = 16,
         width: int = 8,
         head_width: int = 128,
@@ -35,7 +34,7 @@ class MiniVGG(Module):
         if image_size % 4:
             raise ValueError(f"image_size must be divisible by 4, got {image_size}")
         self.features = Sequential(
-            Conv2d(in_channels, width, 3, rng, padding=1),
+            Conv2d(3, width, 3, rng, padding=1),  # RGB input
             ReLU(),
             Conv2d(width, width, 3, rng, padding=1),
             ReLU(),

@@ -81,7 +81,7 @@ class Module:
 
     # -- train/eval -----------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects dropout, batchnorm)."""
+        """Set training mode recursively (affects batchnorm)."""
         object.__setattr__(self, "training", bool(mode))
         for mod in self._modules.values():
             mod.train(mode)

@@ -90,10 +90,14 @@ class RegressionReport:
     wall_b: float
     threshold: float
     #: phase → (seconds in A, seconds in B, delta)
-    phases: dict[str, tuple[float, float, float]] = field(default_factory=dict)
+    phases: dict[str, tuple[float, float, float]] = (
+        field(default_factory=dict, init=False)
+    )
     #: worker id → (*active* seconds in A, in B, delta) — waits excluded,
     #: so one straggler doesn't smear its delta across everyone's barriers
-    workers: dict[int, tuple[float, float, float]] = field(default_factory=dict)
+    workers: dict[int, tuple[float, float, float]] = (
+        field(default_factory=dict, init=False)
+    )
     dominant_phase: Optional[str] = None
     dominant_worker: Optional[int] = None
 

@@ -535,12 +535,13 @@ def export_csv(sampler) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_prometheus(sampler, prefix: str = "repro") -> str:
+def export_prometheus(sampler) -> str:
     """Last sampled values in Prometheus text exposition format.
 
     Per-worker and per-link tracks become labelled metrics
     (``repro_osp_worker_compute_time{worker="3"}``); everything else is a
-    plain gauge named after the track with dots → underscores.
+    plain gauge named after the track with dots → underscores, every name
+    under the ``repro_`` prefix.
     """
     groups: dict[str, list[tuple[str, float]]] = {}
     for name in sorted(sampler.series):
@@ -551,13 +552,13 @@ def export_prometheus(sampler, prefix: str = "repro") -> str:
         _t, value = last
         parts = name.split(".")
         if name.startswith("osp.worker.") and len(parts) == 4:
-            metric = f"{prefix}_osp_worker_{parts[3]}"
+            metric = f"repro_osp_worker_{parts[3]}"
             label = f'worker="{parts[2]}"'
         elif name.startswith("timeseries.link.") and len(parts) == 4:
-            metric = f"{prefix}_timeseries_link_{parts[3]}"
+            metric = f"repro_timeseries_link_{parts[3]}"
             label = f'link="{parts[2]}"'
         else:
-            metric = prefix + "_" + name.replace(".", "_")
+            metric = "repro_" + name.replace(".", "_")
             label = ""
         groups.setdefault(metric, []).append((label, value))
     lines = []
@@ -568,11 +569,11 @@ def export_prometheus(sampler, prefix: str = "repro") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_multijob_dashboard(result, title: Optional[str] = None) -> str:
+def render_multijob_dashboard(result) -> str:
     """Render a co-tenant :class:`~repro.multijob.MultiJobResult` as one
     self-contained HTML page: per-job tiles, an interference matrix, and
     (when the runner sampled) per-tenant fabric-occupancy charts."""
-    title = title or f"{len(result.jobs)} co-tenant jobs"
+    title = f"{len(result.jobs)} co-tenant jobs"
     sampler = getattr(result, "sampler", None)
     t_max = float(result.wall_time)
 

@@ -48,13 +48,15 @@ class OverlapReport:
     total_sync_bytes: float = 0.0
     hidden_bytes: float = 0.0
     #: phase -> (total bytes, hidden bytes)
-    phase_bytes: dict[str, tuple[float, float]] = field(default_factory=dict)
+    phase_bytes: dict[str, tuple[float, float]] = (
+        field(default_factory=dict, init=False)
+    )
     #: (iteration, total bytes, hidden bytes), iteration-ascending
     per_iteration: list[tuple[int, float, float]] = field(default_factory=list)
     #: per-iteration sync-time distribution (BST)
-    bst: Histogram = field(default_factory=Histogram)
+    bst: Histogram = field(default_factory=Histogram, init=False)
     #: span name -> total seconds across the run (BST decomposition)
-    phase_time: dict[str, float] = field(default_factory=dict)
+    phase_time: dict[str, float] = field(default_factory=dict, init=False)
     #: stage ("rs"/"ics") -> layer -> payload bytes
     layer_traffic: dict[str, dict[str, float]] = field(default_factory=dict)
     #: recorder counters; most are event counts (int) but byte accumulators

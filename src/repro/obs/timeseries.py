@@ -185,12 +185,6 @@ class MetricSampler:
         self._fold()
         return self._series
 
-    def series_for(self, name: str) -> Series:
-        """The (lazily created) series for a registered track name."""
-        self._fold()
-        s = self._series.get(name)
-        return self._add(name) if s is None else s
-
     def _add(self, name: str) -> Series:
         if not is_registered_track(name):
             raise ValueError(

@@ -78,9 +78,9 @@ class Instant:
 class Histogram:
     """A named value distribution (sync-time tails, flow durations)."""
 
-    def __init__(self, name: str = "", values=()) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self._values: list[float] = [float(v) for v in values]
+        self._values: list[float] = []
 
     def observe(self, value: float) -> None:
         self._values.append(float(value))
@@ -283,10 +283,6 @@ class Tracer:
         finally:
             self.end(s)
 
-    def open_spans(self) -> list[Span]:
-        """Spans not yet ended (normally empty after a clean run)."""
-        return [s for s in self.spans if s.end is None]
-
     # -- instants / counters ------------------------------------------------
     def instant(self, name: str, actor: str = "", track: str = "events", **attrs: Any) -> Instant:
         inst = Instant(name=name, time=self.now, actor=actor, track=track, attrs=dict(attrs))
@@ -347,10 +343,6 @@ class Tracer:
     def spans_named(self, *names: str) -> list[Span]:
         wanted = set(names)
         return [s for s in self.spans if s.name in wanted]
-
-    def stage_bytes(self, stage: str) -> float:
-        """Total accounted bytes for one traffic stage."""
-        return sum(v for (s, _l), v in self.traffic.items() if s == stage)
 
 
 __all__ = [

@@ -29,8 +29,6 @@ class SGD:
         Momentum coefficient (0 disables).
     weight_decay:
         L2 coefficient added to gradients.
-    nesterov:
-        Use Nesterov momentum.
     """
 
     BOUNDS = {"lr": POSITIVE, "momentum": Bound(0, 1), "weight_decay": NON_NEGATIVE}
@@ -41,16 +39,12 @@ class SGD:
         lr: float = 0.1,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ) -> None:
         self.module = module
         self.lr, self.momentum, self.weight_decay = lr, momentum, weight_decay
         check_bounds(self)
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov requires momentum > 0")
         # Python floats: a numpy scalar would promote float32 updates to float64.
         self.lr, self.momentum, self.weight_decay = float(lr), float(momentum), float(weight_decay)
-        self.nesterov = nesterov
         self._params = dict(module.named_parameters())
         #: momentum buffer per parameter name; a name appears at its first
         #: momentum step (an absent buffer is all zeros).
@@ -94,7 +88,7 @@ class SGD:
                     v = self.velocity[name] = np.zeros_like(p.data)
                 np.multiply(v, self.momentum, out=v)
                 v += g
-                g = g + self.momentum * v if self.nesterov else v
+                g = v
             p.data -= self.lr * g
 
     def gradient_dict(self) -> dict[str, np.ndarray]:

@@ -90,11 +90,11 @@ class Environment:
 
         return AllOf(self, events)
 
-    def defer(self, fn, priority: int = NORMAL) -> Event:
+    def defer(self, fn) -> Event:
         """Same-instant batching hook: run ``fn()`` later *this* instant.
 
         Schedules an already-succeeded event at the current time, so ``fn``
-        executes after every event already queued for ``now`` (at the same
+        executes after every event already queued for ``now`` (at NORMAL
         priority) but before the clock advances. Subsystems use this to
         coalesce work triggered by several same-instant events into one
         pass — e.g. the network re-rates once per instant instead of once
@@ -106,7 +106,7 @@ class Environment:
         ev._ok = True
         ev._value = None
         ev.callbacks.append(lambda _ev: fn())
-        self.schedule(ev, 0.0, priority)
+        self.schedule(ev, 0.0, NORMAL)
         return ev
 
     def deliver(self, event: Event, value: Any, delay: float) -> None:
@@ -136,10 +136,6 @@ class Environment:
             raise ValueError(f"delay must be >= 0, got {delay}")
         self._eid += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the single next event (advancing the clock to it)."""

@@ -35,16 +35,6 @@ class Process(Event):
         init.callbacks.append(self._resume)
         init.succeed(priority=URGENT)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
-    @property
-    def target(self) -> Event | None:
-        """The event this process is currently waiting on (None if done)."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant.
 

@@ -40,16 +40,6 @@ class Resource:
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        """Units currently held."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of pending requests."""
-        return len(self._waiters)
-
     def request(self) -> Event:
         """Return an event that succeeds when a unit is granted."""
         ev = Event(self.env)
@@ -111,16 +101,6 @@ class QuorumBarrier:
         self._event = Event(env)
         #: parties released by the most recent trip (diagnostics).
         self.last_trip_size = 0
-
-    @property
-    def generation(self) -> int:
-        """Completed-generation counter (increments when barrier trips)."""
-        return self._generation
-
-    @property
-    def waiting(self) -> int:
-        """Parties currently blocked at the barrier."""
-        return self._arrived
 
     def wait(self) -> Event:
         """Arrive at the barrier; returns the generation's trip event."""

@@ -47,11 +47,6 @@ class DSSP(SSP):
         self._durations = {w: [] for w in range(ctx.spec.n_workers)}
         self._last_start: dict[int, float] = {}
 
-    @property
-    def current_staleness(self) -> int:
-        """The bound currently in force."""
-        return self.staleness
-
     def _observe(self, ctx, worker: int, duration: float) -> None:
         window = self._durations[worker]
         window.append(duration)

@@ -174,36 +174,3 @@ def test_global_avg_pool2d():
     out = F.global_avg_pool2d(x)
     assert out.shape == (2, 3)
     assert np.allclose(out.data, x.data.mean(axis=(2, 3)))
-
-
-# -------------------------------------------------------------- dropout
-def test_dropout_eval_mode_identity():
-    x = rand((4, 4))
-    out = F.dropout(x, 0.5, np.random.default_rng(0), training=False)
-    assert out is x
-
-
-def test_dropout_zero_p_identity():
-    x = rand((4, 4))
-    assert F.dropout(x, 0.0, np.random.default_rng(0), training=True) is x
-
-
-def test_dropout_scales_survivors():
-    x = t(np.ones((1000,)))
-    out = F.dropout(x, 0.5, np.random.default_rng(0), training=True)
-    survivors = out.data[out.data > 0]
-    assert np.allclose(survivors, 2.0)
-    assert 400 < survivors.size < 600
-
-
-def test_dropout_invalid_p():
-    with pytest.raises(ValueError):
-        F.dropout(rand((2,)), 1.0, np.random.default_rng(0), training=True)
-
-
-def test_dropout_backward_masks_gradient():
-    x = t(np.ones((100,)))
-    out = F.dropout(x, 0.3, np.random.default_rng(1), training=True)
-    out.sum().backward()
-    dropped = out.data == 0
-    assert np.all(x.grad[dropped] == 0)

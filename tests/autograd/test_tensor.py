@@ -147,12 +147,6 @@ def test_no_grad_context_stops_taping():
     assert not y.requires_grad
 
 
-def test_detach_cuts_tape():
-    a = t([1.0])
-    y = (a * 2).detach() * 3
-    assert not y.requires_grad
-
-
 def test_sum_axis_keepdims():
     a = t(np.ones((2, 3)))
     y = a.sum(axis=1, keepdims=True)

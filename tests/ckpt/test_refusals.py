@@ -67,6 +67,52 @@ def _drop_meta(key):
     return _rewritten(lambda ckpt: ckpt.meta.pop(key))
 
 
+def _set_meta(key, value):
+    def edit(ckpt):
+        holder, *path = ckpt.meta, *key.split(".")
+        for part in path[:-1]:
+            holder = holder[part]
+        holder[path[-1]] = value
+
+    return _rewritten(edit)
+
+
+def _one_jitter_stream(ckpt):
+    ckpt.meta["jitter"]["streams"] = ckpt.meta["jitter"]["streams"][:1]
+
+
+_WORKERS = r"a non-empty list of distinct workers in range\(2\)"
+_EPOCHS = r"the number of recorded epochs \(1\), at least 1"
+
+#: A hand-edited metadata value: (key, value, does the file still load,
+#: what it must be). A wrong type is refused on load; a value of the right
+#: type that this run cannot have reached (the fixture is at epoch 1 of 2,
+#: two workers) is refused when it is applied.
+META_EDITS = {
+    "alive-unknown-worker": ("alive", [99], True, _WORKERS),
+    "alive-empty": ("alive", [], True, _WORKERS),
+    "alive-too-many": ("alive", [0, 1, 2], True, _WORKERS),
+    "alive-repeated": ("alive", [1, 1], True, _WORKERS),
+    "alive-bool": ("alive", [True, 1], False, "a list of integers"),
+    "alive-int": ("alive", 5, False, "a list of integers"),
+    "alive-string": ("alive", ["a"], False, "a list of integers"),
+    "next-epoch-negative": ("next_epoch", -1, True, _EPOCHS),
+    "next-epoch-ahead": ("next_epoch", 2, True, _EPOCHS),
+    "next-epoch-string": ("next_epoch", "1", False, "an integer"),
+    "time-negative": (
+        "time", -5, True, r"finite and not before the last recorded epoch \([\d.]+\)"
+    ),
+    "time-string": ("time", "x", False, "a number"),
+    "release-order-repeated": (
+        "release_order", [0, 0], True,
+        r"null or a list of distinct workers in range\(2\)",
+    ),
+    "recorder-list": ("recorder", [], False, "an object"),
+    "ics-list": ("ics", [], False, "an object"),
+    "early-stop-string": ("early_stop.epochs_since_improvement", "0", False, "an integer"),
+}  # fmt: skip
+
+
 #: every metadata key that is read without a default (was a ``KeyError``)
 META_KEYS = (
     "next_epoch", "time", "sync", "mode", "n_workers", "iterations_per_epoch",
@@ -98,6 +144,14 @@ CASES = {
         r"plane 'ps/params' is float32 of shape \(\d+,\) \(expected float64 of size \d+\)",
     ),
     "wrong-sync": (_rewritten(_wrong_sync), True, r"written by sync model 'bsp', not 'osp'"),
+    "jitter-streams": (
+        _rewritten(_one_jitter_stream), True,
+        r"metadata key 'jitter': jitter state has 1 streams; model has \d+",
+    ),
+    **{
+        case: (_set_meta(key, value), loads, rf"metadata key '{key}' must be {must}, got ")
+        for case, (key, value, loads, must) in META_EDITS.items()
+    },
 }  # fmt: skip
 
 

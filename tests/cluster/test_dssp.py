@@ -44,20 +44,20 @@ def test_dssp_validation():
 
 def test_dssp_homogeneous_tightens_to_smin():
     res, sm = run(NoJitter())
-    assert sm.current_staleness == sm.s_min
+    assert sm.staleness == sm.s_min
     assert res.recorder.total_iterations == 3 * 6 * 4
 
 
 def test_dssp_relaxes_under_heavy_straggler():
     res, sm = run(PersistentStraggler(slow_workers=[0], slow_factor=3.0))
-    assert sm.current_staleness > sm.s_min
+    assert sm.staleness > sm.s_min
 
 
 def test_dssp_bound_stays_in_range():
     for factor in (1.0, 1.5, 2.5, 5.0):
         jitter = PersistentStraggler(slow_workers=[0], slow_factor=factor)
         _res, sm = run(jitter)
-        assert sm.s_min <= sm.current_staleness <= sm.s_max
+        assert sm.s_min <= sm.staleness <= sm.s_max
 
 
 def test_dssp_adapts_before_elastic_worker_joins():
@@ -101,7 +101,7 @@ def test_dssp_retightens_after_permanent_crash():
     res = DistributedTrainer(spec, plan, engine, sm).run()
     bounds = dict(sm.bound_history)
     assert bounds[1] > sm.s_min  # relaxed while the straggler was alive
-    assert sm.current_staleness == sm.s_min  # retightened after the crash
+    assert sm.staleness == sm.s_min  # retightened after the crash
     # Survivors actually finished the run (alive-aware floor: no deadlock
     # on the dead worker's frozen progress).
     survivors = {r.worker for r in res.recorder.iterations if r.iteration >= 18}

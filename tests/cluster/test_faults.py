@@ -29,6 +29,7 @@ from repro.nn.models import get_card
 from repro.simcore import Environment
 from repro.simcore.resources import QuorumBarrier
 from repro.sync import ASP, BSP
+from tests.simcore.test_environment import next_event_time
 
 pytestmark = pytest.mark.tier1
 
@@ -53,7 +54,7 @@ def run_with_budget(trainer, max_steps=500_000) -> TrainingResult:
     done = trainer.env.all_of(procs)
     steps = 0
     while not done.processed:
-        assert trainer.env.peek() != float("inf"), (
+        assert next_event_time(trainer.env) != float("inf"), (
             "simulation deadlocked: event queue drained with worker "
             "processes still pending"
         )
@@ -78,7 +79,7 @@ def test_quorum_barrier_trips_on_full_quorum():
     ev1, ev2 = b.wait(), b.wait()
     env.run()
     assert ev1.value == 0 and ev2.value == 0
-    assert b.generation == 1 and b.last_trip_size == 2
+    assert b._generation == 1 and b.last_trip_size == 2
 
 
 def test_quorum_barrier_timeout_releases_degraded_quorum():
@@ -102,7 +103,7 @@ def test_quorum_barrier_timeout_is_per_generation():
     b.wait()
     b.wait()  # trips immediately at t=0
     env.run()  # the armed t=5 timer fires but must be ignored
-    assert b.generation == 1
+    assert b._generation == 1
     assert degraded == []
 
 
@@ -114,7 +115,7 @@ def test_quorum_barrier_set_parties_releases_waiters():
     b.set_parties(2)  # a third party died: the two arrived form the quorum
     env.run()
     assert ev.value == 0
-    assert b.generation == 1
+    assert b._generation == 1
 
 
 def test_quorum_barrier_validation():
@@ -337,7 +338,7 @@ def test_blown_ics_deadlines_trigger_bsp_fallback_and_recovery():
     assert res.recorder.counter("osp.deadline_miss") >= 2
     assert res.recorder.counter("osp.bsp_fallback") >= 1
     assert res.recorder.counter("osp.bsp_fallback_exit") >= 1
-    assert not osp.in_bsp_fallback  # recovered by the end of the run
+    assert osp._fallback_remaining == 0  # recovered by the end of the run
     assert osp.current_gib.n_important < len(osp.current_gib.layers)  # adaptive again
     assert res.wall_time > base.wall_time  # the dip cost real time
 

@@ -12,6 +12,7 @@ import pytest
 from repro.faults.schedule import FaultSchedule, LinkFlap, WorkerCrash, WorkerJoin, WorkerLeave
 from repro.harness.workloads import WorkloadConfig, timing_trainer
 from repro.sync import ShardedBSP
+from tests.simcore.test_environment import next_event_time
 
 pytestmark = pytest.mark.tier1
 
@@ -37,7 +38,7 @@ def _run(n_ps=2, n_workers=4, n_epochs=4, faults=None, max_steps=500_000):
     done = trainer.env.all_of(procs)
     steps = 0
     while not done.processed:
-        assert trainer.env.peek() != float("inf"), (
+        assert next_event_time(trainer.env) != float("inf"), (
             "ShardedBSP deadlocked: queue drained with workers pending"
         )
         trainer.env.step()

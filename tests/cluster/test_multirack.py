@@ -76,9 +76,11 @@ def test_osp_still_beats_bsp_across_racks():
         )
         plan = TrainingPlan(n_epochs=epochs, iterations_per_epoch=ipe)
         engine = TimingEngine(
-            get_card("resnet50-cifar10"), spec, total_iterations=epochs * ipe
+            get_card("resnet50-cifar10"),
+            spec,
+            total_iterations=epochs * ipe,
+            tau=epochs * ipe / 6,
         )
-        engine.tau = epochs * ipe / 6
         return DistributedTrainer(spec, plan, engine, sync, topology=topo).run()
 
     assert run(OSP()).throughput > 1.2 * run(BSP()).throughput

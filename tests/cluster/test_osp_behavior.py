@@ -187,8 +187,3 @@ def test_colocated_loopback_traffic_is_free():
     for rec in trainer.network.records:
         if rec.src == rec.dst:
             assert rec.duration == 0.0
-
-
-def test_osp_validation_ps_worker():
-    with pytest.raises(ValueError):
-        ColocatedOSP(ps_worker=-1)

@@ -15,9 +15,12 @@ def run_osp(workers, epochs, ipe, sigma, seed, fixed_budget=None):
     spec = ClusterSpec(n_workers=workers, jitter=jitter)
     plan = TrainingPlan(n_epochs=epochs, iterations_per_epoch=ipe, seed=seed)
     engine = TimingEngine(
-        get_card("resnet50-cifar10"), spec, total_iterations=epochs * ipe, seed=seed
+        get_card("resnet50-cifar10"),
+        spec,
+        total_iterations=epochs * ipe,
+        seed=seed,
+        tau=max(1.0, epochs * ipe / 5),
     )
-    engine.tau = max(1.0, epochs * ipe / 5)
     osp = OSP(fixed_budget_fraction=fixed_budget)
     trainer = DistributedTrainer(spec, plan, engine, osp)
     res = trainer.run()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, NumericEngine, ParameterServer, TimingEngine
+from repro.cluster.engines import INITIAL_LOSS
 from repro.cluster.spec import TrainingPlan
 from repro.data import make_image_classification, train_test_split
 from repro.nn.models import MLP, get_card
@@ -80,7 +81,7 @@ def test_ps_apply_immediate_scales_by_weight():
 
 def test_ps_snapshot_subset_and_unknown():
     _m, ps = make_ps()
-    names = ps.param_names()
+    names = list(ps.snapshot(copy=False))
     snap = ps.snapshot([names[0]])
     assert set(snap) == {names[0]}
     with pytest.raises(KeyError):
@@ -89,7 +90,7 @@ def test_ps_snapshot_subset_and_unknown():
 
 def test_ps_snapshot_is_a_copy():
     _m, ps = make_ps()
-    name = ps.param_names()[0]
+    name = next(iter(ps.snapshot(copy=False)))
     snap = ps.snapshot([name])
     snap[name][...] = 123.0
     assert not np.allclose(ps.snapshot([name])[name], 123.0)
@@ -124,7 +125,7 @@ def test_ps_last_aggregated_tracks_full_gradient():
     grads = {n: np.ones(p.data.shape) for n, p in model.named_parameters()}
     ps.accumulate("b", 0, grads)
     ps.apply_average("b")
-    assert set(ps.last_aggregated) == set(ps.param_names())
+    assert set(ps.last_aggregated) == set(ps.snapshot(copy=False))
 
 
 def test_ps_last_aggregated_consistent_across_apply_paths():
@@ -166,7 +167,7 @@ def test_timing_engine_loss_curve_monotone():
     eng = TimingEngine(get_card("resnet50-cifar10"), spec, total_iterations=100)
     losses = [eng.synthetic_loss(i) for i in range(0, 100, 10)]
     assert losses == sorted(losses, reverse=True)
-    assert losses[0] <= eng.initial_loss
+    assert losses[0] <= INITIAL_LOSS
 
 
 def test_timing_engine_compute_advances_steps():
@@ -228,7 +229,7 @@ def test_numeric_engine_sync_replica_subset():
     spec = ClusterSpec(n_workers=2)
     eng = NumericEngine(CARD, tr, te, spec, batch_size=8, seed=0)
     ps = eng.make_ps(TrainingPlan())
-    name = ps.param_names()[0]
+    name = next(iter(ps.snapshot(copy=False)))
     # Perturb the replica, then restore just one parameter from the PS.
     eng.worker_params(0)[name][...] += 5.0
     eng.sync_replica(0, ps, names=[name])

@@ -88,15 +88,6 @@ def test_tuner_zero_initial_loss_degenerate():
     assert t.budget(0.0) == 10.0  # already converged -> defer maximally
 
 
-def test_tuner_reset():
-    t = SGuTuner(u_max=10.0)
-    t.budget(2.0)
-    t.reset()
-    assert t.initial_loss is None
-    assert t.budget(4.0) == 0.0
-    assert t.initial_loss == 4.0
-
-
 def test_tuner_validation():
     with pytest.raises(ValueError):
         SGuTuner(u_max=-1.0)

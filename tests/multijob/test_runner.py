@@ -102,7 +102,7 @@ def test_sampling_tracks_per_tenant_occupancy():
     res = runner.run()
     assert res.sampler is sampler
     for name in ("osp", "bulk"):
-        series = sampler.series_for(f"multijob.{name}.active_flows")
+        series = sampler.series[f"multijob.{name}.active_flows"]
         assert len(series.times) > 0
         assert max(series.values) > 0
 

@@ -10,6 +10,9 @@ from all their links. O(L²·F) worst case.
 one solve of the whole fabric per flow start/finish. An independent witness
 that rerate coalescing and solving only the touched link-component change no
 virtual time.
+
+:func:`route_latency`, :func:`bulk_time` and :func:`link_utilization` — the
+closed forms the tests expect a lone flow and a link's busy time to meet.
 """
 
 from repro.netsim import Network
@@ -79,3 +82,25 @@ def reference_fair_rates(flow_routes, capacities):
             for link in zeroed:
                 freeze_link(link, best_share)
     return rates
+
+
+def route_latency(topology, src: int, dst: int) -> float:
+    """One-way latency of the route ``src`` → ``dst`` in seconds."""
+    return sum(l.spec.latency for l in topology.route(src, dst))
+
+
+def bulk_time(net: Network, src: int, dst: int, size: float) -> float:
+    """Analytic duration of a *lone* transfer (no contention)."""
+    route = net.topology.route(src, dst)
+    latency = route_latency(net.topology, src, dst)
+    if not route or size <= 0:
+        return latency
+    loss = net.topology.route_loss(src, dst)
+    bottleneck = min(l.bandwidth for l in route)
+    return size * (1.0 + loss) / bottleneck + latency
+
+
+def link_utilization(net: Network, name: str) -> float:
+    """Average utilisation of link ``name`` since t=0."""
+    (link,) = [l for l in net.topology.links if l.name == name]
+    return link.utilization(net.env.now)

@@ -17,7 +17,7 @@ from repro.netsim import (
 )
 from repro.netsim.network import _BYTE_EPS
 from repro.simcore import Environment
-from tests.netsim.reference import PerEventNetwork
+from tests.netsim.reference import PerEventNetwork, bulk_time
 
 
 @st.composite
@@ -95,11 +95,12 @@ def _merge_split_plans(draw):
 
 def _run_plan(
     n_nodes, flows, bandwidth=1000.0, kwargs=None, dip=None,
-    network=Network, **net_kwargs
+    network=Network, priorities=True
 ):
     env = Environment()
     topo = StarTopology(n_nodes, default_spec=LinkSpec(bandwidth=bandwidth, latency=0.0))
-    net = network(env, topo, **net_kwargs)
+    net = network(env, topo)
+    net.priorities = priorities
 
     def starter(env, src, dst, size, start, **kw):
         yield env.timeout(start)
@@ -151,7 +152,7 @@ def test_property_duration_at_least_solo_time(plan):
     n_nodes, flows = plan
     net, records = _run_plan(n_nodes, flows)
     for rec, (src, dst, size, start) in zip(records, flows):
-        solo = net.bulk_time(src, dst, size)
+        solo = bulk_time(net, src, dst, size)
         assert rec.duration >= solo - 1e-6
 
 
@@ -213,8 +214,8 @@ def _solve_checked_network(checks):
     where the clock moved (within an instant a coalesced rerate may still
     be pending); ``checks`` collects the clock of every check."""
 
-    def build(env, topo, **net_kwargs):
-        net = Network(env, topo, **net_kwargs)
+    def build(env, topo):
+        net = Network(env, topo)
         capacities = {l.name: l.bandwidth for l in topo.links}
         last = [env.now]
 
@@ -263,8 +264,8 @@ def _index_checked_network(drains):
     order, and the flows awaiting retirement are exactly the active ones at
     or below ``_BYTE_EPS``, in fid order. ``drains`` counts the checks."""
 
-    def build(env, topo, **net_kwargs):
-        net = Network(env, topo, **net_kwargs)
+    def build(env, topo):
+        net = Network(env, topo)
 
         def check():
             active = net.active_flows

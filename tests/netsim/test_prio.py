@@ -22,10 +22,12 @@ from repro.simcore import Environment
 from tests.netsim.reference import reference_fair_rates
 
 
-def make_net(n=4, bandwidth=1000.0, **net_kwargs):
+def make_net(n=4, bandwidth=1000.0, priorities=True):
     env = Environment()
     topo = StarTopology(n, default_spec=LinkSpec(bandwidth=bandwidth, latency=0.0))
-    return env, Network(env, topo, **net_kwargs)
+    net = Network(env, topo)
+    net.priorities = priorities
+    return env, net
 
 
 @st.composite
@@ -162,9 +164,9 @@ def test_transfer_rejects_bad_prio_and_weight():
         net.transfer(0, 1, 10.0, weight=2.0)
 
 
-def _contended_run(**net_kwargs):
+def _contended_run(priorities=True):
     """One deterministic contended schedule; returns completion records."""
-    env, net = make_net(n=6, bandwidth=1000.0, **net_kwargs)
+    env, net = make_net(n=6, bandwidth=1000.0, priorities=priorities)
 
     def driver(env):
         events = []

@@ -18,6 +18,7 @@ from repro.netsim.links import LinkSpec
 from repro.netsim.network import Network
 from repro.netsim.topology import StarTopology
 from repro.simcore.environment import Environment
+from tests.netsim.reference import route_latency
 
 # Bounded, well-scaled floats: the property is about routing/fair-share
 # equivalence, not float-edge-case handling in LinkSpec itself.
@@ -86,7 +87,7 @@ def test_routes_cross_equivalent_links(case):
                 assert [l.name for l in r_route] == [f"up:{src}", f"down:{dst}"]
                 assert [l.name for l in s_route] == [l.name for l in r_route]
                 assert [l.spec for l in s_route] == [l.spec for l in r_route]
-                assert star.route_latency(src, dst) == racked.route_latency(src, dst)
+                assert route_latency(star, src, dst) == route_latency(racked, src, dst)
             else:
                 assert [l.name for l in r_route] == [
                     f"up:{src}", f"up:tor{src % racks}",

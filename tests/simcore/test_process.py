@@ -40,11 +40,11 @@ def test_process_is_alive_lifecycle():
         yield env.timeout(5)
 
     p = env.process(proc(env))
-    assert p.is_alive
+    assert not p.triggered
     env.run(until=2.0)
-    assert p.is_alive
+    assert not p.triggered
     env.run()
-    assert not p.is_alive
+    assert p.triggered
 
 
 def test_process_exception_fails_process_event():

@@ -12,8 +12,8 @@ def test_resource_grants_up_to_capacity_immediately():
     r1, r2, r3 = res.request(), res.request(), res.request()
     assert r1.triggered and r2.triggered
     assert not r3.triggered
-    assert res.in_use == 2
-    assert res.queue_length == 1
+    assert res._in_use == 2
+    assert len(res._waiters) == 1
 
 
 def test_resource_release_wakes_fifo():
@@ -103,7 +103,7 @@ def test_barrier_is_cyclic():
     env.run()
     # Barrier trips at t=2 (gen 0), t=4 (gen 1), t=6 (gen 2); both parties each time.
     assert gens == [(2, 0), (2, 0), (4, 1), (4, 1), (6, 2), (6, 2)]
-    assert bar.generation == 3
+    assert bar._generation == 3
 
 
 def test_barrier_single_party_never_blocks():
@@ -125,9 +125,9 @@ def test_barrier_waiting_counter():
     bar = QuorumBarrier(env, parties=3)
     bar.wait()
     bar.wait()
-    assert bar.waiting == 2
+    assert bar._arrived == 2
     bar.wait()
-    assert bar.waiting == 0
+    assert bar._arrived == 0
 
 
 def test_barrier_invalid_parties():

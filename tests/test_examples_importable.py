@@ -1,8 +1,9 @@
-"""Smoke tests: every example script parses, imports, and exposes main().
+"""Smoke tests: every example script parses, imports, and exposes main(),
+and the fast ones run.
 
-Full example runs take minutes; CI-level protection against import rot and
-API drift only needs the import. (Examples are executed end-to-end in the
-benchmark/docs workflow.)
+The four examples that finish in seconds run their ``main()`` in process,
+so an API change they call fails here; the slow numeric ones are only
+imported (``make examples`` runs all of them end to end).
 """
 
 import importlib.util
@@ -33,6 +34,16 @@ def test_examples_present():
 def test_example_imports_and_has_main(name):
     module = _load(name)
     assert callable(getattr(module, "main", None)), f"{name} lacks main()"
+
+
+#: Examples whose ``main()`` takes a few seconds at most.
+FAST = ("compression_comparison", "heterogeneous_stragglers", "multips_scaling", "osp_anatomy")
+
+
+@pytest.mark.parametrize("name", FAST)
+def test_fast_example_runs(name, capsys):
+    _load(name).main()
+    assert capsys.readouterr().out.strip()
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
