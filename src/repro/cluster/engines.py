@@ -53,6 +53,8 @@ class Engine:
     #: Optional :class:`repro.obs.Tracer` (set by the trainer when tracing
     #: is enabled); evaluations become PS-track instants.
     tracer = None
+    #: ``(fixed_overhead, T_c)`` of the last :meth:`base_compute_time` call.
+    _t_c: Optional[tuple[float, float]] = None
 
     def _trace_eval(self, metric: float, iterations_done: int) -> None:
         if self.tracer:
@@ -74,12 +76,16 @@ class Engine:
     # -- abstract ------------------------------------------------------------
     def base_compute_time(self, spec: ClusterSpec) -> float:
         """Nominal per-iteration T_c on this cluster's GPU (the card's
-        kernel-efficiency factor applied)."""
-        cm = ComputeModel(GPU, fixed_overhead=spec.fixed_overhead)
-        return (
-            cm.iteration_time(self.card.paper_flops_per_sample, self.card.batch_size)
-            / self.card.efficiency_factor
-        )
+        kernel-efficiency factor applied). Only ``spec.fixed_overhead``
+        enters, so the value is computed once per engine and overhead."""
+        if self._t_c is None or self._t_c[0] != spec.fixed_overhead:
+            cm = ComputeModel(GPU, fixed_overhead=spec.fixed_overhead)
+            t_c = (
+                cm.iteration_time(self.card.paper_flops_per_sample, self.card.batch_size)
+                / self.card.efficiency_factor
+            )
+            self._t_c = (spec.fixed_overhead, t_c)
+        return self._t_c[1]
 
     def pgp_compute_time(self, spec: ClusterSpec) -> float:
         """PS-side PGP + sort cost (charged to a co-located worker, §4.4)."""

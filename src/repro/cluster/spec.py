@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.bounds import COUNT, FRACTION, INDEX, NON_NEGATIVE, POSITIVE, Bound, check_bounds
@@ -87,9 +88,10 @@ class ClusterSpec:
         """Topology node id hosting the (first) PS."""
         return 0 if self.colocated_ps else self.n_workers
 
-    @property
+    @cached_property
     def ps_nodes(self) -> tuple[int, ...]:
-        """Topology node ids of all parameter servers."""
+        """Topology node ids of all parameter servers (computed once: the
+        spec is frozen)."""
         if self.colocated_ps:
             return (0,)
         return tuple(range(self.n_workers, self.n_workers + self.n_ps))

@@ -10,6 +10,7 @@ for <1K-layer models, §4.1.2) and split their gradients accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -17,7 +18,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GIB:
-    """Immutable importance bitmap over an ordered layer list."""
+    """Immutable importance bitmap over an ordered layer list.
+
+    The RS/ICS layer tuples are computed on first read and kept: the bitmap
+    is frozen, and every worker-iteration split under it reads them.
+    """
 
     layers: tuple[str, ...]
     important: tuple[bool, ...]
@@ -37,11 +42,11 @@ class GIB:
         except ValueError:
             raise KeyError(f"unknown layer {layer!r}") from None
 
-    @property
+    @cached_property
     def important_layers(self) -> tuple[str, ...]:
         return tuple(l for l, im in zip(self.layers, self.important) if im)
 
-    @property
+    @cached_property
     def unimportant_layers(self) -> tuple[str, ...]:
         return tuple(l for l, im in zip(self.layers, self.important) if not im)
 

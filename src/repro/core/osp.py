@@ -145,6 +145,9 @@ class OSP(SyncModel):
         pin = GIB.all_unimportant if self.force == "asp" else GIB.all_important
         self._gib = pin(layers)
         self._pending_gib: Optional[GIB] = None
+        #: The bitmap :attr:`_split_bytes` (RS bytes, ICS bytes) belongs to.
+        self._split_gib: Optional[GIB] = None
+        self._split_bytes = (0.0, 0.0)
         #: iteration -> RS deposits present when the round closed; the ICS
         #: round for that iteration expects the same quorum (a dead worker
         #: never pushes its ICS share, so waiting for N would hang).
@@ -262,10 +265,17 @@ class OSP(SyncModel):
             trace.end(stall)
 
         gib = self._gib  # capture: one bitmap per iteration, all stages
+        if gib is not self._split_gib:
+            # The split's byte sums change only with the bitmap: computed
+            # once per GIB adopted, however it was assigned.
+            self._split_gib = gib
+            self._split_bytes = (
+                ctx.engine.bytes_of_layers(gib.important_layers),
+                ctx.engine.bytes_of_layers(gib.unimportant_layers),
+            )
         imp_layers = gib.important_layers
         unimp_layers = gib.unimportant_layers
-        imp_bytes = ctx.engine.bytes_of_layers(imp_layers)
-        unimp_bytes = ctx.engine.bytes_of_layers(unimp_layers)
+        imp_bytes, unimp_bytes = self._split_bytes
         if trace:  # push + pull both move every layer of each stage
             trace.add_traffic("rs", imp_layers, ctx.engine.layer_bytes, moves=2)
             trace.add_traffic("ics", unimp_layers, ctx.engine.layer_bytes, moves=2)

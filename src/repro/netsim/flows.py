@@ -10,12 +10,13 @@ from repro.netsim.prio import PRIO_NORMAL
 from repro.simcore.events import Event
 
 
-@dataclass
+@dataclass(slots=True)
 class Flow:
     """An in-flight transfer (mutable scheduler state).
 
     ``remaining`` counts *effective* bytes (payload inflated by the route
-    loss rate); ``rate`` is the current max–min fair allocation.
+    loss rate); ``rate`` is the current max–min fair allocation. One is
+    built per transfer, positionally, so the class is slotted.
     """
 
     fid: int
@@ -51,7 +52,7 @@ class Flow:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowRecord:
     """Immutable record of a completed transfer (the ``done`` event value)."""
 

@@ -244,21 +244,11 @@ class Network:
         done = Event(self.env)
         fid = self._next_fid
         self._next_fid += 1
+        # Positional, in field order: fid, src, dst, size, remaining, route,
+        # latency, done, tag, start_time, rate, names, links, prio, job.
         flow = Flow(
-            fid=fid,
-            src=src,
-            dst=dst,
-            size=float(size),
-            remaining=float(size) * (1.0 + loss),
-            route=route,
-            latency=latency,
-            done=done,
-            tag=tag,
-            start_time=self.env.now,
-            names=names,
-            links=links,
-            prio=prio,
-            job=job,
+            fid, src, dst, float(size), float(size) * (1.0 + loss), route,
+            latency, done, tag, self.env.now, 0.0, names, links, prio, job,
         )
 
         if not route or flow.remaining <= _BYTE_EPS:
@@ -561,14 +551,8 @@ class Network:
         at this instant.
         """
         record = FlowRecord(
-            fid=flow.fid,
-            src=flow.src,
-            dst=flow.dst,
-            size=flow.size,
-            tag=flow.tag,
-            start_time=flow.start_time,
-            end_time=self.env.now + flow.latency,
-            job=flow.job,
+            flow.fid, flow.src, flow.dst, flow.size, flow.tag,
+            flow.start_time, self.env.now + flow.latency, flow.job,
         )
         self.records.append(record)
         if flow.latency > 0:

@@ -27,6 +27,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+from repro.bounds import NON_NEGATIVE, Bound
 from repro.netsim.flows import FlowRecord
 from repro.obs.tracer import Tracer
 
@@ -174,13 +175,15 @@ def _expect(ok: bool, where: str, expected: str, value) -> None:
         raise ValueError(f"{where}: expected {expected}, got {type(value).__name__}")
 
 
-def _number(value, where: str) -> None:
+def _number(value, where: str, bound: Optional[Bound] = None) -> None:
     _expect(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         where, "a number", value,
     )
     if not math.isfinite(value):
         raise ValueError(f"{where}: expected a finite number, got {value}")
+    if bound is not None and not bound.admits(value):
+        raise ValueError(f"{where}: expected {bound}, got {value!r}")
 
 
 def _optional_int(args: dict, key: str, where: str) -> None:
@@ -195,7 +198,10 @@ def _optional_int(args: dict, key: str, where: str) -> None:
 def read_trace(path: Union[str, Path]) -> dict:
     """Load a unified trace file, refusing with a ``ValueError`` that
     names the first field :func:`~repro.obs.overlap.overlap_report_from_trace`
-    or :func:`~repro.obs.compare.compare_runs` could not read."""
+    or :func:`~repro.obs.compare.compare_runs` could not read. Times,
+    durations and byte counts (span ``ts`` / ``dur``, network ``bytes``,
+    ``otherData.traffic`` and ``otherData.wallTime``) must also lie in
+    :data:`~repro.bounds.NON_NEGATIVE`."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or "traceEvents" not in doc:
         raise ValueError(
@@ -211,9 +217,9 @@ def read_trace(path: Union[str, Path]) -> dict:
             continue
         if "ts" not in ev:
             raise ValueError(f"{where}: an 'X' event needs a 'ts'")
-        _number(ev["ts"], f"{where}.ts")
+        _number(ev["ts"], f"{where}.ts", NON_NEGATIVE)
         if "dur" in ev:
-            _number(ev["dur"], f"{where}.dur")
+            _number(ev["dur"], f"{where}.dur", NON_NEGATIVE)
         name = ev.get("name", "")
         _expect(isinstance(name, str), f"{where}.name", "a string", name)
         args = ev.get("args", {})
@@ -221,19 +227,19 @@ def read_trace(path: Union[str, Path]) -> dict:
         _optional_int(args, "worker", f"{where}.args")
         _optional_int(args, "iteration", f"{where}.args")
         if ev.get("pid") == "network" and "bytes" in args:
-            _number(args["bytes"], f"{where}.args.bytes")
+            _number(args["bytes"], f"{where}.args.bytes", NON_NEGATIVE)
 
     other = doc.get("otherData", {})
     _expect(isinstance(other, dict), "otherData", "an object", other)
     if "wallTime" in other:
-        _number(other["wallTime"], "otherData.wallTime")
+        _number(other["wallTime"], "otherData.wallTime", NON_NEGATIVE)
     traffic = other.get("traffic", {})
     _expect(isinstance(traffic, dict), "otherData.traffic", "an object", traffic)
     for stage, layers in traffic.items():
         where = f"otherData.traffic[{stage!r}]"
         _expect(isinstance(layers, dict), where, "an object", layers)
         for layer, nbytes in layers.items():
-            _number(nbytes, f"{where}[{layer!r}]")
+            _number(nbytes, f"{where}[{layer!r}]", NON_NEGATIVE)
     counters = other.get("recorderCounters", {})
     _expect(
         isinstance(counters, dict), "otherData.recorderCounters", "an object", counters

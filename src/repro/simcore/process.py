@@ -7,7 +7,10 @@ the generator). A failed event is thrown into the generator as its
 exception, so processes can ``try/except`` communication failures.
 
 A Process is itself an Event: it succeeds with the generator's return value
-when the generator ends, or fails with its uncaught exception.
+when the generator ends, or fails with its uncaught exception. A return
+that nothing waits on settles in place (processed at once, no queue entry);
+a failure is always queued, so an unhandled one still surfaces from
+``run()``.
 """
 
 from __future__ import annotations
@@ -85,7 +88,15 @@ class Process(Event):
                     event._value if event is not None else None
                 )
         except StopIteration as stop:
-            self.succeed(stop.value, priority=URGENT)
+            if self.callbacks:
+                self.succeed(stop.value, priority=URGENT)
+            else:
+                # Nobody waits: settle in place, processed at this instant,
+                # instead of queueing an entry that would run no callback.
+                # A later ``yield self`` resumes through the relay below.
+                self._ok = True
+                self._value = stop.value
+                self.callbacks = None
             return
         except BaseException as exc:
             self.fail(exc, priority=URGENT)

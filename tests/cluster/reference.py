@@ -2,11 +2,12 @@
 
 :class:`ProcessAggregatorContext` — ``transfer_to_ps`` with the aggregator
 written as one ``_ingest`` Process per push, serialised on a one-unit
-:class:`~repro.simcore.Resource` per PS. It costs three more queue entries
-per push (the process bootstrap, the grant and the process exit) than the
-production FIFO of callbacks, and four for a loopback push to a co-located
-PS (its network ``done`` is processed before the process waits on it, so
-the wait is one more relay entry). It must show the same virtual time: each
+:class:`~repro.simcore.Resource` per PS. It costs more queue entries
+per push than the production FIFO of callbacks: two (the process
+bootstrap and the grant; its exit has no waiter, so it settles in place),
+and three for a loopback push to a co-located PS (its network ``done`` is
+processed before the process waits on it, so the wait is one more relay
+entry). It must show the same virtual time: each
 push's ``done`` pops at the same instant, with the same record, in the same
 global order.
 """

@@ -558,6 +558,18 @@ _REPORT_CORPUS = [
      "error: {f}: otherData.wallTime: expected a finite number, got inf"),
     ("[]", "error: {f}: " + _NOT_A_TRACE),
     ('"s"', "error: {f}: " + _NOT_A_TRACE),
+    # times, durations and byte counts are non-negative
+    ('{"traceEvents": [{"ph": "X", "ts": -1}]}',
+     "error: {f}: traceEvents[0].ts: expected a real in [0, inf), got -1"),
+    ('{"traceEvents": [{"ph": "X", "ts": 0, "dur": -0.5}]}',
+     "error: {f}: traceEvents[0].dur: expected a real in [0, inf), got -0.5"),
+    ('{"traceEvents": [{"ph": "X", "ts": 0, "pid": "network", '
+     '"args": {"phase": "p", "bytes": -8}}]}',
+     "error: {f}: traceEvents[0].args.bytes: expected a real in [0, inf), got -8"),
+    ('{"traceEvents": [], "otherData": {"traffic": {"rs": {"fc": -1.5}}}}',
+     "error: {f}: otherData.traffic['rs']['fc']: expected a real in [0, inf), got -1.5"),
+    ('{"traceEvents": [], "otherData": {"wallTime": -1.0}}',
+     "error: {f}: otherData.wallTime: expected a real in [0, inf), got -1.0"),
 ]
 
 #: ``report FILE`` and ``report --compare FILE FILE`` open files through one

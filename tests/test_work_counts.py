@@ -1,0 +1,161 @@
+"""Work is counted, not only timed: exact per-run counts of ``t8_osp``'s shape.
+
+One run of the benchmark's ``t8_osp`` workload at its smoke size
+(``resnet50-cifar10``, 8 workers, OSP, σ 0.1, 3 epochs × 4 iterations,
+seed 3) pins, like a golden:
+
+* the kernel's queue entries (``env._eid``) and the same entries by kind,
+  classified by a wrapper around ``Environment.schedule`` in this test;
+* ``ComputeModel`` constructions: T_c is computed once per run;
+* GIB layer-tuple and RS/ICS byte-sum computations: once per GIB built and
+  once per GIB adopted;
+* the network's ``netsim.rerates``, ``netsim.fairshare_calls`` and
+  ``netsim.rerate_skipped``.
+
+A change that moves a count updates its pin and states old → new in
+CHANGES.md. Counts do not depend on the host, so a creep below the timing
+noise of a ``host_s`` claim still shows here.
+"""
+
+from collections import Counter
+from functools import cached_property
+
+import pytest
+
+from repro.cluster.engines import Engine
+from repro.core.gib import GIB
+from repro.core.osp import OSP
+from repro.harness import WorkloadConfig, timing_trainer
+from repro.hardware.compute import ComputeModel
+from repro.simcore import NORMAL, Environment, Process, Timeout
+
+#: 3 epochs × 4 iterations × 8 workers.
+WORKER_ITERATIONS = 3 * 4 * 8
+
+PINNED_ENTRIES = {
+    "timeout": 420,
+    "delivery": 288,
+    "defer": 116,
+    "process_start": 32,
+    "process_exit": 16,
+    "relay": 0,
+    "interrupt": 0,
+    "succeed": 136,
+}
+PINNED = {
+    "eid": sum(PINNED_ENTRIES.values()),
+    "compute_models": 1,
+    "gib_tuples": 11,
+    "gibs_adopted": 5,
+    "byte_sums": 8,
+    "netsim.rerates": 236,
+    "netsim.fairshare_calls": 182,
+    "netsim.rerate_skipped": 25,
+}
+
+
+def _entry_kind(event) -> str:
+    """What put ``event`` on the queue, read at the moment it is scheduled."""
+    if isinstance(event, Timeout):
+        return "timeout"
+    if isinstance(event, Process):
+        return "process_exit"
+    if not event.triggered:  # Environment.deliver queues before settling
+        return "delivery"
+    first = event.callbacks[0] if event.callbacks else None
+    owner = getattr(first, "__self__", None)
+    if isinstance(owner, Process) and owner._target is not event:
+        # the kernel's own entries for a process: its bootstrap before the
+        # first step, an interrupt, or a relay for an already-processed event
+        if first.__func__ is Process._resume_interrupt:
+            return "interrupt"
+        return "process_start" if owner._target is None else "relay"
+    if first is not None and "Environment.defer" in first.__qualname__:
+        return "defer"
+    return "succeed"
+
+
+def _counting(func, counter: Counter, key: str):
+    def wrapper(*args, **kwargs):
+        counter[key] += 1
+        return func(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.fixture(scope="module")
+def counts():
+    mp = pytest.MonkeyPatch()
+    seen: Counter = Counter()
+    entries: Counter = Counter()
+    schedule = Environment.schedule
+
+    def counted_schedule(self, event, delay=0.0, priority=NORMAL):
+        entries[_entry_kind(event)] += 1
+        return schedule(self, event, delay, priority)
+
+    mp.setattr(Environment, "schedule", counted_schedule)
+    mp.setattr(
+        ComputeModel, "__post_init__",
+        _counting(ComputeModel.__post_init__, seen, "compute_models"),
+    )  # fmt: skip
+    for name in ("important_layers", "unimportant_layers"):
+        prop = cached_property(_counting(GIB.__dict__[name].func, seen, "gib_tuples"))
+        prop.__set_name__(GIB, name)
+        mp.setattr(GIB, name, prop)
+    mp.setattr(
+        Engine, "bytes_of_layers", _counting(Engine.bytes_of_layers, seen, "byte_sums")
+    )
+    adopted: list[GIB] = []
+    on_round_close = OSP.on_round_close
+
+    def counted_round_close(self, ctx, iteration, n_deposits):
+        if not adopted:
+            adopted.append(self.current_gib)  # Algorithm 1's first bitmap
+        on_round_close(self, ctx, iteration, n_deposits)
+        if adopted[-1] is not self.current_gib:
+            adopted.append(self.current_gib)
+
+    mp.setattr(OSP, "on_round_close", counted_round_close)
+    try:
+        cfg = WorkloadConfig(
+            "resnet50-cifar10", n_workers=8, n_epochs=3, iterations_per_epoch=4,
+            sigma=0.1, seed=3,
+        )  # fmt: skip
+        trainer = timing_trainer(cfg, OSP())
+        trainer.run()
+    finally:
+        mp.undo()
+    stats = trainer.network.stats
+    return {
+        "entries": dict(entries),
+        "eid": trainer.env._eid,
+        "compute_models": seen["compute_models"],
+        "gib_tuples": seen["gib_tuples"],
+        "gibs_adopted": len(adopted),
+        "byte_sums": seen["byte_sums"],
+        **{k: stats.get(k, 0) for k in ("netsim.rerates", "netsim.fairshare_calls",
+                                         "netsim.rerate_skipped")},
+    }  # fmt: skip
+
+
+def test_kernel_entries_by_kind(counts):
+    entries = {kind: counts["entries"].get(kind, 0) for kind in PINNED_ENTRIES}
+    assert entries == PINNED_ENTRIES
+    assert set(counts["entries"]) <= set(PINNED_ENTRIES)
+    assert sum(counts["entries"].values()) == counts["eid"]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_work_count_is_pinned(counts, name):
+    assert counts[name] == PINNED[name], (
+        f"{name}: {PINNED[name]} -> {counts[name]} per run of "
+        f"{WORKER_ITERATIONS} worker-iterations; update the pin and state it "
+        "old -> new in CHANGES.md"
+    )
+
+
+def test_the_split_is_computed_once_per_gib(counts):
+    # The RS and ICS byte sums of a bitmap, once per bitmap the workers
+    # split under (the last round close may adopt one nobody uses).
+    assert counts["byte_sums"] <= 2 * counts["gibs_adopted"]
