@@ -1,4 +1,4 @@
-"""Work is counted, not only timed: exact per-run counts of ``t8_osp``'s shape.
+"""Work is counted, not only timed: exact per-run counts of two bench shapes.
 
 One run of the benchmark's ``t8_osp`` workload at its smoke size
 (``resnet50-cifar10``, 8 workers, OSP, σ 0.1, 3 epochs × 4 iterations,
@@ -10,7 +10,14 @@ seed 3) pins, like a golden:
 * GIB layer-tuple and RS/ICS byte-sum computations: once per GIB built and
   once per GIB adopted;
 * the network's ``netsim.rerates``, ``netsim.fairshare_calls`` and
-  ``netsim.rerate_skipped``.
+  ``netsim.rerate_skipped``;
+* the network's own work, counted by wrappers in this test: flows the
+  drains visited, flows whose ``remaining`` was written, and wake-up
+  timers armed, cancelled and dispatched after a later one superseded them.
+
+``t128_osp``'s smoke shape (``vgg16-cifar10``, 128 workers, OSP, σ 0.1,
+1 epoch × 1 iteration, seed 3: a full incast into one PS downlink) pins the
+entry total and the network counts.
 
 A change that moves a count updates its pin and states old → new in
 CHANGES.md. Counts do not depend on the host, so a creep below the timing
@@ -27,6 +34,7 @@ from repro.core.gib import GIB
 from repro.core.osp import OSP
 from repro.harness import WorkloadConfig, timing_trainer
 from repro.hardware.compute import ComputeModel
+from repro.netsim import Network
 from repro.simcore import NORMAL, Environment, Process, Timeout
 
 #: 3 epochs × 4 iterations × 8 workers.
@@ -42,6 +50,11 @@ PINNED_ENTRIES = {
     "interrupt": 0,
     "succeed": 136,
 }
+#: The network's own work (wrappers below), the same keys for both shapes.
+NETWORK_KEYS = (
+    "drain_visits", "materialised", "timers_armed", "timers_cancelled",
+    "timers_stale",
+)  # fmt: skip
 PINNED = {
     "eid": sum(PINNED_ENTRIES.values()),
     "compute_models": 1,
@@ -51,6 +64,23 @@ PINNED = {
     "netsim.rerates": 236,
     "netsim.fairshare_calls": 182,
     "netsim.rerate_skipped": 25,
+    "drain_visits": 1202,
+    "materialised": 1202,
+    "timers_armed": 204,
+    "timers_cancelled": 0,
+    "timers_stale": 84,
+}
+#: ``t128_osp``'s smoke shape: one worker-iteration per worker.
+PINNED_T128 = {
+    "eid": 1284,
+    "netsim.rerates": 258,
+    "netsim.fairshare_calls": 255,
+    "netsim.rerate_skipped": 2,
+    "drain_visits": 16512,
+    "materialised": 16512,
+    "timers_armed": 256,
+    "timers_cancelled": 0,
+    "timers_stale": 127,
 }
 
 
@@ -83,6 +113,44 @@ def _counting(func, counter: Counter, key: str):
     return wrapper
 
 
+def _count_network(mp: pytest.MonkeyPatch, seen: Counter) -> None:
+    """The network's own work. A drain walks every active flow and writes
+    its ``remaining`` once the clock has moved; each rerate that leaves
+    flows active arms one wake-up timer; a timer whose version a later
+    rerate bumped is dispatched stale."""
+    drain, rerate, on_timer = Network._drain, Network._rerate, Network._on_timer
+
+    def counted_drain(self):
+        if self._active and self.env.now > self._last_update:
+            seen["drain_visits"] += len(self._active)
+            seen["materialised"] += len(self._active)
+        drain(self)
+
+    def counted_rerate(self):
+        rerate(self)
+        if self._active:
+            seen["timers_armed"] += 1
+
+    def counted_on_timer(self, version):
+        if version != self._timer_version:
+            seen["timers_stale"] += 1
+        on_timer(self, version)
+
+    mp.setattr(Network, "_drain", counted_drain)
+    mp.setattr(Network, "_rerate", counted_rerate)
+    mp.setattr(Network, "_on_timer", counted_on_timer)
+
+
+def _network_counts(trainer, seen: Counter) -> dict:
+    stats = trainer.network.stats
+    return {
+        "eid": trainer.env._eid,
+        **{k: stats.get(k, 0) for k in ("netsim.rerates", "netsim.fairshare_calls",
+                                         "netsim.rerate_skipped")},
+        **{k: seen[k] for k in NETWORK_KEYS},
+    }  # fmt: skip
+
+
 @pytest.fixture(scope="module")
 def counts():
     mp = pytest.MonkeyPatch()
@@ -106,6 +174,7 @@ def counts():
     mp.setattr(
         Engine, "bytes_of_layers", _counting(Engine.bytes_of_layers, seen, "byte_sums")
     )
+    _count_network(mp, seen)
     adopted: list[GIB] = []
     on_round_close = OSP.on_round_close
 
@@ -126,17 +195,31 @@ def counts():
         trainer.run()
     finally:
         mp.undo()
-    stats = trainer.network.stats
     return {
         "entries": dict(entries),
-        "eid": trainer.env._eid,
         "compute_models": seen["compute_models"],
         "gib_tuples": seen["gib_tuples"],
         "gibs_adopted": len(adopted),
         "byte_sums": seen["byte_sums"],
-        **{k: stats.get(k, 0) for k in ("netsim.rerates", "netsim.fairshare_calls",
-                                         "netsim.rerate_skipped")},
-    }  # fmt: skip
+        **_network_counts(trainer, seen),
+    }
+
+
+@pytest.fixture(scope="module")
+def counts_t128():
+    mp = pytest.MonkeyPatch()
+    seen: Counter = Counter()
+    _count_network(mp, seen)
+    try:
+        cfg = WorkloadConfig(
+            "vgg16-cifar10", n_workers=128, n_epochs=1, iterations_per_epoch=1,
+            sigma=0.1, seed=3,
+        )  # fmt: skip
+        trainer = timing_trainer(cfg, OSP())
+        trainer.run()
+    finally:
+        mp.undo()
+    return _network_counts(trainer, seen)
 
 
 def test_kernel_entries_by_kind(counts):
@@ -152,6 +235,14 @@ def test_work_count_is_pinned(counts, name):
         f"{name}: {PINNED[name]} -> {counts[name]} per run of "
         f"{WORKER_ITERATIONS} worker-iterations; update the pin and state it "
         "old -> new in CHANGES.md"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_T128))
+def test_t128_work_count_is_pinned(counts_t128, name):
+    assert counts_t128[name] == PINNED_T128[name], (
+        f"{name}: {PINNED_T128[name]} -> {counts_t128[name]} per t128_osp smoke "
+        "run; update the pin and state it old -> new in CHANGES.md"
     )
 
 
