@@ -20,16 +20,20 @@ O(F log F) overall.
 A round whose bottleneck link carries every still-unfrozen flow is the
 *last* round: they all freeze at its share and nothing is read again, so it
 skips the subtraction, load and dirty-list bookkeeping. Round 1 reaches that
-test from per-link loads alone, with no heap or membership list built. A
-caller that keeps a live flow–link index (the Network does) hands it over as
-``link_flows`` and round 1 reads each load as ``len()``: a single-bottleneck
-incast — the steady state under OSP's RS barrier, re-solved at every
-departure — then costs O(L) plus the O(F) write of the answer, with no pass
-over the routes. Without the index the loads are counted from the routes in
-O(F + L). Either way round 1 exits only when every other loaded link
-clears the minimum by more than ``2·_EPS`` (an exact tie is not clear): past
-that gap neither the scan's ``_EPS`` hysteresis nor link discovery order can
-settle on another bottleneck.
+test from per-link loads alone, with no heap or membership list built: it
+reads each load as ``len()`` of a live flow–link index. The Network keeps
+one and hands it over, so a single-bottleneck incast — the steady state
+under OSP's RS barrier, re-solved at every departure — costs O(L) plus the
+O(F) write of the answer, with no pass over the routes; any other caller's
+index is built from the routes in O(F + L). Round 1 exits only when every
+other loaded link clears the minimum by more than ``2·_EPS`` (an exact tie
+is not clear): past that gap neither the scan's ``_EPS`` hysteresis nor link
+discovery order can settle on another bottleneck.
+
+The public :func:`fair_rates` and :func:`prio_fair_rates` validate their
+input once and hand it to the one solve (:func:`_max_min`,
+:func:`_prio_max_min`); the Network calls the solves directly on routes it
+built itself, so no network solve re-validates.
 
 The plain O(L²·F) scan it replaced lives on as the test oracle
 (``tests/netsim/reference.py``); the two are bit-identical by
@@ -72,9 +76,6 @@ def _validate_and_split(flow_routes, capacities):
 def fair_rates(
     flow_routes: Mapping[Hashable, Sequence[Hashable]],
     capacities: Mapping[Hashable, float],
-    *,
-    validate: bool = True,
-    link_flows: Optional[Mapping[Hashable, Collection[Hashable]]] = None,
 ) -> dict[Hashable, float]:
     """Compute max–min fair rates via heap-driven progressive filling.
 
@@ -85,21 +86,30 @@ def fair_rates(
         with an empty route (loopback) gets rate ``inf``.
     capacities:
         Map ``link_id -> capacity`` (bytes/second, must be positive).
-    validate:
-        ``False`` skips input validation *and* loopback handling for
-        trusted callers (the Network, whose route map never contains
-        empty routes or unknown links) — every entry must be a non-empty
-        sequence of known links with positive capacities.
-    link_flows:
-        Optional live index ``link_id -> the flows crossing it`` (each at
-        most once) over exactly the links of ``flow_routes``' flows and no
-        other flow — the Network's own flow–link index. Round 1 then reads
-        each link's load as ``len()`` instead of counting routes; the rates
-        are the same.
 
     Returns ``flow_id -> rate``, deterministic for identical inputs
     (iteration follows insertion order of the mappings; exact share ties
-    go to the first link encountered).
+    go to the first link encountered). The inputs are validated here, once:
+    the solve itself (:func:`_max_min`, what the Network calls) trusts them.
+    """
+    rates, unfrozen = _validate_and_split(flow_routes, capacities)
+    rates.update(_max_min(unfrozen, capacities))
+    return rates
+
+
+def _max_min(
+    unfrozen: Mapping[Hashable, Sequence[Hashable]],
+    capacities: Mapping[Hashable, float],
+    link_flows: Optional[Mapping[Hashable, Collection[Hashable]]] = None,
+) -> dict[Hashable, float]:
+    """The solve behind :func:`fair_rates`, on trusted input: every route a
+    non-empty sequence of known links with positive capacities.
+
+    ``link_flows`` is a live index ``link_id -> the flows crossing it``
+    (each at most once) over exactly the links of ``unfrozen``'s flows and
+    no other flow — the Network's own flow–link index. Round 1 reads each
+    link's load from it as ``len()``; without one, the index is built here
+    from the routes. Either way the rates are the same.
 
     A round only re-examines the links the previous round's freezes
     touched, and per-link membership is a lazy-deletion list plus a live
@@ -114,43 +124,29 @@ def fair_rates(
     link more than ``2·_EPS`` clear of its share) get ``capacities[link] / n``
     from a load-only pre-pass; a multi-round solve leaves at its last round.
     """
-    if validate:
-        rates, unfrozen = _validate_and_split(flow_routes, capacities)
-    else:
-        rates = {}
-        unfrozen = flow_routes
-
+    rates: dict[Hashable, float] = {}
     # Round 1: each loaded link's load, then the minimum share, its link and
-    # the smallest share on any *other* link. Without ``link_flows`` the
-    # loads come from counting crossings; a link repeated in a route counts
-    # twice, which only lowers its share (the gap test stays conservative),
-    # and the bottleneck's count is exact once every route is seen to cross
-    # it (n routes, n crossings: once each). The live index holds distinct
-    # flows, so there ``carried == n`` alone says every flow crosses it.
+    # the smallest share on any *other* link. The index holds distinct flows
+    # per link, so ``carried == n`` alone says every flow crosses the
+    # bottleneck.
     if link_flows is None:
-        crossings: dict[Hashable, int] = {}
-        for route in unfrozen.values():
+        link_flows = {}
+        for fid, route in unfrozen.items():
             for link in route:
-                crossings[link] = crossings.get(link, 0) + 1
-        loads = crossings.items()
-    else:
-        loads = zip(link_flows, map(len, link_flows.values()))
+                members = link_flows.get(link)
+                if members is None:
+                    link_flows[link] = {fid: None}
+                else:
+                    members[fid] = None
     best_share = second = float("inf")
     bottleneck, carried = None, 0
-    for link, n in loads:
+    for link, n in zip(link_flows, map(len, link_flows.values())):
         share = capacities[link] / n
         if share < best_share:
             best_share, second, bottleneck, carried = share, best_share, link, n
         elif share < second:  # an exact tie on another link lands here
             second = share
-    if (
-        carried == len(unfrozen)
-        and second - best_share > 2 * _EPS
-        and (
-            link_flows is not None
-            or all(bottleneck in route for route in unfrozen.values())
-        )
-    ):
+    if carried == len(unfrozen) and second - best_share > 2 * _EPS:
         rates.update(dict.fromkeys(unfrozen, best_share))
         return rates
     remaining = dict(capacities)
@@ -309,8 +305,6 @@ def prio_fair_rates(
     flow_routes: Mapping[Hashable, Sequence[Hashable]],
     capacities: Mapping[Hashable, float],
     prios: Mapping[Hashable, int],
-    *,
-    validate: bool = True,
 ) -> dict[Hashable, float]:
     """Strict priority over :func:`fair_rates` per class.
 
@@ -319,14 +313,25 @@ def prio_fair_rates(
     saturated link higher classes starve lower ones outright (rate 0.0)
     while flows of equal class share the leftover by plain max–min.
 
-    When every flow sits in a single class — *any* class — the call
-    delegates to the plain solver over the full capacities, making the
-    result bit-identical to the non-priority scheduler. ``validate`` is
-    forwarded to :func:`fair_rates` for every subproblem.
+    When every flow sits in a single class — *any* class — the result is
+    the plain solver's over the full capacities, bit for bit: the
+    non-priority scheduler's. The inputs are validated here, once; the
+    Network calls :func:`_prio_max_min` on its trusted routes.
     """
+    rates, unfrozen = _validate_and_split(flow_routes, capacities)
+    rates.update(_prio_max_min(unfrozen, capacities, prios))
+    return rates
+
+
+def _prio_max_min(
+    flow_routes: Mapping[Hashable, Sequence[Hashable]],
+    capacities: Mapping[Hashable, float],
+    prios: Mapping[Hashable, int],
+) -> dict[Hashable, float]:
+    """The solve behind :func:`prio_fair_rates`, on trusted input."""
     classes = sorted({prios[fid] for fid in flow_routes}, reverse=True)
     if len(classes) <= 1:
-        return fair_rates(flow_routes, capacities, validate=validate)
+        return _max_min(flow_routes, capacities)
 
     leftover = dict(capacities)
     floor = {link: cap * _SAT_REL for link, cap in capacities.items()}
@@ -348,7 +353,7 @@ def prio_fair_rates(
                     caps[l] = leftover[l]
         if not solve_routes:
             continue
-        sub = fair_rates(solve_routes, caps, validate=validate)
+        sub = _max_min(solve_routes, caps)
         for fid, rate in sub.items():
             rates[fid] = rate
             if rate > 0 and rate != float("inf"):

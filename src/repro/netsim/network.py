@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 from typing import Any, Optional
 
-from repro.netsim.fairshare import fair_rates, prio_fair_rates
+from repro.netsim.fairshare import _max_min, _prio_max_min
 from repro.netsim.flows import Flow, FlowRecord
 from repro.netsim.links import Link
 from repro.netsim.prio import CLASS_NAMES, PRIO_NORMAL
@@ -456,9 +456,9 @@ class Network:
             len(self._class_count) > 1 and len({prios[f] for f in routes}) > 1
         )
         if several:
-            rates = prio_fair_rates(routes, caps, prios, validate=False)
+            rates = _prio_max_min(routes, caps, prios)
         else:
-            rates = fair_rates(routes, caps, validate=False, link_flows=links)
+            rates = _max_min(routes, caps, links)
         self._count("netsim.fairshare_calls")
         if several:  # a single class is never starved
             preempted = sum(

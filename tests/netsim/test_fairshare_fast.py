@@ -6,9 +6,9 @@ scan (``reference.py``) accepts. Hypothesis drives randomized
 star topologies (the trainer's shape), multi-tier/general topologies,
 degenerate eps-scale capacities, loopback/empty-route flows, and
 single-bottleneck incasts with an edge share planted in every band of the
-last-round exit's near-tie guard through both solvers. The same strategies
-hold the Network's calling convention — round 1's loads read from a live
-flow–link index (``link_flows=``) — to the counting path.
+last-round exit's near-tie guard through both solvers. The solve the
+Network calls (``_max_min``, handed its live flow–link index) is held to the
+same oracle with that index in either link order.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import fair_rates
+from repro.netsim.fairshare import _max_min
 from tests.netsim.reference import _EPS, reference_fair_rates
 
 
@@ -123,25 +124,16 @@ def _live_index(routes, reverse=False):
     return dict(reversed(index.items())) if reverse else index
 
 
-def _assert_live_index_matches_counting(routes, caps):
-    """``fair_rates`` handed the live index answers exactly what it answers
-    counting loads from the routes: same values, same reprs, same order."""
-    trusted = {fid: tuple(route) for fid, route in routes.items() if route}
-    counted = fair_rates(trusted, caps, validate=False)
-    for reverse in (False, True):
-        live = fair_rates(
-            trusted, caps, validate=False, link_flows=_live_index(trusted, reverse)
-        )
-        assert live == counted
-        assert list(map(repr, live.items())) == list(map(repr, counted.items()))
-
-
 def _assert_matches_oracle_on_both_paths(routes, caps):
+    """``fair_rates`` and the solve the Network calls, handed a live index
+    in either link order, answer exactly what the oracle answers."""
     expected = reference_fair_rates(routes, caps)
     assert fair_rates(routes, caps) == expected
     trusted = {fid: tuple(route) for fid, route in routes.items() if route}
-    assert fair_rates(trusted, caps, validate=False) == fair_rates(trusted, caps)
-    _assert_live_index_matches_counting(routes, caps)
+    routed = {fid: rate for fid, rate in expected.items() if fid in trusted}
+    for reverse in (False, True):
+        live = _max_min(trusted, caps, _live_index(trusted, reverse))
+        assert live == routed
     return expected
 
 
@@ -256,29 +248,3 @@ def test_fast_bit_identical_on_general_topologies(case):
     assert fast == reference
     # Both also honour the basic feasibility property.
     assert all(r > 0.0 for r in fast.values())
-
-
-@settings(max_examples=150, deadline=None)
-@given(general_cases())
-def test_fast_trusted_path_matches_validating_path(case):
-    """validate=False (the Network's calling convention) must not change
-    results on inputs that satisfy its contract."""
-    flows, caps = case
-    trusted = {
-        fid: tuple(route) for fid, route in flows.items() if route
-    }
-    if not trusted:
-        return
-    assert fair_rates(trusted, caps, validate=False) == fair_rates(
-        trusted, caps
-    )
-
-
-@settings(max_examples=600, deadline=None)
-@given(st.one_of(star_cases(), general_cases(), incast_cases()))
-def test_live_index_path_bit_identical_to_counting_path(case):
-    """Loads read from the Network's live index (distinct flows per link)
-    rather than counted from the routes change no rate: on stars, general
-    topologies with eps-scale capacities, and planted incasts in every
-    near-tie band with repeated links."""
-    _assert_live_index_matches_counting(*case)

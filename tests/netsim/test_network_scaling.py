@@ -126,7 +126,7 @@ def test_staggered_incast_matches_per_event_reference_counts_pinned(fan_out):
     ``fair_rates``, it is not a scheduler skip."""
     ref_net, ref_env = _staggered_incast_run(fan_out, network=PerEventNetwork)
     with mock.patch.object(
-        network_module, "fair_rates", wraps=network_module.fair_rates
+        network_module, "_max_min", wraps=network_module._max_min
     ) as solver:
         net, env = _staggered_incast_run(fan_out)
     assert solver.call_count == 48  # the counter below counts real solver runs
@@ -181,7 +181,7 @@ def _rates(net, prio):
 def test_push_departures_leave_the_pulls_on_the_other_direction_alone():
     seen = []
     with mock.patch.object(
-        network_module, "prio_fair_rates", wraps=network_module.prio_fair_rates
+        network_module, "_prio_max_min", wraps=network_module._prio_max_min
     ) as prio_solver:
         net, env = _duplex_hub_run(
             watch=lambda net, event: seen.append(_rates(net, PRIO_BULK))

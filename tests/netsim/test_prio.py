@@ -100,17 +100,17 @@ def test_multi_class_never_oversubscribes(net):
 @settings(max_examples=150, deadline=None)
 def test_legacy_and_fast_subsolvers_agree_in_prio_path(net):
     """Per-class subproblems (leftover capacities, starved flows removed)
-    solved by the reference scan and by the heap solver — trusted, as the
-    Network calls it — give the same rates."""
+    solved by the reference scan and by the heap solver give the same
+    rates."""
     routes, caps = net
     rng = np.random.default_rng(2)
     prios = {f: int(rng.integers(0, 4)) for f in routes}
     with mock.patch(
-        "repro.netsim.fairshare.fair_rates",
-        lambda r, c, validate=True: reference_fair_rates(r, c),
+        "repro.netsim.fairshare._max_min",
+        lambda r, c: reference_fair_rates(r, c),
     ):
         reference = prio_fair_rates(routes, caps, prios)
-    assert prio_fair_rates(routes, caps, prios, validate=False) == reference
+    assert prio_fair_rates(routes, caps, prios) == reference
 
 
 # ------------------------------------------------------ Network integration
