@@ -201,7 +201,9 @@ def read_trace(path: Union[str, Path]) -> dict:
     or :func:`~repro.obs.compare.compare_runs` could not read. Times,
     durations and byte counts (span ``ts`` / ``dur``, network ``bytes``,
     ``otherData.traffic`` and ``otherData.wallTime``) must also lie in
-    :data:`~repro.bounds.NON_NEGATIVE`."""
+    :data:`~repro.bounds.NON_NEGATIVE`, and the trace must hold at least
+    one complete (``"X"``) span: a run records one per iteration at least,
+    so a trace without any has no iterations to report."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or "traceEvents" not in doc:
         raise ValueError(
@@ -210,11 +212,13 @@ def read_trace(path: Union[str, Path]) -> dict:
         )
     events = doc["traceEvents"]
     _expect(isinstance(events, list), "traceEvents", "a list", events)
+    spans = 0
     for i, ev in enumerate(events):
         where = f"traceEvents[{i}]"
         _expect(isinstance(ev, dict), where, "an object", ev)
         if ev.get("ph") != "X":
             continue
+        spans += 1
         if "ts" not in ev:
             raise ValueError(f"{where}: an 'X' event needs a 'ts'")
         _number(ev["ts"], f"{where}.ts", NON_NEGATIVE)
@@ -246,6 +250,11 @@ def read_trace(path: Union[str, Path]) -> dict:
     )
     for name, value in counters.items():
         _number(value, f"otherData.recorderCounters[{name!r}]")
+    if not spans:
+        raise ValueError(
+            "traceEvents: no complete ('X') span, so no iteration to report "
+            "(write a trace with `repro run --trace FILE`)"
+        )
     return doc
 
 

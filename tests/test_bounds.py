@@ -360,7 +360,8 @@ def test_a_numeric_flag_out_of_range_is_one_error_line(
     argv = [*command]
     if command == ("report",):
         trace = tmp_path / "t.json"
-        trace.write_text(json.dumps({"traceEvents": [], "otherData": {"wallTime": 1.0}}))
+        span = {"ph": "X", "ts": 0, "dur": 1.0, "name": "compute"}
+        trace.write_text(json.dumps({"traceEvents": [span], "otherData": {"wallTime": 1.0}}))
         argv += ["--compare", str(trace), str(trace)]
     else:
         argv += _SMALL

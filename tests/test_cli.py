@@ -513,6 +513,10 @@ _NOT_A_TRACE = (
     "(write one with `repro run --trace FILE`)"
 )
 
+_NO_SPANS = (
+    "traceEvents: no complete ('X') span, so no iteration to report "
+    "(write a trace with `repro run --trace FILE`)"
+)
 _REPORT_CORPUS = [
     # (file text or None for a missing file, stderr line)
     (None, "error: {f}: No such file or directory"),
@@ -570,6 +574,12 @@ _REPORT_CORPUS = [
      "error: {f}: otherData.traffic['rs']['fc']: expected a real in [0, inf), got -1.5"),
     ('{"traceEvents": [], "otherData": {"wallTime": -1.0}}',
      "error: {f}: otherData.wallTime: expected a real in [0, inf), got -1.0"),
+    # a trace must hold a complete span: without one there is no iteration
+    ('{"traceEvents": [], "otherData": {"wallTime": 1.0}}', "error: {f}: " + _NO_SPANS),
+    ('{"traceEvents": [{"ph": "C", "ts": 0, "name": "obs.net.active_flows", '
+     '"args": {"value": 1}}], "otherData": {"wallTime": 1.0, '
+     '"traffic": {"rs": {"fc": 8.0}}}}',
+     "error: {f}: " + _NO_SPANS),
 ]
 
 #: ``report FILE`` and ``report --compare FILE FILE`` open files through one
