@@ -87,24 +87,24 @@ class Monitor:
 class NetworkConservationMonitor(Monitor):
     """Netsim byte conservation: flow bytes in == bytes carried on links.
 
-    Every tracked flow contributes ``(effective − remaining) · len(route)``
-    bytes (effective = size × (1 + loss at start), sampled exactly as the
-    scheduler samples it), and the sum must equal the links' cumulative
-    ``bytes_carried`` at *every* drain — bandwidth-dip/flap/loss-burst
-    windows included, since faults change rates, never conservation.
-    Tolerance covers the ``_BYTE_EPS`` completion residue per flow plus
-    float accumulation drift. A flow is tracked only while it is in flight:
-    the first drain that finds it gone from the active set folds its full
-    contribution and its residue budget into running totals.
+    A flow credits its links when it finishes, so at *every* drain — and
+    through bandwidth-dip/flap/loss-burst windows, since faults change
+    rates, never conservation — the links' ``bytes_carried`` must equal the
+    sum over finished flows of ``effective · len(route)`` (effective = size
+    × (1 + loss at start), recomputed from the topology exactly as the
+    scheduler samples it, not read off the flow). In-flight progress would
+    add the same partial bytes to both sides (:meth:`Network.ledger`), so
+    the check reads the finished flows only. The tolerance covers float
+    summation order.
 
-    One pass per drain: the links are summed from a tuple cached at
-    subscription, ``in_flight`` walks the active flows once (in fid order,
-    the order the tracked flows were added), and the finished fids are
-    looked for only when fewer tracked flows were active than are tracked.
+    A flow is tracked from when it goes on the wire until its record
+    appears in ``Network.records``; a cursor over the records folds each
+    finished flow in once, so a drain costs O(links + flows finished since
+    the last one).
     """
 
     name = "net.conservation"
-    cost = "O(active flows + links) per network drain, + O(tracked flows) when one finished"
+    cost = "O(links + newly finished flows) per network drain"
 
     def subscribe(self, trainer) -> bool:
         net = trainer.network
@@ -113,9 +113,9 @@ class NetworkConservationMonitor(Monitor):
         self._net = net
         self._links = tuple(net.topology.links)
         self._flows: dict[int, tuple[float, int]] = {}  # fid -> (eff, links)
-        #: Totals over finished flows: drained link-bytes and eps budget.
+        #: Link-bytes of the finished flows, and how many records are folded.
         self._done_bytes = 0.0
-        self._done_eps = 0.0
+        self._cursor = len(net.records)
         self._baseline = sum(map(_CARRIED, self._links))
         net.flow_hooks.append(self._on_flow)
         net.drain_hooks.append(self._verify)
@@ -131,29 +131,21 @@ class NetworkConservationMonitor(Monitor):
             self._flows[flow.fid] = (effective, len(route))
 
     def _verify(self) -> None:
-        carried = sum(map(_CARRIED, self._links)) - self._baseline
+        records = self._net.records
         flows = self._flows
-        active = self._net.active_flows
-        in_flight = 0.0
-        seen = 0
-        for flow in active:
-            tracked = flows.get(flow.fid)
+        for record in records[self._cursor:]:
+            tracked = flows.pop(record.fid, None)
             if tracked is not None:
-                seen += 1
                 effective, n_links = tracked
-                in_flight += (effective - flow.remaining) * n_links
-        if seen < len(flows):  # some finished: credited up to the sub-eps residue
-            live = {flow.fid for flow in active}
-            for fid in [fid for fid in flows if fid not in live]:
-                effective, n_links = flows.pop(fid)
                 self._done_bytes += effective * n_links
-                self._done_eps += _BYTE_EPS * n_links
-        expected = self._done_bytes + in_flight
-        tol = 1e-3 + self._done_eps + 1e-9 * max(abs(carried), abs(expected))
+        self._cursor = len(records)
+        carried = sum(map(_CARRIED, self._links)) - self._baseline
+        expected = self._done_bytes
+        tol = 1e-3 + 1e-9 * max(abs(carried), abs(expected))
         self.checks += 1
         if abs(carried - expected) > tol:
             self.fail(
-                f"link bytes_carried {carried:.3f} != flow bytes drained "
+                f"link bytes_carried {carried:.3f} != finished flows' bytes "
                 f"{expected:.3f} (|diff| {abs(carried - expected):.3f} > "
                 f"tol {tol:.3f})",
                 carried=carried,

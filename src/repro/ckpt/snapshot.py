@@ -242,6 +242,21 @@ def verify_roundtrip(ckpt: Checkpoint, path: str | Path) -> None:
             )
 
 
+def _recorder_state(trainer: "DistributedTrainer") -> dict:
+    """The recorder as a checkpoint holds it. A trainer's network credits
+    its byte counters when a flow finishes; where it mirrors them into this
+    recorder, the snapshot takes them from :meth:`Network.ledger`, so flows
+    still in flight count with the bytes they have moved so far."""
+    state = recorder_to_dict(trainer.ctx.recorder)
+    net = trainer.network
+    if net.recorder is trainer.ctx.recorder:
+        counters = state["counters"]
+        for name, value in net.ledger().counters.items():
+            if name in counters:
+                counters[name] = value
+    return state
+
+
 def capture(
     trainer: "DistributedTrainer",
     next_epoch: int,
@@ -284,7 +299,7 @@ def capture(
         "jitter": jitter_state_fn() if jitter_state_fn is not None else None,
         "engine_state": engine.checkpoint_state(),
         "sync_state": trainer.sync_model.checkpoint_state(ctx),
-        "recorder": recorder_to_dict(ctx.recorder),
+        "recorder": _recorder_state(trainer),
     }
 
     arrays: dict[str, np.ndarray] = {}

@@ -109,7 +109,7 @@ class Placement:
 
     Node ``i`` of the job's :class:`ClusterSpec` (see :meth:`~ClusterSpec.
     worker_node` and :attr:`~ClusterSpec.ps_nodes`) is topology host
-    ``hosts[i]``. Every flow the job starts carries ``job`` (drained bytes
+    ``hosts[i]``. Every flow the job starts carries ``job`` (its bytes
     count to ``netsim.job_bytes.{job}``), and ``default_prio``, when set,
     replaces the class of the job's NORMAL flows. A trainer that owns its
     network runs on the identity placement ``Placement(None,

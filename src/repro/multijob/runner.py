@@ -56,9 +56,9 @@ class JobRun:
     submitted: float
     admitted: float
     finished: float
-    #: effective bytes the fabric drained for this job
+    #: effective bytes the fabric moved for this job
     job_bytes: float = 0.0
-    #: of those, bytes drained while ≥1 other tenant had flows in flight
+    #: of those, bytes moved while ≥1 other tenant had flows in flight
     contended_bytes: float = 0.0
     #: seconds this job had flows in flight, and those shared with a tenant
     active_seconds: float = 0.0
@@ -66,7 +66,7 @@ class JobRun:
 
     @property
     def solo_bytes(self) -> float:
-        """Bytes drained while no other tenant had flows in flight."""
+        """Bytes moved while no other tenant had flows in flight."""
         return self.job_bytes - self.contended_bytes
 
     @property

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.netsim.links import Link
@@ -14,18 +15,23 @@ from repro.simcore.events import Event
 class Flow:
     """An in-flight transfer (mutable scheduler state).
 
-    ``remaining`` counts *effective* bytes (payload inflated by the route
-    loss rate); ``rate`` is the current max–min fair allocation. One is
-    built per transfer, positionally, so the class is slotted.
+    ``effective`` counts the bytes the flow moves: the payload inflated by
+    the route loss rate. ``rate`` is the current max–min fair allocation.
+    Progress is kept as an anchor, not a running count: the flow had
+    ``rem_anchor`` effective bytes left at ``t_anchor`` and has moved at
+    ``rate`` since, so it reaches its end at ``t_end``. The anchor moves only
+    when the rate the flow ends an instant with differs from the one it
+    started it with (``back`` holds the instant's starting anchor meanwhile).
+    One is built per transfer, positionally, so the class is slotted.
     """
 
     fid: int
     src: int | str
     dst: int | str
     size: float  # payload bytes as requested by the caller
-    remaining: float  # effective bytes still to move
+    effective: float  # effective bytes to move in all
     route: tuple[Link, ...]
-    latency: float  # one-way route latency (added after draining)
+    latency: float  # one-way route latency (added after the last byte)
     done: Event  # succeeds with a FlowRecord
     tag: Any = None
     start_time: float = 0.0
@@ -38,9 +44,27 @@ class Flow:
     #: Strict-priority transmission class (repro.netsim.prio constants).
     prio: int = PRIO_NORMAL
     #: Owning job name under multi-job co-tenancy, or ``None`` for a
-    #: single-tenant flow. Drained bytes of tagged flows are accounted to
+    #: single-tenant flow. Bytes of tagged flows are accounted to
     #: ``netsim.job_bytes.{job}``.
     job: Optional[str] = None
+    #: The anchor: ``rem_anchor`` effective bytes were left at ``t_anchor``.
+    t_anchor: float = field(default=0.0, init=False)
+    rem_anchor: float = field(default=0.0, init=False)
+    #: When the flow's last byte leaves at ``rate`` (``inf`` while unrated
+    #: or starved).
+    t_end: float = field(default=math.inf, init=False)
+    #: ``(t_anchor, rem_anchor, rate, t_end)`` as the current instant found
+    #: them, saved when the anchor moved to this instant (None before).
+    back: Optional[tuple] = field(default=None, init=False)
+    #: Remaining bytes when the fabric's set of jobs in flight last changed
+    #: (job-tagged flows only): where its contended share is counted from.
+    mark: float = field(default=0.0, init=False)
+
+    @property
+    def remaining(self) -> float:
+        """Effective bytes still to move at the clock's current time."""
+        rem = self.rem_anchor - self.rate * (self.done.env.now - self.t_anchor)
+        return rem if rem > 0.0 else 0.0
 
     def __hash__(self) -> int:
         return self.fid

@@ -45,9 +45,10 @@ class Link:
 
     name: str
     spec: LinkSpec
-    #: Cumulative bytes drained through this link: a running float sum of
-    #: every flow's ``rate·dt``, so consumers (utilization reports, the
-    #: conservation monitor) compare it with a relative tolerance.
+    #: Cumulative effective bytes of the flows that finished on this link:
+    #: each credits its exact size when its last byte leaves. The progress
+    #: of flows still in flight is added by ``Network.ledger()``, which
+    #: mid-run readers (utilization probes) use.
     bytes_carried: float = field(default=0.0, init=False)
     busy_time: float = field(default=0.0, init=False)
     #: Multiplicative fault state (see :meth:`apply_fault`). Factors rather

@@ -1,19 +1,15 @@
 """The Network facade: event-driven fluid-flow transfer scheduling.
 
-Whenever a flow starts or finishes, the scheduler (1) *drains* all active
-flows by their current rates over the elapsed interval, (2) recomputes
-max–min fair rates, and (3) schedules a wake-up at the earliest projected
-completion. Wake-ups are versioned so a superseded timer is ignored rather
-than cancelled (the kernel has no cancellation primitive — versioning is
-cheaper and deterministic).
-
-The :class:`~repro.netsim.flows.Flow` objects are the only record of
-``remaining``/``rate``, and a rerate touches each active flow as few times as
-it can: the drain is one scalar loop over them that also notes each flow
-crossing the completion threshold (so retiring needs no scan), and the
-solve's write-back takes the completion horizon as it assigns rates — a
-second pass over the active flows runs only when the solved component is not
-all of them.
+A flow's progress is an anchor: it had ``rem_anchor`` effective bytes left
+at ``t_anchor`` and has moved at ``rate`` since, so its last byte leaves at
+``t_end``. Whenever a flow starts or finishes, the scheduler (1) finds the
+flows whose remaining bytes have come down to ``_BYTE_EPS``, (2) recomputes
+max–min fair rates, anchoring each flow whose rate changed at this instant
+(only if the rate it ends the instant with differs from the one it started
+it with), and (3) arms one wake-up at the nearest end, cancelling the one it
+replaces. A flow credits its exact effective bytes to its links, class and
+job when it finishes; :meth:`Network.ledger` adds in-flight progress for
+mid-run readers.
 
 Scaling machinery (the solver it calls has its own: a round whose bottleneck
 carries every unfrozen flow ends the solve — see :mod:`.fairshare`):
@@ -65,6 +61,7 @@ how *often* the scheduler recomputes, not what it computes.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.netsim.fairshare import _max_min, _prio_max_min
@@ -82,14 +79,14 @@ _BYTE_EPS = 1e-6
 #: Completion horizon before any flow with a positive rate has been seen.
 _INF = float("inf")
 
-#: Per-class drained-byte counter names, indexed by class value.
+#: Per-class byte counter names, indexed by class value.
 _BYTE_COUNTERS = tuple(
     f"netsim.prio_bytes.{CLASS_NAMES[cls]}" for cls in range(4)
 )
 
 
 def _job_counter(job: str) -> str:
-    """Drained-byte counter name for a job-tagged flow.
+    """Byte counter name for a job-tagged flow.
 
     Matches the ``netsim.job_bytes.{job}`` template registered in
     :mod:`repro.obs.registry`.
@@ -98,9 +95,23 @@ def _job_counter(job: str) -> str:
 
 
 def _contended_counter(job: str) -> str:
-    """The share of ``netsim.job_bytes.{job}`` drained while another job
+    """The share of ``netsim.job_bytes.{job}`` moved while another job
     had flows in flight (registered template ``netsim.job_contended_bytes.{job}``)."""
     return f"netsim.job_contended_bytes.{job}"
+
+
+@dataclass(frozen=True)
+class Ledger:
+    """The fabric's byte ledgers at one instant, in-flight progress included
+    (what :meth:`Network.ledger` returns)."""
+
+    #: link name -> effective bytes the link has carried.
+    links: dict[str, float]
+    #: ``netsim.prio_bytes.*``, ``netsim.job_bytes.*`` and
+    #: ``netsim.job_contended_bytes.*`` -> effective bytes.
+    counters: dict[str, float]
+    #: fid of each active flow -> effective bytes it has still to move.
+    remaining: dict[int, float]
 
 
 class Network:
@@ -133,7 +144,7 @@ class Network:
         self.priorities = True
         self.records: list[FlowRecord] = []
         #: frozenset of the jobs with flows in flight -> virtual seconds the
-        #: fabric spent in that state (job-tagged flows only; see _drain).
+        #: fabric spent in that state (job-tagged flows only).
         self.job_overlap: dict[frozenset, float] = {}
         #: Optional Recorder mirror for the ``netsim.*`` counters in
         #: :attr:`stats` (the trainer attaches its recorder).
@@ -142,7 +153,8 @@ class Network:
         #: :class:`Flow` as it goes on the wire, ``drain_hooks`` no arguments.
         self.flow_hooks: list = []
         self.drain_hooks: list = []
-        #: Scheduler work counters (see repro.obs.registry COUNTERS).
+        #: Scheduler work counters (see repro.obs.registry COUNTERS) and the
+        #: byte ledgers of the flows that finished.
         self.stats: dict[str, int] = {
             "netsim.rerates": 0,
             "netsim.rerate_skipped": 0,
@@ -156,22 +168,27 @@ class Network:
         self._active: dict[int, Flow] = {}
         self._next_fid = 0
         self._last_update = env.now
-        self._timer_version = 0
+        #: The one armed wake-up (a Timeout), cancelled when it is re-armed.
+        self._timer = None
         self._capacities = {l.name: l.bandwidth for l in topology.links}
         self._links_by_name = {l.name: l for l in topology.links}
 
         #: Active-flow count per priority class (multi-class detector).
         self._class_count: dict[int, int] = {}
+        #: Active job-tagged flows per job: its keys are the jobs in flight.
+        self._job_count: dict[str, int] = {}
+        #: When the current set of jobs in flight began.
+        self._jobs_since = env.now
         #: (src, dst) -> (route, its link names, the distinct ones among them).
         self._route_cache: dict[tuple, tuple[tuple[Link, ...], tuple, tuple]] = {}
         #: The flow–link index, all the scheduler keeps about coupling: loaded
         #: link name -> fids of the active flows crossing it, in fid order. A
         #: link enters with its first flow and leaves with its last, so
-        #: ``len(members)`` is its live load (what ``fair_rates`` reads).
+        #: ``len(members)`` is its live load (what the solver reads).
         self._link_flows: dict[str, dict[int, None]] = {}
-        #: Active flows whose ``remaining`` the drain took to ``_BYTE_EPS`` or
-        #: below (or the float guard zeroed), in fid order: what the next
-        #: rerate retires.
+        #: Active flows that reached their end (remaining at most
+        #: ``_BYTE_EPS``, or too little to move the clock), in fid order:
+        #: what the next rerate retires.
         self._finished: list[Flow] = []
         #: Links where a flow joined or left *other* flows since the last
         #: solve: where the next rerate starts its walk.
@@ -213,10 +230,10 @@ class Network:
         constants); it is coerced to NORMAL while :attr:`priorities` is
         False.
 
-        ``job`` attributes the flow to a training job: its drained bytes
-        are accounted to ``netsim.job_bytes.{job}`` and its time on the
-        wire to :attr:`job_overlap`. Untagged transfers (a trainer that
-        owns its network) skip the job accounting path entirely.
+        ``job`` attributes the flow to a training job: its bytes are
+        accounted to ``netsim.job_bytes.{job}`` and its time on the wire to
+        :attr:`job_overlap`. Untagged transfers (a trainer that owns its
+        network) skip the job accounting path entirely.
         """
         if not math.isfinite(size):
             raise ValueError(f"non-finite transfer size {size}")
@@ -244,14 +261,18 @@ class Network:
         done = Event(self.env)
         fid = self._next_fid
         self._next_fid += 1
-        # Positional, in field order: fid, src, dst, size, remaining, route,
+        now = self.env.now
+        effective = float(size) * (1.0 + loss)
+        # Positional, in field order: fid, src, dst, size, effective, route,
         # latency, done, tag, start_time, rate, names, links, prio, job.
         flow = Flow(
-            fid, src, dst, float(size), float(size) * (1.0 + loss), route,
-            latency, done, tag, self.env.now, 0.0, names, links, prio, job,
+            fid, src, dst, float(size), effective, route, latency, done, tag,
+            now, 0.0, names, links, prio, job,
         )
+        flow.t_anchor = now
+        flow.rem_anchor = effective
 
-        if not route or flow.remaining <= _BYTE_EPS:
+        if not route or effective <= _BYTE_EPS:
             # Loopback or empty payload: only latency applies.
             self._finish(flow)
             return done
@@ -267,24 +288,59 @@ class Network:
         self._schedule_rerate()
         return done
 
+    def ledger(self) -> Ledger:
+        """The byte ledgers as of now: each link's carried bytes and the
+        per-class and per-job byte counters, every active flow's progress
+        included, and each active flow's remaining bytes.
+
+        A flow credits its exact effective bytes to its links and counters
+        when it finishes; this is the one place its progress before that is
+        worked out (``effective − remaining``, from its anchor). Readers of
+        mid-flight state (probes, checkpoints, :meth:`job_bytes`) go through
+        it. O(links + active flows × route length).
+        """
+        links = {l.name: l.bytes_carried for l in self.topology.links}
+        counters = {k: v for k, v in self.stats.items() if "_bytes." in k}
+        remaining: dict[int, float] = {}
+        contended = len(self._job_count) > 1
+        priorities = self.priorities
+        for fid, flow in self._active.items():
+            rem = remaining[fid] = flow.remaining
+            moved = flow.effective - rem
+            if moved <= 0:
+                continue
+            for link in flow.route:
+                links[link.name] += moved
+            if priorities:
+                counters[_BYTE_COUNTERS[flow.prio]] += moved
+            job = flow.job
+            if job is not None:
+                name = _job_counter(job)
+                counters[name] = counters.get(name, 0.0) + moved
+                if contended and flow.mark > rem:
+                    name = _contended_counter(job)
+                    counters[name] = counters.get(name, 0.0) + flow.mark - rem
+        return Ledger(links, counters, remaining)
+
     def job_bytes(self, job: str) -> float:
-        """Effective bytes drained so far for flows tagged ``job=``."""
-        return float(self.stats.get(_job_counter(job), 0.0))
+        """Effective bytes moved so far by flows tagged ``job=``."""
+        return float(self.ledger().counters.get(_job_counter(job), 0.0))
 
     def contended_bytes(self, job: str) -> float:
-        """Those of :meth:`job_bytes` drained while another job had flows
+        """Those of :meth:`job_bytes` moved while another job had flows
         in flight."""
-        return float(self.stats.get(_contended_counter(job), 0.0))
+        return float(self.ledger().counters.get(_contended_counter(job), 0.0))
 
     def refresh_capacities(self) -> None:
         """Re-read link bandwidths after a fault changed them.
 
-        Drains active flows at their old rates up to *now*, rebuilds the
-        capacity map from the links' effective bandwidths, and re-runs the
-        fair-share allocation — so a bandwidth dip/flap immediately slows
-        (or a clear immediately speeds up) in-flight transfers. Loss-rate
-        changes, by contrast, only affect flows started after the change:
-        retransmission inflation is sampled at flow start.
+        Rebuilds the capacity map from the links' effective bandwidths and
+        re-runs the fair-share allocation of the whole fabric, so a
+        bandwidth dip/flap immediately slows (or a clear immediately speeds
+        up) in-flight transfers: each flow whose rate changes is anchored at
+        this instant. Loss-rate changes, by contrast, only affect flows
+        started after the change: retransmission inflation is sampled at
+        flow start.
         """
         self._drain()
         self._capacities = {l.name: l.bandwidth for l in self.topology.links}
@@ -300,6 +356,13 @@ class Network:
 
     def _register(self, flow: Flow) -> None:
         """Add a flow to the active set and the solver bookkeeping."""
+        job = flow.job
+        if job is not None:
+            n = self._job_count.get(job, 0)
+            if not n:
+                self._jobs_change()
+            self._job_count[job] = n + 1
+            flow.mark = flow.effective
         self._active[flow.fid] = flow
         self._pending_new.append(flow.fid)
         self._solver_routes[flow.fid] = flow.names
@@ -315,8 +378,28 @@ class Network:
                 members[flow.fid] = None
 
     def _retire(self, flow: Flow, tr) -> None:
-        """Remove a finished flow from the active set and the solver bookkeeping."""
+        """Remove a finished flow from the active set and the solver
+        bookkeeping, and credit its exact effective bytes to every link of
+        its route, its class and its job."""
+        effective = flow.effective
+        for link in flow.route:
+            link.bytes_carried += effective
+        if self.priorities:
+            self._count(_BYTE_COUNTERS[flow.prio], effective)
+        job = flow.job
+        if job is not None:
+            self._count(_job_counter(job), effective)
+            if len(self._job_count) > 1:
+                # moved since the last change of the job set, all contended
+                self._count(_contended_counter(job), flow.mark)
         del self._active[flow.fid]
+        if job is not None:
+            n = self._job_count[job] - 1
+            if n:
+                self._job_count[job] = n
+            else:
+                self._jobs_change()
+                del self._job_count[job]
         del self._solver_routes[flow.fid]
         del self._solver_prios[flow.fid]
         n_cls = self._class_count[flow.prio] - 1
@@ -337,58 +420,58 @@ class Network:
                 del index[name]
         self._finish(flow)
 
-    def _drain(self) -> None:
-        """Advance all active flows to the current instant.
+    def _jobs_change(self) -> None:
+        """Close the period of the current set of jobs in flight: just
+        before a job's first flow joins it or its last flow leaves.
 
-        The active set is constant over the drained interval, so it is also
-        where per-job attribution is exact: the interval's ``dt`` goes to
-        :attr:`job_overlap` under the set of jobs in flight, and when that
-        set has more than one job each job's moved bytes also count as
-        contended (``netsim.job_contended_bytes.{job}``).
-
-        It is also where a flow finishes: one whose ``remaining`` crosses
-        ``_BYTE_EPS`` here joins :attr:`_finished` (in fid order, as the
-        active set iterates), so the rerate retires without a scan.
+        The period's length goes to :attr:`job_overlap` under that set. If
+        it held more than one job, the bytes each in-flight job flow moved
+        during it count as contended
+        (``netsim.job_contended_bytes.{job}``). Every in-flight job flow's
+        mark moves to its remaining bytes now, where the next period counts
+        from.
         """
         now = self.env.now
-        dt = now - self._last_update
-        self._last_update = now
-        if dt > 0 and self._active:
-            cls_bytes = [0.0, 0.0, 0.0, 0.0]
-            job_bytes: dict[str, float] = {}
-            finished = self._finished
-            eps = _BYTE_EPS
-            for flow in self._active.values():
-                moved = flow.rate * dt
-                if moved > 0:
-                    # max(0.0, ·) and the horizon's min() as branches: the two
-                    # builtin calls per flow were ~8% of a 128-way incast run.
-                    rem = flow.remaining - moved
-                    if rem <= eps < flow.remaining:
-                        finished.append(flow)
-                    flow.remaining = rem if rem > 0.0 else 0.0
-                    for link in flow.route:
-                        link.bytes_carried += moved
-                    cls_bytes[flow.prio] += moved
-                    if flow.job is not None:
-                        job_bytes[flow.job] = job_bytes.get(flow.job, 0.0) + moved
-                elif flow.job is not None:  # preempted, still in flight
-                    job_bytes.setdefault(flow.job, 0.0)
-            if self.priorities:
-                for cls, nbytes in enumerate(cls_bytes):
-                    if nbytes > 0:
-                        self._count(_BYTE_COUNTERS[cls], nbytes)
-            if job_bytes:
-                jobs = frozenset(job_bytes)
-                self.job_overlap[jobs] = self.job_overlap.get(jobs, 0.0) + dt
-                contended = len(jobs) > 1
-                for job, nbytes in job_bytes.items():
-                    if nbytes > 0:
-                        self._count(_job_counter(job), nbytes)
-                        if contended:
-                            self._count(_contended_counter(job), nbytes)
+        jobs = self._job_count
+        dt = now - self._jobs_since
+        self._jobs_since = now
+        if not jobs:
+            return
+        if dt > 0:
+            key = frozenset(jobs)
+            self.job_overlap[key] = self.job_overlap.get(key, 0.0) + dt
+        contended = len(jobs) > 1
+        for flow in self._active.values():
+            if flow.job is None:
+                continue
+            rem = flow.remaining
+            if contended and flow.mark > rem:
+                self._count(_contended_counter(flow.job), flow.mark - rem)
+            flow.mark = rem
+
+    def _drain(self) -> None:
+        """Bring the fabric to the current instant.
+
+        Nothing moves here: a flow's progress is its anchor. When the clock
+        has moved since the last call, the flows whose remaining bytes have
+        come down to ``_BYTE_EPS`` join :attr:`_finished` (in fid order),
+        for the rerate to retire. Then ``drain_hooks`` run.
+        """
+        now = self.env.now
+        if now > self._last_update:
+            self._last_update = now
+            if self._active:
+                self._collect(now)
         for hook in self.drain_hooks:
             hook()
+
+    def _collect(self, now: float) -> None:
+        """Append the active flows whose remaining bytes at ``now`` are at
+        most ``_BYTE_EPS`` to :attr:`_finished`, in fid order."""
+        eps = _BYTE_EPS
+        for flow in self._active.values():
+            if flow.rem_anchor - flow.rate * (now - flow.t_anchor) <= eps:
+                self._finished.append(flow)
 
     def _schedule_rerate(self) -> None:
         """Arm (at most) one coalesced rerate for the current instant."""
@@ -438,12 +521,11 @@ class Network:
             return routes, index
         return {fid: routes[fid] for fid in sorted(reached)}, seen
 
-    def _solve(self, routes, links) -> float:
-        """Rate the flows of ``routes`` (whole link-components, fid order)
-        over ``links``, their links with members; return the nearest
-        completion among them (``_INF`` when none has a positive rate).
+    def _solve(self, routes, links) -> dict[int, float]:
+        """Rates of the flows of ``routes`` (whole link-components, fid
+        order) over ``links``, their links with members.
 
-        One class is plain max–min. Several go to :func:`prio_fair_rates`:
+        One class is plain max–min. Several go to the priority solve:
         classes solved highest first over the leftover capacity, equal-class
         flows sharing by max–min, lower classes starved outright on
         saturated links (``netsim.prio_preemptions`` counts flows whose
@@ -467,22 +549,66 @@ class Network:
             )
             if preempted:
                 self._count("netsim.prio_preemptions", preempted)
-        horizon = _INF
+        return rates
+
+    def _write_back(self, rates: dict[int, float]) -> None:
+        """Give each flow of ``rates`` its rate.
+
+        A flow whose rate changes is anchored at this instant: its
+        remaining bytes now, from the anchor the instant started with, and
+        its end at that rate. If a later solve of the same instant gives it
+        back the rate it started the instant with, the starting anchor is
+        restored, so the anchor depends only on the rates a flow starts and
+        ends an instant with — not on how many solves ran in between.
+        """
+        active = self._active
+        now = self.env.now
         for fid, rate in rates.items():
             flow = active[fid]
+            if rate == flow.rate:
+                continue
+            t_anchor = flow.t_anchor
+            if t_anchor != now:
+                rem = flow.rem_anchor
+                flow.back = (t_anchor, rem, flow.rate, flow.t_end)
+                rem -= flow.rate * (now - t_anchor)
+                flow.rem_anchor = rem
+                flow.t_anchor = now
+                flow.t_end = now + rem / rate if rate > 0 else _INF
+            else:
+                back = flow.back
+                if back is not None and rate == back[2]:
+                    flow.t_anchor, flow.rem_anchor, _, flow.t_end = back
+                else:
+                    flow.t_end = now + flow.rem_anchor / rate if rate > 0 else _INF
             flow.rate = rate
-            if rate > 0:
-                eta = flow.remaining / rate
-                if eta < horizon:
-                    horizon = eta
+
+    def _horizon(self) -> float:
+        """The nearest end among the active flows (``_INF`` if none moves)."""
+        horizon = _INF
+        for flow in self._active.values():
+            if flow.t_end < horizon:
+                horizon = flow.t_end
         return horizon
 
+    def _stalled(self, now: float) -> None:
+        """Append the active flows whose end is not after ``now`` to
+        :attr:`_finished`, in fid order, their anchors zeroed."""
+        for flow in self._active.values():
+            if flow.t_end <= now:
+                flow.rem_anchor = 0.0
+                flow.t_anchor = now
+                self._finished.append(flow)
+
     def _rerate(self) -> None:
-        """Recompute fair rates, complete drained flows, arm the next timer."""
+        """Recompute fair rates, complete finished flows, arm the next timer."""
         now = self.env.now
         self._pending = False
         self._count("netsim.rerates")
         tr = self.env.tracer
+        if self._timer is not None:
+            self.env.cancel(self._timer)
+            self._timer = None
         while True:
             # Complete the flows the drain (or the guard below) finished.
             finished = self._finished
@@ -490,7 +616,6 @@ class Network:
             for flow in finished:
                 self._retire(flow, tr)
 
-            self._timer_version += 1
             if not self._active:
                 self._pending_new.clear()
                 self._touched.clear()
@@ -498,48 +623,42 @@ class Network:
 
             routes, links = self._reach()
             if routes:
-                horizon = self._solve(routes, links)
+                self._write_back(self._solve(routes, links))
             else:
                 self._count("netsim.rerate_skipped")
-            for fid in self._pending_new:
-                if fid not in routes:
-                    # No touched link reached it: the flow is alone on its
-                    # links, so its share is its route's min capacity —
-                    # whatever its class (nobody to preempt or defer to).
-                    flow = self._active[fid]
-                    flow.rate = min(self._capacities[n] for n in flow.links)
+            # A new flow no touched link reached is alone on its links, so
+            # its share is its route's min capacity — whatever its class
+            # (nobody to preempt or defer to).
+            alone = {
+                fid: min(self._capacities[n] for n in self._active[fid].links)
+                for fid in self._pending_new
+                if fid not in routes
+            }
             self._pending_new.clear()
+            if alone:
+                self._write_back(alone)
 
-            if len(routes) < len(self._active):
-                # Flows outside the solved component count too.
-                horizon = _INF
-                for flow in self._active.values():
-                    rate = flow.rate
-                    if rate > 0:
-                        eta = flow.remaining / rate
-                        if eta < horizon:
-                            horizon = eta
+            horizon = self._horizon()
             if horizon == _INF:  # pragma: no cover - defensive
                 raise RuntimeError("active flows but no positive rate")
-
-            if now + horizon > now:
+            if horizon > now:
                 break
-            # Float-precision guard: the nearest completion is too close to
-            # advance the clock (remaining bytes are sub-epsilon relative to
-            # the current timestamp). Without this, the timer would re-arm
-            # at the same instant forever. Zero those flows and loop.
-            for flow in self._active.values():
-                if flow.rate > 0 and now + flow.remaining / flow.rate <= now:
-                    flow.remaining = 0.0
-                    self._finished.append(flow)
+            # Float-precision guard: the nearest end is too close to advance
+            # the clock (remaining bytes are sub-epsilon relative to the
+            # current timestamp). Without this, the timer would re-arm at the
+            # same instant forever. Finish those flows and loop.
+            self._stalled(now)
 
-        version = self._timer_version
-        timer = self.env.timeout(horizon)
-        timer.callbacks.append(lambda _ev, v=version: self._on_timer(v))
+        # The timer fires at the first time the clock can show that is not
+        # before the nearest end.
+        delay = horizon - now
+        while now + delay < horizon:
+            delay = math.nextafter(delay, _INF)
+        timer = self._timer = self.env.timeout(delay)
+        timer.callbacks.append(self._on_timer)
 
-    def _on_timer(self, version: int) -> None:
-        if version != self._timer_version:
-            return  # superseded by a more recent flow start/finish
+    def _on_timer(self, timer) -> None:
+        self._timer = None
         self._drain()
         self._rerate()
 
@@ -561,4 +680,4 @@ class Network:
             flow.done.succeed(record, priority=URGENT)
 
 
-__all__ = ["Network"]
+__all__ = ["Ledger", "Network"]

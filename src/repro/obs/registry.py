@@ -75,9 +75,9 @@ COUNTERS: frozenset[str] = frozenset(
 #: single-segment.
 COUNTER_TEMPLATES: frozenset[str] = frozenset(
     {
-        # per-tenant effective bytes drained by the shared fabric
+        # per-tenant effective bytes moved by the shared fabric
         "netsim.job_bytes.{job}",
-        # ... of which drained while another tenant had flows in flight
+        # ... of which moved while another tenant had flows in flight
         "netsim.job_contended_bytes.{job}",
     }
 )

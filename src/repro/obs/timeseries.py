@@ -266,15 +266,19 @@ class MetricSampler:
 class NetworkProbe:
     """Cluster-wide and per-link network signals.
 
-    * ``timeseries.net.inflight_bytes`` — remaining payload over all
-      active flows (as of the last drain; sampling never forces one);
+    * ``timeseries.net.inflight_bytes`` — remaining effective bytes over
+      all active flows, at the sample's time;
     * ``timeseries.net.active_flows`` — in-flight flow count;
     * ``timeseries.link.{name}.queue_depth`` — flows routed over the link;
     * ``timeseries.link.{name}.utilization`` — window byte delta over
       nominal capacity (fault dips read as *low* utilisation);
     * ``timeseries.link.{name}.bandwidth_factor`` — fault state;
     * ``timeseries.net.prio.preemptions`` / ``timeseries.net.prio.{cls}.bytes``
-      — priority-scheduler activity (cumulative, from ``Network.stats``).
+      — priority-scheduler activity (cumulative: the preemption counter of
+      ``Network.stats``, class bytes from :meth:`Network.ledger`).
+
+    Bytes are read through :meth:`Network.ledger`, so a link's or a class's
+    count includes the progress of the flows still in flight.
     """
 
     _PRIO_BYTES = tuple(
@@ -294,15 +298,15 @@ class NetworkProbe:
             for link in self._links
         )
         self._last_t: Optional[float] = None
-        self._last_bytes = [link.bytes_carried for link in self._links]
+        carried = network.ledger().links
+        self._last_bytes = [carried[link.name] for link in self._links]
 
     def __call__(self, now: float) -> dict[str, float]:
         net = self.network
+        ledger = net.ledger()
         flows = net.active_flows
         out = {
-            "timeseries.net.inflight_bytes": float(
-                sum(max(f.remaining, 0.0) for f in flows)
-            ),
+            "timeseries.net.inflight_bytes": float(sum(ledger.remaining.values())),
             "timeseries.net.active_flows": float(len(flows)),
         }
         depth: dict[str, int] = {}
@@ -311,8 +315,9 @@ class NetworkProbe:
                 depth[link.name] = depth.get(link.name, 0) + 1
         elapsed = 0.0 if self._last_t is None else now - self._last_t
         last_bytes = self._last_bytes
+        links = ledger.links
         for i, (link, (queue, util, factor)) in enumerate(zip(self._links, self._tracks)):
-            carried = link.bytes_carried
+            carried = links[link.name]
             window = carried - last_bytes[i]
             last_bytes[i] = carried
             out[queue] = float(depth.get(link.name, 0))
@@ -323,8 +328,9 @@ class NetworkProbe:
         out["timeseries.net.prio.preemptions"] = float(
             stats.get("netsim.prio_preemptions", 0)
         )
+        counters = ledger.counters
         for track, counter in self._PRIO_BYTES:
-            out[track] = float(stats.get(counter, 0.0))
+            out[track] = float(counters.get(counter, 0.0))
         return out
 
 
@@ -347,7 +353,8 @@ class WorkerProbe:
     Generic signals come from the recorder (consumed incrementally through
     a cursor): latest compute/sync time, completed-iteration progress and
     the progress-lag staleness estimate. Effective bandwidth is the
-    worker's uplink byte delta per window. The sync model's
+    worker's uplink byte delta per window (read through
+    :meth:`Network.ledger`, in-flight progress included). The sync model's
     :meth:`~repro.sync.base.SyncModel.worker_signals` is merged last so
     model-specific semantics (SSP bound-relative staleness, OSP ICS
     backlog) override the generic estimates.
@@ -374,7 +381,8 @@ class WorkerProbe:
         uplinks = trainer.network.topology.uplinks
         hosts = trainer.placement.hosts
         self._uplinks = {w: uplinks[hosts[trainer.spec.worker_node(w)]] for w in range(n)}
-        self._last_up_bytes = {w: link.bytes_carried for w, link in self._uplinks.items()}
+        carried = trainer.network.ledger().links
+        self._last_up_bytes = {w: carried[link.name] for w, link in self._uplinks.items()}
 
     def __call__(self, now: float) -> dict[str, float]:
         trainer = self.trainer
@@ -396,9 +404,10 @@ class WorkerProbe:
                 signals[compute] = self._compute[w]
                 signals[sync] = self._sync[w]
         elapsed = 0.0 if self._last_t is None else now - self._last_t
+        carried = trainer.network.ledger().links
         for w, link in self._uplinks.items():
-            window = link.bytes_carried - self._last_up_bytes[w]
-            self._last_up_bytes[w] = link.bytes_carried
+            window = carried[link.name] - self._last_up_bytes[w]
+            self._last_up_bytes[w] = carried[link.name]
             *_, bandwidth = tracks[w]
             signals[bandwidth] = window / elapsed if elapsed > 0 else 0.0
         self._last_t = now
@@ -426,10 +435,11 @@ class MultiJobProbe:
     def __call__(self, now: float) -> dict[str, float]:
         flows = {job: 0 for job in self.jobs}
         inflight = {job: 0.0 for job in self.jobs}
+        remaining = self.network.ledger().remaining
         for f in self.network.active_flows:
             if f.job in flows:
                 flows[f.job] += 1
-                inflight[f.job] += max(f.remaining, 0.0)
+                inflight[f.job] += remaining[f.fid]
         out: dict[str, float] = {}
         for job, (n_flows, nbytes) in self._tracks.items():
             out[n_flows] = float(flows[job])

@@ -129,6 +129,20 @@ class Environment:
 
         event.callbacks.insert(0, settle)
 
+    def cancel(self, event: Event) -> None:
+        """Withdraw a queued event that has not been processed.
+
+        Its queue entry stays where it is but is dropped unseen when it
+        reaches the front: the clock does not move to its time, no callback
+        runs and the sampler is not called. Other entries keep their order
+        (``eid`` only counts), so cancelling changes nothing but the
+        withdrawn entry. Meant for a timer its owner re-arms (the network's
+        wake-up): nothing else may wait on the event.
+        """
+        if event.callbacks is None:
+            raise SimulationError(f"{event!r} was already processed")
+        event.callbacks = None
+
     # -- scheduling ----------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Queue a triggered event for processing at ``now + delay``."""
@@ -138,13 +152,17 @@ class Environment:
         heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def step(self) -> None:
-        """Process the single next event (advancing the clock to it)."""
+        """Process the single next event (advancing the clock to it); a
+        cancelled entry is dropped without either."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
         when, _prio, _eid, event = heapq.heappop(self._queue)
+        callbacks = event.callbacks
+        if callbacks is None:  # cancelled: no time passes, nothing observes it
+            return
         assert when >= self._now, "event queue went backwards in time"
         self._now = when
-        callbacks, event.callbacks = event.callbacks, None
+        event.callbacks = None
         for cb in callbacks:
             cb(event)
         if not event._ok and not event.defused:

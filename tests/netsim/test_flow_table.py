@@ -1,13 +1,16 @@
-"""The ``Flow`` objects are the network's only record of ``remaining``/``rate``.
+"""The ``Flow`` objects are the network's only record of progress and rate.
 
 Three pins on that single representation: every float the netsim surface
 hands out is a builtin ``float`` (``stream_digest`` hashes ``repr``, so an
 ``np.float64`` with the same value is a different digest); the scheduler's
 work counters on a fixed run are what they were before the array plane was
-removed (a host-time change must not move them); and one ``_drain`` moves
-exactly ``rate·dt`` bytes per flow onto every link of its route.
+removed (a host-time change must not move them); and a flow moves exactly
+``rate·dt`` bytes from its anchor, which the ledger shows on every link of
+its route mid-flight, and credits its exact effective bytes to each of them
+when it finishes.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +18,6 @@ from repro.core.osp import OSP
 from repro.harness.cotenancy import osp_with_background, shared_fabric_runner
 from repro.harness.workloads import WorkloadConfig, timing_trainer
 from repro.netsim import LinkSpec, Network, StarTopology
-from repro.netsim.network import _BYTE_EPS
 from repro.simcore import Environment
 
 
@@ -95,22 +97,21 @@ def test_scheduler_work_counts_are_those_of_the_array_plane():
 
 
 @st.composite
-def _star_drains(draw):
+def _star_flows(draw):
     n_nodes = draw(st.integers(min_value=2, max_value=6))
     node = st.integers(min_value=0, max_value=n_nodes - 1)
     flows = []
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         src = draw(node)
         dst = draw(node.filter(lambda d: d != src))
-        # fraction of rate·dt the flow still holds: < 1 exercises the clamp
-        flows.append((src, dst, draw(st.floats(min_value=0.0, max_value=3.0))))
+        flows.append((src, dst, draw(st.floats(min_value=1.0, max_value=1e4))))
     dt = draw(st.floats(min_value=1e-6, max_value=5.0))
     return n_nodes, flows, dt
 
 
-@given(_star_drains())
+@given(_star_flows())
 @settings(max_examples=80, deadline=None)
-def test_drain_moves_rate_times_dt_on_every_link_of_the_route(case):
+def test_a_flow_moves_rate_times_dt_and_credits_every_link_of_its_route(case):
     n_nodes, flows, dt = case
     bandwidth = 1000.0
     env = Environment()
@@ -118,23 +119,27 @@ def test_drain_moves_rate_times_dt_on_every_link_of_the_route(case):
         n_nodes, default_spec=LinkSpec(bandwidth=bandwidth, latency=0.0)
     )
     net = Network(env, topo)
-    for src, dst, _frac in flows:
-        net.transfer(src, dst, 10.0 * bandwidth)  # outlasts any drawn dt
-    env.run(until=dt)  # the t=0 rerate assigns rates; no timer fires by dt
+    for src, dst, size in flows:
+        net.transfer(src, dst, 10.0 * bandwidth + size)  # outlasts any drawn dt
+    env.run(until=dt)  # the t=0 rerate anchors every flow; no timer fires by dt
     active = list(net._active.values())
     assert len(active) == len(flows)
-    for flow, (_src, _dst, frac) in zip(active, flows):
-        flow.remaining = frac * flow.rate * dt
-    before = [(f.remaining, f.rate) for f in active]
-    carried = sum(l.bytes_carried for l in topo.links)
-
-    net._drain()
-
-    expected = 0.0
-    for flow, (rem, rate) in zip(active, before):
+    ledger = net.ledger()
+    moved = {l.name: 0.0 for l in topo.links}
+    for flow in active:
         assert type(flow.remaining) is float
-        assert flow.remaining == max(0.0, rem - rate * dt)
-        expected += rate * dt * len(flow.route)
-    delta = sum(l.bytes_carried for l in topo.links) - carried
-    tol = 1e-3 + _BYTE_EPS * 2 * len(flows) + 1e-9 * max(abs(delta), expected)
-    assert abs(delta - expected) <= tol
+        assert flow.remaining == max(0.0, flow.effective - flow.rate * dt)
+        assert ledger.remaining[flow.fid] == flow.remaining
+        for link in flow.route:
+            moved[link.name] += flow.effective - flow.remaining
+    assert all(l.bytes_carried == 0.0 for l in topo.links)  # nothing finished
+    for name, nbytes in moved.items():
+        assert ledger.links[name] == pytest.approx(nbytes, rel=1e-12, abs=1e-9)
+
+    env.run()
+    sizes = {flow.fid: flow.effective for flow in active}
+    credited = {l.name: 0.0 for l in topo.links}
+    for record in net.records:  # in the order the flows finished
+        for link in topo.route(record.src, record.dst):
+            credited[link.name] += sizes[record.fid]
+    assert {l.name: l.bytes_carried for l in topo.links} == credited

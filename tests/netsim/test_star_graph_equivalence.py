@@ -66,8 +66,9 @@ def _drain(topology, flows):
         rec = yield net.transfer(src, dst, size)
         records.append((rec.start_time, rec.end_time))
 
-    drivers = [env.process(_delayed(*flow)) for flow in flows]
-    env.run(until=env.all_of(drivers))
+    for flow in flows:
+        env.process(_delayed(*flow))
+    env.run()
     return records
 
 

@@ -9,7 +9,14 @@ to move one says so and records the new digest here.
 
 The trace moved once, by one key: ``otherData.wallTime`` (the run's wall
 clock, which ``repro report --compare`` reads). Without that key the
-document still hashes to its earlier pin, ``TRACE_WITHOUT_WALL_TIME``."""
+document hashes to ``TRACE_WITHOUT_WALL_TIME``.
+
+The sampler and the trace moved again when the fabric started crediting a
+flow's bytes when it finishes and cancelling superseded wake-ups: the
+trace's ``netsim.prio_bytes.*`` recorder counters became the exact sums of
+finished flows' bytes (``72456781504.0`` high, where the drained running
+sum read ``72456781503.99994``), a cancelled wake-up no longer takes a
+sample, and the probes read in-flight bytes at the sample's time."""
 
 import hashlib
 import json
@@ -20,16 +27,16 @@ from repro.harness.workloads import WorkloadConfig, timing_trainer
 from repro.obs.chrome import trace_document
 
 PINNED = {
-    "sampler": "c2d015acc97584587205d5c58b3b488344f6b58e3886fde10b893d7fc7175600",
+    "sampler": "3d55c75cd8a3749312d227497105e003123bca96a7fdafc1527da88cf9d42647",
     "series_order": "8522510776b8034b997d62669ba7c06f30e8b0bcaaced70b63496ffa7f4d41b1",
     "traffic": "d0b114aebedfa5282ffa29913323d6e08898c62dc41339a06fc5f965c5b8dd1e",
     "traffic_order": "daf850d3071785ee5e7894eea575d74233b16c5d9cdbf4ffdb2de28743db2fda",
-    "trace": "b9634e4385b4927e83ff44d694e044d9a2ba629eea9b49b6bfd0e9c897f6ae00",
+    "trace": "84cb32475c45bed5359f783779a3e6166474b2e1bf04c18efd9c14eef1bfaacb",
     "report": "7422c6c3cd5187154cc3a216de502e8c8b8a5de39d196c731c0453c92dfbeb7c",
     "counters": "962106ab23eee4e7d46f48bd190c389e90cb074eb40e66c4bdddeecbf97fce36",
 }
 TRACE_WITHOUT_WALL_TIME = (
-    "ed575682c8d6cc2b11717ccfa12380fb82b3ad880719db79e15ca825fe7ccb53"
+    "6f87a26a36739552eddbd96c8ade38f6b5f5c9f8663853b73826e15e29cc7960"
 )
 SPANS = 523
 SAMPLES = 63

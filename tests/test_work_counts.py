@@ -65,10 +65,10 @@ PINNED = {
     "netsim.fairshare_calls": 182,
     "netsim.rerate_skipped": 25,
     "drain_visits": 1202,
-    "materialised": 1202,
+    "materialised": 666,
     "timers_armed": 204,
-    "timers_cancelled": 0,
-    "timers_stale": 84,
+    "timers_cancelled": 84,
+    "timers_stale": 0,
 }
 #: ``t128_osp``'s smoke shape: one worker-iteration per worker.
 PINNED_T128 = {
@@ -77,10 +77,10 @@ PINNED_T128 = {
     "netsim.fairshare_calls": 255,
     "netsim.rerate_skipped": 2,
     "drain_visits": 16512,
-    "materialised": 16512,
+    "materialised": 16256,
     "timers_armed": 256,
-    "timers_cancelled": 0,
-    "timers_stale": 127,
+    "timers_cancelled": 127,
+    "timers_stale": 0,
 }
 
 
@@ -114,31 +114,47 @@ def _counting(func, counter: Counter, key: str):
 
 
 def _count_network(mp: pytest.MonkeyPatch, seen: Counter) -> None:
-    """The network's own work. A drain walks every active flow and writes
-    its ``remaining`` once the clock has moved; each rerate that leaves
-    flows active arms one wake-up timer; a timer whose version a later
-    rerate bumped is dispatched stale."""
-    drain, rerate, on_timer = Network._drain, Network._rerate, Network._on_timer
+    """The network's own work. A drain that looks for finished flows walks
+    every active flow; a flow is materialised when a new rate moves its
+    anchor to the current instant; each rerate that leaves flows active
+    arms one wake-up timer and cancels the one it supersedes; a timer
+    dispatched after a later one superseded it is stale."""
+    collect, write_back = Network._collect, Network._write_back
+    rerate, on_timer = Network._rerate, Network._on_timer
+    cancel = Environment.cancel
 
-    def counted_drain(self):
-        if self._active and self.env.now > self._last_update:
-            seen["drain_visits"] += len(self._active)
-            seen["materialised"] += len(self._active)
-        drain(self)
+    def counted_collect(self, now, *args):
+        seen["drain_visits"] += len(self._active)
+        collect(self, now, *args)
+
+    def counted_write_back(self, rates, *args):
+        now = self.env.now
+        for fid, rate in rates.items():
+            flow = self._active[fid]
+            if rate != flow.rate and flow.t_anchor != now:
+                seen["materialised"] += 1
+        write_back(self, rates, *args)
 
     def counted_rerate(self):
+        before = self._timer
         rerate(self)
-        if self._active:
+        if self._timer is not None and self._timer is not before:
             seen["timers_armed"] += 1
 
-    def counted_on_timer(self, version):
-        if version != self._timer_version:
+    def counted_on_timer(self, timer):
+        if timer is not self._timer:
             seen["timers_stale"] += 1
-        on_timer(self, version)
+        on_timer(self, timer)
 
-    mp.setattr(Network, "_drain", counted_drain)
+    def counted_cancel(self, event):
+        seen["timers_cancelled"] += 1
+        cancel(self, event)
+
+    mp.setattr(Network, "_collect", counted_collect)
+    mp.setattr(Network, "_write_back", counted_write_back)
     mp.setattr(Network, "_rerate", counted_rerate)
     mp.setattr(Network, "_on_timer", counted_on_timer)
+    mp.setattr(Environment, "cancel", counted_cancel)
 
 
 def _network_counts(trainer, seen: Counter) -> dict:
