@@ -1,15 +1,51 @@
 """The Network facade: event-driven fluid-flow transfer scheduling.
 
-A flow's progress is an anchor: it had ``rem_anchor`` effective bytes left
-at ``t_anchor`` and has moved at ``rate`` since, so its last byte leaves at
-``t_end``. Whenever a flow starts or finishes, the scheduler (1) finds the
-flows whose remaining bytes have come down to ``_BYTE_EPS``, (2) recomputes
-max–min fair rates, anchoring each flow whose rate changed at this instant
-(only if the rate it ends the instant with differs from the one it started
-it with), and (3) arms one wake-up at the nearest end, cancelling the one it
-replaces. A flow credits its exact effective bytes to its links, class and
-job when it finishes; :meth:`Network.ledger` adds in-flight progress for
-mid-run readers.
+A flow's progress is an anchor, not a running count: it had ``rem_anchor``
+effective bytes left at ``t_anchor`` and has moved at ``rate`` since, so its
+last byte leaves at ``t_end = t_anchor + rem_anchor / rate``. Whenever a
+flow starts or finishes, the scheduler (1) finds the flows whose remaining
+bytes have come down to ``_BYTE_EPS``, (2) recomputes the max–min fair rates
+of what the change can reach, anchoring each flow whose rate changed at this
+instant, and (3) arms one wake-up at the nearest ``t_end``. No step walks
+the active set: nothing moves between events, so there is nothing to drain.
+
+* **When a flow re-anchors.** Only when the rate it ends an instant with
+  differs from the rate it started the instant with: a solve that changes a
+  rate saves the instant's starting anchor (``Flow.back``), and one that
+  gives the starting rate back restores it. So the anchors — and every
+  float derived from them — are the same however many solves run within an
+  instant, which keeps this scheduler ``==`` to one that re-solves at every
+  flow event (``tests/netsim/reference.py::PerEventNetwork``).
+* **Finding ends without a pass.** Each rerate puts the flows it rated into
+  one ``_Group`` and keeps, in the same pass that assigns the rates, the
+  group's nearest end and its ``near`` flows: the ones that could be within
+  ``_BYTE_EPS`` of their end by then. Two heaps of groups — by nearest end
+  (what the wake-up is armed for) and by the earliest time a near flow can
+  be finished (what a drain pops) — give the next wake-up and the finished
+  flows without visiting any flow outside the groups whose time has come. A
+  group loses a flow when a later rerate rates it or it finishes; one that
+  lost flows is resealed from those it kept before its keys are trusted.
+* **A full incast costs O(log n) per departure.** A whole-fabric solve that
+  gives every flow the same share makes the fabric one ``_Cohort`` on the
+  link every flow crosses. Re-anchoring its members at a new share would
+  subtract the same ``old_rate·(now − t)`` from each, so the cohort records
+  that step once, and a member replays the steps it has not seen only when
+  something reads it — bit for bit the per-flow arithmetic. A heap of
+  ``remaining + steps so far`` keys, pushed once per member, points at the
+  nearest ends. A solve that reaches exactly the flows on the cohort's link
+  and gives them one share steps it; any other solve that reaches it hands
+  the members back to per-flow anchors first.
+* **Ledgers.** A flow credits its exact effective bytes to every link of
+  its route (``Link.bytes_carried``), to ``netsim.prio_bytes.{class}`` and,
+  when job-tagged, to ``netsim.job_bytes.{job}`` when it finishes. The
+  contended share (``netsim.job_contended_bytes.{job}``) and
+  :attr:`Network.job_overlap` are closed whenever the set of jobs in flight
+  changes. :meth:`Network.ledger` is the one read path that adds the
+  in-flight flows' progress, for whoever reads mid-run (probes, checkpoints).
+* **One armed wake-up.** The network owns a single kernel timer and cancels
+  it when it re-arms (``Environment.cancel``): a superseded wake-up never
+  runs, never moves the clock and never reaches the sampler, so the clock
+  after the queue empties depends only on the work.
 
 Scaling machinery (the solver it calls has its own: a round whose bottleneck
 carries every unfrozen flow ends the solve — see :mod:`.fairshare`):
@@ -17,13 +53,13 @@ carries every unfrozen flow ends the solve — see :mod:`.fairshare`):
 * **Coalesced rerates** — flow starts batch same-instant work into a single
   fair-share recompute via :meth:`Environment.defer` instead of re-solving
   once per ``transfer()``. Virtual-time outcomes are unchanged: no bytes
-  move within an instant, intermediate allocations are unobservable, and
-  the coalesced solve sees exactly the flow set the last per-event solve
-  would have seen.
+  move within an instant, intermediate allocations are unobservable (the
+  anchor rule above), and the coalesced solve sees exactly the flow set the
+  last per-event solve would have seen.
 * **Touched-component rerate** — rates couple only through shared links, so
   a rerate walks from the links where a flow joined or left other flows
   (link → its flows → their links) and solves only the flows it reaches:
-  ``fair_rates`` when they hold one class, the priority path when several.
+  plain max–min when they hold one class, the priority path when several.
   Everything outside keeps the rate the same operands produced last time, so
   the result is the whole-set solve's bit for bit (the solver's sub-``_EPS``
   near-tie hysteresis cannot bite across components: above ~10⁴ B/s
@@ -36,35 +72,39 @@ carries every unfrozen flow ends the solve — see :mod:`.fairshare`):
 * **Live link loads** — the flow–link index holds only loaded links, each
   with its flows in fid order, so a link's ``len()`` is its live load. The
   walk hands the solver the component's links with their members (the index
-  itself when the component is the whole fabric), and ``fair_rates`` reads
+  itself when the component is the whole fabric), and the solve reads
   round 1's loads from them instead of recounting every route.
 * **Route caching** — interned ``(route, link names, distinct link names)``
   per (src, dst), so the solver never rebuilds name lists and topologies are
   only asked to route each pair once. Topologies are static by contract
   (fault windows change link *attributes*, never the link set or routes).
 
-No flow carries scheduler state from one solve to the next, so after every
-rerate each live rate *is* the strict-priority max–min solve
-(:func:`prio_fair_rates`) of the current flow set over the current
-capacities — a property ``tests/netsim/test_network_properties.py`` checks
-at every drain.
+No flow carries scheduler state from one solve to the next beyond its
+progress, so after every rerate each live rate *is* the strict-priority
+max–min solve (:func:`prio_fair_rates`) of the current flow set over the
+current capacities — a property ``tests/netsim/test_network_properties.py``
+checks at every drain.
 
 ``flow_hooks`` and ``drain_hooks`` are the two moments an observer can
-subscribe to (:mod:`repro.check` does): a flow going on the wire, and the
-end of every drain. ``stats`` tracks the ``netsim.*`` counters registered in
-:mod:`repro.obs.registry`; when a :class:`~repro.metrics.recorder.Recorder`
-is attached (the trainer does) they are mirrored there for summaries and
-checkpoints. Replay streams exclude the ``netsim.`` namespace: it counts
-how *often* the scheduler recomputes, not what it computes.
+subscribe to (:mod:`repro.check` does): a flow going on the wire, and every
+network event (a start, a wake-up, a deferred rerate, a capacity refresh)
+once the flows that reached their end have been found. ``stats`` tracks the
+``netsim.*`` counters registered in :mod:`repro.obs.registry`; when a
+:class:`~repro.metrics.recorder.Recorder` is attached (the trainer does)
+they are mirrored there for summaries and checkpoints. Replay streams
+exclude the ``netsim.`` namespace: it counts how *often* the scheduler
+recomputes, not what it computes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Any, Optional
 
-from repro.netsim.fairshare import _max_min, _prio_max_min
+from repro.netsim.fairshare import _EPS, _max_min, _prio_max_min
 from repro.netsim.flows import Flow, FlowRecord
 from repro.netsim.links import Link
 from repro.netsim.prio import CLASS_NAMES, PRIO_NORMAL
@@ -78,6 +118,17 @@ _BYTE_EPS = 1e-6
 
 #: Completion horizon before any flow with a positive rate has been seen.
 _INF = float("inf")
+
+#: Relative margin of a group's candidate tests: far wider than the few ulps
+#: by which a float end, a wake-up time or a remaining-bytes check can round.
+_NEAR = 1e-12
+_REACH = 1.0 + 4 * _NEAR
+
+_T_END = attrgetter("t_end")
+
+#: A cohort with this many steps hands its members back (their keys'
+#: rounding must stay inside the cohort's slack).
+_MAX_STEPS = 50_000
 
 #: Per-class byte counter names, indexed by class value.
 _BYTE_COUNTERS = tuple(
@@ -112,6 +163,122 @@ class Ledger:
     counters: dict[str, float]
     #: fid of each active flow -> effective bytes it has still to move.
     remaining: dict[int, float]
+
+
+class _Group:
+    """The flows one rerate gave rates to, and what finding their ends needs.
+
+    ``end`` is the nearest ``t_end`` among ``flows`` (``first``'s). ``near``
+    holds the flows that could reach their end at a wake-up the group's
+    ``end`` arms: those whose remaining bytes can come down to
+    ``_BYTE_EPS`` by then (with a ``_NEAR`` margin for rounding), and ``lo``
+    is the earliest time one of them can. A flow leaves the group when a
+    later rerate rates it or it finishes; ``end`` and ``near`` hold while
+    ``first`` is still in it, and a group that lost ``first`` is resealed
+    from the flows it kept before its keys are trusted again. ``epoch``
+    counts the whole-fabric solves before it; ``seq`` stamps its current
+    heap entries.
+    """
+
+    __slots__ = ("flows", "near", "end", "lo", "first", "epoch", "seq")
+
+    def __init__(self, epoch: int) -> None:
+        self.flows: list[Flow] = []
+        self.near: list[Flow] = []
+        self.end = _INF
+        self.lo = _INF
+        self.first: Optional[Flow] = None
+        self.epoch = epoch
+        self.seq = -1
+
+    def sync(self, flow: Flow) -> None:
+        """A group's flows hold their own anchors: nothing to bring up."""
+
+
+class _Cohort:
+    """Every active flow at one rate from one anchor time: the fabric after
+    a whole-fabric solve that gave every flow the same share (a full incast,
+    whose every departure and arrival re-rates everyone).
+
+    Re-anchoring a member at a new rate subtracts ``old_rate·(now − t)``
+    from its remaining bytes — the same ``step`` for every member. The
+    cohort records the steps instead (with the anchor time and rate before
+    each), and a member replays the ones it has not seen only when something
+    reads it (:meth:`sync`), leaving bit for bit the anchor, end and
+    ``back`` re-anchoring it at every step would have. A common subtraction
+    never reorders remaining bytes, so a heap of ``rem + cum`` keys (``cum``
+    the steps' running sum), pushed once per member, finds the nearest ends
+    and the finished flows; the keys are approximate, so a ``_slack`` band
+    around them is replayed exactly.
+    """
+
+    __slots__ = (
+        "link", "formed", "t", "rate", "steps", "times", "rates", "cum", "heap", "size",
+    )
+    #: Newer than every group: the whole-fabric group never holds a member.
+    epoch = _INF
+
+    def __init__(self, link: str, t: float, rate: float) -> None:
+        self.link = link
+        self.formed = t
+        self.t = t
+        self.rate = rate
+        self.steps: list[float] = []
+        self.times: list[float] = []
+        self.rates: list[float] = []
+        self.cum = [0.0]
+        self.heap: list = []
+        self.size = 0
+
+    def sync(self, flow: Flow) -> None:
+        """Bring a member's anchor up to the cohort's last step."""
+        steps = self.steps
+        base = flow.base
+        if base == len(steps):
+            if flow.rate != self.rate:  # re-rated within its anchor's instant
+                flow.rate = self.rate
+                flow.t_end = self.t + flow.rem_anchor / self.rate
+            return
+        rem = flow.rem_anchor
+        for step in steps[base:-1]:
+            rem -= step
+        prev = rem
+        rem -= steps[-1]
+        flow.back = (self.times[-1], prev, self.rates[-1])
+        flow.rem_anchor = rem
+        flow.t_anchor = self.t
+        flow.rate = self.rate
+        flow.t_end = self.t + rem / self.rate
+        flow.base = len(steps)
+
+    def near(self, bound: float) -> list[Flow]:
+        """The members whose key is at most ``bound`` plus a slack, synced:
+        a superset of the members whose remaining bytes at the last step are
+        at most ``bound − cum``. (A key and the running sum each lose at most
+        an ulp per step: far inside the slack while a cohort lives, see
+        ``_MAX_STEPS``.)"""
+        heap = self.heap
+        limit = bound + _BYTE_EPS
+        cum = self.cum[-1]
+        n_steps = len(self.steps)
+        rate = self.rate
+        found = []
+        while heap:
+            key, _fid, flow = heap[0]
+            if flow.group is not self:
+                heappop(heap)  # finished, or the cohort it was in is gone
+                continue
+            if key > limit + (abs(key) + cum) * 1e-10:
+                break
+            found.append(heappop(heap))
+        for entry in found:
+            heappush(heap, entry)
+        flows = []
+        for _key, _fid, flow in found:
+            if flow.base != n_steps or flow.rate != rate:
+                self.sync(flow)
+            flows.append(flow)
+        return flows
 
 
 class Network:
@@ -186,6 +353,16 @@ class Network:
         #: link enters with its first flow and leaves with its last, so
         #: ``len(members)`` is its live load (what the solver reads).
         self._link_flows: dict[str, dict[int, None]] = {}
+        #: Round 1 of a whole-fabric solve without a pass over the links:
+        #: each loaded link's share (capacity / load) in a min-heap of
+        #: ``(share, arrival, name)``, ``arrival`` counting links into the
+        #: index (the solver's order among equal shares). An entry is
+        #: current while its link keeps that arrival and that share; stale
+        #: ones are dropped when they surface, or all at once when they
+        #: outnumber the loaded links.
+        self._shares: list = []
+        self._arrival: dict[str, int] = {}
+        self._arrivals = 0
         #: Active flows that reached their end (remaining at most
         #: ``_BYTE_EPS``, or too little to move the clock), in fid order:
         #: what the next rerate retires.
@@ -203,12 +380,38 @@ class Network:
         self._solver_routes: dict[int, tuple[str, ...]] = {}
         #: Parallel fid -> class map for the priority solver.
         self._solver_prios: dict[int, int] = {}
+        #: Every rated flow is in one :class:`_Group`; each group with a
+        #: finite end has an entry ``(key, seq, group)`` in both heaps:
+        #: ``_ends`` by its nearest end (what the wake-up is armed for) and
+        #: ``_los`` by the earliest time one of its flows can be finished
+        #: (what a drain pops). An entry whose ``seq`` is not its group's
+        #: is stale.
+        self._ends: list = []
+        self._los: list = []
+        self._seq = 0
+        #: Whole-fabric solves so far, and the group of the last one. Its
+        #: flows are not told they joined it (a full incast's departure
+        #: stays one pass that only assigns rates): a flow is in it while
+        #: its ``group`` is None or older than it.
+        self._epoch = 0
+        self._whole: Optional[_Group] = None
+        #: The fabric as one :class:`_Cohort`, while it is one.
+        self._cohort: Optional[_Cohort] = None
+        #: Groups whose entries a drain or the guard popped: pushed back
+        #: (resealed if they lost flows) before the next horizon is read.
+        self._recheck: list[_Group] = []
 
     # ------------------------------------------------------------------ API
     @property
     def active_flows(self) -> list[Flow]:
         """Snapshot of in-flight flows by flow id (insertion order: fids only grow)."""
-        return list(self._active.values())
+        flows = list(self._active.values())
+        cohort = self._cohort
+        if cohort is not None:
+            for flow in flows:
+                if flow.group is cohort:
+                    cohort.sync(flow)
+        return flows
 
     def transfer(
         self,
@@ -344,6 +547,7 @@ class Network:
         """
         self._drain()
         self._capacities = {l.name: l.bandwidth for l in self.topology.links}
+        self._reshare()
         self._touch_all()  # every allocation assumed the old capacities
         self._rerate()
 
@@ -369,13 +573,21 @@ class Network:
         self._solver_prios[flow.fid] = flow.prio
         self._class_count[flow.prio] = self._class_count.get(flow.prio, 0) + 1
         index = self._link_flows
+        caps = self._capacities
+        arrival = self._arrival
+        shares = self._shares
         for name in flow.links:
             members = index.get(name)
             if members is None:
-                index[name] = {flow.fid: None}
+                members = index[name] = {flow.fid: None}
+                self._arrivals += 1
+                arrival[name] = self._arrivals
             else:
                 self._touched.append(name)  # couples with an existing flow
                 members[flow.fid] = None
+            heappush(shares, (caps[name] / len(members), arrival[name], name))
+        if len(shares) > 2 * len(index) + 64:
+            self._reshare()
 
     def _retire(self, flow: Flow, tr) -> None:
         """Remove a finished flow from the active set and the solver
@@ -393,6 +605,9 @@ class Network:
                 # moved since the last change of the job set, all contended
                 self._count(_contended_counter(job), flow.mark)
         del self._active[flow.fid]
+        if flow.group is not None and flow.group is self._cohort:
+            self._cohort.size -= 1
+        flow.group = None
         if job is not None:
             n = self._job_count[job] - 1
             if n:
@@ -411,14 +626,53 @@ class Network:
             tr.gauge_delta("obs.net.inflight_bytes", -flow.size)
             tr.gauge_delta("obs.net.active_flows", -1)
         index = self._link_flows
+        caps = self._capacities
+        arrival = self._arrival
         for name in flow.links:
             members = index[name]
             del members[flow.fid]
             if members:
                 self._touched.append(name)  # survivors on this link speed up
+                heappush(self._shares, (caps[name] / len(members), arrival[name], name))
             else:
                 del index[name]
+                del arrival[name]
         self._finish(flow)
+
+    def _reshare(self) -> None:
+        """Rebuild the share heap from the loaded links (stale entries go)."""
+        caps = self._capacities
+        arrival = self._arrival
+        self._shares = [
+            (caps[name] / len(members), arrival[name], name)
+            for name, members in self._link_flows.items()
+        ]
+        heapify(self._shares)
+
+    def _round1(self) -> tuple[float, float, str]:
+        """The least share of any loaded link, the least of any *other*
+        (an exact tie included), and the first-arrived link with the least:
+        round 1 of the whole fabric's solve, off the top of the share heap."""
+        heap = self._shares
+        index = self._link_flows
+        arrival = self._arrival
+        caps = self._capacities
+        best = None
+        while heap:
+            share, seq, name = heap[0]
+            if (
+                arrival.get(name) != seq
+                or share != caps[name] / len(index[name])
+                or (best is not None and name == best[2])
+            ):
+                heappop(heap)  # stale, or a copy of the best link's entry
+            elif best is None:
+                best = heappop(heap)
+            else:
+                break
+        second = heap[0][0] if heap else _INF
+        heappush(heap, best)
+        return best[0], second, best[2]
 
     def _jobs_change(self) -> None:
         """Close the period of the current set of jobs in flight: just
@@ -467,11 +721,47 @@ class Network:
 
     def _collect(self, now: float) -> None:
         """Append the active flows whose remaining bytes at ``now`` are at
-        most ``_BYTE_EPS`` to :attr:`_finished`, in fid order."""
+        most ``_BYTE_EPS`` to :attr:`_finished`, in fid order.
+
+        Only the ``near`` flows of the groups whose ``lo`` has come are
+        checked: no flow of another group can be finished yet.
+        """
         eps = _BYTE_EPS
-        for flow in self._active.values():
-            if flow.rem_anchor - flow.rate * (now - flow.t_anchor) <= eps:
-                self._finished.append(flow)
+        active = self._active
+        found: dict[int, Flow] = {}
+        cohort = self._cohort
+        if cohort is not None:
+            bound = cohort.cum[-1] + eps + cohort.rate * (now - cohort.t)
+            for flow in cohort.near(bound):
+                if flow.rem_anchor - flow.rate * (now - flow.t_anchor) <= eps:
+                    found[flow.fid] = flow
+        heap = self._los
+        while heap and heap[0][0] <= now:
+            _lo, seq, group = heappop(heap)
+            if seq != group.seq:
+                continue
+            if not self._holds(group, group.first):
+                self._reseal(group)  # its keys may be low: look again
+                continue
+            self._recheck.append(group)
+            for flow in group.near:  # one rated since may be seen twice
+                if (
+                    flow.rem_anchor - flow.rate * (now - flow.t_anchor) <= eps
+                    and active.get(flow.fid) is flow
+                ):
+                    found[flow.fid] = flow
+        if found:
+            self._finished += [found[fid] for fid in sorted(found)]
+
+    def _holds(self, group: _Group, flow: Flow) -> bool:
+        """Whether ``flow`` is active and ``group`` is the one that last
+        rated it."""
+        if self._active.get(flow.fid) is not flow:
+            return False
+        own = flow.group
+        return own is group or (
+            group is self._whole and (own is None or own.epoch < group.epoch)
+        )
 
     def _schedule_rerate(self) -> None:
         """Arm (at most) one coalesced rerate for the current instant."""
@@ -521,9 +811,11 @@ class Network:
             return routes, index
         return {fid: routes[fid] for fid in sorted(reached)}, seen
 
-    def _solve(self, routes, links) -> dict[int, float]:
+    def _solve(self, routes, links) -> tuple[dict[int, float], Optional[float], str]:
         """Rates of the flows of ``routes`` (whole link-components, fid
-        order) over ``links``, their links with members.
+        order) over ``links``, their links with members — and, when the
+        whole fabric's round 1 found one link every flow is bottlenecked on,
+        the one share they all get and that link.
 
         One class is plain max–min. Several go to the priority solve:
         classes solved highest first over the leftover capacity, equal-class
@@ -537,8 +829,16 @@ class Network:
         several = (  # the fabric-wide count first: it is O(1)
             len(self._class_count) > 1 and len({prios[f] for f in routes}) > 1
         )
+        uniform = bottleneck = None
         if several:
             rates = _prio_max_min(routes, caps, prios)
+        elif links is self._link_flows:
+            round1 = best, second, bottleneck = self._round1()
+            rates = _max_min(routes, caps, links, round1)
+            if len(links[bottleneck]) == len(routes) and second - best > 2 * _EPS:
+                uniform = best
+            else:
+                bottleneck = None
         else:
             rates = _max_min(routes, caps, links)
         self._count("netsim.fairshare_calls")
@@ -549,10 +849,10 @@ class Network:
             )
             if preempted:
                 self._count("netsim.prio_preemptions", preempted)
-        return rates
+        return rates, uniform, bottleneck
 
-    def _write_back(self, rates: dict[int, float]) -> None:
-        """Give each flow of ``rates`` its rate.
+    def _write_back(self, rates: dict[int, float], group: _Group) -> None:
+        """Give each flow of ``rates`` its rate, as ``group``'s.
 
         A flow whose rate changes is anchored at this instant: its
         remaining bytes now, from the anchor the instant started with, and
@@ -560,45 +860,252 @@ class Network:
         back the rate it started the instant with, the starting anchor is
         restored, so the anchor depends only on the rates a flow starts and
         ends an instant with — not on how many solves ran in between.
+
+        The same pass keeps the group's nearest end and its ``near``
+        candidates, tested against the running minimum (a superset that
+        :meth:`_seal` trims). A flow is told its group unless the group is
+        the whole fabric's (see :meth:`_holds`).
         """
         active = self._active
         now = self.env.now
+        near = group.near
+        end_min = group.end
+        first = group.first
+        tell = group is not self._whole
+        eps = _BYTE_EPS
+        near_rate = 0.0  # the rate ``reach`` is for (0: none yet)
+        reach = -1.0
         for fid, rate in rates.items():
             flow = active[fid]
-            if rate == flow.rate:
-                continue
-            t_anchor = flow.t_anchor
-            if t_anchor != now:
-                rem = flow.rem_anchor
-                flow.back = (t_anchor, rem, flow.rate, flow.t_end)
-                rem -= flow.rate * (now - t_anchor)
-                flow.rem_anchor = rem
-                flow.t_anchor = now
-                flow.t_end = now + rem / rate if rate > 0 else _INF
+            if tell:
+                flow.group = group
+            old = flow.rate
+            if rate == old:
+                end = flow.t_end
             else:
-                back = flow.back
-                if back is not None and rate == back[2]:
-                    flow.t_anchor, flow.rem_anchor, _, flow.t_end = back
+                t_anchor = flow.t_anchor
+                if t_anchor != now:
+                    rem = flow.rem_anchor
+                    flow.back = (t_anchor, rem, old)
+                    rem -= old * (now - t_anchor)
+                    flow.rem_anchor = rem
+                    flow.t_anchor = t_anchor = now
                 else:
-                    flow.t_end = now + flow.rem_anchor / rate if rate > 0 else _INF
+                    back = flow.back
+                    if back is not None and rate == back[2]:
+                        t_anchor, rem, _ = back
+                        flow.t_anchor = t_anchor
+                        flow.rem_anchor = rem
+                    else:
+                        rem = flow.rem_anchor
+                flow.rate = rate
+                end = flow.t_end = t_anchor + rem / rate if rate > 0 else _INF
+            # ``reach`` >= ``end_min``, so a flow past it at the rate it was
+            # worked out for is neither the nearest end nor a candidate.
+            if (end <= reach or rate != near_rate) and rate > 0:
+                if end < end_min:
+                    end_min = end
+                    first = flow
+                near_rate = rate
+                reach = (end_min + eps / rate) * _REACH
+                if end <= reach:
+                    near.append(flow)
+        if tell:
+            group.flows += map(active.__getitem__, rates)
+        group.end = end_min
+        group.first = first
+
+    def _seal(self, group: _Group) -> None:
+        """Trim a rated group's candidates to its final nearest end, then
+        give it fresh heap entries (none while no flow of it moves).
+
+        A flow is a candidate while ``t_end ≤ (end + ε/rate)·_REACH``: it
+        could be within ``_BYTE_EPS`` of its end by the time a wake-up armed
+        for the group's nearest ``end`` fires. ``lo`` is the earliest time
+        one of them can be: ``t_end − ε/rate``, less a ``_NEAR`` margin.
+        """
+        end = group.end
+        eps = _BYTE_EPS
+        near = []
+        lo = _INF
+        for flow in group.near:
+            rate = flow.rate
+            t_end = flow.t_end
+            if t_end <= (end + eps / rate) * _REACH:
+                near.append(flow)
+                first = t_end - eps / rate - t_end * _NEAR
+                if first < lo:
+                    lo = first
+        group.near = near
+        group.lo = lo
+        self._push(group)
+
+    def _push(self, group: _Group) -> None:
+        self._seq += 1
+        group.seq = seq = self._seq
+        if group.end < _INF:
+            heappush(self._ends, (group.end, seq, group))
+            heappush(self._los, (group.lo, seq, group))
+
+    def _reseal(self, group: _Group) -> None:
+        """Recompute the keys of a group that lost flows, over the ones it
+        kept (their rates and ends have not changed since it was rated)."""
+        flows = self._active.values() if group is self._whole else group.flows
+        kept = [flow for flow in flows if self._holds(group, flow)]
+        group.seq = -1  # its entries are stale
+        if not kept:
+            return
+        group.flows = kept
+        group.near = [flow for flow in kept if flow.rate > 0]
+        group.first = min(kept, key=_T_END)
+        group.end = group.first.t_end
+        self._seal(group)
+
+    def _form_cohort(self, rate: float, link: str) -> bool:
+        """Make the fabric one cohort on ``link``, if the whole-fabric solve
+        just written back left every active flow at ``rate`` from this
+        instant."""
+        now = self.env.now
+        flows = self._active.values()
+        for flow in flows:
+            if flow.t_anchor != now or flow.rate != rate:
+                return False
+        cohort = self._cohort = _Cohort(link, now, rate)
+        for flow in flows:
+            flow.group = cohort
+            flow.base = 0
+        cohort.heap = [(flow.rem_anchor, flow.fid, flow) for flow in flows]
+        heapify(cohort.heap)
+        cohort.size = len(cohort.heap)
+        return True
+
+    def _cohort_step(self, routes, links, rates, rate: Optional[float]) -> bool:
+        """Re-rate the cohort in O(1) when a solve reached exactly the flows
+        on its link and gave them all one share (``rate`` when round 1 knew
+        it), new flows joining it; False when it cannot stay one cohort.
+
+        The step ``rate_before·(now − t)`` is the subtraction re-anchoring
+        would apply to each member; a second change within the step's
+        instant only changes the rate. A change back to the rate the instant
+        started with (where each member restores its own ``back``), one
+        within the instant the cohort formed, a share that leaves the
+        newcomers' anchors apart from the members', or a long-lived cohort
+        hands the members back to per-flow anchors instead.
+        """
+        cohort = self._cohort
+        now = self.env.now
+        if len(links[cohort.link]) != len(routes):
+            return False  # some flow of the solve is not on the cohort's link
+        if rate is None:
+            shares = rates.values()
+            rate = min(shares)
+            if rate != max(shares):
+                return False
+        new = [fid for fid in self._pending_new if fid in routes]
+        if len(routes) != cohort.size + len(new):
+            return False
+        if rate != cohort.rate and cohort.t == now:
+            # A second change within the instant of the last step: the
+            # anchors stay, unless the rate goes back to the one the
+            # instant started with (each member restores its own ``back``).
+            if cohort.formed == now or rate == cohort.rates[-1]:
+                return False
+            cohort.rate = rate
+        elif rate != cohort.rate:
+            if len(cohort.steps) >= _MAX_STEPS:
+                return False
+            step = cohort.rate * (now - cohort.t)
+            cohort.steps.append(step)
+            cohort.times.append(cohort.t)
+            cohort.rates.append(cohort.rate)
+            cohort.cum.append(cohort.cum[-1] + step)
+            cohort.t = now
+            cohort.rate = rate
+        elif new and cohort.t != now:
+            return False
+        base = len(cohort.steps)
+        cum = cohort.cum[-1]
+        active = self._active
+        for fid in new:
+            flow = active[fid]  # unrated, anchored at its start: now
             flow.rate = rate
+            flow.t_end = now + flow.rem_anchor / rate
+            flow.group = cohort
+            flow.base = base
+            heappush(cohort.heap, (flow.rem_anchor + cum, fid, flow))
+        cohort.size += len(new)
+        return True
+
+    def _dissolve(self) -> None:
+        """Hand the cohort's members back to per-flow anchors: the solve
+        that could not step the cohort rates every one of them next."""
+        cohort = self._cohort
+        self._cohort = None
+        for flow in self._active.values():
+            if flow.group is cohort:
+                cohort.sync(flow)
+                flow.group = None
 
     def _horizon(self) -> float:
-        """The nearest end among the active flows (``_INF`` if none moves)."""
+        """The nearest end among the active flows (``_INF`` if none moves),
+        from the top of ``_ends``: popped groups go back first, and a group
+        that lost flows is resealed before its end is believed."""
         horizon = _INF
-        for flow in self._active.values():
-            if flow.t_end < horizon:
-                horizon = flow.t_end
+        cohort = self._cohort
+        if cohort is not None:
+            heap = cohort.heap
+            while heap and heap[0][2].group is not cohort:
+                heappop(heap)
+            if heap:
+                horizon = min(map(_T_END, cohort.near(heap[0][0])))
+        for group in self._recheck:
+            if self._holds(group, group.first):
+                self._push(group)
+            else:
+                self._reseal(group)
+        self._recheck.clear()
+        heap = self._ends
+        while heap:
+            end, seq, group = heap[0]
+            if seq == group.seq:
+                if self._holds(group, group.first):
+                    return min(end, horizon)
+                heappop(heap)
+                self._reseal(group)
+            else:
+                heappop(heap)
         return horizon
 
     def _stalled(self, now: float) -> None:
         """Append the active flows whose end is not after ``now`` to
-        :attr:`_finished`, in fid order, their anchors zeroed."""
-        for flow in self._active.values():
-            if flow.t_end <= now:
-                flow.rem_anchor = 0.0
-                flow.t_anchor = now
-                self._finished.append(flow)
+        :attr:`_finished`, in fid order, their anchors zeroed. They are
+        ``near`` flows of the groups whose ``end`` has come."""
+        active = self._active
+        found: dict[int, Flow] = {}
+        cohort = self._cohort
+        if cohort is not None:
+            # An end rounds to ``now`` from up to ``rate·ulp(now)`` bytes off.
+            bound = cohort.cum[-1] + cohort.rate * (now - cohort.t + now * _NEAR)
+            for flow in cohort.near(bound):
+                if flow.t_end <= now:
+                    found[flow.fid] = flow
+        heap = self._ends
+        while heap and heap[0][0] <= now:
+            _end, seq, group = heappop(heap)
+            if seq != group.seq:
+                continue
+            if not self._holds(group, group.first):
+                self._reseal(group)
+                continue
+            self._recheck.append(group)
+            for flow in group.near:
+                if flow.t_end <= now and active.get(flow.fid) is flow:
+                    found[flow.fid] = flow
+        for fid in sorted(found):
+            flow = found[fid]
+            flow.rem_anchor = 0.0
+            flow.t_anchor = now
+            self._finished.append(flow)
 
     def _rerate(self) -> None:
         """Recompute fair rates, complete finished flows, arm the next timer."""
@@ -619,11 +1126,32 @@ class Network:
             if not self._active:
                 self._pending_new.clear()
                 self._touched.clear()
+                self._ends.clear()
+                self._los.clear()
+                self._recheck.clear()
+                self._cohort = None
                 return
 
             routes, links = self._reach()
+            whole = routes is self._solver_routes
+            if whole:  # every earlier group is superseded
+                self._epoch += 1
+                group = self._whole = _Group(self._epoch)
+                self._ends.clear()
+                self._los.clear()
+                self._recheck.clear()
+            else:
+                group = _Group(self._epoch)
+            stepped = formed = False
             if routes:
-                self._write_back(self._solve(routes, links))
+                rates, uniform, bottleneck = self._solve(routes, links)
+                cohort = self._cohort
+                if cohort is not None and cohort.link in links:  # it is reached
+                    stepped = self._cohort_step(routes, links, rates, uniform)
+                    if not stepped:
+                        self._dissolve()
+                if not stepped:
+                    self._write_back(rates, group)
             else:
                 self._count("netsim.rerate_skipped")
             # A new flow no touched link reached is alone on its links, so
@@ -636,7 +1164,11 @@ class Network:
             }
             self._pending_new.clear()
             if alone:
-                self._write_back(alone)
+                self._write_back(alone, group)
+            elif whole and bottleneck is not None and not stepped:
+                formed = self._form_cohort(uniform, bottleneck)
+            if not formed and group.first is not None:
+                self._seal(group)  # some flow it rated moves
 
             horizon = self._horizon()
             if horizon == _INF:  # pragma: no cover - defensive

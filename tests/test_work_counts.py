@@ -12,8 +12,9 @@ seed 3) pins, like a golden:
 * the network's ``netsim.rerates``, ``netsim.fairshare_calls`` and
   ``netsim.rerate_skipped``;
 * the network's own work, counted by wrappers in this test: flows the
-  drains visited, flows whose ``remaining`` was written, and wake-up
-  timers armed, cancelled and dispatched after a later one superseded them.
+  drains tested for completion, flows whose anchor moved or caught up with
+  their cohort, and wake-up timers armed, cancelled and dispatched after a
+  later one superseded them.
 
 ``t128_osp``'s smoke shape (``vgg16-cifar10``, 128 workers, OSP, σ 0.1,
 1 epoch × 1 iteration, seed 3: a full incast into one PS downlink) pins the
@@ -35,6 +36,7 @@ from repro.core.osp import OSP
 from repro.harness import WorkloadConfig, timing_trainer
 from repro.hardware.compute import ComputeModel
 from repro.netsim import Network
+from repro.netsim.network import _Cohort
 from repro.simcore import NORMAL, Environment, Process, Timeout
 
 #: 3 epochs × 4 iterations × 8 workers.
@@ -64,8 +66,8 @@ PINNED = {
     "netsim.rerates": 236,
     "netsim.fairshare_calls": 182,
     "netsim.rerate_skipped": 25,
-    "drain_visits": 1202,
-    "materialised": 666,
+    "drain_visits": 288,
+    "materialised": 228,
     "timers_armed": 204,
     "timers_cancelled": 84,
     "timers_stale": 0,
@@ -76,8 +78,8 @@ PINNED_T128 = {
     "netsim.rerates": 258,
     "netsim.fairshare_calls": 255,
     "netsim.rerate_skipped": 2,
-    "drain_visits": 16512,
-    "materialised": 16256,
+    "drain_visits": 256,
+    "materialised": 254,
     "timers_armed": 256,
     "timers_cancelled": 127,
     "timers_stale": 0,
@@ -114,18 +116,38 @@ def _counting(func, counter: Counter, key: str):
 
 
 def _count_network(mp: pytest.MonkeyPatch, seen: Counter) -> None:
-    """The network's own work. A drain that looks for finished flows walks
-    every active flow; a flow is materialised when a new rate moves its
-    anchor to the current instant; each rerate that leaves flows active
-    arms one wake-up timer and cancels the one it supersedes; a timer
-    dispatched after a later one superseded it is stale."""
+    """The network's own work. A drain tests for completion the ``near``
+    flows of the groups whose time has come (the groups it hands back for a
+    recheck), or the cohort's flows in the band its keys point to; a flow is
+    materialised when a new rate moves its anchor to the current instant or
+    when it replays cohort steps; each rerate that leaves flows active arms
+    one wake-up timer and cancels the one it supersedes; a timer dispatched
+    after a later one superseded it is stale."""
     collect, write_back = Network._collect, Network._write_back
     rerate, on_timer = Network._rerate, Network._on_timer
+    near, sync = _Cohort.near, _Cohort.sync
     cancel = Environment.cancel
+    draining = []
 
-    def counted_collect(self, now, *args):
-        seen["drain_visits"] += len(self._active)
-        collect(self, now, *args)
+    def counted_collect(self, now):
+        before = len(self._recheck)
+        draining.append(True)
+        try:
+            collect(self, now)
+        finally:
+            draining.pop()
+        seen["drain_visits"] += sum(len(g.near) for g in self._recheck[before:])
+
+    def counted_near(self, bound):
+        found = near(self, bound)
+        if draining:
+            seen["drain_visits"] += len(found)
+        return found
+
+    def counted_sync(self, flow):
+        if flow.base < len(self.steps):
+            seen["materialised"] += 1
+        sync(self, flow)
 
     def counted_write_back(self, rates, *args):
         now = self.env.now
@@ -151,6 +173,8 @@ def _count_network(mp: pytest.MonkeyPatch, seen: Counter) -> None:
         cancel(self, event)
 
     mp.setattr(Network, "_collect", counted_collect)
+    mp.setattr(_Cohort, "near", counted_near)
+    mp.setattr(_Cohort, "sync", counted_sync)
     mp.setattr(Network, "_write_back", counted_write_back)
     mp.setattr(Network, "_rerate", counted_rerate)
     mp.setattr(Network, "_on_timer", counted_on_timer)
