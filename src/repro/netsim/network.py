@@ -130,6 +130,13 @@ _T_END = attrgetter("t_end")
 #: rounding must stay inside the cohort's slack).
 _MAX_STEPS = 50_000
 
+#: The groups, the cohort and the share heap pay for themselves only on a
+#: large fabric: with this many active flows the network keeps them, and
+#: below ``_LAZY_OFF`` it drops them and scans its few flows instead (the
+#: gap keeps a fabric near the line from switching at every event).
+_LAZY_ON = 32
+_LAZY_OFF = 16
+
 #: Per-class byte counter names, indexed by class value.
 _BYTE_COUNTERS = tuple(
     f"netsim.prio_bytes.{CLASS_NAMES[cls]}" for cls in range(4)
@@ -397,6 +404,9 @@ class Network:
         self._whole: Optional[_Group] = None
         #: The fabric as one :class:`_Cohort`, while it is one.
         self._cohort: Optional[_Cohort] = None
+        #: Whether the groups, cohort and share heap are kept (see
+        #: ``_LAZY_ON``); without them a drain and the horizon scan.
+        self._lazy = False
         #: Groups whose entries a drain or the guard popped: pushed back
         #: (resealed if they lost flows) before the next horizon is read.
         self._recheck: list[_Group] = []
@@ -575,7 +585,7 @@ class Network:
         index = self._link_flows
         caps = self._capacities
         arrival = self._arrival
-        shares = self._shares
+        shares = self._shares if self._lazy else None
         for name in flow.links:
             members = index.get(name)
             if members is None:
@@ -585,8 +595,9 @@ class Network:
             else:
                 self._touched.append(name)  # couples with an existing flow
                 members[flow.fid] = None
-            heappush(shares, (caps[name] / len(members), arrival[name], name))
-        if len(shares) > 2 * len(index) + 64:
+            if shares is not None:
+                heappush(shares, (caps[name] / len(members), arrival[name], name))
+        if shares is not None and len(shares) > 2 * len(index) + 64:
             self._reshare()
 
     def _retire(self, flow: Flow, tr) -> None:
@@ -628,12 +639,14 @@ class Network:
         index = self._link_flows
         caps = self._capacities
         arrival = self._arrival
+        shares = self._shares if self._lazy else None
         for name in flow.links:
             members = index[name]
             del members[flow.fid]
             if members:
                 self._touched.append(name)  # survivors on this link speed up
-                heappush(self._shares, (caps[name] / len(members), arrival[name], name))
+                if shares is not None:
+                    heappush(shares, (caps[name] / len(members), arrival[name], name))
             else:
                 del index[name]
                 del arrival[name]
@@ -723,11 +736,17 @@ class Network:
         """Append the active flows whose remaining bytes at ``now`` are at
         most ``_BYTE_EPS`` to :attr:`_finished`, in fid order.
 
-        Only the ``near`` flows of the groups whose ``lo`` has come are
-        checked: no flow of another group can be finished yet.
+        A small fabric checks every flow. A large one checks only the
+        ``near`` flows of the groups whose ``lo`` has come, and the cohort's
+        band: no other flow can be finished yet.
         """
         eps = _BYTE_EPS
         active = self._active
+        if not self._lazy:
+            for flow in active.values():
+                if flow.rem_anchor - flow.rate * (now - flow.t_anchor) <= eps:
+                    self._finished.append(flow)
+            return
         found: dict[int, Flow] = {}
         cohort = self._cohort
         if cohort is not None:
@@ -832,7 +851,7 @@ class Network:
         uniform = bottleneck = None
         if several:
             rates = _prio_max_min(routes, caps, prios)
-        elif links is self._link_flows:
+        elif links is self._link_flows and self._lazy:
             round1 = best, second, bottleneck = self._round1()
             rates = _max_min(routes, caps, links, round1)
             if len(links[bottleneck]) == len(routes) and second - best > 2 * _EPS:
@@ -851,8 +870,8 @@ class Network:
                 self._count("netsim.prio_preemptions", preempted)
         return rates, uniform, bottleneck
 
-    def _write_back(self, rates: dict[int, float], group: _Group) -> None:
-        """Give each flow of ``rates`` its rate, as ``group``'s.
+    def _write_back(self, rates: dict[int, float]) -> None:
+        """Give each flow of ``rates`` its rate.
 
         A flow whose rate changes is anchored at this instant: its
         remaining bytes now, from the anchor the instant started with, and
@@ -860,82 +879,69 @@ class Network:
         back the rate it started the instant with, the starting anchor is
         restored, so the anchor depends only on the rates a flow starts and
         ends an instant with — not on how many solves ran in between.
-
-        The same pass keeps the group's nearest end and its ``near``
-        candidates, tested against the running minimum (a superset that
-        :meth:`_seal` trims). A flow is told its group unless the group is
-        the whole fabric's (see :meth:`_holds`).
         """
         active = self._active
         now = self.env.now
-        near = group.near
-        end_min = group.end
-        first = group.first
-        tell = group is not self._whole
-        eps = _BYTE_EPS
-        near_rate = 0.0  # the rate ``reach`` is for (0: none yet)
-        reach = -1.0
         for fid, rate in rates.items():
             flow = active[fid]
-            if tell:
-                flow.group = group
             old = flow.rate
             if rate == old:
-                end = flow.t_end
+                continue
+            t_anchor = flow.t_anchor
+            if t_anchor != now:
+                rem = flow.rem_anchor
+                flow.back = (t_anchor, rem, old)
+                rem -= old * (now - t_anchor)
+                flow.rem_anchor = rem
+                flow.t_anchor = t_anchor = now
             else:
-                t_anchor = flow.t_anchor
-                if t_anchor != now:
-                    rem = flow.rem_anchor
-                    flow.back = (t_anchor, rem, old)
-                    rem -= old * (now - t_anchor)
+                back = flow.back
+                if back is not None and rate == back[2]:
+                    t_anchor, rem, _ = back
+                    flow.t_anchor = t_anchor
                     flow.rem_anchor = rem
-                    flow.t_anchor = t_anchor = now
                 else:
-                    back = flow.back
-                    if back is not None and rate == back[2]:
-                        t_anchor, rem, _ = back
-                        flow.t_anchor = t_anchor
-                        flow.rem_anchor = rem
-                    else:
-                        rem = flow.rem_anchor
-                flow.rate = rate
-                end = flow.t_end = t_anchor + rem / rate if rate > 0 else _INF
-            # ``reach`` >= ``end_min``, so a flow past it at the rate it was
-            # worked out for is neither the nearest end nor a candidate.
-            if (end <= reach or rate != near_rate) and rate > 0:
-                if end < end_min:
-                    end_min = end
-                    first = flow
-                near_rate = rate
-                reach = (end_min + eps / rate) * _REACH
-                if end <= reach:
-                    near.append(flow)
-        if tell:
-            group.flows += map(active.__getitem__, rates)
-        group.end = end_min
-        group.first = first
+                    rem = flow.rem_anchor
+            flow.rate = rate
+            flow.t_end = t_anchor + rem / rate if rate > 0 else _INF
 
-    def _seal(self, group: _Group) -> None:
-        """Trim a rated group's candidates to its final nearest end, then
-        give it fresh heap entries (none while no flow of it moves).
+    def _gather(self, group: _Group, rates: dict[int, float]) -> None:
+        """Make the flows of ``rates`` ``group``'s. The whole fabric's group
+        holds every active flow not told otherwise (see :meth:`_holds`), so
+        only a component's group tells its flows and lists them."""
+        if group is self._whole:
+            return
+        flows = list(map(self._active.__getitem__, rates))
+        for flow in flows:
+            flow.group = group
+        group.flows += flows
 
-        A flow is a candidate while ``t_end ≤ (end + ε/rate)·_REACH``: it
-        could be within ``_BYTE_EPS`` of its end by the time a wake-up armed
-        for the group's nearest ``end`` fires. ``lo`` is the earliest time
-        one of them can be: ``t_end − ε/rate``, less a ``_NEAR`` margin.
+    def _seal(self, group: _Group, flows) -> None:
+        """Work out a group's keys over ``flows`` (its members), then give
+        it fresh heap entries (none while no flow of it moves).
+
+        A flow is a ``near`` candidate while ``t_end ≤ (end + ε/rate)·_REACH``:
+        it could be within ``_BYTE_EPS`` of its end by the time a wake-up
+        armed for the group's nearest ``end`` fires. ``lo`` is the earliest
+        time one of them can be: ``t_end − ε/rate``, less a ``_NEAR`` margin.
         """
-        end = group.end
+        moving = [flow for flow in flows if flow.rate > 0]
+        group.seq = -1
+        if not moving:
+            return
+        group.first = first = min(moving, key=_T_END)
+        group.end = end = first.t_end
         eps = _BYTE_EPS
         near = []
         lo = _INF
-        for flow in group.near:
+        for flow in moving:
             rate = flow.rate
             t_end = flow.t_end
             if t_end <= (end + eps / rate) * _REACH:
                 near.append(flow)
-                first = t_end - eps / rate - t_end * _NEAR
-                if first < lo:
-                    lo = first
+                first_end = t_end - eps / rate - t_end * _NEAR
+                if first_end < lo:
+                    lo = first_end
         group.near = near
         group.lo = lo
         self._push(group)
@@ -951,15 +957,8 @@ class Network:
         """Recompute the keys of a group that lost flows, over the ones it
         kept (their rates and ends have not changed since it was rated)."""
         flows = self._active.values() if group is self._whole else group.flows
-        kept = [flow for flow in flows if self._holds(group, flow)]
-        group.seq = -1  # its entries are stale
-        if not kept:
-            return
-        group.flows = kept
-        group.near = [flow for flow in kept if flow.rate > 0]
-        group.first = min(kept, key=_T_END)
-        group.end = group.first.t_end
-        self._seal(group)
+        group.flows = [flow for flow in flows if self._holds(group, flow)]
+        self._seal(group, group.flows)
 
     def _form_cohort(self, rate: float, link: str) -> bool:
         """Make the fabric one cohort on ``link``, if the whole-fabric solve
@@ -1046,11 +1045,36 @@ class Network:
                 cohort.sync(flow)
                 flow.group = None
 
+    def _go_lazy(self) -> None:
+        """Start keeping groups on a fabric grown large: every active flow
+        into one whole-fabric group, and the share heap rebuilt."""
+        self._lazy = True
+        self._reshare()
+        self._epoch += 1
+        self._whole = _Group(self._epoch)
+        self._seal(self._whole, self._active.values())
+
+    def _go_eager(self) -> None:
+        """Drop the groups, the cohort and the share heap of a fabric
+        shrunk small: its flows keep their own anchors."""
+        if self._cohort is not None:
+            self._dissolve()
+        self._lazy = False
+        self._shares = []
+        self._ends.clear()
+        self._los.clear()
+        self._recheck.clear()
+
     def _horizon(self) -> float:
         """The nearest end among the active flows (``_INF`` if none moves),
         from the top of ``_ends``: popped groups go back first, and a group
         that lost flows is resealed before its end is believed."""
         horizon = _INF
+        if not self._lazy:
+            for flow in self._active.values():
+                if flow.t_end < horizon:
+                    horizon = flow.t_end
+            return horizon
         cohort = self._cohort
         if cohort is not None:
             heap = cohort.heap
@@ -1081,6 +1105,13 @@ class Network:
         :attr:`_finished`, in fid order, their anchors zeroed. They are
         ``near`` flows of the groups whose ``end`` has come."""
         active = self._active
+        if not self._lazy:
+            for flow in active.values():
+                if flow.t_end <= now:
+                    flow.rem_anchor = 0.0
+                    flow.t_anchor = now
+                    self._finished.append(flow)
+            return
         found: dict[int, Flow] = {}
         cohort = self._cohort
         if cohort is not None:
@@ -1126,15 +1157,15 @@ class Network:
             if not self._active:
                 self._pending_new.clear()
                 self._touched.clear()
-                self._ends.clear()
-                self._los.clear()
-                self._recheck.clear()
-                self._cohort = None
+                if self._lazy:
+                    self._go_eager()
                 return
 
             routes, links = self._reach()
             whole = routes is self._solver_routes
-            if whole:  # every earlier group is superseded
+            if not self._lazy:
+                group = None
+            elif whole:  # every earlier group is superseded
                 self._epoch += 1
                 group = self._whole = _Group(self._epoch)
                 self._ends.clear()
@@ -1151,7 +1182,9 @@ class Network:
                     if not stepped:
                         self._dissolve()
                 if not stepped:
-                    self._write_back(rates, group)
+                    self._write_back(rates)
+                    if group is not None:
+                        self._gather(group, rates)
             else:
                 self._count("netsim.rerate_skipped")
             # A new flow no touched link reached is alone on its links, so
@@ -1164,11 +1197,19 @@ class Network:
             }
             self._pending_new.clear()
             if alone:
-                self._write_back(alone, group)
+                self._write_back(alone)
+                if group is not None:
+                    self._gather(group, alone)
             elif whole and bottleneck is not None and not stepped:
                 formed = self._form_cohort(uniform, bottleneck)
-            if not formed and group.first is not None:
-                self._seal(group)  # some flow it rated moves
+            if group is not None and not formed:
+                whole_group = group is self._whole
+                self._seal(group, self._active.values() if whole_group else group.flows)
+            n_active = len(self._active)
+            if self._lazy and n_active < _LAZY_OFF:
+                self._go_eager()
+            elif not self._lazy and n_active >= _LAZY_ON:
+                self._go_lazy()
 
             horizon = self._horizon()
             if horizon == _INF:  # pragma: no cover - defensive

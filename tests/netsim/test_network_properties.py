@@ -93,6 +93,42 @@ def _merge_split_plans(draw):
     return 1 + n_push + n_pull, flows, kwargs
 
 
+@st.composite
+def _large_plans(draw):
+    """A fabric large enough for the network to keep its groups and cohort
+    (``_LAZY_ON`` flows): an incast of 40–70 flows into one node, 32 of them
+    at t=0 and the rest in a few same-instant bursts, mostly of one class
+    and size (so whole bursts share one rate and finish together), beside a
+    few flows between other nodes, in any class, and an optional bandwidth
+    dip."""
+    n_nodes = draw(st.integers(min_value=6, max_value=10))
+    sink = draw(st.integers(min_value=0, max_value=n_nodes - 1))
+    others = [n for n in range(n_nodes) if n != sink]
+    bursts = [0.0] + draw(st.lists(st.floats(min_value=0.0, max_value=40.0), max_size=3))
+    sizes = st.sampled_from((100.0, 250.0)) | st.floats(min_value=10.0, max_value=400.0)
+    classes = st.sampled_from((PRIO_NORMAL,) * 6 + (PRIO_BULK, PRIO_HIGH, PRIO_URGENT))
+    flows, kwargs = [], []
+    for i in range(draw(st.integers(min_value=40, max_value=70))):
+        start = 0.0 if i < 32 else draw(st.sampled_from(bursts))
+        flows.append((draw(st.sampled_from(others)), sink, draw(sizes), start))
+        kwargs.append({"prio": draw(classes)})
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        src = draw(st.sampled_from(others))
+        dst = draw(st.sampled_from([n for n in others if n != src]))
+        flows.append((src, dst, draw(sizes), draw(st.floats(min_value=0.0, max_value=40.0))))
+        kwargs.append({"prio": draw(classes)})
+    dip = draw(
+        st.none()
+        | st.tuples(
+            st.sampled_from([sink] + others),
+            st.floats(min_value=0.0, max_value=40.0),
+            st.floats(min_value=0.1, max_value=20.0),
+            st.floats(min_value=0.05, max_value=0.9),
+        )
+    )
+    return n_nodes, flows, kwargs, dip
+
+
 def _run_plan(
     n_nodes, flows, bandwidth=1000.0, kwargs=None, dip=None,
     network=Network, priorities=True
@@ -284,6 +320,29 @@ def _index_checked_network(drains):
         return net
 
     return build
+
+
+@given(_large_plans())
+@settings(max_examples=40, deadline=None)
+def test_property_a_large_fabric_matches_the_whole_fabric_solve(plan):
+    """With its groups and cohort (a fabric past ``_LAZY_ON`` flows), the
+    scheduler still ≡ one that fully re-solves inside every transfer(), and
+    its link index and finished flows are the active set's at every drain."""
+    n_nodes, flows, kwargs, dip = plan
+    lazy, drains = [], []
+
+    def build(env, topo):
+        net = _index_checked_network(drains)(env, topo)
+        net.drain_hooks.append(lambda: lazy.append(net._lazy))
+        return net
+
+    net, _ = _run_plan(n_nodes, flows, kwargs=kwargs, dip=dip, network=build)
+    ref, _ = _run_plan(
+        n_nodes, flows, kwargs=kwargs, dip=dip, network=PerEventNetwork
+    )
+    assert _outcome(net) == _outcome(ref)
+    assert any(lazy)
+    assert net.stats["netsim.rerates"] <= ref.stats["netsim.rerates"]
 
 
 @pytest.mark.parametrize(
