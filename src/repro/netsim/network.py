@@ -6,8 +6,11 @@ last byte leaves at ``t_end = t_anchor + rem_anchor / rate``. Whenever a
 flow starts or finishes, the scheduler (1) finds the flows whose remaining
 bytes have come down to ``_BYTE_EPS``, (2) recomputes the max–min fair rates
 of what the change can reach, anchoring each flow whose rate changed at this
-instant, and (3) arms one wake-up at the nearest ``t_end``. No step walks
-the active set: nothing moves between events, so there is nothing to drain.
+instant, and (3) arms one wake-up at the nearest ``t_end``. Nothing moves
+between events, so there is nothing to drain. A fabric of fewer than
+``_LAZY_ON`` flows finds ends and finished flows by scanning them (cheaper
+than any bookkeeping at that size); a larger one keeps the structures below,
+and then no step walks the active set.
 
 * **When a flow re-anchors.** Only when the rate it ends an instant with
   differs from the rate it started the instant with: a solve that changes a
@@ -17,9 +20,8 @@ the active set: nothing moves between events, so there is nothing to drain.
   instant, which keeps this scheduler ``==`` to one that re-solves at every
   flow event (``tests/netsim/reference.py::PerEventNetwork``).
 * **Finding ends without a pass.** Each rerate puts the flows it rated into
-  one ``_Group`` and keeps, in the same pass that assigns the rates, the
-  group's nearest end and its ``near`` flows: the ones that could be within
-  ``_BYTE_EPS`` of their end by then. Two heaps of groups — by nearest end
+  one ``_Group`` and keeps the group's nearest end and its ``near`` flows:
+  the ones that could be within ``_BYTE_EPS`` of their end by then. Two heaps of groups — by nearest end
   (what the wake-up is armed for) and by the earliest time a near flow can
   be finished (what a drain pops) — give the next wake-up and the finished
   flows without visiting any flow outside the groups whose time has come. A
@@ -175,7 +177,10 @@ class Ledger:
 class _Group:
     """The flows one rerate gave rates to, and what finding their ends needs.
 
-    ``end`` is the nearest ``t_end`` among ``flows`` (``first``'s). ``near``
+    ``flows`` lists its members (the whole-fabric group lists none: it holds
+    every active flow no later group or cohort took, see
+    :meth:`Network._holds`). ``end`` is their nearest ``t_end``
+    (``first``'s). ``near``
     holds the flows that could reach their end at a wake-up the group's
     ``end`` arms: those whose remaining bytes can come down to
     ``_BYTE_EPS`` by then (with a ``_NEAR`` margin for rounding), and ``lo``
@@ -203,9 +208,10 @@ class _Group:
 
 
 class _Cohort:
-    """Every active flow at one rate from one anchor time: the fabric after
-    a whole-fabric solve that gave every flow the same share (a full incast,
-    whose every departure and arrival re-rates everyone).
+    """The flows on one link, all at one rate from one anchor time: what a
+    whole-fabric solve leaves when it gives every flow the same share (a
+    full incast, whose every departure and arrival re-rates everyone).
+    Flows that later start elsewhere are rated in groups beside it.
 
     Re-anchoring a member at a new rate subtracts ``old_rate·(now − t)``
     from its remaining bytes — the same ``step`` for every member. The
@@ -215,8 +221,8 @@ class _Cohort:
     ``back`` re-anchoring it at every step would have. A common subtraction
     never reorders remaining bytes, so a heap of ``rem + cum`` keys (``cum``
     the steps' running sum), pushed once per member, finds the nearest ends
-    and the finished flows; the keys are approximate, so a ``_slack`` band
-    around them is replayed exactly.
+    and the finished flows; the keys are approximate, so the members in a
+    slack band around them are replayed and tested exactly.
     """
 
     __slots__ = (
@@ -1202,9 +1208,12 @@ class Network:
                     self._gather(group, alone)
             elif whole and bottleneck is not None and not stepped:
                 formed = self._form_cohort(uniform, bottleneck)
-            if group is not None and not formed:
-                whole_group = group is self._whole
-                self._seal(group, self._active.values() if whole_group else group.flows)
+            if group is None or formed:
+                pass
+            elif group is not self._whole:
+                self._seal(group, group.flows)
+            elif not stepped:  # the cohort took a stepped solve's flows
+                self._seal(group, self._active.values())
             n_active = len(self._active)
             if self._lazy and n_active < _LAZY_OFF:
                 self._go_eager()
