@@ -21,12 +21,13 @@ and then no step walks the active set.
   flow event (``tests/netsim/reference.py::PerEventNetwork``).
 * **Finding ends without a pass.** Each rerate puts the flows it rated into
   one ``_Group`` and keeps the group's nearest end and its ``near`` flows:
-  the ones that could be within ``_BYTE_EPS`` of their end by then. Two heaps of groups — by nearest end
-  (what the wake-up is armed for) and by the earliest time a near flow can
-  be finished (what a drain pops) — give the next wake-up and the finished
-  flows without visiting any flow outside the groups whose time has come. A
-  group loses a flow when a later rerate rates it or it finishes; one that
-  lost flows is resealed from those it kept before its keys are trusted.
+  the ones that could be within ``_BYTE_EPS`` of their end by then. Two
+  heaps of groups — by nearest end (what the wake-up is armed for) and by
+  the earliest time a near flow can be finished (what a drain pops) — give
+  the next wake-up and the finished flows without visiting any flow outside
+  the groups whose time has come. A group loses a flow when a later rerate
+  rates it or it finishes; one that lost its nearest end is resealed from
+  the flows it kept before its keys are trusted.
 * **A full incast costs O(log n) per departure.** A whole-fabric solve that
   gives every flow the same share makes the fabric one ``_Cohort`` on the
   link every flow crosses. Re-anchoring its members at a new share would

@@ -104,18 +104,21 @@ def _large_plans(draw):
     n_nodes = draw(st.integers(min_value=6, max_value=10))
     sink = draw(st.integers(min_value=0, max_value=n_nodes - 1))
     others = [n for n in range(n_nodes) if n != sink]
-    bursts = [0.0] + draw(st.lists(st.floats(min_value=0.0, max_value=40.0), max_size=3))
+    later = st.lists(st.floats(min_value=0.0, max_value=40.0), max_size=3)
+    bursts = [0.0] + draw(later)
     sizes = st.sampled_from((100.0, 250.0)) | st.floats(min_value=10.0, max_value=400.0)
     classes = st.sampled_from((PRIO_NORMAL,) * 6 + (PRIO_BULK, PRIO_HIGH, PRIO_URGENT))
     flows, kwargs = [], []
     for i in range(draw(st.integers(min_value=40, max_value=70))):
         start = 0.0 if i < 32 else draw(st.sampled_from(bursts))
-        flows.append((draw(st.sampled_from(others)), sink, draw(sizes), start))
+        src = draw(st.sampled_from(others))
+        flows.append((src, sink, draw(sizes), start))
         kwargs.append({"prio": draw(classes)})
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         src = draw(st.sampled_from(others))
         dst = draw(st.sampled_from([n for n in others if n != src]))
-        flows.append((src, dst, draw(sizes), draw(st.floats(min_value=0.0, max_value=40.0))))
+        start = draw(st.floats(min_value=0.0, max_value=40.0))
+        flows.append((src, dst, draw(sizes), start))
         kwargs.append({"prio": draw(classes)})
     dip = draw(
         st.none()

@@ -57,7 +57,8 @@ def test_only_small_float_drift_passes(drift, tmp_path, capsys, new, ok):
     a, b = _dirs(tmp_path, _stream(), new)
     assert drift.main([str(a), str(b)]) == (0 if ok else 1)
     out = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in out] == ["bsp_stream.jsonl", "osp_stream.jsonl"]
+    files = [line.split(":")[0] for line in out]
+    assert files == ["bsp_stream.jsonl", "osp_stream.jsonl"]
     assert out[0].endswith("max relative drift 0.000e+00 (record 0) ok")
 
 

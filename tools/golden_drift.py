@@ -11,9 +11,10 @@ each file the largest relative drift ``|a - b| / max(|a|, |b|)`` is printed.
 
 Exit status 0 when every pair differs only in floats, each by at most
 1e-9 relative; 1 when a file is missing from either side, a record is
-missing, anything but a float differs, or a float drifts further. A change that reorders floating-point work (different
-operand order, same mathematics) should pass; one that changes what the
-simulation does should not.
+missing, anything but a float differs, or a float drifts further. A change
+that reorders floating-point work (different operand order, same
+mathematics) should pass; one that changes what the simulation does should
+not.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ def _drift(a, b, where: str) -> float:
             raise Mismatch(f"{where}: {a!r} != {b!r}")
         return abs(a - b) / max(abs(a), abs(b))
     if type(a) is not type(b):
-        raise Mismatch(f"{where}: {a!r} ({type(a).__name__}) != {b!r} ({type(b).__name__})")
+        kinds = f"{type(a).__name__} != {type(b).__name__}"
+        raise Mismatch(f"{where}: {a!r} != {b!r} ({kinds})")
     if isinstance(a, list):
         if len(a) != len(b):
             raise Mismatch(f"{where}: {len(a)} items != {len(b)}")
-        return max((_drift(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))), default=0.0)
+        pairs = enumerate(zip(a, b))
+        return max((_drift(x, y, f"{where}[{i}]") for i, (x, y) in pairs), default=0.0)
     if isinstance(a, dict):
         if list(a) != list(b):
             raise Mismatch(f"{where}: keys {list(a)} != {list(b)}")
@@ -66,14 +69,15 @@ def file_drift(old: Path, new: Path) -> tuple[float, int]:
         if drift > worst:
             worst, at = drift, i
     if len(a) != len(b):
-        raise Mismatch(f"record {min(len(a), len(b))}: missing ({len(a)} lines != {len(b)})")
+        at = min(len(a), len(b))
+        raise Mismatch(f"record {at}: missing ({len(a)} lines != {len(b)})")
     return worst, at
 
 
 def compare_dirs(old: Path, new: Path) -> tuple[list[str], bool]:
     """One report line per stream file, and whether the two directories
     agree within :data:`MAX_DRIFT`."""
-    names = sorted({p.name for p in old.glob("*.jsonl")} | {p.name for p in new.glob("*.jsonl")})
+    names = sorted({p.name for d in (old, new) for p in d.glob("*.jsonl")})
     lines, ok = [], True
     for name in names:
         if not (old / name).is_file() or not (new / name).is_file():
