@@ -1209,12 +1209,11 @@ class Network:
                     self._gather(group, alone)
             elif whole and bottleneck is not None and not stepped:
                 formed = self._form_cohort(uniform, bottleneck)
-            if group is None or formed:
-                pass
-            elif group is not self._whole:
-                self._seal(group, group.flows)
-            elif not stepped:  # the cohort took a stepped solve's flows
-                self._seal(group, self._active.values())
+            if group is not None and not formed:
+                if group is not self._whole:
+                    self._seal(group, group.flows)
+                elif not stepped:  # else the cohort took every flow
+                    self._seal(group, self._active.values())
             n_active = len(self._active)
             if self._lazy and n_active < _LAZY_OFF:
                 self._go_eager()
