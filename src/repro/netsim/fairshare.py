@@ -101,7 +101,6 @@ def _max_min(
     unfrozen: Mapping[Hashable, Sequence[Hashable]],
     capacities: Mapping[Hashable, float],
     link_flows: Optional[Mapping[Hashable, Collection[Hashable]]] = None,
-    round1: Optional[tuple[float, float, Hashable]] = None,
 ) -> dict[Hashable, float]:
     """The solve behind :func:`fair_rates`, on trusted input: every route a
     non-empty sequence of known links with positive capacities.
@@ -110,10 +109,7 @@ def _max_min(
     (each at most once) over exactly the links of ``unfrozen``'s flows and
     no other flow — the Network's own flow–link index. Round 1 reads each
     link's load from it as ``len()``; without one, the index is built here
-    from the routes. Either way the rates are the same. ``round1`` is that
-    pass's answer when the caller keeps it (the Network does, for the whole
-    fabric): the least share, the least share on any other link, and the
-    first link in ``link_flows`` order with the least.
+    from the routes. Either way the rates are the same.
 
     A round only re-examines the links the previous round's freezes
     touched, and per-link membership is a lazy-deletion list plus a live
@@ -142,18 +138,14 @@ def _max_min(
                     link_flows[link] = {fid: None}
                 else:
                     members[fid] = None
-    if round1 is None:
-        best_share = second = float("inf")
-        bottleneck, carried = None, 0
-        for link, n in zip(link_flows, map(len, link_flows.values())):
-            share = capacities[link] / n
-            if share < best_share:
-                best_share, second, bottleneck, carried = share, best_share, link, n
-            elif share < second:  # an exact tie on another link lands here
-                second = share
-    else:
-        best_share, second, bottleneck = round1
-        carried = len(link_flows[bottleneck])
+    best_share = second = float("inf")
+    bottleneck, carried = None, 0
+    for link, n in zip(link_flows, map(len, link_flows.values())):
+        share = capacities[link] / n
+        if share < best_share:
+            best_share, second, bottleneck, carried = share, best_share, link, n
+        elif share < second:  # an exact tie on another link lands here
+            second = share
     if carried == len(unfrozen) and second - best_share > 2 * _EPS:
         rates.update(dict.fromkeys(unfrozen, best_share))
         return rates

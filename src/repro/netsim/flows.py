@@ -59,21 +59,18 @@ class Flow:
     #: Remaining bytes when the fabric's set of jobs in flight last changed
     #: (job-tagged flows only): where its contended share is counted from.
     mark: float = field(default=0.0, init=False)
-    #: The network's bookkeeping of the last rerate that rated the flow and
-    #: told it so (``repro.netsim.network._Group``): a whole-fabric solve
-    #: leaves it as it was.
-    group: Any = field(default=None, init=False)
-
-    #: How many of its cohort's steps ``rem_anchor`` has seen (while the
-    #: network keeps the flow in a ``repro.netsim.network._Cohort``).
+    #: The ``repro.netsim.network._Cohort`` the flow is in, if any: then its
+    #: anchor is brought up to the cohort's steps only when read.
+    cohort: Any = field(default=None, init=False)
+    #: How many of its cohort's steps ``rem_anchor`` has seen.
     base: int = field(default=0, init=False)
 
     @property
     def remaining(self) -> float:
         """Effective bytes still to move at the clock's current time."""
-        group = self.group
-        if group is not None:
-            group.sync(self)
+        cohort = self.cohort
+        if cohort is not None:
+            cohort.sync(self)
         rem = self.rem_anchor - self.rate * (self.done.env.now - self.t_anchor)
         return rem if rem > 0.0 else 0.0
 

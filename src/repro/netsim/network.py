@@ -7,10 +7,9 @@ flow starts or finishes, the scheduler (1) finds the flows whose remaining
 bytes have come down to ``_BYTE_EPS``, (2) recomputes the max–min fair rates
 of what the change can reach, anchoring each flow whose rate changed at this
 instant, and (3) arms one wake-up at the nearest ``t_end``. Nothing moves
-between events, so there is nothing to drain. A fabric of fewer than
-``_LAZY_ON`` flows finds ends and finished flows by scanning them (cheaper
-than any bookkeeping at that size); a larger one keeps the structures below,
-and then no step walks the active set.
+between events, so there is nothing to drain: finding the finished flows and
+the nearest end is a scan of the active flows' anchors, except over a full
+incast's flows, which form a cohort.
 
 * **When a flow re-anchors.** Only when the rate it ends an instant with
   differs from the rate it started the instant with: a solve that changes a
@@ -19,25 +18,21 @@ and then no step walks the active set.
   float derived from them — are the same however many solves run within an
   instant, which keeps this scheduler ``==`` to one that re-solves at every
   flow event (``tests/netsim/reference.py::PerEventNetwork``).
-* **Finding ends without a pass.** Each rerate puts the flows it rated into
-  one ``_Group`` and keeps the group's nearest end and its ``near`` flows:
-  the ones that could be within ``_BYTE_EPS`` of their end by then. Two
-  heaps of groups — by nearest end (what the wake-up is armed for) and by
-  the earliest time a near flow can be finished (what a drain pops) — give
-  the next wake-up and the finished flows without visiting any flow outside
-  the groups whose time has come. A group loses a flow when a later rerate
-  rates it or it finishes; one that lost its nearest end is resealed from
-  the flows it kept before its keys are trusted.
-* **A full incast costs O(log n) per departure.** A whole-fabric solve that
-  gives every flow the same share makes the fabric one ``_Cohort`` on the
-  link every flow crosses. Re-anchoring its members at a new share would
-  subtract the same ``old_rate·(now − t)`` from each, so the cohort records
-  that step once, and a member replays the steps it has not seen only when
-  something reads it — bit for bit the per-flow arithmetic. A heap of
-  ``remaining + steps so far`` keys, pushed once per member, points at the
-  nearest ends. A solve that reaches exactly the flows on the cohort's link
-  and gives them one share steps it; any other solve that reaches it hands
-  the members back to per-flow anchors first.
+* **A full incast costs O(log n) per departure.** A whole-fabric solve of
+  at least ``_COHORT_MIN`` flows that gives every flow one share, each
+  anchored at this instant, makes them one ``_Cohort`` on the link they all
+  cross. Re-anchoring its members at a new share would subtract the same
+  ``old_rate·(now − t)`` from each, so the cohort records that step once,
+  and a member replays the steps it has not seen only when something reads
+  it — bit for bit the per-flow arithmetic. A heap of ``remaining + steps so
+  far`` keys, pushed once per member, points at the nearest ends and the
+  finished members. While there is a cohort the network also keeps its
+  loaded links in a heap by share, so a whole-fabric solve that still gives
+  every flow one share is known from the heap's top and steps the cohort
+  without calling the solver or visiting a member. Any other solve that
+  reaches exactly the cohort's flows and gives them one share steps it as
+  well; one that cannot hands the members back to per-flow anchors first.
+  Flows that start elsewhere beside a cohort are scanned.
 * **Ledgers.** A flow credits its exact effective bytes to every link of
   its route (``Link.bytes_carried``), to ``netsim.prio_bytes.{class}`` and,
   when job-tagged, to ``netsim.job_bytes.{job}`` when it finishes. The
@@ -122,23 +117,23 @@ _BYTE_EPS = 1e-6
 #: Completion horizon before any flow with a positive rate has been seen.
 _INF = float("inf")
 
-#: Relative margin of a group's candidate tests: far wider than the few ulps
-#: by which a float end, a wake-up time or a remaining-bytes check can round.
+#: Relative margin of the cohort's candidate tests: far wider than the few
+#: ulps by which a float end, a wake-up time or a remaining-bytes check can
+#: round.
 _NEAR = 1e-12
-_REACH = 1.0 + 4 * _NEAR
 
 _T_END = attrgetter("t_end")
+_FID = attrgetter("fid")
 
 #: A cohort with this many steps hands its members back (their keys'
 #: rounding must stay inside the cohort's slack).
 _MAX_STEPS = 50_000
 
-#: The groups, the cohort and the share heap pay for themselves only on a
-#: large fabric: with this many active flows the network keeps them, and
-#: below ``_LAZY_OFF`` it drops them and scans its few flows instead (the
-#: gap keeps a fabric near the line from switching at every event).
-_LAZY_ON = 32
-_LAZY_OFF = 16
+#: The fewest flows a cohort forms from. Below it, scanning the anchors
+#: costs less than keeping the cohort's heaps (a 2-link route pays two share
+#: pushes per start and per finish), and no benchmark workload's full
+#: incast reaches it but ``t128_osp``'s.
+_COHORT_MIN = 32
 
 #: Per-class byte counter names, indexed by class value.
 _BYTE_COUNTERS = tuple(
@@ -175,44 +170,10 @@ class Ledger:
     remaining: dict[int, float]
 
 
-class _Group:
-    """The flows one rerate gave rates to, and what finding their ends needs.
-
-    ``flows`` lists its members (the whole-fabric group lists none: it holds
-    every active flow no later group or cohort took, see
-    :meth:`Network._holds`). ``end`` is their nearest ``t_end``
-    (``first``'s). ``near``
-    holds the flows that could reach their end at a wake-up the group's
-    ``end`` arms: those whose remaining bytes can come down to
-    ``_BYTE_EPS`` by then (with a ``_NEAR`` margin for rounding), and ``lo``
-    is the earliest time one of them can. A flow leaves the group when a
-    later rerate rates it or it finishes; ``end`` and ``near`` hold while
-    ``first`` is still in it, and a group that lost ``first`` is resealed
-    from the flows it kept before its keys are trusted again. ``epoch``
-    counts the whole-fabric solves before it; ``seq`` stamps its current
-    heap entries.
-    """
-
-    __slots__ = ("flows", "near", "end", "lo", "first", "epoch", "seq")
-
-    def __init__(self, epoch: int) -> None:
-        self.flows: list[Flow] = []
-        self.near: list[Flow] = []
-        self.end = _INF
-        self.lo = _INF
-        self.first: Optional[Flow] = None
-        self.epoch = epoch
-        self.seq = -1
-
-    def sync(self, flow: Flow) -> None:
-        """A group's flows hold their own anchors: nothing to bring up."""
-
-
 class _Cohort:
     """The flows on one link, all at one rate from one anchor time: what a
     whole-fabric solve leaves when it gives every flow the same share (a
     full incast, whose every departure and arrival re-rates everyone).
-    Flows that later start elsewhere are rated in groups beside it.
 
     Re-anchoring a member at a new rate subtracts ``old_rate·(now − t)``
     from its remaining bytes — the same ``step`` for every member. The
@@ -229,8 +190,6 @@ class _Cohort:
     __slots__ = (
         "link", "formed", "t", "rate", "steps", "times", "rates", "cum", "heap", "size",
     )
-    #: Newer than every group: the whole-fabric group never holds a member.
-    epoch = _INF
 
     def __init__(self, link: str, t: float, rate: float) -> None:
         self.link = link
@@ -279,7 +238,7 @@ class _Cohort:
         found = []
         while heap:
             key, _fid, flow = heap[0]
-            if flow.group is not self:
+            if flow.cohort is not self:
                 heappop(heap)  # finished, or the cohort it was in is gone
                 continue
             if key > limit + (abs(key) + cum) * 1e-10:
@@ -367,16 +326,6 @@ class Network:
         #: link enters with its first flow and leaves with its last, so
         #: ``len(members)`` is its live load (what the solver reads).
         self._link_flows: dict[str, dict[int, None]] = {}
-        #: Round 1 of a whole-fabric solve without a pass over the links:
-        #: each loaded link's share (capacity / load) in a min-heap of
-        #: ``(share, arrival, name)``, ``arrival`` counting links into the
-        #: index (the solver's order among equal shares). An entry is
-        #: current while its link keeps that arrival and that share; stale
-        #: ones are dropped when they surface, or all at once when they
-        #: outnumber the loaded links.
-        self._shares: list = []
-        self._arrival: dict[str, int] = {}
-        self._arrivals = 0
         #: Active flows that reached their end (remaining at most
         #: ``_BYTE_EPS``, or too little to move the clock), in fid order:
         #: what the next rerate retires.
@@ -394,29 +343,20 @@ class Network:
         self._solver_routes: dict[int, tuple[str, ...]] = {}
         #: Parallel fid -> class map for the priority solver.
         self._solver_prios: dict[int, int] = {}
-        #: Every rated flow is in one :class:`_Group`; each group with a
-        #: finite end has an entry ``(key, seq, group)`` in both heaps:
-        #: ``_ends`` by its nearest end (what the wake-up is armed for) and
-        #: ``_los`` by the earliest time one of its flows can be finished
-        #: (what a drain pops). An entry whose ``seq`` is not its group's
-        #: is stale.
-        self._ends: list = []
-        self._los: list = []
-        self._seq = 0
-        #: Whole-fabric solves so far, and the group of the last one. Its
-        #: flows are not told they joined it (a full incast's departure
-        #: stays one pass that only assigns rates): a flow is in it while
-        #: its ``group`` is None or older than it.
-        self._epoch = 0
-        self._whole: Optional[_Group] = None
-        #: The fabric as one :class:`_Cohort`, while it is one.
+        #: The incast's flows as one :class:`_Cohort`, while they are one;
+        #: then ``_loose`` holds the active flows outside it, by fid.
         self._cohort: Optional[_Cohort] = None
-        #: Whether the groups, cohort and share heap are kept (see
-        #: ``_LAZY_ON``); without them a drain and the horizon scan.
-        self._lazy = False
-        #: Groups whose entries a drain or the guard popped: pushed back
-        #: (resealed if they lost flows) before the next horizon is read.
-        self._recheck: list[_Group] = []
+        self._loose: dict[int, Flow] = {}
+        #: Kept only while there is a cohort (round 1 of a whole-fabric
+        #: solve without a pass over the links): each loaded link's share
+        #: (capacity / load) in a min-heap of ``(share, arrival, name)``,
+        #: ``arrival`` counting links into the index (the solver's order
+        #: among equal shares). An entry is current while its link keeps
+        #: that arrival and that share; stale ones are dropped when they
+        #: surface, or all at once when they outnumber the loaded links.
+        self._shares: list = []
+        self._arrival: dict[str, int] = {}
+        self._arrivals = 0
 
     # ------------------------------------------------------------------ API
     @property
@@ -426,7 +366,7 @@ class Network:
         cohort = self._cohort
         if cohort is not None:
             for flow in flows:
-                if flow.group is cohort:
+                if flow.cohort is cohort:
                     cohort.sync(flow)
         return flows
 
@@ -564,7 +504,8 @@ class Network:
         """
         self._drain()
         self._capacities = {l.name: l.bandwidth for l in self.topology.links}
-        self._reshare()
+        if self._cohort is not None:
+            self._reshare()
         self._touch_all()  # every allocation assumed the old capacities
         self._rerate()
 
@@ -590,22 +531,16 @@ class Network:
         self._solver_prios[flow.fid] = flow.prio
         self._class_count[flow.prio] = self._class_count.get(flow.prio, 0) + 1
         index = self._link_flows
-        caps = self._capacities
-        arrival = self._arrival
-        shares = self._shares if self._lazy else None
         for name in flow.links:
             members = index.get(name)
             if members is None:
-                members = index[name] = {flow.fid: None}
-                self._arrivals += 1
-                arrival[name] = self._arrivals
+                index[name] = {flow.fid: None}
             else:
                 self._touched.append(name)  # couples with an existing flow
                 members[flow.fid] = None
-            if shares is not None:
-                heappush(shares, (caps[name] / len(members), arrival[name], name))
-        if shares is not None and len(shares) > 2 * len(index) + 64:
-            self._reshare()
+        if self._cohort is not None:
+            self._loose[flow.fid] = flow
+            self._push_shares(flow)
 
     def _retire(self, flow: Flow, tr) -> None:
         """Remove a finished flow from the active set and the solver
@@ -623,9 +558,6 @@ class Network:
                 # moved since the last change of the job set, all contended
                 self._count(_contended_counter(job), flow.mark)
         del self._active[flow.fid]
-        if flow.group is not None and flow.group is self._cohort:
-            self._cohort.size -= 1
-        flow.group = None
         if job is not None:
             n = self._job_count[job] - 1
             if n:
@@ -644,20 +576,43 @@ class Network:
             tr.gauge_delta("obs.net.inflight_bytes", -flow.size)
             tr.gauge_delta("obs.net.active_flows", -1)
         index = self._link_flows
-        caps = self._capacities
-        arrival = self._arrival
-        shares = self._shares if self._lazy else None
         for name in flow.links:
             members = index[name]
             del members[flow.fid]
             if members:
                 self._touched.append(name)  # survivors on this link speed up
-                if shares is not None:
-                    heappush(shares, (caps[name] / len(members), arrival[name], name))
             else:
                 del index[name]
-                del arrival[name]
+        cohort = self._cohort
+        if cohort is not None:
+            if flow.cohort is cohort:
+                cohort.size -= 1
+                flow.cohort = None
+            else:
+                del self._loose[flow.fid]
+            self._push_shares(flow)
         self._finish(flow)
+
+    def _push_shares(self, flow: Flow) -> None:
+        """Push the shares of a flow's links after it joined or left them
+        (while there is a cohort). A link new to the index gets the next
+        arrival; one the flow left empty loses its own."""
+        index = self._link_flows
+        caps = self._capacities
+        arrival = self._arrival
+        shares = self._shares
+        for name in flow.links:
+            members = index.get(name)
+            if members is None:
+                del arrival[name]
+                continue
+            seq = arrival.get(name)
+            if seq is None:
+                self._arrivals += 1
+                seq = arrival[name] = self._arrivals
+            heappush(shares, (caps[name] / len(members), seq, name))
+        if len(shares) > 2 * len(index) + 64:
+            self._reshare()
 
     def _reshare(self) -> None:
         """Rebuild the share heap from the loaded links (stale entries go)."""
@@ -741,53 +696,26 @@ class Network:
 
     def _collect(self, now: float) -> None:
         """Append the active flows whose remaining bytes at ``now`` are at
-        most ``_BYTE_EPS`` to :attr:`_finished`, in fid order.
-
-        A small fabric checks every flow. A large one checks only the
-        ``near`` flows of the groups whose ``lo`` has come, and the cohort's
-        band: no other flow can be finished yet.
-        """
+        most ``_BYTE_EPS`` to :attr:`_finished`, in fid order."""
         eps = _BYTE_EPS
-        active = self._active
-        if not self._lazy:
-            for flow in active.values():
-                if flow.rem_anchor - flow.rate * (now - flow.t_anchor) <= eps:
-                    self._finished.append(flow)
-            return
-        found: dict[int, Flow] = {}
-        cohort = self._cohort
-        if cohort is not None:
-            bound = cohort.cum[-1] + eps + cohort.rate * (now - cohort.t)
-            for flow in cohort.near(bound):
-                if flow.rem_anchor - flow.rate * (now - flow.t_anchor) <= eps:
-                    found[flow.fid] = flow
-        heap = self._los
-        while heap and heap[0][0] <= now:
-            _lo, seq, group = heappop(heap)
-            if seq != group.seq:
-                continue
-            if not self._holds(group, group.first):
-                self._reseal(group)  # its keys may be low: look again
-                continue
-            self._recheck.append(group)
-            for flow in group.near:  # one rated since may be seen twice
-                if (
-                    flow.rem_anchor - flow.rate * (now - flow.t_anchor) <= eps
-                    and active.get(flow.fid) is flow
-                ):
-                    found[flow.fid] = flow
-        if found:
-            self._finished += [found[fid] for fid in sorted(found)]
+        for flow in self._candidates(now):
+            if flow.rem_anchor - flow.rate * (now - flow.t_anchor) <= eps:
+                self._finished.append(flow)
 
-    def _holds(self, group: _Group, flow: Flow) -> bool:
-        """Whether ``flow`` is active and ``group`` is the one that last
-        rated it."""
-        if self._active.get(flow.fid) is not flow:
-            return False
-        own = flow.group
-        return own is group or (
-            group is self._whole and (own is None or own.epoch < group.epoch)
-        )
+    def _candidates(self, now: float):
+        """The active flows that can have reached their end by ``now``, in
+        fid order: every one, except that of the cohort's members only
+        those whose remaining bytes at its last step are within what its
+        rate moves by ``now`` (an end rounds to ``now`` from up to
+        ``rate·ulp(now)`` bytes off), synced."""
+        cohort = self._cohort
+        if cohort is None:
+            return self._active.values()
+        ahead = _BYTE_EPS + cohort.rate * (now - cohort.t + now * _NEAR)
+        flows = cohort.near(cohort.cum[-1] + ahead)
+        flows += self._loose.values()
+        flows.sort(key=_FID)
+        return flows
 
     def _schedule_rerate(self) -> None:
         """Arm (at most) one coalesced rerate for the current instant."""
@@ -837,11 +765,9 @@ class Network:
             return routes, index
         return {fid: routes[fid] for fid in sorted(reached)}, seen
 
-    def _solve(self, routes, links) -> tuple[dict[int, float], Optional[float], str]:
+    def _solve(self, routes, links) -> dict[int, float]:
         """Rates of the flows of ``routes`` (whole link-components, fid
-        order) over ``links``, their links with members — and, when the
-        whole fabric's round 1 found one link every flow is bottlenecked on,
-        the one share they all get and that link.
+        order) over ``links``, their links with members.
 
         One class is plain max–min. Several go to the priority solve:
         classes solved highest first over the leftover capacity, equal-class
@@ -855,16 +781,8 @@ class Network:
         several = (  # the fabric-wide count first: it is O(1)
             len(self._class_count) > 1 and len({prios[f] for f in routes}) > 1
         )
-        uniform = bottleneck = None
         if several:
             rates = _prio_max_min(routes, caps, prios)
-        elif links is self._link_flows and self._lazy:
-            round1 = best, second, bottleneck = self._round1()
-            rates = _max_min(routes, caps, links, round1)
-            if len(links[bottleneck]) == len(routes) and second - best > 2 * _EPS:
-                uniform = best
-            else:
-                bottleneck = None
         else:
             rates = _max_min(routes, caps, links)
         self._count("netsim.fairshare_calls")
@@ -875,7 +793,47 @@ class Network:
             )
             if preempted:
                 self._count("netsim.prio_preemptions", preempted)
-        return rates, uniform, bottleneck
+        return rates
+
+    def _rate(self, routes, links) -> None:
+        """Solve the flows of ``routes`` over ``links`` and give them their
+        rates: by one cohort step when the solve reaches the cohort and
+        leaves its flows (and newcomers on its link) one share, else flow by
+        flow — after which a whole-fabric solve may form a cohort."""
+        cohort = self._cohort
+        whole = links is self._link_flows
+        if cohort is not None and cohort.link in links:
+            share = self._one_share(routes) if whole else None
+            if share is None:
+                rates = self._solve(routes, links)
+                share = min(rates.values())
+                if share != max(rates.values()):
+                    share = None
+            else:  # round 1 off the share heap was the whole solve
+                self._count("netsim.fairshare_calls")
+                rates = None
+            if share is not None and self._cohort_step(routes, links, share):
+                return
+            self._dissolve()
+            if rates is None:
+                rates = dict.fromkeys(routes, share)
+        else:
+            rates = self._solve(routes, links)
+        self._write_back(rates)
+        if whole and self._cohort is None and len(rates) >= _COHORT_MIN:
+            self._form_cohort(next(iter(rates.values())))
+
+    def _one_share(self, routes) -> Optional[float]:
+        """The share every flow of the whole fabric gets when round 1 of its
+        solve ends the solve (one class, and the least-share link carries
+        every flow more than ``2·_EPS`` below any other link's share), read
+        off the share heap; else None."""
+        if len(self._class_count) > 1:
+            return None
+        best, second, link = self._round1()
+        if len(self._link_flows[link]) == len(routes) and second - best > 2 * _EPS:
+            return best
+        return None
 
     def _write_back(self, rates: dict[int, float]) -> None:
         """Give each flow of ``rates`` its rate.
@@ -912,83 +870,39 @@ class Network:
             flow.rate = rate
             flow.t_end = t_anchor + rem / rate if rate > 0 else _INF
 
-    def _gather(self, group: _Group, rates: dict[int, float]) -> None:
-        """Make the flows of ``rates`` ``group``'s. The whole fabric's group
-        holds every active flow not told otherwise (see :meth:`_holds`), so
-        only a component's group tells its flows and lists them."""
-        if group is self._whole:
-            return
-        flows = list(map(self._active.__getitem__, rates))
-        for flow in flows:
-            flow.group = group
-        group.flows += flows
-
-    def _seal(self, group: _Group, flows) -> None:
-        """Work out a group's keys over ``flows`` (its members), then give
-        it fresh heap entries (none while no flow of it moves).
-
-        A flow is a ``near`` candidate while ``t_end ≤ (end + ε/rate)·_REACH``:
-        it could be within ``_BYTE_EPS`` of its end by the time a wake-up
-        armed for the group's nearest ``end`` fires. ``lo`` is the earliest
-        time one of them can be: ``t_end − ε/rate``, less a ``_NEAR`` margin.
-        """
-        moving = [flow for flow in flows if flow.rate > 0]
-        group.seq = -1
-        if not moving:
-            return
-        group.first = first = min(moving, key=_T_END)
-        group.end = end = first.t_end
-        eps = _BYTE_EPS
-        near = []
-        lo = _INF
-        for flow in moving:
-            rate = flow.rate
-            t_end = flow.t_end
-            if t_end <= (end + eps / rate) * _REACH:
-                near.append(flow)
-                first_end = t_end - eps / rate - t_end * _NEAR
-                if first_end < lo:
-                    lo = first_end
-        group.near = near
-        group.lo = lo
-        self._push(group)
-
-    def _push(self, group: _Group) -> None:
-        self._seq += 1
-        group.seq = seq = self._seq
-        if group.end < _INF:
-            heappush(self._ends, (group.end, seq, group))
-            heappush(self._los, (group.lo, seq, group))
-
-    def _reseal(self, group: _Group) -> None:
-        """Recompute the keys of a group that lost flows, over the ones it
-        kept (their rates and ends have not changed since it was rated)."""
-        flows = self._active.values() if group is self._whole else group.flows
-        group.flows = [flow for flow in flows if self._holds(group, flow)]
-        self._seal(group, group.flows)
-
-    def _form_cohort(self, rate: float, link: str) -> bool:
-        """Make the fabric one cohort on ``link``, if the whole-fabric solve
-        just written back left every active flow at ``rate`` from this
-        instant."""
+    def _form_cohort(self, rate: float) -> None:
+        """Make the active flows one cohort, if the whole-fabric solve just
+        written back left every one at ``rate`` from this instant and one
+        link that they all cross gives them that share."""
         now = self.env.now
         flows = self._active.values()
         for flow in flows:
             if flow.t_anchor != now or flow.rate != rate:
-                return False
+                return
+        n = len(self._active)
+        caps = self._capacities
+        index = self._link_flows
+        for link, members in index.items():
+            if len(members) == n and caps[link] / n == rate:
+                break
+        else:
+            return
         cohort = self._cohort = _Cohort(link, now, rate)
         for flow in flows:
-            flow.group = cohort
+            flow.cohort = cohort
             flow.base = 0
         cohort.heap = [(flow.rem_anchor, flow.fid, flow) for flow in flows]
         heapify(cohort.heap)
-        cohort.size = len(cohort.heap)
-        return True
+        cohort.size = n
+        self._loose = {}
+        self._arrival = {name: seq for seq, name in enumerate(index)}
+        self._arrivals = len(index)
+        self._reshare()
 
-    def _cohort_step(self, routes, links, rates, rate: Optional[float]) -> bool:
+    def _cohort_step(self, routes, links, rate: float) -> bool:
         """Re-rate the cohort in O(1) when a solve reached exactly the flows
-        on its link and gave them all one share (``rate`` when round 1 knew
-        it), new flows joining it; False when it cannot stay one cohort.
+        on its link and gave them all one share, ``rate``, new flows joining
+        it; False when it cannot stay one cohort.
 
         The step ``rate_before·(now − t)`` is the subtraction re-anchoring
         would apply to each member; a second change within the step's
@@ -1002,11 +916,6 @@ class Network:
         now = self.env.now
         if len(links[cohort.link]) != len(routes):
             return False  # some flow of the solve is not on the cohort's link
-        if rate is None:
-            shares = rates.values()
-            rate = min(shares)
-            if rate != max(shares):
-                return False
         new = [fid for fid in self._pending_new if fid in routes]
         if len(routes) != cohort.size + len(new):
             return False
@@ -1031,119 +940,57 @@ class Network:
             return False
         base = len(cohort.steps)
         cum = cohort.cum[-1]
-        active = self._active
+        loose = self._loose
         for fid in new:
-            flow = active[fid]  # unrated, anchored at its start: now
+            flow = loose.pop(fid)  # unrated, anchored at its start: now
             flow.rate = rate
             flow.t_end = now + flow.rem_anchor / rate
-            flow.group = cohort
+            flow.cohort = cohort
             flow.base = base
             heappush(cohort.heap, (flow.rem_anchor + cum, fid, flow))
         cohort.size += len(new)
         return True
 
     def _dissolve(self) -> None:
-        """Hand the cohort's members back to per-flow anchors: the solve
-        that could not step the cohort rates every one of them next."""
+        """Hand the cohort's members back to per-flow anchors (the solve
+        that could not step the cohort rates every one of them next), and
+        stop keeping the share heap."""
         cohort = self._cohort
         self._cohort = None
         for flow in self._active.values():
-            if flow.group is cohort:
+            if flow.cohort is cohort:
                 cohort.sync(flow)
-                flow.group = None
-
-    def _go_lazy(self) -> None:
-        """Start keeping groups on a fabric grown large: every active flow
-        into one whole-fabric group, and the share heap rebuilt."""
-        self._lazy = True
-        self._reshare()
-        self._epoch += 1
-        self._whole = _Group(self._epoch)
-        self._seal(self._whole, self._active.values())
-
-    def _go_eager(self) -> None:
-        """Drop the groups, the cohort and the share heap of a fabric
-        shrunk small: its flows keep their own anchors."""
-        if self._cohort is not None:
-            self._dissolve()
-        self._lazy = False
+                flow.cohort = None
+        self._loose = {}
         self._shares = []
-        self._ends.clear()
-        self._los.clear()
-        self._recheck.clear()
+        self._arrival = {}
 
     def _horizon(self) -> float:
-        """The nearest end among the active flows (``_INF`` if none moves),
-        from the top of ``_ends``: popped groups go back first, and a group
-        that lost flows is resealed before its end is believed."""
+        """The nearest end among the active flows (``_INF`` if none moves):
+        the cohort's from the top of its key heap, the others' by a scan."""
         horizon = _INF
-        if not self._lazy:
-            for flow in self._active.values():
-                if flow.t_end < horizon:
-                    horizon = flow.t_end
-            return horizon
+        flows = self._active.values()
         cohort = self._cohort
         if cohort is not None:
+            flows = self._loose.values()
             heap = cohort.heap
-            while heap and heap[0][2].group is not cohort:
-                heappop(heap)
+            while heap and heap[0][2].cohort is not cohort:
+                heappop(heap)  # finished
             if heap:
                 horizon = min(map(_T_END, cohort.near(heap[0][0])))
-        for group in self._recheck:
-            if self._holds(group, group.first):
-                self._push(group)
-            else:
-                self._reseal(group)
-        self._recheck.clear()
-        heap = self._ends
-        while heap:
-            end, seq, group = heap[0]
-            if seq == group.seq:
-                if self._holds(group, group.first):
-                    return min(end, horizon)
-                heappop(heap)
-                self._reseal(group)
-            else:
-                heappop(heap)
+        for flow in flows:
+            if flow.t_end < horizon:
+                horizon = flow.t_end
         return horizon
 
     def _stalled(self, now: float) -> None:
         """Append the active flows whose end is not after ``now`` to
-        :attr:`_finished`, in fid order, their anchors zeroed. They are
-        ``near`` flows of the groups whose ``end`` has come."""
-        active = self._active
-        if not self._lazy:
-            for flow in active.values():
-                if flow.t_end <= now:
-                    flow.rem_anchor = 0.0
-                    flow.t_anchor = now
-                    self._finished.append(flow)
-            return
-        found: dict[int, Flow] = {}
-        cohort = self._cohort
-        if cohort is not None:
-            # An end rounds to ``now`` from up to ``rate·ulp(now)`` bytes off.
-            bound = cohort.cum[-1] + cohort.rate * (now - cohort.t + now * _NEAR)
-            for flow in cohort.near(bound):
-                if flow.t_end <= now:
-                    found[flow.fid] = flow
-        heap = self._ends
-        while heap and heap[0][0] <= now:
-            _end, seq, group = heappop(heap)
-            if seq != group.seq:
-                continue
-            if not self._holds(group, group.first):
-                self._reseal(group)
-                continue
-            self._recheck.append(group)
-            for flow in group.near:
-                if flow.t_end <= now and active.get(flow.fid) is flow:
-                    found[flow.fid] = flow
-        for fid in sorted(found):
-            flow = found[fid]
-            flow.rem_anchor = 0.0
-            flow.t_anchor = now
-            self._finished.append(flow)
+        :attr:`_finished`, in fid order, their anchors zeroed."""
+        for flow in self._candidates(now):
+            if flow.t_end <= now:
+                flow.rem_anchor = 0.0
+                flow.t_anchor = now
+                self._finished.append(flow)
 
     def _rerate(self) -> None:
         """Recompute fair rates, complete finished flows, arm the next timer."""
@@ -1164,34 +1011,13 @@ class Network:
             if not self._active:
                 self._pending_new.clear()
                 self._touched.clear()
-                if self._lazy:
-                    self._go_eager()
+                if self._cohort is not None:
+                    self._dissolve()
                 return
 
             routes, links = self._reach()
-            whole = routes is self._solver_routes
-            if not self._lazy:
-                group = None
-            elif whole:  # every earlier group is superseded
-                self._epoch += 1
-                group = self._whole = _Group(self._epoch)
-                self._ends.clear()
-                self._los.clear()
-                self._recheck.clear()
-            else:
-                group = _Group(self._epoch)
-            stepped = formed = False
             if routes:
-                rates, uniform, bottleneck = self._solve(routes, links)
-                cohort = self._cohort
-                if cohort is not None and cohort.link in links:  # it is reached
-                    stepped = self._cohort_step(routes, links, rates, uniform)
-                    if not stepped:
-                        self._dissolve()
-                if not stepped:
-                    self._write_back(rates)
-                    if group is not None:
-                        self._gather(group, rates)
+                self._rate(routes, links)
             else:
                 self._count("netsim.rerate_skipped")
             # A new flow no touched link reached is alone on its links, so
@@ -1205,20 +1031,6 @@ class Network:
             self._pending_new.clear()
             if alone:
                 self._write_back(alone)
-                if group is not None:
-                    self._gather(group, alone)
-            elif whole and bottleneck is not None and not stepped:
-                formed = self._form_cohort(uniform, bottleneck)
-            if group is not None and not formed:
-                if group is not self._whole:
-                    self._seal(group, group.flows)
-                elif not stepped:  # else the cohort took every flow
-                    self._seal(group, self._active.values())
-            n_active = len(self._active)
-            if self._lazy and n_active < _LAZY_OFF:
-                self._go_eager()
-            elif not self._lazy and n_active >= _LAZY_ON:
-                self._go_lazy()
 
             horizon = self._horizon()
             if horizon == _INF:  # pragma: no cover - defensive

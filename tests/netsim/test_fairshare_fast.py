@@ -248,3 +248,12 @@ def test_fast_bit_identical_on_general_topologies(case):
     assert fast == reference
     # Both also honour the basic feasibility property.
     assert all(r > 0.0 for r in fast.values())
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(star_cases(), general_cases(), incast_cases()))
+def test_live_index_in_either_link_order_matches_oracle_on_every_strategy(case):
+    """The solve the Network calls, handed its live link index in either
+    link order, is the oracle's on stars, general topologies (repeated
+    links, degenerate capacities) and planted incasts alike."""
+    _assert_matches_oracle_on_both_paths(*case)

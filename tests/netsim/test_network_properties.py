@@ -95,12 +95,12 @@ def _merge_split_plans(draw):
 
 @st.composite
 def _large_plans(draw):
-    """A fabric large enough for the network to keep its groups and cohort
-    (``_LAZY_ON`` flows): an incast of 40–70 flows into one node, 32 of them
-    at t=0 and the rest in a few same-instant bursts, mostly of one class
-    and size (so whole bursts share one rate and finish together), beside a
-    few flows between other nodes, in any class, and an optional bandwidth
-    dip."""
+    """A fabric large enough for the network to form a cohort
+    (``_COHORT_MIN`` flows): an incast of 40–70 flows into one node, 32 of
+    them at t=0 and the rest in a few same-instant bursts, mostly of one
+    size (so whole bursts share one rate and finish together) and, in half
+    the plans, all of one class, beside a few flows between other nodes, in
+    any class, and an optional bandwidth dip."""
     n_nodes = draw(st.integers(min_value=6, max_value=10))
     sink = draw(st.integers(min_value=0, max_value=n_nodes - 1))
     others = [n for n in range(n_nodes) if n != sink]
@@ -108,12 +108,13 @@ def _large_plans(draw):
     bursts = [0.0] + draw(later)
     sizes = st.sampled_from((100.0, 250.0)) | st.floats(min_value=10.0, max_value=400.0)
     classes = st.sampled_from((PRIO_NORMAL,) * 6 + (PRIO_BULK, PRIO_HIGH, PRIO_URGENT))
+    incast_classes = st.just(draw(classes)) if draw(st.booleans()) else classes
     flows, kwargs = [], []
     for i in range(draw(st.integers(min_value=40, max_value=70))):
         start = 0.0 if i < 32 else draw(st.sampled_from(bursts))
         src = draw(st.sampled_from(others))
         flows.append((src, sink, draw(sizes), start))
-        kwargs.append({"prio": draw(classes)})
+        kwargs.append({"prio": draw(incast_classes)})
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         src = draw(st.sampled_from(others))
         dst = draw(st.sampled_from([n for n in others if n != src]))
@@ -328,24 +329,46 @@ def _index_checked_network(drains):
 @given(_large_plans())
 @settings(max_examples=40, deadline=None)
 def test_property_a_large_fabric_matches_the_whole_fabric_solve(plan):
-    """With its groups and cohort (a fabric past ``_LAZY_ON`` flows), the
+    """With a cohort (a full incast of ``_COHORT_MIN`` flows or more), the
     scheduler still ≡ one that fully re-solves inside every transfer(), and
     its link index and finished flows are the active set's at every drain."""
     n_nodes, flows, kwargs, dip = plan
-    lazy, drains = [], []
-
-    def build(env, topo):
-        net = _index_checked_network(drains)(env, topo)
-        net.drain_hooks.append(lambda: lazy.append(net._lazy))
-        return net
-
-    net, _ = _run_plan(n_nodes, flows, kwargs=kwargs, dip=dip, network=build)
+    drains = []
+    net, _ = _run_plan(
+        n_nodes, flows, kwargs=kwargs, dip=dip, network=_index_checked_network(drains)
+    )
     ref, _ = _run_plan(
         n_nodes, flows, kwargs=kwargs, dip=dip, network=PerEventNetwork
     )
     assert _outcome(net) == _outcome(ref)
-    assert any(lazy)
     assert net.stats["netsim.rerates"] <= ref.stats["netsim.rerates"]
+
+
+def test_a_full_incast_steps_one_cohort_and_matches_the_whole_fabric_solve():
+    """40 pushes of 40 sizes into one node form a cohort at t=0. Its
+    departures, a flow between two idle links beside it, one that couples
+    with it on a sender's uplink (which hands the members back), a dip that
+    starves a sender's uplink (the cohort forms again when it clears) and a
+    burst that joins it at t=6 are solved as by a scheduler that re-solves
+    at every flow event."""
+    flows = [(1 + i % 7, 0, 100.0 + 7.0 * i, 0.0) for i in range(40)]
+    flows += [(1 + i % 7, 0, 150.0, 6.0) for i in range(5)]
+    flows += [(8, 1, 30.0, 0.5), (2, 3, 80.0, 1.0)]
+    dip = (4, 2.0, 2.0, 0.05)
+    seen = []
+
+    def build(env, topo):
+        net = _index_checked_network([])(env, topo)
+        net.drain_hooks.append(lambda: seen.append(net._cohort))
+        return net
+
+    net, _ = _run_plan(9, flows, dip=dip, network=build)
+    ref, _ = _run_plan(9, flows, dip=dip, network=PerEventNetwork)
+    assert _outcome(net) == _outcome(ref)
+    cohorts = [c for c in seen if c is not None]
+    assert len(cohorts) > 40  # the cohort lived through many events
+    assert len(set(map(id, cohorts))) >= 2  # the dip dissolved it; it formed again
+    assert net._cohort is None
 
 
 @pytest.mark.parametrize(

@@ -119,17 +119,28 @@ def _staggered_incast_run(fan_out, network=Network, n=48):
 
 @pytest.mark.parametrize("fan_out", [False, True], ids=["incast", "fan_out"])
 def test_staggered_incast_matches_per_event_reference_counts_pinned(fan_out):
-    """Every departure re-rates a single-bottleneck incast: the solver's
-    last-round exit answers each of those solves (the final one-flow solve,
-    whose two links tie exactly, takes the full path). The counts are the
-    ones the scheduler gave before the exit existed — it lives inside
-    ``fair_rates``, it is not a scheduler skip."""
+    """Every departure re-rates a single-bottleneck incast. Its 48 flows
+    form a cohort at their first solve, and from then on round 1 read off
+    the network's share heap answers each departure's solve without the
+    solver (46 of them); the solver runs for the first solve and for the
+    final one-flow solve, whose two links tie exactly. ``fairshare_calls``
+    counts both kinds: the scheduler gave these counts before either the
+    solver's last-round exit or the cohort existed."""
     ref_net, ref_env = _staggered_incast_run(fan_out, network=PerEventNetwork)
+    one_share = Network._one_share
+    answered = []
+
+    def counted_one_share(self, routes):
+        share = one_share(self, routes)
+        answered.append(share is not None)
+        return share
+
     with mock.patch.object(
         network_module, "_max_min", wraps=network_module._max_min
-    ) as solver:
+    ) as solver, mock.patch.object(Network, "_one_share", counted_one_share):
         net, env = _staggered_incast_run(fan_out)
-    assert solver.call_count == 48  # the counter below counts real solver runs
+    assert solver.call_count == 2  # the counter below counts real solves
+    assert sum(answered) == 46
     assert _records_key(net) == _records_key(ref_net)
     assert repr(env.now) == repr(ref_env.now)
     # One coalesced start plus 47 departures solve; the bystander's start

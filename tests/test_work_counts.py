@@ -78,8 +78,8 @@ PINNED_T128 = {
     "netsim.rerates": 258,
     "netsim.fairshare_calls": 255,
     "netsim.rerate_skipped": 2,
-    "drain_visits": 857,
-    "materialised": 855,
+    "drain_visits": 752,
+    "materialised": 719,
     "timers_armed": 256,
     "timers_cancelled": 127,
     "timers_stale": 0,
@@ -116,36 +116,32 @@ def _counting(func, counter: Counter, key: str):
 
 
 def _count_network(mp: pytest.MonkeyPatch, seen: Counter) -> None:
-    """The network's own work. A drain tests for completion every flow of
-    a small fabric, and on a large one the ``near`` flows of the groups
-    whose time has come (the groups it hands back for a recheck) and the
-    cohort's flows in the band its keys point to; a flow is
-    materialised when a new rate moves its anchor to the current instant or
-    when it replays cohort steps; each rerate that leaves flows active arms
-    one wake-up timer and cancels the one it supersedes; a timer dispatched
-    after a later one superseded it is stale."""
-    collect, write_back = Network._collect, Network._write_back
+    """The network's own work. A drain tests for completion every active
+    flow, except that of a cohort's members only those in the band its keys
+    point to; a flow is materialised when a new rate moves its anchor to
+    the current instant or when it replays cohort steps; each rerate that
+    leaves flows active arms one wake-up timer and cancels the one it
+    supersedes; a timer dispatched after a later one superseded it is
+    stale."""
+    collect, candidates = Network._collect, Network._candidates
+    write_back = Network._write_back
     rerate, on_timer = Network._rerate, Network._on_timer
-    near, sync = _Cohort.near, _Cohort.sync
+    sync = _Cohort.sync
     cancel = Environment.cancel
     draining = []
 
     def counted_collect(self, now):
-        if not self._lazy:  # a small fabric scans its flows
-            seen["drain_visits"] += len(self._active)
-        before = len(self._recheck)
         draining.append(True)
         try:
             collect(self, now)
         finally:
             draining.pop()
-        seen["drain_visits"] += sum(len(g.near) for g in self._recheck[before:])
 
-    def counted_near(self, bound):
-        found = near(self, bound)
+    def counted_candidates(self, now):
+        flows = candidates(self, now)
         if draining:
-            seen["drain_visits"] += len(found)
-        return found
+            seen["drain_visits"] += len(flows)
+        return flows
 
     def counted_sync(self, flow):
         if flow.base < len(self.steps):
@@ -176,7 +172,7 @@ def _count_network(mp: pytest.MonkeyPatch, seen: Counter) -> None:
         cancel(self, event)
 
     mp.setattr(Network, "_collect", counted_collect)
-    mp.setattr(_Cohort, "near", counted_near)
+    mp.setattr(Network, "_candidates", counted_candidates)
     mp.setattr(_Cohort, "sync", counted_sync)
     mp.setattr(Network, "_write_back", counted_write_back)
     mp.setattr(Network, "_rerate", counted_rerate)
