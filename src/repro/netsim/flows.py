@@ -53,8 +53,8 @@ class Flow:
     #: When the flow's last byte leaves at ``rate`` (``inf`` while unrated
     #: or starved).
     t_end: float = field(default=math.inf, init=False)
-    #: ``(t_anchor, rem_anchor, rate, t_end)`` as the current instant found
-    #: them, saved when the anchor moved to this instant (None before).
+    #: ``(t_anchor, rem_anchor, rate)`` as the current instant found them,
+    #: saved when the anchor moved to this instant (None before).
     back: Optional[tuple] = field(default=None, init=False)
     #: Remaining bytes when the fabric's set of jobs in flight last changed
     #: (job-tagged flows only): where its contended share is counted from.
