@@ -20,6 +20,12 @@ seed 3) pins, like a golden:
 1 epoch × 1 iteration, seed 3: a full incast into one PS downlink) pins the
 entry total and the network counts.
 
+``t8_obs``'s smoke shape (``t8_osp``'s, 2 epochs × 4 iterations, sampled,
+traced and checked by the strict default monitors) pins what observing and
+checking cost: spans, counter-track samples per gauge, sampler ticks and the
+values they wrote, ``Network.ledger()`` reads, and per drain monitor the
+drain-hook calls, its checks and the active flows it walked.
+
 A change that moves a count updates its pin and states old → new in
 CHANGES.md. Counts do not depend on the host, so a creep below the timing
 noise of a ``host_s`` claim still shows here.
@@ -30,6 +36,7 @@ from functools import cached_property
 
 import pytest
 
+from repro.check import InvariantChecker
 from repro.cluster.engines import Engine
 from repro.core.gib import GIB
 from repro.core.osp import OSP
@@ -83,6 +90,24 @@ PINNED_T128 = {
     "timers_armed": 256,
     "timers_cancelled": 127,
     "timers_stale": 0,
+}
+
+
+#: ``t8_obs``'s smoke shape: what the tracer, the sampler and the monitors did.
+PINNED_T8_OBS = {
+    "spans": 394,
+    "gauge_samples": {
+        "osp.u_max": 1, "osp.sgu_budget": 3, "obs.net.inflight_bytes": 280,
+        "obs.net.active_flows": 280, "osp.quorum_size": 8, "obs.ps.version": 8,
+    },
+    "sampler_ticks": 37,
+    "sampler_values": 4221,
+    # two probes read the fabric at each tick and once when they are built
+    "ledger_calls": 76,
+    "drain_hook_calls": {"net.conservation": 290, "osp.ics_inflight": 290},
+    "checks": {"net.conservation": 291, "ps.ledger": 72, "osp.gib": 10, "osp.ics_inflight": 291},
+    # active flows the monitors read inside their drain hooks
+    "flows_walked": {"net.conservation": 0, "osp.ics_inflight": 1215},
 }
 
 
@@ -261,6 +286,62 @@ def counts_t128():
     return _network_counts(trainer, seen)
 
 
+@pytest.fixture(scope="module")
+def counts_t8_obs():
+    mp = pytest.MonkeyPatch()
+    seen: Counter = Counter()
+    hook_calls: Counter = Counter()
+    walked: Counter = Counter()
+    in_hook: list[str] = []
+    ledger, active_flows = Network.ledger, Network.active_flows
+
+    def counted_active_flows(self):
+        flows = active_flows.fget(self)
+        if in_hook:
+            walked[in_hook[-1]] += len(flows)
+        return flows
+
+    def counting_hook(name, hook):
+        def wrapper():
+            hook_calls[name] += 1
+            in_hook.append(name)
+            try:
+                hook()
+            finally:
+                in_hook.pop()
+
+        return wrapper
+
+    mp.setattr(Network, "ledger", _counting(ledger, seen, "ledger_calls"))
+    mp.setattr(Network, "active_flows", property(counted_active_flows))
+    try:
+        cfg = WorkloadConfig(
+            "resnet50-cifar10", n_workers=8, n_epochs=2, iterations_per_epoch=4,
+            sigma=0.1, seed=3,
+        )  # fmt: skip
+        trainer = timing_trainer(cfg, OSP())
+        sampler = trainer.enable_sampling()
+        checker = InvariantChecker(trainer)
+        hooks = trainer.network.drain_hooks
+        hooks[:] = [counting_hook(h.__self__.name, h) for h in hooks]
+        trainer.run()
+        report = checker.finish()
+    finally:
+        mp.undo()
+    tracer = trainer.env.tracer
+    series = sampler.series
+    return {
+        "spans": len(tracer.spans),
+        "gauge_samples": {name: len(samples) for name, samples in tracer.counters.items()},
+        "sampler_ticks": sampler.samples_taken,
+        "sampler_values": sum(len(s) + s.dropped for s in series.values()),
+        "ledger_calls": seen["ledger_calls"],
+        "drain_hook_calls": dict(hook_calls),
+        "checks": {name: checks for name, (checks, _v) in report.monitors.items()},
+        "flows_walked": {name: walked[name] for name in hook_calls},
+    }
+
+
 def test_kernel_entries_by_kind(counts):
     entries = {kind: counts["entries"].get(kind, 0) for kind in PINNED_ENTRIES}
     assert entries == PINNED_ENTRIES
@@ -281,6 +362,14 @@ def test_work_count_is_pinned(counts, name):
 def test_t128_work_count_is_pinned(counts_t128, name):
     assert counts_t128[name] == PINNED_T128[name], (
         f"{name}: {PINNED_T128[name]} -> {counts_t128[name]} per t128_osp smoke "
+        "run; update the pin and state it old -> new in CHANGES.md"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_T8_OBS))
+def test_t8_obs_work_count_is_pinned(counts_t8_obs, name):
+    assert counts_t8_obs[name] == PINNED_T8_OBS[name], (
+        f"{name}: {PINNED_T8_OBS[name]} -> {counts_t8_obs[name]} per t8_obs smoke "
         "run; update the pin and state it old -> new in CHANGES.md"
     )
 
