@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Linear
@@ -20,6 +20,7 @@ def make_layer(seed=0):
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=60, deadline=None)
+@example(lr=1 / 3, momentum=0.0, steps=3, seed=0)  # the update cancels w0 to ~1e-17
 def test_property_momentum_matches_closed_form(lr, momentum, steps, seed):
     """For a constant gradient g, SGD-with-momentum after k steps equals
     w0 − lr·g·Σ_{i=1..k} (1 − m^i)/(1 − m)."""
@@ -33,7 +34,12 @@ def test_property_momentum_matches_closed_form(lr, momentum, steps, seed):
         total = steps
     else:
         total = sum((1 - momentum**i) / (1 - momentum) for i in range(1, steps + 1))
-    np.testing.assert_allclose(layer.weight.data, w0 - lr * g * total, rtol=1e-9)
+    update = lr * g * total
+    # A difference rounds relative to the terms it cancels, not to its result,
+    # which can be (near) zero: the absolute tolerance scales with |w0| and
+    # |lr·g·total|.
+    atol = 1e-9 * float(np.max(np.abs(w0) + np.abs(update)))
+    np.testing.assert_allclose(layer.weight.data, w0 - update, rtol=1e-9, atol=atol)
 
 
 @given(
