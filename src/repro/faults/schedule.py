@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar, Optional, Sequence, Union
 
@@ -321,6 +321,24 @@ class FaultSchedule:
         return out
 
 
+def _check_keys(kind: str, cls: type, entry: dict) -> None:
+    """Refuse a fault entry with an unknown or a missing key, naming the
+    kind's fields (``name=default`` for one that may be left out)."""
+    declared = [f for f in fields(cls) if f.init]
+    unknown = [key for key in entry if key not in {f.name for f in declared}]
+    missing = [f.name for f in declared if f.default is MISSING and f.name not in entry]
+    if unknown:
+        problem = f"unknown key {', '.join(map(repr, unknown))}"
+    elif missing:
+        problem = f"missing key {', '.join(map(repr, missing))}"
+    else:
+        return
+    listed = ", ".join(
+        f.name if f.default is MISSING else f"{f.name}={f.default!r}" for f in declared
+    )
+    raise ValueError(f"fault {kind!r}: {problem}; {kind} takes {listed}")
+
+
 def parse_faults(spec: Union[str, Path]) -> FaultSchedule:
     """Build a schedule from inline JSON or a JSON file path.
 
@@ -365,9 +383,10 @@ def parse_faults(spec: Union[str, Path]) -> FaultSchedule:
             raise ValueError(
                 f"unknown fault kind {kind!r}; expected one of {sorted(EVENT_KINDS)}"
             )
+        _check_keys(kind, cls, entry)
         try:
             events.append(cls(**entry))
-        except TypeError as exc:  # a missing or unknown field
+        except TypeError as exc:
             raise ValueError(f"fault {kind!r}: {exc}") from exc
     return FaultSchedule(tuple(events))
 

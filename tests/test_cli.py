@@ -430,8 +430,13 @@ _UNBUILDABLE = [
     ),
     (
         'run --faults [{"kind":"straggler","wrker":1}]',
-        "fault 'straggler': StragglerSlowdown.__init__() got an unexpected "
-        "keyword argument 'wrker'",
+        "fault 'straggler': unknown key 'wrker'; straggler takes worker, start, "
+        "duration, factor=2.0",
+    ),
+    (
+        'run --faults [{"kind":"worker_crash","worker":1}]',
+        "fault 'worker_crash': missing key 'before_epoch'; worker_crash takes "
+        "worker, before_epoch, restart_epoch=None, recover='cold'",
     ),
     # worker ids and epochs of the membership kinds are JSON integers
     (
