@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 from repro.core.osp import OSP
 from repro.netsim.network import _BYTE_EPS
+from repro.netsim.topology import route_loss
 from repro.sync.ssp import SSP
 
 
@@ -100,11 +101,12 @@ class NetworkConservationMonitor(Monitor):
     A flow is tracked from when it goes on the wire until its record
     appears in ``Network.records``; a cursor over the records folds each
     finished flow in once, so a drain costs O(links + flows finished since
-    the last one).
+    the last one). The topology is asked for each ``(src, dst)`` route once;
+    the loss is folded over that route at every flow start.
     """
 
     name = "net.conservation"
-    cost = "O(links + newly finished flows) per network drain"
+    cost = "O(links + newly finished flows) per network drain, O(route) per flow start"
 
     def subscribe(self, trainer) -> bool:
         net = trainer.network
@@ -112,6 +114,7 @@ class NetworkConservationMonitor(Monitor):
             return False
         self._net = net
         self._links = tuple(net.topology.links)
+        self._routes: dict[tuple, tuple] = {}  # (src, dst) -> links
         self._flows: dict[int, tuple[float, int]] = {}  # fid -> (eff, links)
         #: Link-bytes of the finished flows, and how many records are folded.
         self._done_bytes = 0.0
@@ -123,22 +126,26 @@ class NetworkConservationMonitor(Monitor):
 
     def _on_flow(self, flow) -> None:
         # Recomputed from the topology, not read off the flow: the monitor
-        # must not trust the scheduler's own inflation of the payload.
-        topology = self._net.topology
-        effective = flow.size * (1.0 + topology.route_loss(flow.src, flow.dst))
-        route = topology.route(flow.src, flow.dst)
+        # must not trust the scheduler's own inflation of the payload. The
+        # loss is a live read over the route (fault windows move it).
+        key = (flow.src, flow.dst)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = tuple(self._net.topology.route(*key))
+        effective = flow.size * (1.0 + route_loss(route))
         if route and effective > _BYTE_EPS:
             self._flows[flow.fid] = (effective, len(route))
 
     def _verify(self) -> None:
         records = self._net.records
-        flows = self._flows
-        for record in records[self._cursor:]:
-            tracked = flows.pop(record.fid, None)
-            if tracked is not None:
-                effective, n_links = tracked
-                self._done_bytes += effective * n_links
-        self._cursor = len(records)
+        if len(records) > self._cursor:
+            flows = self._flows
+            for record in records[self._cursor:]:
+                tracked = flows.pop(record.fid, None)
+                if tracked is not None:
+                    effective, n_links = tracked
+                    self._done_bytes += effective * n_links
+            self._cursor = len(records)
         carried = sum(map(_CARRIED, self._links)) - self._baseline
         expected = self._done_bytes
         tol = 1e-3 + 1e-9 * max(abs(carried), abs(expected))
@@ -486,10 +493,17 @@ class ICSInflightMonitor(Monitor):
     drains where netsim legitimately trails. At run end all three must be
     zero, except after crashes / quorum timeouts / elastic leaves, which
     legally strand an in-flight share (same excuse list as ``ps.ledger``).
+
+    The netsim view is a running tally: an ``ics-push`` flow's payload is
+    added when it goes on the wire (``flow_hooks``) and taken off when its
+    record appears in ``Network.records`` (a cursor, as ``net.conservation``
+    keeps), so a drain costs O(flows finished since the last one). Payload
+    sizes are integral, so the tally is exactly the sum over the active
+    ``ics-push`` flows.
     """
 
     name = "osp.ics_inflight"
-    cost = "O(active flows) per network drain"
+    cost = "O(1 + newly finished flows) per network drain, O(1) per flow start"
 
     def subscribe(self, trainer) -> bool:
         sync = trainer.sync_model
@@ -497,20 +511,34 @@ class ICSInflightMonitor(Monitor):
             return False
         self._sync = sync
         self._ctx = trainer.ctx
-        self._net = trainer.network
+        net = self._net = trainer.network
         self._tracer = trainer.env.tracer
-        self._net.drain_hooks.append(self._verify)
+        #: fid -> payload of each ics-push flow on the wire, and their sum.
+        self._pushes = {f.fid: f.size for f in net.active_flows if _is_ics_push(f)}
+        self._wire = sum(self._pushes.values())
+        self._cursor = len(net.records)
+        net.flow_hooks.append(self._on_flow)
+        net.drain_hooks.append(self._verify)
         return True
+
+    def _on_flow(self, flow) -> None:
+        if _is_ics_push(flow):
+            self._pushes[flow.fid] = flow.size
+            self._wire += flow.size
 
     def _verify(self) -> None:
         self.checks += 1
+        records = self._net.records
+        if len(records) > self._cursor:
+            pushes = self._pushes
+            for record in records[self._cursor:]:
+                size = pushes.pop(record.fid, None)
+                if size is not None:
+                    self._wire -= size
+            self._cursor = len(records)
+        wire = self._wire
         gauge = self._tracer.gauge_value("osp.inflight_ics_bytes")
         ledger = self._sync.inflight_bytes(self._ctx)
-        wire = 0
-        for f in self._net.active_flows:
-            tag = f.tag
-            if isinstance(tag, tuple) and tag and tag[0] == "ics-push":
-                wire += f.size
         eps = 1e-6 + 1e-9 * max(gauge, ledger, wire)
         if abs(gauge - ledger) > eps:
             self.fail(
@@ -540,6 +568,11 @@ class ICSInflightMonitor(Monitor):
                 gauge=gauge,
                 ledger=ledger,
             )
+
+
+def _is_ics_push(flow) -> bool:
+    tag = flow.tag
+    return isinstance(tag, tuple) and bool(tag) and tag[0] == "ics-push"
 
 
 DEFAULT_MONITORS: tuple[type, ...] = (

@@ -285,14 +285,20 @@ class MultiJobRunner:
     def enable_sampling(self, interval: float = 1.0, capacity: Optional[int] = None):
         """Attach a MetricSampler with the fabric-wide network probe and
         the per-tenant ``multijob.{job}.*`` probe. Returns the sampler."""
-        from repro.obs.timeseries import MetricSampler, MultiJobProbe, NetworkProbe
+        from repro.obs.timeseries import (
+            FabricLedger,
+            MetricSampler,
+            MultiJobProbe,
+            NetworkProbe,
+        )
 
         if self.env.tracer is None:
             self.enable_tracing()
         kwargs = {} if capacity is None else {"capacity": capacity}
         sampler = MetricSampler(self.env, interval, **kwargs)
-        sampler.add_probe(NetworkProbe(self.network))
-        sampler.add_probe(MultiJobProbe(self.network, [j.name for j in self.jobs]))
+        fabric = FabricLedger(self.network, sampler)
+        sampler.add_probe(NetworkProbe(fabric))
+        sampler.add_probe(MultiJobProbe(fabric, [j.name for j in self.jobs]))
         self.env.metric_sampler = sampler
         self._sampler = sampler
         return sampler

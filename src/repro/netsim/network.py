@@ -262,7 +262,7 @@ class Network:
     env:
         Simulation environment (clock source and event queue).
     topology:
-        Any object exposing ``route``, ``route_loss`` and ``links``
+        Any object exposing ``route`` and ``links``
         (see :class:`~repro.netsim.topology.StarTopology`).
 
     :attr:`priorities` says whether the fabric schedules by priority class

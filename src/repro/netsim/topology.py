@@ -107,20 +107,22 @@ class StarTopology:
             self.downlinks[dst],
         ]
 
-    def route_loss(self, src: int, dst: int) -> float:
-        """Combined loss rate of the route: 1 − Π(1 − p_link).
-
-        Uses the links' *effective* loss (spec loss compounded with any
-        active fault bursts), sampled at flow-start time.
-        """
-        keep = 1.0
-        for l in self.route(src, dst):
-            keep *= 1.0 - l.loss_rate
-        return 1.0 - keep
-
     def _check(self, nid: int) -> None:
         if not (0 <= nid < self.n_nodes):
             raise ValueError(f"node {nid} out of range [0,{self.n_nodes})")
 
 
-__all__ = ["StarTopology"]
+def route_loss(route) -> float:
+    """Combined loss rate of a route: 1 − Π(1 − p_link).
+
+    Uses the links' *effective* loss (spec loss compounded with any active
+    fault bursts) at the time of the call, so a flow's loss is sampled when
+    it starts.
+    """
+    keep = 1.0
+    for link in route:
+        keep *= 1.0 - link.loss_rate
+    return 1.0 - keep
+
+
+__all__ = ["StarTopology", "route_loss"]

@@ -20,6 +20,7 @@ counter names cannot silently drift between producers and the dashboards
 from __future__ import annotations
 
 import re
+from functools import cache
 
 #: Event counters recorded on :class:`~repro.metrics.recorder.Recorder`.
 COUNTERS: frozenset[str] = frozenset(
@@ -144,6 +145,21 @@ HOOKS: frozenset[str] = frozenset(
 ALL_NAMES: frozenset[str] = COUNTERS | GAUGES
 
 
+def _compile(template: str) -> "re.Pattern[str]":
+    pattern = re.escape(template)
+    # re.escape turns { and } into \{ \} — rewrite each placeholder into a
+    # "no dots" group so ``{w}`` can't swallow several dotted segments.
+    return re.compile(re.sub(r"\\\{[^}]*\\\}", r"[^.]+", pattern))
+
+
+@cache
+def _track_patterns() -> tuple:
+    """:data:`TRACKS`, one compiled pattern per template: compiled once, at
+    the first name that is not a gauge (an import that validates no track
+    compiles none)."""
+    return tuple(_compile(t) for t in sorted(TRACKS))
+
+
 def is_registered_track(name: str) -> bool:
     """Is ``name`` a valid time-series track?
 
@@ -154,15 +170,7 @@ def is_registered_track(name: str) -> bool:
     """
     if name in GAUGES:
         return True
-    return any(_template_matches(t, name) for t in TRACKS)
-
-
-def _template_matches(template: str, name: str) -> bool:
-    pattern = re.escape(template)
-    # re.escape turns { and } into \{ \} — rewrite each placeholder into a
-    # "no dots" group so ``{w}`` can't swallow several dotted segments.
-    pattern = re.sub(r"\\\{[^}]*\\\}", r"[^.]+", pattern)
-    return re.fullmatch(pattern, name) is not None
+    return any(p.fullmatch(name) is not None for p in _track_patterns())
 
 
 __all__ = [

@@ -171,6 +171,10 @@ class MetricSampler:
         self._cols = array("q")
         self._vals = array("d")
         self._probes: list[Probe] = []
+        #: Per writer (0 the tracer's gauges, then each probe in order): the
+        #: track names of the mapping it returned last, in order, and their
+        #: columns — a mapping with the same names reuses them.
+        self._layouts: dict[int, tuple[list[str], array]] = {}
         self._next = env.now  # first edge fires on the first event at/after start
         self.samples_taken = 0
 
@@ -207,30 +211,33 @@ class MetricSampler:
         self._next += crossed * self.interval
 
     def sample(self, now: float) -> None:
-        """Take one sample of every tracer gauge and attached probe."""
+        """Take one sample of every tracer gauge and attached probe.
+
+        :attr:`samples_taken` counts this tick before any probe runs, so a
+        :class:`FabricLedger` can tell it from the one before."""
         self.samples_taken += 1
         before = len(self._vals)
         tracer = self.env.tracer
         if tracer is not None:
-            self._write(tracer.gauge_last)
-        for probe in self._probes:
-            self._write(probe(now))
+            self._write(0, tracer.gauge_last)
+        for writer, probe in enumerate(self._probes, 1):
+            self._write(writer, probe(now))
         self._tick_t.append(now)
         self._tick_n.append(len(self._vals) - before)
         if len(self._tick_t) >= self.capacity:
             self._fold()
 
-    def _write(self, values: Mapping[str, float]) -> None:
-        column = self._column
-        try:
-            cols = [column[name] for name in values]
-        except KeyError:  # a name never seen before: validate and add it
-            for name in values:
-                if name not in column:
+    def _write(self, writer: int, values: Mapping[str, float]) -> None:
+        names = list(values)
+        layout = self._layouts.get(writer)
+        if layout is None or layout[0] != names:
+            column = self._column
+            for name in names:
+                if name not in column:  # a name never seen before: validate it
                     self._add(name)
-            cols = [column[name] for name in values]
-        self._cols.extend(cols)
-        self._vals.extend(values.values())
+            layout = self._layouts[writer] = (names, array("q", [column[n] for n in names]))
+        self._cols.extend(layout[1])
+        self._vals.fromlist(list(values.values()))
 
     def _fold(self) -> None:
         """Move the pending rows into the rings, each series in tick order."""
@@ -263,6 +270,33 @@ class MetricSampler:
 
 
 # --------------------------------------------------------------------- probes
+class FabricLedger:
+    """:meth:`Network.ledger` read at most once per sampler tick.
+
+    Every probe that reads the fabric's bytes (:class:`NetworkProbe`,
+    :class:`WorkerProbe`, :class:`MultiJobProbe`) takes the same one, so a
+    tick walks the active flows once however many probes read them. A tick
+    is told apart by the sampler's ``samples_taken``, which
+    :meth:`MetricSampler.sample` counts before it calls a probe; the probes'
+    constructors share one reading for their baselines the same way.
+    """
+
+    __slots__ = ("network", "_sampler", "_tick", "_ledger")
+
+    def __init__(self, network, sampler: MetricSampler) -> None:
+        self.network = network
+        self._sampler = sampler
+        self._tick = -1
+        self._ledger = None
+
+    def __call__(self):
+        tick = self._sampler.samples_taken
+        if tick != self._tick:
+            self._tick = tick
+            self._ledger = self.network.ledger()
+        return self._ledger
+
+
 class NetworkProbe:
     """Cluster-wide and per-link network signals.
 
@@ -277,8 +311,9 @@ class NetworkProbe:
       — priority-scheduler activity (cumulative: the preemption counter of
       ``Network.stats``, class bytes from :meth:`Network.ledger`).
 
-    Bytes are read through :meth:`Network.ledger`, so a link's or a class's
-    count includes the progress of the flows still in flight.
+    Bytes are read through :meth:`Network.ledger` (the tick's
+    :class:`FabricLedger` reading), so a link's or a class's count includes
+    the progress of the flows still in flight.
     """
 
     _PRIO_BYTES = tuple(
@@ -286,8 +321,9 @@ class NetworkProbe:
         for cls in ("urgent", "high", "normal", "bulk")
     )
 
-    def __init__(self, network) -> None:
-        self.network = network
+    def __init__(self, fabric: FabricLedger) -> None:
+        network = self.network = fabric.network
+        self._fabric = fabric
         self._links = tuple(network.topology.links)
         self._tracks = tuple(
             (
@@ -298,12 +334,12 @@ class NetworkProbe:
             for link in self._links
         )
         self._last_t: Optional[float] = None
-        carried = network.ledger().links
+        carried = fabric().links
         self._last_bytes = [carried[link.name] for link in self._links]
 
     def __call__(self, now: float) -> dict[str, float]:
         net = self.network
-        ledger = net.ledger()
+        ledger = self._fabric()
         flows = net.active_flows
         out = {
             "timeseries.net.inflight_bytes": float(sum(ledger.remaining.values())),
@@ -353,15 +389,16 @@ class WorkerProbe:
     Generic signals come from the recorder (consumed incrementally through
     a cursor): latest compute/sync time, completed-iteration progress and
     the progress-lag staleness estimate. Effective bandwidth is the
-    worker's uplink byte delta per window (read through
-    :meth:`Network.ledger`, in-flight progress included). The sync model's
+    worker's uplink byte delta per window (read through the tick's
+    :class:`FabricLedger`, in-flight progress included). The sync model's
     :meth:`~repro.sync.base.SyncModel.worker_signals` is merged last so
     model-specific semantics (SSP bound-relative staleness, OSP ICS
     backlog) override the generic estimates.
     """
 
-    def __init__(self, trainer: "DistributedTrainer") -> None:
+    def __init__(self, trainer: "DistributedTrainer", fabric: FabricLedger) -> None:
         self.trainer = trainer
+        self._fabric = fabric
         self._cursor = 0
         n = trainer.spec.n_workers
         self._tracks = {
@@ -381,7 +418,7 @@ class WorkerProbe:
         uplinks = trainer.network.topology.uplinks
         hosts = trainer.placement.hosts
         self._uplinks = {w: uplinks[hosts[trainer.spec.worker_node(w)]] for w in range(n)}
-        carried = trainer.network.ledger().links
+        carried = fabric().links
         self._last_up_bytes = {w: carried[link.name] for w, link in self._uplinks.items()}
 
     def __call__(self, now: float) -> dict[str, float]:
@@ -404,7 +441,7 @@ class WorkerProbe:
                 signals[compute] = self._compute[w]
                 signals[sync] = self._sync[w]
         elapsed = 0.0 if self._last_t is None else now - self._last_t
-        carried = trainer.network.ledger().links
+        carried = self._fabric().links
         for w, link in self._uplinks.items():
             window = carried[link.name] - self._last_up_bytes[w]
             self._last_up_bytes[w] = carried[link.name]
@@ -424,8 +461,9 @@ class MultiJobProbe:
     envelope on one shared timeline.
     """
 
-    def __init__(self, network, jobs: "Iterable[str]") -> None:
-        self.network = network
+    def __init__(self, fabric: FabricLedger, jobs: "Iterable[str]") -> None:
+        self.network = fabric.network
+        self._fabric = fabric
         self.jobs = list(jobs)
         self._tracks = {
             job: (f"multijob.{job}.active_flows", f"multijob.{job}.inflight_bytes")
@@ -435,7 +473,7 @@ class MultiJobProbe:
     def __call__(self, now: float) -> dict[str, float]:
         flows = {job: 0 for job in self.jobs}
         inflight = {job: 0.0 for job in self.jobs}
-        remaining = self.network.ledger().remaining
+        remaining = self._fabric().remaining
         for f in self.network.active_flows:
             if f.job in flows:
                 flows[f.job] += 1
@@ -454,14 +492,17 @@ def default_interval(trainer: "DistributedTrainer") -> float:
 
 
 def attach_standard_probes(sampler: MetricSampler, trainer: "DistributedTrainer") -> None:
-    """Wire the network, PS and per-worker probes of a trainer."""
-    sampler.add_probe(NetworkProbe(trainer.network))
+    """Wire the network, PS and per-worker probes of a trainer (the network
+    and worker probes share one :class:`FabricLedger`)."""
+    fabric = FabricLedger(trainer.network, sampler)
+    sampler.add_probe(NetworkProbe(fabric))
     sampler.add_probe(PSProbe(trainer.ps))
-    sampler.add_probe(WorkerProbe(trainer))
+    sampler.add_probe(WorkerProbe(trainer, fabric))
 
 
 __all__ = [
     "DEFAULT_CAPACITY",
+    "FabricLedger",
     "MetricSampler",
     "MultiJobProbe",
     "NetworkProbe",

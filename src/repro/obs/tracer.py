@@ -218,29 +218,30 @@ class Tracer:
         With no explicit ``parent`` the span nests under the calling
         process's innermost open span (the process-local context).
         """
-        proc = getattr(self.env, "active_process", None)
+        env = self.env
+        proc = env.active_process
         if proc is None:
             stack = self._root_stack
+            job = None
         else:
             stack = self._stacks.get(proc)
             if stack is None:
                 stack = self._stacks[proc] = []
-        if parent is None and stack:
-            parent = stack[-1]
+            job = proc.job
+        if parent is not None:
+            parent_sid = parent.sid
+        elif stack:
+            parent_sid = stack[-1].sid
+        else:
+            parent_sid = None
+        sid = self._next_sid
+        self._next_sid = sid + 1
+        # Positional, in field order: sid, name, actor, track, cat, start,
+        # end, parent, worker, iteration, job, attrs (a fresh dict per call).
         span = Span(
-            sid=self._next_sid,
-            name=name,
-            actor=actor,
-            track=track,
-            cat=cat,
-            start=self.env.now,
-            parent=None if parent is None else parent.sid,
-            worker=worker,
-            iteration=iteration,
-            job=None if proc is None else getattr(proc, "job", None),
-            attrs=attrs,  # a fresh dict per call already
-        )
-        self._next_sid += 1
+            sid, name, actor, track, cat, env.now, None, parent_sid, worker,
+            iteration, job, attrs,
+        )  # fmt: skip
         self.spans.append(span)
         stack.append(span)
         return span
@@ -251,14 +252,15 @@ class Tracer:
             return span
         if span.end is not None:
             raise RuntimeError(f"span {span.name!r} (sid={span.sid}) already ended")
-        span.end = self.env.now
+        env = self.env
+        span.end = env.now
         if attrs:
             span.attrs.update(attrs)
-        proc = getattr(self.env, "active_process", None)
-        stack = self._root_stack if proc is None else self._stacks.get(proc, [])
+        proc = env.active_process
+        stack = self._root_stack if proc is None else self._stacks.get(proc)
         if stack and stack[-1] is span:  # the usual case: innermost open span
             stack.pop()
-        elif span in stack:
+        elif stack and span in stack:
             stack.remove(span)
         else:  # ended from a different process than it was begun in
             for other in self._stacks.values():

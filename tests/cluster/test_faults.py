@@ -25,6 +25,7 @@ from repro.faults import (
 )
 from repro.hardware import NoJitter
 from repro.netsim import LinkSpec, StarTopology
+from repro.netsim.topology import route_loss
 from repro.nn.models import get_card
 from repro.simcore import Environment
 from repro.simcore.resources import QuorumBarrier
@@ -228,11 +229,11 @@ def test_link_fault_state_composes_and_reverts():
 
 def test_route_loss_reflects_active_burst():
     topo = StarTopology(3, default_spec=LinkSpec(bandwidth=100.0, loss_rate=0.0))
-    base = topo.route_loss(0, 2)
+    base = route_loss(topo.route(0, 2))
     topo.uplinks[0].apply_fault(extra_loss=0.5)
-    assert topo.route_loss(0, 2) == pytest.approx(0.5)
+    assert route_loss(topo.route(0, 2)) == pytest.approx(0.5)
     topo.uplinks[0].clear_fault(extra_loss=0.5)
-    assert topo.route_loss(0, 2) == base
+    assert route_loss(topo.route(0, 2)) == base
 
 
 # ---------------------------------------------------------------- stragglers

@@ -16,6 +16,7 @@ closed forms the tests expect a lone flow and a link's busy time to meet.
 """
 
 from repro.netsim import Network
+from repro.netsim.topology import route_loss
 
 _EPS = 1e-12
 
@@ -95,7 +96,7 @@ def bulk_time(net: Network, src: int, dst: int, size: float) -> float:
     latency = route_latency(net.topology, src, dst)
     if not route or size <= 0:
         return latency
-    loss = net.topology.route_loss(src, dst)
+    loss = route_loss(route)
     bottleneck = min(l.bandwidth for l in route)
     return size * (1.0 + loss) / bottleneck + latency
 

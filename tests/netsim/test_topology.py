@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim.links import LinkSpec
-from repro.netsim.topology import StarTopology
+from repro.netsim.topology import StarTopology, route_loss
 from tests.netsim.reference import route_latency
 
 
@@ -17,7 +17,7 @@ def test_star_loopback_route_empty():
     topo = StarTopology(4)
     assert topo.route(2, 2) == []
     assert route_latency(topo, 2, 2) == 0.0
-    assert topo.route_loss(2, 2) == 0.0
+    assert route_loss(topo.route(2, 2)) == 0.0
 
 
 def test_star_invalid_node_raises():
@@ -37,7 +37,7 @@ def test_star_latency_sums_links():
 def test_star_loss_combines_multiplicatively():
     spec = LinkSpec(loss_rate=0.1)
     topo = StarTopology(2, default_spec=spec)
-    assert topo.route_loss(0, 1) == pytest.approx(1 - 0.9 * 0.9)
+    assert route_loss(topo.route(0, 1)) == pytest.approx(1 - 0.9 * 0.9)
 
 
 def test_star_heterogeneous_overrides():
