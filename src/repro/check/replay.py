@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from repro.bounds import INDEX, read_record
 from repro.ckpt.snapshot import params_plane
 
 
@@ -123,8 +124,15 @@ def dump_stream(events: Sequence[ReplayEvent], path: str | Path) -> Path:
     return path
 
 
+#: A stream's first line, then one record per event.
+STREAM_HEADER = {"schema": frozenset({STREAM_SCHEMA}), "events?": INDEX}
+STREAM_EVENT = {"kind": str, "key": list, "value": list}
+
+
 def load_stream(path: str | Path) -> list[ReplayEvent]:
-    """Load a stream written by :func:`dump_stream`.
+    """Load a stream written by :func:`dump_stream`: its header reads as
+    :data:`STREAM_HEADER` and each line as :data:`STREAM_EVENT`, and a
+    refusal is one ``ValueError`` naming the file and the line.
 
     JSON has no tuples, so keys/values come back as lists and are
     re-tupled here; ints and floats keep their JSON types, matching what
@@ -134,17 +142,20 @@ def load_stream(path: str | Path) -> list[ReplayEvent]:
     lines = path.read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty replay stream")
-    header = json.loads(lines[0])
-    if header.get("schema") != STREAM_SCHEMA:
-        raise ValueError(
-            f"{path}: not a replay stream (schema={header.get('schema')!r}, "
-            f"expected {STREAM_SCHEMA!r})"
-        )
+
+    def read(n: int, record: dict) -> dict:
+        try:
+            doc = json.loads(lines[n])
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {n + 1}: not JSON ({exc})") from exc
+        return read_record(doc, record, f"{path}: line {n + 1}")
+
+    header = read(0, STREAM_HEADER)
     events = [
         ReplayEvent(doc["kind"], tuple(doc["key"]), tuple(doc["value"]))
-        for doc in map(json.loads, lines[1:])
+        for doc in (read(n, STREAM_EVENT) for n in range(1, len(lines)))
     ]
-    if len(events) != int(header.get("events", len(events))):
+    if len(events) != header.get("events", len(events)):
         raise ValueError(
             f"{path}: truncated stream ({len(events)} events, header "
             f"promised {header.get('events')})"

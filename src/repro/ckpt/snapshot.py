@@ -35,8 +35,9 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.autograd.tensor import DEFAULT_DTYPE
+from repro.bounds import COUNT, INDEX, INTEGER, NON_NEGATIVE, REAL, Bound, read_record
 from repro.ckpt.layout import PlaneLayout
-from repro.metrics.export import recorder_from_dict, recorder_to_dict
+from repro.metrics.export import RECORDER, recorder_from_dict, recorder_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.trainer import DistributedTrainer
@@ -45,75 +46,40 @@ FORMAT_VERSION = 2
 
 _META_KEY = "__meta__"
 _SYNC_PREFIX = "sync/"
-#: Metadata keys read without a default (here and by ``TrainerContext``).
-_REQUIRED_META = (
-    "next_epoch", "time", "sync", "mode", "n_workers", "iterations_per_epoch",
-    "alive", "recorder",
-)  # fmt: skip
+_WORKERS = Bound(0, integer=True, each=True)
 
-
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _kind(kind):
-    return lambda value: isinstance(value, kind)
-
-
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(check(v) for v in value)
-
-
-def _or_null(check):
-    return lambda value: value is None or check(value)
-
-
-_integers = _list_of(_integer)
-
-
-#: The type of every metadata key a reader reads (``dotted.keys`` inside an
-#: object, checked when the object has them), as ``(description, test)``.
-#: A parent comes before its children.
-_META_TYPES = {
-    "next_epoch": ("an integer", _integer),
-    "time": ("a number", _number),
-    "sync": ("a string", _kind(str)),
-    "mode": ("a string", _kind(str)),
-    "n_workers": ("an integer", _integer),
-    "iterations_per_epoch": ("an integer", _integer),
-    "alive": ("a list of integers", _integers),
-    "release_order": ("null or a list of integers", _or_null(_integers)),
-    "lr": ("null or a number", _or_null(_number)),
-    "jitter": ("null or an object", _or_null(_kind(dict))),
-    "engine_state": ("an object", _kind(dict)),
-    "sync_state": ("an object", _kind(dict)),
-    "aggregate_seen": ("a list of strings", _list_of(_kind(str))),
-    "ics": ("an object", _kind(dict)),
-    "ics.policy": ("a string", _kind(str)),
-    "ics.discarded_bytes": ("a number", _number),
-    "early_stop": ("an object", _kind(dict)),
-    "early_stop.best_metric": ("a number", _number),
-    "early_stop.epochs_since_improvement": ("an integer", _integer),
-    "early_stop.stop_after_epoch": ("null or an integer", _or_null(_integer)),
-    "recorder": ("an object", _kind(dict)),
-    "recorder.iterations": ("a list", _kind(list)),
-    "recorder.epochs": ("a list", _kind(list)),
-    "recorder.counters": ("an object", _kind(dict)),
+#: The metadata record. The keys ``TrainerContext`` and :func:`apply_checkpoint`
+#: read without a default are required; the sync model's, the engine's and
+#: the jitter model's state are theirs to read, and ``plan`` is not read back.
+META = {
+    "format_version": Bound(FORMAT_VERSION, FORMAT_VERSION, ends="[]", integer=True),
+    "next_epoch": INTEGER,
+    "time": REAL,
+    "sync": str,
+    "mode": frozenset({"numeric", "timing"}),
+    "n_workers": COUNT,
+    "iterations_per_epoch": COUNT,
+    "plan?": dict,
+    "alive": _WORKERS,
+    "early_stop?": {
+        "best_metric?": Bound(-math.inf),  # -inf while early stopping is off
+        "epochs_since_improvement?": INDEX,
+        "stop_after_epoch?": Bound(0, integer=True, optional=True),
+    },
+    "lr?": Bound(0, optional=True),
+    "release_order?": Bound(0, integer=True, optional=True, each=True),
+    "ics?": {"policy?": str, "discarded_bytes?": NON_NEGATIVE},
+    "jitter?": (None, dict),
+    "engine_state?": dict,
+    "sync_state?": dict,
+    "recorder": RECORDER,
+    "params?": {"names": [str], "sizes": _WORKERS},
+    "aggregate_seen?": [str],
 }
 
 
 class CheckpointError(ValueError):
     """A checkpoint cannot be loaded or applied to this trainer."""
-
-
-def _refuse(source, key: str, must: str, value) -> CheckpointError:
-    return CheckpointError(
-        f"{source}: metadata key {key!r} must be {must}, got {reprlib.repr(value)}"
-    )
 
 
 @dataclass
@@ -173,31 +139,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise ValueError("a bare .npy array, not an .npz archive")
         with loaded as data:
             arrays = {key: data[key] for key in data.files}
-        meta = None
-        if _META_KEY in arrays:
-            meta = json.loads(bytes(arrays.pop(_META_KEY).tobytes()).decode("utf-8"))
+        meta = arrays.pop(_META_KEY, None)
+        if meta is not None:
+            meta = json.loads(bytes(meta.tobytes()).decode("utf-8"))
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         # What np.load and the zip reader raise on a missing, truncated,
         # non-zip or corrupt file.
         raise CheckpointError(
             f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})"
         ) from exc
-    if not isinstance(meta, dict):
+    if meta is None:
         raise CheckpointError(f"{path}: not a repro checkpoint (missing metadata entry)")
-    version = meta.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: checkpoint format version {version!r} is not supported "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    for key in _REQUIRED_META:
-        if key not in meta:
-            raise CheckpointError(f"{path}: metadata key {key!r} is missing")
-    for key, (must, ok) in _META_TYPES.items():
-        parent, _, leaf = key.rpartition(".")
-        holder = meta.get(parent) if parent else meta
-        if isinstance(holder, dict) and leaf in holder and not ok(holder[leaf]):
-            raise _refuse(path, key, must, holder[leaf])
+    try:
+        read_record(meta, META, str(path))
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
     return Checkpoint(meta=meta, arrays=arrays, source=str(path))
 
 
@@ -343,32 +299,24 @@ def _check_run_state(ckpt: Checkpoint, recorder, n_workers: int) -> None:
     meta = ckpt.meta
 
     def distinct_workers(value) -> bool:
-        return len(set(value)) == len(value) and all(0 <= w < n_workers for w in value)
+        return len(set(value)) == len(value) and all(w < n_workers for w in value)
 
-    alive = meta["alive"]
-    if not alive or not distinct_workers(alive):
-        raise _refuse(
-            ckpt.source, "alive",
-            f"a non-empty list of distinct workers in range({n_workers})", alive,
-        )  # fmt: skip
     epochs = len(recorder.epochs)
-    if meta["next_epoch"] < 1 or meta["next_epoch"] != epochs:
-        raise _refuse(
-            ckpt.source, "next_epoch",
-            f"the number of recorded epochs ({epochs}), at least 1", meta["next_epoch"],
-        )  # fmt: skip
     last = recorder.epochs[-1].time if recorder.epochs else 0.0
-    if not (math.isfinite(meta["time"]) and meta["time"] >= last):
-        raise _refuse(
-            ckpt.source, "time",
-            f"finite and not before the last recorded epoch ({last!r})", meta["time"],
-        )  # fmt: skip
     order = meta.get("release_order")
-    if order is not None and not distinct_workers(order):
-        raise _refuse(
-            ckpt.source, "release_order",
-            f"null or a list of distinct workers in range({n_workers})", order,
-        )  # fmt: skip
+    for key, wrong, must in (
+        ("alive", not meta["alive"] or not distinct_workers(meta["alive"]),
+         f"a non-empty list of distinct workers in range({n_workers})"),
+        ("next_epoch", meta["next_epoch"] < 1 or meta["next_epoch"] != epochs,
+         f"the number of recorded epochs ({epochs}), at least 1"),
+        ("time", meta["time"] < last, f"no earlier than the last recorded epoch ({last!r})"),
+        ("release_order", order is not None and not distinct_workers(order),
+         f"null or a list of distinct workers in range({n_workers})"),
+    ):  # fmt: skip
+        if wrong:
+            raise CheckpointError(
+                f"{ckpt.source}: {key} must be {must}, got {reprlib.repr(meta[key])}"
+            )
 
 
 def apply_checkpoint(trainer: "DistributedTrainer", ckpt: Checkpoint) -> None:
@@ -411,10 +359,7 @@ def apply_checkpoint(trainer: "DistributedTrainer", ckpt: Checkpoint) -> None:
             "checkpoint carries jitter RNG state but this spec's jitter "
             "model cannot restore it"
         )
-    try:
-        recorder = recorder_from_dict(meta["recorder"])
-    except ValueError as exc:
-        raise CheckpointError(f"{ckpt.source}: metadata key 'recorder': {exc}") from exc
+    recorder = recorder_from_dict(meta["recorder"])
     _check_run_state(ckpt, recorder, trainer.spec.n_workers)
 
     if ps.numeric:

@@ -28,6 +28,7 @@ import contextlib
 import json
 import sys
 
+from repro.bounds import INTEGER, REAL, read_json_arg
 from repro.core.colocated import ColocatedOSP
 from repro.core.osp import OSP
 from repro.faults import parse_faults
@@ -173,17 +174,20 @@ def _open_trace(path: str, compare: bool):
     from repro.obs.compare import wall_time
 
     try:
-        doc = read_trace(path)
+        doc = read_trace(path)  # its refusals name the file
         if compare:
-            wall_time(doc)
+            try:
+                wall_time(doc)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         return doc
     except OSError as exc:
-        why = exc.strerror or exc
+        why = f"{path}: {exc.strerror or exc}"
     except json.JSONDecodeError as exc:
-        why = f"not JSON ({exc})"
+        why = f"{path}: not JSON ({exc})"
     except ValueError as exc:
         why = exc
-    print(f"error: {path}: {why}", file=sys.stderr)
+    print(f"error: {why}", file=sys.stderr)
     return None
 
 
@@ -243,73 +247,49 @@ def cmd_dash(args) -> int:
     return 0
 
 
-#: The keys of one ``--jobs`` entry: accepted JSON types and their wording.
-_JOB_KEYS = {
-    "name": ((str,), "a string"),
-    "workload": ((str,), "a string"),
-    "sync": ((str,), "a string"),
-    "workers": ((int,), "an integer"),
-    "epochs": ((int,), "an integer"),
-    "iterations": ((int,), "an integer"),
-    "seed": ((int,), "an integer"),
-    "sigma": ((int, float), "a number"),
-    "background": ((bool,), "true or false"),
+#: One ``--jobs`` entry; every key may be left out.
+JOB = {
+    "name?": str,
+    "workload?": frozenset(MODEL_CARDS),
+    "sync?": frozenset(SYNC_FACTORIES),
+    "workers?": INTEGER,
+    "epochs?": INTEGER,
+    "iterations?": INTEGER,
+    "seed?": INTEGER,
+    "sigma?": REAL,
+    "background?": bool,
 }
 
 
 def _parse_jobs_spec(spec: str):
-    """--jobs value: inline JSON list or a path to a JSON file.
-
-    Each entry: ``{"name": ..., "workload": card, "sync": factory-name,
-    "workers": N, "epochs": N, "iterations": N, "sigma": f, "seed": N,
-    "background": bool}`` — unknown keys are rejected so typos fail loudly.
-    """
-    from pathlib import Path
-
+    """--jobs value: inline JSON list or a path to a JSON file, a list of
+    :data:`JOB` records."""
     from repro.multijob import JobSpec, background_job
 
-    text = spec
-    if not spec.lstrip().startswith("["):
-        text = Path(spec).read_text()
-    entries = json.loads(text)
-    if not isinstance(entries, list) or not entries:
+    entries = read_json_arg(spec, [JOB], "--jobs")
+    if not entries:
         raise ValueError("--jobs must be a non-empty JSON list of job objects")
     jobs = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"job #{i}: expected a JSON object, got {entry!r}")
-        unknown = set(entry) - set(_JOB_KEYS)
-        if unknown:
-            raise ValueError(f"job #{i}: unknown keys {sorted(unknown)}")
-        for key, value in entry.items():
-            types, what = _JOB_KEYS[key]
-            # bool is an int subclass, but a count or a rate is never a flag.
-            is_flag = isinstance(value, bool)
-            if not isinstance(value, types) or is_flag != (bool in types):
-                raise ValueError(f"job #{i}: {key!r} must be {what}, got {value!r}")
-        workload = entry.get("workload", "vgg16-cifar10")
-        if workload not in MODEL_CARDS:
-            raise ValueError(
-                f"job #{i}: 'workload' must be a known card, got {workload!r}"
-            )
         sync_name = entry.get("sync", "bsp")
-        if sync_name not in SYNC_FACTORIES:
-            raise ValueError(f"job #{i}: unknown sync {sync_name!r}")
-        cfg = WorkloadConfig(
-            workload,
-            n_workers=entry.get("workers", 4),
-            n_epochs=entry.get("epochs", 2),
-            iterations_per_epoch=entry.get("iterations", 4),
-            sigma=entry.get("sigma", 0.1),
-            seed=entry.get("seed", 0),
-            colocated_ps=sync_name == "osp-c",
-        )
-        name = entry.get("name", f"j{i}")
-        factory = SYNC_FACTORIES[sync_name]
-        if entry.get("background"):
-            jobs.append(background_job(name, cfg, factory))
-        else:
-            jobs.append(JobSpec(name=name, workload=cfg, sync_factory=factory))
+        try:
+            cfg = WorkloadConfig(
+                entry.get("workload", "vgg16-cifar10"),
+                n_workers=entry.get("workers", 4),
+                n_epochs=entry.get("epochs", 2),
+                iterations_per_epoch=entry.get("iterations", 4),
+                sigma=entry.get("sigma", 0.1),
+                seed=entry.get("seed", 0),
+                colocated_ps=sync_name == "osp-c",
+            )
+            name = entry.get("name", f"j{i}")
+            factory = SYNC_FACTORIES[sync_name]
+            if entry.get("background"):
+                jobs.append(background_job(name, cfg, factory))
+            else:
+                jobs.append(JobSpec(name=name, workload=cfg, sync_factory=factory))
+        except ValueError as exc:
+            raise ValueError(f"--jobs: [{i}]: {exc}") from exc
     return jobs
 
 
@@ -321,8 +301,8 @@ def cmd_multirun(args) -> int:
 
     try:
         jobs = _parse_jobs_spec(args.jobs) if args.jobs else None
-    except (OSError, ValueError) as exc:
-        print(f"error: bad --jobs spec: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     with _constructing():
         if jobs is None:

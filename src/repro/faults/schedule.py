@@ -41,13 +41,14 @@ All times are virtual seconds; epochs are 0-based plan epochs.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Optional, Sequence, Union
+from typing import ClassVar, Optional, Union
 
-from repro.bounds import COUNT, FRACTION, INDEX, NON_NEGATIVE, Bound, check_bounds
+from repro.bounds import (
+    COUNT, FRACTION, INDEX, NON_NEGATIVE, Bound, Tagged, check_bounds, read_json_arg, record_of,
+)  # fmt: skip
 
 
 #: The bounds every windowed event shares. An infinite ``duration`` lasts to
@@ -321,32 +322,23 @@ class FaultSchedule:
         return out
 
 
-def _check_keys(kind: str, cls: type, entry: dict) -> None:
-    """Refuse a fault entry with an unknown or a missing key, naming the
-    kind's fields (``name=default`` for one that may be left out)."""
-    declared = [f for f in fields(cls) if f.init]
-    unknown = [key for key in entry if key not in {f.name for f in declared}]
-    missing = [f.name for f in declared if f.default is MISSING and f.name not in entry]
-    if unknown:
-        problem = f"unknown key {', '.join(map(repr, unknown))}"
-    elif missing:
-        problem = f"missing key {', '.join(map(repr, missing))}"
-    else:
-        return
-    listed = ", ".join(
-        f.name if f.default is MISSING else f"{f.name}={f.default!r}" for f in declared
-    )
-    raise ValueError(f"fault {kind!r}: {problem}; {kind} takes {listed}")
+#: A ``--faults`` value: a list of events, or ``{"events": [...]}``. Each
+#: kind's record is its dataclass's fields and ``BOUNDS``.
+_EVENT = Tagged(
+    "kind", {kind: {"kind": str, **record_of(cls)} for kind, cls in EVENT_KINDS.items()}, None
+)
+FAULTS = ([_EVENT], {"events": [_EVENT]})
 
 
 def parse_faults(spec: Union[str, Path]) -> FaultSchedule:
-    """Build a schedule from inline JSON or a JSON file path.
+    """Build a schedule from inline JSON or a JSON file path, read as
+    :data:`FAULTS`.
 
-    Accepts either a JSON list of event objects or ``{"events": [...]}``
-    (no other key); each object needs a ``"kind"`` from :data:`EVENT_KINDS`
-    (network windows, stragglers, and the membership kinds
-    ``worker_crash`` / ``worker_join`` / ``worker_leave``) plus that event's
-    fields, worker ids and epochs as JSON integers::
+    Accepts either a JSON list of event objects or ``{"events": [...]}``;
+    each object needs a ``"kind"`` from :data:`EVENT_KINDS` (network
+    windows, stragglers, and the membership kinds ``worker_crash`` /
+    ``worker_join`` / ``worker_leave``) plus that event's fields, worker ids
+    and epochs as JSON integers::
 
         [{"kind": "loss_burst", "start": 2.0, "duration": 5.0,
           "loss_rate": 0.2},
@@ -354,41 +346,12 @@ def parse_faults(spec: Union[str, Path]) -> FaultSchedule:
          {"kind": "worker_join", "worker": 4, "epoch": 1},
          {"kind": "worker_leave", "worker": 0, "epoch": 3}]
     """
-    text = str(spec).strip()
-    if not text.startswith(("[", "{")):
-        try:
-            text = Path(text).read_text()
-        except OSError as exc:
-            raise ValueError(
-                f"cannot read fault file {text}: {exc.strerror or exc}"
-            ) from exc
-    payload = json.loads(text)
-    if isinstance(payload, dict):
-        # Any other key (a typo such as "event") would silently run fault-free.
-        if set(payload) != {"events"}:
-            raise ValueError(
-                f"fault spec object takes only an 'events' key, got {sorted(payload)}"
-            )
-        payload = payload["events"]
-    if not isinstance(payload, list):
-        raise ValueError("fault spec must be a JSON list or {'events': [...]}")
-    events = []
-    for entry in payload:
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ValueError(f"fault entry needs a 'kind' field: {entry!r}")
-        entry = dict(entry)
-        kind = entry.pop("kind")
-        cls = EVENT_KINDS.get(kind)
-        if cls is None:
-            raise ValueError(
-                f"unknown fault kind {kind!r}; expected one of {sorted(EVENT_KINDS)}"
-            )
-        _check_keys(kind, cls, entry)
-        try:
-            events.append(cls(**entry))
-        except TypeError as exc:
-            raise ValueError(f"fault {kind!r}: {exc}") from exc
-    return FaultSchedule(tuple(events))
+    payload = read_json_arg(spec, FAULTS, "--faults")
+    entries = payload["events"] if isinstance(payload, dict) else payload
+    return FaultSchedule(tuple(
+        EVENT_KINDS[entry["kind"]](**{k: v for k, v in entry.items() if k != "kind"})
+        for entry in entries
+    ))  # fmt: skip
 
 
 __all__ = [

@@ -23,11 +23,10 @@ in-memory :func:`~repro.obs.overlap.overlap_report_from_run`.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from repro.bounds import NON_NEGATIVE, Bound
+from repro.bounds import INDEX, NON_NEGATIVE, REAL, Tagged, read_record
 from repro.netsim.flows import FlowRecord
 from repro.obs.tracer import Tracer
 
@@ -170,90 +169,45 @@ def write_unified_trace(path: Union[str, Path], result) -> int:
     return len(doc["traceEvents"])
 
 
-def _expect(ok: bool, where: str, expected: str, value) -> None:
-    if not ok:
-        raise ValueError(f"{where}: expected {expected}, got {type(value).__name__}")
+#: A complete (``X``) event: a span, or a flow on the ``network`` track.
+#: Its ``args`` carry the span's own attributes besides these.
+_SPAN = {
+    "name?": str,
+    "cat?": str,
+    "ph": str,
+    "ts": NON_NEGATIVE,
+    "dur?": NON_NEGATIVE,
+    "pid?": str,
+    "tid?": str,
+    "args?": {"worker?": INDEX, "iteration?": INDEX, "bytes?": NON_NEGATIVE, "*": object},
+}
 
-
-def _number(value, where: str, bound: Optional[Bound] = None) -> None:
-    _expect(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        where, "a number", value,
-    )
-    if not math.isfinite(value):
-        raise ValueError(f"{where}: expected a finite number, got {value}")
-    if bound is not None and not bound.admits(value):
-        raise ValueError(f"{where}: expected {bound}, got {value!r}")
-
-
-def _optional_int(args: dict, key: str, where: str) -> None:
-    value = args.get(key)
-    if value is not None:
-        _expect(
-            isinstance(value, int) and not isinstance(value, bool),
-            f"{where}.{key}", "an integer", value,
-        )
+#: The unified trace :func:`trace_document` writes. Events other than ``X``
+#: are drawn by a viewer, not read.
+TRACE = {
+    "traceEvents": [Tagged("ph", {"X": _SPAN}, dict)],
+    "displayTimeUnit?": str,
+    "otherData?": {
+        "sync?": str,
+        "wallTime?": NON_NEGATIVE,
+        "traffic?": {"*": {"*": NON_NEGATIVE}},
+        "recorderCounters?": {"*": REAL},
+    },
+}
 
 
 def read_trace(path: Union[str, Path]) -> dict:
-    """Load a unified trace file, refusing with a ``ValueError`` that
-    names the first field :func:`~repro.obs.overlap.overlap_report_from_trace`
-    or :func:`~repro.obs.compare.compare_runs` could not read. Times,
-    durations and byte counts (span ``ts`` / ``dur``, network ``bytes``,
-    ``otherData.traffic`` and ``otherData.wallTime``) must also lie in
-    :data:`~repro.bounds.NON_NEGATIVE`, and the trace must hold at least
-    one complete (``"X"``) span: a run records one per iteration at least,
-    so a trace without any has no iterations to report."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or "traceEvents" not in doc:
+    """Load a unified trace file read as :data:`TRACE`, refusing with a
+    ``ValueError`` that names the file and the first key
+    :func:`~repro.obs.overlap.overlap_report_from_trace` or
+    :func:`~repro.obs.compare.compare_runs` could not read. The trace must
+    also hold at least one complete (``"X"``) span: a run records one per
+    iteration at least, so a trace without any has no iterations to report."""
+    doc = read_record(json.loads(Path(path).read_text()), TRACE, str(path))
+    if not any(ev.get("ph") == "X" for ev in doc["traceEvents"]):
         raise ValueError(
-            "not a trace: expected an object with 'traceEvents' "
-            "(write one with `repro run --trace FILE`)"
-        )
-    events = doc["traceEvents"]
-    _expect(isinstance(events, list), "traceEvents", "a list", events)
-    spans = 0
-    for i, ev in enumerate(events):
-        where = f"traceEvents[{i}]"
-        _expect(isinstance(ev, dict), where, "an object", ev)
-        if ev.get("ph") != "X":
-            continue
-        spans += 1
-        if "ts" not in ev:
-            raise ValueError(f"{where}: an 'X' event needs a 'ts'")
-        _number(ev["ts"], f"{where}.ts", NON_NEGATIVE)
-        if "dur" in ev:
-            _number(ev["dur"], f"{where}.dur", NON_NEGATIVE)
-        name = ev.get("name", "")
-        _expect(isinstance(name, str), f"{where}.name", "a string", name)
-        args = ev.get("args", {})
-        _expect(isinstance(args, dict), f"{where}.args", "an object", args)
-        _optional_int(args, "worker", f"{where}.args")
-        _optional_int(args, "iteration", f"{where}.args")
-        if ev.get("pid") == "network" and "bytes" in args:
-            _number(args["bytes"], f"{where}.args.bytes", NON_NEGATIVE)
-
-    other = doc.get("otherData", {})
-    _expect(isinstance(other, dict), "otherData", "an object", other)
-    if "wallTime" in other:
-        _number(other["wallTime"], "otherData.wallTime", NON_NEGATIVE)
-    traffic = other.get("traffic", {})
-    _expect(isinstance(traffic, dict), "otherData.traffic", "an object", traffic)
-    for stage, layers in traffic.items():
-        where = f"otherData.traffic[{stage!r}]"
-        _expect(isinstance(layers, dict), where, "an object", layers)
-        for layer, nbytes in layers.items():
-            _number(nbytes, f"{where}[{layer!r}]", NON_NEGATIVE)
-    counters = other.get("recorderCounters", {})
-    _expect(
-        isinstance(counters, dict), "otherData.recorderCounters", "an object", counters
-    )
-    for name, value in counters.items():
-        _number(value, f"otherData.recorderCounters[{name!r}]")
-    if not spans:
-        raise ValueError(
-            "traceEvents: no complete ('X') span, so no iteration to report "
-            "(write a trace with `repro run --trace FILE`)"
+            f"{path}: traceEvents holds no complete ('X') span, so no iteration "
+            "to report (write a trace with `repro run --trace FILE`)"
         )
     return doc
 

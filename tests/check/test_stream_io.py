@@ -58,7 +58,7 @@ def test_dump_load_round_trip(tmp_path):
 def test_load_rejects_non_streams(tmp_path):
     bogus = tmp_path / "bogus.jsonl"
     bogus.write_text('{"schema": "something/else"}\n')
-    with pytest.raises(ValueError, match="not a replay stream"):
+    with pytest.raises(ValueError, match="line 1: schema must be one of 'repro.replay_stream/1'"):
         load_stream(bogus)
     truncated = tmp_path / "trunc.jsonl"
     stream = _fresh_stream()
@@ -66,6 +66,31 @@ def test_load_rejects_non_streams(tmp_path):
     truncated.write_text("\n".join(lines[:-5]) + "\n")
     with pytest.raises(ValueError, match="truncated"):
         load_stream(truncated)
+
+
+_HEADER = '{"schema": "repro.replay_stream/1", "events": 1}'
+
+
+@pytest.mark.parametrize(
+    "lines, refusal",
+    [
+        ([_HEADER, '{"kind": "end", "value": [1.0]}'], "line 2: key is missing"),
+        (["[1]"], "line 1 must be an object, got [1]"),
+        (
+            ['{"schema": "repro.replay_stream/1", "events": "a"}'],
+            "line 1: events must be an integer in [0, inf), got 'a'",
+        ),
+        ([_HEADER, '{"kind": "end", "key": ["wall_time"], "value": [1.0'], "line 2: not JSON ("),
+    ],
+    ids=["line-without-key", "header-not-an-object", "events-not-an-integer", "cut-line"],
+)
+def test_load_refuses_a_malformed_line_naming_file_and_line(lines, refusal, tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as refused:
+        load_stream(path)
+    assert type(refused.value) is ValueError
+    assert str(refused.value).startswith(f"{path}: {refusal}")
 
 
 def test_fresh_run_matches_committed_golden():

@@ -2,6 +2,7 @@
 before any trainer state is written — and both CLI entry points turn it
 into exit code 1 and one ``error:`` line."""
 
+import math
 import re
 import shutil
 
@@ -68,8 +69,15 @@ def _drop_meta(key):
 
 
 def _set_meta(key, value):
+    """Set the metadata value at ``key``, written as a refusal names it
+    (``recorder.iterations[0].loss``, ``recorder.counters['a.b']``)."""
+    path = [
+        quoted or plain or int(index)
+        for quoted, index, plain in re.findall(r"\['([^']*)'\]|\[(\d+)\]|([^.\[]+)", key)
+    ]
+
     def edit(ckpt):
-        holder, *path = ckpt.meta, *key.split(".")
+        holder = ckpt.meta
         for part in path[:-1]:
             holder = holder[part]
         holder[path[-1]] = value
@@ -82,6 +90,9 @@ def _one_jitter_stream(ckpt):
 
 
 _WORKERS = r"a non-empty list of distinct workers in range\(2\)"
+_INDICES = r"a sequence, each an integer in \[0, inf\)"
+_INTEGER = r"an integer in \(-inf, inf\)"
+_REAL = r"a real in \(-inf, inf\)"
 _EPOCHS = r"the number of recorded epochs \(1\), at least 1"
 
 #: A hand-edited metadata value: (key, value, does the file still load,
@@ -93,23 +104,35 @@ META_EDITS = {
     "alive-empty": ("alive", [], True, _WORKERS),
     "alive-too-many": ("alive", [0, 1, 2], True, _WORKERS),
     "alive-repeated": ("alive", [1, 1], True, _WORKERS),
-    "alive-bool": ("alive", [True, 1], False, "a list of integers"),
-    "alive-int": ("alive", 5, False, "a list of integers"),
-    "alive-string": ("alive", ["a"], False, "a list of integers"),
+    "alive-bool": ("alive", [True, 1], False, _INDICES),
+    "alive-int": ("alive", 5, False, _INDICES),
+    "alive-string": ("alive", ["a"], False, _INDICES),
     "next-epoch-negative": ("next_epoch", -1, True, _EPOCHS),
     "next-epoch-ahead": ("next_epoch", 2, True, _EPOCHS),
-    "next-epoch-string": ("next_epoch", "1", False, "an integer"),
-    "time-negative": (
-        "time", -5, True, r"finite and not before the last recorded epoch \([\d.]+\)"
-    ),
-    "time-string": ("time", "x", False, "a number"),
+    "next-epoch-string": ("next_epoch", "1", False, _INTEGER),
+    "time-negative": ("time", -5, True, r"no earlier than the last recorded epoch \([\d.]+\)"),
+    "time-string": ("time", "x", False, _REAL),
+    "time-nan": ("time", math.nan, False, _REAL),
     "release-order-repeated": (
         "release_order", [0, 0], True,
         r"null or a list of distinct workers in range\(2\)",
     ),
     "recorder-list": ("recorder", [], False, "an object"),
     "ics-list": ("ics", [], False, "an object"),
-    "early-stop-string": ("early_stop.epochs_since_improvement", "0", False, "an integer"),
+    "early-stop-string": (
+        "early_stop.epochs_since_improvement", "0", False, r"an integer in \[0, inf\)"
+    ),
+    # measured values: a wrong type, NaN or a negative byte count
+    "recorder-iteration-string": (
+        "recorder.iterations[0].compute_time", "abc", False, _REAL
+    ),
+    "recorder-iteration-float-worker": ("recorder.iterations[0].worker", 0.5, False, _INTEGER),
+    "recorder-epoch-bool": ("recorder.epochs[0].time", True, False, _REAL),
+    "recorder-counter-nan": ("recorder.counters['osp.budget']", math.nan, False, _REAL),
+    "ics-discarded-nan": ("ics.discarded_bytes", math.nan, False, r"a real in \[0, inf\)"),
+    "ics-discarded-negative": ("ics.discarded_bytes", -1.0, False, r"a real in \[0, inf\)"),
+    "best-metric-nan": ("early_stop.best_metric", math.nan, False, r"a real in \[-inf, inf\)"),
+    "best-metric-inf": ("early_stop.best_metric", math.inf, False, r"a real in \[-inf, inf\)"),
 }  # fmt: skip
 
 
@@ -122,12 +145,12 @@ META_KEYS = (
 #: case -> (how to break a good file, does it still load, what the error says)
 CASES = {
     **{
-        f"no-meta-{key}": (_drop_meta(key), False, rf"metadata key '{key}' is missing")
+        f"no-meta-{key}": (_drop_meta(key), False, rf": {key} is missing")
         for key in META_KEYS
     },
     "version-1": (
         _rewritten(_version_1), False,
-        r"checkpoint format version 1 is not supported \(this build reads version 2\)",
+        r"format_version must be an integer in \[2, 2\], got 1",
     ),
     "truncated": (_truncate, False, r"not a readable checkpoint \(BadZipFile"),
     "not-a-zip": (_not_a_zip, False, r"not a readable checkpoint \(ValueError"),
@@ -149,7 +172,7 @@ CASES = {
         r"metadata key 'jitter': jitter state has 1 streams; model has \d+",
     ),
     **{
-        case: (_set_meta(key, value), loads, rf"metadata key '{key}' must be {must}, got ")
+        case: (_set_meta(key, value), loads, rf": {re.escape(key)} must be {must}, got ")
         for case, (key, value, loads, must) in META_EDITS.items()
     },
 }  # fmt: skip

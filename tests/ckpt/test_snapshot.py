@@ -67,7 +67,7 @@ def test_version_mismatch_refused(tmp_path):
     ckpt = make_ckpt()
     ckpt.meta["format_version"] = FORMAT_VERSION + 98
     path = write_checkpoint(ckpt, tmp_path / "ckpt-epoch0001.npz")
-    with pytest.raises(CheckpointError, match="format version"):
+    with pytest.raises(CheckpointError, match=r"format_version must be an integer in \[2, 2\], got 100"):
         load_checkpoint(path)
 
 

@@ -381,7 +381,7 @@ def test_cli_refuses_a_nan_fault_field(capsys):
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: factor must be a real in [1, inf), got nan")
+    assert err.startswith("error: --faults: [0].factor must be a real in [1, inf), got nan")
     assert len(err.strip().splitlines()) == 1
 
 

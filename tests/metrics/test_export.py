@@ -93,7 +93,7 @@ def test_every_counter_of_an_osp_run_roundtrips_exactly():
 def test_from_dict_refuses_a_counter_that_is_not_a_number(value):
     from repro.metrics.export import ExportError
 
-    with pytest.raises(ExportError, match=r"counters\['osp.degraded_quorum'\]: expected a number"):
+    with pytest.raises(ExportError, match=r"recorder: counters\['osp.degraded_quorum'\] must be a real in \(-inf, inf\), got "):
         recorder_from_dict({"counters": {"osp.degraded_quorum": value}})
 
 
@@ -102,7 +102,7 @@ def test_from_dict_rejects_unknown_fields():
 
     payload = recorder_to_dict(make_recorder())
     payload["iterations"][0]["bogus"] = 1
-    with pytest.raises(ExportError, match=r"iterations\[0\].*unknown fields.*bogus"):
+    with pytest.raises(ExportError, match=r"recorder: iterations\[0\].bogus is not a known key; expected worker, "):
         recorder_from_dict(payload)
 
 
@@ -111,14 +111,14 @@ def test_from_dict_rejects_missing_fields():
 
     payload = recorder_to_dict(make_recorder())
     del payload["epochs"][0]["metric"]
-    with pytest.raises(ExportError, match=r"epochs\[0\].*missing fields.*metric"):
+    with pytest.raises(ExportError, match=r"recorder: epochs\[0\].metric is missing"):
         recorder_from_dict(payload)
 
 
 def test_from_dict_rejects_non_object_record():
     from repro.metrics.export import ExportError
 
-    with pytest.raises(ExportError, match=r"iterations\[0\]: expected an object"):
+    with pytest.raises(ExportError, match=r"recorder: iterations\[0\] must be an object, got \[1, 2, 3\]"):
         recorder_from_dict({"iterations": [[1, 2, 3]]})
 
 

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import SYNC_FACTORIES, main
+from repro.nn.models.registry import MODEL_CARDS
 
 
 def _multirun(*extra):
@@ -83,26 +84,30 @@ def test_multirun_json_and_dash_artifacts(tmp_path, capsys):
 )
 def test_multirun_bad_jobs_spec_exits_2(spec, capsys):
     assert _multirun("--jobs", spec) == 2
-    assert "bad --jobs spec" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: --jobs")
+
+
+_CARDS = ", ".join(map(repr, sorted(MODEL_CARDS)))
+_SYNCS = ", ".join(map(repr, sorted(SYNC_FACTORIES)))
 
 
 @pytest.mark.parametrize(
     "entry, refusal",
     [
-        ({"workers": "x"}, "'workers' must be an integer, got 'x'"),
-        ({"workers": True}, "'workers' must be an integer, got True"),
-        ({"workers": 2.0}, "'workers' must be an integer, got 2.0"),
-        ({"epochs": 1.5}, "'epochs' must be an integer, got 1.5"),
-        ({"iterations": 2.5}, "'iterations' must be an integer, got 2.5"),
-        ({"seed": "1"}, "'seed' must be an integer, got '1'"),
-        ({"sigma": "0.1"}, "'sigma' must be a number, got '0.1'"),
-        ({"sigma": False}, "'sigma' must be a number, got False"),
-        ({"name": 5}, "'name' must be a string, got 5"),
-        ({"workload": 5}, "'workload' must be a string, got 5"),
-        ({"workload": "nope"}, "'workload' must be a known card, got 'nope'"),
-        ({"sync": 5}, "'sync' must be a string, got 5"),
-        ({"background": "no"}, "'background' must be true or false, got 'no'"),
-        ({"background": 1}, "'background' must be true or false, got 1"),
+        ({"workers": "x"}, "[0].workers must be an integer in (-inf, inf), got 'x'"),
+        ({"workers": True}, "[0].workers must be an integer in (-inf, inf), got True"),
+        ({"workers": 2.0}, "[0].workers must be an integer in (-inf, inf), got 2.0"),
+        ({"epochs": 1.5}, "[0].epochs must be an integer in (-inf, inf), got 1.5"),
+        ({"iterations": 2.5}, "[0].iterations must be an integer in (-inf, inf), got 2.5"),
+        ({"seed": "1"}, "[0].seed must be an integer in (-inf, inf), got '1'"),
+        ({"sigma": "0.1"}, "[0].sigma must be a real in (-inf, inf), got '0.1'"),
+        ({"sigma": False}, "[0].sigma must be a real in (-inf, inf), got False"),
+        ({"name": 5}, "[0].name must be a string, got 5"),
+        ({"workload": 5}, f"[0].workload must be one of {_CARDS}, got 5"),
+        ({"workload": "nope"}, f"[0].workload must be one of {_CARDS}, got 'nope'"),
+        ({"sync": 5}, f"[0].sync must be one of {_SYNCS}, got 5"),
+        ({"background": "no"}, "[0].background must be true or false, got 'no'"),
+        ({"background": 1}, "[0].background must be true or false, got 1"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else "",
 )
@@ -110,7 +115,7 @@ def test_multirun_wrong_typed_job_key_is_one_line_exit_2(entry, refusal, capsys)
     job = {"name": "a", "workers": 2, "epochs": 1, "iterations": 2} | entry
     assert _multirun("--jobs", json.dumps([job])) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"error: bad --jobs spec: job #0: {refusal}"]
+    assert captured.err.splitlines() == [f"error: --jobs: {refusal}"]
     assert captured.out == ""
 
 
@@ -162,8 +167,10 @@ def test_report_compare_schema_mismatch_exits_2(tmp_path, capsys):
     bogus.write_text(json.dumps({"schema": "something/else", "jobs": {}}))
     code = main(["report", "--compare", str(bogus), str(bogus)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "not a trace" in err and "repro run --trace FILE" in err
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bogus}: schema is not a known key; "
+        "expected traceEvents, [displayTimeUnit], [otherData]"
+    ]
 
 
 def test_report_compare_corrupt_json_exits_2(tmp_path, capsys):

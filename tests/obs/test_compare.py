@@ -47,7 +47,7 @@ def test_summary_schema_and_round_trip(tmp_path, baseline):
     assert rep.as_dict() == compare_runs(baseline, baseline).as_dict()
     bogus = tmp_path / "bogus.json"
     bogus.write_text('{"schema": "nope"}')
-    with pytest.raises(ValueError, match="not a trace"):
+    with pytest.raises(ValueError, match="schema is not a known key; expected traceEvents"):
         compare_runs(baseline, bogus)
 
 

@@ -191,7 +191,7 @@ def test_report_json_from_trace(tmp_path, capsys):
 
 def test_report_from_recorder_json(tmp_path, capsys):
     """A dumped recorder is not a trace: it is refused in one line that
-    says how to get one."""
+    names its first key and the keys a trace has."""
     from repro.cluster import (
         ClusterSpec,
         DistributedTrainer,
@@ -212,7 +212,7 @@ def test_report_from_recorder_json(tmp_path, capsys):
 
     assert main(["report", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"error: {path}: {_NOT_A_TRACE}"]
+    assert captured.err.splitlines() == [f"error: {path}: iterations {_TRACE_KEYS}"]
     assert captured.out == ""
 
 
@@ -278,7 +278,7 @@ def test_ckpt_inspect_refuses_version_mismatch(tmp_path, capsys):
 
     assert main(["ckpt", "inspect", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "format version" in err
+    assert f"{path}: format_version must be an integer in [2, 2], got 99" in err
 
 
 def _run_osp_counters(capsys, *extra):
@@ -389,7 +389,7 @@ def test_run_elastic_leave_and_join_from_faults_json(capsys):
     assert counters["elastic.worker_join"] == 1
 
 
-_NO_FAULT_FILE = "cannot read fault file nope.json: No such file or directory"
+_NO_FAULT_FILE = "--faults: cannot read nope.json: No such file or directory"
 
 _UNBUILDABLE = [
     ("run --workers 0", "n_workers must be an integer in [1, inf), got 0"),
@@ -422,50 +422,49 @@ _UNBUILDABLE = [
     ("compare --workers 0", "n_workers must be an integer in [1, inf), got 0"),
     (
         'run --faults {"event":[]}',
-        "fault spec object takes only an 'events' key, got ['event']",
+        "--faults: event is not a known key; expected events",
     ),
     (
         'run --faults {"faults":5}',
-        "fault spec object takes only an 'events' key, got ['faults']",
+        "--faults: faults is not a known key; expected events",
     ),
     (
         'run --faults [{"kind":"straggler","wrker":1}]',
-        "fault 'straggler': unknown key 'wrker'; straggler takes worker, start, "
-        "duration, factor=2.0",
+        "--faults: [0].wrker is not a known key; expected kind, worker, start, "
+        "duration, [factor]",
     ),
     (
         'run --faults [{"kind":"worker_crash","worker":1}]',
-        "fault 'worker_crash': missing key 'before_epoch'; worker_crash takes "
-        "worker, before_epoch, restart_epoch=None, recover='cold'",
+        "--faults: [0].before_epoch is missing",
     ),
     # worker ids and epochs of the membership kinds are JSON integers
     (
         'run --faults [{"kind":"worker_crash","worker":1.5,"before_epoch":1}]',
-        "worker must be an integer in [0, inf), got 1.5",
+        "--faults: [0].worker must be an integer in [0, inf), got 1.5",
     ),
     (
         'run --faults [{"kind":"worker_crash","worker":1,"before_epoch":1.5}]',
-        "before_epoch must be an integer in [1, inf), got 1.5",
+        "--faults: [0].before_epoch must be an integer in [1, inf), got 1.5",
     ),
     (
         'run --faults [{"kind":"worker_crash","worker":true,"before_epoch":1}]',
-        "worker must be an integer in [0, inf), got True",
+        "--faults: [0].worker must be an integer in [0, inf), got True",
     ),
     (
         'run --faults [{"kind":"worker_crash","worker":1,"before_epoch":1,"restart_epoch":2.5}]',
-        "restart_epoch must be an integer in [2, inf) or None, got 2.5",
+        "--faults: [0].restart_epoch must be an integer in [2, inf) or None, got 2.5",
     ),
     (
         'run --faults [{"kind":"straggler","worker":1.5,"start":0,"duration":1}]',
-        "worker must be an integer in [0, inf), got 1.5",
+        "--faults: [0].worker must be an integer in [0, inf), got 1.5",
     ),
     (
         'run --faults [{"kind":"worker_join","worker":3,"epoch":1.0}]',
-        "epoch must be an integer in [1, inf), got 1.0",
+        "--faults: [0].epoch must be an integer in [1, inf), got 1.0",
     ),
     (
         'run --faults [{"kind":"worker_leave","worker":"1","epoch":2}]',
-        "worker must be an integer in [0, inf), got '1'",
+        "--faults: [0].worker must be an integer in [0, inf), got '1'",
     ),
     (
         'run --workers 2 --faults [{"kind":"worker_leave","worker":0,"epoch":1},'
@@ -480,6 +479,13 @@ _UNBUILDABLE = [
     (
         'run --faults [{"kind":"link_flap","start":0,"duration":1,"nodes":[0,99]}]',
         "fault schedule link_flap names unknown node 99",
+    ),
+    # a wrongly typed container is refused, never iterated
+    *(
+        (f'run --faults [{{"kind":"link_flap","start":0,"duration":1,"nodes":{nodes}}}]',
+         "--faults: [0].nodes must be a sequence, each an integer in [0, inf) or None, "
+         f"got {got}")
+        for nodes, got in (("5", "5"), ('"ab"', "'ab'"), ('{"0":1}', "{'0': 1}"))
     ),
     ("run --faults nope.json", _NO_FAULT_FILE),
     ("dash --faults nope.json --out x.html", _NO_FAULT_FILE),
@@ -513,13 +519,10 @@ def test_dash_refuses_a_bad_interval_in_one_line(interval, capsys, tmp_path, mon
     assert not list(tmp_path.iterdir())
 
 
-_NOT_A_TRACE = (
-    "not a trace: expected an object with 'traceEvents' "
-    "(write one with `repro run --trace FILE`)"
-)
-
+_NOT_AN_OBJECT = "error: {f} must be an object, got "
+_TRACE_KEYS = "is not a known key; expected traceEvents, [displayTimeUnit], [otherData]"
 _NO_SPANS = (
-    "traceEvents: no complete ('X') span, so no iteration to report "
+    "traceEvents holds no complete ('X') span, so no iteration to report "
     "(write a trace with `repro run --trace FILE`)"
 )
 _REPORT_CORPUS = [
@@ -528,57 +531,55 @@ _REPORT_CORPUS = [
     ("", "error: {f}: not JSON (Expecting value: line 1 column 1 (char 0))"),
     ("{not json", "error: {f}: not JSON (Expecting property name enclosed "
                   "in double quotes: line 1 column 2 (char 1))"),
-    ('"trace"', "error: {f}: " + _NOT_A_TRACE),
-    ("5", "error: {f}: " + _NOT_A_TRACE),
-    ('{"traceEvents": 5}', "error: {f}: traceEvents: expected a list, got int"),
-    ("[1]", "error: {f}: " + _NOT_A_TRACE),
-    ('{"traceEvents": [1]}', "error: {f}: traceEvents[0]: expected an object, got int"),
-    ('{"counters": {"x": "y"}}', "error: {f}: " + _NOT_A_TRACE),
-    ('{"iterations": 5}', "error: {f}: " + _NOT_A_TRACE),
-    ('{"a": 1}', "error: {f}: " + _NOT_A_TRACE),
-    ('{"traceEvents": [{"ph": "X"}]}',
-     "error: {f}: traceEvents[0]: an 'X' event needs a 'ts'"),
+    ('"trace"', _NOT_AN_OBJECT + "'trace'"),
+    ("5", _NOT_AN_OBJECT + "5"),
+    ('{"traceEvents": 5}', "error: {f}: traceEvents must be a list, got 5"),
+    ("[1]", _NOT_AN_OBJECT + "[1]"),
+    ('{"traceEvents": [1]}', "error: {f}: traceEvents[0] must be an object, got 1"),
+    ('{"counters": {"x": "y"}}', "error: {f}: counters " + _TRACE_KEYS),
+    ('{"iterations": 5}', "error: {f}: iterations " + _TRACE_KEYS),
+    ('{"a": 1}', "error: {f}: a " + _TRACE_KEYS),
+    ('{"traceEvents": [{"ph": "X"}]}', "error: {f}: traceEvents[0].ts is missing"),
     ('{"traceEvents": [{"ph": "X", "ts": "a"}]}',
-     "error: {f}: traceEvents[0].ts: expected a number, got str"),
+     "error: {f}: traceEvents[0].ts must be a real in [0, inf), got 'a'"),
     ('{"traceEvents": [{"ph": "X", "ts": NaN}]}',
-     "error: {f}: traceEvents[0].ts: expected a finite number, got nan"),
+     "error: {f}: traceEvents[0].ts must be a real in [0, inf), got nan"),
     ('{"traceEvents": [{"ph": "X", "ts": 0, "dur": true}]}',
-     "error: {f}: traceEvents[0].dur: expected a number, got bool"),
+     "error: {f}: traceEvents[0].dur must be a real in [0, inf), got True"),
     ('{"traceEvents": [{"ph": "X", "ts": 0, "name": 5}]}',
-     "error: {f}: traceEvents[0].name: expected a string, got int"),
+     "error: {f}: traceEvents[0].name must be a string, got 5"),
     ('{"traceEvents": [{"ph": "X", "ts": 0, "args": []}]}',
-     "error: {f}: traceEvents[0].args: expected an object, got list"),
+     "error: {f}: traceEvents[0].args must be an object, got []"),
     ('{"traceEvents": [{"ph": "X", "ts": 0, "name": "compute", "args": {"worker": "a"}}]}',
-     "error: {f}: traceEvents[0].args.worker: expected an integer, got str"),
+     "error: {f}: traceEvents[0].args.worker must be an integer in [0, inf), got 'a'"),
     ('{"traceEvents": [{"ph": "X", "ts": 0, "pid": "network", '
      '"args": {"phase": "p", "bytes": null}}]}',
-     "error: {f}: traceEvents[0].args.bytes: expected a number, got NoneType"),
-    ('{"traceEvents": [], "otherData": 3}',
-     "error: {f}: otherData: expected an object, got int"),
+     "error: {f}: traceEvents[0].args.bytes must be a real in [0, inf), got None"),
+    ('{"traceEvents": [], "otherData": 3}', "error: {f}: otherData must be an object, got 3"),
     ('{"traceEvents": [], "otherData": {"traffic": {"rs": 5}}}',
-     "error: {f}: otherData.traffic['rs']: expected an object, got int"),
+     "error: {f}: otherData.traffic['rs'] must be an object, got 5"),
     ('{"traceEvents": [], "otherData": {"traffic": {"rs": {"fc": "1"}}}}',
-     "error: {f}: otherData.traffic['rs']['fc']: expected a number, got str"),
+     "error: {f}: otherData.traffic['rs']['fc'] must be a real in [0, inf), got '1'"),
     ('{"traceEvents": [], "otherData": {"recorderCounters": {"x": "y"}}}',
-     "error: {f}: otherData.recorderCounters['x']: expected a number, got str"),
+     "error: {f}: otherData.recorderCounters['x'] must be a real in (-inf, inf), got 'y'"),
     ('{"traceEvents": [], "otherData": {"wallTime": "1"}}',
-     "error: {f}: otherData.wallTime: expected a number, got str"),
+     "error: {f}: otherData.wallTime must be a real in [0, inf), got '1'"),
     ('{"traceEvents": [], "otherData": {"wallTime": Infinity}}',
-     "error: {f}: otherData.wallTime: expected a finite number, got inf"),
-    ("[]", "error: {f}: " + _NOT_A_TRACE),
-    ('"s"', "error: {f}: " + _NOT_A_TRACE),
+     "error: {f}: otherData.wallTime must be a real in [0, inf), got inf"),
+    ("[]", _NOT_AN_OBJECT + "[]"),
+    ('"s"', _NOT_AN_OBJECT + "'s'"),
     # times, durations and byte counts are non-negative
     ('{"traceEvents": [{"ph": "X", "ts": -1}]}',
-     "error: {f}: traceEvents[0].ts: expected a real in [0, inf), got -1"),
+     "error: {f}: traceEvents[0].ts must be a real in [0, inf), got -1"),
     ('{"traceEvents": [{"ph": "X", "ts": 0, "dur": -0.5}]}',
-     "error: {f}: traceEvents[0].dur: expected a real in [0, inf), got -0.5"),
+     "error: {f}: traceEvents[0].dur must be a real in [0, inf), got -0.5"),
     ('{"traceEvents": [{"ph": "X", "ts": 0, "pid": "network", '
      '"args": {"phase": "p", "bytes": -8}}]}',
-     "error: {f}: traceEvents[0].args.bytes: expected a real in [0, inf), got -8"),
+     "error: {f}: traceEvents[0].args.bytes must be a real in [0, inf), got -8"),
     ('{"traceEvents": [], "otherData": {"traffic": {"rs": {"fc": -1.5}}}}',
-     "error: {f}: otherData.traffic['rs']['fc']: expected a real in [0, inf), got -1.5"),
+     "error: {f}: otherData.traffic['rs']['fc'] must be a real in [0, inf), got -1.5"),
     ('{"traceEvents": [], "otherData": {"wallTime": -1.0}}',
-     "error: {f}: otherData.wallTime: expected a real in [0, inf), got -1.0"),
+     "error: {f}: otherData.wallTime must be a real in [0, inf), got -1.0"),
     # a trace must hold a complete span: without one there is no iteration
     ('{"traceEvents": [], "otherData": {"wallTime": 1.0}}', "error: {f}: " + _NO_SPANS),
     ('{"traceEvents": [{"ph": "C", "ts": 0, "name": "obs.net.active_flows", '
@@ -678,8 +679,28 @@ def test_jobs_spec_with_nan_sigma_is_a_bad_spec(capsys):
     assert main(["multirun", "--jobs", jobs]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "error: bad --jobs spec: sigma must be a real in [0, inf), got nan"
+        "error: --jobs: [0].sigma must be a real in (-inf, inf), got nan"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["run", "--faults"], 1), (["multirun", "--jobs"], 2)],
+    ids=["faults", "jobs"],
+)
+def test_jobs_and_faults_open_their_value_the_same_way(argv, code, capsys):
+    """Inline text that starts with ``[`` or ``{`` is JSON for both flags,
+    anything else a path, and a missing file is worded the same for both."""
+    flag = argv[-1]
+    assert main([*argv, "nope.json"]) == code
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flag}: cannot read nope.json: No such file or directory"
+    ]
+    assert main([*argv, ' {"jobs": []}']) == code
+    expected = "error: --faults: jobs is not a known key; expected events"
+    if flag == "--jobs":
+        expected = "error: --jobs must be a list, got {'jobs': []}"
+    assert capsys.readouterr().err.splitlines() == [expected]
 
 
 def test_value_error_mid_run_stays_loud(monkeypatch):
