@@ -23,8 +23,14 @@ entry total and the network counts.
 ``t8_obs``'s smoke shape (``t8_osp``'s, 2 epochs × 4 iterations, sampled,
 traced and checked by the strict default monitors) pins what observing and
 checking cost: spans, counter-track samples per gauge, sampler ticks and the
-values they wrote, ``Network.ledger()`` reads, and per drain monitor the
-drain-hook calls, its checks and the active flows it walked.
+values they wrote, the kernel's ``MetricSampler.on_advance`` calls,
+``Network.ledger()`` reads, and per drain monitor the drain-hook calls, its
+checks and the active flows it walked.
+
+``sweep_bw``'s smoke shape (``sweep_bandwidth`` over BSP, ASP, SSP and OSP
+at the bench's eight bandwidths, 1 epoch × 2 iterations, seed 3: 32 short
+runs) pins what a run costs to build and run: the kernel's entries by kind,
+the PCG64 jitter streams built, and the networks' rerates and solver calls.
 
 A change that moves a count updates its pin and states old → new in
 CHANGES.md. Counts do not depend on the host, so a creep below the timing
@@ -34,6 +40,7 @@ noise of a ``host_s`` claim still shows here.
 from collections import Counter
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 from repro.check import InvariantChecker
@@ -42,9 +49,12 @@ from repro.core.gib import GIB
 from repro.core.osp import OSP
 from repro.harness import WorkloadConfig, timing_trainer
 from repro.hardware.compute import ComputeModel
+from repro.harness.sweep import sweep_bandwidth
 from repro.netsim import Network
 from repro.netsim.network import _Cohort
+from repro.obs.timeseries import MetricSampler
 from repro.simcore import NORMAL, Environment, Process, Timeout
+from repro.sync import ASP, BSP, SSP
 
 #: 3 epochs × 4 iterations × 8 workers.
 WORKER_ITERATIONS = 3 * 4 * 8
@@ -101,6 +111,7 @@ PINNED_T8_OBS = {
         "obs.net.active_flows": 280, "osp.quorum_size": 8, "obs.ps.version": 8,
     },
     "sampler_ticks": 37,
+    "on_advance_calls": 499,
     "sampler_values": 4221,
     # the probes share one reading of the fabric per tick, and one when built
     "ledger_calls": 38,
@@ -108,6 +119,28 @@ PINNED_T8_OBS = {
     "checks": {"net.conservation": 291, "ps.ledger": 72, "osp.gib": 10, "osp.ics_inflight": 291},
     # active flows the monitors read inside their drain hooks
     "flows_walked": {"net.conservation": 0, "osp.ics_inflight": 0},
+}
+
+
+#: ``sweep_bw``'s smoke shape: 32 runs of 8 workers × 1 × 2 iterations.
+SWEEP_BANDWIDTHS = tuple(g * 1e9 for g in (0.25, 0.5, 1, 1.25, 2, 4, 8, 16))
+PINNED_SWEEP_ENTRIES = {
+    "timeout": 2380,
+    "delivery": 1024,
+    "defer": 808,
+    "process_start": 256,
+    "process_exit": 256,
+    "relay": 0,
+    "interrupt": 0,
+    "succeed": 704,
+}
+PINNED_SWEEP = {
+    "runs": 32,
+    "networks": 32,
+    "pcg64_streams": 2048,
+    "netsim.rerates": 1600,
+    "netsim.fairshare_calls": 924,
+    "netsim.rerate_skipped": 432,
 }
 
 
@@ -127,8 +160,6 @@ def _entry_kind(event) -> str:
         if first.__func__ is Process._resume_interrupt:
             return "interrupt"
         return "process_start" if owner._target is None else "relay"
-    if first is not None and "Environment.defer" in first.__qualname__:
-        return "defer"
     return "succeed"
 
 
@@ -215,18 +246,33 @@ def _network_counts(trainer, seen: Counter) -> dict:
     }  # fmt: skip
 
 
+def _count_entries(mp: pytest.MonkeyPatch, entries: Counter) -> None:
+    """Every queue entry by kind: ``Environment.schedule`` is the only way
+    in, and an entry scheduled inside ``Environment.defer`` is a defer."""
+    schedule, defer = Environment.schedule, Environment.defer
+    deferring = []
+
+    def counted_schedule(self, event, delay=0.0, priority=NORMAL):
+        entries["defer" if deferring else _entry_kind(event)] += 1
+        return schedule(self, event, delay, priority)
+
+    def counted_defer(self, fn):
+        deferring.append(True)
+        try:
+            return defer(self, fn)
+        finally:
+            deferring.pop()
+
+    mp.setattr(Environment, "schedule", counted_schedule)
+    mp.setattr(Environment, "defer", counted_defer)
+
+
 @pytest.fixture(scope="module")
 def counts():
     mp = pytest.MonkeyPatch()
     seen: Counter = Counter()
     entries: Counter = Counter()
-    schedule = Environment.schedule
-
-    def counted_schedule(self, event, delay=0.0, priority=NORMAL):
-        entries[_entry_kind(event)] += 1
-        return schedule(self, event, delay, priority)
-
-    mp.setattr(Environment, "schedule", counted_schedule)
+    _count_entries(mp, entries)
     mp.setattr(
         ComputeModel, "__post_init__",
         _counting(ComputeModel.__post_init__, seen, "compute_models"),
@@ -313,6 +359,10 @@ def counts_t8_obs():
         return wrapper
 
     mp.setattr(Network, "ledger", _counting(ledger, seen, "ledger_calls"))
+    mp.setattr(
+        MetricSampler, "on_advance",
+        _counting(MetricSampler.on_advance, seen, "on_advance_calls"),
+    )  # fmt: skip
     mp.setattr(Network, "active_flows", property(counted_active_flows))
     try:
         cfg = WorkloadConfig(
@@ -335,10 +385,45 @@ def counts_t8_obs():
         "gauge_samples": {name: len(samples) for name, samples in tracer.counters.items()},
         "sampler_ticks": sampler.samples_taken,
         "sampler_values": sum(len(s) + s.dropped for s in series.values()),
+        "on_advance_calls": seen["on_advance_calls"],
         "ledger_calls": seen["ledger_calls"],
         "drain_hook_calls": dict(hook_calls),
         "checks": {name: checks for name, (checks, _v) in report.monitors.items()},
         "flows_walked": {name: walked[name] for name in hook_calls},
+    }
+
+
+@pytest.fixture(scope="module")
+def counts_sweep():
+    mp = pytest.MonkeyPatch()
+    entries: Counter = Counter()
+    seen: Counter = Counter()
+    _count_entries(mp, entries)
+    pcg64 = np.random.PCG64
+    mp.setattr(np.random, "PCG64", _counting(pcg64, seen, "pcg64_streams"))
+    networks: list[Network] = []
+    network_init = Network.__init__
+
+    def collected_init(self, *args, **kwargs):
+        networks.append(self)
+        network_init(self, *args, **kwargs)
+
+    mp.setattr(Network, "__init__", collected_init)
+    try:
+        points = sweep_bandwidth(
+            (BSP, ASP, SSP, OSP), SWEEP_BANDWIDTHS, epochs=1, ipe=2, seed=3
+        )
+    finally:
+        mp.undo()
+    return {
+        "entries": dict(entries),
+        "runs": len(points),
+        "networks": len(networks),
+        "pcg64_streams": seen["pcg64_streams"],
+        **{
+            key: sum(net.stats.get(key, 0) for net in networks)
+            for key in ("netsim.rerates", "netsim.fairshare_calls", "netsim.rerate_skipped")
+        },
     }
 
 
@@ -370,6 +455,20 @@ def test_t128_work_count_is_pinned(counts_t128, name):
 def test_t8_obs_work_count_is_pinned(counts_t8_obs, name):
     assert counts_t8_obs[name] == PINNED_T8_OBS[name], (
         f"{name}: {PINNED_T8_OBS[name]} -> {counts_t8_obs[name]} per t8_obs smoke "
+        "run; update the pin and state it old -> new in CHANGES.md"
+    )
+
+
+def test_sweep_entries_by_kind(counts_sweep):
+    entries = {kind: counts_sweep["entries"].get(kind, 0) for kind in PINNED_SWEEP_ENTRIES}
+    assert entries == PINNED_SWEEP_ENTRIES
+    assert set(counts_sweep["entries"]) <= set(PINNED_SWEEP_ENTRIES)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEP))
+def test_sweep_work_count_is_pinned(counts_sweep, name):
+    assert counts_sweep[name] == PINNED_SWEEP[name], (
+        f"{name}: {PINNED_SWEEP[name]} -> {counts_sweep[name]} per sweep_bw smoke "
         "run; update the pin and state it old -> new in CHANGES.md"
     )
 
