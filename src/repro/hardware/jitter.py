@@ -50,7 +50,9 @@ class LognormalJitter:
 
     Samples are indexed by (worker, iteration) through a counter-based
     construction (one child generator per worker) so results do not depend
-    on the order in which workers ask.
+    on the order in which workers ask. Worker ``w``'s generator is seeded
+    from ``(seed, w)`` alone and built on its first draw, so a run pays only
+    for the streams its workers use.
     """
 
     BOUNDS = {"sigma": NON_NEGATIVE, "seed": INDEX, "n_workers": COUNT}
@@ -62,11 +64,18 @@ class LognormalJitter:
         self.seed = seed
         self.n_workers = n_workers
         check_bounds(self)
-        self._streams = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, w])))
-            for w in range(n_workers)
-        ]
+        #: Worker ``w``'s generator, or None until :meth:`_stream` builds it.
+        self._streams: list[np.random.Generator | None] = [None] * n_workers
         self._cache: dict[tuple[int, int], float] = {}
+
+    def _stream(self, worker: int) -> np.random.Generator:
+        """Worker ``worker``'s generator, built from ``(seed, worker)`` when
+        first asked for."""
+        stream = self._streams[worker]
+        if stream is None:
+            seq = np.random.SeedSequence([self.seed, worker])
+            stream = self._streams[worker] = np.random.Generator(np.random.PCG64(seq))
+        return stream
 
     def sample(self, base_time: float, worker: int, iteration: int) -> float:
         key = (worker, iteration)
@@ -79,15 +88,17 @@ class LognormalJitter:
                     f"worker {worker} out of range: this LognormalJitter was "
                     f"built with n_workers={len(self._streams)} streams"
                 )
-            factor = float(np.exp(self._streams[worker].normal(0.0, self.sigma)))
+            factor = float(np.exp(self._stream(worker).normal(0.0, self.sigma)))
             self._cache[key] = factor
         return base_time * factor
 
     def state_dict(self) -> dict:
-        """Serialisable per-worker RNG stream state (for checkpointing)."""
+        """Serialisable per-worker RNG stream state (for checkpointing):
+        every one of the ``n_workers`` streams, a stream not drawn from yet
+        in its freshly seeded state."""
         return {
             "kind": "lognormal",
-            "streams": [g.bit_generator.state for g in self._streams],
+            "streams": [self._stream(w).bit_generator.state for w in range(self.n_workers)],
         }
 
     def load_state(self, state: dict) -> None:
@@ -97,8 +108,8 @@ class LognormalJitter:
             raise ValueError(
                 f"jitter state has {len(streams)} streams; model has {len(self._streams)}"
             )
-        for generator, saved in zip(self._streams, streams):
-            generator.bit_generator.state = saved
+        for w, saved in enumerate(streams):
+            self._stream(w).bit_generator.state = saved
         self._cache.clear()
 
 

@@ -105,4 +105,30 @@ class FlowRecord:
         return self.end_time - self.start_time
 
 
+class RecordBuilder(FlowRecord):
+    """Builds a :class:`FlowRecord` in one call: ``RecordBuilder(...)``
+    returns a ``FlowRecord``, all eight fields given positionally.
+
+    A frozen dataclass writes each field through ``object.__setattr__``
+    (four times the cost of building a :class:`Flow`). This subclass adds no
+    slot, so it has the record's layout: its ``__init__`` writes the slots
+    directly, then turns the instance into a plain, immutable
+    ``FlowRecord``. The network builds one per finished flow.
+    """
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+
+    def __init__(self, fid, src, dst, size, tag, start_time, end_time, job) -> None:
+        self.fid = fid
+        self.src = src
+        self.dst = dst
+        self.size = size
+        self.tag = tag
+        self.start_time = start_time
+        self.end_time = end_time
+        self.job = job
+        self.__class__ = FlowRecord
+
+
 __all__ = ["Flow", "FlowRecord"]

@@ -103,7 +103,7 @@ from operator import attrgetter
 from typing import Any, Optional
 
 from repro.netsim.fairshare import _EPS, _max_min, _prio_max_min
-from repro.netsim.flows import Flow, FlowRecord
+from repro.netsim.flows import Flow, FlowRecord, RecordBuilder
 from repro.netsim.links import Link
 from repro.netsim.prio import CLASS_NAMES, PRIO_NORMAL
 from repro.netsim.topology import StarTopology
@@ -724,7 +724,7 @@ class Network:
         self._pending = True
         self.env.defer(self._on_deferred_rerate)
 
-    def _on_deferred_rerate(self) -> None:
+    def _on_deferred_rerate(self, _event) -> None:
         if not self._pending:
             return  # an immediate rerate (timer/fault refresh) covered it
         self._drain()
@@ -1023,14 +1023,15 @@ class Network:
             # A new flow no touched link reached is alone on its links, so
             # its share is its route's min capacity — whatever its class
             # (nobody to preempt or defer to).
-            alone = {
-                fid: min(self._capacities[n] for n in self._active[fid].links)
-                for fid in self._pending_new
-                if fid not in routes
-            }
-            self._pending_new.clear()
-            if alone:
-                self._write_back(alone)
+            if self._pending_new:
+                alone = {
+                    fid: min(self._capacities[n] for n in self._active[fid].links)
+                    for fid in self._pending_new
+                    if fid not in routes
+                }
+                self._pending_new.clear()
+                if alone:
+                    self._write_back(alone)
 
             horizon = self._horizon()
             if horizon == _INF:  # pragma: no cover - defensive
@@ -1063,7 +1064,7 @@ class Network:
         stays untriggered until its entry pops; without, it succeeds URGENT
         at this instant.
         """
-        record = FlowRecord(
+        record = RecordBuilder(
             flow.fid, flow.src, flow.dst, flow.size, flow.tag,
             flow.start_time, self.env.now + flow.latency, flow.job,
         )

@@ -1,9 +1,10 @@
 """Time-series metrics plane: clock-driven sampling into ring buffers.
 
-:class:`MetricSampler` hangs off ``Environment.metric_sampler`` and is
-invoked by the kernel once per processed event (after its callbacks ran).
-When the clock has crossed the next sampling edge it reads every tracer
-counter track and every attached probe (each returns a ``{track: value}``
+:class:`MetricSampler` hangs off ``Environment.metric_sampler`` and
+publishes its next sampling edge as ``next_edge``. The kernel calls it
+after a processed event's callbacks ran, once the clock has reached that
+edge (never otherwise, so an unsampled stretch costs one comparison per
+event). It then reads every tracer counter track and every attached probe (each returns a ``{track: value}``
 mapping) and stores the tick as one row: the tick's time, and for each
 value its series' column index and the value, appended to flat ``array``
 columns. Rows are folded into the per-series fixed-capacity numpy rings
@@ -175,7 +176,10 @@ class MetricSampler:
         #: track names of the mapping it returned last, in order, and their
         #: columns — a mapping with the same names reuses them.
         self._layouts: dict[int, tuple[list[str], array]] = {}
-        self._next = env.now  # first edge fires on the first event at/after start
+        #: The clock value at which the next sample is due: the kernel calls
+        #: :meth:`on_advance` once the clock has reached it. The first edge
+        #: fires on the first event at/after start.
+        self.next_edge = env.now
         self.samples_taken = 0
 
     # ------------------------------------------------------------------ wiring
@@ -201,14 +205,15 @@ class MetricSampler:
 
     # ------------------------------------------------------------------ kernel
     def on_advance(self, now: float) -> None:
-        """Kernel hook: called after each processed event's callbacks."""
-        if now < self._next:
+        """Kernel hook: a processed event's callbacks ran and the clock is
+        at ``now`` (the kernel calls it only once ``now >= next_edge``)."""
+        if now < self.next_edge:
             return
         self.sample(now)
         # One sample per crossing, however many edges the event jumped over
         # (multiplication, not repeated addition, keeps edges drift-free).
-        crossed = int((now - self._next) // self.interval) + 1
-        self._next += crossed * self.interval
+        crossed = int((now - self.next_edge) // self.interval) + 1
+        self.next_edge += crossed * self.interval
 
     def sample(self, now: float) -> None:
         """Take one sample of every tracer gauge and attached probe.

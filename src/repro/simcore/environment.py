@@ -15,6 +15,18 @@ class SimulationError(RuntimeError):
     empty queue with ``until`` set, or an unhandled failure surfaces)."""
 
 
+class _Never:
+    """The stop event of a run without one: it is never processed."""
+
+    __slots__ = ()
+    callbacks = ()
+
+
+_NEVER = _Never()
+_INF = float("inf")
+_heappop, _heappush = heapq.heappop, heapq.heappush
+
+
 class Environment:
     """Execution environment for a discrete-event simulation.
 
@@ -28,7 +40,9 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current virtual time: a plain attribute that only :meth:`run`
+        #: writes, so reading it costs no call.
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0  # insertion counter: deterministic FIFO tie-break
         #: Optional :class:`repro.obs.Tracer` (duck-typed; the kernel never
@@ -39,7 +53,8 @@ class Environment:
         #: process-local current-span context.
         self.active_process = None
         #: Optional :class:`repro.obs.timeseries.MetricSampler` (duck-typed).
-        #: Called once per processed event *after* its callbacks ran, so
+        #: Its ``on_advance(now)`` is called after a processed event's
+        #: callbacks ran, once the clock has reached its ``next_edge``, so
         #: sampling observes the post-event state without ever scheduling
         #: events of its own — sampled runs stay bit-identical to unsampled.
         self.metric_sampler = None
@@ -64,11 +79,6 @@ class Environment:
         finally:
             self.current_job = prev
 
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
         """Create a new, untriggered :class:`Event`."""
@@ -91,11 +101,12 @@ class Environment:
         return AllOf(self, events)
 
     def defer(self, fn) -> Event:
-        """Same-instant batching hook: run ``fn()`` later *this* instant.
+        """Same-instant batching hook: run ``fn(event)`` later *this* instant.
 
-        Schedules an already-succeeded event at the current time, so ``fn``
-        executes after every event already queued for ``now`` (at NORMAL
-        priority) but before the clock advances. Subsystems use this to
+        Schedules an already-succeeded event at the current time with ``fn``
+        as its one callback, so ``fn`` executes after every event already
+        queued for ``now`` (at NORMAL priority) but before the clock
+        advances. Subsystems use this to
         coalesce work triggered by several same-instant events into one
         pass — e.g. the network re-rates once per instant instead of once
         per flow start. The callback must not assume any ordering relative
@@ -105,7 +116,7 @@ class Environment:
         ev = Event(self)
         ev._ok = True
         ev._value = None
-        ev.callbacks.append(lambda _ev: fn())
+        ev.callbacks.append(fn)
         self.schedule(ev, 0.0, NORMAL)
         return ev
 
@@ -145,34 +156,43 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        """Queue a triggered event for processing at ``now + delay``."""
+        """Queue a triggered event for processing at ``now + delay``.
+
+        The only way an entry enters the queue."""
         if not delay >= 0:  # written so that a NaN delay fails here, not later
             raise ValueError(f"delay must be >= 0, got {delay}")
-        self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        self._eid = eid = self._eid + 1
+        _heappush(self._queue, (self.now + delay, priority, eid, event))
 
     def step(self) -> None:
-        """Process the single next event (advancing the clock to it); a
-        cancelled entry is dropped without either."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _prio, _eid, event = heapq.heappop(self._queue)
+        """Process the next queue entry: the kernel's one dispatch body.
+
+        It pops the entry and drops it if it was cancelled, without moving
+        the clock. Otherwise it advances the clock to it, runs its
+        callbacks in registration order, raises an unhandled failure, and
+        calls the sampler if the clock has reached its ``next_edge``.
+        :meth:`run` calls it once per entry.
+        """
+        try:
+            when, _prio, _eid, event = _heappop(self._queue)
+        except IndexError:
+            raise SimulationError("step() on an empty event queue") from None
         callbacks = event.callbacks
         if callbacks is None:  # cancelled: no time passes, nothing observes it
             return
-        assert when >= self._now, "event queue went backwards in time"
-        self._now = when
+        assert when >= self.now, "event queue went backwards in time"
+        self.now = when
         event.callbacks = None
         for cb in callbacks:
             cb(event)
         if not event._ok and not event.defused:
-            exc = event.value
+            exc = event._value
             if isinstance(exc, BaseException):
                 raise exc
             raise SimulationError(f"event failed with non-exception {exc!r}")
         sampler = self.metric_sampler
-        if sampler is not None:
-            sampler.on_advance(self._now)
+        if sampler is not None and when >= sampler.next_edge:
+            sampler.on_advance(when)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -185,30 +205,30 @@ class Environment:
             to exactly ``until`` on return even if the queue drained early).
             :class:`Event` — run until that event has been processed and
             return its value (re-raising its failure).
+
+        Every mode is the one loop below around :meth:`step`: it stops when
+        the ``until`` event has been processed, the queue is empty or the
+        next entry lies past the ``until`` time.
         """
-        if until is None:
-            while self._queue:
-                self.step()
-            return None
-
+        stop, horizon = _NEVER, _INF
         if isinstance(until, Event):
-            sentinel = until
-            while not sentinel.processed:
-                if not self._queue:
-                    raise SimulationError(
-                        "run(until=event): queue drained before event triggered"
-                    )
-                self.step()
-            if not sentinel.ok:
-                raise sentinel.value
-            return sentinel.value
+            stop = until
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self.now:
+                raise ValueError(f"until={horizon} is in the past (now={self.now})")
+        queue, step = self._queue, self.step
+        while stop.callbacks is not None and queue and queue[0][0] <= horizon:
+            step()
 
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} is in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
-        self._now = horizon
+        if stop is not _NEVER:
+            if stop.callbacks is not None:
+                raise SimulationError("run(until=event): queue drained before event triggered")
+            if not stop._ok:
+                raise stop._value
+            return stop._value
+        if until is not None:
+            self.now = horizon
         return None
 
 

@@ -40,11 +40,16 @@ class Interrupt(Exception):
 class Event:
     """A one-shot occurrence that processes can wait on.
 
+    Events are slotted: a run builds one or more per queue entry, so they
+    carry no ``__dict__``.
+
     Parameters
     ----------
     env:
         Owning environment; the event is scheduled on its queue.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "defused")
 
     def __init__(self, env: "Environment") -> None:  # noqa: F821
         self.env = env
@@ -83,7 +88,7 @@ class Event:
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = True
         self._value = value
@@ -94,7 +99,7 @@ class Event:
         """Trigger the event as failed with ``exception``."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
@@ -112,16 +117,21 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` time units after creation."""
+    """An event that triggers ``delay`` time units after creation.
+
+    It sets its fields itself rather than through ``Event.__init__``: a
+    timeout is the kernel's most common entry."""
+
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:  # noqa: F821
-        if not delay >= 0:  # written so that NaN fails too
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        super().__init__(env)
-        self.delay = float(delay)
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self.defused = False
+        self.delay = float(delay)
+        env.schedule(self, delay)  # refuses a negative or NaN delay
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {hex(id(self))}>"
@@ -133,6 +143,8 @@ class AllOf(Event):
     Value is a dict mapping each child event to its value. A child failure
     propagates immediately.
     """
+
+    __slots__ = ("events", "_count")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
         super().__init__(env)
@@ -154,7 +166,7 @@ class AllOf(Event):
         return {ev: ev._value for ev in self.events if ev.processed and ev._ok}
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             event.defused = True

@@ -24,6 +24,8 @@ from repro.simcore.priority import URGENT
 class Process(Event):
     """A running simulation process (also an event: done ⇔ triggered)."""
 
+    __slots__ = ("_generator", "_target", "job", "_resume_cb")
+
     def __init__(self, env: "Environment", generator: Generator) -> None:  # noqa: F821
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"process() expects a generator, got {generator!r}")
@@ -33,9 +35,11 @@ class Process(Event):
         #: Owning co-tenant job (from the environment's open job_scope at
         #: creation time), or None for single-tenant processes.
         self.job = getattr(env, "current_job", None)
+        #: ``self._resume`` bound once: every wait registers this one object.
+        self._resume_cb = self._resume
         # Bootstrap: resume the generator as soon as the sim starts/steps.
         init = Event(env)
-        init.callbacks.append(self._resume)
+        init.callbacks.append(self._resume_cb)
         init.succeed(priority=URGENT)
 
     def interrupt(self, cause: Any = None) -> None:
@@ -62,7 +66,7 @@ class Process(Event):
             return  # process finished before the interrupt was delivered
         if self._target is not None and self._target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                self._target.callbacks.remove(self._resume_cb)
             except ValueError:
                 pass
         self._target = None
@@ -77,8 +81,9 @@ class Process(Event):
         # the generator body nest in a process-local context (triggering
         # another event here only *schedules* its callbacks, so steps never
         # nest — but restore the previous value anyway, defensively).
-        prev_active = self.env.active_process
-        self.env.active_process = self
+        env = self.env
+        prev_active = env.active_process
+        env.active_process = self
         try:
             if throw:
                 event.defused = True
@@ -102,7 +107,7 @@ class Process(Event):
             self.fail(exc, priority=URGENT)
             return
         finally:
-            self.env.active_process = prev_active
+            env.active_process = prev_active
 
         if not isinstance(next_ev, Event):
             err = RuntimeError(
@@ -115,15 +120,15 @@ class Process(Event):
         self._target = next_ev
         if next_ev.callbacks is None:
             # Already processed: resume immediately (same instant).
-            relay = Event(self.env)
-            relay.callbacks.append(self._resume)
+            relay = Event(env)
+            relay.callbacks.append(self._resume_cb)
             relay._ok = next_ev._ok
             relay._value = next_ev._value
             if not next_ev._ok:
                 relay.defused = True
-            self.env.schedule(relay, priority=URGENT)
+            env.schedule(relay, priority=URGENT)
         else:
-            next_ev.callbacks.append(self._resume)
+            next_ev.callbacks.append(self._resume_cb)
 
 
 __all__ = ["Process"]

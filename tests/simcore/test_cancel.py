@@ -1,12 +1,18 @@
 """``Environment.cancel``: a withdrawn entry neither moves the clock nor
 reaches the sampler, and every other entry keeps its order."""
 
+import math
+
 import pytest
 
 from repro.simcore import Environment, SimulationError
 
 
 class _Sampler:
+    """Asks to be called after every processed event."""
+
+    next_edge = -math.inf
+
     def __init__(self):
         self.seen = []
 

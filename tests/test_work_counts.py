@@ -111,7 +111,7 @@ PINNED_T8_OBS = {
         "obs.net.active_flows": 280, "osp.quorum_size": 8, "obs.ps.version": 8,
     },
     "sampler_ticks": 37,
-    "on_advance_calls": 499,
+    "on_advance_calls": 37,
     "sampler_values": 4221,
     # the probes share one reading of the fabric per tick, and one when built
     "ledger_calls": 38,
@@ -137,7 +137,7 @@ PINNED_SWEEP_ENTRIES = {
 PINNED_SWEEP = {
     "runs": 32,
     "networks": 32,
-    "pcg64_streams": 2048,
+    "pcg64_streams": 256,
     "netsim.rerates": 1600,
     "netsim.fairshare_calls": 924,
     "netsim.rerate_skipped": 432,
