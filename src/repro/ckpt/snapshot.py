@@ -35,7 +35,16 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.autograd.tensor import DEFAULT_DTYPE
-from repro.bounds import COUNT, INDEX, INTEGER, NON_NEGATIVE, REAL, Bound, read_record
+from repro.bounds import (
+    COUNT,
+    INDEX,
+    INTEGER,
+    NON_NEGATIVE,
+    POSITIVE,
+    REAL,
+    Bound,
+    read_record,
+)
 from repro.ckpt.layout import PlaneLayout
 from repro.metrics.export import RECORDER, recorder_from_dict, recorder_to_dict
 
@@ -48,9 +57,19 @@ _META_KEY = "__meta__"
 _SYNC_PREFIX = "sync/"
 _WORKERS = Bound(0, integer=True, each=True)
 
+#: The training plan a checkpoint was written under (``TrainingPlan``'s
+#: bounds). A resume must keep every key but ``n_epochs``, which may grow.
+PLAN = {
+    "n_epochs": COUNT,
+    "lr": POSITIVE,
+    "momentum": Bound(0, 1),
+    "weight_decay": NON_NEGATIVE,
+    "seed": INDEX,
+}
+
 #: The metadata record. The keys ``TrainerContext`` and :func:`apply_checkpoint`
 #: read without a default are required; the sync model's, the engine's and
-#: the jitter model's state are theirs to read, and ``plan`` is not read back.
+#: the jitter model's state are theirs to read.
 META = {
     "format_version": Bound(FORMAT_VERSION, FORMAT_VERSION, ends="[]", integer=True),
     "next_epoch": INTEGER,
@@ -59,7 +78,7 @@ META = {
     "mode": frozenset({"numeric", "timing"}),
     "n_workers": COUNT,
     "iterations_per_epoch": COUNT,
-    "plan?": dict,
+    "plan": PLAN,
     "alive": _WORKERS,
     "early_stop?": {
         "best_metric?": Bound(-math.inf),  # -inf while early stopping is off
@@ -347,6 +366,13 @@ def apply_checkpoint(trainer: "DistributedTrainer", ckpt: Checkpoint) -> None:
         )
     if meta["iterations_per_epoch"] != trainer.iterations_per_epoch:
         raise CheckpointError("iterations-per-epoch differs from the checkpointed run")
+    for key in PLAN:
+        saved, ours = meta["plan"][key], getattr(trainer.plan, key)
+        if key != "n_epochs" and saved != ours:
+            raise CheckpointError(
+                f"{ckpt.source}: plan.{key} is {saved!r} in the checkpoint "
+                f"but {ours!r} in this run"
+            )
     if meta["next_epoch"] > trainer.plan.n_epochs:
         raise CheckpointError(
             f"checkpoint resumes at epoch {meta['next_epoch']} but the plan "

@@ -28,7 +28,7 @@ import contextlib
 import json
 import sys
 
-from repro.bounds import INTEGER, REAL, read_json_arg
+from repro.bounds import COUNT, INDEX, NON_NEGATIVE, read_json_arg
 from repro.core.colocated import ColocatedOSP
 from repro.core.osp import OSP
 from repro.faults import parse_faults
@@ -176,10 +176,7 @@ def _open_trace(path: str, compare: bool):
     try:
         doc = read_trace(path)  # its refusals name the file
         if compare:
-            try:
-                wall_time(doc)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+            wall_time(doc, path)
         return doc
     except OSError as exc:
         why = f"{path}: {exc.strerror or exc}"
@@ -252,11 +249,11 @@ JOB = {
     "name?": str,
     "workload?": frozenset(MODEL_CARDS),
     "sync?": frozenset(SYNC_FACTORIES),
-    "workers?": INTEGER,
-    "epochs?": INTEGER,
-    "iterations?": INTEGER,
-    "seed?": INTEGER,
-    "sigma?": REAL,
+    "workers?": COUNT,
+    "epochs?": COUNT,
+    "iterations?": COUNT,
+    "seed?": INDEX,
+    "sigma?": NON_NEGATIVE,
     "background?": bool,
 }
 

@@ -71,13 +71,14 @@ def _phase_times(doc: dict) -> tuple[dict[str, float], dict[int, dict[str, float
     return total, per_worker
 
 
-def wall_time(doc: dict) -> float:
-    """The run's wall clock from a unified trace's ``otherData.wallTime``."""
+def wall_time(doc: dict, source: str) -> float:
+    """The run's wall clock from a unified trace's ``otherData.wallTime``;
+    ``source`` names the trace (its file) in the refusal."""
     wall = doc.get("otherData", {}).get("wallTime")
     if wall is None:
         raise ValueError(
-            "otherData.wallTime is missing, so the trace cannot be compared "
-            "(write it again with `repro run --trace FILE`)"
+            f"{source}: otherData.wallTime is missing, so the trace cannot be "
+            "compared (write it again with `repro run --trace FILE`)"
         )
     return float(wall)
 
@@ -166,15 +167,22 @@ def compare_runs(
 
     ``max_slowdown`` is the relative wall-clock growth tolerated before the
     verdict flips to ``regression`` (symmetric for ``improvement``); it must
-    be a finite number >= 0.
+    be a finite number >= 0. A trace without its wall clock is refused
+    naming its file, or ``trace a`` / ``trace b`` for a document.
     """
     if not 0 <= max_slowdown < math.inf:
         raise ValueError(
             f"max_slowdown must be a finite number >= 0, got {max_slowdown!r}"
         )
+    sources = [
+        "trace " + name if isinstance(doc, dict) else str(doc)
+        for name, doc in (("a", a), ("b", b))
+    ]
     a, b = (doc if isinstance(doc, dict) else read_trace(doc) for doc in (a, b))
     report = RegressionReport(
-        wall_a=wall_time(a), wall_b=wall_time(b), threshold=float(max_slowdown)
+        wall_a=wall_time(a, sources[0]),
+        wall_b=wall_time(b, sources[1]),
+        threshold=float(max_slowdown),
     )
     (phases_a, workers_a), (phases_b, workers_b) = _phase_times(a), _phase_times(b)
     for phase in PHASES:

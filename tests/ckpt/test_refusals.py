@@ -139,8 +139,22 @@ META_EDITS = {
 #: every metadata key that is read without a default (was a ``KeyError``)
 META_KEYS = (
     "next_epoch", "time", "sync", "mode", "n_workers", "iterations_per_epoch",
-    "alive", "recorder",
+    "alive", "recorder", "plan",
 )  # fmt: skip
+
+#: A training-plan key of the checkpoint that differs from this run's: the
+#: file loads, the resume is refused naming the key and both values.
+PLAN_EDITS = {
+    "plan-seed": ("seed", 7, r"plan\.seed is 7 in the checkpoint but 0 in this run"),
+    "plan-lr": ("lr", 0.5, r"plan\.lr is 0\.5 in the checkpoint but 0\.1 in this run"),
+    "plan-momentum": (
+        "momentum", 0.0, r"plan\.momentum is 0\.0 in the checkpoint but 0\.9 in this run"
+    ),
+    "plan-weight-decay": (
+        "weight_decay", 1e-4,
+        r"plan\.weight_decay is 0\.0001 in the checkpoint but 0\.0 in this run",
+    ),
+}  # fmt: skip
 
 #: case -> (how to break a good file, does it still load, what the error says)
 CASES = {
@@ -175,6 +189,13 @@ CASES = {
         case: (_set_meta(key, value), loads, rf": {re.escape(key)} must be {must}, got ")
         for case, (key, value, loads, must) in META_EDITS.items()
     },
+    **{
+        case: (_set_meta(f"plan.{key}", value), True, message)
+        for case, (key, value, message) in PLAN_EDITS.items()
+    },
+    "plan-seed-bool": (
+        _set_meta("plan.seed", True), False, r": plan\.seed must be an integer in \[0, inf\), got "
+    ),
 }  # fmt: skip
 
 
@@ -237,6 +258,22 @@ def test_bad_checkpoint_is_refused_by_api_and_cli(case, good, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     _one_error_line(captured.err, message)
+
+
+def test_a_resume_under_another_seed_is_refused(good, tmp_path, capsys):
+    out = ["--checkpoint-dir", str(tmp_path / "out"), "--resume", str(good)]
+    capsys.readouterr()
+    assert main([*RUN, "--seed", "7", *out]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    _one_error_line(
+        captured.err, rf"{re.escape(str(good))}: plan\.seed is 0 in the checkpoint but 7 in this run"
+    )
+
+
+def test_a_resume_may_run_more_epochs(good, tmp_path, capsys):
+    argv = [*RUN, "--epochs", "3", "--checkpoint-dir", str(tmp_path), "--resume", str(good)]
+    assert main(argv) == 0
 
 
 def test_sync_state_key_missing_from_an_older_checkpoint(tmp_path, capsys):

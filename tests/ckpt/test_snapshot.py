@@ -26,6 +26,7 @@ def make_ckpt():
         "n_workers": 2,
         "iterations_per_epoch": 4,
         "alive": [0, 1],
+        "plan": {"n_epochs": 4, "lr": 0.1, "momentum": 0.9, "weight_decay": 0.0, "seed": 0},
         "recorder": {"epochs": [], "iterations": [], "counters": {"ckpt.save": 1}},
         "ics": {"policy": "drain", "discarded_bytes": 0.0},
     }

@@ -94,14 +94,14 @@ _SYNCS = ", ".join(map(repr, sorted(SYNC_FACTORIES)))
 @pytest.mark.parametrize(
     "entry, refusal",
     [
-        ({"workers": "x"}, "[0].workers must be an integer in (-inf, inf), got 'x'"),
-        ({"workers": True}, "[0].workers must be an integer in (-inf, inf), got True"),
-        ({"workers": 2.0}, "[0].workers must be an integer in (-inf, inf), got 2.0"),
-        ({"epochs": 1.5}, "[0].epochs must be an integer in (-inf, inf), got 1.5"),
-        ({"iterations": 2.5}, "[0].iterations must be an integer in (-inf, inf), got 2.5"),
-        ({"seed": "1"}, "[0].seed must be an integer in (-inf, inf), got '1'"),
-        ({"sigma": "0.1"}, "[0].sigma must be a real in (-inf, inf), got '0.1'"),
-        ({"sigma": False}, "[0].sigma must be a real in (-inf, inf), got False"),
+        ({"workers": "x"}, "[0].workers must be an integer in [1, inf), got 'x'"),
+        ({"workers": True}, "[0].workers must be an integer in [1, inf), got True"),
+        ({"workers": 2.0}, "[0].workers must be an integer in [1, inf), got 2.0"),
+        ({"epochs": 1.5}, "[0].epochs must be an integer in [1, inf), got 1.5"),
+        ({"iterations": 2.5}, "[0].iterations must be an integer in [1, inf), got 2.5"),
+        ({"seed": "1"}, "[0].seed must be an integer in [0, inf), got '1'"),
+        ({"sigma": "0.1"}, "[0].sigma must be a real in [0, inf), got '0.1'"),
+        ({"sigma": False}, "[0].sigma must be a real in [0, inf), got False"),
         ({"name": 5}, "[0].name must be a string, got 5"),
         ({"workload": 5}, f"[0].workload must be one of {_CARDS}, got 5"),
         ({"workload": "nope"}, f"[0].workload must be one of {_CARDS}, got 'nope'"),

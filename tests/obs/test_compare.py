@@ -1,6 +1,7 @@
 """Cross-run regression diffing: attribution correctness and verdicts."""
 
 import json
+import re
 
 import pytest
 
@@ -49,6 +50,23 @@ def test_summary_schema_and_round_trip(tmp_path, baseline):
     bogus.write_text('{"schema": "nope"}')
     with pytest.raises(ValueError, match="schema is not a known key; expected traceEvents"):
         compare_runs(baseline, bogus)
+
+
+def test_a_trace_without_its_wall_time_is_refused_naming_which(tmp_path, baseline):
+    old = json.loads(json.dumps(baseline))
+    del old["otherData"]["wallTime"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    missing = "otherData.wallTime is missing, so the trace cannot be compared"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {missing}"):
+        compare_runs(baseline, path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {missing}"):
+        compare_runs(path, baseline)
+    # documents have no file: the refusal says which argument it was
+    with pytest.raises(ValueError, match=f"^trace a: {missing}"):
+        compare_runs(old, baseline)
+    with pytest.raises(ValueError, match=f"^trace b: {missing}"):
+        compare_runs(baseline, old)
 
 
 def test_identical_runs_verdict_ok(baseline):

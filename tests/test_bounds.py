@@ -371,14 +371,14 @@ def test_a_numeric_flag_out_of_range_is_one_error_line(
     assert list(tmp_path.iterdir()) in ([], [tmp_path / "t.json"])
 
 
-#: Every numeric ``--jobs`` key: the input its refusal names, and a value
-#: below its range.
+#: Every numeric ``--jobs`` key: the dotted key its refusal names, and a
+#: value below its range.
 JOB_KEYS = {
-    "workers": ("n_workers", 0),
-    "epochs": ("n_epochs", 0),
-    "iterations": ("iterations_per_epoch", 0),
-    "seed": ("seed", -1),
-    "sigma": ("sigma", -1.0),
+    "workers": ("[0].workers", 0),
+    "epochs": ("[0].epochs", 0),
+    "iterations": ("[0].iterations", 0),
+    "seed": ("[0].seed", -1),
+    "sigma": ("[0].sigma", -1.0),
 }
 
 

@@ -679,7 +679,7 @@ def test_jobs_spec_with_nan_sigma_is_a_bad_spec(capsys):
     assert main(["multirun", "--jobs", jobs]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "error: --jobs: [0].sigma must be a real in (-inf, inf), got nan"
+        "error: --jobs: [0].sigma must be a real in [0, inf), got nan"
     ]
 
 
