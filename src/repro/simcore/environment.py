@@ -106,10 +106,9 @@ class Environment:
         Schedules an already-succeeded event at the current time with ``fn``
         as its one callback, so ``fn`` executes after every event already
         queued for ``now`` (at NORMAL priority) but before the clock
-        advances. Subsystems use this to
-        coalesce work triggered by several same-instant events into one
-        pass — e.g. the network re-rates once per instant instead of once
-        per flow start. The callback must not assume any ordering relative
+        advances. Subsystems use this to coalesce work triggered by several
+        same-instant events into one pass — e.g. the network re-rates once
+        per instant instead of once per flow start. The callback must not assume any ordering relative
         to other events at the same instant beyond "after those queued
         before it".
         """

@@ -92,7 +92,7 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, priority=priority)
+        self.env.schedule(self, 0.0, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -103,7 +103,7 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.env.schedule(self, priority=priority)
+        self.env.schedule(self, 0.0, priority)
         return self
 
     # -- misc -------------------------------------------------------------

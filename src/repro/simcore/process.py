@@ -70,11 +70,11 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        self._step(event, throw=True)
+        self._step(event, True)
 
     def _resume(self, event: Event) -> None:
         self._target = None
-        self._step(event, throw=not event._ok)
+        self._step(event, not event._ok)
 
     def _step(self, event: Event, throw: bool) -> None:
         # Mark this process as the one executing so tracer spans opened in
@@ -89,9 +89,7 @@ class Process(Event):
                 event.defused = True
                 next_ev = self._generator.throw(event._value)
             else:
-                next_ev = self._generator.send(
-                    event._value if event is not None else None
-                )
+                next_ev = self._generator.send(event._value)
         except StopIteration as stop:
             if self.callbacks:
                 self.succeed(stop.value, priority=URGENT)
@@ -118,7 +116,8 @@ class Process(Event):
             return
 
         self._target = next_ev
-        if next_ev.callbacks is None:
+        callbacks = next_ev.callbacks
+        if callbacks is None:
             # Already processed: resume immediately (same instant).
             relay = Event(env)
             relay.callbacks.append(self._resume_cb)
@@ -126,9 +125,9 @@ class Process(Event):
             relay._value = next_ev._value
             if not next_ev._ok:
                 relay.defused = True
-            env.schedule(relay, priority=URGENT)
+            env.schedule(relay, 0.0, URGENT)
         else:
-            next_ev.callbacks.append(self._resume_cb)
+            callbacks.append(self._resume_cb)
 
 
 __all__ = ["Process"]
