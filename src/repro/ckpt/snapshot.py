@@ -35,16 +35,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.autograd.tensor import DEFAULT_DTYPE
-from repro.bounds import (
-    COUNT,
-    INDEX,
-    INTEGER,
-    NON_NEGATIVE,
-    POSITIVE,
-    REAL,
-    Bound,
-    read_record,
-)
+from repro.bounds import COUNT, INDEX, INTEGER, NON_NEGATIVE, POSITIVE, REAL, Bound, read_record
 from repro.ckpt.layout import PlaneLayout
 from repro.metrics.export import RECORDER, recorder_from_dict, recorder_to_dict
 

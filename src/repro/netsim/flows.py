@@ -117,7 +117,11 @@ class RecordBuilder(FlowRecord):
     """
 
     __slots__ = ()
+    # Both, so that the type's one set/delete slot is object's C function:
+    # with only ``__setattr__`` replaced, every write would still go through
+    # the generic dispatcher and cost what the frozen one does.
     __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
     def __init__(self, fid, src, dst, size, tag, start_time, end_time, job) -> None:
         self.fid = fid

@@ -174,14 +174,12 @@ def compare_runs(
         raise ValueError(
             f"max_slowdown must be a finite number >= 0, got {max_slowdown!r}"
         )
-    sources = [
-        "trace " + name if isinstance(doc, dict) else str(doc)
-        for name, doc in (("a", a), ("b", b))
-    ]
+    source_a = "trace a" if isinstance(a, dict) else str(a)
+    source_b = "trace b" if isinstance(b, dict) else str(b)
     a, b = (doc if isinstance(doc, dict) else read_trace(doc) for doc in (a, b))
     report = RegressionReport(
-        wall_a=wall_time(a, sources[0]),
-        wall_b=wall_time(b, sources[1]),
+        wall_a=wall_time(a, source_a),
+        wall_b=wall_time(b, source_b),
         threshold=float(max_slowdown),
     )
     (phases_a, workers_a), (phases_b, workers_b) = _phase_times(a), _phase_times(b)

@@ -3,11 +3,11 @@
 :class:`MetricSampler` hangs off ``Environment.metric_sampler`` and
 publishes its next sampling edge as ``next_edge``. The kernel calls it
 after a processed event's callbacks ran, once the clock has reached that
-edge (never otherwise, so an unsampled stretch costs one comparison per
-event). It then reads every tracer counter track and every attached probe (each returns a ``{track: value}``
-mapping) and stores the tick as one row: the tick's time, and for each
-value its series' column index and the value, appended to flat ``array``
-columns. Rows are folded into the per-series fixed-capacity numpy rings
+edge (never otherwise, so the stretch between edges costs one comparison
+per event). It then reads every tracer counter track and every attached
+probe (each returns a ``{track: value}`` mapping) and stores the tick as
+one row: the tick's time, and for each value its series' column index and
+the value, appended to flat ``array`` columns. Rows are folded into the per-series fixed-capacity numpy rings
 (:class:`Series`) when the series are read (``series``, ``series_for``,
 ``as_dict``) and every ``capacity`` ticks, so a series keeps exactly the
 last-``capacity`` window and ``dropped`` count that appending to it at

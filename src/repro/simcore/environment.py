@@ -40,8 +40,9 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        #: Current virtual time: a plain attribute that only :meth:`run`
-        #: writes, so reading it costs no call.
+        #: Current virtual time: a plain attribute, written only by
+        #: :meth:`step` and by :meth:`run` until a time, so reading it costs
+        #: no call.
         self.now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0  # insertion counter: deterministic FIFO tie-break
@@ -108,9 +109,9 @@ class Environment:
         queued for ``now`` (at NORMAL priority) but before the clock
         advances. Subsystems use this to coalesce work triggered by several
         same-instant events into one pass — e.g. the network re-rates once
-        per instant instead of once per flow start. The callback must not assume any ordering relative
-        to other events at the same instant beyond "after those queued
-        before it".
+        per instant instead of once per flow start. The callback must not
+        assume any ordering relative to other events at the same instant
+        beyond "after those queued before it".
         """
         ev = Event(self)
         ev._ok = True
