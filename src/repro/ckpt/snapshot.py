@@ -35,8 +35,9 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.autograd.tensor import DEFAULT_DTYPE
-from repro.bounds import COUNT, INDEX, INTEGER, NON_NEGATIVE, POSITIVE, REAL, Bound, read_record
+from repro.bounds import COUNT, INDEX, INTEGER, NON_NEGATIVE, REAL, Bound, read_record
 from repro.ckpt.layout import PlaneLayout
+from repro.cluster.spec import TrainingPlan
 from repro.metrics.export import RECORDER, recorder_from_dict, recorder_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,14 +49,11 @@ _META_KEY = "__meta__"
 _SYNC_PREFIX = "sync/"
 _WORKERS = Bound(0, integer=True, each=True)
 
-#: The training plan a checkpoint was written under (``TrainingPlan``'s
-#: bounds). A resume must keep every key but ``n_epochs``, which may grow.
+#: The training plan a checkpoint was written under, with ``TrainingPlan``'s
+#: bounds. A resume must keep every key but ``n_epochs``, which may grow.
 PLAN = {
-    "n_epochs": COUNT,
-    "lr": POSITIVE,
-    "momentum": Bound(0, 1),
-    "weight_decay": NON_NEGATIVE,
-    "seed": INDEX,
+    key: TrainingPlan.BOUNDS[key]
+    for key in ("n_epochs", "lr", "momentum", "weight_decay", "seed")
 }
 
 #: The metadata record. The keys ``TrainerContext`` and :func:`apply_checkpoint`
@@ -251,13 +249,7 @@ def capture(
         "mode": "numeric" if numeric else "timing",
         "n_workers": spec.n_workers,
         "iterations_per_epoch": trainer.iterations_per_epoch,
-        "plan": {
-            "n_epochs": plan.n_epochs,
-            "lr": plan.lr,
-            "momentum": plan.momentum,
-            "weight_decay": plan.weight_decay,
-            "seed": plan.seed,
-        },
+        "plan": {key: getattr(plan, key) for key in PLAN},
         **ctx.checkpoint_meta(),
         "lr": float(ps.optimizer.lr) if ps.optimizer is not None else None,
         "release_order": list(release_order) if release_order else None,
