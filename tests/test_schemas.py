@@ -50,6 +50,11 @@ from repro.obs.chrome import TRACE, read_trace, trace_document, write_unified_tr
 _DELETE = object()
 
 
+def _value_id(value):
+    """A test id that names ``_DELETE`` the same on every run, not by its address."""
+    return "<missing>" if value is _DELETE else repr(value)
+
+
 def _ends(bound: Bound):
     """``(end, closed, step outward)`` for each finite end."""
     for end, bracket, step in ((bound.lo, bound.ends[0], -1), (bound.hi, bound.ends[1], 1)):
@@ -354,7 +359,7 @@ def test_a_checkpoint_of_another_or_no_version_is_one_error_line(version, tmp_pa
                     f"{path}: format_version {verb}")  # fmt: skip
 
 
-@pytest.mark.parametrize("schema", ["repro.replay_stream/2", 1, _DELETE], ids=repr)
+@pytest.mark.parametrize("schema", ["repro.replay_stream/2", 1, _DELETE], ids=_value_id)
 def test_a_stream_of_another_or_no_version_is_a_value_error(schema, tmp_path):
     header = mutated(_STREAM_LINES[0], ["schema"], schema)
     path = tmp_path / "s.jsonl"
