@@ -27,6 +27,12 @@ values they wrote, the kernel's ``MetricSampler.on_advance`` calls,
 ``Network.ledger()`` reads, and per drain monitor the drain-hook calls, its
 checks and the active flows it walked.
 
+``cotenant_pair``'s smoke shape (``osp_with_background`` on ``vgg16-cifar10``,
+8 workers each, 2 epochs × 4 iterations, seed 3, on one shared fabric: the
+priority solve's path) pins the kernel's entries by kind, the network's
+rerates, solver calls, skipped rerates and preemptions, its flows, and the
+per-job byte ledgers.
+
 ``sweep_bw``'s smoke shape (``sweep_bandwidth`` over BSP, ASP, SSP and OSP
 at the bench's eight bandwidths, 1 epoch × 2 iterations, seed 3: 32 short
 runs) pins what a run costs to build and run: the kernel's entries by kind,
@@ -47,7 +53,9 @@ from repro.check import InvariantChecker
 from repro.cluster.engines import Engine
 from repro.core.gib import GIB
 from repro.core.osp import OSP
-from repro.harness import WorkloadConfig, timing_trainer
+from repro.harness import (
+    WorkloadConfig, osp_with_background, shared_fabric_runner, timing_trainer,
+)  # fmt: skip
 from repro.hardware.compute import ComputeModel
 from repro.harness.sweep import sweep_bandwidth
 from repro.netsim import Network
@@ -119,6 +127,30 @@ PINNED_T8_OBS = {
     "checks": {"net.conservation": 291, "ps.ledger": 72, "osp.gib": 10, "osp.ics_inflight": 291},
     # active flows the monitors read inside their drain hooks
     "flows_walked": {"net.conservation": 0, "osp.ics_inflight": 0},
+}
+
+
+#: ``cotenant_pair``'s smoke shape: an OSP job and a BULK BSP tenant.
+PINNED_COTENANT_ENTRIES = {
+    "timeout": 517,
+    "delivery": 272,
+    "defer": 138,
+    "process_start": 18,
+    "process_exit": 18,
+    "relay": 0,
+    "interrupt": 0,
+    "succeed": 275,
+}
+PINNED_COTENANT = {
+    "netsim.rerates": 277,
+    "netsim.fairshare_calls": 230,
+    "netsim.rerate_skipped": 43,
+    "netsim.prio_preemptions": 0,
+    "flows": 272,
+    "netsim.job_bytes.osp": 70839062560.0,
+    "netsim.job_contended_bytes.osp": 51302223199.17335,
+    "netsim.job_bytes.bulk": 70839062528.0,
+    "netsim.job_contended_bytes.bulk": 46874781791.17336,
 }
 
 
@@ -394,6 +426,30 @@ def counts_t8_obs():
 
 
 @pytest.fixture(scope="module")
+def counts_cotenant():
+    mp = pytest.MonkeyPatch()
+    entries: Counter = Counter()
+    _count_entries(mp, entries)
+    try:
+        jobs = osp_with_background(
+            "vgg16-cifar10", n_workers=8, n_epochs=2, iterations_per_epoch=4, seed=3
+        )
+        runner = shared_fabric_runner(jobs)
+        runner.run()
+    finally:
+        mp.undo()
+    net = runner.network
+    counted = ("netsim.rerates", "netsim.fairshare_calls", "netsim.rerate_skipped",
+               "netsim.prio_preemptions")  # fmt: skip
+    return {
+        "entries": dict(entries),
+        **{k: net.stats[k] for k in counted},
+        "flows": len(net.records),
+        **{k: v for k, v in net.stats.items() if k.startswith("netsim.job_")},
+    }
+
+
+@pytest.fixture(scope="module")
 def counts_sweep():
     mp = pytest.MonkeyPatch()
     entries: Counter = Counter()
@@ -456,6 +512,28 @@ def test_t8_obs_work_count_is_pinned(counts_t8_obs, name):
     assert counts_t8_obs[name] == PINNED_T8_OBS[name], (
         f"{name}: {PINNED_T8_OBS[name]} -> {counts_t8_obs[name]} per t8_obs smoke "
         "run; update the pin and state it old -> new in CHANGES.md"
+    )
+
+
+def test_cotenant_entries_by_kind(counts_cotenant):
+    entries = counts_cotenant["entries"]
+    assert {kind: entries.get(kind, 0) for kind in PINNED_COTENANT_ENTRIES} == (
+        PINNED_COTENANT_ENTRIES
+    )
+    assert set(entries) <= set(PINNED_COTENANT_ENTRIES)
+
+
+def test_cotenant_keeps_exactly_the_pinned_job_ledgers(counts_cotenant):
+    jobs = {k for k in counts_cotenant if k.startswith("netsim.job_")}
+    assert jobs == {k for k in PINNED_COTENANT if k.startswith("netsim.job_")}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COTENANT))
+def test_cotenant_work_count_is_pinned(counts_cotenant, name):
+    assert counts_cotenant[name] == PINNED_COTENANT[name], (
+        f"{name}: {PINNED_COTENANT[name]} -> {counts_cotenant[name]} per "
+        "cotenant_pair smoke run; update the pin and state it old -> new in "
+        "CHANGES.md"
     )
 
 
