@@ -5,8 +5,10 @@ The ICS must fit inside one iteration's computation:
     T_c ≥ N · S(G^u) / (b(1+lr))   ⇒   S(G^u) ≤ b(1+lr)·T_c/N = U_max
 
 (the ``(1+lr)`` term reflects that lost traffic is retransmitted, consuming
-budget, so a lossier link *admits less deferral*; we follow the paper's
-formula verbatim). U_max is further capped at 80% of the model size so OSP
+budget, so a lossier link *admits less deferral*. The paper prints
+``b(1+lr)·T_c/N``; taken literally a lossier link would admit more, so the
+code divides by ``(1+lr)`` — the two coincide at the paper's loss rates,
+see :func:`ics_upper_bound`). U_max is further capped at 80% of the model size so OSP
 never fully degenerates into ASP, and the actual S(G^u) ramps from 0 toward
 U_max as the loss falls:
 

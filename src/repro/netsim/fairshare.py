@@ -54,7 +54,8 @@ _EPS = 1e-12
 
 def _validate_and_split(flow_routes, capacities):
     """Shared input validation; returns (rates, unfrozen) with loopback
-    flows already rated at ``inf``."""
+    flows already rated at ``inf`` and each route's repeats dropped (a flow
+    loads a link once)."""
     for link, cap in capacities.items():
         if cap <= 0:
             raise ValueError(f"link {link!r} has non-positive capacity {cap}")
@@ -62,7 +63,7 @@ def _validate_and_split(flow_routes, capacities):
     rates: dict[Hashable, float] = {}
     unfrozen: dict[Hashable, tuple[Hashable, ...]] = {}
     for fid, route in flow_routes.items():
-        route = tuple(route)
+        route = tuple(dict.fromkeys(route))
         for link in route:
             if link not in capacities:
                 raise ValueError(f"flow {fid!r} crosses unknown link {link!r}")
@@ -328,37 +329,55 @@ def _prio_max_min(
     capacities: Mapping[Hashable, float],
     prios: Mapping[Hashable, int],
 ) -> dict[Hashable, float]:
-    """The solve behind :func:`prio_fair_rates`, on trusted input."""
-    classes = sorted({prios[fid] for fid in flow_routes}, reverse=True)
-    if len(classes) <= 1:
+    """The solve behind :func:`prio_fair_rates`, on trusted input: each
+    route a non-empty sequence of distinct known links.
+
+    It reads only the capacities of the links its flows cross (the Network
+    hands it one link-component, not the fabric). Each class's
+    :func:`_max_min` gets that class's link index, built in fid and then
+    route order: the order ``_max_min`` builds its own in, so round 1's tie
+    order is the same. A link joins ``saturated`` when the classes above
+    leave it no more than its floor; a flow crossing one starves.
+    """
+    by_class: dict[int, dict] = {}
+    for fid, route in flow_routes.items():
+        group = by_class.get(prios[fid])
+        if group is None:
+            by_class[prios[fid]] = {fid: route}
+        else:
+            group[fid] = route
+    if len(by_class) <= 1:
         return _max_min(flow_routes, capacities)
 
-    leftover = dict(capacities)
-    floor = {link: cap * _SAT_REL for link, cap in capacities.items()}
-    # One pass, insertion order kept within each class.
-    uniq = {fid: set(route) for fid, route in flow_routes.items()}
-    by_class: dict[int, list] = {cls: [] for cls in classes}
-    for fid in flow_routes:
-        by_class[prios[fid]].append(fid)
+    leftover = {l: capacities[l] for route in flow_routes.values() for l in route}
+    saturated: set = set()
     rates: dict[Hashable, float] = {}
-    for cls in classes:
+    for cls in sorted(by_class, reverse=True):
         solve_routes: dict[Hashable, Sequence[Hashable]] = {}
-        caps: dict[Hashable, float] = {}
-        for fid in by_class[cls]:
-            if any(leftover[l] <= floor[l] for l in uniq[fid]):
+        index: dict[Hashable, dict] = {}
+        for fid, route in by_class[cls].items():
+            if saturated and not saturated.isdisjoint(route):
                 rates[fid] = 0.0  # starved by a higher class
-            else:
-                solve_routes[fid] = flow_routes[fid]
-                for l in uniq[fid]:
-                    caps[l] = leftover[l]
+                continue
+            solve_routes[fid] = route
+            for l in route:
+                members = index.get(l)
+                if members is None:
+                    index[l] = {fid: None}
+                else:
+                    members[fid] = None
         if not solve_routes:
             continue
-        sub = _max_min(solve_routes, caps)
+        sub = _max_min(solve_routes, {l: leftover[l] for l in index}, index)
         for fid, rate in sub.items():
             rates[fid] = rate
             if rate > 0 and rate != float("inf"):
-                for l in uniq[fid]:
-                    leftover[l] = max(0.0, leftover[l] - rate)
+                for l in solve_routes[fid]:
+                    left = leftover[l] - rate
+                    leftover[l] = left if left > 0.0 else 0.0
+        for l in index:
+            if leftover[l] <= capacities[l] * _SAT_REL:
+                saturated.add(l)
     return rates
 
 

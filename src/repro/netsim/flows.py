@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.netsim.links import Link
-from repro.netsim.prio import PRIO_NORMAL
 from repro.simcore.events import Event
 
 
@@ -22,7 +21,8 @@ class Flow:
     ``rate`` since, so it reaches its end at ``t_end``. The anchor moves only
     when the rate the flow ends an instant with differs from the one it
     started it with (``back`` holds the instant's starting anchor meanwhile).
-    One is built per transfer, positionally, so the class is slotted.
+    One is built per transfer, positionally and with every field given, so
+    the class is slotted and no field has a default.
     """
 
     fid: int
@@ -33,23 +33,24 @@ class Flow:
     route: tuple[Link, ...]
     latency: float  # one-way route latency (added after the last byte)
     done: Event  # succeeds with a FlowRecord
-    tag: Any = None
-    start_time: float = 0.0
-    rate: float = 0.0
+    tag: Any
+    start_time: float
+    rate: float
     #: Interned link-name tuple for the route, cached per (src, dst) by the
     #: Network so the fair-share solver never rebuilds name lists per call.
-    names: tuple[str, ...] = ()
+    names: tuple[str, ...]
     #: ``names`` without repeats (cached beside it): the links the flow loads.
-    links: tuple[str, ...] = ()
+    links: tuple[str, ...]
     #: Strict-priority transmission class (repro.netsim.prio constants).
-    prio: int = PRIO_NORMAL
+    prio: int
     #: Owning job name under multi-job co-tenancy, or ``None`` for a
     #: single-tenant flow. Bytes of tagged flows are accounted to
     #: ``netsim.job_bytes.{job}``.
-    job: Optional[str] = None
-    #: The anchor: ``rem_anchor`` effective bytes were left at ``t_anchor``.
-    t_anchor: float = field(default=0.0, init=False)
-    rem_anchor: float = field(default=0.0, init=False)
+    job: Optional[str]
+    #: The anchor: ``rem_anchor`` effective bytes were left at ``t_anchor``
+    #: (a new flow's is its start and its ``effective``).
+    t_anchor: float
+    rem_anchor: float
     #: When the flow's last byte leaves at ``rate`` (``inf`` while unrated
     #: or starved).
     t_end: float = field(default=math.inf, init=False)

@@ -55,6 +55,10 @@ class Link:
     #: than absolute values so overlapping faults compose and revert exactly.
     bandwidth_factor: float = field(default=1.0, init=False)
     keep_factor: float = field(default=1.0, init=False)
+    #: Caches of values folded from this link's fault state (each network's
+    #: route cache, with its routes' losses): :meth:`apply_fault` and
+    #: :meth:`clear_fault` empty them.
+    caches: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def bandwidth(self) -> float:
@@ -80,6 +84,8 @@ class Link:
             raise ValueError(f"extra_loss must be in [0,1), got {extra_loss}")
         self.bandwidth_factor *= bandwidth_factor
         self.keep_factor *= 1.0 - extra_loss
+        for cache in self.caches:
+            cache.clear()
 
     def clear_fault(self, bandwidth_factor: float = 1.0, extra_loss: float = 0.0) -> None:
         """Undo a previous :meth:`apply_fault` with identical arguments."""
@@ -94,6 +100,8 @@ class Link:
             self.bandwidth_factor = 1.0
         if abs(self.keep_factor - 1.0) < 1e-12:
             self.keep_factor = 1.0
+        for cache in self.caches:
+            cache.clear()
 
     def window_utilization(self, bytes_in_window: float, elapsed: float) -> float:
         """Utilisation of one sampling window against nominal capacity.

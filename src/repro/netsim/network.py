@@ -72,10 +72,13 @@ carries every unfrozen flow ends the solve — see :mod:`.fairshare`):
   walk hands the solver the component's links with their members (the index
   itself when the component is the whole fabric), and the solve reads
   round 1's loads from them instead of recounting every route.
-* **Route caching** — interned ``(route, link names, distinct link names)``
-  per (src, dst), so the solver never rebuilds name lists and topologies are
-  only asked to route each pair once. Topologies are static by contract
-  (fault windows change link *attributes*, never the link set or routes).
+* **Route caching** — interned ``(route, link names, distinct link names,
+  latency, loss)`` per (src, dst), so the solver never rebuilds name lists,
+  topologies are only asked to route each pair once and a flow pays no fold
+  over its links. Topologies are static by contract (fault windows change
+  link *attributes*, never the link set or routes); the loss is folded
+  from the links' fault state, so a link empties the cache (``Link.caches``)
+  whenever its fault state changes, with or without a capacity refresh.
 
 No flow carries scheduler state from one solve to the next beyond its
 progress, so after every rerate each live rate *is* the strict-priority
@@ -89,7 +92,9 @@ network event (a start, a wake-up, a deferred rerate, a capacity refresh)
 once the flows that reached their end have been found. ``stats`` tracks the
 ``netsim.*`` counters registered in :mod:`repro.obs.registry`; when a
 :class:`~repro.metrics.recorder.Recorder` is attached (the trainer does)
-they are mirrored there for summaries and checkpoints. Replay streams
+the network holds its ``counters`` dict and bumps it in place beside
+``stats`` at every count — no call per bump, and each key arrives in the
+recorder at its first bump, for summaries and checkpoints. Replay streams
 exclude the ``netsim.`` namespace: it counts how *often* the scheduler
 recomputes, not what it computes.
 """
@@ -104,7 +109,6 @@ from typing import Any, Optional
 
 from repro.netsim.fairshare import _EPS, _max_min, _prio_max_min
 from repro.netsim.flows import Flow, FlowRecord, RecordBuilder
-from repro.netsim.links import Link
 from repro.netsim.prio import CLASS_NAMES, PRIO_NORMAL
 from repro.netsim.topology import StarTopology
 from repro.simcore.environment import Environment
@@ -225,32 +229,41 @@ class _Cohort:
         flow.base = len(steps)
 
     def near(self, bound: float) -> list[Flow]:
-        """The members whose key is at most ``bound`` plus a slack, synced:
-        a superset of the members whose remaining bytes at the last step are
-        at most ``bound − cum``. (A key and the running sum each lose at most
-        an ulp per step: far inside the slack while a cohort lives, see
-        ``_MAX_STEPS``.)"""
+        """The members whose key is at most ``bound`` plus a slack, synced,
+        in no particular order (``_candidates`` sorts them by fid,
+        ``_horizon`` takes their least end): a superset of the members whose
+        remaining bytes at the last step are at most ``bound − cum``. (A key
+        and the running sum each lose at most an ulp per step: far inside
+        the slack while a cohort lives, see ``_MAX_STEPS``.)
+
+        Stale entries are popped off the top; the rest of the heap is walked
+        in place from the root. Keys are ``rem + cum ≥ 0``, so the bound's
+        test rises with the key and a node that fails it prunes its subtree.
+        """
         heap = self.heap
+        while heap and heap[0][2].cohort is not self:
+            heappop(heap)  # finished, or the cohort it was in is gone
         limit = bound + _BYTE_EPS
         cum = self.cum[-1]
         n_steps = len(self.steps)
         rate = self.rate
-        found = []
-        while heap:
-            key, _fid, flow = heap[0]
-            if flow.cohort is not self:
-                heappop(heap)  # finished, or the cohort it was in is gone
-                continue
-            if key > limit + (abs(key) + cum) * 1e-10:
-                break
-            found.append(heappop(heap))
-        for entry in found:
-            heappush(heap, entry)
+        n = len(heap)
         flows = []
-        for _key, _fid, flow in found:
-            if flow.base != n_steps or flow.rate != rate:
-                self.sync(flow)
-            flows.append(flow)
+        stack = [0] if heap else []
+        while stack:
+            i = stack.pop()
+            key, _fid, flow = heap[i]
+            if key > limit + (abs(key) + cum) * 1e-10:
+                continue
+            if flow.cohort is self:
+                if flow.base != n_steps or flow.rate != rate:
+                    self.sync(flow)
+                flows.append(flow)
+            child = 2 * i + 1
+            if child < n:
+                stack.append(child)
+                if child + 1 < n:
+                    stack.append(child + 1)
         return flows
 
 
@@ -286,9 +299,10 @@ class Network:
         #: frozenset of the jobs with flows in flight -> virtual seconds the
         #: fabric spent in that state (job-tagged flows only).
         self.job_overlap: dict[frozenset, float] = {}
-        #: Optional Recorder mirror for the ``netsim.*`` counters in
-        #: :attr:`stats` (the trainer attaches its recorder).
-        self.recorder = None
+        #: The attached recorder (:attr:`recorder`) and its ``counters``
+        #: dict, which each bump of :attr:`stats` also bumps in place.
+        self._recorder = None
+        self._mirror: Optional[dict] = None
         #: Subscribers (``repro.obs.registry.HOOKS``): ``flow_hooks`` get each
         #: :class:`Flow` as it goes on the wire, ``drain_hooks`` no arguments.
         self.flow_hooks: list = []
@@ -319,8 +333,12 @@ class Network:
         self._job_count: dict[str, int] = {}
         #: When the current set of jobs in flight began.
         self._jobs_since = env.now
-        #: (src, dst) -> (route, its link names, the distinct ones among them).
-        self._route_cache: dict[tuple, tuple[tuple[Link, ...], tuple, tuple]] = {}
+        #: (src, dst) -> (route, its link names, the distinct ones among
+        #: them, its latency, its loss). The loss is folded from the links'
+        #: fault state, so every link empties the cache when that changes.
+        self._route_cache: dict[tuple, tuple] = {}
+        for link in topology.links:
+            link.caches.append(self._route_cache)
         #: The flow–link index, all the scheduler keeps about coupling: loaded
         #: link name -> fids of the active flows crossing it, in fid order. A
         #: link enters with its first flow and leaves with its last, so
@@ -337,9 +355,9 @@ class Network:
         self._pending = False
         #: fids added since the last rate assignment.
         self._pending_new: list[int] = []
-        #: Persistent fid -> route-name-tuple map for the solver. fids are
-        #: handed out in increasing order and never reused, so dict
-        #: insertion order *is* sorted-fid order.
+        #: Persistent fid -> distinct-link-name map (``Flow.links``) for the
+        #: solver. fids are handed out in increasing order and never reused,
+        #: so dict insertion order *is* sorted-fid order.
         self._solver_routes: dict[int, tuple[str, ...]] = {}
         #: Parallel fid -> class map for the priority solver.
         self._solver_prios: dict[int, int] = {}
@@ -370,6 +388,20 @@ class Network:
                     cohort.sync(flow)
         return flows
 
+    @property
+    def recorder(self):
+        """The :class:`~repro.metrics.recorder.Recorder` the ``netsim.*``
+        counters are mirrored into, or None (the trainer attaches its own).
+        Every bump of :attr:`stats` bumps the recorder's ``counters`` dict in
+        place too, so its keys arrive in first-bump order among the
+        recorder's other counters."""
+        return self._recorder
+
+    @recorder.setter
+    def recorder(self, recorder) -> None:
+        self._recorder = recorder
+        self._mirror = None if recorder is None else recorder.counters
+
     def transfer(
         self,
         src,
@@ -395,9 +427,9 @@ class Network:
         :attr:`job_overlap`. Untagged transfers (a trainer that owns its
         network) skip the job accounting path entirely.
         """
-        if not math.isfinite(size):
-            raise ValueError(f"non-finite transfer size {size}")
-        if size < 0:
+        if not 0.0 <= size < _INF:
+            if not math.isfinite(size):
+                raise ValueError(f"non-finite transfer size {size}")
             raise ValueError(f"negative transfer size {size}")
         if prio not in CLASS_NAMES:
             raise ValueError(f"unknown priority class {prio!r}")
@@ -405,32 +437,21 @@ class Network:
             prio = PRIO_NORMAL
         cached = self._route_cache.get((src, dst))
         if cached is None:
-            route = tuple(self.topology.route(src, dst))
-            names = tuple(l.name for l in route)
-            cached = (route, names, tuple(dict.fromkeys(names)))
-            self._route_cache[(src, dst)] = cached
-        route, names, links = cached
-        # Latency/loss are *live* reads (fault windows move them); computed
-        # over the cached route with the same folds the topologies use.
-        latency = 0.0
-        keep = 1.0
-        for link in route:
-            latency += link.spec.latency
-            keep *= 1.0 - link.loss_rate
-        loss = 1.0 - keep
+            cached = self._route_cache[(src, dst)] = self._route_entry(src, dst)
+        route, names, links, latency, loss = cached
         done = Event(self.env)
         fid = self._next_fid
-        self._next_fid += 1
+        self._next_fid = fid + 1
         now = self.env.now
-        effective = float(size) * (1.0 + loss)
+        size = float(size)
+        effective = size * (1.0 + loss)
         # Positional, in field order: fid, src, dst, size, effective, route,
-        # latency, done, tag, start_time, rate, names, links, prio, job.
+        # latency, done, tag, start_time, rate, names, links, prio, job,
+        # t_anchor, rem_anchor.
         flow = Flow(
-            fid, src, dst, float(size), effective, route, latency, done, tag,
-            now, 0.0, names, links, prio, job,
+            fid, src, dst, size, effective, route, latency, done, tag,
+            now, 0.0, names, links, prio, job, now, effective,
         )
-        flow.t_anchor = now
-        flow.rem_anchor = effective
 
         if not route or effective <= _BYTE_EPS:
             # Loopback or empty payload: only latency applies.
@@ -438,7 +459,30 @@ class Network:
             return done
 
         self._drain()
-        self._register(flow)
+        # Into the active set and the solver bookkeeping.
+        if job is not None:
+            n = self._job_count.get(job, 0)
+            if not n:
+                self._jobs_change()
+            self._job_count[job] = n + 1
+            flow.mark = effective
+        self._active[fid] = flow
+        self._pending_new.append(fid)
+        self._solver_routes[fid] = links
+        self._solver_prios[fid] = prio
+        classes = self._class_count
+        classes[prio] = classes.get(prio, 0) + 1
+        index = self._link_flows
+        for name in links:
+            members = index.get(name)
+            if members is None:
+                index[name] = {fid: None}
+            else:
+                self._touched.append(name)  # couples with an existing flow
+                members[fid] = None
+        if self._cohort is not None:
+            self._loose[fid] = flow
+            self._push_shares(flow)
         for hook in self.flow_hooks:
             hook(flow)
         tr = self.env.tracer
@@ -510,54 +554,52 @@ class Network:
         self._rerate()
 
     # ------------------------------------------------------------ internals
-    def _count(self, name: str, n: int = 1) -> None:
-        # .get: per-job counters (netsim.job_bytes.{job}) appear dynamically.
-        self.stats[name] = self.stats.get(name, 0) + n
-        if self.recorder is not None:
-            self.recorder.incr(name, n)
+    # A counter is bumped where it is counted: in :attr:`stats` and, while a
+    # recorder is attached, in its ``counters`` (``_mirror``), with ``.get``
+    # there because a recorder holds a key only from its first bump.
 
-    def _register(self, flow: Flow) -> None:
-        """Add a flow to the active set and the solver bookkeeping."""
-        job = flow.job
-        if job is not None:
-            n = self._job_count.get(job, 0)
-            if not n:
-                self._jobs_change()
-            self._job_count[job] = n + 1
-            flow.mark = flow.effective
-        self._active[flow.fid] = flow
-        self._pending_new.append(flow.fid)
-        self._solver_routes[flow.fid] = flow.names
-        self._solver_prios[flow.fid] = flow.prio
-        self._class_count[flow.prio] = self._class_count.get(flow.prio, 0) + 1
-        index = self._link_flows
-        for name in flow.links:
-            members = index.get(name)
-            if members is None:
-                index[name] = {flow.fid: None}
-            else:
-                self._touched.append(name)  # couples with an existing flow
-                members[flow.fid] = None
-        if self._cohort is not None:
-            self._loose[flow.fid] = flow
-            self._push_shares(flow)
+    def _route_entry(self, src, dst) -> tuple:
+        """The route cache's entry for (src, dst): the route, its link names,
+        the distinct ones among them, and its latency and loss folded from
+        the links' current state as the topologies fold them."""
+        route = tuple(self.topology.route(src, dst))
+        names = tuple(l.name for l in route)
+        latency = 0.0
+        keep = 1.0
+        for link in route:
+            latency += link.spec.latency
+            keep *= 1.0 - link.loss_rate
+        return route, names, tuple(dict.fromkeys(names)), latency, 1.0 - keep
 
     def _retire(self, flow: Flow, tr) -> None:
         """Remove a finished flow from the active set and the solver
         bookkeeping, and credit its exact effective bytes to every link of
         its route, its class and its job."""
+        fid = flow.fid
+        prio = flow.prio
         effective = flow.effective
         for link in flow.route:
             link.bytes_carried += effective
+        stats = self.stats
+        mirror = self._mirror
         if self.priorities:
-            self._count(_BYTE_COUNTERS[flow.prio], effective)
+            name = _BYTE_COUNTERS[prio]
+            stats[name] += effective
+            if mirror is not None:
+                mirror[name] = mirror.get(name, 0) + effective
         job = flow.job
         if job is not None:
-            self._count(_job_counter(job), effective)
+            name = _job_counter(job)
+            stats[name] = stats.get(name, 0) + effective
+            if mirror is not None:
+                mirror[name] = mirror.get(name, 0) + effective
             if len(self._job_count) > 1:
                 # moved since the last change of the job set, all contended
-                self._count(_contended_counter(job), flow.mark)
-        del self._active[flow.fid]
+                name = _contended_counter(job)
+                stats[name] = stats.get(name, 0) + flow.mark
+                if mirror is not None:
+                    mirror[name] = mirror.get(name, 0) + flow.mark
+        del self._active[fid]
         if job is not None:
             n = self._job_count[job] - 1
             if n:
@@ -565,20 +607,21 @@ class Network:
             else:
                 self._jobs_change()
                 del self._job_count[job]
-        del self._solver_routes[flow.fid]
-        del self._solver_prios[flow.fid]
-        n_cls = self._class_count[flow.prio] - 1
+        del self._solver_routes[fid]
+        del self._solver_prios[fid]
+        classes = self._class_count
+        n_cls = classes[prio] - 1
         if n_cls:
-            self._class_count[flow.prio] = n_cls
+            classes[prio] = n_cls
         else:
-            del self._class_count[flow.prio]
+            del classes[prio]
         if tr:
             tr.gauge_delta("obs.net.inflight_bytes", -flow.size)
             tr.gauge_delta("obs.net.active_flows", -1)
         index = self._link_flows
         for name in flow.links:
             members = index[name]
-            del members[flow.fid]
+            del members[fid]
             if members:
                 self._touched.append(name)  # survivors on this link speed up
             else:
@@ -589,7 +632,7 @@ class Network:
                 cohort.size -= 1
                 flow.cohort = None
             else:
-                del self._loose[flow.fid]
+                del self._loose[fid]
             self._push_shares(flow)
         self._finish(flow)
 
@@ -670,12 +713,18 @@ class Network:
             key = frozenset(jobs)
             self.job_overlap[key] = self.job_overlap.get(key, 0.0) + dt
         contended = len(jobs) > 1
+        stats = self.stats
+        mirror = self._mirror
         for flow in self._active.values():
             if flow.job is None:
                 continue
             rem = flow.remaining
             if contended and flow.mark > rem:
-                self._count(_contended_counter(flow.job), flow.mark - rem)
+                name = _contended_counter(flow.job)
+                moved = flow.mark - rem
+                stats[name] = stats.get(name, 0) + moved
+                if mirror is not None:
+                    mirror[name] = mirror.get(name, 0) + moved
             flow.mark = rem
 
     def _drain(self) -> None:
@@ -778,6 +827,8 @@ class Network:
         active = self._active
         prios = self._solver_prios
         caps = self._capacities
+        stats = self.stats
+        mirror = self._mirror
         several = (  # the fabric-wide count first: it is O(1)
             len(self._class_count) > 1 and len({prios[f] for f in routes}) > 1
         )
@@ -785,14 +836,20 @@ class Network:
             rates = _prio_max_min(routes, caps, prios)
         else:
             rates = _max_min(routes, caps, links)
-        self._count("netsim.fairshare_calls")
+        stats["netsim.fairshare_calls"] += 1
+        if mirror is not None:
+            mirror["netsim.fairshare_calls"] = mirror.get("netsim.fairshare_calls", 0) + 1
         if several:  # a single class is never starved
             preempted = sum(
                 rate == 0.0 and active[fid].rate > 0.0
                 for fid, rate in rates.items()
             )
             if preempted:
-                self._count("netsim.prio_preemptions", preempted)
+                stats["netsim.prio_preemptions"] += preempted
+                if mirror is not None:
+                    mirror["netsim.prio_preemptions"] = (
+                        mirror.get("netsim.prio_preemptions", 0) + preempted
+                    )
         return rates
 
     def _rate(self, routes, links) -> None:
@@ -810,7 +867,12 @@ class Network:
                 if share != max(rates.values()):
                     share = None
             else:  # round 1 off the share heap was the whole solve
-                self._count("netsim.fairshare_calls")
+                self.stats["netsim.fairshare_calls"] += 1
+                mirror = self._mirror
+                if mirror is not None:
+                    mirror["netsim.fairshare_calls"] = (
+                        mirror.get("netsim.fairshare_calls", 0) + 1
+                    )
                 rates = None
             if share is not None and self._cohort_step(routes, links, share):
                 return
@@ -978,10 +1040,7 @@ class Network:
                 heappop(heap)  # finished
             if heap:
                 horizon = min(map(_T_END, cohort.near(heap[0][0])))
-        for flow in flows:
-            if flow.t_end < horizon:
-                horizon = flow.t_end
-        return horizon
+        return min(horizon, min(map(_T_END, flows), default=_INF))
 
     def _stalled(self, now: float) -> None:
         """Append the active flows whose end is not after ``now`` to
@@ -996,7 +1055,11 @@ class Network:
         """Recompute fair rates, complete finished flows, arm the next timer."""
         now = self.env.now
         self._pending = False
-        self._count("netsim.rerates")
+        stats = self.stats
+        mirror = self._mirror
+        stats["netsim.rerates"] += 1
+        if mirror is not None:
+            mirror["netsim.rerates"] = mirror.get("netsim.rerates", 0) + 1
         tr = self.env.tracer
         if self._timer is not None:
             self.env.cancel(self._timer)
@@ -1019,7 +1082,11 @@ class Network:
             if routes:
                 self._rate(routes, links)
             else:
-                self._count("netsim.rerate_skipped")
+                stats["netsim.rerate_skipped"] += 1
+                if mirror is not None:
+                    mirror["netsim.rerate_skipped"] = (
+                        mirror.get("netsim.rerate_skipped", 0) + 1
+                    )
             # A new flow no touched link reached is alone on its links, so
             # its share is its route's min capacity — whatever its class
             # (nobody to preempt or defer to).

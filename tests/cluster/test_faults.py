@@ -214,6 +214,30 @@ def test_parse_faults_inline_and_file(tmp_path):
         parse_faults('[{"start": 0, "duration": 1}]')
 
 
+#: Stream digest and virtual end of the OSP run below: two stacked loss
+#: bursts, one over the whole fabric and one on two nodes' links. A flow's
+#: loss is folded once per route and cached; the cache must follow every
+#: burst the injector applies and clears.
+LOSS_BURST_GOLDEN = (
+    "1acfbf50a0a6dbd4dfb4ad4741949c4ed2e515ce7ce91d9efa8b8831b3f32f79",
+    15.105417399392064,
+)
+
+
+def test_loss_burst_run_keeps_its_golden():
+    from repro.check import capture_stream, stream_digest
+
+    faults = FaultSchedule((
+        LossBurst(start=0.5, duration=2.0, loss_rate=0.4),
+        LossBurst(start=1.0, duration=3.0, loss_rate=0.2, nodes=(1, 2)),
+    ))  # fmt: skip
+    trainer = make_trainer(OSP(), workers=4, epochs=3, ipe=4, faults=faults)
+    result = trainer.run()
+    assert result.recorder.counter("faults.loss_burst") == 2
+    digest = stream_digest(capture_stream(trainer, result))
+    assert (digest, result.wall_time) == LOSS_BURST_GOLDEN
+
+
 def test_link_fault_state_composes_and_reverts():
     from repro.netsim.links import Link
 

@@ -11,11 +11,18 @@ one solve of the whole fabric per flow start/finish. An independent witness
 that rerate coalescing and solving only the touched link-component change no
 virtual time.
 
+:func:`near_by_popping` — a cohort's near-members read by popping its key
+heap in order and pushing the popped entries back: the oracle the in-place
+heap walk of ``_Cohort.near`` must match.
+
 :func:`route_latency`, :func:`bulk_time` and :func:`link_utilization` — the
 closed forms the tests expect a lone flow and a link's busy time to meet.
 """
 
+from heapq import heappop, heappush
+
 from repro.netsim import Network
+from repro.netsim.network import _BYTE_EPS
 from repro.netsim.topology import route_loss
 
 _EPS = 1e-12
@@ -83,6 +90,35 @@ def reference_fair_rates(flow_routes, capacities):
             for link in zeroed:
                 freeze_link(link, best_share)
     return rates
+
+
+def near_by_popping(cohort, bound: float) -> list:
+    """The members of ``cohort`` whose key is at most ``bound`` plus the
+    slack, synced, in key order: the heap is popped up to the first live
+    entry past the bound (stale entries met on the way are dropped), then
+    the live ones popped are pushed back."""
+    heap = cohort.heap
+    limit = bound + _BYTE_EPS
+    cum = cohort.cum[-1]
+    n_steps = len(cohort.steps)
+    rate = cohort.rate
+    found = []
+    while heap:
+        key, _fid, flow = heap[0]
+        if flow.cohort is not cohort:
+            heappop(heap)
+            continue
+        if key > limit + (abs(key) + cum) * 1e-10:
+            break
+        found.append(heappop(heap))
+    for entry in found:
+        heappush(heap, entry)
+    flows = []
+    for _key, _fid, flow in found:
+        if flow.base != n_steps or flow.rate != rate:
+            cohort.sync(flow)
+        flows.append(flow)
+    return flows
 
 
 def route_latency(topology, src: int, dst: int) -> float:

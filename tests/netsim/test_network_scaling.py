@@ -11,6 +11,7 @@ from unittest import mock
 
 import pytest
 
+from repro.metrics.recorder import Recorder
 from repro.netsim import PRIO_BULK, PRIO_HIGH
 from repro.netsim import network as network_module
 from repro.netsim.links import LinkSpec
@@ -233,25 +234,37 @@ def test_capacity_dip_rerates_both_components_at_the_fault_edge():
 
 
 def test_recorder_mirror_receives_netsim_counters():
-    class FakeRecorder:
-        def __init__(self):
-            self.counts = {}
-
-        def incr(self, name, n=1):
-            self.counts[name] = self.counts.get(name, 0) + n
-
+    """Every ``netsim.*`` key the recorder holds equals ``stats``, each one
+    the network bumped is there, and each arrived at its first bump: among
+    the recorder's own counters, not after them."""
     env = Environment()
     net = Network(env, _star())
-    rec = FakeRecorder()
+    rec = Recorder()
     net.recorder = rec
-    net.transfer(1, 0, 100.0)
-    net.transfer(2, 0, 100.0)
+
+    def run():
+        net.transfer(2, 0, 100.0, prio=PRIO_BULK)
+        yield env.timeout(0.5)
+        net.transfer(1, 0, 100.0, prio=PRIO_HIGH)  # preempts the BULK flow
+        yield env.timeout(10.0)
+        rec.incr("osp.deadline_miss")
+        net.transfer(1, 0, 100.0, job="a")
+        net.transfer(2, 0, 100.0, job="b")
+
+    env.process(run())
     env.run()
-    assert rec.counts["netsim.rerates"] == net.stats["netsim.rerates"]
-    assert (
-        rec.counts.get("netsim.fairshare_calls", 0)
-        == net.stats["netsim.fairshare_calls"]
-    )
+    mirrored = {k: v for k, v in rec.counters.items() if k.startswith("netsim.")}
+    assert mirrored == {k: v for k, v in net.stats.items() if k in mirrored}
+    assert all(v == 0 for k, v in net.stats.items() if k not in mirrored)
+    assert net.stats["netsim.prio_preemptions"] == 1
+    assert list(rec.counters) == [
+        "netsim.rerates", "netsim.rerate_skipped", "netsim.fairshare_calls",
+        "netsim.prio_preemptions", "netsim.prio_bytes.high",
+        "netsim.prio_bytes.bulk", "osp.deadline_miss",
+        "netsim.prio_bytes.normal", "netsim.job_bytes.a",
+        "netsim.job_contended_bytes.a", "netsim.job_contended_bytes.b",
+        "netsim.job_bytes.b",
+    ]  # fmt: skip
 
 
 def _fault_window_run(network=Network):
@@ -311,3 +324,67 @@ def test_route_cache_does_not_stale_latency_or_loss():
     after = next(r for r in net.records if r.tag == "after")
     # Loss inflation: same payload takes 1.5x the bytes after the fault.
     assert after.duration == pytest.approx(1.5 * before.duration)
+
+
+#: Fault changes on ``down:0`` in turn, as ``(method, extra_loss)``: a burst,
+#: a second one stacked on it, then both cleared.
+_BURSTS = (("apply_fault", 0.5), ("apply_fault", 0.2), ("clear_fault", 0.5),
+           ("clear_fault", 0.2))  # fmt: skip
+
+
+def _lone_transfers(net, env, pairs):
+    """Each of ``pairs`` moved alone from ``env.now``: its flow's effective
+    bytes and its duration."""
+    seen = []
+    net.flow_hooks.append(lambda flow: seen.append(flow.effective))
+    out = []
+    for src, dst in pairs:
+        done = net.transfer(src, dst, 100.0)
+        env.run()
+        out.append((seen[-1], done.value.duration))
+    net.flow_hooks.pop()
+    return out
+
+
+def _fresh_transfers(at, changes, pairs):
+    """The same transfers on a fresh network whose ``down:0`` went through
+    ``changes``, the first starting at ``at``."""
+    env = Environment()
+    topo = _star(n=3, bandwidth=100.0, latency=1e-3)
+    (link,) = [l for l in topo.links if l.name == "down:0"]
+    for method, loss in changes:
+        getattr(link, method)(extra_loss=loss)
+    net = Network(env, topo)
+    if at > 0:
+        env.run(until=at)
+    return _lone_transfers(net, env, pairs)
+
+
+@pytest.mark.parametrize("refresh", [False, True], ids=["no-refresh", "refresh"])
+def test_route_cache_follows_every_fault_change(refresh):
+    """After each burst applied or cleared, with or without a capacity
+    refresh, a flow's effective bytes and duration are bit for bit a fresh
+    network's in the same link state: a cached latency and loss never
+    outlive a fault change."""
+    env = Environment()
+    topo = _star(n=3, bandwidth=100.0, latency=1e-3)
+    (link,) = [l for l in topo.links if l.name == "down:0"]
+    net = Network(env, topo)
+    pairs = [(1, 0), (2, 0), (1, 2)]
+    got = [_lone_transfers(net, env, pairs)]
+    starts = [0.0]
+    for method, loss in _BURSTS:
+        getattr(link, method)(extra_loss=loss)
+        if refresh:
+            net.refresh_capacities()
+        starts.append(env.now)
+        got.append(_lone_transfers(net, env, pairs))
+    # The fresh networks are built once this run is over: nothing done to
+    # them can reach its route cache.
+    want = [
+        _fresh_transfers(at, _BURSTS[:k], pairs) for k, at in enumerate(starts)
+    ]
+    assert got == want
+    # the bursts inflated the flows into node 0, and only those
+    assert [row[0][0] for row in got] == [100.0, 150.0, 160.0, 120.0, 100.0]
+    assert {row[2][0] for row in got} == {100.0}

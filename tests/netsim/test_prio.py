@@ -105,10 +105,22 @@ def test_legacy_and_fast_subsolvers_agree_in_prio_path(net):
     routes, caps = net
     rng = np.random.default_rng(2)
     prios = {f: int(rng.integers(0, 4)) for f in routes}
-    with mock.patch(
-        "repro.netsim.fairshare._max_min",
-        lambda r, c: reference_fair_rates(r, c),
-    ):
+
+    def reference_sub_solve(sub_routes, sub_caps, index=None):
+        # A class's index holds its links in fid then route order, each
+        # with its flows in fid order: the index ``_max_min`` builds itself.
+        if index is not None:
+            built: dict = {}
+            for fid, route in sub_routes.items():
+                for link in route:
+                    built.setdefault(link, []).append(fid)
+            assert [(l, list(m)) for l, m in index.items()] == [
+                (l, list(dict.fromkeys(m))) for l, m in built.items()
+            ]
+            assert set(sub_caps) == set(index)
+        return reference_fair_rates(sub_routes, sub_caps)
+
+    with mock.patch("repro.netsim.fairshare._max_min", reference_sub_solve):
         reference = prio_fair_rates(routes, caps, prios)
     assert prio_fair_rates(routes, caps, prios) == reference
 

@@ -97,6 +97,14 @@ PINNED = {
     "timers_cancelled": 84,
     "timers_stale": 0,
 }
+#: The trainer's recorder, in first-bump order: the network's mirrored
+#: ``netsim.*`` counters arrive as they are first bumped, so OSP's own
+#: ``osp.deadline_miss`` lands between two of them.
+PINNED_RECORDER_KEYS = [
+    "netsim.rerates", "netsim.rerate_skipped", "netsim.fairshare_calls",
+    "netsim.prio_bytes.high", "netsim.prio_bytes.urgent", "netsim.prio_bytes.bulk",
+    "osp.deadline_miss", "netsim.prio_preemptions",
+]  # fmt: skip
 #: ``t128_osp``'s smoke shape: one worker-iteration per worker.
 PINNED_T128 = {
     "eid": 1284,
@@ -344,6 +352,8 @@ def counts():
         "gibs_adopted": len(adopted),
         "byte_sums": seen["byte_sums"],
         **_network_counts(trainer, seen),
+        "recorder": dict(trainer.recorder.counters),
+        "stats": dict(trainer.network.stats),
     }
 
 
@@ -549,6 +559,13 @@ def test_sweep_work_count_is_pinned(counts_sweep, name):
         f"{name}: {PINNED_SWEEP[name]} -> {counts_sweep[name]} per sweep_bw smoke "
         "run; update the pin and state it old -> new in CHANGES.md"
     )
+
+
+def test_recorder_mirrors_netsim_in_first_bump_order(counts):
+    recorder = counts["recorder"]
+    assert list(recorder) == PINNED_RECORDER_KEYS
+    for name, value in counts["stats"].items():
+        assert recorder.get(name, 0) == value, name
 
 
 def test_the_split_is_computed_once_per_gib(counts):
