@@ -50,6 +50,7 @@ import heapq
 from typing import Collection, Hashable, Mapping, Optional, Sequence
 
 _EPS = 1e-12
+_INF = float("inf")
 
 
 def _validate_and_split(flow_routes, capacities):
@@ -125,7 +126,6 @@ def _max_min(
     link more than ``2·_EPS`` clear of its share) get ``capacities[link] / n``
     from a load-only pre-pass; a multi-round solve leaves at its last round.
     """
-    rates: dict[Hashable, float] = {}
     # Round 1: each loaded link's load, then the minimum share, its link and
     # the smallest share on any *other* link. The index holds distinct flows
     # per link, so ``carried == n`` alone says every flow crosses the
@@ -148,8 +148,8 @@ def _max_min(
         elif share < second:  # an exact tie on another link lands here
             second = share
     if carried == len(unfrozen) and second - best_share > 2 * _EPS:
-        rates.update(dict.fromkeys(unfrozen, best_share))
-        return rates
+        return dict.fromkeys(unfrozen, best_share)
+    rates: dict[Hashable, float] = {}
     remaining = dict(capacities)
 
     # Per-flow unique links; per-link flow list (lazy deletion via the
@@ -352,7 +352,8 @@ def _prio_max_min(
     leftover = {l: capacities[l] for route in flow_routes.values() for l in route}
     saturated: set = set()
     rates: dict[Hashable, float] = {}
-    for cls in sorted(by_class, reverse=True):
+    classes = sorted(by_class, reverse=True)
+    for cls in classes:
         solve_routes: dict[Hashable, Sequence[Hashable]] = {}
         index: dict[Hashable, dict] = {}
         for fid, route in by_class[cls].items():
@@ -369,9 +370,11 @@ def _prio_max_min(
         if not solve_routes:
             continue
         sub = _max_min(solve_routes, {l: leftover[l] for l in index}, index)
+        rates.update(sub)
+        if cls == classes[-1]:
+            break  # no class below reads the leftover
         for fid, rate in sub.items():
-            rates[fid] = rate
-            if rate > 0 and rate != float("inf"):
+            if 0 < rate < _INF:
                 for l in solve_routes[fid]:
                     left = leftover[l] - rate
                     leftover[l] = left if left > 0.0 else 0.0

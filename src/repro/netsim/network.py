@@ -830,7 +830,7 @@ class Network:
         stats = self.stats
         mirror = self._mirror
         several = (  # the fabric-wide count first: it is O(1)
-            len(self._class_count) > 1 and len({prios[f] for f in routes}) > 1
+            len(self._class_count) > 1 and len(set(map(prios.__getitem__, routes))) > 1
         )
         if several:
             rates = _prio_max_min(routes, caps, prios)
@@ -1091,8 +1091,10 @@ class Network:
             # its share is its route's min capacity — whatever its class
             # (nobody to preempt or defer to).
             if self._pending_new:
+                cap = self._capacities.__getitem__
+                active = self._active
                 alone = {
-                    fid: min(self._capacities[n] for n in self._active[fid].links)
+                    fid: min(map(cap, active[fid].links))
                     for fid in self._pending_new
                     if fid not in routes
                 }
