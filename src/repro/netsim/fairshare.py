@@ -139,18 +139,18 @@ def _max_min(
                     link_flows[link] = {fid: None}
                 else:
                     members[fid] = None
-    best_share = second = float("inf")
-    bottleneck, carried = None, 0
+    best_share = second = _INF
+    carried = 0
     for link, n in zip(link_flows, map(len, link_flows.values())):
         share = capacities[link] / n
         if share < best_share:
-            best_share, second, bottleneck, carried = share, best_share, link, n
+            best_share, second, carried = share, best_share, n
         elif share < second:  # an exact tie on another link lands here
             second = share
     if carried == len(unfrozen) and second - best_share > 2 * _EPS:
         return dict.fromkeys(unfrozen, best_share)
     rates: dict[Hashable, float] = {}
-    remaining = dict(capacities)
+    remaining = {link: capacities[link] for link in link_flows}
 
     # Per-flow unique links; per-link flow list (lazy deletion via the
     # ``frozen`` set) + live load count. Link discovery order is the order

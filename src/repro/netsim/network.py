@@ -829,8 +829,9 @@ class Network:
         caps = self._capacities
         stats = self.stats
         mirror = self._mirror
-        several = (  # the fabric-wide count first: it is O(1)
-            len(self._class_count) > 1 and len(set(map(prios.__getitem__, routes))) > 1
+        several = len(self._class_count) > 1 and (  # the fabric-wide count: O(1)
+            routes is self._solver_routes  # the whole fabric: that count says it
+            or len(set(map(prios.__getitem__, routes))) > 1
         )
         if several:
             rates = _prio_max_min(routes, caps, prios)
@@ -1067,9 +1068,10 @@ class Network:
         while True:
             # Complete the flows the drain (or the guard below) finished.
             finished = self._finished
-            self._finished = []
-            for flow in finished:
-                self._retire(flow, tr)
+            if finished:
+                self._finished = []
+                for flow in finished:
+                    self._retire(flow, tr)
 
             if not self._active:
                 self._pending_new.clear()
