@@ -397,9 +397,9 @@ class TrainerContext:
         t_c = self.spec.jitter.sample(base, worker, iteration)
         t_start = self.env.now
         slot = None if self.compute_slots is None else self.compute_slots.get(worker)
-        span = self.trace.begin(
-            "compute", f"worker {worker}", worker=worker, iteration=iteration
-        )
+        trace = self.env.tracer
+        if trace:
+            span = trace.begin("compute", f"worker {worker}", worker=worker, iteration=iteration)
         if slot is not None:
             yield slot.request()
             try:
@@ -413,7 +413,8 @@ class TrainerContext:
         else:
             yield self.env.timeout(t_c)
             grads, loss, samples = self.engine.compute(worker, epoch, batch)
-        self.trace.end(span, loss=loss)
+        if trace:
+            trace.end(span, loss=loss)
         self._epoch_losses.setdefault(epoch, []).append(loss)
         return grads, loss, samples, t_c, t_start
 

@@ -244,8 +244,7 @@ class OSP(SyncModel):
 
     # ------------------------------------------------------ synchronization
     def synchronize(self, ctx, worker, epoch, iteration, grads, loss):
-        trace = ctx.trace
-        actor = f"worker {worker}"
+        trace = ctx.env.tracer
         # (1) our previous ICS push must have left the uplink. Having to
         # wait here means the ICS blew its Eq. 5 deadline (the budget no
         # longer fits inside T_c — loss burst, bandwidth dip, ...).
@@ -254,15 +253,18 @@ class OSP(SyncModel):
             if not self._round_blown.get(iteration):
                 self._round_blown[iteration] = True
                 ctx.recorder.incr("osp.deadline_miss")
-                trace.instant(
-                    "osp.deadline_miss", actor="faults", track="faults",
-                    worker=worker, iteration=iteration,
+                if trace:
+                    trace.instant(
+                        "osp.deadline_miss", actor="faults", track="faults",
+                        worker=worker, iteration=iteration,
+                    )
+            if trace:
+                stall = trace.begin(
+                    "ics_stall", f"worker {worker}", worker=worker, iteration=iteration
                 )
-            stall = trace.begin(
-                "ics_stall", actor, worker=worker, iteration=iteration
-            )
             yield prev_push
-            trace.end(stall)
+            if trace:
+                trace.end(stall)
 
         gib = self._gib  # capture: one bitmap per iteration, all stages
         if gib is not self._split_gib:
@@ -295,8 +297,8 @@ class OSP(SyncModel):
         # (4) LGP Eq. 6.
         corrector = self._correctors[worker]
         if ctx.ps.numeric:
-            with trace.span(
-                "lgp_correction", actor, worker=worker, iteration=iteration, eq=6
+            with ctx.trace.span(
+                "lgp_correction", f"worker {worker}", worker=worker, iteration=iteration, eq=6
             ):
                 imp_names = self.splitter.params_of(imp_layers)
                 if corrector is not None:
@@ -351,15 +353,16 @@ class OSP(SyncModel):
             self._consecutive_blown = 0
 
     def _ics_process(self, ctx, worker, iteration, g_unimp, unimp_layers, unimp_bytes):
-        trace = ctx.trace
-        # Separate timeline row per worker: the whole point of ICS is that
-        # these spans overlap the next iteration's compute span.
-        actor = f"worker {worker} (ics)"
-        trace.gauge_delta("osp.inflight_ics_bytes", unimp_bytes)
-        span = trace.begin(
-            "ics_push", actor, track="ics",
-            worker=worker, iteration=iteration, bytes=unimp_bytes,
-        )
+        trace = ctx.env.tracer
+        if trace:
+            # Separate timeline row per worker: the whole point of ICS is
+            # that these spans overlap the next iteration's compute span.
+            actor = f"worker {worker} (ics)"
+            trace.gauge_delta("osp.inflight_ics_bytes", unimp_bytes)
+            span = trace.begin(
+                "ics_push", actor, track="ics",
+                worker=worker, iteration=iteration, bytes=unimp_bytes,
+            )
         self._ics_unarrived[worker] = unimp_bytes
         push = ctx.transfer_to_ps(
             worker, unimp_bytes, tag=("ics-push", worker, iteration), prio=PRIO_BULK
@@ -367,8 +370,9 @@ class OSP(SyncModel):
         self._ics_push_done[worker] = push
         yield push
         self._ics_unarrived.pop(worker, None)
-        trace.end(span)
-        trace.gauge_delta("osp.inflight_ics_bytes", -unimp_bytes)
+        if trace:
+            trace.end(span)
+            trace.gauge_delta("osp.inflight_ics_bytes", -unimp_bytes)
 
         bucket = f"ics:{iteration}"
         # The RS round already fixed how many workers participate in this
@@ -390,11 +394,11 @@ class OSP(SyncModel):
             self._ics_ready.pop(iteration - 3, None)
             self._ics_expected.pop(iteration - 3, None)
 
-        span = trace.begin(
-            "ics_wait", actor, track="ics", worker=worker, iteration=iteration
-        )
+        if trace:
+            span = trace.begin("ics_wait", actor, track="ics", worker=worker, iteration=iteration)
         snapshot = yield ready
-        trace.end(span)
+        if trace:
+            trace.end(span)
         yield from self.pull(ctx, worker, iteration, "ics", unimp_bytes,
                              span="ics_pull", prio=PRIO_BULK, track="ics")
 
@@ -402,8 +406,8 @@ class OSP(SyncModel):
         # RS since are never overwritten with an older value.
         corrector = self._correctors[worker]
         if corrector is not None and ctx.ps.numeric and snapshot:
-            with trace.span(
-                "lgp_correction", actor, track="ics",
+            with ctx.trace.span(
+                "lgp_correction", f"worker {worker} (ics)", track="ics",
                 worker=worker, iteration=iteration, eq=7,
             ):
                 still_unimp = set(

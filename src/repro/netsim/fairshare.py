@@ -28,7 +28,8 @@ O(F) write of the answer, with no pass over the routes; any other caller's
 index is built from the routes in O(F + L). Round 1 exits only when every
 other loaded link clears the minimum by more than ``2·_EPS`` (an exact tie
 is not clear): past that gap neither the scan's ``_EPS`` hysteresis nor link
-discovery order can settle on another bottleneck.
+discovery order can settle on another bottleneck. A lone flow also exits on
+an exact tie when no link of it sits within that gap above.
 
 The public :func:`fair_rates` and :func:`prio_fair_rates` validate their
 input once and hand it to the one solve (:func:`_max_min`,
@@ -123,7 +124,8 @@ def _max_min(
     froze.
 
     Single-round inputs (one link carries every flow, every other loaded
-    link more than ``2·_EPS`` clear of its share) get ``capacities[link] / n``
+    link more than ``2·_EPS`` clear of its share, or one flow whose other
+    links tie it exactly or clear it) get ``capacities[link] / n``
     from a load-only pre-pass; a multi-round solve leaves at its last round.
     """
     # Round 1: each loaded link's load, then the minimum share, its link and
@@ -147,7 +149,11 @@ def _max_min(
             best_share, second, carried = share, best_share, n
         elif share < second:  # an exact tie on another link lands here
             second = share
-    if carried == len(unfrozen) and second - best_share > 2 * _EPS:
+    if carried == len(unfrozen) and (
+        second - best_share > 2 * _EPS
+        or second == best_share and carried == 1  # a lone flow on an exact tie
+        and not any(0.0 < capacities[l] - best_share <= 2 * _EPS for l in link_flows)
+    ):
         return dict.fromkeys(unfrozen, best_share)
     rates: dict[Hashable, float] = {}
     remaining = {link: capacities[link] for link in link_flows}

@@ -36,10 +36,9 @@ class Flow:
     tag: Any
     start_time: float
     rate: float
-    #: Interned link-name tuple for the route, cached per (src, dst) by the
-    #: Network so the fair-share solver never rebuilds name lists per call.
-    names: tuple[str, ...]
-    #: ``names`` without repeats (cached beside it): the links the flow loads.
+    #: The route's link names without repeats: the links the flow loads,
+    #: cached per (src, dst) by the Network so the fair-share solver never
+    #: rebuilds name lists per call.
     links: tuple[str, ...]
     #: Strict-priority transmission class (repro.netsim.prio constants).
     prio: int

@@ -72,8 +72,8 @@ carries every unfrozen flow ends the solve — see :mod:`.fairshare`):
   walk hands the solver the component's links with their members (the index
   itself when the component is the whole fabric), and the solve reads
   round 1's loads from them instead of recounting every route.
-* **Route caching** — interned ``(route, link names, distinct link names,
-  latency, loss)`` per (src, dst), so the solver never rebuilds name lists,
+* **Route caching** — interned ``(route, distinct link names, latency,
+  loss)`` per (src, dst), so the solver never rebuilds name lists,
   topologies are only asked to route each pair once and a flow pays no fold
   over its links. Topologies are static by contract (fault windows change
   link *attributes*, never the link set or routes); the loss is folded
@@ -320,6 +320,8 @@ class Network:
             "netsim.prio_bytes.urgent": 0.0,
         }
         self._active: dict[int, Flow] = {}
+        #: The active flows' payload bytes, summed as they start and finish.
+        self.inflight_payload = 0.0
         self._next_fid = 0
         self._last_update = env.now
         #: The one armed wake-up (a Timeout), cancelled when it is re-armed.
@@ -333,9 +335,8 @@ class Network:
         self._job_count: dict[str, int] = {}
         #: When the current set of jobs in flight began.
         self._jobs_since = env.now
-        #: (src, dst) -> (route, its link names, the distinct ones among
-        #: them, its latency, its loss). The loss is folded from the links'
-        #: fault state, so every link empties the cache when that changes.
+        #: (src, dst) -> (route, its distinct link names, its latency, its loss).
+        #: The loss folds the links' fault state, so a link empties it on a change.
         self._route_cache: dict[tuple, tuple] = {}
         for link in topology.links:
             link.caches.append(self._route_cache)
@@ -438,7 +439,7 @@ class Network:
         cached = self._route_cache.get((src, dst))
         if cached is None:
             cached = self._route_cache[(src, dst)] = self._route_entry(src, dst)
-        route, names, links, latency, loss = cached
+        route, links, latency, loss = cached
         done = Event(self.env)
         fid = self._next_fid
         self._next_fid = fid + 1
@@ -446,11 +447,10 @@ class Network:
         size = float(size)
         effective = size * (1.0 + loss)
         # Positional, in field order: fid, src, dst, size, effective, route,
-        # latency, done, tag, start_time, rate, names, links, prio, job,
-        # t_anchor, rem_anchor.
+        # latency, done, tag, start_time, rate, links, prio, job, t_anchor, rem_anchor.
         flow = Flow(
             fid, src, dst, size, effective, route, latency, done, tag,
-            now, 0.0, names, links, prio, job, now, effective,
+            now, 0.0, links, prio, job, now, effective,
         )
 
         if not route or effective <= _BYTE_EPS:
@@ -485,10 +485,7 @@ class Network:
             self._push_shares(flow)
         for hook in self.flow_hooks:
             hook(flow)
-        tr = self.env.tracer
-        if tr:
-            tr.gauge_delta("obs.net.inflight_bytes", flow.size)
-            tr.gauge_delta("obs.net.active_flows", 1)
+        self.inflight_payload += size
         self._schedule_rerate()
         return done
 
@@ -559,19 +556,18 @@ class Network:
     # there because a recorder holds a key only from its first bump.
 
     def _route_entry(self, src, dst) -> tuple:
-        """The route cache's entry for (src, dst): the route, its link names,
-        the distinct ones among them, and its latency and loss folded from
-        the links' current state as the topologies fold them."""
+        """The route cache's entry for (src, dst): the route, its distinct
+        link names, and its latency and loss folded from the links' current
+        state as the topologies fold them."""
         route = tuple(self.topology.route(src, dst))
-        names = tuple(l.name for l in route)
         latency = 0.0
         keep = 1.0
         for link in route:
             latency += link.spec.latency
             keep *= 1.0 - link.loss_rate
-        return route, names, tuple(dict.fromkeys(names)), latency, 1.0 - keep
+        return route, tuple(dict.fromkeys(l.name for l in route)), latency, 1.0 - keep
 
-    def _retire(self, flow: Flow, tr) -> None:
+    def _retire(self, flow: Flow) -> None:
         """Remove a finished flow from the active set and the solver
         bookkeeping, and credit its exact effective bytes to every link of
         its route, its class and its job."""
@@ -615,9 +611,7 @@ class Network:
             classes[prio] = n_cls
         else:
             del classes[prio]
-        if tr:
-            tr.gauge_delta("obs.net.inflight_bytes", -flow.size)
-            tr.gauge_delta("obs.net.active_flows", -1)
+        self.inflight_payload -= flow.size
         index = self._link_flows
         for name in flow.links:
             members = index[name]
@@ -1061,7 +1055,6 @@ class Network:
         stats["netsim.rerates"] += 1
         if mirror is not None:
             mirror["netsim.rerates"] = mirror.get("netsim.rerates", 0) + 1
-        tr = self.env.tracer
         if self._timer is not None:
             self.env.cancel(self._timer)
             self._timer = None
@@ -1071,7 +1064,7 @@ class Network:
             if finished:
                 self._finished = []
                 for flow in finished:
-                    self._retire(flow, tr)
+                    self._retire(flow)
 
             if not self._active:
                 self._pending_new.clear()

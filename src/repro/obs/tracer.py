@@ -139,8 +139,6 @@ class NullTracer:
     ``if tracer:``; individual calls are safe either way.
     """
 
-    enabled = False
-
     def __bool__(self) -> bool:
         return False
 
@@ -176,8 +174,6 @@ class Tracer:
     virtual clock. Attach with ``env.tracer = Tracer(env)`` (or
     :meth:`~repro.cluster.trainer.DistributedTrainer.enable_tracing`)."""
 
-    enabled = True
-
     def __init__(self, env) -> None:
         self.env = env
         self.spans: list[Span] = []
@@ -192,9 +188,6 @@ class Tracer:
         self._stacks: dict[Any, list[Span]] = {}
         self._root_stack: list[Span] = []
         self._next_sid = 0
-
-    def __bool__(self) -> bool:
-        return True
 
     @property
     def now(self) -> float:
@@ -299,12 +292,7 @@ class Tracer:
 
     def gauge_delta(self, name: str, delta: float) -> None:
         """Adjust a running counter track by ``delta`` (starts at 0)."""
-        value = float(self.gauge_last.get(name, 0.0) + delta)
-        samples = self.counters.get(name)
-        if samples is None:
-            samples = self.counters[name] = []
-        samples.append((self.env.now, value))
-        self.gauge_last[name] = value
+        self.gauge(name, self.gauge_last.get(name, 0.0) + delta)
 
     def gauge_value(self, name: str) -> float:
         """Most recent sample of a counter track (0.0 if never sampled)."""

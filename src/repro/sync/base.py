@@ -96,16 +96,19 @@ class SyncModel:
         """
         bucket = f"rs:{iteration}"
         ctx.ps.accumulate(bucket, worker, grads)
-        trace = ctx.trace
-        span = trace.begin(
-            "rs_barrier_wait", f"worker {worker}", worker=worker, iteration=iteration
-        )
+        trace = ctx.env.tracer
+        if trace:
+            span = trace.begin(
+                "rs_barrier_wait", f"worker {worker}", worker=worker, iteration=iteration
+            )
         generation = yield self._round_barrier.wait()
-        trace.end(span)
+        if trace:
+            trace.end(span)
         if generation != self._closed_generation:
             self._closed_generation = generation
             n = ctx.ps.pending(bucket)
-            trace.gauge("osp.quorum_size", n)
+            if trace:
+                trace.gauge("osp.quorum_size", n)
             if n:
                 if n < ctx.spec.n_workers:
                     ctx.recorder.incr("osp.degraded_quorum")
@@ -145,7 +148,7 @@ class SyncModel:
     def worker_process(self, ctx: TrainerContext, worker: int):
         """The per-worker simcore process driving training."""
         ipe = ctx.iterations_per_epoch
-        trace = ctx.trace  # NULL_TRACER when tracing is off (all no-ops)
+        trace = ctx.env.tracer  # None when tracing is off: no span is built
         actor = f"worker {worker}"
         epoch = ctx.start_epoch
         if worker not in ctx.alive_workers:
@@ -173,10 +176,11 @@ class SyncModel:
                 yield from self.before_compute(ctx, worker, iteration)
                 for hook in ctx.compute_start_hooks:
                     hook(worker, iteration)
-                it_span = trace.begin(
-                    "iteration", actor, cat="iteration",
-                    worker=worker, iteration=iteration, epoch=epoch,
-                )
+                if trace:
+                    it_span = trace.begin(
+                        "iteration", actor, cat="iteration",
+                        worker=worker, iteration=iteration, epoch=epoch,
+                    )
                 grads, loss, samples, t_c, t_start = yield from ctx.compute(
                     worker,
                     epoch,
@@ -184,14 +188,14 @@ class SyncModel:
                     extra_time=self.extra_compute_time(ctx, worker),
                 )
                 sync_start = ctx.env.now
-                sync_span = trace.begin(
-                    "sync", actor, worker=worker, iteration=iteration
-                )
+                if trace:
+                    sync_span = trace.begin("sync", actor, worker=worker, iteration=iteration)
                 yield from self.synchronize(
                     ctx, worker, epoch, iteration, grads, loss
                 )
-                trace.end(sync_span)
-                trace.end(it_span)
+                if trace:
+                    trace.end(sync_span)
+                    trace.end(it_span)
                 ctx.record_iteration(
                     worker,
                     iteration,

@@ -182,7 +182,7 @@ def test_node_targeted_fault_degrades_only_the_placed_hosts_links(nodes, hit):
 def test_placement_keeps_each_hosts_rack():
     env, net = _fabric(6, n_racks=2)
     routes = []
-    net.flow_hooks.append(lambda flow: routes.append(flow.names))
+    net.flow_hooks.append(lambda flow: routes.append(tuple(l.name for l in flow.route)))
     # workers 0, 1 on hosts 4 (rack 0) and 1 (rack 1); the PS on host 2 (rack 0)
     ctx = _ctx(net, Placement("j", [4, 1, 2]), n_workers=2)
     env.run(until=env.all_of([ctx.transfer_to_ps(0, 10.0), ctx.transfer_to_ps(1, 10.0)]))

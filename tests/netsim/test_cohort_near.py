@@ -20,7 +20,7 @@ _SYNCED = ("rem_anchor", "t_anchor", "rate", "t_end", "base", "back")
 
 def _flow(fid: int) -> Flow:
     return Flow(
-        fid, 1, 0, 1.0, 1.0, (), 0.0, None, None, 0.0, 0.0, (), (), 0, None, 0.0, 0.0
+        fid, 1, 0, 1.0, 1.0, (), 0.0, None, None, 0.0, 0.0, (), 0, None, 0.0, 0.0
     )
 
 

@@ -11,13 +11,16 @@ Network calls (``_max_min``, handed its live flow–link index) is held to the
 same oracle with that index in either link order.
 """
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import fair_rates
+from repro.netsim import LinkSpec, Network, StarTopology, fair_rates
 from repro.netsim.fairshare import _max_min
-from tests.netsim.reference import _EPS, reference_fair_rates
+from repro.simcore import Environment
+from tests.netsim.reference import _EPS, PerEventNetwork, reference_fair_rates
 
 
 # --------------------------------------------------- fast solver unit checks
@@ -166,6 +169,53 @@ def test_repeated_link_cannot_pass_for_a_link_every_flow_crosses():
     caps = {"ps": 3.0, "e0": 50.0, "e1": 50.0, "e2": 50.0}
     expected = _assert_matches_oracle_on_both_paths(routes, caps)
     assert expected == {"f0": 1.5, "f1": 50.0, "f2": 1.5}
+
+
+@pytest.mark.parametrize("third", sorted(_BANDS))
+def test_a_lone_flow_tied_exactly_on_two_links_matches_the_oracle(third):
+    """One flow on three links, two of them tied exactly at its share: round
+    1 answers that share unless the third sits within ``2·_EPS`` above it,
+    where the oracle's scan may settle on the third — in every discovery
+    order of the three."""
+    near = _BANDS[third](1.0)
+    answers = set()
+    for caps in set(permutations((1.0, 1.0, near))):
+        routes = {"f": [0, 1, 2]}
+        expected = _assert_matches_oracle_on_both_paths(routes, dict(enumerate(caps)))
+        answers.add(expected["f"])
+    # Within ``_EPS`` of the tie the scan keeps whichever it met first.
+    hysteresis = {"b_half_eps_above", "b_half_eps_below", "b_eps_above", "b_eps_below"}
+    assert answers == ({1.0, near} if third in hysteresis else {min(1.0, near)})
+
+
+def test_a_lone_survivor_on_tied_links_keeps_the_whole_fabric_solves_rates():
+    """Two flows share ``down:0``; when one finishes, the other is solved
+    alone over an uplink and a downlink of equal bandwidth, an exact tie.
+    Its rate at every drain is the oracle's, and the run's records are the
+    whole-fabric-per-event network's."""
+
+    def run(network):
+        env = Environment()
+        net = network(env, StarTopology(3, default_spec=LinkSpec(bandwidth=1e3, latency=0.0)))
+        caps = {link.name: link.bandwidth for link in net.topology.links}
+        seen = []
+
+        def check():  # between flow events, every rate is settled
+            for wait in (0.5, 1.0, 1.0, 1.0):
+                yield env.timeout(wait)
+                active = net.active_flows
+                routes = {f.fid: f.links for f in active}
+                assert {f.fid: f.rate for f in active} == reference_fair_rates(routes, caps)
+                seen.append(len(active))
+
+        net.transfer(1, 0, 1e3)  # ends at 2 s, at half the downlink
+        net.transfer(2, 0, 3e3)  # then alone on links tied at 1e3, to 4 s
+        env.process(check())
+        env.run()
+        assert seen == [2, 2, 1, 1]
+        return list(net.records), env.now
+
+    assert run(Network) == run(PerEventNetwork)
 
 
 @st.composite

@@ -266,7 +266,7 @@ def _solve_checked_network(checks):
             last[0] = env.now
             active = net.active_flows
             solve = prio_fair_rates(
-                {f.fid: f.names for f in active},
+                {f.fid: [l.name for l in f.route] for f in active},
                 capacities,
                 {f.fid: f.prio for f in active},
             )

@@ -6,6 +6,7 @@ import pytest
 
 from repro.check import capture_stream, first_divergence
 from repro.core.osp import OSP
+from repro.faults import BandwidthDip, FaultSchedule
 from repro.harness.workloads import (
     WorkloadConfig,
     make_numeric_dataset,
@@ -170,6 +171,38 @@ def test_every_sampled_track_is_registered():
         assert f"osp.worker.{w}.ics_backlog_bytes" in sampler.series
     assert "timeseries.net.inflight_bytes" in sampler.series
     assert "timeseries.link.up:0.utilization" in sampler.series
+
+
+def test_net_gauges_equal_a_running_tally_of_the_flows_at_every_tick():
+    """``obs.net.*`` at each tick equal a tally kept beside the network: the
+    flows ``flow_hooks`` saw go on the wire, less those in ``Network.records``
+    (a loopback flow is recorded but never goes on the wire). Payloads are
+    whole bytes, so the byte sum is exact whatever order it is added in."""
+    cfg = _cfg(faults=FaultSchedule((BandwidthDip(start=1.0, duration=2.0, factor=0.5),)))
+    trainer = timing_trainer(cfg, OSP())
+    sampler = trainer.enable_sampling()
+    net = trainer.network
+    live: dict[int, float] = {}
+    net.flow_hooks.append(lambda flow: live.__setitem__(flow.fid, flow.size))
+    read = [0]  # records already taken off the tally
+    ticks = []
+
+    def tally(now):
+        for record in net.records[read[0] :]:
+            live.pop(record.fid, None)
+        read[0] = len(net.records)
+        assert all(size.is_integer() for size in live.values())
+        ticks.append((now, float(sum(live.values())), float(len(live))))
+        return {}
+
+    sampler.add_probe(tally)
+    trainer.run()
+    inflight = sampler.series["obs.net.inflight_bytes"]
+    active = sampler.series["obs.net.active_flows"]
+    assert inflight.times.tolist() == active.times.tolist() == [t for t, _b, _n in ticks]
+    assert inflight.values.tolist() == [b for _t, b, _n in ticks]
+    assert active.values.tolist() == [n for _t, _b, n in ticks]
+    assert max(n for _t, _b, n in ticks) > 1
 
 
 @pytest.mark.parametrize("sync_cls", [BSP, SSP, DSSP])

@@ -60,15 +60,20 @@ def test_traced_spans_nest_iteration_compute():
 
 
 def test_gauges_sampled():
-    _trainer, _res, tracer = traced_run(OSP(fixed_budget_fraction=0.5))
-    for name in (
-        "osp.sgu_budget", "osp.quorum_size", "osp.inflight_ics_bytes",
-        "obs.net.inflight_bytes", "obs.net.active_flows", "obs.ps.version",
-    ):
+    trainer = make_trainer(OSP(fixed_budget_fraction=0.5))
+    sampler = trainer.enable_sampling()
+    tracer = trainer.run().tracer
+    for name in ("osp.sgu_budget", "osp.quorum_size", "osp.inflight_ics_bytes",
+                 "obs.ps.version"):  # fmt: skip
         assert tracer.counters.get(name), name
     # in-flight ICS bytes drain back to zero at run end
     assert tracer.gauge_value("osp.inflight_ics_bytes") == 0.0
-    assert tracer.gauge_value("obs.net.active_flows") == 0.0
+    # the fabric's two are read at each sampler tick, not bumped per flow
+    for name in ("obs.net.inflight_bytes", "obs.net.active_flows"):
+        assert name not in tracer.counters, name
+        series = sampler.series[name]
+        assert max(series.values) > 0.0, name
+        assert series.last()[1] == 0.0, name
 
 
 def test_fault_events_become_instants():
