@@ -24,7 +24,15 @@ positionally: every field of every span of the run above (``spans``); a
 sampled co-tenant pair, whose network and per-tenant probes share the fabric
 and whose spans carry their job (``COTENANT``); and an elastic OSP job with
 a crash and restart, a leave, a join and a bandwidth dip, sampled into
-13-slot rings so every ring wraps (``ELASTIC``)."""
+13-slot rings so every ring wraps (``ELASTIC``).
+
+The sampler, trace and tracer-counter digests of all three moved when the
+fabric's ``obs.net.*`` gauges became sampled values: the network probe
+reports them at every tick, the first tick included (both 0.0), and the
+tracer no longer holds them as counter tracks, so the trace has no
+``obs.net.*`` counter events. At every tick that sampled them before, their
+values are unchanged. Spans, traffic and the monitors' reports did not
+move."""
 
 import hashlib
 import json
@@ -37,38 +45,38 @@ from repro.harness.workloads import WorkloadConfig, timing_trainer
 from repro.obs.chrome import trace_document
 
 PINNED = {
-    "sampler": "3d55c75cd8a3749312d227497105e003123bca96a7fdafc1527da88cf9d42647",
-    "series_order": "8522510776b8034b997d62669ba7c06f30e8b0bcaaced70b63496ffa7f4d41b1",
+    "sampler": "31a115e758d6e54c79ebb569e7ef8c13c47bbd3b349f749da0d084d439ae50cb",
+    "series_order": "5673ed1026380b6ee4ef648164995aa8de4814d1b4b9e71cecb371f41213e140",
     "traffic": "d0b114aebedfa5282ffa29913323d6e08898c62dc41339a06fc5f965c5b8dd1e",
     "traffic_order": "daf850d3071785ee5e7894eea575d74233b16c5d9cdbf4ffdb2de28743db2fda",
-    "trace": "84cb32475c45bed5359f783779a3e6166474b2e1bf04c18efd9c14eef1bfaacb",
+    "trace": "08bea6fbc67d679dd1924a66b9872fa5c3eaad71db6927e4f339d7e7335ca5d5",
     "report": "7422c6c3cd5187154cc3a216de502e8c8b8a5de39d196c731c0453c92dfbeb7c",
-    "counters": "962106ab23eee4e7d46f48bd190c389e90cb074eb40e66c4bdddeecbf97fce36",
+    "counters": "aff6be5947d8f53cc4b998f55b5a8dd3f1f145ef57fd57600c54916dcc9ccfcb",
     "spans": "145d6b6da2f4b3ffe05f93eea4af86750e74b4540433dccad9ae40f87b19623a",
 }
 TRACE_WITHOUT_WALL_TIME = (
-    "6f87a26a36739552eddbd96c8ade38f6b5f5c9f8663853b73826e15e29cc7960"
+    "fb2c5c0ca28b1cbb72222878a405b26248b220c2449ff0f4bc3b50eead72e5a6"
 )
 SPANS = 523
 SAMPLES = 63
 COTENANT = {
-    "sampler": "cdf0ddf81d600d48264240f1eccfc6bd71fde288461cb93b6f03478c47b5e397",
-    "series_order": "751170d4732758275896a386b16364609e39c9886bf9cb1bd95d5a2dd58573e8",
-    "dropped": "9d9d4c52dcfd5983aa8cb26802d99e8b41b5ea204f3040ba4e72ca2f672b6f38",
+    "sampler": "b906fd456a78bb5517365d7527e9d6155daa46eec0a8b3c59cb3dfcedf5b3eec",
+    "series_order": "960e046baaf0c2af0db49bce067d22eee73c2417c12045387b060c07b9d1c28a",
+    "dropped": "0b7f3dd9e4420b292505471f71bf570d60982f80a561cf7e63e9f00ded84f177",
     "spans": "45be5c6a60b1af8208c1e7393d0df10394b8edc89a647733d5bcaab7eab73eb4",
-    "counters": "39520b663e005bb4e3ea08cd3d99246f8b13b4b190a72d44716521edd16d3d24",
+    "counters": "364be6396c4215d9715b61809ad3fac2d3e769f29642c76b10a979217beb1ff9",
     "samples": 104,
     "n_spans": 973,
 }
 ELASTIC = {
     "sampler": "8181c39719dd09a4f6b5b2f3d4bee13baab352f22089e427aec0252ba6e821e4",
-    "series_order": "c544edac5575984c456e9ee5b229d6442b433f1473d3b284fe84c56249013005",
-    "dropped": "0ffd8e657fd6b0154856efcd0fda07bee0920f7720775f879b03fcdba4482cb5",
+    "series_order": "16036a958cc360d5bfcd423941fe77f2dad34f5a11566bb5bbbf7e102b69475f",
+    "dropped": "c30c40a508be633f1cee66dff25eb26c9bd4d6ba29ad645a8db3740ed78bde1d",
     "spans": "121ac860d1d2f655caf836644c336b895989cd93d013b02d9dee5f28b13951e3",
-    "counters": "753dba0ed4e3f20a2aa7b0189b0969fc6234e81b92722359cac49af7348637f5",
+    "counters": "1f53a5a46c38f5c930bb753541d3994bc6ca61d8d1e549280c44034bc447bddb",
     "samples": 58,
     "n_spans": 495,
-    "trace": "7f098fdb571a8ec388b8ce05adccc37454093eab722e03e84cda8b0518a3579e",
+    "trace": "99c7108d530de5ca892a00a929cf7c19cffd013e0e3494359721912f25797217",
     "report": "8db383e98b2f0abbbfd8030969dbddced6efc45b676405996c4f33cd93ad8fa5",
 }
 

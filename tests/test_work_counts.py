@@ -123,12 +123,11 @@ PINNED_T128 = {
 PINNED_T8_OBS = {
     "spans": 394,
     "gauge_samples": {
-        "osp.u_max": 1, "osp.sgu_budget": 3, "obs.net.inflight_bytes": 280,
-        "obs.net.active_flows": 280, "osp.quorum_size": 8, "obs.ps.version": 8,
+        "osp.u_max": 1, "osp.sgu_budget": 3, "osp.quorum_size": 8, "obs.ps.version": 8,
     },
     "sampler_ticks": 37,
     "on_advance_calls": 37,
-    "sampler_values": 4221,
+    "sampler_values": 4223,
     # the probes share one reading of the fabric per tick, and one when built
     "ledger_calls": 38,
     "drain_hook_calls": {"net.conservation": 290, "osp.ics_inflight": 290},
