@@ -10,7 +10,7 @@ Recorder` cannot: *where* inside an iteration the time went. It collects
 * **instants** (point events: fault windows opening/closing, GIB
   broadcasts, evaluations);
 * **counter tracks** (streaming gauges: in-flight ICS bytes, the S(G^u)
-  budget, quorum size, network backlog) sampled at virtual timestamps;
+  budget, quorum size, PS version) sampled at virtual timestamps;
 * per-``(stage, layer)`` **traffic** accounting (RS vs ICS bytes),
   counted per use of a layer tuple and materialised when read.
 
