@@ -191,8 +191,8 @@ def test_a_lone_flow_tied_exactly_on_two_links_matches_the_oracle(third):
 def test_a_lone_survivor_on_tied_links_keeps_the_whole_fabric_solves_rates():
     """Two flows share ``down:0``; when one finishes, the other is solved
     alone over an uplink and a downlink of equal bandwidth, an exact tie.
-    Its rate at every drain is the oracle's, and the run's records are the
-    whole-fabric-per-event network's."""
+    Every rate at four settled instants is the oracle's, and the run's
+    records are the whole-fabric-per-event network's."""
 
     def run(network):
         env = Environment()

@@ -74,6 +74,7 @@ def test_gauges_sampled():
         series = sampler.series[name]
         assert max(series.values) > 0.0, name
         assert series.last()[1] == 0.0, name
+    assert trainer.network.inflight_payload == 0.0
 
 
 def test_fault_events_become_instants():
