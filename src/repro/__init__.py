@@ -16,6 +16,14 @@ Public API highlights
 - :mod:`repro.harness` — paper workloads and figure experiments.
 """
 
-from repro.version import __version__
+from repro._lazy import lazy_exports
 
 __all__ = ["__version__"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".version": ("__version__",),
+    },
+)

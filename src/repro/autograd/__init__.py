@@ -17,8 +17,15 @@ array([[3., 3., 3.],
        [3., 3., 3.]])
 """
 
-from repro.autograd.tensor import Tensor, no_grad
-from repro.autograd.gradcheck import grad_check
-from repro.autograd import functional
+from repro._lazy import lazy_exports
 
 __all__ = ["Tensor", "functional", "grad_check", "no_grad"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".tensor": ("Tensor", "no_grad"),
+        ".gradcheck": ("grad_check",),
+    },
+)

@@ -15,34 +15,7 @@ Two complementary correctness layers over the simulator:
 See ``docs/invariants.md`` and ``python -m repro check --help``.
 """
 
-from repro.check.monitors import (
-    CheckReport,
-    DEFAULT_MONITORS,
-    GIBInvariantMonitor,
-    ICSInflightMonitor,
-    InvariantChecker,
-    InvariantViolation,
-    Monitor,
-    NetworkConservationMonitor,
-    PSLedgerMonitor,
-    QuorumConsistencyMonitor,
-    StalenessBoundMonitor,
-    run_checked,
-)
-from repro.check.replay import (
-    Divergence,
-    ReplayEvent,
-    ReplayReport,
-    STREAM_SCHEMA,
-    capture_stream,
-    differential_replay,
-    dump_stream,
-    first_divergence,
-    load_stream,
-    replay_resume,
-    stream_digest,
-    span_context,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CheckReport",
@@ -70,3 +43,38 @@ __all__ = [
     "run_checked",
     "span_context",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".monitors": (
+            "CheckReport",
+            "DEFAULT_MONITORS",
+            "GIBInvariantMonitor",
+            "ICSInflightMonitor",
+            "InvariantChecker",
+            "InvariantViolation",
+            "Monitor",
+            "NetworkConservationMonitor",
+            "PSLedgerMonitor",
+            "QuorumConsistencyMonitor",
+            "StalenessBoundMonitor",
+            "run_checked",
+        ),
+        ".replay": (
+            "Divergence",
+            "ReplayEvent",
+            "ReplayReport",
+            "STREAM_SCHEMA",
+            "capture_stream",
+            "differential_replay",
+            "dump_stream",
+            "first_divergence",
+            "load_stream",
+            "replay_resume",
+            "stream_digest",
+            "span_context",
+        ),
+    },
+)

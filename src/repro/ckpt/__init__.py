@@ -8,19 +8,7 @@ from such a checkpoint (``DistributedTrainer(resume_from=...)``) continues
 bit-identically to the uninterrupted run.  See ``docs/checkpointing.md``.
 """
 
-from repro.ckpt.manager import CheckpointManager
-from repro.ckpt.snapshot import (
-    FORMAT_VERSION,
-    Checkpoint,
-    CheckpointError,
-    apply_checkpoint,
-    capture,
-    describe,
-    load_checkpoint,
-    params_plane,
-    verify_roundtrip,
-    write_checkpoint,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FORMAT_VERSION",
@@ -35,3 +23,23 @@ __all__ = [
     "verify_roundtrip",
     "write_checkpoint",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".manager": ("CheckpointManager",),
+        ".snapshot": (
+            "FORMAT_VERSION",
+            "Checkpoint",
+            "CheckpointError",
+            "apply_checkpoint",
+            "capture",
+            "describe",
+            "load_checkpoint",
+            "params_plane",
+            "verify_roundtrip",
+            "write_checkpoint",
+        ),
+    },
+)

@@ -31,17 +31,12 @@ import sys
 from repro.bounds import COUNT, INDEX, NON_NEGATIVE, read_json_arg
 from repro.core.colocated import ColocatedOSP
 from repro.core.osp import OSP
-from repro.faults import parse_faults
-from repro.harness.workloads import (
-    EVALUATION_WORKLOADS,
-    WorkloadConfig,
-    make_numeric_dataset,
-    numeric_trainer,
-    timing_trainer,
-)
 from repro.metrics.report import format_table
 from repro.nn.models.registry import MODEL_CARDS
 from repro.sync import ASP, BSP, DSSP, R2SP, SSP, ShardedBSP, SyncSwitch, WFBP
+
+# The rest is imported by the subcommand that uses it: the parser needs
+# only the cards and the sync models, and ``repro cards`` builds no trainer.
 
 SYNC_FACTORIES = {
     "bsp": BSP,
@@ -77,6 +72,14 @@ def _constructing():
 
 @_constructing()
 def _build_trainer(args, sync_name: str):
+    from repro.faults import parse_faults
+    from repro.harness.workloads import (
+        WorkloadConfig,
+        make_numeric_dataset,
+        numeric_trainer,
+        timing_trainer,
+    )
+
     faults = parse_faults(args.faults) if getattr(args, "faults", None) else None
     cfg = WorkloadConfig(
         args.workload,
@@ -120,7 +123,6 @@ _HEADERS = ["sync", "samples/s", "BST (ms)", "BCT (ms)", "best metric", "virtual
 
 def cmd_run(args) -> int:
     from repro.ckpt import CheckpointError
-
     trainer = _build_trainer(args, args.sync)  # loads and applies --resume
     trainer.network.priorities = args.net_prio == "on"
     if args.trace:
@@ -261,6 +263,7 @@ JOB = {
 def _parse_jobs_spec(spec: str):
     """--jobs value: inline JSON list or a path to a JSON file, a list of
     :data:`JOB` records."""
+    from repro.harness.workloads import WorkloadConfig
     from repro.multijob import JobSpec, background_job
 
     entries = read_json_arg(spec, [JOB], "--jobs")
@@ -400,6 +403,12 @@ def cmd_check(args) -> int:
     import tempfile
 
     from repro.check import replay_resume, run_checked
+    from repro.faults import parse_faults
+    from repro.harness.workloads import (
+        WorkloadConfig,
+        make_numeric_dataset,
+        numeric_trainer,
+    )
 
     trainer = _build_trainer(args, args.sync)
     trainer.enable_tracing()

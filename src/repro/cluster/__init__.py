@@ -16,11 +16,7 @@ Communication times always come from :mod:`repro.netsim`; compute times
 from :mod:`repro.hardware`.
 """
 
-from repro.cluster.spec import ClusterSpec, Placement, TrainingPlan
-from repro.cluster.ps import ParameterServer
-from repro.cluster.engines import Engine, NumericEngine, TimingEngine
-from repro.cluster.context import TrainerContext
-from repro.cluster.trainer import DistributedTrainer, TrainingResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClusterSpec",
@@ -34,3 +30,16 @@ __all__ = [
     "TrainingPlan",
     "TrainingResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".spec": ("ClusterSpec", "Placement", "TrainingPlan"),
+        ".ps": ("ParameterServer",),
+        ".engines": ("Engine", "TimingEngine"),
+        ".numeric": ("NumericEngine",),
+        ".context": ("TrainerContext",),
+        ".trainer": ("DistributedTrainer", "TrainingResult"),
+    },
+)

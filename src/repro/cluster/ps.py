@@ -10,12 +10,13 @@ last aggregate are all plain name→array dicts.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.module import Module
-from repro.optim.sgd import SGD
+if TYPE_CHECKING:
+    from repro.nn.module import Module
+    from repro.optim.sgd import SGD
 
 
 class ParameterServer:

@@ -8,12 +8,11 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.cluster.context import TrainerContext
-from repro.cluster.engines import Engine, NumericEngine
+from repro.cluster.engines import Engine
 from repro.cluster.spec import ClusterSpec, Placement, TrainingPlan
 from repro.metrics.recorder import Recorder
 from repro.netsim.network import Network
 from repro.netsim.topology import StarTopology
-from repro.optim.lr_scheduler import StepLR
 from repro.simcore.environment import Environment
 
 
@@ -125,6 +124,8 @@ class DistributedTrainer:
 
         ipe = plan.iterations_per_epoch
         if ipe is None:
+            from repro.cluster.numeric import NumericEngine
+
             if isinstance(engine, NumericEngine):
                 ipe = engine.iterations_per_epoch
             else:
@@ -175,6 +176,8 @@ class DistributedTrainer:
         )
         self.placement = self.ctx.placement
         if self.ps.optimizer is not None:
+            from repro.optim.lr_scheduler import StepLR
+
             self.ctx._lr_scheduler = StepLR(
                 self.ps.optimizer,
                 step_epochs=plan.lr_step_epochs,

@@ -11,11 +11,7 @@ bytes_on_wire)``; ``decompress(payload) → grads``. The "grads" type is a
 name→ndarray dict, the same shape the sync models move around.
 """
 
-from repro.compression.base import Compressor, GradientDict, dense_bytes
-from repro.compression.topk import TopK
-from repro.compression.randomk import RandomK
-from repro.compression.quantize import Uniform8Bit
-from repro.compression.residual import ResidualMemory
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Compressor",
@@ -26,3 +22,15 @@ __all__ = [
     "Uniform8Bit",
     "dense_bytes",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".base": ("Compressor", "GradientDict", "dense_bytes"),
+        ".topk": ("TopK",),
+        ".randomk": ("RandomK",),
+        ".quantize": ("Uniform8Bit",),
+        ".residual": ("ResidualMemory",),
+    },
+)

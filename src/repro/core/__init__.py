@@ -15,14 +15,7 @@ The 2-stage synchronization model itself (RS + ICS worker/PS processes,
 :mod:`repro.core.groups`.
 """
 
-from repro.core.pgp import layer_importance, pgp_importance
-from repro.core.gib import GIB
-from repro.core.tuning import SGuTuner, ics_upper_bound
-from repro.core.lgp import EMALGPCorrector, LGPCorrector
-from repro.core.splitter import GradientSplitter
-from repro.core.osp import OSP
-from repro.core.colocated import ColocatedOSP
-from repro.core.groups import SyncGroupPlan, plan_sync_groups
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ColocatedOSP",
@@ -38,3 +31,18 @@ __all__ = [
     "pgp_importance",
     "plan_sync_groups",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".pgp": ("layer_importance", "pgp_importance"),
+        ".gib": ("GIB",),
+        ".tuning": ("SGuTuner", "ics_upper_bound"),
+        ".lgp": ("EMALGPCorrector", "LGPCorrector"),
+        ".splitter": ("GradientSplitter",),
+        ".osp": ("OSP",),
+        ".colocated": ("ColocatedOSP",),
+        ".groups": ("SyncGroupPlan", "plan_sync_groups"),
+    },
+)

@@ -12,11 +12,7 @@ prevent a fixed portion of the dataset from always being trained with
 outdated parameters after LGP").
 """
 
-from repro.data.dataset import Dataset, train_test_split
-from repro.data.synthetic_images import make_image_classification
-from repro.data.synthetic_qa import ANSWER_VOCAB_RANGE, make_extractive_qa
-from repro.data.shard import shard_dirichlet, shard_iid
-from repro.data.loader import BatchLoader
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ANSWER_VOCAB_RANGE",
@@ -28,3 +24,15 @@ __all__ = [
     "shard_iid",
     "train_test_split",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".dataset": ("Dataset", "train_test_split"),
+        ".synthetic_images": ("make_image_classification",),
+        ".synthetic_qa": ("ANSWER_VOCAB_RANGE", "make_extractive_qa"),
+        ".shard": ("shard_dirichlet", "shard_iid"),
+        ".loader": ("BatchLoader",),
+    },
+)

@@ -10,20 +10,7 @@ its variants exactly as for OSP's RS) and in :class:`repro.core.osp.OSP`
 (frozen ICS quorum, §4.3 BSP fallback).
 """
 
-from repro.faults.injector import FLAP_RESIDUAL, FaultInjector
-from repro.faults.schedule import (
-    BandwidthDip,
-    EVENT_KINDS,
-    FaultEvent,
-    FaultSchedule,
-    LinkFlap,
-    LossBurst,
-    StragglerSlowdown,
-    WorkerCrash,
-    WorkerJoin,
-    WorkerLeave,
-    parse_faults,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BandwidthDip",
@@ -40,3 +27,24 @@ __all__ = [
     "WorkerLeave",
     "parse_faults",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".injector": ("FLAP_RESIDUAL", "FaultInjector"),
+        ".schedule": (
+            "BandwidthDip",
+            "EVENT_KINDS",
+            "FaultEvent",
+            "FaultSchedule",
+            "LinkFlap",
+            "LossBurst",
+            "StragglerSlowdown",
+            "WorkerCrash",
+            "WorkerJoin",
+            "WorkerLeave",
+            "parse_faults",
+        ),
+    },
+)

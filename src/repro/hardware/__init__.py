@@ -11,14 +11,7 @@ Straggler models inject per-iteration compute-time jitter — the phenomenon
 that makes BSP's barrier expensive (Fig. 1) and ASP attractive (Fig. 2).
 """
 
-from repro.hardware.gpu import GPU_CATALOG, GPUSpec
-from repro.hardware.compute import ComputeModel
-from repro.hardware.jitter import (
-    JitterModel,
-    LognormalJitter,
-    NoJitter,
-    PersistentStraggler,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ComputeModel",
@@ -29,3 +22,18 @@ __all__ = [
     "NoJitter",
     "PersistentStraggler",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".gpu": ("GPU_CATALOG", "GPUSpec"),
+        ".compute": ("ComputeModel",),
+        ".jitter": (
+            "JitterModel",
+            "LognormalJitter",
+            "NoJitter",
+            "PersistentStraggler",
+        ),
+    },
+)

@@ -8,24 +8,7 @@ figure/table, returning plain data structures the benchmarks print;
 priority-scheduling experiments.
 """
 
-from repro.harness.workloads import (
-    EVALUATION_WORKLOADS,
-    WorkloadConfig,
-    make_numeric_dataset,
-    numeric_trainer,
-    timing_trainer,
-)
-from repro.harness import figures, sweep
-from repro.harness.cotenancy import (
-    osp_with_background,
-    shared_fabric_runner,
-)
-from repro.harness.priority import (
-    osp_beside_bulk_cotenant,
-    rs_stage_waits,
-    rs_under_bulk_tenants,
-)
-from repro.harness.stats import MultiSeedResult, SeedStats, run_seeds
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EVALUATION_WORKLOADS",
@@ -44,3 +27,24 @@ __all__ = [
     "sweep",
     "timing_trainer",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".workloads": (
+            "EVALUATION_WORKLOADS",
+            "WorkloadConfig",
+            "make_numeric_dataset",
+            "numeric_trainer",
+            "timing_trainer",
+        ),
+        ".cotenancy": ("osp_with_background", "shared_fabric_runner"),
+        ".priority": (
+            "osp_beside_bulk_cotenant",
+            "rs_stage_waits",
+            "rs_under_bulk_tenants",
+        ),
+        ".stats": ("MultiSeedResult", "SeedStats", "run_seeds"),
+    },
+)

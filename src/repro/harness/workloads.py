@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.cluster.engines import NumericEngine, TimingEngine
+from repro.cluster.engines import TimingEngine
 from repro.cluster.spec import ClusterSpec, TrainingPlan
 from repro.cluster.trainer import DistributedTrainer
 from repro.faults.schedule import FaultSchedule
-from repro.data.dataset import Dataset, train_test_split
-from repro.data.synthetic_images import make_image_classification
-from repro.data.synthetic_qa import make_extractive_qa
 from repro.hardware.jitter import DEFAULT_STREAMS, LognormalJitter
 from repro.nn.models.registry import ModelCard, get_card
+
+if TYPE_CHECKING:
+    from repro.data.dataset import Dataset
 
 #: The five workloads of the paper's evaluation (§5.1.2), in figure order.
 EVALUATION_WORKLOADS: tuple[str, ...] = (
@@ -103,6 +103,10 @@ def timing_trainer(cfg: WorkloadConfig, sync_model, **trainer_kwargs) -> Distrib
 
 def make_numeric_dataset(card: ModelCard, n_samples: int = 1600, seed: int = 0) -> tuple[Dataset, Dataset]:
     """(train, test) synthetic datasets matched to a card's mini model."""
+    from repro.data.dataset import train_test_split
+    from repro.data.synthetic_images import make_image_classification
+    from repro.data.synthetic_qa import make_extractive_qa
+
     if card.task == "qa":
         ds = make_extractive_qa(n_samples, seq_len=16, vocab_size=64, seed=seed)
     else:
@@ -131,6 +135,8 @@ def numeric_trainer(
     """Numeric-mode trainer: real gradients on the card's mini model,
     paper-scale timing, the paper's LR schedule (§5.1.3). Extra keyword
     arguments are forwarded to :class:`DistributedTrainer`."""
+    from repro.cluster.numeric import NumericEngine
+
     card = cfg.card
     if data is None:
         data = make_numeric_dataset(card, seed=cfg.seed)

@@ -2,9 +2,7 @@
 throughput, top-1/F1, iterations-to-accuracy, BST, time-to-accuracy curves —
 plus BCT for the co-located-PS overhead study (§5.4)."""
 
-from repro.metrics.recorder import EpochRecord, IterationRecord, Recorder
-from repro.metrics.report import format_series, format_table
-from repro.metrics.timeline import render_timeline
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EpochRecord",
@@ -14,3 +12,13 @@ __all__ = [
     "format_table",
     "render_timeline",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".recorder": ("EpochRecord", "IterationRecord", "Recorder"),
+        ".report": ("format_series", "format_table"),
+        ".timeline": ("render_timeline",),
+    },
+)

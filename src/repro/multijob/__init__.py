@@ -7,21 +7,7 @@ tagging through the priority scheduler, and cross-job interference
 attribution. See ``docs/multijob.md``.
 """
 
-from repro.cluster.spec import Placement
-from repro.multijob.job import JobSpec, background_job
-from repro.multijob.pool import PLACEMENT_MODES, NodePool
-from repro.multijob.report import (
-    MULTIJOB_SCHEMA,
-    multijob_summary,
-    render_report,
-)
-from repro.multijob.runner import (
-    ADMISSION_MODES,
-    JobRun,
-    JobScheduler,
-    MultiJobResult,
-    MultiJobRunner,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ADMISSION_MODES",
@@ -38,3 +24,21 @@ __all__ = [
     "multijob_summary",
     "render_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        "repro.cluster.spec": ("Placement",),
+        ".job": ("JobSpec", "background_job"),
+        ".pool": ("PLACEMENT_MODES", "NodePool"),
+        ".report": ("MULTIJOB_SCHEMA", "multijob_summary", "render_report"),
+        ".runner": (
+            "ADMISSION_MODES",
+            "JobRun",
+            "JobScheduler",
+            "MultiJobResult",
+            "MultiJobRunner",
+        ),
+    },
+)

@@ -18,18 +18,7 @@ Public API
 event that succeeds when the flow completes.
 """
 
-from repro.netsim.links import Link, LinkSpec
-from repro.netsim.topology import StarTopology
-from repro.netsim.fairshare import fair_rates, prio_fair_rates
-from repro.netsim.flows import Flow, FlowRecord
-from repro.netsim.network import Network
-from repro.netsim.prio import (
-    CLASS_NAMES,
-    PRIO_BULK,
-    PRIO_HIGH,
-    PRIO_NORMAL,
-    PRIO_URGENT,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CLASS_NAMES",
@@ -46,3 +35,22 @@ __all__ = [
     "fair_rates",
     "prio_fair_rates",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".links": ("Link", "LinkSpec"),
+        ".topology": ("StarTopology",),
+        ".fairshare": ("fair_rates", "prio_fair_rates"),
+        ".flows": ("Flow", "FlowRecord"),
+        ".network": ("Network",),
+        ".prio": (
+            "CLASS_NAMES",
+            "PRIO_BULK",
+            "PRIO_HIGH",
+            "PRIO_NORMAL",
+            "PRIO_URGENT",
+        ),
+    },
+)

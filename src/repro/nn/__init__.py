@@ -5,26 +5,7 @@ parameter registry — the same granularity OSP's Gradient Importance Bitmap
 (GIB) operates on (paper Eq. 4 computes importance per layer).
 """
 
-from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.layers import (
-    BatchNorm2d,
-    Conv2d,
-    Embedding,
-    Flatten,
-    GELU,
-    LayerNorm,
-    Linear,
-    MaxPool2d,
-    ReLU,
-)
-from repro.nn.attention import MultiHeadSelfAttention, TransformerBlock
-from repro.nn.loss import (
-    accuracy,
-    cross_entropy,
-    qa_span_accuracy,
-    qa_span_loss,
-)
-from repro.nn import init
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchNorm2d",
@@ -47,3 +28,24 @@ __all__ = [
     "qa_span_accuracy",
     "qa_span_loss",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".module": ("Module", "Parameter", "Sequential"),
+        ".layers": (
+            "BatchNorm2d",
+            "Conv2d",
+            "Embedding",
+            "Flatten",
+            "GELU",
+            "LayerNorm",
+            "Linear",
+            "MaxPool2d",
+            "ReLU",
+        ),
+        ".attention": ("MultiHeadSelfAttention", "TransformerBlock"),
+        ".loss": ("accuracy", "cross_entropy", "qa_span_accuracy", "qa_span_loss"),
+    },
+)

@@ -2,17 +2,7 @@
 the :class:`~repro.nn.models.registry.ModelCard` registry carrying the
 paper-scale parameter/FLOP counts used by the timing simulator."""
 
-from repro.nn.models.mlp import MLP
-from repro.nn.models.vgg import MiniVGG
-from repro.nn.models.resnet import MiniResNet, ResidualBlock
-from repro.nn.models.inception import InceptionBlock, MiniInception
-from repro.nn.models.bert import TinyBERT
-from repro.nn.models.registry import (
-    MODEL_CARDS,
-    ModelCard,
-    get_card,
-    synthetic_layer_sizes,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "InceptionBlock",
@@ -27,3 +17,16 @@ __all__ = [
     "get_card",
     "synthetic_layer_sizes",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".mlp": ("MLP",),
+        ".vgg": ("MiniVGG",),
+        ".resnet": ("MiniResNet", "ResidualBlock"),
+        ".inception": ("InceptionBlock", "MiniInception"),
+        ".bert": ("TinyBERT",),
+        ".registry": ("MODEL_CARDS", "ModelCard", "get_card", "synthetic_layer_sizes"),
+    },
+)

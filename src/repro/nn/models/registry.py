@@ -21,11 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.nn.models.bert import TinyBERT
-from repro.nn.models.inception import MiniInception
-from repro.nn.models.resnet import MiniResNet
-from repro.nn.models.vgg import MiniVGG
-
 #: gradients travel as float32 on the wire.
 BYTES_PER_PARAM = 4
 
@@ -92,6 +87,35 @@ def synthetic_layer_sizes(card: ModelCard) -> np.ndarray:
     return sizes
 
 
+# Each mini model is imported by its factory: a timing run reads the cards'
+# paper-scale numbers and never builds one, so it never loads the nn stack.
+def _mini_resnet(n_classes: int, blocks_per_stage: tuple[int, int]):
+    def factory(seed: int):
+        from repro.nn.models.resnet import MiniResNet
+
+        return MiniResNet(n_classes=n_classes, blocks_per_stage=blocks_per_stage, seed=seed)
+
+    return factory
+
+
+def _mini_vgg(seed: int):
+    from repro.nn.models.vgg import MiniVGG
+
+    return MiniVGG(n_classes=10, seed=seed)
+
+
+def _mini_inception(seed: int):
+    from repro.nn.models.inception import MiniInception
+
+    return MiniInception(n_classes=20, seed=seed)
+
+
+def _tiny_bert(seed: int):
+    from repro.nn.models.bert import TinyBERT
+
+    return TinyBERT(seed=seed)
+
+
 MODEL_CARDS: dict[str, ModelCard] = {
     card.name: card
     for card in [
@@ -105,9 +129,7 @@ MODEL_CARDS: dict[str, ModelCard] = {
             paper_layers=54,
             batch_size=64,
             metric="top1",
-            mini_factory=lambda seed: MiniResNet(
-                n_classes=10, blocks_per_stage=(1, 1), seed=seed
-            ),
+            mini_factory=_mini_resnet(10, (1, 1)),
         ),
         ModelCard(
             name="vgg16-cifar10",
@@ -119,7 +141,7 @@ MODEL_CARDS: dict[str, ModelCard] = {
             paper_layers=16,
             batch_size=64,
             metric="top1",
-            mini_factory=lambda seed: MiniVGG(n_classes=10, seed=seed),
+            mini_factory=_mini_vgg,
             efficiency_factor=0.7,  # memory-bound fc6/fc7
         ),
         ModelCard(
@@ -132,7 +154,7 @@ MODEL_CARDS: dict[str, ModelCard] = {
             paper_layers=94,
             batch_size=64,
             metric="top1",
-            mini_factory=lambda seed: MiniInception(n_classes=20, seed=seed),
+            mini_factory=_mini_inception,
         ),
         ModelCard(
             name="resnet101-imagenet",
@@ -144,9 +166,7 @@ MODEL_CARDS: dict[str, ModelCard] = {
             paper_layers=104,
             batch_size=64,
             metric="top1",
-            mini_factory=lambda seed: MiniResNet(
-                n_classes=20, blocks_per_stage=(2, 2), seed=seed
-            ),
+            mini_factory=_mini_resnet(20, (2, 2)),
         ),
         ModelCard(
             # §1 motivation experiment (comm overhead on RTX 2080 Ti vs 3090).
@@ -159,9 +179,7 @@ MODEL_CARDS: dict[str, ModelCard] = {
             paper_layers=155,
             batch_size=64,
             metric="top1",
-            mini_factory=lambda seed: MiniResNet(
-                n_classes=10, blocks_per_stage=(2, 3), seed=seed
-            ),
+            mini_factory=_mini_resnet(10, (2, 3)),
         ),
         ModelCard(
             name="bertbase-squad",
@@ -173,7 +191,7 @@ MODEL_CARDS: dict[str, ModelCard] = {
             paper_layers=199,
             batch_size=12,
             metric="f1",
-            mini_factory=lambda seed: TinyBERT(seed=seed),
+            mini_factory=_tiny_bert,
             efficiency_factor=0.45,  # fp32 seq-384 attention, small batch
         ),
     ]

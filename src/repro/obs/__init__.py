@@ -24,35 +24,7 @@ The measurement substrate for every performance claim in this repo:
 See ``docs/observability.md`` for the span taxonomy and workflow.
 """
 
-from repro.obs.chrome import (
-    read_trace,
-    trace_document,
-    tracer_to_trace_events,
-    write_unified_trace,
-)
-from repro.obs.compare import (
-    PHASE_GROUPS,
-    PHASES,
-    RegressionReport,
-    compare_runs,
-)
-from repro.obs.dash import export_csv, export_prometheus, render_dashboard
-from repro.obs.health import HealthReport, WorkerHealth, health_report
-from repro.obs.overlap import (
-    OverlapReport,
-    overlap_report_from_run,
-    overlap_report_from_trace,
-)
-from repro.obs.registry import ALL_NAMES, COUNTERS, GAUGES, TRACKS
-from repro.obs.timeseries import MetricSampler, Series
-from repro.obs.tracer import (
-    NULL_TRACER,
-    Histogram,
-    Instant,
-    NullTracer,
-    Span,
-    Tracer,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ALL_NAMES",
@@ -85,3 +57,34 @@ __all__ = [
     "tracer_to_trace_events",
     "write_unified_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".chrome": (
+            "read_trace",
+            "trace_document",
+            "tracer_to_trace_events",
+            "write_unified_trace",
+        ),
+        ".compare": ("PHASE_GROUPS", "PHASES", "RegressionReport", "compare_runs"),
+        ".dash": ("export_csv", "export_prometheus", "render_dashboard"),
+        ".health": ("HealthReport", "WorkerHealth", "health_report"),
+        ".overlap": (
+            "OverlapReport",
+            "overlap_report_from_run",
+            "overlap_report_from_trace",
+        ),
+        ".registry": ("ALL_NAMES", "COUNTERS", "GAUGES", "TRACKS"),
+        ".timeseries": ("MetricSampler", "Series"),
+        ".tracer": (
+            "NULL_TRACER",
+            "Histogram",
+            "Instant",
+            "NullTracer",
+            "Span",
+            "Tracer",
+        ),
+    },
+)

@@ -8,6 +8,14 @@ serial).
 Host time end to end and per layer is ``bench/`` (``make hostbench``).
 """
 
-from repro.perf.executor import parallel_map
+from repro._lazy import lazy_exports
 
 __all__ = ["parallel_map"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".executor": ("parallel_map",),
+    },
+)

@@ -23,17 +23,7 @@ Example
 (5.0, 'done')
 """
 
-from repro.simcore.events import (
-    AllOf,
-    Event,
-    EventAlreadyTriggered,
-    Interrupt,
-    Timeout,
-)
-from repro.simcore.environment import Environment, SimulationError
-from repro.simcore.process import Process
-from repro.simcore.resources import QuorumBarrier, Resource
-from repro.simcore.priority import URGENT, NORMAL
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AllOf",
@@ -49,3 +39,15 @@ __all__ = [
     "URGENT",
     "NORMAL",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".events": ("AllOf", "Event", "EventAlreadyTriggered", "Interrupt", "Timeout"),
+        ".environment": ("Environment", "SimulationError"),
+        ".process": ("Process",),
+        ".resources": ("QuorumBarrier", "Resource"),
+        ".priority": ("URGENT", "NORMAL"),
+    },
+)

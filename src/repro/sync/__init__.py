@@ -14,16 +14,7 @@ itself lives in :mod:`repro.core.osp` (it is the paper's contribution, not
 a baseline).
 """
 
-from repro.sync.base import SyncModel
-from repro.sync.bsp import BSP
-from repro.sync.asp import ASP
-from repro.sync.ssp import SSP
-from repro.sync.r2sp import R2SP
-from repro.sync.sync_switch import SyncSwitch
-from repro.sync.multips import ShardedBSP
-from repro.sync.dssp import DSSP
-from repro.sync.compressed import CompressedBSP
-from repro.sync.wfbp import WFBP
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ASP",
@@ -37,3 +28,20 @@ __all__ = [
     "SyncSwitch",
     "WFBP",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    __all__,
+    {
+        ".base": ("SyncModel",),
+        ".bsp": ("BSP",),
+        ".asp": ("ASP",),
+        ".ssp": ("SSP",),
+        ".r2sp": ("R2SP",),
+        ".sync_switch": ("SyncSwitch",),
+        ".multips": ("ShardedBSP",),
+        ".dssp": ("DSSP",),
+        ".compressed": ("CompressedBSP",),
+        ".wfbp": ("WFBP",),
+    },
+)

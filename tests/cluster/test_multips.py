@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, DistributedTrainer, TimingEngine, TrainingPlan
 from repro.data import make_image_classification, train_test_split
-from repro.cluster.engines import NumericEngine
+from repro.cluster.numeric import NumericEngine
 from repro.hardware import NoJitter
 from repro.nn.models import MLP, get_card
 from repro.nn.models.registry import ModelCard
