@@ -6,8 +6,9 @@ import heapq
 from contextlib import contextmanager
 from typing import Any, Generator, Optional
 
-from repro.simcore.events import Event, EventAlreadyTriggered, Timeout
+from repro.simcore.events import AllOf, Event, EventAlreadyTriggered, Timeout
 from repro.simcore.priority import NORMAL
+from repro.simcore.process import Process
 
 
 class SimulationError(RuntimeError):
@@ -89,16 +90,12 @@ class Environment:
         """Create an event that triggers after ``delay`` time units."""
         return Timeout(self, delay, value)
 
-    def process(self, generator: Generator) -> "Process":  # noqa: F821
+    def process(self, generator: Generator) -> Process:
         """Start a new process from a generator; returns its Process event."""
-        from repro.simcore.process import Process
-
         return Process(self, generator)
 
     def all_of(self, events) -> Event:
         """Event that fires when all of ``events`` have succeeded."""
-        from repro.simcore.events import AllOf
-
         return AllOf(self, events)
 
     def defer(self, fn) -> Event:
