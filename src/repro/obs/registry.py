@@ -90,8 +90,7 @@ GAUGES: frozenset[str] = frozenset(
         "osp.u_max",
         "osp.inflight_ics_bytes",
         "osp.quorum_size",  # deposits present at a round close, any round model
-        "obs.net.inflight_bytes",  # these two are NetworkProbe series,
-        "obs.net.active_flows",  # read from the network at each tick
+        "obs.net.inflight_bytes",  # a NetworkProbe series, read at each tick
         "obs.ps.version",
     }
 )

@@ -308,8 +308,8 @@ class NetworkProbe:
     * ``timeseries.net.inflight_bytes`` — remaining effective bytes over
       all active flows, at the sample's time;
     * ``timeseries.net.active_flows`` — in-flight flow count;
-    * ``obs.net.inflight_bytes`` / ``obs.net.active_flows`` — in-flight
-      payload bytes (the network's running sum) and flow count;
+    * ``obs.net.inflight_bytes`` — in-flight payload bytes (the network's
+      running sum);
     * ``timeseries.link.{name}.queue_depth`` — flows routed over the link;
     * ``timeseries.link.{name}.utilization`` — window byte delta over
       nominal capacity (fault dips read as *low* utilisation);
@@ -352,7 +352,6 @@ class NetworkProbe:
             "timeseries.net.inflight_bytes": float(sum(ledger.remaining.values())),
             "timeseries.net.active_flows": float(len(flows)),
             "obs.net.inflight_bytes": net.inflight_payload,
-            "obs.net.active_flows": float(len(flows)),
         }
         depth: dict[str, int] = {}
         for f in flows:

@@ -32,7 +32,12 @@ reports them at every tick, the first tick included (both 0.0), and the
 tracer no longer holds them as counter tracks, so the trace has no
 ``obs.net.*`` counter events. At every tick that sampled them before, their
 values are unchanged. Spans, traffic and the monitors' reports did not
-move."""
+move.
+
+The sampler, series-order and dropped-sample digests of all three moved
+once more when ``obs.net.active_flows`` was dropped: it held the same value
+as ``timeseries.net.active_flows`` at every tick. Each new digest is the old
+run's with that one series taken out."""
 
 import hashlib
 import json
@@ -45,8 +50,8 @@ from repro.harness.workloads import WorkloadConfig, timing_trainer
 from repro.obs.chrome import trace_document
 
 PINNED = {
-    "sampler": "31a115e758d6e54c79ebb569e7ef8c13c47bbd3b349f749da0d084d439ae50cb",
-    "series_order": "5673ed1026380b6ee4ef648164995aa8de4814d1b4b9e71cecb371f41213e140",
+    "sampler": "f070cb814a5ff3102c1a8569a45b94f862b6173e02a5b7a0c58275de50b72313",
+    "series_order": "d04d15b17afceaaacd5e602b68b5e05f7eaa8886f3c5a4d25d080cef05921fd6",
     "traffic": "d0b114aebedfa5282ffa29913323d6e08898c62dc41339a06fc5f965c5b8dd1e",
     "traffic_order": "daf850d3071785ee5e7894eea575d74233b16c5d9cdbf4ffdb2de28743db2fda",
     "trace": "08bea6fbc67d679dd1924a66b9872fa5c3eaad71db6927e4f339d7e7335ca5d5",
@@ -60,18 +65,18 @@ TRACE_WITHOUT_WALL_TIME = (
 SPANS = 523
 SAMPLES = 63
 COTENANT = {
-    "sampler": "b906fd456a78bb5517365d7527e9d6155daa46eec0a8b3c59cb3dfcedf5b3eec",
-    "series_order": "960e046baaf0c2af0db49bce067d22eee73c2417c12045387b060c07b9d1c28a",
-    "dropped": "0b7f3dd9e4420b292505471f71bf570d60982f80a561cf7e63e9f00ded84f177",
+    "sampler": "13dfb4a2464cd740d280da5065527abd27f1e4e016a1f6b8c1dfdd3a2b447fd5",
+    "series_order": "4cf4d3af828dd2910123d084332f9cb583c0aecc7f863fbb2f61829915280387",
+    "dropped": "a7ae9c70cf36a9a705d5644ca90681ae9c278412d3ffdc43ee8d14afb25d4023",
     "spans": "45be5c6a60b1af8208c1e7393d0df10394b8edc89a647733d5bcaab7eab73eb4",
     "counters": "364be6396c4215d9715b61809ad3fac2d3e769f29642c76b10a979217beb1ff9",
     "samples": 104,
     "n_spans": 973,
 }
 ELASTIC = {
-    "sampler": "8181c39719dd09a4f6b5b2f3d4bee13baab352f22089e427aec0252ba6e821e4",
-    "series_order": "16036a958cc360d5bfcd423941fe77f2dad34f5a11566bb5bbbf7e102b69475f",
-    "dropped": "c30c40a508be633f1cee66dff25eb26c9bd4d6ba29ad645a8db3740ed78bde1d",
+    "sampler": "c34fd338b509a741eb72c7bc23ce43612123cb5c754eb11838d0eeaeec8873f3",
+    "series_order": "7d724b409497bc929b00bfb165eb3768c79a4ef06400867300d698f0494456be",
+    "dropped": "b719d3c33a792e452950e73ca72d60748e5f6dfaf311b8a6a10dcdded6f96ccd",
     "spans": "121ac860d1d2f655caf836644c336b895989cd93d013b02d9dee5f28b13951e3",
     "counters": "1f53a5a46c38f5c930bb753541d3994bc6ca61d8d1e549280c44034bc447bddb",
     "samples": 58,

@@ -174,9 +174,10 @@ def test_every_sampled_track_is_registered():
 
 
 def test_net_gauges_equal_a_running_tally_of_the_flows_at_every_tick():
-    """``obs.net.*`` at each tick equal a tally kept beside the network: the
-    flows ``flow_hooks`` saw go on the wire, less those in ``Network.records``
-    (a loopback flow is recorded but never goes on the wire). Payloads are
+    """``obs.net.inflight_bytes`` and ``timeseries.net.active_flows`` at each
+    tick equal a tally kept beside the network: the flows ``flow_hooks`` saw
+    go on the wire, less those in ``Network.records`` (a loopback flow is
+    recorded but never goes on the wire). Payloads are
     whole bytes, so the byte sum is exact whatever order it is added in."""
     cfg = _cfg(faults=FaultSchedule((BandwidthDip(start=1.0, duration=2.0, factor=0.5),)))
     trainer = timing_trainer(cfg, OSP())
@@ -198,7 +199,7 @@ def test_net_gauges_equal_a_running_tally_of_the_flows_at_every_tick():
     sampler.add_probe(tally)
     trainer.run()
     inflight = sampler.series["obs.net.inflight_bytes"]
-    active = sampler.series["obs.net.active_flows"]
+    active = sampler.series["timeseries.net.active_flows"]
     assert inflight.times.tolist() == active.times.tolist() == [t for t, _b, _n in ticks]
     assert inflight.values.tolist() == [b for _t, b, _n in ticks]
     assert active.values.tolist() == [n for _t, _b, n in ticks]

@@ -112,8 +112,8 @@ def test_gauge_and_delta_track_running_value():
 
 def test_gauge_delta_starts_at_zero():
     _env, tracer = make_tracer()
-    tracer.gauge_delta("obs.net.active_flows", 1)
-    assert tracer.gauge_value("obs.net.active_flows") == 1.0
+    tracer.gauge_delta("osp.inflight_ics_bytes", 1)
+    assert tracer.gauge_value("osp.inflight_ics_bytes") == 1.0
     assert tracer.gauge_value("never.sampled") == 0.0
 
 

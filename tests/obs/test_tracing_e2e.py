@@ -68,8 +68,9 @@ def test_gauges_sampled():
         assert tracer.counters.get(name), name
     # in-flight ICS bytes drain back to zero at run end
     assert tracer.gauge_value("osp.inflight_ics_bytes") == 0.0
-    # the fabric's two are read at each sampler tick, not bumped per flow
-    for name in ("obs.net.inflight_bytes", "obs.net.active_flows"):
+    # the fabric's payload and flow count are read at each sampler tick,
+    # not bumped per flow
+    for name in ("obs.net.inflight_bytes", "timeseries.net.active_flows"):
         assert name not in tracer.counters, name
         series = sampler.series[name]
         assert max(series.values) > 0.0, name

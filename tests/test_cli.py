@@ -582,7 +582,7 @@ _REPORT_CORPUS = [
      "error: {f}: otherData.wallTime must be a real in [0, inf), got -1.0"),
     # a trace must hold a complete span: without one there is no iteration
     ('{"traceEvents": [], "otherData": {"wallTime": 1.0}}', "error: {f}: " + _NO_SPANS),
-    ('{"traceEvents": [{"ph": "C", "ts": 0, "name": "obs.net.active_flows", '
+    ('{"traceEvents": [{"ph": "C", "ts": 0, "name": "obs.net.inflight_bytes", '
      '"args": {"value": 1}}], "otherData": {"wallTime": 1.0, '
      '"traffic": {"rs": {"fc": 8.0}}}}',
      "error: {f}: " + _NO_SPANS),

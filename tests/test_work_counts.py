@@ -127,7 +127,7 @@ PINNED_T8_OBS = {
     },
     "sampler_ticks": 37,
     "on_advance_calls": 37,
-    "sampler_values": 4223,
+    "sampler_values": 4186,
     # the probes share one reading of the fabric per tick, and one when built
     "ledger_calls": 38,
     "drain_hook_calls": {"net.conservation": 290, "osp.ics_inflight": 290},
