@@ -1,9 +1,17 @@
-"""Public API surface tests: imports, __all__ consistency, docstrings."""
+"""Public API surface tests: imports, __all__ consistency, docstrings, and
+package surfaces that import nothing until a name is used."""
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 PACKAGES = [
     "repro",
@@ -22,6 +30,11 @@ PACKAGES = [
     "repro.metrics",
     "repro.obs",
     "repro.harness",
+    "repro.check",
+    "repro.ckpt",
+    "repro.faults",
+    "repro.multijob",
+    "repro.perf",
 ]
 
 
@@ -51,6 +64,46 @@ def test_public_classes_and_functions_documented(name):
         obj = getattr(mod, symbol)
         if inspect.isclass(obj) or inspect.isfunction(obj):
             assert obj.__doc__, f"{name}.{symbol} lacks a docstring"
+
+
+_IMPORT_ALONE = """
+import json
+import sys
+
+before = set(sys.modules)
+import {name} as package
+
+loaded = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
+listed = dir(package)
+after_dir = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
+print(json.dumps({{"loaded": loaded, "after_dir": after_dir,
+                  "unlisted": sorted(set(package.__all__) - set(listed))}}))
+"""
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_importing_a_package_alone_loads_none_of_its_submodules(name):
+    """A fresh interpreter imports one package: it loads that package, its
+    parents and the lazy helper, and ``dir()`` lists every ``__all__`` name
+    without importing anything."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ALONE.format(name=name)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    seen = json.loads(out)
+    parts = name.split(".")
+    expected = {".".join(parts[:i]) for i in range(1, len(parts) + 1)} | {"repro._lazy"}
+    assert name in seen["loaded"]
+    assert set(seen["loaded"]) <= expected, seen["loaded"]
+    assert seen["after_dir"] == seen["loaded"]
+    assert seen["unlisted"] == []
 
 
 def test_version_string():
