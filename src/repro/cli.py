@@ -122,14 +122,19 @@ _HEADERS = ["sync", "samples/s", "BST (ms)", "BCT (ms)", "best metric", "virtual
 
 
 def cmd_run(args) -> int:
-    from repro.ckpt import CheckpointError
     trainer = _build_trainer(args, args.sync)  # loads and applies --resume
     trainer.network.priorities = args.net_prio == "on"
     if args.trace:
         trainer.enable_tracing()
+    # Only a resumed run can refuse its checkpoint mid-run; a fresh one
+    # catches nothing here and never loads repro.ckpt.
+    if args.resume:
+        from repro.ckpt import CheckpointError as refused
+    else:
+        refused = ()
     try:
         res = trainer.run()  # restores the sync model's checkpointed state
-    except CheckpointError as exc:
+    except refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.trace:
