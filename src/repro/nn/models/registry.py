@@ -17,6 +17,7 @@ operates on in timing mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -89,13 +90,10 @@ def synthetic_layer_sizes(card: ModelCard) -> np.ndarray:
 
 # Each mini model is imported by its factory: a timing run reads the cards'
 # paper-scale numbers and never builds one, so it never loads the nn stack.
-def _mini_resnet(n_classes: int, blocks_per_stage: tuple[int, int]):
-    def factory(seed: int):
-        from repro.nn.models.resnet import MiniResNet
+def _mini_resnet(n_classes: int, blocks_per_stage: tuple[int, int], seed: int):
+    from repro.nn.models.resnet import MiniResNet
 
-        return MiniResNet(n_classes=n_classes, blocks_per_stage=blocks_per_stage, seed=seed)
-
-    return factory
+    return MiniResNet(n_classes=n_classes, blocks_per_stage=blocks_per_stage, seed=seed)
 
 
 def _mini_vgg(seed: int):
@@ -129,7 +127,7 @@ MODEL_CARDS: dict[str, ModelCard] = {
             paper_layers=54,
             batch_size=64,
             metric="top1",
-            mini_factory=_mini_resnet(10, (1, 1)),
+            mini_factory=partial(_mini_resnet, 10, (1, 1)),
         ),
         ModelCard(
             name="vgg16-cifar10",
@@ -166,7 +164,7 @@ MODEL_CARDS: dict[str, ModelCard] = {
             paper_layers=104,
             batch_size=64,
             metric="top1",
-            mini_factory=_mini_resnet(20, (2, 2)),
+            mini_factory=partial(_mini_resnet, 20, (2, 2)),
         ),
         ModelCard(
             # §1 motivation experiment (comm overhead on RTX 2080 Ti vs 3090).
@@ -179,7 +177,7 @@ MODEL_CARDS: dict[str, ModelCard] = {
             paper_layers=155,
             batch_size=64,
             metric="top1",
-            mini_factory=_mini_resnet(10, (2, 3)),
+            mini_factory=partial(_mini_resnet, 10, (2, 3)),
         ),
         ModelCard(
             name="bertbase-squad",
