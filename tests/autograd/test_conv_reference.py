@@ -162,6 +162,56 @@ def test_matches_reference_on_nhwc_strided_input(padding):
     _check(x, rng.normal(size=(5, 4, 3, 3)), 1, padding)
 
 
+def _assert_same_bytes(got, want, what):
+    """``_assert_same`` with NaN: every element's bytes, NaN payloads and
+    the sign of zero included."""
+    assert got.dtype == want.dtype, f"{what}: dtype {got.dtype} != {want.dtype}"
+    assert got.tobytes() == want.tobytes(), f"{what}: bytes differ"
+    assert _layout(got) == _layout(want), f"{what}: strides {got.strides} != {want.strides}"
+
+
+def _poison(a, rng):
+    """``a`` with a NaN at ``a[0, 0, 0, 0]`` (read by every geometry) and a
+    +inf and a -inf at two random places."""
+    a = a.copy()
+    flat = a.reshape(-1) if a.flags.c_contiguous else a.transpose(0, 2, 3, 1).reshape(-1)
+    assert np.shares_memory(flat, a)
+    flat[[0, *rng.choice(np.arange(1, flat.size), 2, replace=False)]] = (np.nan, np.inf, -np.inf)
+    return a
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("poisoned", ["x", "w", "g", "xwg"])
+@pytest.mark.parametrize(
+    "x_shape,w_shape,stride,padding,contiguous", CARD_GEOMETRIES, ids=map(_geometry_id, CARD_GEOMETRIES)
+)
+def test_non_finite_values_land_where_the_reference_puts_them(
+    x_shape, w_shape, stride, padding, contiguous, poisoned
+):
+    # inf and NaN in an operand spread through every sum that reads them
+    # (inf * 0 is NaN, inf - inf is NaN): out, dx and dw must hold the
+    # reference's bytes, so a kernel that multiplies a padding or junk
+    # column it should never have read shows here.
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=x_shape) if contiguous else _nhwc_strided(rng, x_shape)
+    w = rng.normal(size=w_shape)
+    x = _poison(x, rng) if "x" in poisoned else x
+    w = _poison(w, rng) if "w" in poisoned else w
+    tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    y = F.conv2d(tx, tw, None, stride=stride, padding=padding)
+    ref_out, ref_backward = reference_conv2d(x, w, stride, padding)
+    _assert_same_bytes(y.data, ref_out, "out")
+    g = np.empty_like(ref_out)  # the output's (NHWC) layout, like a real upstream
+    g[...] = rng.normal(size=ref_out.shape)
+    g = _poison(g, rng) if "g" in poisoned else g
+    grad_x, grad_w = _grad_fns(y, tx, tw)
+    ref_dx, ref_dw = ref_backward(g)
+    _assert_same_bytes(grad_x(g), ref_dx, "dx")
+    _assert_same_bytes(grad_w(g), ref_dw, "dw")
+    assert not np.isfinite(ref_dx if poisoned == "g" else ref_out).all()
+    assert np.isfinite(ref_dx).any(), "the poison reached every element: nothing is pinned"
+
+
 def test_float32_input_float64_weights_follow_result_type():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 2, 6, 6)).astype(np.float32)

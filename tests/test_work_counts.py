@@ -38,6 +38,13 @@ at the bench's eight bandwidths, 1 epoch × 2 iterations, seed 3: 32 short
 runs) pins what a run costs to build and run: the kernel's entries by kind,
 the PCG64 jitter streams built, and the networks' rerates and solver calls.
 
+``numeric_fig6b``'s smoke shape (``resnet50-cifar10``, 8 workers, OSP, σ 0.3,
+600 samples, batch 25, 2 epochs, seed 3) pins the numeric step's
+convolutions: ``conv2d`` calls by input shape, weight shape, stride and
+whether the tape records the weight's gradient (training forwards) or not
+(the ``no_grad`` evaluation of the PS model at each epoch end), counted by
+a wrapper around ``functional.conv2d`` in this test.
+
 A change that moves a count updates its pin and states old → new in
 CHANGES.md. Counts do not depend on the host, so a creep below the timing
 noise of a ``host_s`` claim still shows here.
@@ -49,17 +56,21 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from repro.autograd import functional
+from repro.autograd.tensor import grad_enabled
 from repro.check import InvariantChecker
 from repro.cluster.engines import Engine
 from repro.core.gib import GIB
 from repro.core.osp import OSP
 from repro.harness import (
-    WorkloadConfig, osp_with_background, shared_fabric_runner, timing_trainer,
+    WorkloadConfig, make_numeric_dataset, numeric_trainer, osp_with_background,
+    shared_fabric_runner, timing_trainer,
 )  # fmt: skip
 from repro.hardware.compute import ComputeModel
 from repro.harness.sweep import sweep_bandwidth
 from repro.netsim import Network
 from repro.netsim.network import _Cohort
+from repro.nn.models.registry import get_card
 from repro.obs.timeseries import MetricSampler
 from repro.simcore import NORMAL, Environment, Process, Timeout
 from repro.sync import ASP, BSP, SSP
@@ -180,6 +191,23 @@ PINNED_SWEEP = {
     "netsim.rerates": 1600,
     "netsim.fairshare_calls": 924,
     "netsim.rerate_skipped": 432,
+}
+
+#: ``numeric_fig6b``'s smoke shape: ``conv2d`` calls per run by (x shape,
+#: weight shape, stride, taped). 32 worker-iterations of five training
+#: convolutions (the 8 -> 8 one twice per forward) and two evaluations of the
+#: 150 test samples.
+PINNED_NUMERIC_CONVS = {
+    ((25, 3, 16, 16), (8, 3, 3, 3), 1, "taped"): 32,
+    ((25, 8, 16, 16), (8, 8, 3, 3), 1, "taped"): 64,
+    ((25, 8, 16, 16), (16, 8, 1, 1), 2, "taped"): 32,
+    ((25, 8, 16, 16), (16, 8, 3, 3), 2, "taped"): 32,
+    ((25, 16, 8, 8), (16, 16, 3, 3), 1, "taped"): 32,
+    ((150, 3, 16, 16), (8, 3, 3, 3), 1, "untaped"): 2,
+    ((150, 8, 16, 16), (8, 8, 3, 3), 1, "untaped"): 4,
+    ((150, 8, 16, 16), (16, 8, 1, 1), 2, "untaped"): 2,
+    ((150, 8, 16, 16), (16, 8, 3, 3), 2, "untaped"): 2,
+    ((150, 16, 8, 8), (16, 16, 3, 3), 1, "untaped"): 2,
 }
 
 
@@ -492,6 +520,29 @@ def counts_sweep():
     }
 
 
+@pytest.fixture(scope="module")
+def counts_numeric():
+    mp = pytest.MonkeyPatch()
+    convs: Counter = Counter()
+    conv2d = functional.conv2d
+
+    def counted_conv2d(x, weight, bias=None, stride=1, padding=0):
+        taped = grad_enabled() and weight.requires_grad
+        convs[(x.shape, weight.shape, stride, "taped" if taped else "untaped")] += 1
+        return conv2d(x, weight, bias, stride=stride, padding=padding)
+
+    mp.setattr(functional, "conv2d", counted_conv2d)
+    try:
+        data = make_numeric_dataset(get_card("resnet50-cifar10"), n_samples=600, seed=3)
+        cfg = WorkloadConfig(
+            "resnet50-cifar10", n_workers=8, n_epochs=2, sigma=0.3, seed=3
+        )  # fmt: skip
+        numeric_trainer(cfg, OSP(), data=data, batch_size=25).run()
+    finally:
+        mp.undo()
+    return dict(convs)
+
+
 def test_kernel_entries_by_kind(counts):
     entries = {kind: counts["entries"].get(kind, 0) for kind in PINNED_ENTRIES}
     assert entries == PINNED_ENTRIES
@@ -571,3 +622,10 @@ def test_the_split_is_computed_once_per_gib(counts):
     # The RS and ICS byte sums of a bitmap, once per bitmap the workers
     # split under (the last round close may adopt one nobody uses).
     assert counts["byte_sums"] <= 2 * counts["gibs_adopted"]
+
+
+def test_numeric_convolutions_are_pinned(counts_numeric):
+    assert counts_numeric == PINNED_NUMERIC_CONVS, (
+        "conv2d calls per numeric_fig6b smoke run moved; update the pin and "
+        "state it old -> new in CHANGES.md"
+    )
