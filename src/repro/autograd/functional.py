@@ -1,15 +1,21 @@
 """Higher-level differentiable operations: conv, pooling, softmax, embedding.
 
 All kernels are fully vectorised (im2col for convolution, stride-tricks for
-pooling windows) per the HPC guide: no Python loops over batch or spatial
-dimensions (conv2d loops over the ``kh*kw`` kernel taps only).
+pooling windows) per the HPC guide: no Python loops over spatial
+dimensions. conv2d loops over the ``kh*kw`` kernel taps and, when the tape
+does not record the weight's gradient, over cache-sized blocks of images.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, unbroadcast
+from repro.autograd.tensor import Tensor, grad_enabled, unbroadcast
+
+#: Bytes of the column block an untaped ``conv2d`` reuses for every block of
+#: images (at least one image): it stays in cache between the im2col copy
+#: and the GEMM that reads it.
+_COLS_BLOCK_BYTES = 512 * 1024
 
 
 # --------------------------------------------------------------- softmax
@@ -117,11 +123,16 @@ def conv2d(
     out_w = (wp - kw) // stride + 1
     n_cols = n * out_h * out_w
 
-    if padding:
-        x_padded = np.zeros((n, c_in, hp, wp), dtype=x.data.dtype)
-        x_padded[:, :, padding:-padding, padding:-padding] = x.data
-    else:
-        x_padded = x.data
+    f, n_pos = c_in * kh * kw, out_h * out_w
+    w_row = weight.data.reshape(c_out, f)  # (C_out, F)
+    # The tape keeps the column matrix for grad_w, so a taped forward builds
+    # it for the whole batch. Otherwise nothing reads it after the GEMM, and
+    # the images go through one cache-sized block buffer a block at a time.
+    taped = grad_enabled() and weight.requires_grad
+    per_image = max(1, f * n_pos * x.data.itemsize)
+    block = n if taped else min(n, max(1, _COLS_BLOCK_BYTES // per_image))
+    x_padded = np.zeros((block, c_in, hp, wp), dtype=x.data.dtype) if padding else None
+    cols_buf = np.empty(f * block * n_pos, dtype=x.data.dtype)
 
     def windows(a, ki, kj):
         """The (N, C, out_h, out_w) strided view of ``a`` that kernel tap
@@ -129,28 +140,34 @@ def conv2d(
         rows = slice(ki, ki + stride * (out_h - 1) + 1, stride)
         return a[:, :, rows, kj : kj + stride * (out_w - 1) + 1 : stride].transpose(1, 0, 2, 3)
 
-    # Column matrix in (F, N, P) C order, F = (c, ki, kj): one strided-slice
-    # copy per kernel tap, no index arrays.
-    taps_shape = (c_in, kh, kw, n, out_h, out_w)
-    cols = np.empty(taps_shape, dtype=x.data.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            cols[:, ki, kj] = windows(x_padded, ki, kj)
-    cols2d = cols.reshape(c_in * kh * kw, n_cols)  # (F, N*P)
-    w_row = weight.data.reshape(c_out, c_in * kh * kw)  # (C_out, F)
-
     # (N*P, F) @ (F, C_out): the result is NHWC in memory and is handed on
     # as an NCHW *view*. Downstream reductions (batch-norm mean/var) iterate
     # in memory order, so this layout is part of the bit-level contract, as
-    # is the operand order of all three matmuls (docs/performance.md).
-    out = np.matmul(cols2d.T, w_row.T)
+    # is the operand order of all three matmuls (docs/performance.md). Each
+    # output row is one length-F dot, so a block's GEMM writes the bits the
+    # whole batch's would.
+    out = np.empty((n_cols, c_out), dtype=np.result_type(x.data, weight.data))
+    for start in range(0, n, max(block, 1)):
+        x_block = x.data[start : start + block]
+        nb = len(x_block)
+        if padding:
+            x_padded[:nb, :, padding:-padding, padding:-padding] = x_block
+            x_block = x_padded[:nb]
+        # Column matrix in (F, nb, P) C order, F = (c, ki, kj): one
+        # strided-slice copy per kernel tap, no index arrays.
+        cols = cols_buf[: f * nb * n_pos].reshape(c_in, kh, kw, nb, out_h, out_w)
+        for ki in range(kh):
+            for kj in range(kw):
+                cols[:, ki, kj] = windows(x_block, ki, kj)
+        cols2d = cols.reshape(f, nb * n_pos)
+        np.matmul(cols2d.T, w_row.T, out=out[start * n_pos : (start + nb) * n_pos])
     out_data = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
 
     def grad_x(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n_cols)  # (C_out, N*P)
-        dcols = np.matmul(w_row.T, g2).reshape(taps_shape)  # (F, N*P), C order
+        dcols = np.matmul(w_row.T, g2).reshape(c_in, kh, kw, n, out_h, out_w)  # (F, N*P)
         # col2im: taps accumulate in increasing (ki, kj) order -- per element
         # the same addition sequence an in-order scatter-add performs.
         dx_padded = np.zeros((n, c_in, hp, wp), dtype=dcols.dtype)
@@ -164,9 +181,11 @@ def conv2d(
 
     def grad_w(g):
         g2 = g.transpose(0, 2, 3, 1).reshape(n_cols, c_out)  # (N*P, C_out)
-        return np.matmul(cols2d, g2).T.reshape(weight.shape)
+        return np.matmul(cols_buf.reshape(f, n_cols), g2).T.reshape(weight.shape)
 
-    parents = [(x, grad_x), (weight, grad_w)]
+    parents = [(x, grad_x)]
+    if taped:
+        parents.append((weight, grad_w))
     if bias is not None:
         parents.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
     return Tensor._from_op(out_data, parents, "conv2d")

@@ -12,7 +12,7 @@ memory order, so layout decides *their* bits).
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, functional as F
+from repro.autograd import Tensor, functional as F, no_grad
 from repro.nn.models.registry import MODEL_CARDS
 
 
@@ -258,6 +258,80 @@ def test_empty_batch_forward_and_backward():
     assert np.array_equal(tw.grad, np.zeros((4, 3, 3, 3)))
 
 
+# ------------------------------------------------------------ untaped forward
+def _taped_and_untaped(x, w, stride, padding):
+    """``conv2d`` of the same operands with the weight's gradient recorded
+    (the whole batch's column matrix, kept for ``grad_w``) and under
+    ``no_grad`` (the images a cache-sized block at a time)."""
+    tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    tx.data, tw.data = x, w  # the constructor coerces to float64
+    taped = F.conv2d(tx, tw, None, stride=stride, padding=padding)
+    with no_grad():
+        untaped = F.conv2d(tx, tw, None, stride=stride, padding=padding)
+    assert taped.requires_grad and not untaped.requires_grad
+    return taped.data, untaped.data
+
+
+@pytest.mark.parametrize("batch", [200, 7, 1, 0])
+@pytest.mark.parametrize(
+    "x_shape,w_shape,stride,padding,contiguous", CARD_GEOMETRIES, ids=map(_geometry_id, CARD_GEOMETRIES)
+)
+def test_untaped_forward_has_the_taped_bits_and_layout(
+    x_shape, w_shape, stride, padding, contiguous, batch
+):
+    # 200 is the evaluation batch; 7 and 1 leave a partial last block on
+    # every geometry whose block holds more than one image, 0 runs no block.
+    rng = np.random.default_rng(23)
+    x_shape = (batch, *x_shape[1:])
+    x = rng.normal(size=x_shape) if contiguous else _nhwc_strided(rng, x_shape)
+    taped, untaped = _taped_and_untaped(x, rng.normal(size=w_shape), stride, padding)
+    _assert_same_bytes(untaped, taped, "out")
+
+
+def test_untaped_forward_follows_the_result_type():
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(7, 2, 6, 6)).astype(np.float32)
+    for w in (rng.normal(size=(4, 2, 3, 3)), rng.normal(size=(4, 2, 3, 3)).astype(np.float32)):
+        taped, untaped = _taped_and_untaped(x, w, 1, 1)
+        assert untaped.dtype == np.result_type(x, w)
+        _assert_same_bytes(untaped, taped, "out")
+
+
+def test_a_frozen_weight_still_records_grad_x():
+    # The weight's gradient is not recorded, so the forward runs in blocks,
+    # and the input's gradient must still reach x, with the reference's bits.
+    rng = np.random.default_rng(31)
+    x, w = rng.normal(size=(7, 8, 16, 16)), rng.normal(size=(8, 8, 3, 3))
+    tx, tw = Tensor(x, requires_grad=True), Tensor(w)
+    y = F.conv2d(tx, tw, None, stride=1, padding=1)
+    ref_out, ref_backward = reference_conv2d(x, w, 1, 1)
+    _assert_same(y.data, ref_out, "out")
+    assert [p for p, _ in y._parents] == [tx]
+    g = rng.normal(size=ref_out.shape)
+    (grad_x,) = _grad_fns(y, tx)
+    _assert_same(grad_x(g), ref_backward(g)[0], "dx")
+
+
+def test_untaped_forward_holds_no_column_matrix():
+    # The evaluation pass's largest conv. Taped, the column matrix alone is
+    # 9x the input. Untaped, the forward may hold its output (1x the input
+    # here), one block of columns and one padded block, and nothing
+    # batch-sized besides.
+    import tracemalloc
+
+    rng = np.random.default_rng(37)
+    x = Tensor(rng.normal(size=(200, 8, 16, 16)))
+    wt = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+    with no_grad():
+        tracemalloc.start()
+        try:
+            F.conv2d(x, wt, None, stride=1, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * x.data.nbytes, f"{peak / x.data.nbytes:.2f}x the input"
+
+
 # ------------------------------------------------------- work-count witnesses
 def _fifty_geometries():
     geometries = []
@@ -278,6 +352,8 @@ def test_conv2d_keeps_no_per_geometry_state():
             x = Tensor(rng.normal(size=(n, c, h, w)), requires_grad=True)
             wt = Tensor(rng.normal(size=(3, c, k, k)), requires_grad=True)
             F.conv2d(x, wt, None, stride=stride, padding=padding).sum().backward()
+            with no_grad():
+                F.conv2d(x, wt, None, stride=stride, padding=padding)
 
     assert len(set(_fifty_geometries())) == 50
     sweep()  # numpy's own lazy set-up and caches happen here, not below
