@@ -25,33 +25,40 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import sys
+from functools import partial
 
 from repro.bounds import COUNT, INDEX, NON_NEGATIVE, read_json_arg
-from repro.core.colocated import ColocatedOSP
-from repro.core.osp import OSP
 from repro.metrics.report import format_table
 from repro.nn.models.registry import MODEL_CARDS
-from repro.sync import ASP, BSP, DSSP, R2SP, SSP, ShardedBSP, SyncSwitch, WFBP
 
 # The rest is imported by the subcommand that uses it: the parser needs
-# only the cards and the sync models, and ``repro cards`` builds no trainer.
+# only the cards and the sync-model names, and ``repro cards`` builds no
+# trainer.
+
+
+def _sync_model(module: str, cls: str, **kwargs):
+    """A fresh ``module.cls(**kwargs)``; the module is imported on the
+    first build, so a run loads only the sync model it runs."""
+    return getattr(importlib.import_module(module), cls)(**kwargs)
+
 
 SYNC_FACTORIES = {
-    "bsp": BSP,
-    "asp": ASP,
-    "ssp": SSP,
-    "dssp": DSSP,
-    "r2sp": R2SP,
-    "r2sp-duplex": lambda: R2SP(duplex=True),
-    "sync-switch": SyncSwitch,
-    "sharded-bsp": ShardedBSP,
-    "wfbp": WFBP,
-    "osp": OSP,
-    "osp-c": ColocatedOSP,
-    "osp-forced-bsp": lambda: OSP(force="bsp"),
-    "osp-forced-asp": lambda: OSP(force="asp"),
+    "bsp": partial(_sync_model, "repro.sync.bsp", "BSP"),
+    "asp": partial(_sync_model, "repro.sync.asp", "ASP"),
+    "ssp": partial(_sync_model, "repro.sync.ssp", "SSP"),
+    "dssp": partial(_sync_model, "repro.sync.dssp", "DSSP"),
+    "r2sp": partial(_sync_model, "repro.sync.r2sp", "R2SP"),
+    "r2sp-duplex": partial(_sync_model, "repro.sync.r2sp", "R2SP", duplex=True),
+    "sync-switch": partial(_sync_model, "repro.sync.sync_switch", "SyncSwitch"),
+    "sharded-bsp": partial(_sync_model, "repro.sync.multips", "ShardedBSP"),
+    "wfbp": partial(_sync_model, "repro.sync.wfbp", "WFBP"),
+    "osp": partial(_sync_model, "repro.core.osp", "OSP"),
+    "osp-c": partial(_sync_model, "repro.core.colocated", "ColocatedOSP"),
+    "osp-forced-bsp": partial(_sync_model, "repro.core.osp", "OSP", force="bsp"),
+    "osp-forced-asp": partial(_sync_model, "repro.core.osp", "OSP", force="asp"),
 }
 
 

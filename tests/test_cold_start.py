@@ -182,7 +182,8 @@ NOT_ON_THE_TIMING_PATH = (
 )
 
 #: ``import repro.cli`` alone loads at most this many ``repro`` modules (37
-#: when it was set; 110 when every package imported all its submodules).
+#: when it was set, 9 once the sync models were imported per build; 110 when
+#: every package imported all its submodules).
 CLI_IMPORT_BUDGET = 70
 
 _TIMING_RUN = """
@@ -208,3 +209,32 @@ def test_a_timing_run_loads_only_the_timing_path():
     loaded = json.loads(_fresh(_TIMING_RUN).strip().splitlines()[-1])
     assert [m for m in NOT_ON_THE_TIMING_PATH if m in loaded["run"]] == []
     assert len(loaded["cli"]) <= CLI_IMPORT_BUDGET, loaded["cli"]
+
+
+#: The sync models ``repro run --sync osp`` does not run: the CLI names
+#: every model for ``--sync``'s choices but imports only the one it builds.
+OTHER_SYNC_MODELS = tuple(
+    f"repro.sync.{name}"
+    for name in ("asp", "bsp", "ssp", "dssp", "r2sp", "sync_switch", "multips", "wfbp")
+) + ("repro.core.colocated", "repro.core.groups")
+
+_CLI_RUN = """
+import contextlib
+import io
+import json
+import sys
+
+from repro.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["run", "--sync", "osp", "--workers", "2", "--epochs", "1",
+                 "--iterations", "2", "--json"])
+print(json.dumps({"code": code, "run": sorted(sys.modules)}))
+"""
+
+
+def test_repro_run_imports_only_the_sync_model_it_runs():
+    loaded = json.loads(_fresh(_CLI_RUN).strip().splitlines()[-1])
+    assert loaded["code"] == 0
+    assert "repro.core.osp" in loaded["run"]
+    assert [m for m in OTHER_SYNC_MODELS if m in loaded["run"]] == []
