@@ -167,7 +167,7 @@ def conv2d(
 
     def grad_x(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n_cols)  # (C_out, N*P)
-        dcols = np.matmul(w_row.T, g2).reshape(c_in, kh, kw, n, out_h, out_w)  # (F, N*P)
+        dcols = np.matmul(w_row.T, g2).reshape(c_in, kh, kw, n, out_h, out_w)  # (F, N*P), C order
         # col2im: taps accumulate in increasing (ki, kj) order -- per element
         # the same addition sequence an in-order scatter-add performs.
         dx_padded = np.zeros((n, c_in, hp, wp), dtype=dcols.dtype)

@@ -39,26 +39,27 @@ from repro.nn.models.registry import MODEL_CARDS
 # trainer.
 
 
-def _sync_model(module: str, cls: str, **kwargs):
-    """A fresh ``module.cls(**kwargs)``; the module is imported on the
-    first build, so a run loads only the sync model it runs."""
-    return getattr(importlib.import_module(module), cls)(**kwargs)
+def _sync_model(package: str, cls: str, **kwargs):
+    """A fresh ``cls(**kwargs)`` out of ``package``'s lazy table, which
+    imports the class's module on first access: a run loads only the sync
+    model it runs."""
+    return getattr(importlib.import_module(package), cls)(**kwargs)
 
 
 SYNC_FACTORIES = {
-    "bsp": partial(_sync_model, "repro.sync.bsp", "BSP"),
-    "asp": partial(_sync_model, "repro.sync.asp", "ASP"),
-    "ssp": partial(_sync_model, "repro.sync.ssp", "SSP"),
-    "dssp": partial(_sync_model, "repro.sync.dssp", "DSSP"),
-    "r2sp": partial(_sync_model, "repro.sync.r2sp", "R2SP"),
-    "r2sp-duplex": partial(_sync_model, "repro.sync.r2sp", "R2SP", duplex=True),
-    "sync-switch": partial(_sync_model, "repro.sync.sync_switch", "SyncSwitch"),
-    "sharded-bsp": partial(_sync_model, "repro.sync.multips", "ShardedBSP"),
-    "wfbp": partial(_sync_model, "repro.sync.wfbp", "WFBP"),
-    "osp": partial(_sync_model, "repro.core.osp", "OSP"),
-    "osp-c": partial(_sync_model, "repro.core.colocated", "ColocatedOSP"),
-    "osp-forced-bsp": partial(_sync_model, "repro.core.osp", "OSP", force="bsp"),
-    "osp-forced-asp": partial(_sync_model, "repro.core.osp", "OSP", force="asp"),
+    "bsp": partial(_sync_model, "repro.sync", "BSP"),
+    "asp": partial(_sync_model, "repro.sync", "ASP"),
+    "ssp": partial(_sync_model, "repro.sync", "SSP"),
+    "dssp": partial(_sync_model, "repro.sync", "DSSP"),
+    "r2sp": partial(_sync_model, "repro.sync", "R2SP"),
+    "r2sp-duplex": partial(_sync_model, "repro.sync", "R2SP", duplex=True),
+    "sync-switch": partial(_sync_model, "repro.sync", "SyncSwitch"),
+    "sharded-bsp": partial(_sync_model, "repro.sync", "ShardedBSP"),
+    "wfbp": partial(_sync_model, "repro.sync", "WFBP"),
+    "osp": partial(_sync_model, "repro.core", "OSP"),
+    "osp-c": partial(_sync_model, "repro.core", "ColocatedOSP"),
+    "osp-forced-bsp": partial(_sync_model, "repro.core", "OSP", force="bsp"),
+    "osp-forced-asp": partial(_sync_model, "repro.core", "OSP", force="asp"),
 }
 
 
